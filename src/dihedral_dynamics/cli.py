@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -76,17 +77,34 @@ def _parse_eps(text: str) -> Fraction:
     return eps
 
 
+def _check_max_level(value, minimum: int):
+    """``--max-level`` as given (None when absent), or a config error."""
+    if value is not None and value < minimum:
+        raise ConfigError(f"--max-level must be at least {minimum}")
+    return value
+
+
 def _emit(payload: dict, out_path) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    print(text)
+    try:
+        print(text)
+        # flush inside the try, so a reader that went away is seen here
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # flush cannot fail too, and let the command return its own code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def cmd_fixed_points(args) -> int:
     system = _load_system(args.system)
     elements = _parse_elements(args.elements)
+    max_level = _check_max_level(args.max_level, 2)
     if any(g.is_identity() for g in elements):
         raise ConfigError("the identity element has no fixed-point report")
     report = {}
@@ -95,9 +113,9 @@ def cmd_fixed_points(args) -> int:
             pts = system.fixed_points(g)
             report[str(g)] = [format_point(p) for p in pts.points]
     elif isinstance(system, OdometerSystem):
-        max_level = args.max_level or len(system.chain)
+        depth = len(system.chain) if max_level is None else min(max_level, len(system.chain))
         for g in elements:
-            tc = system.stable_fixed_count(g, min(max_level, len(system.chain)))
+            tc = system.stable_fixed_count(g, depth)
             report[str(g)] = {"count": tc.count, "stabilizedAt": tc.stabilized_at}
     else:
         raise ConfigError("unsupported system")
@@ -168,7 +186,8 @@ def cmd_certify(args) -> int:
 def cmd_homology(args) -> int:
     system = _load_system(args.system)
     method = {"comp": "closed_form", "freeproduct": "freeproduct", "both": "both"}[args.method]
-    table, provenance = homology_table(system, max_level=args.max_level or 16, method=method)
+    max_level = _check_max_level(args.max_level, 3)
+    table, provenance = homology_table(system, max_level=max_level, method=method)
     payload = table.to_json()
     payload["provenance"] = provenance
     delta = provenance.get("delta")

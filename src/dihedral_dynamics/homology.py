@@ -294,16 +294,6 @@ def _odometer_modules(system: OdometerSystem, level: int):
     return cells, InvolutionModule.of(sig), InvolutionModule.of(phisig)
 
 
-def _refined_cover_matrix(system: OdometerSystem, level: int) -> Matrix:
-    coarse = [system.refine(c, level, level + 1) for c in system.cells(level)]
-    fine = system.cells(level + 1)
-    mat = [[0] * len(coarse) for _ in range(len(fine))]
-    for j, c in enumerate(coarse):
-        for i in cover_indices(c, fine):
-            mat[i][j] = 1
-    return mat
-
-
 # ---------------------------------------------------------------------------
 # The H_0 telescope of the translation subaction
 # ---------------------------------------------------------------------------
@@ -379,37 +369,30 @@ def h0_translation_telescope(system, max_level: int, with_flip: bool = True) -> 
     if max_level < 3:
         raise ValueError("max_level must be >= 3")
 
+    first = 1
     if isinstance(system, DenjoyFlipSystem):
-        first = 1
         levels = list(range(first, max_level + 1))
         stages = [_denjoy_h0_stage(system, t) for t in levels]
         cell_lists = [system.symmetric_cells(t) for t in levels]
-        incls = [cover_matrix(cell_lists[i], cell_lists[i + 1]) for i in range(len(levels) - 1)]
-        connecting = tuple(
-            AbHom.of(stages[i], stages[i + 1], incls[i]) for i in range(len(levels) - 1))
-        sigma_maps = ()
-        if with_flip:
-            sig_perms = [pullback_matrix(system, FLIP, cell_lists[i], cell_lists[i]) for i in range(len(levels))]
-            sigma_maps = tuple(
-                AbHom.of(stages[i], stages[i + 1], mat_mul(incls[i], sig_perms[i]))
-                for i in range(len(levels) - 1))
+        coarse_lists = cell_lists[:-1]
     elif isinstance(system, OdometerSystem):
-        first = 1
         top = _capped_odometer_level(system, max_level, _MAX_TELESCOPE_CELLS)
         levels = list(range(first, top + 1))
         stages = [_odometer_h0_stage(system, t) for t in levels]
-        incls = [_refined_cover_matrix(system, t) for t in levels[:-1]]
-        connecting = tuple(
-            AbHom.of(stages[i], stages[i + 1], incls[i]) for i in range(len(levels) - 1))
-        sigma_maps = ()
-        if with_flip:
-            cell_lists = [system.cells(t) for t in levels]
-            sig_perms = [pullback_matrix(system, FLIP, cell_lists[i], cell_lists[i]) for i in range(len(levels))]
-            sigma_maps = tuple(
-                AbHom.of(stages[i], stages[i + 1], mat_mul(incls[i], sig_perms[i]))
-                for i in range(len(levels) - 1))
+        cell_lists = [system.cells(t) for t in levels]
+        coarse_lists = [[system.refine(c, t, t + 1) for c in cells]
+                        for t, cells in zip(levels, cell_lists[:-1])]
     else:
         raise ValueError("telescope requires a circle or odometer system")
+    incls = [cover_matrix(coarse_lists[i], cell_lists[i + 1]) for i in range(len(levels) - 1)]
+    connecting = tuple(
+        AbHom.of(stages[i], stages[i + 1], incls[i]) for i in range(len(levels) - 1))
+    sigma_maps = ()
+    if with_flip:
+        sig_perms = [pullback_matrix(system, FLIP, cells, cells) for cells in cell_lists[:-1]]
+        sigma_maps = tuple(
+            AbHom.of(stages[i], stages[i + 1], mat_mul(incls[i], sig_perms[i]))
+            for i in range(len(levels) - 1))
 
     ds = DirectSystem(tuple(stages), connecting)
     limit = _image_refined_limit(ds)
@@ -687,7 +670,7 @@ def free_product_homology(system, max_level: int, first_level: int = 2) -> FreeP
             sym = cover_matrix(cells1, cells2)
             shift = cover_matrix(system.shifted_cells(l1), system.shifted_cells(l2))
         else:
-            sym = _refined_cover_matrix(system, l1)
+            sym = cover_matrix([system.refine(c, l1, l2) for c in cells1], cells2)
             shift = sym
         sym_incls.append(sym)
         combined_incls.append(_block_diag(sym, shift))

@@ -14,6 +14,18 @@ systems are provided:
   flip, with the rotation acting forwards on one copy and backwards on
   the other; the resulting action is free and its translation part is
   not minimal.
+
+Level cells and their matrices rest on one invariant.  The cells of a
+circle level are the gaps between consecutive cuts of one window
+{n*theta : lo <= n <= hi}, sorted once in the exact order of
+:class:`CutPoint`, and the group acts on cut indices: (k, s) sends cut n
+to (-1)^s n + k, and a flip swaps the two ends of an arc.  So the image
+of an arc between cuts is again such an arc, it is a union of cells
+exactly when both its ends are cells' left cuts, and it then holds the
+cyclic run of cells between them.  An odometer level's cells are the
+cylinders of Z/n_i, named by residue, and the group acts on residues.
+:func:`cover_matrix` and :func:`pullback_matrix` build every level
+matrix by these lookups, in integers, with no set operations.
 """
 
 from __future__ import annotations
@@ -38,8 +50,6 @@ __all__ = [
     "DoubledSystem",
     "LevelSet",
     "OdometerSystem",
-    "CirclePartition",
-    "OdometerPartition",
     "act",
     "fixed_points",
     "top_freeness_check",
@@ -208,69 +218,17 @@ class DenjoyFlipSystem:
         return out
 
     def symmetric_cells(self, level: int) -> list:
+        """Cells of the window [-N, N]; the flip permutes them."""
         return self.cells(-level, level)
 
     def shifted_cells(self, level: int) -> list:
+        """Cells of the window [1-N, N]; the reflected rotation (1,1)
+        permutes them, since no finite window is invariant under both
+        involutions."""
         return self.cells(1 - level, level)
-
-    def level_partition(self, level: int) -> "CirclePartition":
-        """Level cells together with the induced maps.
-
-        The symmetric window [-N, N] is flip-invariant and the rotation
-        maps its cells into the level-(N+1) cells; the reflected
-        rotation (1,1) permutes the cells of the shifted window
-        [1-N, N] instead, since no finite window is invariant under
-        both involutions.
-        """
-        if level < 0:
-            raise ValueError("level must be >= 0")
-        cells = self.symmetric_cells(level)
-        finer = self.symmetric_cells(level + 1)
-        sigma = permutation_of_cells(self, FLIP, cells)
-        phi_cover = [cover_indices(self.act(TRANSLATION, c), finer) for c in cells]
-        shifted = self.shifted_cells(level) if level >= 1 else []
-        phi_sigma = permutation_of_cells(self, GroupElement(1, 1), shifted) if shifted else []
-        return CirclePartition(
-            cells=tuple(cells),
-            sigma_perm=tuple(sigma),
-            phi_cover=tuple(tuple(ix) for ix in phi_cover),
-            shifted_cells=tuple(shifted),
-            phi_sigma_perm=tuple(phi_sigma),
-        )
 
     def to_json(self) -> dict:
         return {"type": self.kind, "theta": self.theta.to_json()}
-
-
-@dataclass(frozen=True)
-class CirclePartition:
-    cells: tuple
-    sigma_perm: tuple
-    phi_cover: tuple
-    shifted_cells: tuple
-    phi_sigma_perm: tuple
-
-    def sigma_matrix(self) -> list:
-        return _perm_matrix(self.sigma_perm)
-
-    def phi_matrix(self) -> list:
-        """0/1 matrix: column j marks the finer cells covering phi(cell j)."""
-        rows = 1 + max(max(ix) for ix in self.phi_cover)
-        mat = [[0] * len(self.phi_cover) for _ in range(rows)]
-        for j, ixs in enumerate(self.phi_cover):
-            for i in ixs:
-                mat[i][j] = 1
-        return mat
-
-    def phi_sigma_matrix(self) -> list:
-        return _perm_matrix(self.phi_sigma_perm)
-
-
-def _perm_matrix(perm: Sequence[int]) -> list:
-    mat = [[0] * len(perm) for _ in range(len(perm))]
-    for j, i in enumerate(perm):
-        mat[i][j] = 1
-    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -518,15 +476,6 @@ class OdometerSystem:
         n = self.modulus(level)
         return [self.cylinder(level, k) for k in range(n)]
 
-    def level_partition(self, level: int) -> "OdometerPartition":
-        n = self.modulus(level)
-        cells = self.cells(level)
-        sigma = permutation_of_cells(self, FLIP, cells)
-        phi = permutation_of_cells(self, TRANSLATION, cells)
-        phi_sigma = permutation_of_cells(self, GroupElement(1, 1), cells)
-        return OdometerPartition(cells=tuple(cells), sigma_perm=tuple(sigma),
-                                 phi_perm=tuple(phi), phi_sigma_perm=tuple(phi_sigma))
-
     def coset_identification_ok(self, level: int, span: Optional[int] = None) -> bool:
         """Check that (k, j) |-> k mod n_i identifies the coset space.
 
@@ -549,23 +498,6 @@ class OdometerSystem:
         return {"type": self.kind, "chain": list(self.chain)}
 
 
-@dataclass(frozen=True)
-class OdometerPartition:
-    cells: tuple
-    sigma_perm: tuple
-    phi_perm: tuple
-    phi_sigma_perm: tuple
-
-    def sigma_matrix(self) -> list:
-        return _perm_matrix(self.sigma_perm)
-
-    def phi_matrix(self) -> list:
-        return _perm_matrix(self.phi_perm)
-
-    def phi_sigma_matrix(self) -> list:
-        return _perm_matrix(self.phi_sigma_perm)
-
-
 # ---------------------------------------------------------------------------
 # Shared operations
 # ---------------------------------------------------------------------------
@@ -579,44 +511,136 @@ def fixed_points(system, g: GroupElement) -> FixedPointSet:
     return system.fixed_points(g)
 
 
-def permutation_of_cells(system, g: GroupElement, cells: Sequence) -> list:
-    """The permutation j -> index of g(cell_j); errors if g does not permute."""
-    cells = list(cells)
-    perm = []
-    for j, c in enumerate(cells):
-        image = system.act(g, c)
+class _CircleCells:
+    """A circle cell list as a cyclic run of cut indices.
+
+    The list is accepted only if its cells are single arcs that chain
+    (each ends at the next one's left cut) and exactly one of them wraps
+    past 0.  Such arcs travel once around the circle, so they are the
+    gaps of one sorted cut list, and the arc between two of their cuts
+    is the cyclic run of cells from one to the other.  A lone full
+    circle is the one cell of a one-cut window.
+    """
+
+    def __init__(self, cells: Sequence[ClopenSet]):
+        self.theta = cells[0].theta
+        self.k = len(cells)
+        self.pos = {}
+        if self.k == 1 and cells[0].full:
+            return
+        lefts, rights, wraps = [], [], 0
+        for c in cells:
+            if not isinstance(c, ClopenSet) or c.theta != self.theta or len(c.arcs) != 1:
+                raise ValueError("circle cells must be single arcs over one theta")
+            a = c.arcs[0]
+            lefts.append(a.left.n)
+            rights.append(a.right.n)
+            wraps += a.right < a.left
+        if rights != lefts[1:] + lefts[:1]:
+            raise ValueError("circle cells do not chain end to start")
+        if wraps != 1:
+            raise ValueError(f"circle cells wind {wraps} times around the circle, not once")
+        self.pos = {n: i for i, n in enumerate(lefts)}
+
+    def require(self, system) -> None:
+        if not (isinstance(system, DenjoyFlipSystem) and system.theta == self.theta):
+            raise ValueError("the system does not act on these circle cells")
+
+    def _check(self, s) -> None:
+        if not isinstance(s, ClopenSet) or s.theta != self.theta:
+            raise ValueError("not a circle set over the cells' theta")
+
+    def _runs(self, s: ClopenSet, ends: list) -> list:
+        if s.full:
+            return list(range(self.k))
+        if not s.arcs:
+            raise ValueError("target is not covered by the given cells")
+        picked = []
+        for a, b in ends:
+            if a not in self.pos or b not in self.pos:
+                raise ValueError("target is not a union of the given cells")
+            i, j = self.pos[a], self.pos[b]
+            picked.extend(range(i, j) if i < j else [*range(i, self.k), *range(j)])
+        return sorted(picked)
+
+    def cover(self, target) -> list:
+        self._check(target)
+        return self._runs(target, [(a.left.n, a.right.n) for a in target.arcs])
+
+    def preimage(self, g_inv: GroupElement, cell) -> list:
+        # g_inv sends cut n to (-1)^s n + g_inv.n; the flip swaps an arc's ends.
+        self._check(cell)
+        k = g_inv.n
+        if g_inv.s:
+            ends = [(k - a.right.n, k - a.left.n) for a in cell.arcs]
+        else:
+            ends = [(a.left.n + k, a.right.n + k) for a in cell.arcs]
+        return self._runs(cell, ends)
+
+
+class _CylinderCells:
+    """Odometer cylinders of one level, each named by its residue."""
+
+    def __init__(self, cells: Sequence[LevelSet]):
+        self.modulus = cells[0].modulus
+        self.pos = {}
+        for i, c in enumerate(cells):
+            if not isinstance(c, LevelSet) or c.modulus != self.modulus or len(c.residues) != 1:
+                raise ValueError("odometer cells must be single cylinders of one level")
+            self.pos[next(iter(c.residues))] = i
+        if len(self.pos) != len(cells):
+            raise ValueError("odometer cells repeat a cylinder")
+
+    def require(self, system) -> None:
+        if not isinstance(system, OdometerSystem):
+            raise ValueError("the system does not act on odometer cells")
+
+    def _check(self, s) -> None:
+        if not isinstance(s, LevelSet) or s.modulus != self.modulus:
+            raise ValueError("not a level set at the cells' level")
+
+    def _lookup(self, residues: list) -> list:
+        if not residues:
+            raise ValueError("target is not covered by the given cells")
         try:
-            perm.append(cells.index(image))
-        except ValueError:
-            raise ValueError(f"{g} does not permute the given cells (cell {j})")
-    if sorted(perm) != list(range(len(cells))):
-        raise ValueError(f"{g} does not act bijectively on the given cells")
-    return perm
+            return sorted(self.pos[r] for r in residues)
+        except KeyError:
+            raise ValueError("target is not a union of the given cells") from None
+
+    def cover(self, target) -> list:
+        self._check(target)
+        return self._lookup(list(target.residues))
+
+    def preimage(self, g_inv: GroupElement, cell) -> list:
+        self._check(cell)
+        sign = -1 if g_inv.s else 1
+        return self._lookup([(g_inv.n + sign * r) % self.modulus for r in cell.residues])
+
+
+def _index_cells(cells: Sequence):
+    """Position lookup for the cells of one level; validates the list."""
+    if cells and isinstance(cells[0], ClopenSet):
+        return _CircleCells(cells)
+    if cells and isinstance(cells[0], LevelSet):
+        return _CylinderCells(cells)
+    raise ValueError("cells must be a nonempty list of circle or odometer level cells")
 
 
 def cover_indices(target, cells: Sequence) -> list:
-    """Indices of the cells whose union is exactly ``target``; exact check."""
-    picked = []
-    for i, c in enumerate(cells):
-        inter = c.intersection(target)
-        if inter.is_empty():
-            continue
-        if inter != c:
-            raise ValueError("target is not a union of the given cells")
-        picked.append(i)
-    union = None
-    for i in picked:
-        union = cells[i] if union is None else union.union(cells[i])
-    if union is None or union != target:
-        raise ValueError("target is not covered by the given cells")
-    return picked
+    """Indices of the cells whose union is exactly ``target``; exact check.
+
+    ``cells`` must be the cells of one level (see the module docstring);
+    a target that is not a union of them raises ``ValueError``.
+    """
+    return _index_cells(cells).cover(target)
 
 
 def cover_matrix(coarse: Sequence, fine: Sequence) -> list:
     """Matrix of the refinement: column j sums the fine cells inside coarse j."""
+    index = _index_cells(fine)
     mat = [[0] * len(coarse) for _ in range(len(fine))]
     for j, c in enumerate(coarse):
-        for i in cover_indices(c, fine):
+        for i in index.cover(c):
             mat[i][j] = 1
     return mat
 
@@ -625,13 +649,16 @@ def pullback_matrix(system, g: GroupElement, src_cells: Sequence, dst_cells: Seq
     """Matrix of f -> f o g from functions on src_cells to functions on dst_cells.
 
     The indicator of a source cell pulls back to the indicator of its
-    preimage, which must be an exact union of destination cells.
+    preimage, which must be an exact union of destination cells.  The
+    preimage's ends come from integer arithmetic on cut indices or
+    residues, so no set is built.
     """
-    mat = [[0] * len(src_cells) for _ in range(len(dst_cells))]
+    index = _index_cells(dst_cells)
+    index.require(system)
     g_inv = g.inverse()
+    mat = [[0] * len(src_cells) for _ in range(len(dst_cells))]
     for j, c in enumerate(src_cells):
-        pre = system.act(g_inv, c)
-        for i in cover_indices(pre, dst_cells):
+        for i in index.preimage(g_inv, c):
             mat[i][j] = 1
     return mat
 

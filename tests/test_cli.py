@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dihedral_dynamics
 from dihedral_dynamics.cli import main
 from dihedral_dynamics.towers import Castle
 
@@ -60,6 +65,14 @@ class TestFixedPoints:
         code = main(["fixed-points", "--system", str(tmp_path / "nope.json")])
         capsys.readouterr()
         assert code == 2
+
+    def test_max_level_below_minimum(self, capsys, odometer_file):
+        for level in ("0", "1", "-3"):
+            code = main(["fixed-points", "--system", odometer_file, "--max-level", level])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "--max-level" in json.loads(captured.err)["error"]
 
 
 class TestFolnerCommand:
@@ -154,6 +167,14 @@ class TestHomologyCommand:
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_max_level_below_minimum(self, capsys, denjoy_file):
+        for level in ("0", "2", "-1"):
+            code = main(["homology", "--system", denjoy_file, "--max-level", level])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "--max-level" in json.loads(captured.err)["error"]
+
     def test_non_stabilization_exit_code(self, capsys, denjoy_file):
         # three levels are not enough for any limit detection
         code = main(["homology", "--system", denjoy_file, "--max-level", "3"])
@@ -184,3 +205,21 @@ class TestOutputFiles:
                                   "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text()) == data
+
+
+class TestClosedReader:
+    def test_no_traceback_when_reader_closes(self, denjoy_file):
+        src = str(Path(dihedral_dynamics.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dihedral_dynamics.cli", "fixed-points",
+                 "--system", denjoy_file],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 0

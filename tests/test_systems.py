@@ -4,17 +4,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dihedral_dynamics.exact_circle import ClopenSet, QuadExt, frac, qe_cmp
+from dihedral_dynamics.exact_circle import Arc, ClopenSet, QuadExt, Theta, frac, qe_cmp
 from dihedral_dynamics.systems import (
     FLIP,
     IDENTITY,
     TRANSLATION,
+    DenjoyFlipSystem,
     DoubledClopen,
     GroupElement,
     LevelSet,
     OdometerSystem,
     cover_indices,
+    cover_matrix,
+    pullback_matrix,
     system_from_json,
     top_freeness_check,
 )
@@ -273,48 +278,55 @@ class TestTopologicalFreeness:
 
 
 class TestLevelPartition:
+    """Level cells and the matrices the group induces on them."""
+
+    @staticmethod
+    def is_permutation(mat):
+        return all(sum(line) == 1 for line in [*mat, *zip(*mat)])
+
     def test_denjoy_level_one(self, denjoy, golden):
-        lp = denjoy.level_partition(1)
-        assert len(lp.cells) == 3
-        half = QuadExt(Fraction(1, 2), Fraction(0), golden)
-        fixed = [i for i, p in enumerate(lp.sigma_perm) if p == i]
+        cells = denjoy.symmetric_cells(1)
+        assert len(cells) == 3
+        sigma = pullback_matrix(denjoy, FLIP, cells, cells)
+        assert self.is_permutation(sigma)
+        fixed = [i for i in range(3) if sigma[i][i]]
         assert len(fixed) == 1
-        assert lp.cells[fixed[0]].contains_value(half)
-        moved = [i for i in range(3) if lp.sigma_perm[i] != i]
-        assert len(moved) == 2
+        half = QuadExt(Fraction(1, 2), Fraction(0), golden)
+        assert cells[fixed[0]].contains_value(half)
 
     def test_denjoy_level_zero(self, denjoy):
-        lp = denjoy.level_partition(0)
-        assert len(lp.cells) == 1 and lp.cells[0].full
-        assert lp.sigma_perm == (0,)
+        cells = denjoy.symmetric_cells(0)
+        assert len(cells) == 1 and cells[0].full
+        assert pullback_matrix(denjoy, FLIP, cells, cells) == [[1]]
 
     def test_partition_matrices(self, denjoy):
-        lp = denjoy.level_partition(2)
-        sig = lp.sigma_matrix()
-        assert all(sum(col) == 1 for col in zip(*sig))
-        phi = lp.phi_matrix()
-        assert len(phi) == len(denjoy.symmetric_cells(3))
-        assert len(phi[0]) == len(lp.cells)
-        # each translated cell covers at least one finer cell
-        assert all(any(phi[i][j] for i in range(len(phi))) for j in range(len(lp.cells)))
-        ps = lp.phi_sigma_matrix()
-        assert all(sum(col) == 1 for col in zip(*ps))
+        cells = denjoy.symmetric_cells(2)
+        assert self.is_permutation(pullback_matrix(denjoy, FLIP, cells, cells))
+        finer = denjoy.symmetric_cells(3)
+        phi = pullback_matrix(denjoy, TRANSLATION, cells, finer)
+        assert len(phi) == len(finer) and len(phi[0]) == len(cells)
+        # each cell's preimage is made of at least one finer cell
+        assert all(any(col) for col in zip(*phi))
+        shifted = denjoy.shifted_cells(2)
+        assert self.is_permutation(pullback_matrix(denjoy, GroupElement(1, 1), shifted, shifted))
 
         odo = OdometerSystem([4, 8])
-        lp2 = odo.level_partition(1)
-        assert lp2.sigma_matrix()[0][0] == 1
-        assert all(sum(col) == 1 for col in zip(*lp2.phi_matrix()))
+        ocells = odo.cells(1)
+        assert pullback_matrix(odo, FLIP, ocells, ocells)[0][0] == 1
+        assert self.is_permutation(pullback_matrix(odo, TRANSLATION, ocells, ocells))
 
     def test_odometer_level(self):
         odo = OdometerSystem([4, 8])
-        lp = odo.level_partition(1)
-        assert len(lp.cells) == 4
-        assert [i for i, p in enumerate(lp.sigma_perm) if p == i] == [0, 2]
+        cells = odo.cells(1)
+        assert len(cells) == 4
+        sigma = pullback_matrix(odo, FLIP, cells, cells)
+        assert [i for i in range(4) if sigma[i][i]] == [0, 2]
         # translation cycles all cells
+        phi = pullback_matrix(odo, TRANSLATION, cells, cells)
         seen, i = set(), 0
         for _ in range(4):
             seen.add(i)
-            i = lp.phi_perm[i]
+            i = next(r for r in range(4) if phi[r][i])
         assert seen == {0, 1, 2, 3}
 
     def test_refinement(self, denjoy):
@@ -340,6 +352,137 @@ class TestLevelPartition:
         for level in (1, 2, 3):
             assert is_partition(denjoy.symmetric_cells(level))
             assert is_partition(denjoy.shifted_cells(level))
+
+
+def reference_cover_indices(target, cells):
+    """The set-operation route: intersect the target with every cell."""
+    picked = []
+    for i, c in enumerate(cells):
+        inter = c.intersection(target)
+        if inter.is_empty():
+            continue
+        if inter != c:
+            raise ValueError("target is not a union of the given cells")
+        picked.append(i)
+    union = None
+    for i in picked:
+        union = cells[i] if union is None else union.union(cells[i])
+    if union is None or union != target:
+        raise ValueError("target is not covered by the given cells")
+    return picked
+
+
+def reference_cover_matrix(coarse, fine):
+    mat = [[0] * len(coarse) for _ in range(len(fine))]
+    for j, c in enumerate(coarse):
+        for i in reference_cover_indices(c, fine):
+            mat[i][j] = 1
+    return mat
+
+
+def reference_pullback_matrix(system, g, src_cells, dst_cells):
+    mat = [[0] * len(src_cells) for _ in range(len(dst_cells))]
+    for j, c in enumerate(src_cells):
+        for i in reference_cover_indices(system.act(g.inverse(), c), dst_cells):
+            mat[i][j] = 1
+    return mat
+
+
+THETAS = {
+    "golden": Theta(p=-1, q=1, d=5, r=2),
+    "sqrt2": Theta(p=-1, q=1, d=2, r=1),
+    "sqrt3": Theta(p=-1, q=1, d=3, r=2),
+}
+ELEMENTS = [TRANSLATION, FLIP, GroupElement(1, 1)]
+
+
+def preimage_window(g, lo, hi):
+    """Cut indices of g^-1 applied to the cut window [lo, hi]."""
+    g_inv = g.inverse()
+    if g_inv.s:
+        return g_inv.n - hi, g_inv.n - lo
+    return lo + g_inv.n, hi + g_inv.n
+
+
+def check_window(system, g, lo, hi, grow):
+    """Lookup matrices against the reference on the window [lo, hi].
+
+    The destination window holds the source window and its preimage,
+    widened by ``grow`` cuts on each side.
+    """
+    plo, phi = preimage_window(g, lo, hi)
+    src = system.cells(lo, hi)
+    dst = system.cells(min(lo, plo) - grow, max(hi, phi) + grow)
+    assert pullback_matrix(system, g, src, dst) == reference_pullback_matrix(system, g, src, dst)
+    assert cover_matrix(src, dst) == reference_cover_matrix(src, dst)
+
+
+class TestLevelMatrixOracle:
+    """Index lookups agree with intersecting every cell pair."""
+
+    @pytest.mark.parametrize("name", sorted(THETAS))
+    def test_circle_windows(self, name):
+        system = DenjoyFlipSystem(THETAS[name])
+        for level in range(1, 9):
+            sym = system.symmetric_cells(level)
+            shifted = system.shifted_cells(level)
+            finer = system.symmetric_cells(level + 1)
+            for g in ELEMENTS:
+                for lo, hi in ((-level, level), (1 - level, level)):
+                    check_window(system, g, lo, hi, grow=level % 2)
+            # the matrices the homology levels use
+            assert pullback_matrix(system, FLIP, sym, sym) == \
+                reference_pullback_matrix(system, FLIP, sym, sym)
+            assert pullback_matrix(system, GroupElement(1, 1), shifted, shifted) == \
+                reference_pullback_matrix(system, GroupElement(1, 1), shifted, shifted)
+            assert pullback_matrix(system, TRANSLATION, sym, finer) == \
+                reference_pullback_matrix(system, TRANSLATION, sym, finer)
+            for coarse, fine in ((sym, finer), (shifted, sym),
+                                 (shifted, system.shifted_cells(level + 1))):
+                assert cover_matrix(coarse, fine) == reference_cover_matrix(coarse, fine)
+
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_odometer_levels(self, base):
+        odo = OdometerSystem([base ** i for i in range(1, 6)])
+        for level in range(1, 5):
+            cells = odo.cells(level)
+            for g in ELEMENTS + [GroupElement(-5, 1), GroupElement(7, 0)]:
+                assert pullback_matrix(odo, g, cells, cells) == \
+                    reference_pullback_matrix(odo, g, cells, cells)
+            refined = [odo.refine(c, level, level + 1) for c in cells]
+            fine = odo.cells(level + 1)
+            assert cover_matrix(refined, fine) == reference_cover_matrix(refined, fine)
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(THETAS)), lo=st.integers(-12, 6),
+           width=st.integers(0, 10), n=st.integers(-4, 4), s=st.integers(0, 1),
+           grow=st.integers(0, 3))
+    def test_random_windows(self, name, lo, width, n, s, grow):
+        check_window(DenjoyFlipSystem(THETAS[name]), GroupElement(n, s), lo, lo + width, grow)
+
+    def test_rejects_what_it_cannot_answer(self, denjoy, golden):
+        cells = denjoy.symmetric_cells(2)
+        # a target endpoint outside the window
+        with pytest.raises(ValueError):
+            cover_indices(ClopenSet.arc(golden, 0, 3), cells)
+        with pytest.raises(ValueError):
+            pullback_matrix(denjoy, TRANSLATION, cells, cells)
+        # a cell list with a gap
+        with pytest.raises(ValueError):
+            cover_matrix(cells[:1], cells[:2] + cells[3:])
+        # a chained list winding twice around the circle
+        cuts = denjoy.cut_window(-2, 2)
+        order = [0, 2, 4, 1, 3]
+        twice = [ClopenSet(golden, (Arc(cuts[a], cuts[b]),))
+                 for a, b in zip(order, order[1:] + order[:1])]
+        with pytest.raises(ValueError):
+            cover_matrix([denjoy.full()], twice)
+        # odometer targets at another level, and foreign systems
+        odo = OdometerSystem([3, 9])
+        with pytest.raises(ValueError):
+            cover_indices(odo.cells(2)[0], odo.cells(1))
+        with pytest.raises(ValueError):
+            pullback_matrix(odo, FLIP, cells, cells)
 
 
 class TestSystemJson:
