@@ -126,33 +126,69 @@ def _residue_spans(f: FolnerSet, m: int):
 def folner_ratio(elements: Iterable[GroupElement], test_set: Iterable[GroupElement]) -> Fraction:
     """Exact |K F (symmetric difference) F| / |F|.
 
-    Elements are encoded as integers 2n+s so the set algebra runs on
-    machine ints; the result is an exact rational.
+    F is held as maximal runs of consecutive translation parts, one run
+    list per flip bit; a :class:`FolnerSet` is its two ranges, any other
+    F is grouped and sorted.  An element (k, 0) shifts a run by k, and
+    (k, 1) reflects it to k minus the run on the other bit, so K F is a
+    union of |K| times as many runs, and |K F (sym diff) F| =
+    |K F| + |F| - 2 |K F & F| comes from merging sorted runs, at a cost
+    set by the number of runs rather than by |F|.
     """
-    f_enc = {_encode(g) for g in elements}
-    if not f_enc:
+    runs = _runs_by_bit(elements)
+    size = sum(hi - lo for bit in runs for lo, hi in bit)
+    if not size:
         raise ValueError("F must be nonempty")
-    k_elems = list(test_set)
-    kf = set()
-    for k in k_elems:
-        kn, ks = k.n, k.s
-        if ks:
-            kf.update(_encode_pair(kn - n, 1 ^ s) for n, s in map(_decode, f_enc))
+    images = ([], [])
+    for k in test_set:
+        for s in (0, 1):
+            for lo, hi in runs[s]:
+                if k.s:
+                    images[1 - s].append((k.n - hi + 1, k.n - lo + 1))
+                else:
+                    images[s].append((lo + k.n, hi + k.n))
+    kf = meet = 0
+    for s in (0, 1):
+        merged = _merge_runs(images[s])
+        kf += sum(hi - lo for lo, hi in merged)
+        meet += _overlap(merged, runs[s])
+    return Fraction(kf + size - 2 * meet, size)
+
+
+def _runs_by_bit(elements) -> tuple:
+    """Maximal half-open runs [lo, hi) of translation parts, per flip bit."""
+    if isinstance(elements, FolnerSet):
+        return tuple([(r.start, r.stop)] if r else []
+                     for r in (elements.translation_range, elements.flip_range))
+    parts = ([], [])
+    for g in elements:
+        parts[g.s].append(g.n)
+    return tuple(_merge_runs([(n, n + 1) for n in ns]) for ns in parts)
+
+
+def _merge_runs(runs: list) -> list:
+    """The union of half-open integer runs, as sorted disjoint maximal runs."""
+    out = []
+    for lo, hi in sorted(runs):
+        if out and lo <= out[-1][1]:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
         else:
-            kf.update(_encode_pair(kn + n, s) for n, s in map(_decode, f_enc))
-    return Fraction(len(kf.symmetric_difference(f_enc)), len(f_enc))
+            out.append((lo, hi))
+    return out
 
 
-def _encode(g: GroupElement) -> int:
-    return _encode_pair(g.n, g.s)
-
-
-def _encode_pair(n: int, s: int) -> int:
-    return (n << 1) | s
-
-
-def _decode(code: int):
-    return (code >> 1, code & 1)
+def _overlap(a: list, b: list) -> int:
+    """Number of integers in both of two sorted disjoint run lists."""
+    total = i = j = 0
+    while i < len(a) and j < len(b):
+        lo, hi = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
+        if lo < hi:
+            total += hi - lo
+        if a[i][1] < b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return total
 
 
 def odometer_castle(system: OdometerSystem, n: int, j: int):

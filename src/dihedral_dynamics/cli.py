@@ -55,7 +55,8 @@ def _load_system(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         return system_from_json(data)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        # JSON of the wrong shape surfaces as a lookup or type error
         raise ConfigError(f"cannot load system: {exc}") from exc
 
 
@@ -144,16 +145,12 @@ def cmd_castle(args) -> int:
     if args.base is not None:
         try:
             y = base_from_json(system, json.loads(args.base))
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ConfigError(f"bad base set: {exc}") from exc
     else:
         y = default_invariant_window(system)
-    castle = first_return_castle(system, y)
-    payload = castle.to_json()
-    if not castle.verify().all_ok():
-        _emit(payload, args.out)
-        return EXIT_VERIFICATION
-    _emit(payload, args.out)
+    # first_return_castle raises unless the castle verifies
+    _emit(first_return_castle(system, y).to_json(), args.out)
     return EXIT_OK
 
 
@@ -175,8 +172,9 @@ def cmd_certify(args) -> int:
     payload = castle.to_json()
     payload["epsilon"] = str(eps)
     payload["testSet"] = [g.to_json() for g in test_set]
-    payload["shapeRatios"] = [str(r) for r in castle.shape_ratios(test_set)]
-    if not castle.verify().all_ok() or any(r >= eps for r in castle.shape_ratios(test_set)):
+    ratios = castle.shape_ratios(test_set)
+    payload["shapeRatios"] = [str(r) for r in ratios]
+    if not castle.verify().all_ok() or any(r >= eps for r in ratios):
         _emit(payload, args.out)
         return EXIT_VERIFICATION
     _emit(payload, args.out)

@@ -31,6 +31,7 @@ __all__ = [
     "qe_cmp",
     "frac",
     "is_partition",
+    "sweep_partition",
 ]
 
 # Scale used for the initial integer estimate of sqrt(d); exact sign
@@ -63,15 +64,27 @@ def _int_sign(a: int, b: int, d: int) -> int:
     return -1 if lhs > rhs else 1
 
 
+#: Largest d accepted for theta; bounds the squarefree check below.
+_MAX_D = 1 << 63
+
+
 def _is_squarefree(d: int) -> bool:
-    if d % 4 == 0:
-        return False
-    f = 3
-    while f * f <= d:
-        if d % (f * f) == 0:
-            return False
-        f += 2
-    return True
+    """True iff no square of a prime divides d >= 1, in O(d^(1/3)) steps.
+
+    Trial division strips every prime f with f^3 <= d (the cofactor d
+    shrinks as it goes).  Whatever is left has all its prime factors
+    above the cube root of itself, so it is 1, a prime, a product of two
+    primes, or the square of one prime: squarefree unless a perfect
+    square greater than 1.
+    """
+    f = 2
+    while f * f * f <= d:
+        if d % f == 0:
+            d //= f
+            if d % f == 0:
+                return False
+        f += 1 if f == 2 else 2
+    return d == 1 or isqrt(d) ** 2 != d
 
 
 @dataclass(frozen=True)
@@ -79,7 +92,8 @@ class Theta:
     """The rotation number (p + q*sqrt(d)) / r, restricted to (0, 1).
 
     d must be squarefree and not a perfect square, and q nonzero, so the
-    value is irrational and the representation is faithful.
+    value is irrational and the representation is faithful.  d must also
+    be below 2^63, which keeps the squarefree check under 2^21 steps.
     """
 
     p: int
@@ -98,12 +112,15 @@ class Theta:
             raise ValueError("q must be nonzero (theta must be irrational)")
         if self.d < 2 or isqrt(self.d) ** 2 == self.d:
             raise ValueError("d must be >= 2 and not a perfect square")
-        if not _is_squarefree(self.d):
-            raise ValueError("d must be squarefree")
+        if self.d >= _MAX_D:
+            raise ValueError("d must be less than 2^63")
+        # the cheap sign checks first, the squarefree trial division last
         if _int_sign(self.p, self.q, self.d) <= 0:
             raise ValueError("theta must be positive")
         if _int_sign(self.p - self.r, self.q, self.d) >= 0:
             raise ValueError("theta must be less than 1")
+        if not _is_squarefree(self.d):
+            raise ValueError("d must be squarefree")
 
     def sign_of(self, a: Fraction, b: Fraction) -> int:
         """Exact sign of a + b*theta."""
@@ -523,13 +540,45 @@ def _rebuild(theta: Theta, bounds: Sequence[CutPoint], bits: Sequence[bool]) -> 
     return ClopenSet(theta, tuple(arcs))
 
 
+def sweep_partition(sets: Iterable[ClopenSet]) -> tuple:
+    """``(disjoint, covers)`` of a family of clopen sets, by one sorted sweep.
+
+    Every arc adds 1 to the covering depth at its left cut and takes it
+    away at its right cut; an arc that wraps past 0 also covers the gap
+    before the first cut, where the sweep starts.  The distinct cuts are
+    sorted once in the exact order of :class:`CutPoint`, so the depth of
+    each gap between consecutive cuts is an integer prefix sum: the sets
+    are pairwise disjoint iff no gap has depth above 1, and they cover
+    the circle iff no gap has depth 0.  A full member covers everything
+    and so meets every other nonempty member.
+    """
+    theta = None
+    full = 0
+    depth = 0
+    cuts, delta = {}, {}
+    for s in sets:
+        if theta is None:
+            theta = s.theta
+        elif s.theta != theta:
+            raise ValueError("sets over different theta values")
+        if s.full:
+            full += 1
+        for a in s.arcs:
+            cuts[a.left.n] = a.left
+            cuts[a.right.n] = a.right
+            delta[a.left.n] = delta.get(a.left.n, 0) + 1
+            delta[a.right.n] = delta.get(a.right.n, 0) - 1
+            depth += a.right < a.left
+    if full:
+        return full == 1 and not cuts, True
+    lo = hi = depth
+    for c in sorted(cuts.values()):
+        depth += delta[c.n]
+        lo, hi = min(lo, depth), max(hi, depth)
+    return hi <= 1, lo >= 1
+
+
 def is_partition(sets: Sequence[ClopenSet]) -> bool:
     """True iff the sets are pairwise disjoint and cover the circle."""
-    if not sets:
-        return False
-    acc = ClopenSet.empty(sets[0].theta)
-    for s in sets:
-        if not acc.intersection(s).is_empty():
-            return False
-        acc = acc.union(s)
-    return acc.full
+    disjoint, covers = sweep_partition(sets)
+    return disjoint and covers

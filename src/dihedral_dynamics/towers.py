@@ -7,17 +7,31 @@ return of the translation to a flip-invariant clopen set Y: the return
 time is constant on finitely many clopen pieces of Y, each piece gets
 its return time as tower height, and the flip folds each tower onto
 itself (the flip composed with the full climb fixes the base).
+
+Verification is one routine, :func:`verify_castle`: it acts by every
+shape element on its tower's base and checks the translates with one
+sorted sweep (:func:`partition_flags`), then checks that the flip
+composed with each full climb fixes the base.  A castle is immutable,
+so :meth:`Castle.verify` runs it once per castle and keeps the report;
+building, serializing and the CLI all read that one report.
+
+The window shape F_J holds (n, 0) for 0 <= n < J - J//2 and (n, 1) for
+-J//2 <= n < 0.  Since (n, 1) = (n + J, 0) * (-J, 1), a base B with
+(-J, 1) B = B has (n, 1) B = (n + J, 0) B, so once flip-compatibility
+holds the window translates of B are exactly its climbs (k, 0) B for
+0 <= k < J, and a verified castle partitions the space by climbs too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .amenability import folner, folner_ratio
 from .errors import VerificationError
-from .exact_circle import ClopenSet, CutPoint, Arc
+from .exact_circle import ClopenSet, CutPoint, Arc, sweep_partition
 from .systems import (
     FLIP,
     DenjoyFlipSystem,
@@ -34,6 +48,7 @@ __all__ = [
     "CastleReport",
     "first_return_castle",
     "verify_castle",
+    "partition_flags",
     "almost_finite_certificate",
     "base_from_json",
     "default_invariant_window",
@@ -77,6 +92,11 @@ class Castle:
         return tuple(t.return_time for t in self.towers)
 
     def verify(self) -> CastleReport:
+        """The exact report of :func:`verify_castle`, computed once."""
+        return self._report
+
+    @cached_property
+    def _report(self) -> CastleReport:
         return verify_castle(self)
 
     def min_return_time(self) -> int:
@@ -105,6 +125,8 @@ class Castle:
         from .systems import system_from_json
 
         system = system_from_json(data["system"])
+        if not isinstance(data["towers"], list) or not data["towers"]:
+            raise ValueError("a castle needs a nonempty list of towers")
         towers = []
         for tj in data["towers"]:
             base = base_from_json(system, tj["base"])
@@ -125,29 +147,43 @@ def base_from_json(system, data: dict):
     raise ValueError(f"unsupported system for castle base: {system!r}")
 
 
-def _full_like(system, sample):
+def partition_flags(system, pieces: Sequence) -> tuple:
+    """``(disjoint, covers)`` of clopen pieces of the system's space.
+
+    Circle pieces go through one :func:`sweep_partition`, doubled ones
+    through one per copy; odometer pieces of one level mark their
+    residues in a single bytearray.
+    """
+    if isinstance(system, DenjoyFlipSystem):
+        return sweep_partition(pieces)
+    if isinstance(system, DoubledSystem):
+        d0, c0 = sweep_partition([p.comp0 for p in pieces])
+        d1, c1 = sweep_partition([p.comp1 for p in pieces])
+        return d0 and d1, c0 and c1
     if isinstance(system, OdometerSystem):
-        return LevelSet(sample.modulus, frozenset(range(sample.modulus)))
-    return system.full()
+        if not pieces:
+            return True, False
+        modulus = pieces[0].modulus
+        seen = bytearray(modulus)
+        disjoint, hits = True, 0
+        for p in pieces:
+            if p.modulus != modulus:
+                raise ValueError("level sets at different levels")
+            for r in p.residues:
+                if seen[r]:
+                    disjoint = False
+                else:
+                    seen[r] = 1
+                    hits += 1
+        return disjoint, hits == modulus
+    raise ValueError(f"unsupported system for clopen pieces: {system!r}")
 
 
 def verify_castle(castle: Castle) -> CastleReport:
     """Exact disjointness, coverage, and flip-compatibility of a castle."""
     system = castle.system
-    translates = []
-    for t in castle.towers:
-        for g in t.shape:
-            translates.append(system.act(g, t.base))
-    disjoint = True
-    union = None
-    for s in translates:
-        if union is None:
-            union = s
-        else:
-            if not union.intersection(s).is_empty():
-                disjoint = False
-            union = union.union(s)
-    covers = union is not None and union == _full_like(system, castle.towers[0].base)
+    translates = [system.act(g, t.base) for t in castle.towers for g in t.shape]
+    disjoint, covers = partition_flags(system, translates)
     # flip after the full climb: sigma o phi^J is the element (-J, 1)
     sigma_compatible = all(
         system.act(GroupElement(-t.return_time, 1), t.base) == t.base
@@ -177,9 +213,10 @@ def first_return_castle(system, y, max_steps: Optional[int] = None) -> Castle:
     The translation is applied to the moving image of the part of y
     that has not yet come back; each nonempty intersection with y marks
     a return-time value, whose preimage piece becomes a tower base.
-    Before returning, the castle is verified exactly: the translation
-    climbs partition the space and the flip composed with each full
-    climb fixes its base.
+    Before returning, the castle is verified exactly: the window-shape
+    translates partition the space and the flip composed with each full
+    climb fixes its base, so the climbs partition it as well (see the
+    module docstring).
     """
     if not isinstance(system, (DenjoyFlipSystem, DoubledSystem)):
         raise ValueError("first-return castles require a circle or doubled system")
@@ -214,28 +251,7 @@ def first_return_castle(system, y, max_steps: Optional[int] = None) -> Castle:
     report = castle.verify()
     if not report.all_ok():
         raise VerificationError(f"first-return castle failed verification: {report}")
-    # The translation climbs must partition the space as well; together
-    # with flip-compatibility this matches the window-shape translates.
-    climbs = [
-        system.act(GroupElement(k, 0), t.base)
-        for t in towers
-        for k in range(t.return_time)
-    ]
-    if not _is_exact_partition(system, climbs):
-        raise VerificationError("translation climbs do not partition the space")
     return castle
-
-
-def _is_exact_partition(system, pieces) -> bool:
-    union = None
-    for s in pieces:
-        if union is None:
-            union = s
-        else:
-            if not union.intersection(s).is_empty():
-                return False
-            union = union.union(s)
-    return union is not None and union == _full_like(system, pieces[0])
 
 
 def _flip_symmetric_window_arc(system, window: int):
@@ -261,7 +277,7 @@ def almost_finite_certificate(system, test_set: Sequence[GroupElement],
                               eps: Fraction, shrink_budget: int = 24) -> Castle:
     """A partitioning castle whose every shape is (test_set, eps)-invariant.
 
-    The target height N is found by scanning window-set ratios; a
+    The target height N is found by :func:`_invariance_target`; a
     flip-invariant set is then shrunk until its first N translates are
     disjoint, which forces every return time to be at least N.  All
     invariance claims are re-checked exactly on the realized shapes.
@@ -271,15 +287,7 @@ def almost_finite_certificate(system, test_set: Sequence[GroupElement],
         raise ValueError("eps must be positive")
     test_set = tuple(test_set)
 
-    n_target = 1
-    while True:
-        window = [folner_ratio(folner(j), test_set) for j in range(n_target, 4 * n_target + 1)]
-        if all(r < eps for r in window):
-            break
-        n_target += 1
-        if n_target > 10_000:
-            raise VerificationError("no invariant window size found below 10^4")
-
+    n_target = _invariance_target(test_set, eps)
     y = _shrink_until_disjoint(system, n_target, shrink_budget)
     castle = first_return_castle(system, y)
 
@@ -289,6 +297,24 @@ def almost_finite_certificate(system, test_set: Sequence[GroupElement],
     if bad:
         raise VerificationError(f"shape invariance violated: ratios {bad} >= {eps}")
     return castle
+
+
+def _invariance_target(test_set: Sequence[GroupElement], eps: Fraction) -> int:
+    """The least n whose windows F_n, ..., F_4n all have ratio below eps.
+
+    One upward scan finds it and computes each window's ratio once: n is
+    one past the last failing window seen so far, and the scan stops
+    once it has covered F_4n.  Any smaller n has a failing window in
+    its own range, or the scan would have stopped there.
+    """
+    n, j = 1, 0
+    while j < 4 * n:
+        j += 1
+        if folner_ratio(folner(j), test_set) >= eps:
+            n = j + 1
+            if n > 10_000:
+                raise VerificationError("no invariant window size found below 10^4")
+    return n
 
 
 def default_invariant_window(system):
@@ -333,10 +359,5 @@ def _closest_cut_above_zero(theta, window: int) -> CutPoint:
 
 
 def _translates_disjoint(system, y, n_target: int) -> bool:
-    union = y
-    for k in range(1, n_target):
-        img = system.act(GroupElement(k, 0), y)
-        if not union.intersection(img).is_empty():
-            return False
-        union = union.union(img)
-    return True
+    translates = [system.act(GroupElement(k, 0), y) for k in range(n_target)]
+    return partition_flags(system, translates)[0]

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dihedral_dynamics.amenability import (
     DEFAULT_TEST_SET,
@@ -10,6 +12,9 @@ from dihedral_dynamics.amenability import (
     odometer_castle,
 )
 from dihedral_dynamics.systems import FLIP, GroupElement, IDENTITY, OdometerSystem
+
+
+ELEMENTS = st.builds(GroupElement, st.integers(-30, 30), st.integers(0, 1))
 
 
 def naive_ratio(elements, test_set):
@@ -85,6 +90,23 @@ class TestRatios:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             folner_ratio([], DEFAULT_TEST_SET)
+
+    def test_empty_test_set(self):
+        # K F is empty, so the whole of F is the symmetric difference
+        assert folner_ratio(folner(5), []) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=st.lists(ELEMENTS, min_size=1, max_size=40),
+           k=st.lists(ELEMENTS, max_size=6))
+    def test_runs_match_naive_on_random_sets(self, f, k):
+        assert folner_ratio(f, k) == naive_ratio(f, k)
+        assert folner_ratio(tuple(f), k) == folner_ratio(set(f), k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 200), k=st.lists(ELEMENTS, max_size=6))
+    def test_window_runs_match_naive(self, m, k):
+        f = folner(m)
+        assert folner_ratio(f, k) == naive_ratio(f.elements, k)
 
 
 class TestOdometerCastle:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,30 @@ class TestCastleCommand:
         assert code == 2
 
 
+class TestHostileJson:
+    @pytest.mark.parametrize("base", [
+        [1],
+        "x",
+        {"arcs": 5},
+        {"arcs": [{"left": {"m": None, "n": -1}, "right": {"m": 0, "n": 1}}]},
+    ], ids=["list", "string", "arcs-not-a-list", "null-m"])
+    def test_castle_base(self, capsys, denjoy_file, base):
+        code = main(["castle", "--system", denjoy_file, "--base", json.dumps(base)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "bad base set" in json.loads(captured.err)["error"]
+
+    @pytest.mark.parametrize("theta", [[1], {"p": -1}], ids=["list", "missing-keys"])
+    def test_system_theta(self, capsys, tmp_path, theta):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"type": "denjoy_flip", "theta": theta}))
+        code = main(["castle", "--system", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "cannot load system" in json.loads(captured.err)["error"]
+
+
 class TestCertifyCommand:
     def test_denjoy_tight(self, capsys, denjoy_file):
         code, data = run(capsys, ["certify", "--system", denjoy_file, "--eps", "1/10"])
@@ -126,6 +151,21 @@ class TestCertifyCommand:
         assert code == 0
         restored = Castle.from_json(data)
         assert restored.verify().all_ok()
+
+    def test_tiny_eps_ends_quickly(self, denjoy_file):
+        # no window below the 10^4 cap is invariant enough: exit 4 at once
+        src = str(Path(dihedral_dynamics.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "dihedral_dynamics.cli", "certify",
+             "--system", denjoy_file, "--eps", "1/1000000"],
+            capture_output=True, env=env, timeout=10)
+        assert time.monotonic() - start < 10
+        assert proc.returncode == 4
+        assert proc.stdout == b""
+        assert "10^4" in json.loads(proc.stderr)["error"]
 
     def test_bad_eps(self, capsys, denjoy_file):
         assert main(["certify", "--system", denjoy_file, "--eps", "0"]) == 2

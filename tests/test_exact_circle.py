@@ -1,6 +1,8 @@
 import json
 import random
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -10,6 +12,7 @@ from dihedral_dynamics.exact_circle import (
     CutPoint,
     QuadExt,
     Theta,
+    _is_squarefree,
     format_point,
     frac,
     is_partition,
@@ -95,6 +98,47 @@ class TestTheta:
 
     def test_json_round_trip(self, golden):
         assert Theta.from_json(json.loads(json.dumps(golden.to_json()))) == golden
+
+    def test_squarefree_matches_trial_division(self):
+        for d in range(1, 10_000):
+            assert _is_squarefree(d) == reference_is_squarefree(d), d
+
+    def test_squarefree_large_prime_squares(self):
+        p = 1_000_003                           # prime, above the cube root of p*p
+        assert not _is_squarefree(p * p)
+        assert not _is_squarefree(2 * p * p)
+        assert _is_squarefree(p * 1_000_033)    # two distinct large primes
+
+    def test_large_d_is_fast(self):
+        # d = 2^61 - 1 is prime: the full trial division runs to its cube root
+        d = (1 << 61) - 1
+        start = time.perf_counter()
+        theta = Theta(p=-isqrt(d), q=1, d=d, r=1)
+        assert time.perf_counter() - start < 5
+        assert 0 < float(theta) < 1
+
+    def test_range_checked_before_squarefree(self):
+        # d near 10^15 with theta > 1: rejected by the sign check at once
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="less than 1"):
+            Theta(p=0, q=1, d=10 ** 15 + 37, r=1)
+        assert time.perf_counter() - start < 1
+
+    def test_huge_d_rejected(self):
+        with pytest.raises(ValueError, match="2\\^63"):
+            Theta(p=-(1 << 40), q=1, d=(1 << 80) + 1, r=1)
+
+
+def reference_is_squarefree(d: int) -> bool:
+    """Square-free test by trial division up to sqrt(d)."""
+    if d % 4 == 0:
+        return False
+    f = 3
+    while f * f <= d:
+        if d % (f * f) == 0:
+            return False
+        f += 2
+    return True
 
 
 class TestCutPoint:

@@ -3,15 +3,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dihedral_dynamics.amenability import DEFAULT_TEST_SET, folner
-from dihedral_dynamics.exact_circle import ClopenSet, CutPoint, QuadExt, frac
+from dihedral_dynamics import towers
+from dihedral_dynamics.errors import VerificationError
+from dihedral_dynamics.exact_circle import GOLDEN, Arc, ClopenSet, CutPoint, QuadExt, frac
 from dihedral_dynamics.systems import (
     FLIP,
     DenjoyFlipSystem,
     DoubledClopen,
+    DoubledSystem,
     GroupElement,
     IDENTITY,
+    LevelSet,
+    OdometerSystem,
 )
 from dihedral_dynamics.towers import (
     Castle,
@@ -19,6 +26,7 @@ from dihedral_dynamics.towers import (
     almost_finite_certificate,
     default_invariant_window,
     first_return_castle,
+    partition_flags,
     verify_castle,
 )
 
@@ -181,6 +189,108 @@ class TestVerifyCastle:
         assert not report.sigma_compatible
 
 
+def reference_partition_flags(full, pieces):
+    """(disjoint, covers) by growing a union one piece at a time."""
+    disjoint = True
+    union = None
+    for s in pieces:
+        if union is None:
+            union = s
+        else:
+            if not union.intersection(s).is_empty():
+                disjoint = False
+            union = union.union(s)
+    return disjoint, union is not None and union == full
+
+
+def _arc(pair):
+    return Arc(CutPoint.of(GOLDEN, pair[0]), CutPoint.of(GOLDEN, pair[1]))
+
+
+CUT = st.integers(-9, 9)
+# any clopen set: empty, full, or a normalized union of arcs, some of
+# which wrap past 0 and some of which overlap
+CIRCLE_SET = st.one_of(
+    st.just(ClopenSet.empty(GOLDEN)),
+    st.just(ClopenSet.full_circle(GOLDEN)),
+    st.lists(st.tuples(CUT, CUT).filter(lambda p: p[0] != p[1]), min_size=1, max_size=3)
+    .map(lambda pairs: ClopenSet.from_arcs(GOLDEN, [_arc(p) for p in pairs])),
+)
+
+
+@st.composite
+def window_groups(draw):
+    """The cells of a cut window gathered into sets, near-partitions included."""
+    lo = draw(st.integers(-8, 0))
+    hi = draw(st.integers(lo + 1, lo + 10))
+    cells = DenjoyFlipSystem(GOLDEN).cells(lo, hi)
+    owner = [draw(st.integers(0, 3)) for _ in cells]
+    sets = [ClopenSet.from_arcs(GOLDEN, [c.arcs[0] for c, o in zip(cells, owner) if o == k])
+            for k in range(4)]
+    edit = draw(st.sampled_from(["none", "drop", "repeat"]))
+    if edit == "drop":
+        sets.pop(draw(st.integers(0, 3)))
+    elif edit == "repeat":
+        sets.append(draw(st.sampled_from(cells)))
+    return sets
+
+
+class TestPartitionSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(sets=st.lists(CIRCLE_SET, max_size=5))
+    def test_circle_families(self, sets):
+        system = DenjoyFlipSystem(GOLDEN)
+        assert partition_flags(system, sets) == reference_partition_flags(system.full(), sets)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sets=window_groups())
+    def test_circle_near_partitions(self, sets):
+        system = DenjoyFlipSystem(GOLDEN)
+        assert partition_flags(system, sets) == reference_partition_flags(system.full(), sets)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(CIRCLE_SET, CIRCLE_SET), max_size=4),
+           grouped=window_groups())
+    def test_doubled_pairs(self, pairs, grouped):
+        system = DoubledSystem(GOLDEN)
+        # random pairs, and a window grouping on copy 0 beside one of its
+        # images under the flip on copy 1
+        flipped = [DenjoyFlipSystem(GOLDEN).act(FLIP, s) for s in grouped]
+        for pieces in ([DoubledClopen(a, b) for a, b in pairs],
+                       [DoubledClopen(a, b) for a, b in zip(grouped, flipped)]):
+            assert partition_flags(system, pieces) == \
+                reference_partition_flags(system.full(), pieces)
+
+    @settings(max_examples=200, deadline=None)
+    @given(modulus=st.integers(1, 12), data=st.data())
+    def test_odometer_level_sets(self, modulus, data):
+        residues = st.frozensets(st.integers(0, modulus - 1))
+        pieces = [LevelSet(modulus, r) for r in data.draw(st.lists(residues, max_size=5))]
+        full = LevelSet(modulus, frozenset(range(modulus)))
+        system = OdometerSystem([2, 4])
+        assert partition_flags(system, pieces) == reference_partition_flags(full, pieces)
+
+    def test_odometer_levels_must_match(self):
+        with pytest.raises(ValueError):
+            partition_flags(OdometerSystem([2, 4]),
+                            [LevelSet(2, frozenset({0})), LevelSet(4, frozenset({1}))])
+
+
+class TestVerifyOnce:
+    def test_castle_is_verified_once(self, denjoy, golden, monkeypatch):
+        calls = []
+
+        def counting(castle):
+            calls.append(castle)
+            return verify_castle(castle)
+
+        monkeypatch.setattr(towers, "verify_castle", counting)
+        castle = first_return_castle(denjoy, ClopenSet.arc(golden, -1, 1))
+        castle.to_json()
+        assert castle.verify().all_ok()
+        assert calls == [castle]
+
+
 class TestCertificates:
     def test_moderate_eps(self, denjoy):
         castle = almost_finite_certificate(denjoy, DEFAULT_TEST_SET, Fraction(1, 2))
@@ -202,6 +312,24 @@ class TestCertificates:
         castle = almost_finite_certificate(doubled, DEFAULT_TEST_SET, Fraction(1, 3))
         assert castle.verify().all_ok()
         assert all(r < Fraction(1, 3) for r in castle.shape_ratios(DEFAULT_TEST_SET))
+
+    @settings(max_examples=200, deadline=None)
+    @given(bad=st.frozensets(st.integers(1, 120), max_size=6))
+    def test_target_scan_matches_window_definition(self, bad):
+        # a stand-in ratio that fails exactly on the windows in ``bad``
+        def ratio(f, k):
+            return Fraction(1) if len(f) in bad else Fraction(0)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(towers, "folner_ratio", ratio)
+            got = towers._invariance_target(DEFAULT_TEST_SET, Fraction(1, 2))
+        # the least n whose windows F_n, ..., F_4n all pass
+        want = next(n for n in range(1, 200) if not bad & set(range(n, 4 * n + 1)))
+        assert got == want
+
+    def test_target_scan_cap(self):
+        with pytest.raises(VerificationError, match="10\\^4"):
+            towers._invariance_target(DEFAULT_TEST_SET, Fraction(1, 10 ** 6))
 
     def test_eps_validation(self, denjoy):
         with pytest.raises(ValueError):
@@ -225,6 +353,12 @@ class TestCastleJson:
         assert restored.verify().all_ok()
         assert restored.return_times() == castle.return_times()
         assert [t.base for t in restored.towers] == [t.base for t in castle.towers]
+
+    def test_no_towers_rejected(self, denjoy, golden):
+        data = first_return_castle(denjoy, ClopenSet.arc(golden, -1, 1)).to_json()
+        data["towers"] = []
+        with pytest.raises(ValueError):
+            Castle.from_json(data)
 
     def test_doubled_round_trip(self, doubled, golden):
         z = ClopenSet.arc(golden, 0, 1)
