@@ -7,13 +7,24 @@ stabilization detection.  Rank-one systems whose limit is not finitely
 generated (Z -> Z by repeated multiplication) are reported through a
 localization descriptor instead of being materialized.
 
-Matrices are plain lists of rows; all functions are pure and
-deterministic (smallest-absolute-pivot with fixed tie-breaking), so
-outputs are reproducible bit for bit.
+Matrices enter and leave as lists of rows.  Every Smith form comes from
+one sparse elimination (``_SparseSmith``): the working matrix is a dict
+of sparse rows with a column -> rows index, and a finished pivot's row
+and column leave it.  Pivots of absolute value 1 go first, least
+Markowitz cost (row nnz - 1) * (col nnz - 1) first; when no unit is
+left, the least absolute entry is the pivot, Euclid steps clear its row
+and column, and the leftover block is made divisible by it.  Ties break
+on (cost, row, col), so outputs are reproducible bit for bit.  The
+diagonal-only mode (``snf_diagonal``, ``Presentation.canonical``) tracks
+no transforms.  The transform mode (``smith_normal_form``,
+``kernel_basis``, ``SnfSolver``) tracks U as sparse rows and V as sparse
+columns, and no inverse of either.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -33,7 +44,6 @@ __all__ = [
     "identity_matrix",
     "mat_mul",
     "mat_vec",
-    "transpose",
 ]
 
 Matrix = List[List[int]]
@@ -66,11 +76,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: Sequence[int]) -> List[int]:
-    return [sum(ai[k] * v[k] for k in range(len(v))) for ai in a]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
+    nonzero = [(k, x) for k, x in enumerate(v) if x]
+    return [sum(ai[k] * x for k, x in nonzero) for ai in a]
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -96,140 +103,180 @@ def from_columns(cols: Sequence[Sequence[int]], rows: Optional[int] = None) -> M
 # ---------------------------------------------------------------------------
 
 
-class _SnfState:
-    """Working state: S plus whichever transforms are being tracked."""
+def _axpy(dst: dict, src: dict, q: int) -> None:
+    """dst += q * src for sparse vectors stored as {index: nonzero}."""
+    for k, x in src.items():
+        y = dst.get(k, 0) + q * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
 
-    def __init__(self, mat: Matrix, with_transforms: bool):
-        self.s = [list(row) for row in mat]
-        self.rows = len(self.s)
-        self.cols = len(self.s[0]) if self.s else 0
-        self.track = with_transforms
-        if with_transforms:
-            self.u = identity_matrix(self.rows)
-            self.ui = identity_matrix(self.rows)   # inverse of u, kept in step
-            self.v = identity_matrix(self.cols)
 
-    def swap_rows(self, i, j):
-        if i == j:
+class _SparseSmith:
+    """Exact sparse elimination of an integer matrix to Smith form.
+
+    The active block of S is ``rows`` ({row: {col: nonzero}}) indexed by
+    ``cols`` ({col: set of rows}).  A pivot whose row and column are
+    clear leaves the block.  ``pivots`` lists (row, col, d) in original
+    indices, the d in a divisibility chain.  With ``track``, ``u`` holds
+    the rows of U and ``v`` the columns of V, keyed by original index, so
+    that U*mat*V has d at each (row, col) of ``pivots`` and zeros
+    elsewhere; every d is then positive.
+    """
+
+    def __init__(self, mat: Matrix, track: bool):
+        self.nrows = len(mat)
+        self.ncols = len(mat[0]) if mat else 0
+        self.rows = {}
+        self.cols = {j: set() for j in range(self.ncols)}
+        for i, row in enumerate(mat):
+            entries = {j: x for j, x in enumerate(row) if x}
+            if entries:
+                self.rows[i] = entries
+                for j in entries:
+                    self.cols[j].add(i)
+        self.track = track
+        if track:
+            self.u = {i: {i: 1} for i in range(self.nrows)}
+            self.v = {j: {j: 1} for j in range(self.ncols)}
+        self.pivots = []
+        self._unit_phase()
+        self._euclid_phase()
+
+    def diagonal(self) -> List[int]:
+        diag = [abs(d) for _, _, d in self.pivots]
+        return diag + [0] * (min(self.nrows, self.ncols) - len(diag))
+
+    # -- elementary operations ------------------------------------------
+
+    def _add_row(self, dst: int, src: int, q: int) -> None:
+        """row dst += q * row src (S and U)."""
+        if not q:
             return
-        self.s[i], self.s[j] = self.s[j], self.s[i]
+        row, cols = self.rows[dst], self.cols
+        for j, x in self.rows[src].items():
+            y = row.get(j, 0) + q * x
+            if y:
+                if j not in row:
+                    cols[j].add(dst)
+                row[j] = y
+            else:
+                del row[j]
+                cols[j].discard(dst)
         if self.track:
-            self.u[i], self.u[j] = self.u[j], self.u[i]
-            for row in self.ui:
-                row[i], row[j] = row[j], row[i]
+            _axpy(self.u[dst], self.u[src], q)
 
-    def swap_cols(self, i, j):
-        if i == j:
+    def _add_col(self, dst: int, src: int, q: int) -> None:
+        """col dst += q * col src (S and V)."""
+        if not q:
             return
-        for row in self.s:
-            row[i], row[j] = row[j], row[i]
+        rows, col = self.rows, self.cols[dst]
+        for i in self.cols[src]:
+            row = rows[i]
+            y = row.get(dst, 0) + q * row[src]
+            if y:
+                row[dst] = y
+                col.add(i)
+            else:
+                del row[dst]
+                col.discard(i)
         if self.track:
-            for row in self.v:
-                row[i], row[j] = row[j], row[i]
+            _axpy(self.v[dst], self.v[src], q)
 
-    def add_row(self, dst, src, factor):
-        """row_dst += factor * row_src"""
-        if factor == 0:
-            return
-        sd, ss = self.s[dst], self.s[src]
-        for k in range(self.cols):
-            if ss[k]:
-                sd[k] += factor * ss[k]
-        if self.track:
-            ud, us = self.u[dst], self.u[src]
-            for k in range(self.rows):
-                if us[k]:
-                    ud[k] += factor * us[k]
-            for row in self.ui:
-                row[src] -= factor * row[dst]
+    def _finish(self, r: int, c: int) -> None:
+        """Record the cleared pivot (r, c) and drop it from the block."""
+        d = self.rows.pop(r)[c]
+        del self.cols[c]
+        if d < 0 and self.track:
+            self.u[r] = {k: -x for k, x in self.u[r].items()}
+            d = -d
+        self.pivots.append((r, c, d))
 
-    def add_col(self, dst, src, factor):
-        """col_dst += factor * col_src"""
-        if factor == 0:
-            return
-        for row in self.s:
-            if row[src]:
-                row[dst] += factor * row[src]
-        if self.track:
-            for row in self.v:
-                if row[src]:
-                    row[dst] += factor * row[src]
+    # -- unit pivots, fewest fill first ---------------------------------
 
-    def negate_row(self, i):
-        self.s[i] = [-x for x in self.s[i]]
-        if self.track:
-            self.u[i] = [-x for x in self.u[i]]
-            for row in self.ui:
-                row[i] = -row[i]
+    def _markowitz(self, i: int, j: int) -> int:
+        return (len(self.rows[i]) - 1) * (len(self.cols[j]) - 1)
 
+    def _unit_entries(self, rows: Iterable[int], cols: Iterable[int]):
+        """(Markowitz cost, row, col) of the +-1 entries in the given lines."""
+        for i in rows:
+            for j, x in self.rows[i].items():
+                if x == 1 or x == -1:
+                    yield self._markowitz(i, j), i, j
+        for j in cols:
+            for i in self.cols[j]:
+                x = self.rows[i][j]
+                if x == 1 or x == -1:
+                    yield self._markowitz(i, j), i, j
 
-def _find_pivot(s: Matrix, start: int, rows: int, cols: int):
-    best = None
-    best_val = None
-    for i in range(start, rows):
-        row = s[i]
-        for j in range(start, cols):
-            v = abs(row[j])
-            if v and (best_val is None or v < best_val):
-                best, best_val = (i, j), v
-                if v == 1:
-                    return best
-    return best
+    def _unit_phase(self) -> None:
+        """Take +-1 pivots while any is left, least Markowitz cost first.
 
+        The heap may hold stale keys.  A pivot step re-pushes every unit
+        in the rows and columns it touched, which are the only entries
+        whose cost or value it can change, so a popped key that still
+        equals its entry's cost is the exact minimum of (cost, row, col).
+        """
+        heap = list(self._unit_entries(self.rows, ()))
+        heapq.heapify(heap)
+        while heap:
+            cost, r, c = heapq.heappop(heap)
+            row = self.rows.get(r)
+            x = row.get(c) if row is not None else None
+            if (x == 1 or x == -1) and self._markowitz(r, c) == cost:
+                others = [i for i in self.cols[c] if i != r]
+                line = [j for j in row if j != c]
+                self._pivot(r, c)
+                touched = [i for i in others if self.rows[i]]
+                for entry in self._unit_entries(touched, line):
+                    heapq.heappush(heap, entry)
 
-def _smith(state: _SnfState) -> None:
-    s, rows, cols = state.s, state.rows, state.cols
-    t = 0
-    while t < min(rows, cols):
-        piv = _find_pivot(s, t, rows, cols)
-        if piv is None:
-            break
-        state.swap_rows(t, piv[0])
-        state.swap_cols(t, piv[1])
+    # -- the block left without units, and the pivot step of both phases -
+
+    def _euclid_phase(self) -> None:
+        """Pivot on the least |entry| (then Markowitz cost, row, col) of
+        the block left without units, until it is empty."""
         while True:
-            # clear column t
-            restart = False
-            for i in range(t + 1, rows):
-                if s[i][t]:
-                    q = s[i][t] // s[t][t]
-                    state.add_row(i, t, -q)
-                    if s[i][t]:
-                        state.swap_rows(t, i)
-                        restart = True
-                        break
-            if restart:
+            best = min(((abs(x), self._markowitz(i, j), i, j)
+                        for i, row in self.rows.items() for j, x in row.items()),
+                       default=None)
+            if best is None:
+                return
+            self._pivot(best[2], best[3])
+
+    def _pivot(self, r: int, c: int) -> None:
+        """Clear row r and column c around a pivot at (r, c) and finish it.
+
+        Row operations clear the column and column operations the row;
+        a nonzero remainder is smaller than the pivot and becomes the
+        pivot (Euclid steps).  A pivot that does not divide the rest of
+        the block takes in a row it does not divide and goes on; a unit
+        divides everything.
+        """
+        rows, cols = self.rows, self.cols
+        while True:
+            p = rows[r][c]
+            for i in [i for i in cols[c] if i != r]:
+                self._add_row(i, r, -(rows[i][c] // p))
+            rest = [i for i in cols[c] if i != r]
+            if rest:
+                r = min(rest, key=lambda i: (abs(rows[i][c]), i))
                 continue
-            # clear row t
-            for j in range(t + 1, cols):
-                if s[t][j]:
-                    q = s[t][j] // s[t][t]
-                    state.add_col(j, t, -q)
-                    if s[t][j]:
-                        state.swap_cols(t, j)
-                        restart = True
-                        break
-            if restart:
+            for j in [j for j in rows[r] if j != c]:
+                self._add_col(j, c, -(rows[r][j] // p))
+            rest = [j for j in rows[r] if j != c]
+            if rest:
+                c = min(rest, key=lambda j: (abs(rows[r][j]), j))
                 continue
-            if all(s[i][t] == 0 for i in range(t + 1, rows)):
+            if p == 1 or p == -1:
                 break
-        # enforce divisibility of the remaining block by the pivot
-        d = s[t][t]
-        viol = None
-        for i in range(t + 1, rows):
-            row = s[i]
-            for j in range(t + 1, cols):
-                if row[j] % d:
-                    viol = i
-                    break
-            if viol is not None:
+            bad = min((i for i, row in rows.items()
+                       if i != r and any(x % p for x in row.values())), default=None)
+            if bad is None:
                 break
-        if viol is not None:
-            state.add_row(t, viol, 1)
-            continue
-        t += 1
-    for i in range(min(rows, cols)):
-        if s[i][i] < 0:
-            state.negate_row(i)
+            self._add_row(r, bad, 1)
+        self._finish(r, c)
 
 
 def smith_normal_form(mat: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
@@ -238,98 +285,90 @@ def smith_normal_form(mat: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
     U and V are unimodular; the identity is verified by multiplication
     before returning.
     """
-    state = _SnfState(mat, with_transforms=True)
-    _smith(state)
-    u, s, v = state.u, state.s, state.v
-    if mat and mat_mul(mat_mul(u, mat), v) != s:
+    snf = _SparseSmith(mat, track=True)
+    rows, cols = snf.nrows, snf.ncols
+    prows = [r for r, _, _ in snf.pivots]
+    pcols = [c for _, c, _ in snf.pivots]
+    row_order = prows + sorted(set(range(rows)) - set(prows))
+    col_order = pcols + sorted(set(range(cols)) - set(pcols))
+    u = [[snf.u[i].get(k, 0) for k in range(rows)] for i in row_order]
+    v = [[snf.v[j].get(k, 0) for j in col_order] for k in range(cols)]
+    s = [[0] * cols for _ in range(rows)]
+    for k, (_, _, d) in enumerate(snf.pivots):
+        s[k][k] = d
+    if rows and cols and mat_mul(mat_mul(u, mat), v) != s:
         raise AssertionError("smith normal form transform identity failed")
     return u, s, v
 
 
 def snf_diagonal(mat: Matrix) -> List[int]:
     """The diagonal of the Smith form (same pivoting, no transforms)."""
-    state = _SnfState(mat, with_transforms=False)
-    _smith(state)
-    return [state.s[i][i] for i in range(min(state.rows, state.cols))]
-
-
-def _snf_full(mat: Matrix) -> _SnfState:
-    state = _SnfState(mat, with_transforms=True)
-    _smith(state)
-    return state
-
-
-def rank_of(mat: Matrix) -> int:
-    return sum(1 for d in snf_diagonal(mat) if d)
+    return _SparseSmith(mat, track=False).diagonal()
 
 
 def kernel_basis(mat: Matrix) -> List[List[int]]:
     """Columns spanning {x : mat x = 0}; a basis of the kernel lattice."""
-    if not mat or not mat[0]:
-        n = len(mat[0]) if mat else 0
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    state = _snf_full(mat)
-    rank = sum(1 for i in range(min(state.rows, state.cols)) if state.s[i][i])
-    return [ [state.v[i][j] for i in range(state.cols)] for j in range(rank, state.cols) ]
+    snf = _SparseSmith(mat, track=True)
+    pivot_cols = {c for _, c, _ in snf.pivots}
+    basis = []
+    for j in range(snf.ncols):
+        if j not in pivot_cols:
+            col = [0] * snf.ncols
+            for k, x in snf.v[j].items():
+                col[k] = x
+            basis.append(col)
+    return basis
 
 
 class SnfSolver:
     """Factor a matrix once, then answer mat x = rhs queries cheaply.
 
     Right-hand sides are usually sparse, so U*rhs is accumulated from
-    the nonzero entries only.
+    the nonzero entries only, through the columns of U, and x = V*y from
+    the nonzero entries of y, through the columns of V.
     """
 
     def __init__(self, mat: Matrix):
-        self.rows = len(mat)
-        self.cols = len(mat[0]) if mat else 0
-        if self.rows and self.cols:
-            state = _snf_full(mat)
-            self._state = state
-            self._u_cols = transpose(state.u)
-            self._diag = [state.s[i][i] for i in range(min(state.rows, state.cols))]
-        else:
-            self._state = None
-            self._u_cols = []
-            self._diag = []
+        snf = _SparseSmith(mat, track=True)
+        self.rows, self.cols = snf.nrows, snf.ncols
+        self._u_cols = {}
+        for i, urow in snf.u.items():
+            for k, x in urow.items():
+                self._u_cols.setdefault(k, []).append((i, x))
+        self._pivot_of_row = {r: (c, d) for r, c, d in snf.pivots}
+        self._v = snf.v
 
-    def _transformed(self, rhs: Sequence[int]) -> List[int]:
-        c = [0] * self.rows
+    def _quotients(self, rhs: Sequence[int]) -> Optional[dict]:
+        """y with S*y = U*rhs, keyed by pivot column, or None."""
+        c = {}
         for k, b in enumerate(rhs):
             if b:
-                uk = self._u_cols[k]
-                for i in range(self.rows):
-                    if uk[i]:
-                        c[i] += b * uk[i]
-        return c
+                for i, x in self._u_cols.get(k, ()):
+                    c[i] = c.get(i, 0) + b * x
+        y = {}
+        for i, ci in c.items():
+            if ci:
+                pivot = self._pivot_of_row.get(i)
+                if pivot is None:
+                    return None
+                q, rem = divmod(ci, pivot[1])
+                if rem:
+                    return None
+                y[pivot[0]] = q
+        return y
 
     def contains(self, rhs: Sequence[int]) -> bool:
-        if self._state is None:
-            return not any(rhs)
-        c = self._transformed(rhs)
-        for i, d in enumerate(self._diag):
-            if d:
-                if c[i] % d:
-                    return False
-            elif c[i]:
-                return False
-        return not any(c[len(self._diag):])
+        return self._quotients(rhs) is not None
 
     def solve(self, rhs: Sequence[int]) -> Optional[List[int]]:
-        if self._state is None:
-            return [0] * self.cols if not any(rhs) else None
-        c = self._transformed(rhs)
-        y = [0] * self.cols
-        for i, d in enumerate(self._diag):
-            if d:
-                if c[i] % d:
-                    return None
-                y[i] = c[i] // d
-            elif c[i]:
-                return None
-        if any(c[len(self._diag):]):
+        y = self._quotients(rhs)
+        if y is None:
             return None
-        return mat_vec(self._state.v, y)
+        x = [0] * self.cols
+        for col, q in y.items():
+            for k, vk in self._v[col].items():
+                x[k] += q * vk
+        return x
 
 
 def solve_integer(mat: Matrix, rhs: Sequence[int]) -> Optional[List[int]]:
@@ -517,14 +556,6 @@ class AbHom:
     def mat(self) -> Matrix:
         return [list(r) for r in self.matrix]
 
-    def compose(self, earlier: "AbHom") -> "AbHom":
-        if earlier.dst != self.src:
-            raise ValueError("composition mismatch")
-        return AbHom.of(earlier.src, self.dst, mat_mul(self.mat(), earlier.mat()))
-
-    def apply(self, v: Sequence[int]) -> List[int]:
-        return mat_vec(self.mat(), list(v))
-
     # -- structural predicates -----------------------------------------
 
     def is_surjective(self) -> bool:
@@ -573,34 +604,15 @@ class AbHom:
 
     def free_multiplier(self) -> Optional[int]:
         """For rank-one torsion-free source and destination, the induced
-        multiplier Z -> Z up to sign; None when not applicable."""
+        multiplier Z -> Z up to sign; None when not applicable.
+
+        Z -> Z by m has cokernel Z/m, so |m| is the order of the
+        cokernel: m for Z/m, 1 when it is trivial, 0 when it is Z.
+        """
         if self.src.canonical() != FGAbGroup(1) or self.dst.canonical() != FGAbGroup(1):
             return None
-        # Change coordinates so relations become diagonal; the free
-        # coordinates are those with zero divisor.
-        src_free, u_src_inv = _free_coordinate(self.src)
-        dst_free, u_dst = _free_coordinate_u(self.dst)
-        col = mat_vec(self.mat(), [u_src_inv[i][src_free] for i in range(self.src.ngens)])
-        return abs(mat_vec(u_dst, col)[dst_free])
-
-
-def _free_coordinate(p: Presentation):
-    """Index of the free canonical coordinate and U^-1 for the SNF of rel."""
-    if not p.relations:
-        return 0, identity_matrix(p.ngens)
-    state = _snf_full(p.relation_matrix())
-    free = [i for i in range(p.ngens)
-            if i >= min(state.rows, state.cols) or state.s[i][i] == 0]
-    return free[0], state.ui
-
-
-def _free_coordinate_u(p: Presentation):
-    if not p.relations:
-        return 0, identity_matrix(p.ngens)
-    state = _snf_full(p.relation_matrix())
-    free = [i for i in range(p.ngens)
-            if i >= min(state.rows, state.cols) or state.s[i][i] == 0]
-    return free[0], state.u
+        coker = self.cokernel().canonical()
+        return 0 if coker.rank else math.prod(coker.torsion)
 
 
 def subquotient(kernel_of: Matrix, image_of: Matrix) -> FGAbGroup:

@@ -76,10 +76,6 @@ __all__ = [
 GroupValue = Union[FGAbGroup, LocalizationDescriptor]
 
 
-def group_value_json(value: GroupValue) -> dict:
-    return value.to_json()
-
-
 # ---------------------------------------------------------------------------
 # Involution modules and the order-2 subgroup formulas
 # ---------------------------------------------------------------------------
@@ -805,10 +801,10 @@ class HomologyTable:
         return self.tail_odd if n % 2 else self.tail_even
 
     def to_json(self) -> dict:
-        out = {f"H{i}": group_value_json(g) for i, g in enumerate(self.degrees)}
+        out = {f"H{i}": g.to_json() for i, g in enumerate(self.degrees)}
         out["tail"] = {
-            "odd": group_value_json(self.tail_odd),
-            "even": group_value_json(self.tail_even),
+            "odd": self.tail_odd.to_json(),
+            "even": self.tail_even.to_json(),
             "from": self.tail_from,
         }
         return out
@@ -875,7 +871,7 @@ def homology_table(system, max_level: int = 16, method: str = "closed_form"):
         tele = h0_translation_telescope(system.base, max_level, with_flip=False)
         provenance.update({
             "case": "translation_not_minimal",
-            "h0_base": group_value_json(tele.h0),
+            "h0_base": tele.h0.to_json(),
             "stabilizedAt": tele.stabilized_level(),
         })
         table = split_orbit_table(tele.h0)
@@ -910,11 +906,11 @@ def homology_table(system, max_level: int = 16, method: str = "closed_form"):
             return _table(fp.h0, fp.h1, _ZERO, tail_from=1), provenance
         delta = {}
         if fp.h0 != closed.entry(0):
-            delta["H0"] = {"closed": group_value_json(closed.entry(0)),
-                           "freeproduct": group_value_json(fp.h0)}
+            delta["H0"] = {"closed": closed.entry(0).to_json(),
+                           "freeproduct": fp.h0.to_json()}
         if fp.h1 != closed.entry(1):
-            delta["H1"] = {"closed": group_value_json(closed.entry(1)),
-                           "freeproduct": group_value_json(fp.h1)}
+            delta["H1"] = {"closed": closed.entry(1).to_json(),
+                           "freeproduct": fp.h1.to_json()}
         provenance["delta"] = delta
         return closed, provenance
 
@@ -947,8 +943,8 @@ def homology_table(system, max_level: int = 16, method: str = "closed_form"):
             return _table(fp.h0, fp.h1, _ZERO, tail_from=1), provenance
         delta = {}
         if fp.h1 != closed.entry(1):
-            delta["H1"] = {"closed": group_value_json(closed.entry(1)),
-                           "freeproduct": group_value_json(fp.h1)}
+            delta["H1"] = {"closed": closed.entry(1).to_json(),
+                           "freeproduct": fp.h1.to_json()}
         provenance["delta"] = delta
         return closed, provenance
 

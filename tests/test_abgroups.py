@@ -3,12 +3,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy import Matrix as SympyMatrix
+from sympy import ZZ
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
 from dihedral_dynamics.abgroups import (
     AbHom,
     DirectSystem,
     FGAbGroup,
     Presentation,
+    SnfSolver,
+    _SparseSmith,
+    from_columns,
     identity_matrix,
     kernel_basis,
     mat_mul,
@@ -91,15 +99,14 @@ class TestSmithNormalForm:
         m = [[rng.randint(-50, 50) for _ in range(6)] for _ in range(5)]
         assert smith_normal_form(m) == smith_normal_form(m)
 
-    def test_tracked_inverse(self):
-        from dihedral_dynamics.abgroups import _snf_full
-
+    def test_transforms_unimodular(self):
         rng = random.Random(2)
         for _ in range(100):
             r, c = rng.randint(1, 7), rng.randint(1, 7)
             m = [[rng.randint(-30, 30) for _ in range(c)] for _ in range(r)]
-            state = _snf_full(m)
-            assert mat_mul(state.u, state.ui) == identity_matrix(r)
+            u, _, v = smith_normal_form(m)
+            assert abs(det(u)) == 1
+            assert abs(det(v)) == 1
 
 
 class TestSolveAndKernel:
@@ -118,6 +125,219 @@ class TestSolveAndKernel:
                 assert all(x == 0 for x in mat_vec(m, v))
             diag = snf_diagonal(m)
             assert len(kb) == c - sum(1 for d in diag if d)
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the sparse kernel: the dense elimination it replaced, sympy,
+# and a full-rescan model of its unit-pivot order
+# ---------------------------------------------------------------------------
+
+
+def reference_snf_diagonal(mat):
+    """The dense elimination on lists that the sparse kernel replaced.
+
+    Smallest |pivot| first (row-major tie-break), its column and row
+    cleared by Euclid steps with swaps, then the rest of the block made
+    divisible by it; no transforms.
+    """
+    s = [list(row) for row in mat]
+    rows, cols = len(s), len(s[0]) if s else 0
+
+    def swap_cols(i, j):
+        for row in s:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while t < min(rows, cols):
+        entries = [(abs(s[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if s[i][j]]
+        if not entries:
+            break
+        _, pi, pj = min(entries)
+        s[t], s[pi] = s[pi], s[t]
+        swap_cols(t, pj)
+        while True:
+            i = next((i for i in range(t + 1, rows) if s[i][t]), None)
+            if i is not None:
+                q = s[i][t] // s[t][t]
+                s[i] = [a - q * b for a, b in zip(s[i], s[t])]
+                if s[i][t]:
+                    s[t], s[i] = s[i], s[t]
+                continue
+            j = next((j for j in range(t + 1, cols) if s[t][j]), None)
+            if j is not None:
+                q = s[t][j] // s[t][t]
+                for row in s:
+                    row[j] -= q * row[t]
+                if s[t][j]:
+                    swap_cols(t, j)
+                continue
+            break
+        d = s[t][t]
+        viol = next((i for i in range(t + 1, rows) if any(x % d for x in s[i][t + 1:])), None)
+        if viol is not None:
+            s[t] = [a + b for a, b in zip(s[t], s[viol])]
+            continue
+        t += 1
+    return [abs(s[i][i]) for i in range(min(rows, cols))]
+
+
+def sympy_snf_diagonal(mat, cols):
+    rows = len(mat)
+    s = sympy_smith_normal_form(
+        SympyMatrix(rows, cols, [x for row in mat for x in row]), domain=ZZ)
+    return [abs(int(s[i, i])) for i in range(min(rows, cols))]
+
+
+def reference_unit_pivots(mat):
+    """Unit pivots chosen by rescanning the dense active block each step:
+    the least (Markowitz cost, row, col) over +-1 entries, its column
+    cleared by row operations, then its row and column dropped."""
+    s = [list(row) for row in mat]
+    live_rows = set(range(len(s)))
+    live_cols = set(range(len(s[0]) if s else 0))
+    order = []
+    while True:
+        rn = {i: sum(1 for j in live_cols if s[i][j]) for i in live_rows}
+        cn = {j: sum(1 for i in live_rows if s[i][j]) for j in live_cols}
+        units = [((rn[i] - 1) * (cn[j] - 1), i, j)
+                 for i in live_rows for j in live_cols if abs(s[i][j]) == 1]
+        if not units:
+            return order
+        _, r, c = min(units)
+        for i in live_rows - {r}:
+            f = s[i][c] * s[r][c]
+            s[i] = [a - f * b for a, b in zip(s[i], s[r])]
+        live_rows.discard(r)
+        live_cols.discard(c)
+        order.append((r, c))
+
+
+UNIT_ENTRIES = (0, 1, -1)
+NON_UNIT_ENTRIES = (0, 2, -2, 3, -3, 6, -6)
+
+
+@st.composite
+def shaped_matrices(draw, entries):
+    """(mat, cols): a list of rows, with its width (lost when rows = 0)."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    flat = draw(st.lists(st.sampled_from(entries), min_size=rows * cols, max_size=rows * cols))
+    return [flat[i * cols:(i + 1) * cols] for i in range(rows)], cols
+
+
+ANY_MATRIX = st.one_of(shaped_matrices(UNIT_ENTRIES), shaped_matrices(NON_UNIT_ENTRIES))
+SHAPES = [([], 0), ([], 3), ([[], []], 0), ([[2, 3, 6]], 3), ([[6], [-3], [2]], 1),
+          ([[1, -1, 0, 1]], 4), ([[0], [1], [-1]], 1), ([[0, 0], [0, 0], [0, 0]], 2)]
+
+
+def with_shapes(test):
+    for shaped in SHAPES:
+        test = example(shaped)(test)
+    return test
+
+
+def with_shapes_and_rng(test):
+    for shaped in SHAPES:
+        test = example(shaped, random.Random(0))(test)
+    return test
+
+
+class TestSnfOracles:
+    @with_shapes
+    @given(ANY_MATRIX)
+    @settings(max_examples=200, deadline=None)
+    def test_diagonal_matches_dense_and_sympy(self, shaped):
+        mat, cols = shaped
+        diag = snf_diagonal(mat)
+        assert diag == reference_snf_diagonal(mat) == sympy_snf_diagonal(mat, cols)
+        _, s, _ = smith_normal_form(mat)
+        assert [s[i][i] for i in range(len(diag))] == diag
+
+    @with_shapes
+    @given(ANY_MATRIX)
+    @settings(max_examples=200, deadline=None)
+    def test_transforms(self, shaped):
+        mat, cols = shaped
+        rows = len(mat)
+        cols = cols if rows else 0
+        u, s, v = smith_normal_form(mat)
+        assert [len(row) for row in u] == [rows] * rows
+        assert [len(row) for row in v] == [cols] * cols
+        assert [len(row) for row in s] == [cols] * rows
+        if rows and cols:
+            assert mat_mul(mat_mul(u, mat), v) == s
+        assert all(s[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+        diag = [s[i][i] for i in range(min(rows, cols))]
+        assert all(d >= 0 for d in diag)
+        for a, b in zip(diag, diag[1:]):
+            assert (b % a == 0) if a else b == 0
+        assert abs(det(u)) == 1
+        assert abs(det(v)) == 1
+
+    @with_shapes
+    @given(ANY_MATRIX)
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_basis(self, shaped):
+        mat, cols = shaped
+        if not mat:
+            return      # a list of no rows has no width
+        kb = kernel_basis(mat)
+        rank = sum(1 for d in reference_snf_diagonal(mat) if d)
+        assert rank + len(kb) == cols
+        for k in kb:
+            assert len(k) == cols
+            assert not any(mat_vec(mat, k))
+        if kb:
+            # saturated: the kernel columns span a pure sublattice
+            assert reference_snf_diagonal(from_columns(kb)) == [1] * len(kb)
+
+    @with_shapes_and_rng
+    @given(ANY_MATRIX, st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_solver(self, shaped, rng):
+        mat, cols = shaped
+        rows = len(mat)
+        cols = cols if rows else 0
+        solver = SnfSolver(mat)
+        x = [rng.randint(-3, 3) for _ in range(cols)]
+        b = mat_vec(mat, x)
+        y = solver.solve(b)
+        assert solver.contains(b)
+        assert y is not None and mat_vec(mat, y) == b
+        # b lies in the column lattice L iff L + Zb has the invariants of L
+        b = [rng.randint(-6, 6) for _ in range(rows)]
+        augmented = [row + [bi] for row, bi in zip(mat, b)]
+        inside = ([d for d in sympy_snf_diagonal(augmented, cols + 1) if d]
+                  == [d for d in sympy_snf_diagonal(mat, cols) if d])
+        y = solver.solve(b)
+        assert solver.contains(b) == inside
+        assert (y is not None) == inside
+        if inside:
+            assert mat_vec(mat, y) == b
+
+    # the first pivot fills row 2, so taking (2, 2) on its older, lower
+    # key instead of (3, 0) would show here
+    @example(([[1, 0, 1, 1, -1], [-1, 1, 0, 0, -1], [0, -1, -1, 1, 0], [-1, 0, 0, 1, 0]], 5))
+    @given(shaped_matrices(UNIT_ENTRIES))
+    @settings(max_examples=200, deadline=None)
+    def test_unit_pivot_order(self, shaped):
+        mat, _ = shaped
+        ref = reference_unit_pivots(mat)
+        for track in (False, True):
+            pivots = _SparseSmith(mat, track=track).pivots
+            assert [(r, c) for r, c, _ in pivots[:len(ref)]] == ref
+
+    def test_fill_avoided(self):
+        # Arrowhead: the diagonal units cost 1 and go first; the dense
+        # first row and column wait, so no step fills the block.
+        n = 6
+        arrow = [[1 if i == 0 or j == 0 or i == j else 0 for j in range(n)] for i in range(n)]
+        arrow[0][0] = n
+        pivots = _SparseSmith(arrow, track=False).pivots
+        assert [(r, c) for r, c, _ in pivots] == [(i, i) for i in range(1, n - 1)] + [(0, n - 1), (n - 1, 0)]
+
+    def test_least_entry_first_without_units(self):
+        assert _SparseSmith([[6, 0], [0, 2]], track=False).pivots == [(1, 1, 2), (0, 0, 6)]
+        assert snf_diagonal([[4, 0], [0, 6]]) == [2, 12]
 
 
 class TestSubquotient:
