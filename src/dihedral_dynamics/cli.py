@@ -174,10 +174,9 @@ def cmd_certify(args) -> int:
     payload["testSet"] = [g.to_json() for g in test_set]
     ratios = castle.shape_ratios(test_set)
     payload["shapeRatios"] = [str(r) for r in ratios]
-    if not castle.verify().all_ok() or any(r >= eps for r in ratios):
-        _emit(payload, args.out)
-        return EXIT_VERIFICATION
     _emit(payload, args.out)
+    if not castle.verify().all_ok() or any(r >= eps for r in ratios):
+        return EXIT_VERIFICATION
     return EXIT_OK
 
 

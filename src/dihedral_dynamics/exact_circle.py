@@ -234,10 +234,6 @@ class QuadExt:
     def rational(cls, value, theta: Theta) -> "QuadExt":
         return cls(Fraction(value), Fraction(0), theta)
 
-    @classmethod
-    def of_theta(cls, theta: Theta, coeff=1) -> "QuadExt":
-        return cls(Fraction(0), Fraction(coeff), theta)
-
 
 def qe_cmp(x: QuadExt, y: QuadExt) -> int:
     """Exact order of x and y as real numbers: -1, 0 or 1."""

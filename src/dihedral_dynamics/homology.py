@@ -8,6 +8,17 @@ either from the closed-form case analysis (driven by exact fixed-point
 evidence) or from the free-product exact sequence evaluated level by
 level, and the two must agree.  An unnormalized bar-complex computation
 serves as a brute-force cross-check for the involution formulas.
+
+Circle systems and odometers take one path through every level
+computation.  The system names the cell lists that stand for level N
+(``level_windows``: a circle's windows [-N, N] and [1-N, N], an
+odometer's cylinders for both reflections), the level a stage's
+translation relations start from (``relation_lag``), how deep its levels
+go (``depth``), how its reflections' fixed points are counted
+(``reflection_fixed``) and which sets generate its translation H_0
+(``h0_generators``).  Refinement between levels is ``cover_matrix``
+of a coarser level's cells in a finer level's, for arcs and cylinders
+alike; each computation builds each cell list once.
 """
 
 from __future__ import annotations
@@ -41,10 +52,8 @@ from .errors import NonStabilizationError, WitnessError
 from .systems import (
     FLIP,
     TRANSLATION,
-    DenjoyFlipSystem,
     DoubledSystem,
     GroupElement,
-    OdometerSystem,
     cover_indices,
     cover_matrix,
     pullback_matrix,
@@ -125,10 +134,6 @@ class InvolutionModule:
         return all(
             sorted(col) == [0] * (self.ncells - 1) + [1] for col in columns(self.mat())
         )
-
-    def fixed_cells(self) -> List[int]:
-        return [i for i in range(self.ncells) if self.matrix[i][i] == 1 and
-                sum(abs(x) for x in self.matrix[i]) == 1]
 
 
 def _a_minus_i(module: InvolutionModule) -> Matrix:
@@ -267,30 +272,6 @@ def bar_homology(module: InvolutionModule, degree: int) -> FGAbGroup:
 
 
 # ---------------------------------------------------------------------------
-# Level modules of the systems
-# ---------------------------------------------------------------------------
-
-
-def _denjoy_sigma_module(system: DenjoyFlipSystem, level: int) -> Tuple[list, InvolutionModule]:
-    cells = system.symmetric_cells(level)
-    mat = pullback_matrix(system, FLIP, cells, cells)
-    return cells, InvolutionModule.of(mat)
-
-
-def _denjoy_phisigma_module(system: DenjoyFlipSystem, level: int) -> Tuple[list, InvolutionModule]:
-    cells = system.shifted_cells(level)
-    mat = pullback_matrix(system, GroupElement(1, 1), cells, cells)
-    return cells, InvolutionModule.of(mat)
-
-
-def _odometer_modules(system: OdometerSystem, level: int):
-    cells = system.cells(level)
-    sig = pullback_matrix(system, FLIP, cells, cells)
-    phisig = pullback_matrix(system, GroupElement(1, 1), cells, cells)
-    return cells, InvolutionModule.of(sig), InvolutionModule.of(phisig)
-
-
-# ---------------------------------------------------------------------------
 # The H_0 telescope of the translation subaction
 # ---------------------------------------------------------------------------
 
@@ -321,32 +302,25 @@ class TelescopeResult:
         return self.first_level + self.limit.level - 1
 
 
-def _denjoy_h0_stage(system: DenjoyFlipSystem, level: int) -> Presentation:
-    cells = system.symmetric_cells(level)
-    prev = system.symmetric_cells(level - 1)
-    incl = cover_matrix(prev, cells)
-    phi = pullback_matrix(system, TRANSLATION, prev, cells)
-    return Presentation.of(len(cells), columns(mat_sub(incl, phi)))
-
-
-def _odometer_h0_stage(system: OdometerSystem, level: int) -> Presentation:
-    cells = system.cells(level)
-    phi = pullback_matrix(system, TRANSLATION, cells, cells)
-    return Presentation.of(len(cells), columns(mat_sub(identity_matrix(len(cells)), phi)))
-
-
 _MAX_TELESCOPE_CELLS = 512
 _MAX_FREEPRODUCT_CELLS = 128
 
 
-def _capped_odometer_level(system: OdometerSystem, max_level: int, cell_cap: int) -> int:
-    """Deepest usable level: within the chain, the request, and the cell cap."""
-    top = 0
-    for t in range(1, min(max_level, len(system.chain)) + 1):
-        if system.chain[t - 1] > cell_cap:
-            break
-        top = t
-    if top < 3:
+def _require_levels(system, message: str) -> None:
+    """Reject a system that has no level windows (circle and odometer
+    systems have them)."""
+    if not hasattr(system, "level_windows"):
+        raise ValueError(message)
+
+
+def _deepest_level(system, max_level: int, cell_cap: int) -> int:
+    """Deepest usable level: within the request and the system's depth.
+
+    Only an odometer's depth falls short of a request, where its chain
+    ends or its levels pass ``cell_cap`` cosets.
+    """
+    top = system.depth(max_level, cell_cap)
+    if top < min(max_level, 3):
         raise ValueError(
             f"need at least 3 odometer levels with at most {cell_cap} cosets")
     return top
@@ -355,40 +329,33 @@ def _capped_odometer_level(system: OdometerSystem, max_level: int, cell_cap: int
 def h0_translation_telescope(system, max_level: int, with_flip: bool = True) -> TelescopeResult:
     """H_0 of the translation action on C(X, Z), with the flip action.
 
-    Circle systems grow a symmetric cut window per stage and stabilize
-    to a finitely generated group; odometers produce a rank-one system
-    whose limit is reported as a localization descriptor.  The subgroup
-    (1 + flip)H_0 is returned in canonical form (for localizations the
-    flip acts trivially stage by stage, and doubling a localization of Z
-    is an isomorphism onto its image).
+    Stage N presents the functions on the flip window of level N modulo
+    f - f o (1,0) for f on the window ``relation_lag`` levels down.
+    Circle systems stabilize to a finitely generated group; odometers
+    produce a rank-one system whose limit is reported as a localization
+    descriptor.  The subgroup (1 + flip)H_0 is returned in canonical form
+    (for localizations the flip acts trivially stage by stage, and
+    doubling a localization of Z is an isomorphism onto its image).
     """
     if max_level < 3:
         raise ValueError("max_level must be >= 3")
-
-    first = 1
-    if isinstance(system, DenjoyFlipSystem):
-        levels = list(range(first, max_level + 1))
-        stages = [_denjoy_h0_stage(system, t) for t in levels]
-        cell_lists = [system.symmetric_cells(t) for t in levels]
-        coarse_lists = cell_lists[:-1]
-    elif isinstance(system, OdometerSystem):
-        top = _capped_odometer_level(system, max_level, _MAX_TELESCOPE_CELLS)
-        levels = list(range(first, top + 1))
-        stages = [_odometer_h0_stage(system, t) for t in levels]
-        cell_lists = [system.cells(t) for t in levels]
-        coarse_lists = [[system.refine(c, t, t + 1) for c in cells]
-                        for t, cells in zip(levels, cell_lists[:-1])]
-    else:
-        raise ValueError("telescope requires a circle or odometer system")
-    incls = [cover_matrix(coarse_lists[i], cell_lists[i + 1]) for i in range(len(levels) - 1)]
-    connecting = tuple(
-        AbHom.of(stages[i], stages[i + 1], incls[i]) for i in range(len(levels) - 1))
+    _require_levels(system, "telescope requires a circle or odometer system")
+    top = _deepest_level(system, max_level, _MAX_TELESCOPE_CELLS)
+    lag = system.relation_lag
+    windows = [system.symmetric_cells(t) for t in range(1 - lag, top + 1)]
+    cell_lists = windows[lag:]
+    stages = [
+        Presentation.of(len(cells), columns(mat_sub(
+            cover_matrix(src, cells), pullback_matrix(system, TRANSLATION, src, cells))))
+        for src, cells in zip(windows, cell_lists)]
+    incls = [cover_matrix(a, b) for a, b in zip(cell_lists, cell_lists[1:])]
+    connecting = tuple(AbHom.of(stages[i], stages[i + 1], m) for i, m in enumerate(incls))
     sigma_maps = ()
     if with_flip:
-        sig_perms = [pullback_matrix(system, FLIP, cells, cells) for cells in cell_lists[:-1]]
         sigma_maps = tuple(
-            AbHom.of(stages[i], stages[i + 1], mat_mul(incls[i], sig_perms[i]))
-            for i in range(len(levels) - 1))
+            AbHom.of(stages[i], stages[i + 1],
+                     mat_mul(m, pullback_matrix(system, FLIP, cells, cells)))
+            for i, (m, cells) in enumerate(zip(incls, cell_lists)))
 
     ds = DirectSystem(tuple(stages), connecting)
     limit = _image_refined_limit(ds)
@@ -409,19 +376,13 @@ def h0_translation_telescope(system, max_level: int, with_flip: bool = True) -> 
             h0_plus: GroupValue = _doubled_subgroup(h0)
         else:
             h0_plus = h0
-        if isinstance(system, DenjoyFlipSystem):
-            level = levels[-1]
-            cells = system.symmetric_cells(level)
-            from .exact_circle import ClopenSet
-
-            v1 = _indicator_vector(ClopenSet.arc(system.theta, 0, 1), cells)
-            v2 = _indicator_vector(ClopenSet.arc(system.theta, 1, 0), cells)
-            generator_vectors = (tuple(v1), tuple(v2))
-            # the two classes generate the image of the previous stage,
-            # hence the limit: check span(v1, v2, relations) contains the
-            # included module
-            span = from_columns([v1, v2] + list(stages[-1].relations),
-                                rows=stages[-1].ngens)
+        gens = [_indicator_vector(g, cell_lists[-1]) for g in system.h0_generators()]
+        if gens:
+            generator_vectors = tuple(tuple(v) for v in gens)
+            # the classes generate the image of the previous stage, hence
+            # the limit: check span(gens, relations) contains the included
+            # module
+            span = from_columns(gens + list(stages[-1].relations), rows=stages[-1].ngens)
             generators_generate = lattice_subset(connecting[-1].mat(), span)
     elif limit.kind == "localization":
         if with_flip and not sigma_trivial:
@@ -436,7 +397,7 @@ def h0_translation_telescope(system, max_level: int, with_flip: bool = True) -> 
             f"translation H0 undetermined at level {max_level}", max_level)
 
     return TelescopeResult(
-        first_level=first,
+        first_level=1,
         stages=tuple(stages),
         connecting=connecting,
         sigma_maps=sigma_maps,
@@ -515,9 +476,6 @@ def free_product_fragment(msigma: InvolutionModule, mphisigma: InvolutionModule,
     middle = Presentation.of(n_fine + n_coarse, mid_rels)
 
     # (cor, -cor): defined on the coarse module, the intersection of the two
-    paired_cols = []
-    for col in columns(inclusion):
-        paired_cols.append(list(col))
     paired = [[0] * n_coarse for _ in range(n_fine + n_coarse)]
     for j in range(n_coarse):
         for i in range(n_fine):
@@ -623,58 +581,43 @@ def _block_diag(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def free_product_homology(system, max_level: int, first_level: int = 2) -> FreeProductResult:
+def free_product_homology(system, max_level: int) -> FreeProductResult:
     """Run the free-product assembly across levels and take honest limits.
 
-    For circle systems the flip module lives on the symmetric window and
-    the reflected-flip module on the shifted window, joined by the
-    refinement inclusion; for odometers both act on the same level
-    cells.  Degree 0 is followed through the chain of total-coinvariant
-    presentations (stabilizing for circles, a localization for
-    odometers); degree 1 through the chain of odd homologies of the
-    combined involution modules.
+    At each level from 2 up, the flip module lives on the system's flip
+    window and the reflected-flip module on its reflected window (for
+    odometers both are the level's cylinders), joined by the refinement
+    inclusion.  Degree 0 is followed through the chain of
+    total-coinvariant presentations (stabilizing for circles, a
+    localization for odometers); degree 1 through the chain of odd
+    homologies of the combined involution modules.
     """
-    if isinstance(system, OdometerSystem):
-        max_level = _capped_odometer_level(system, max_level, _MAX_FREEPRODUCT_CELLS)
-    if max_level < first_level + 2:
+    _require_levels(system, "free-product assembly requires a circle or odometer system")
+    max_level = _deepest_level(system, max_level, _MAX_FREEPRODUCT_CELLS)
+    if max_level < 4:
         raise ValueError("need at least three levels")
+    levels = list(range(2, max_level + 1))
+    windows = [system.level_windows(t) for t in levels]
     frags = []
-    h0_data = []
     combined_modules = []
-    levels = list(range(first_level, max_level + 1))
-    for level in levels:
-        if isinstance(system, DenjoyFlipSystem):
-            fine_cells, msig = _denjoy_sigma_module(system, level)
-            coarse_cells, mphisig = _denjoy_phisigma_module(system, level)
-            incl = cover_matrix(coarse_cells, fine_cells)
-        elif isinstance(system, OdometerSystem):
-            cells, msig, mphisig = _odometer_modules(system, level)
-            fine_cells = cells
-            incl = identity_matrix(len(cells))
-        else:
-            raise ValueError("free-product assembly requires a circle or odometer system")
-        frags.append((level, free_product_fragment(msig, mphisig, incl)))
-        h0_data.append((level, fine_cells, frags[-1][1].h0_presentation))
+    for level, (fine, coarse) in zip(levels, windows):
+        msig = InvolutionModule.of(pullback_matrix(system, FLIP, fine, fine))
+        mphisig = InvolutionModule.of(pullback_matrix(system, GroupElement(1, 1), coarse, coarse))
+        frags.append((level, free_product_fragment(msig, mphisig, cover_matrix(coarse, fine))))
         combined_modules.append(
             InvolutionModule.of(_block_diag(msig.mat(), mphisig.mat())))
 
     # inclusions between consecutive levels, for both windows at once
     sym_incls = []
     combined_incls = []
-    for (l1, cells1, _), (l2, cells2, _) in zip(h0_data, h0_data[1:]):
-        if isinstance(system, DenjoyFlipSystem):
-            sym = cover_matrix(cells1, cells2)
-            shift = cover_matrix(system.shifted_cells(l1), system.shifted_cells(l2))
-        else:
-            sym = cover_matrix([system.refine(c, l1, l2) for c in cells1], cells2)
-            shift = sym
-        sym_incls.append(sym)
-        combined_incls.append(_block_diag(sym, shift))
+    for (fine1, coarse1), (fine2, coarse2) in zip(windows, windows[1:]):
+        sym_incls.append(cover_matrix(fine1, fine2))
+        combined_incls.append(_block_diag(sym_incls[-1], cover_matrix(coarse1, coarse2)))
 
+    h0_stages = [f.h0_presentation for _, f in frags]
     h0_system = DirectSystem(
-        tuple(p for _, _, p in h0_data),
-        tuple(AbHom.of(h0_data[i][2], h0_data[i + 1][2], sym_incls[i])
-              for i in range(len(sym_incls))))
+        tuple(h0_stages),
+        tuple(AbHom.of(h0_stages[i], h0_stages[i + 1], m) for i, m in enumerate(sym_incls)))
     h0_limit = h0_system.limit()
     if h0_limit.kind == "stabilized":
         h0: GroupValue = h0_limit.group
@@ -732,11 +675,11 @@ def transfer_kernel(h0_gamma: Presentation, tr_map: AbHom,
     )
 
 
-def transfer_report(system: DenjoyFlipSystem, max_level: int) -> TransferReport:
-    """The transfer on the circle system, evaluated at a deep level.
+def transfer_report(system, max_level: int) -> TransferReport:
+    """The transfer, evaluated two levels below the top of the telescope.
 
-    The flip has a fixed point, so the kernel must vanish and the image
-    must realize the doubled translation classes.
+    On the circle system the flip has a fixed point, so the kernel must
+    vanish and the image must realize the doubled translation classes.
     """
     tele = h0_translation_telescope(system, max_level)
     idx = len(tele.stages) - 3
@@ -744,9 +687,8 @@ def transfer_report(system: DenjoyFlipSystem, max_level: int) -> TransferReport:
         raise NonStabilizationError("not enough computed levels", max_level)
     level = tele.first_level + idx
 
-    cells = system.symmetric_cells(level)
+    cells, coarse = system.level_windows(level)
     sig = pullback_matrix(system, FLIP, cells, cells)
-    coarse = system.shifted_cells(level)
     incl_b = cover_matrix(coarse, cells)
     phisig = pullback_matrix(system, GroupElement(1, 1), coarse, coarse)
     gamma_rels = columns(mat_sub(sig, identity_matrix(len(cells)))) + \
@@ -755,9 +697,7 @@ def transfer_report(system: DenjoyFlipSystem, max_level: int) -> TransferReport:
 
     # into the telescope stage two levels up (relation windows widen once)
     target = tele.stages[idx + 2]
-    up = mat_mul(cover_matrix(system.symmetric_cells(level + 1),
-                              system.symmetric_cells(level + 2)),
-                 cover_matrix(cells, system.symmetric_cells(level + 1)))
+    up = mat_mul(tele.connecting[idx + 1].mat(), tele.connecting[idx].mat())
     tr_matrix = mat_mul(up, mat_add(identity_matrix(len(cells)), sig))
     tr_map = AbHom.of(h0_gamma, target, tr_matrix)
     return transfer_kernel(h0_gamma, tr_map, tele.h0_plus)
@@ -868,84 +808,47 @@ def homology_table(system, max_level: int = 16, method: str = "closed_form"):
             for s in (0, 1):
                 if system.fixed_points(GroupElement(n, s)).points:
                     raise ValueError("split-orbit case requires a free action")
+        if method != "closed_form":
+            raise ValueError("the free-product assembly needs both reflections "
+                             "acting on one space; not available for the split case")
         tele = h0_translation_telescope(system.base, max_level, with_flip=False)
         provenance.update({
             "case": "translation_not_minimal",
             "h0_base": tele.h0.to_json(),
             "stabilizedAt": tele.stabilized_level(),
         })
-        table = split_orbit_table(tele.h0)
-        if method != "closed_form":
-            raise ValueError("the free-product assembly needs both reflections "
-                             "acting on one space; not available for the split case")
-        return table, provenance
+        return split_orbit_table(tele.h0), provenance
 
-    if isinstance(system, DenjoyFlipSystem):
-        fix_sigma = len(system.fixed_points(FLIP))
-        fix_phisigma = len(system.fixed_points(GroupElement(1, 1)))
-        fixed_count = fix_sigma + fix_phisigma
-        if fixed_count == 0:
-            raise ValueError("circle flip systems always have reflection fixed points")
-        tele = h0_translation_telescope(system, max_level)
-        provenance.update({
-            "case": "not_free",
-            "fixedPoints": {"sigma": fix_sigma, "phiSigma": fix_phisigma},
-            "sigmaTrivialOnH0": tele.sigma_trivial,
-            "stabilizedAt": tele.stabilized_level(),
-        })
-        closed = nonfree_action_table(tele.h0_plus, fixed_count)
-        if method == "closed_form":
-            return closed, provenance
-        fp = free_product_homology(system, max_level)
-        provenance["freeproduct"] = {
-            "stabilizedAt": fp.stabilized_at,
-            "pairedInjective": fp.all_injective,
-            "middleExact": fp.all_exact,
-        }
-        if method == "freeproduct":
-            return _table(fp.h0, fp.h1, _ZERO, tail_from=1), provenance
-        delta = {}
-        if fp.h0 != closed.entry(0):
-            delta["H0"] = {"closed": closed.entry(0).to_json(),
-                           "freeproduct": fp.h0.to_json()}
-        if fp.h1 != closed.entry(1):
-            delta["H1"] = {"closed": closed.entry(1).to_json(),
-                           "freeproduct": fp.h1.to_json()}
-        provenance["delta"] = delta
+    _require_levels(system, f"unsupported system: {system!r}")
+    depth = system.depth(max_level)
+    fixed_name, fixed, fixed_count = system.reflection_fixed(depth)
+    tele = h0_translation_telescope(system, depth)
+    provenance.update({
+        "case": "not_free",
+        fixed_name: fixed,
+        "sigmaTrivialOnH0": tele.sigma_trivial,
+    })
+    if tele.limit.kind == "stabilized":
+        provenance["stabilizedAt"] = tele.stabilized_level()
+    else:
+        provenance["limit"] = tele.limit.to_json()
+    closed = nonfree_action_table(tele.h0_plus, fixed_count)
+    if method == "closed_form":
         return closed, provenance
-
-    if isinstance(system, OdometerSystem):
-        count_sigma = system.stable_fixed_count(FLIP, max_level=min(max_level, len(system.chain)))
-        count_phisigma = system.stable_fixed_count(GroupElement(1, 1),
-                                                   max_level=min(max_level, len(system.chain)))
-        fixed_count = count_sigma.count + count_phisigma.count
-        tele = h0_translation_telescope(system, min(max_level, len(system.chain)))
-        provenance.update({
-            "case": "not_free",
-            "fixedThreads": {
-                "sigma": {"count": count_sigma.count, "stabilizedAt": count_sigma.stabilized_at},
-                "phiSigma": {"count": count_phisigma.count,
-                             "stabilizedAt": count_phisigma.stabilized_at},
-            },
-            "sigmaTrivialOnH0": tele.sigma_trivial,
-            "limit": tele.limit.to_json(),
-        })
-        closed = nonfree_action_table(tele.h0_plus, fixed_count)
-        if method == "closed_form":
-            return closed, provenance
-        fp = free_product_homology(system, min(max_level, len(system.chain)))
-        provenance["freeproduct"] = {
-            "stabilizedAt": fp.stabilized_at,
-            "pairedInjective": fp.all_injective,
-            "middleExact": fp.all_exact,
-        }
-        if method == "freeproduct":
-            return _table(fp.h0, fp.h1, _ZERO, tail_from=1), provenance
-        delta = {}
-        if fp.h1 != closed.entry(1):
-            delta["H1"] = {"closed": closed.entry(1).to_json(),
-                           "freeproduct": fp.h1.to_json()}
-        provenance["delta"] = delta
-        return closed, provenance
-
-    raise ValueError(f"unsupported system: {system!r}")
+    fp = free_product_homology(system, depth)
+    provenance["freeproduct"] = {
+        "stabilizedAt": fp.stabilized_at,
+        "pairedInjective": fp.all_injective,
+        "middleExact": fp.all_exact,
+    }
+    if method == "freeproduct":
+        return _table(fp.h0, fp.h1, _ZERO, tail_from=1), provenance
+    delta = {}
+    # a localization H0 is named by its multipliers, which the two routes
+    # need not share, so only a finitely generated H0 is compared
+    for degree, got in ((0, fp.h0), (1, fp.h1)):
+        want = closed.entry(degree)
+        if isinstance(want, FGAbGroup) and got != want:
+            delta[f"H{degree}"] = {"closed": want.to_json(), "freeproduct": got.to_json()}
+    provenance["delta"] = delta
+    return closed, provenance

@@ -23,13 +23,28 @@ to (-1)^s n + k, and a flip swaps the two ends of an arc.  So the image
 of an arc between cuts is again such an arc, it is a union of cells
 exactly when both its ends are cells' left cuts, and it then holds the
 cyclic run of cells between them.  An odometer level's cells are the
-cylinders of Z/n_i, named by residue, and the group acts on residues.
-:func:`cover_matrix` and :func:`pullback_matrix` build every level
-matrix by these lookups, in integers, with no set operations.
+cylinders of Z/n_i, named by residue, and the group acts on residues;
+a cylinder of a coarser level n_j | n_i is the union of the n_i / n_j
+cylinders whose residues reduce to its own.  :func:`cover_matrix` and
+:func:`pullback_matrix` build every level matrix by these lookups, in
+integers, with no set operations.
+
+For homology the circle and the odometer differ only in which cell
+lists stand for level N (``level_windows``), in the level a stage's
+translation relations start from (``relation_lag``), in how deep their
+levels go (``depth``), in how the reflections' fixed points are counted
+(``reflection_fixed``) and in which sets generate translation H_0
+(``h0_generators``).  The flip (0,1) permutes a circle's window
+[-N, N] and the reflected rotation (1,1) its window [1-N, N]; a
+rotation by one moves the cuts of level N - 1's window [1-N, N-1] into
+[-N, N], so a circle stage's relations start one level down.  Both
+reflections and the translation permute an odometer's level cylinders,
+so one list serves all three and the relations stay on the level.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -50,8 +65,6 @@ __all__ = [
     "DoubledSystem",
     "LevelSet",
     "OdometerSystem",
-    "act",
-    "fixed_points",
     "top_freeness_check",
     "cover_matrix",
     "pullback_matrix",
@@ -95,6 +108,8 @@ class GroupElement:
 IDENTITY = GroupElement(0, 0)
 FLIP = GroupElement(0, 1)
 TRANSLATION = GroupElement(1, 0)
+#: The two reflections whose fixed points enter odd-degree homology.
+REFLECTIONS = (("sigma", FLIP), ("phiSigma", GroupElement(1, 1)))
 
 
 @dataclass(frozen=True)
@@ -134,6 +149,9 @@ class DenjoyFlipSystem:
     """Rotation by theta plus the flip x -> -x on the cut circle."""
 
     kind = "denjoy_flip"
+    #: A stage's translation relations map the window of level N - 1 into
+    #: that of level N.
+    relation_lag = 1
 
     def __init__(self, theta: Theta):
         self.theta = theta
@@ -226,6 +244,33 @@ class DenjoyFlipSystem:
         permutes them, since no finite window is invariant under both
         involutions."""
         return self.cells(1 - level, level)
+
+    def level_windows(self, level: int) -> tuple:
+        """The cells of level N for the flip and for the reflected rotation."""
+        return self.symmetric_cells(level), self.shifted_cells(level)
+
+    def depth(self, max_level: int, cell_cap: Optional[int] = None) -> int:
+        """The deepest level a computation up to ``max_level`` uses.
+
+        Level N has 2N + 1 cells, so ``max_level`` already bounds the
+        cost and ``cell_cap`` (a bound on odometer cosets) does not apply.
+        """
+        return max_level
+
+    def reflection_fixed(self, depth: int) -> tuple:
+        """Fixed points of (0,1) and (1,1) as the homology table reports them.
+
+        Returns the report name, the count per reflection and their sum;
+        the points are exact, so ``depth`` is not used.
+        """
+        counts = {name: len(self.fixed_points(g)) for name, g in REFLECTIONS}
+        if not any(counts.values()):
+            raise ValueError("circle flip systems always have reflection fixed points")
+        return "fixedPoints", counts, sum(counts.values())
+
+    def h0_generators(self) -> list:
+        """[0, theta) and [theta, 0), whose classes generate translation H_0."""
+        return [ClopenSet.arc(self.theta, 0, 1), ClopenSet.arc(self.theta, 1, 0)]
 
     def to_json(self) -> dict:
         return {"type": self.kind, "theta": self.theta.to_json()}
@@ -358,6 +403,8 @@ class OdometerSystem:
     """The odometer along a strict divisibility chain n_1 | n_2 | ..."""
 
     kind = "odometer"
+    #: The translation permutes a level's cylinders.
+    relation_lag = 0
 
     def __init__(self, chain: Sequence[int]):
         chain = tuple(int(n) for n in chain)
@@ -464,17 +511,41 @@ class OdometerSystem:
         n = self.modulus(level)
         return LevelSet(n, frozenset({residue % n}))
 
-    def refine(self, s: LevelSet, level_from: int, level_to: int) -> LevelSet:
-        """Re-express a level set at a deeper level."""
-        n_from, n_to = self.modulus(level_from), self.modulus(level_to)
-        if s.modulus != n_from or n_to % n_from:
-            raise ValueError("incompatible refinement levels")
-        return LevelSet(n_to, frozenset(
-            k + t * n_from for k in s.residues for t in range(n_to // n_from)))
-
     def cells(self, level: int) -> list:
         n = self.modulus(level)
         return [self.cylinder(level, k) for k in range(n)]
+
+    def symmetric_cells(self, level: int) -> list:
+        """The level cylinders, which the flip permutes."""
+        return self.cells(level)
+
+    def level_windows(self, level: int) -> tuple:
+        """The cells of level N for the flip and for the reflected rotation:
+        one list of cylinders, which both permute."""
+        cells = self.cells(level)
+        return cells, cells
+
+    def depth(self, max_level: int, cell_cap: Optional[int] = None) -> int:
+        """The deepest level up to ``max_level`` within the chain and, if
+        ``cell_cap`` is given, with at most that many cosets."""
+        top = min(max_level, len(self.chain))
+        if cell_cap is not None:
+            top = min(top, bisect_right(self.chain, cell_cap))
+        return top
+
+    def reflection_fixed(self, depth: int) -> tuple:
+        """Fixed threads of (0,1) and (1,1) up to ``depth``, as the homology
+        table reports them: the report name, the count and level of
+        stabilization per reflection, and the sum of the counts."""
+        counts = {name: self.stable_fixed_count(g, max_level=depth) for name, g in REFLECTIONS}
+        report = {name: {"count": c.count, "stabilizedAt": c.stabilized_at}
+                  for name, c in counts.items()}
+        return "fixedThreads", report, sum(c.count for c in counts.values())
+
+    def h0_generators(self) -> list:
+        """No sets: translation H_0 is a localization of Z, which no finite
+        family generates."""
+        return []
 
     def coset_identification_ok(self, level: int, span: Optional[int] = None) -> bool:
         """Check that (k, j) |-> k mod n_i identifies the coset space.
@@ -501,14 +572,6 @@ class OdometerSystem:
 # ---------------------------------------------------------------------------
 # Shared operations
 # ---------------------------------------------------------------------------
-
-
-def act(system, g: GroupElement, s):
-    return system.act(g, s)
-
-
-def fixed_points(system, g: GroupElement) -> FixedPointSet:
-    return system.fixed_points(g)
 
 
 class _CircleCells:
@@ -579,7 +642,11 @@ class _CircleCells:
 
 
 class _CylinderCells:
-    """Odometer cylinders of one level, each named by its residue."""
+    """Odometer cylinders of one level, each named by its residue.
+
+    A target may be a level set of any level whose modulus divides the
+    cells' own: residue r mod m is the union of the cells r + t*m.
+    """
 
     def __init__(self, cells: Sequence[LevelSet]):
         self.modulus = cells[0].modulus
@@ -608,8 +675,11 @@ class _CylinderCells:
             raise ValueError("target is not a union of the given cells") from None
 
     def cover(self, target) -> list:
-        self._check(target)
-        return self._lookup(list(target.residues))
+        if not isinstance(target, LevelSet) or self.modulus % target.modulus:
+            raise ValueError("not a level set at the cells' level or a coarser one")
+        m = target.modulus
+        return self._lookup([r + t * m for r in target.residues
+                             for t in range(self.modulus // m)])
 
     def preimage(self, g_inv: GroupElement, cell) -> list:
         self._check(cell)

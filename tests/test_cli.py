@@ -221,6 +221,22 @@ class TestHomologyCommand:
         capsys.readouterr()
         assert code == 3
 
+    def test_doubled_freeproduct_rejected_before_levels(self, doubled_file):
+        # the split case has no free-product route: exit 2 without
+        # computing any level of the requested depth
+        src = str(Path(dihedral_dynamics.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "dihedral_dynamics.cli", "homology",
+             "--system", doubled_file, "--method", "freeproduct", "--max-level", "1000000"],
+            capture_output=True, env=env, timeout=10)
+        assert time.monotonic() - start < 10
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert "split case" in json.loads(proc.stderr)["error"]
+
 
 class TestOracleCommand:
     def test_seeded_run(self, capsys):

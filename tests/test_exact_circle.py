@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dihedral_dynamics.exact_circle import (
     Arc,
@@ -165,6 +167,61 @@ def random_clopen(theta, rng, max_arcs=10):
         if a != b:
             arcs.append(Arc(CutPoint.of(theta, a), CutPoint.of(theta, b)))
     return ClopenSet.from_arcs(theta, arcs)
+
+
+THETAS = [Theta(p=-1, q=1, d=5, r=2), Theta(p=-1, q=1, d=2, r=1), Theta(p=-1, q=1, d=3, r=2)]
+WINDOW = range(-8, 9)
+
+
+@st.composite
+def clopen_sets(draw, theta):
+    """A clopen set whose arcs end at cuts of the window, full one time in ten."""
+    if draw(st.integers(0, 9)) == 0:
+        return ClopenSet.full_circle(theta)
+    ends = st.tuples(st.sampled_from(WINDOW), st.sampled_from(WINDOW)).filter(
+        lambda e: e[0] != e[1])
+    return ClopenSet.from_arcs(theta, [Arc(CutPoint.of(theta, a), CutPoint.of(theta, b))
+                                       for a, b in draw(st.lists(ends, max_size=4))])
+
+
+def sample_points(theta):
+    """Every cut of the window and one point strictly inside each gap.
+
+    A set with ends in the window is constant on each gap and contains a
+    cut's value exactly when it contains the cut's right copy, so these
+    points decide it.
+    """
+    cuts = sorted(CutPoint.of(theta, n).value for n in WINDOW)
+    nxt = cuts[1:] + [cuts[0].shift(1)]
+    return cuts + [((x + y) * Fraction(1, 2)).frac() for x, y in zip(cuts, nxt)]
+
+
+class TestClopenAlgebraPointwise:
+    """Set operations agree with membership at exact points."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), theta=st.sampled_from(THETAS))
+    def test_operations(self, data, theta):
+        a, b = data.draw(clopen_sets(theta)), data.draw(clopen_sets(theta))
+        results = (a.union(b), a.intersection(b), a.difference(b), a.complement())
+        for x in sample_points(theta):
+            ina, inb = a.contains_value(x), b.contains_value(x)
+            assert [r.contains_value(x) for r in results] == \
+                [ina or inb, ina and inb, ina and not inb, not ina]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), theta=st.sampled_from(THETAS))
+    def test_laws(self, data, theta):
+        a, b, c = (data.draw(clopen_sets(theta)) for _ in range(3))
+        assert a.union(b) == b.union(a)
+        assert a.intersection(b) == b.intersection(a)
+        assert a.union(b.union(c)) == a.union(b).union(c)
+        assert a.intersection(b.union(c)) == a.intersection(b).union(a.intersection(c))
+        assert a.union(b).complement() == a.complement().intersection(b.complement())
+        assert a.difference(b) == a.intersection(b.complement())
+        assert a.union(a.complement()).full
+        assert a.intersection(a.complement()).is_empty()
+        assert a.complement().complement() == a
 
 
 class TestClopenAlgebra:

@@ -243,14 +243,12 @@ class TestTelescope:
 
 class TestFreeProduct:
     def test_denjoy_fragment_level_eight(self, denjoy):
-        from dihedral_dynamics.homology import (
-            _denjoy_phisigma_module,
-            _denjoy_sigma_module,
-        )
-        from dihedral_dynamics.systems import cover_matrix
+        from dihedral_dynamics.systems import GroupElement, cover_matrix, pullback_matrix
 
-        fine_cells, msig = _denjoy_sigma_module(denjoy, 8)
-        coarse_cells, mphisig = _denjoy_phisigma_module(denjoy, 8)
+        fine_cells, coarse_cells = denjoy.level_windows(8)
+        msig = InvolutionModule.of(pullback_matrix(denjoy, FLIP, fine_cells, fine_cells))
+        mphisig = InvolutionModule.of(
+            pullback_matrix(denjoy, GroupElement(1, 1), coarse_cells, coarse_cells))
         assert odd_homology(msig) == Z2
         assert odd_homology(mphisig) == FGAbGroup(0, (2, 2))
         frag = free_product_fragment(msig, mphisig, cover_matrix(coarse_cells, fine_cells))

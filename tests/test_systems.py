@@ -14,6 +14,7 @@ from dihedral_dynamics.systems import (
     TRANSLATION,
     DenjoyFlipSystem,
     DoubledClopen,
+    DoubledSystem,
     GroupElement,
     LevelSet,
     OdometerSystem,
@@ -24,7 +25,8 @@ from dihedral_dynamics.systems import (
     top_freeness_check,
 )
 
-from test_exact_circle import random_clopen
+from test_exact_circle import THETAS as CIRCLE_THETAS
+from test_exact_circle import clopen_sets, random_clopen
 
 
 class TestGroupElement:
@@ -343,7 +345,7 @@ class TestLevelPartition:
     def test_odometer_refinement(self, odometer3):
         for level in (1, 2):
             for c in odometer3.cells(level):
-                refined = odometer3.refine(c, level, level + 1)
+                refined = refine(odometer3, c, level, level + 1)
                 ix = cover_indices(refined, odometer3.cells(level + 1))
                 assert len(ix) == odometer3.modulus(level + 1) // odometer3.modulus(level)
 
@@ -352,6 +354,15 @@ class TestLevelPartition:
         for level in (1, 2, 3):
             assert is_partition(denjoy.symmetric_cells(level))
             assert is_partition(denjoy.shifted_cells(level))
+
+
+def refine(odo, s, level_from, level_to):
+    """A level set re-expressed at a deeper level, residue by residue."""
+    n_from, n_to = odo.modulus(level_from), odo.modulus(level_to)
+    if s.modulus != n_from or n_to % n_from:
+        raise ValueError("incompatible refinement levels")
+    return LevelSet(n_to, frozenset(
+        k + t * n_from for k in s.residues for t in range(n_to // n_from)))
 
 
 def reference_cover_indices(target, cells):
@@ -449,7 +460,7 @@ class TestLevelMatrixOracle:
             for g in ELEMENTS + [GroupElement(-5, 1), GroupElement(7, 0)]:
                 assert pullback_matrix(odo, g, cells, cells) == \
                     reference_pullback_matrix(odo, g, cells, cells)
-            refined = [odo.refine(c, level, level + 1) for c in cells]
+            refined = [refine(odo, c, level, level + 1) for c in cells]
             fine = odo.cells(level + 1)
             assert cover_matrix(refined, fine) == reference_cover_matrix(refined, fine)
 
@@ -483,6 +494,89 @@ class TestLevelMatrixOracle:
             cover_indices(odo.cells(2)[0], odo.cells(1))
         with pytest.raises(ValueError):
             pullback_matrix(odo, FLIP, cells, cells)
+
+
+class TestCrossLevelCover:
+    """Coarser odometer cylinders covered by a finer level's, against refine."""
+
+    CHAINS = [[2 ** i for i in range(1, 7)], [3 ** i for i in range(1, 6)], [2, 6, 12, 60, 120]]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("chain", CHAINS, ids=str)
+    def test_matches_refine(self, chain, k):
+        odo = OdometerSystem(chain)
+        for t in range(1, len(chain) - k + 1):
+            coarse, fine = odo.cells(t), odo.cells(t + k)
+            refined = [refine(odo, c, t, t + k) for c in coarse]
+            want = [[int(f.residues <= r.residues) for r in refined] for f in fine]
+            assert cover_matrix(coarse, fine) == want
+            assert want == reference_cover_matrix(refined, fine)
+
+    def test_modulus_must_divide(self):
+        odo = OdometerSystem([2, 6, 12])
+        with pytest.raises(ValueError):
+            cover_indices(LevelSet(4, frozenset({1})), odo.cells(2))
+        with pytest.raises(ValueError):
+            cover_matrix(OdometerSystem([2, 4]).cells(2), odo.cells(2))
+
+
+class TestLevelWindows:
+    def test_circle(self, denjoy):
+        sym, shifted = denjoy.level_windows(3)
+        assert sym == denjoy.symmetric_cells(3) and shifted == denjoy.shifted_cells(3)
+        assert denjoy.relation_lag == 1
+        assert denjoy.depth(40, cell_cap=8) == 40
+
+    def test_odometer(self, odometer3):
+        sym, shifted = odometer3.level_windows(3)
+        assert sym is shifted and sym == odometer3.cells(3)
+        assert odometer3.relation_lag == 0
+        assert odometer3.depth(16) == 7
+        assert odometer3.depth(5) == 5
+        assert odometer3.depth(16, cell_cap=128) == 4
+        assert odometer3.depth(16, cell_cap=2) == 0
+
+
+ELEMENT = st.builds(GroupElement, st.integers(-6, 6), st.integers(0, 1))
+
+
+def phi(n):
+    return GroupElement(n, 0)
+
+
+def check_relations(system, s, g, h, a, b):
+    """The dihedral relations and the action law, through ``act``."""
+    act = system.act
+    assert act(FLIP, act(FLIP, s)) == s
+    assert act(FLIP, act(TRANSLATION, act(FLIP, s))) == act(phi(-1), s)
+    assert act(phi(a), act(phi(b), s)) == act(phi(a + b), s)
+    assert act(g, act(h, s)) == act(g * h, s)
+    assert act(IDENTITY, s) == s
+
+
+class TestActionRelations:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), theta=st.sampled_from(CIRCLE_THETAS), g=ELEMENT, h=ELEMENT,
+           a=st.integers(-6, 6), b=st.integers(-6, 6))
+    def test_circle(self, data, theta, g, h, a, b):
+        s = data.draw(clopen_sets(theta))
+        check_relations(DenjoyFlipSystem(theta), s, g, h, a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), theta=st.sampled_from(CIRCLE_THETAS), g=ELEMENT, h=ELEMENT,
+           a=st.integers(-6, 6), b=st.integers(-6, 6))
+    def test_doubled(self, data, theta, g, h, a, b):
+        s = DoubledClopen(data.draw(clopen_sets(theta)), data.draw(clopen_sets(theta)))
+        check_relations(DoubledSystem(theta), s, g, h, a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), base=st.sampled_from([2, 3, 6]), level=st.integers(1, 4),
+           g=ELEMENT, h=ELEMENT, a=st.integers(-40, 40), b=st.integers(-40, 40))
+    def test_odometer(self, data, base, level, g, h, a, b):
+        odo = OdometerSystem([base ** i for i in range(1, 5)])
+        n = odo.modulus(level)
+        s = LevelSet(n, frozenset(data.draw(st.sets(st.integers(0, n - 1)))))
+        check_relations(odo, s, g, h, a, b)
 
 
 class TestSystemJson:
