@@ -31,8 +31,15 @@ from .systems import (
     TRANSLATION,
     top_freeness_check,
 )
-from .amenability import FolnerSet, folner, folner_ratio, is_transversal, odometer_castle
-from .towers import Castle, Tower, almost_finite_certificate, first_return_castle, verify_castle
+from .amenability import FolnerSet, folner, folner_ratio, is_transversal
+from .towers import (
+    Castle,
+    Tower,
+    almost_finite_certificate,
+    first_return_castle,
+    odometer_castle,
+    verify_castle,
+)
 from .abgroups import (
     AbHom,
     DirectSystem,
@@ -52,7 +59,6 @@ from .homology import (
     h0_translation_telescope,
     homology_table,
     odd_homology,
-    psi_check,
     transfer_report,
 )
 

@@ -378,11 +378,6 @@ def solve_integer(mat: Matrix, rhs: Sequence[int]) -> Optional[List[int]]:
     return SnfSolver(mat).solve(rhs)
 
 
-def lattice_contains(gens: Matrix, v: Sequence[int]) -> bool:
-    """Whether v lies in the column lattice of gens."""
-    return solve_integer(gens, v) is not None
-
-
 def lattice_subset(a: Matrix, b: Matrix) -> bool:
     """Whether every column of a lies in the column lattice of b."""
     if not a or not a[0]:

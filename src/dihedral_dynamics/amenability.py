@@ -1,10 +1,10 @@
-"""Folner sets for the infinite dihedral group and odometer castles.
+"""Folner sets for the infinite dihedral group.
 
 The sets used here have a double role: F_m is simultaneously an
 approximately invariant set (its translate boundary shrinks like 1/m)
 and a complete set of coset representatives for the index-m subgroup
-m*Z x| Z_2.  Castles for odometers are assembled from a single cylinder
-base translated by such a transversal.
+m*Z x| Z_2.  Castles for odometers (``towers.odometer_castle``) are
+assembled from a single cylinder base translated by such a transversal.
 """
 
 from __future__ import annotations
@@ -13,14 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .systems import FLIP, GroupElement, IDENTITY, LevelSet, OdometerSystem
+from .systems import FLIP, GroupElement, IDENTITY
 
 __all__ = [
     "FolnerSet",
     "folner",
     "is_transversal",
     "folner_ratio",
-    "odometer_castle",
     "DEFAULT_TEST_SET",
 ]
 
@@ -189,28 +188,3 @@ def _overlap(a: list, b: list) -> int:
         else:
             j += 1
     return total
-
-
-def odometer_castle(system: OdometerSystem, n: int, j: int):
-    """The one-tower castle of the level-n identity cylinder, seen at level j.
-
-    The base is the class of 0 mod n_n inside Z/n_j and the shape is the
-    n_n-element window, whose translates tile the level exactly because
-    the window is a transversal.  The partition is verified before the
-    castle is returned.
-    """
-    from .errors import VerificationError
-    from .towers import Castle, Tower  # deferred; towers imports this module
-
-    if not (1 <= n <= j <= len(system.chain)):
-        raise ValueError("need 1 <= n <= j <= chain length")
-    n_n = system.modulus(n)
-    n_j = system.modulus(j)
-    base = LevelSet(n_j, frozenset(range(0, n_j, n_n)))
-    shape = folner(n_n)
-    tower = Tower(base=base, shape=tuple(shape.elements), return_time=n_n)
-    castle = Castle(system=system, towers=(tower,))
-    report = castle.verify()
-    if not report.all_ok():
-        raise VerificationError(f"odometer castle failed verification: {report}")
-    return castle

@@ -15,9 +15,8 @@ import random
 import sys
 from fractions import Fraction
 
-from .amenability import DEFAULT_TEST_SET, folner, folner_ratio, is_transversal, odometer_castle
-from .errors import NonStabilizationError, VerificationError, WitnessError
-from .exact_circle import format_point
+from .amenability import DEFAULT_TEST_SET, folner, folner_ratio, is_transversal
+from .errors import NonStabilizationError, VerificationError
 from .homology import (
     InvolutionModule,
     bar_homology,
@@ -26,19 +25,8 @@ from .homology import (
     homology_table,
     odd_homology,
 )
-from .systems import (
-    DenjoyFlipSystem,
-    DoubledSystem,
-    GroupElement,
-    OdometerSystem,
-    system_from_json,
-)
-from .towers import (
-    almost_finite_certificate,
-    base_from_json,
-    default_invariant_window,
-    first_return_castle,
-)
+from .systems import GroupElement, system_from_json
+from .towers import almost_finite_certificate, first_return_castle, require_first_return
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -108,18 +96,7 @@ def cmd_fixed_points(args) -> int:
     max_level = _check_max_level(args.max_level, 2)
     if any(g.is_identity() for g in elements):
         raise ConfigError("the identity element has no fixed-point report")
-    report = {}
-    if isinstance(system, (DenjoyFlipSystem, DoubledSystem)):
-        for g in elements:
-            pts = system.fixed_points(g)
-            report[str(g)] = [format_point(p) for p in pts.points]
-    elif isinstance(system, OdometerSystem):
-        depth = len(system.chain) if max_level is None else min(max_level, len(system.chain))
-        for g in elements:
-            tc = system.stable_fixed_count(g, depth)
-            report[str(g)] = {"count": tc.count, "stabilizedAt": tc.stabilized_at}
-    else:
-        raise ConfigError("unsupported system")
+    report = {str(g): system.fixed_point_report(g, max_level) for g in elements}
     _emit({"fixedPoints": report, "system": system.to_json()}, args.out)
     return EXIT_OK
 
@@ -139,16 +116,15 @@ def cmd_folner(args) -> int:
 
 def cmd_castle(args) -> int:
     system = _load_system(args.system)
-    if isinstance(system, OdometerSystem):
-        raise ConfigError("first-return castles are for circle systems; "
-                          "use certify for odometers")
+    require_first_return(system)
     if args.base is not None:
         try:
-            y = base_from_json(system, json.loads(args.base))
+            y = system.set_from_json(json.loads(args.base))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ConfigError(f"bad base set: {exc}") from exc
     else:
-        y = default_invariant_window(system)
+        # the widest window: the cuts n*theta with |n| <= 1
+        y = system.invariant_window(1)
     # first_return_castle raises unless the castle verifies
     _emit(first_return_castle(system, y).to_json(), args.out)
     return EXIT_OK
@@ -158,17 +134,7 @@ def cmd_certify(args) -> int:
     system = _load_system(args.system)
     eps = _parse_eps(args.eps)
     test_set = _parse_elements(args.K) if args.K else list(DEFAULT_TEST_SET)
-    if isinstance(system, OdometerSystem):
-        level = None
-        for n in range(1, len(system.chain) + 1):
-            if folner_ratio(folner(system.chain[n - 1]), test_set) < eps:
-                level = n
-                break
-        if level is None:
-            raise ConfigError("no chain level is invariant enough; extend the chain")
-        castle = odometer_castle(system, level, min(level + 1, len(system.chain)))
-    else:
-        castle = almost_finite_certificate(system, test_set, eps)
+    castle = almost_finite_certificate(system, test_set, eps)
     payload = castle.to_json()
     payload["epsilon"] = str(eps)
     payload["testSet"] = [g.to_json() for g in test_set]
@@ -318,7 +284,7 @@ def main(argv=None) -> int:
     except NonStabilizationError as exc:
         print(json.dumps({"error": str(exc), "level": exc.level}), file=sys.stderr)
         return EXIT_NON_STABILIZATION
-    except (VerificationError, WitnessError) as exc:
+    except VerificationError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_VERIFICATION
     except ValueError as exc:

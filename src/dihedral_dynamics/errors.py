@@ -13,14 +13,3 @@ class NonStabilizationError(RuntimeError):
 
 class VerificationError(RuntimeError):
     """An exact verification that should have passed did not."""
-
-
-class WitnessError(ValueError):
-    """A supplied witness set fails its defining identity.
-
-    ``leftover`` carries the exact set difference that broke the check.
-    """
-
-    def __init__(self, message: str, leftover=None):
-        super().__init__(message)
-        self.leftover = leftover

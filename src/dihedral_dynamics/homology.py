@@ -38,7 +38,6 @@ from .abgroups import (
     from_columns,
     identity_matrix,
     kernel_basis,
-    lattice_contains,
     lattice_subset,
     mat_add,
     mat_mul,
@@ -48,7 +47,7 @@ from .abgroups import (
     snf_diagonal,
     subquotient,
 )
-from .errors import NonStabilizationError, WitnessError
+from .errors import NonStabilizationError
 from .systems import (
     FLIP,
     TRANSLATION,
@@ -64,8 +63,6 @@ __all__ = [
     "odd_homology",
     "even_homology",
     "coinvariants",
-    "coinvariants_presentation",
-    "psi_check",
     "bar_homology",
     "TelescopeResult",
     "h0_translation_telescope",
@@ -73,7 +70,6 @@ __all__ = [
     "free_product_homology",
     "transfer_kernel",
     "transfer_report",
-    "verify_complementary_witness",
     "HomologyTable",
     "homology_table",
     "split_orbit_table",
@@ -130,11 +126,6 @@ class InvolutionModule:
     def mat(self) -> Matrix:
         return [list(r) for r in self.matrix]
 
-    def is_permutation(self) -> bool:
-        return all(
-            sorted(col) == [0] * (self.ncells - 1) + [1] for col in columns(self.mat())
-        )
-
 
 def _a_minus_i(module: InvolutionModule) -> Matrix:
     return mat_sub(module.mat(), identity_matrix(module.ncells))
@@ -154,47 +145,9 @@ def even_homology(module: InvolutionModule) -> FGAbGroup:
     return subquotient(_a_plus_i(module), _a_minus_i(module))
 
 
-def coinvariants_presentation(module: InvolutionModule) -> Presentation:
-    return Presentation.of(module.ncells, columns(_a_minus_i(module)))
-
-
 def coinvariants(module: InvolutionModule) -> FGAbGroup:
     """coker(A - I), the degree-0 homology of the order-2 action."""
-    return coinvariants_presentation(module).canonical()
-
-
-def psi_check(module: InvolutionModule) -> bool:
-    """Verify that [f] -> f + f o a embeds the coinvariants onto the
-    invariant functions that are even on fixed cells.
-
-    Only meaningful for permutation modules, where 'even on fixed cells'
-    is a lattice condition with explicit generators.
-    """
-    if not module.is_permutation():
-        raise ValueError("psi_check requires a permutation involution")
-    plus = _a_plus_i(module)
-    minus = _a_minus_i(module)
-    # injectivity: kernel of (A + I) inside the coinvariant relations
-    for v in kernel_basis(plus):
-        if not lattice_contains(minus, v):
-            return False
-    # image: exactly the lattice spanned by pair sums and doubled fixed cells
-    n = module.ncells
-    target_cols = []
-    seen = set()
-    for j in range(n):
-        i = next(r for r in range(n) if module.matrix[r][j])
-        if i == j:
-            col = [0] * n
-            col[j] = 2
-            target_cols.append(col)
-        elif (j, i) not in seen:
-            seen.add((i, j))
-            col = [0] * n
-            col[i] = col[j] = 1
-            target_cols.append(col)
-    target = from_columns(target_cols, rows=n)
-    return lattice_subset(plus, target) and lattice_subset(target, plus)
+    return Presentation.of(module.ncells, columns(_a_minus_i(module))).canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -703,20 +656,6 @@ def transfer_report(system, max_level: int) -> TransferReport:
     return transfer_kernel(h0_gamma, tr_map, tele.h0_plus)
 
 
-def verify_complementary_witness(system, witness, g: GroupElement):
-    """Check X = witness | g(witness) disjointly; raise with the exact gap."""
-    image = system.act(g, witness)
-    overlap = witness.intersection(image)
-    if not overlap.is_empty():
-        raise WitnessError(f"witness overlaps its {g} image", leftover=overlap)
-    union = witness.union(image)
-    full = system.full()
-    if union != full:
-        raise WitnessError(f"witness and its {g} image do not cover",
-                           leftover=full.difference(union))
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Closed-form case analysis
 # ---------------------------------------------------------------------------
@@ -804,10 +743,6 @@ def homology_table(system, max_level: int = 16, method: str = "closed_form"):
     provenance = {"system": system.to_json(), "maxLevel": max_level, "method": method}
 
     if isinstance(system, DoubledSystem):
-        for n in range(1, 21):
-            for s in (0, 1):
-                if system.fixed_points(GroupElement(n, s)).points:
-                    raise ValueError("split-orbit case requires a free action")
         if method != "closed_form":
             raise ValueError("the free-product assembly needs both reflections "
                              "acting on one space; not available for the split case")

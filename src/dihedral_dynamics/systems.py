@@ -40,6 +40,27 @@ rotation by one moves the cuts of level N - 1's window [1-N, N-1] into
 [-N, N], so a circle stage's relations start one level down.  Both
 reflections and the translation permute an odometer's level cylinders,
 so one list serves all three and the relations stay on the level.
+
+Castles, certificates and the CLI ask every system the same questions:
+``act`` (the image of a clopen set), ``set_from_json`` (a clopen set
+from its JSON), ``partition_flags`` (whether pieces are disjoint and
+cover the space), ``fixed_point_report`` (the fixed points of an
+element as ``fixed-points`` prints them) and ``to_json``.  Each answers
+in its own terms:
+
+* the cut circle writes a set as arcs between cuts, checks pieces by one
+  sorted sweep over their ends, reports exact fixed points, and has the
+  flip-invariant windows [1-u, u) around 1/2 (``invariant_window``);
+* the doubled system writes a set as one arc set per copy, sweeps each
+  copy once, reports no fixed points (its action is free), and has the
+  flip-invariant windows [0, u) on both copies;
+* the odometer writes a set as residues at one level, checks pieces by
+  marking residues, reports stable thread counts up to its ``depth``,
+  and has no flip-invariant windows: its castles are level transversals.
+
+Homology asks the circle and the odometer for their levels as above;
+for the doubled system it reads only the translation H_0 of its base
+circle (the split case).
 """
 
 from __future__ import annotations
@@ -51,7 +72,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .errors import NonStabilizationError
-from .exact_circle import Arc, ClopenSet, CutPoint, QuadExt, Theta
+from .exact_circle import Arc, ClopenSet, CutPoint, QuadExt, Theta, format_point, sweep_partition
 
 __all__ = [
     "GroupElement",
@@ -144,6 +165,8 @@ class ThreadCount:
 # Circle systems
 # ---------------------------------------------------------------------------
 
+_MAX_CIRCLE_LEVEL = 128
+
 
 class DenjoyFlipSystem:
     """Rotation by theta plus the flip x -> -x on the cut circle."""
@@ -215,6 +238,34 @@ class DenjoyFlipSystem:
         points.sort()
         return FixedPointSet(g, tuple(points))
 
+    def fixed_point_report(self, g: GroupElement, max_level: Optional[int]) -> list:
+        """The fixed points of g, formatted; they are exact, so
+        ``max_level`` is not used."""
+        return [format_point(p) for p in self.fixed_points(g).points]
+
+    # -- clopen sets ----------------------------------------------------
+
+    def set_from_json(self, data: dict) -> ClopenSet:
+        return ClopenSet.from_json(self.theta, data)
+
+    def partition_flags(self, pieces: Sequence[ClopenSet]) -> tuple:
+        """``(disjoint, covers)`` of the pieces, by one sorted sweep."""
+        return sweep_partition(pieces)
+
+    def invariant_window(self, window: int) -> ClopenSet:
+        """The arc [1-u, u) for the least cut value u above 1/2 among the
+        cuts n*theta with |n| <= ``window``, a positive integer.
+
+        Such arcs are flip-invariant by construction and shrink to the
+        flip fixed point 1/2 as the window grows.  One of theta and
+        1 - theta lies above 1/2, so every window has such a cut.
+        """
+        theta = self.theta
+        half = Fraction(1, 2)
+        cuts = (CutPoint.of(theta, n) for n in range(-window, window + 1))
+        u = min(c for c in cuts if theta.sign_of(c.value.a - half, c.value.b) > 0)
+        return ClopenSet(theta, (Arc(u.negate(), u),))
+
     # -- level structure ----------------------------------------------
 
     def cut_window(self, lo: int, hi: int) -> list:
@@ -252,9 +303,14 @@ class DenjoyFlipSystem:
     def depth(self, max_level: int, cell_cap: Optional[int] = None) -> int:
         """The deepest level a computation up to ``max_level`` uses.
 
-        Level N has 2N + 1 cells, so ``max_level`` already bounds the
-        cost and ``cell_cap`` (a bound on odometer cosets) does not apply.
+        Level N has 2N + 1 cells, so ``max_level`` bounds the cost and
+        ``cell_cap`` (a bound on odometer cosets) does not apply.  A
+        request above the ceiling of 128 levels is rejected, so that the
+        cost stays bounded whatever the request.
         """
+        if max_level > _MAX_CIRCLE_LEVEL:
+            raise ValueError(f"max_level {max_level} is above the ceiling of "
+                             f"{_MAX_CIRCLE_LEVEL} circle levels")
         return max_level
 
     def reflection_fixed(self, depth: int) -> tuple:
@@ -348,6 +404,30 @@ class DoubledSystem:
         # Reflections swap the two copies; translations restrict to free
         # irrational rotations on each copy.
         return FixedPointSet(g, ())
+
+    # formatted as for the circle: none, since the action is free
+    fixed_point_report = DenjoyFlipSystem.fixed_point_report
+
+    def set_from_json(self, data: dict) -> DoubledClopen:
+        c0, c1 = data["components"]
+        return DoubledClopen(self.base.set_from_json(c0), self.base.set_from_json(c1))
+
+    def partition_flags(self, pieces: Sequence[DoubledClopen]) -> tuple:
+        """``(disjoint, covers)`` of the pieces, by one sweep per copy."""
+        d0, c0 = sweep_partition([p.comp0 for p in pieces])
+        d1, c1 = sweep_partition([p.comp1 for p in pieces])
+        return d0 and d1, c0 and c1
+
+    def invariant_window(self, window: int) -> DoubledClopen:
+        """[0, u) on both copies, for the least cut value u above 0 among
+        the cuts n*theta with 0 < |n| <= ``window``, a positive integer.
+
+        The flip exchanges the copies, so the pair is flip-invariant.
+        """
+        theta = self.theta
+        u = min(CutPoint.of(theta, n) for n in range(-window, window + 1) if n)
+        z = ClopenSet(theta, (Arc(CutPoint.of(theta, 0), u),))
+        return DoubledClopen(z, z)
 
     def to_json(self) -> dict:
         return {"type": self.kind, "theta": self.theta.to_json()}
@@ -505,6 +585,37 @@ class OdometerSystem:
         return ThreadCount(element=g, count=final, stabilized_at=stabilized_at,
                            horizon=max_level, per_level=tuple(counts))
 
+    def fixed_point_report(self, g: GroupElement, max_level: Optional[int]) -> dict:
+        """The stable thread count of g and the level it settles at,
+        computed to ``depth(max_level)`` (the whole chain if None)."""
+        tc = self.stable_fixed_count(
+            g, self.depth(len(self.chain) if max_level is None else max_level))
+        return {"count": tc.count, "stabilizedAt": tc.stabilized_at}
+
+    # -- clopen sets ----------------------------------------------------
+
+    def set_from_json(self, data: dict) -> LevelSet:
+        return LevelSet(int(data["modulus"]), frozenset(int(k) for k in data["residues"]))
+
+    def partition_flags(self, pieces: Sequence[LevelSet]) -> tuple:
+        """``(disjoint, covers)`` of level sets of one level, by marking
+        their residues in one bytearray."""
+        if not pieces:
+            return True, False
+        modulus = pieces[0].modulus
+        seen = bytearray(modulus)
+        disjoint, hits = True, 0
+        for p in pieces:
+            if p.modulus != modulus:
+                raise ValueError("level sets at different levels")
+            for r in p.residues:
+                if seen[r]:
+                    disjoint = False
+                else:
+                    seen[r] = 1
+                    hits += 1
+        return disjoint, hits == modulus
+
     # -- level structure ----------------------------------------------
 
     def cylinder(self, level: int, residue: int) -> LevelSet:
@@ -537,10 +648,8 @@ class OdometerSystem:
         """Fixed threads of (0,1) and (1,1) up to ``depth``, as the homology
         table reports them: the report name, the count and level of
         stabilization per reflection, and the sum of the counts."""
-        counts = {name: self.stable_fixed_count(g, max_level=depth) for name, g in REFLECTIONS}
-        report = {name: {"count": c.count, "stabilizedAt": c.stabilized_at}
-                  for name, c in counts.items()}
-        return "fixedThreads", report, sum(c.count for c in counts.values())
+        report = {name: self.fixed_point_report(g, depth) for name, g in REFLECTIONS}
+        return "fixedThreads", report, sum(r["count"] for r in report.values())
 
     def h0_generators(self) -> list:
         """No sets: translation H_0 is a localization of Z, which no finite

@@ -8,12 +8,18 @@ time is constant on finitely many clopen pieces of Y, each piece gets
 its return time as tower height, and the flip folds each tower onto
 itself (the flip composed with the full climb fixes the base).
 
+Odometers have no flip-invariant windows to return to; their castles
+are one tower over a level cylinder whose shape is a coset transversal
+(:func:`odometer_castle`).  Whether a system has such windows
+(``invariant_window``) is the one test of which kind it gets.
+
 Verification is one routine, :func:`verify_castle`: it acts by every
-shape element on its tower's base and checks the translates with one
-sorted sweep (:func:`partition_flags`), then checks that the flip
-composed with each full climb fixes the base.  A castle is immutable,
-so :meth:`Castle.verify` runs it once per castle and keeps the report;
-building, serializing and the CLI all read that one report.
+shape element on its tower's base and checks the translates with the
+system's ``partition_flags`` (one sorted sweep for circle pieces), then
+checks that the flip composed with each full climb fixes the base.  A
+castle is immutable, so :meth:`Castle.verify` runs it once per castle
+and keeps the report; building, serializing and the CLI all read that
+one report.
 
 The window shape F_J holds (n, 0) for 0 <= n < J - J//2 and (n, 1) for
 -J//2 <= n < 0.  Since (n, 1) = (n + J, 0) * (-J, 1), a base B with
@@ -31,27 +37,17 @@ from typing import Optional, Sequence
 
 from .amenability import folner, folner_ratio
 from .errors import VerificationError
-from .exact_circle import ClopenSet, CutPoint, Arc, sweep_partition
-from .systems import (
-    FLIP,
-    DenjoyFlipSystem,
-    DoubledClopen,
-    DoubledSystem,
-    GroupElement,
-    LevelSet,
-    OdometerSystem,
-)
+from .systems import FLIP, GroupElement, LevelSet, system_from_json
 
 __all__ = [
     "Tower",
     "Castle",
     "CastleReport",
     "first_return_castle",
+    "require_first_return",
+    "odometer_castle",
     "verify_castle",
-    "partition_flags",
     "almost_finite_certificate",
-    "base_from_json",
-    "default_invariant_window",
 ]
 
 
@@ -122,68 +118,22 @@ class Castle:
 
     @classmethod
     def from_json(cls, data: dict) -> "Castle":
-        from .systems import system_from_json
-
         system = system_from_json(data["system"])
         if not isinstance(data["towers"], list) or not data["towers"]:
             raise ValueError("a castle needs a nonempty list of towers")
         towers = []
         for tj in data["towers"]:
-            base = base_from_json(system, tj["base"])
+            base = system.set_from_json(tj["base"])
             shape = tuple(GroupElement.from_json(g) for g in tj["shape"])
             towers.append(Tower(base=base, shape=shape, return_time=int(tj["J"])))
         return cls(system=system, towers=tuple(towers))
-
-
-def base_from_json(system, data: dict):
-    if isinstance(system, DenjoyFlipSystem):
-        return ClopenSet.from_json(system.theta, data)
-    if isinstance(system, DoubledSystem):
-        c0, c1 = data["components"]
-        return DoubledClopen(ClopenSet.from_json(system.theta, c0),
-                             ClopenSet.from_json(system.theta, c1))
-    if isinstance(system, OdometerSystem):
-        return LevelSet(int(data["modulus"]), frozenset(int(k) for k in data["residues"]))
-    raise ValueError(f"unsupported system for castle base: {system!r}")
-
-
-def partition_flags(system, pieces: Sequence) -> tuple:
-    """``(disjoint, covers)`` of clopen pieces of the system's space.
-
-    Circle pieces go through one :func:`sweep_partition`, doubled ones
-    through one per copy; odometer pieces of one level mark their
-    residues in a single bytearray.
-    """
-    if isinstance(system, DenjoyFlipSystem):
-        return sweep_partition(pieces)
-    if isinstance(system, DoubledSystem):
-        d0, c0 = sweep_partition([p.comp0 for p in pieces])
-        d1, c1 = sweep_partition([p.comp1 for p in pieces])
-        return d0 and d1, c0 and c1
-    if isinstance(system, OdometerSystem):
-        if not pieces:
-            return True, False
-        modulus = pieces[0].modulus
-        seen = bytearray(modulus)
-        disjoint, hits = True, 0
-        for p in pieces:
-            if p.modulus != modulus:
-                raise ValueError("level sets at different levels")
-            for r in p.residues:
-                if seen[r]:
-                    disjoint = False
-                else:
-                    seen[r] = 1
-                    hits += 1
-        return disjoint, hits == modulus
-    raise ValueError(f"unsupported system for clopen pieces: {system!r}")
 
 
 def verify_castle(castle: Castle) -> CastleReport:
     """Exact disjointness, coverage, and flip-compatibility of a castle."""
     system = castle.system
     translates = [system.act(g, t.base) for t in castle.towers for g in t.shape]
-    disjoint, covers = partition_flags(system, translates)
+    disjoint, covers = system.partition_flags(translates)
     # flip after the full climb: sigma o phi^J is the element (-J, 1)
     sigma_compatible = all(
         system.act(GroupElement(-t.return_time, 1), t.base) == t.base
@@ -218,8 +168,7 @@ def first_return_castle(system, y, max_steps: Optional[int] = None) -> Castle:
     climb fixes its base, so the climbs partition it as well (see the
     module docstring).
     """
-    if not isinstance(system, (DenjoyFlipSystem, DoubledSystem)):
-        raise ValueError("first-return castles require a circle or doubled system")
+    require_first_return(system)
     if y.is_empty():
         raise ValueError("y must be nonempty")
     if system.act(FLIP, y) != y:
@@ -254,38 +203,68 @@ def first_return_castle(system, y, max_steps: Optional[int] = None) -> Castle:
     return castle
 
 
-def _flip_symmetric_window_arc(system, window: int):
-    """The arc [1-u, u) for the smallest window cut value u above 1/2.
+def _has_invariant_windows(system) -> bool:
+    """Whether the system's castles are first-return towers over its
+    flip-invariant windows (circle and doubled systems) rather than
+    level transversals (odometers)."""
+    return hasattr(system, "invariant_window")
 
-    Such arcs are flip-invariant by construction and shrink to the flip
-    fixed point 1/2 as the window grows.
+
+def require_first_return(system) -> None:
+    """Reject a system that has no flip-invariant windows to return to."""
+    if not _has_invariant_windows(system):
+        raise ValueError("first-return castles are for circle systems; "
+                         "use certify for odometers")
+
+
+def odometer_castle(system, n: int, j: int) -> Castle:
+    """The one-tower castle of the level-n identity cylinder, seen at level j.
+
+    The base is the class of 0 mod n_n inside Z/n_j and the shape is the
+    n_n-element window, whose translates tile the level exactly because
+    the window is a transversal.  The partition is verified before the
+    castle is returned.
     """
-    theta = system.theta
-    half = Fraction(1, 2)
-    best = None
-    for n in range(-window, window + 1):
-        c = CutPoint.of(theta, n)
-        # keep the smallest cut with value strictly above 1/2
-        if theta.sign_of(c.value.a - half, c.value.b) > 0 and (best is None or c < best):
-            best = c
-    if best is None:
-        return None
-    return ClopenSet(theta, (Arc(best.negate(), best),))
+    if not (1 <= n <= j <= len(system.chain)):
+        raise ValueError("need 1 <= n <= j <= chain length")
+    n_n = system.modulus(n)
+    n_j = system.modulus(j)
+    base = LevelSet(n_j, frozenset(range(0, n_j, n_n)))
+    shape = folner(n_n)
+    tower = Tower(base=base, shape=tuple(shape.elements), return_time=n_n)
+    castle = Castle(system=system, towers=(tower,))
+    report = castle.verify()
+    if not report.all_ok():
+        raise VerificationError(f"odometer castle failed verification: {report}")
+    return castle
 
 
 def almost_finite_certificate(system, test_set: Sequence[GroupElement],
                               eps: Fraction, shrink_budget: int = 24) -> Castle:
     """A partitioning castle whose every shape is (test_set, eps)-invariant.
 
-    The target height N is found by :func:`_invariance_target`; a
-    flip-invariant set is then shrunk until its first N translates are
-    disjoint, which forces every return time to be at least N.  All
-    invariance claims are re-checked exactly on the realized shapes.
+    An odometer gets :func:`odometer_castle` at the first chain level
+    whose window is invariant enough, seen one level further down.  On
+    a circle system the target height N is found by
+    :func:`_invariance_target`; a flip-invariant window is then shrunk
+    until its first N translates are disjoint, which forces every return
+    time to be at least N.  All invariance claims are re-checked exactly
+    on the realized shapes.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     test_set = tuple(test_set)
+
+    if not _has_invariant_windows(system):
+        level = None
+        for n in range(1, len(system.chain) + 1):
+            if folner_ratio(folner(system.chain[n - 1]), test_set) < eps:
+                level = n
+                break
+        if level is None:
+            raise ValueError("no chain level is invariant enough; extend the chain")
+        return odometer_castle(system, level, min(level + 1, len(system.chain)))
 
     n_target = _invariance_target(test_set, eps)
     y = _shrink_until_disjoint(system, n_target, shrink_budget)
@@ -313,51 +292,22 @@ def _invariance_target(test_set: Sequence[GroupElement], eps: Fraction) -> int:
         if folner_ratio(folner(j), test_set) >= eps:
             n = j + 1
             if n > 10_000:
-                raise VerificationError("no invariant window size found below 10^4")
+                raise ValueError("no invariant window size found below 10^4")
     return n
-
-
-def default_invariant_window(system):
-    """The widest flip-invariant window set used by the CLI defaults."""
-    y = _candidate_invariant_set(system, 1)
-    if y is None:
-        raise ValueError("no flip-invariant window available")
-    return y
 
 
 def _shrink_until_disjoint(system, n_target: int, shrink_budget: int):
     """Find a flip-invariant y whose first n_target translates are disjoint."""
     window = 1
     for _ in range(shrink_budget):
-        y = _candidate_invariant_set(system, window)
-        if y is not None and _translates_disjoint(system, y, n_target):
+        y = system.invariant_window(window)
+        if _translates_disjoint(system, y, n_target):
             return y
         window *= 2
-    raise VerificationError(
+    raise ValueError(
         f"no sufficiently small flip-invariant set within window 2^{shrink_budget}")
-
-
-def _candidate_invariant_set(system, window: int):
-    if isinstance(system, DenjoyFlipSystem):
-        return _flip_symmetric_window_arc(system, window)
-    if isinstance(system, DoubledSystem):
-        theta = system.theta
-        z = ClopenSet(theta, (Arc(CutPoint.of(theta, 0), _closest_cut_above_zero(theta, window)),))
-        return DoubledClopen(z, z)
-    raise ValueError("certificates require a circle or doubled system")
-
-
-def _closest_cut_above_zero(theta, window: int) -> CutPoint:
-    best = None
-    for n in range(-window, window + 1):
-        if n == 0:
-            continue
-        c = CutPoint.of(theta, n)
-        if best is None or c < best:
-            best = c
-    return best
 
 
 def _translates_disjoint(system, y, n_target: int) -> bool:
     translates = [system.act(GroupElement(k, 0), y) for k in range(n_target)]
-    return partition_flags(system, translates)[0]
+    return system.partition_flags(translates)[0]

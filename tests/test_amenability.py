@@ -9,9 +9,9 @@ from dihedral_dynamics.amenability import (
     folner,
     folner_ratio,
     is_transversal,
-    odometer_castle,
 )
 from dihedral_dynamics.systems import FLIP, GroupElement, IDENTITY, OdometerSystem
+from dihedral_dynamics.towers import odometer_castle
 
 
 ELEMENTS = st.builds(GroupElement, st.integers(-30, 30), st.integers(0, 1))

@@ -12,6 +12,20 @@ from dihedral_dynamics.cli import main
 from dihedral_dynamics.towers import Castle
 
 GOLDEN_THETA = {"p": -1, "q": 1, "d": 5, "r": 2}
+ODOMETER_CASTLE_ERROR = {
+    "error": "first-return castles are for circle systems; use certify for odometers"}
+
+
+def run_module(args, timeout):
+    """``python -m dihedral_dynamics.cli <args>`` on this checkout's package;
+    returns the finished process and its wall time."""
+    src = str(Path(dihedral_dynamics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "dihedral_dynamics.cli", *args],
+                          capture_output=True, env=env, timeout=timeout)
+    return proc, time.monotonic() - start
 
 
 @pytest.fixture()
@@ -107,8 +121,20 @@ class TestCastleCommand:
 
     def test_odometer_rejected(self, capsys, odometer_file):
         code = main(["castle", "--system", odometer_file])
-        capsys.readouterr()
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err) == ODOMETER_CASTLE_ERROR
+
+    @pytest.mark.parametrize("base", ['{"modulus": 3, "residues": [0]}', "not json"],
+                             ids=["level-set", "malformed"])
+    def test_odometer_rejected_before_base(self, capsys, odometer_file, base):
+        # the system is rejected before its --base is parsed
+        code = main(["castle", "--system", odometer_file, "--base", base])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err) == ODOMETER_CASTLE_ERROR
 
 
 class TestHostileJson:
@@ -153,17 +179,12 @@ class TestCertifyCommand:
         assert restored.verify().all_ok()
 
     def test_tiny_eps_ends_quickly(self, denjoy_file):
-        # no window below the 10^4 cap is invariant enough: exit 4 at once
-        src = str(Path(dihedral_dynamics.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        start = time.monotonic()
-        proc = subprocess.run(
-            [sys.executable, "-m", "dihedral_dynamics.cli", "certify",
-             "--system", denjoy_file, "--eps", "1/1000000"],
-            capture_output=True, env=env, timeout=10)
-        assert time.monotonic() - start < 10
-        assert proc.returncode == 4
+        # no window below the 10^4 cap is invariant enough: an exhausted
+        # budget is a configuration error (exit 2), not a failed check
+        proc, seconds = run_module(
+            ["certify", "--system", denjoy_file, "--eps", "1/1000000"], timeout=10)
+        assert seconds < 10
+        assert proc.returncode == 2
         assert proc.stdout == b""
         assert "10^4" in json.loads(proc.stderr)["error"]
 
@@ -224,18 +245,25 @@ class TestHomologyCommand:
     def test_doubled_freeproduct_rejected_before_levels(self, doubled_file):
         # the split case has no free-product route: exit 2 without
         # computing any level of the requested depth
-        src = str(Path(dihedral_dynamics.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        start = time.monotonic()
-        proc = subprocess.run(
-            [sys.executable, "-m", "dihedral_dynamics.cli", "homology",
-             "--system", doubled_file, "--method", "freeproduct", "--max-level", "1000000"],
-            capture_output=True, env=env, timeout=10)
-        assert time.monotonic() - start < 10
+        proc, seconds = run_module(
+            ["homology", "--system", doubled_file, "--method", "freeproduct",
+             "--max-level", "1000000"], timeout=10)
+        assert seconds < 10
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert "split case" in json.loads(proc.stderr)["error"]
+
+    @pytest.mark.parametrize("system", ["denjoy_file", "doubled_file"])
+    def test_level_ceiling(self, request, system):
+        # a request above the 128-level ceiling exits 2 before any level
+        # is built
+        proc, seconds = run_module(
+            ["homology", "--system", request.getfixturevalue(system),
+             "--max-level", "1000000"], timeout=10)
+        assert seconds < 5
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert "128" in json.loads(proc.stderr)["error"]
 
 
 class TestOracleCommand:

@@ -6,10 +6,15 @@ from dihedral_dynamics.abgroups import (
     AbHom,
     FGAbGroup,
     Presentation,
+    from_columns,
     identity_matrix,
+    kernel_basis,
+    lattice_subset,
+    mat_add,
     mat_mul,
+    mat_sub,
+    solve_integer,
 )
-from dihedral_dynamics.errors import WitnessError
 from dihedral_dynamics.exact_circle import ClopenSet
 from dihedral_dynamics.homology import (
     InvolutionModule,
@@ -23,16 +28,78 @@ from dihedral_dynamics.homology import (
     homology_table,
     nonfree_action_table,
     odd_homology,
-    psi_check,
     split_orbit_table,
     transfer_kernel,
     transfer_report,
-    verify_complementary_witness,
 )
 from dihedral_dynamics.systems import FLIP
 
 Z2 = FGAbGroup(0, (2,))
 ZERO = FGAbGroup(0)
+
+
+def is_permutation(module):
+    n = module.ncells
+    return all(sorted(row[j] for row in module.matrix) == [0] * (n - 1) + [1]
+               for j in range(n))
+
+
+def psi_check(module):
+    """Whether [f] -> f + f o a embeds the coinvariants onto the invariant
+    functions that are even on fixed cells.
+
+    Only meaningful for permutation modules, where 'even on fixed cells'
+    is a lattice condition with explicit generators.
+    """
+    if not is_permutation(module):
+        raise ValueError("psi_check requires a permutation involution")
+    ident = identity_matrix(module.ncells)
+    plus = mat_add(module.mat(), ident)
+    minus = mat_sub(module.mat(), ident)
+    # injectivity: kernel of (A + I) inside the coinvariant relations
+    for v in kernel_basis(plus):
+        if solve_integer(minus, v) is None:
+            return False
+    # image: exactly the lattice spanned by pair sums and doubled fixed cells
+    n = module.ncells
+    target_cols = []
+    seen = set()
+    for j in range(n):
+        i = next(r for r in range(n) if module.matrix[r][j])
+        if i == j:
+            col = [0] * n
+            col[j] = 2
+            target_cols.append(col)
+        elif (j, i) not in seen:
+            seen.add((i, j))
+            col = [0] * n
+            col[i] = col[j] = 1
+            target_cols.append(col)
+    target = from_columns(target_cols, rows=n)
+    return lattice_subset(plus, target) and lattice_subset(target, plus)
+
+
+class WitnessError(ValueError):
+    """A witness set fails its defining identity; ``leftover`` carries the
+    exact set difference that broke the check."""
+
+    def __init__(self, message, leftover):
+        super().__init__(message)
+        self.leftover = leftover
+
+
+def verify_complementary_witness(system, witness, g):
+    """Check X = witness | g(witness) disjointly; raise with the exact gap."""
+    image = system.act(g, witness)
+    overlap = witness.intersection(image)
+    if not overlap.is_empty():
+        raise WitnessError(f"witness overlaps its {g} image", leftover=overlap)
+    union = witness.union(image)
+    full = system.full()
+    if union != full:
+        raise WitnessError(f"witness and its {g} image do not cover",
+                           leftover=full.difference(union))
+    return True
 
 
 def random_involutive_permutation(rng, n):

@@ -1,12 +1,15 @@
+import ast
 import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dihedral_dynamics
 from dihedral_dynamics.exact_circle import Arc, ClopenSet, QuadExt, Theta, frac, qe_cmp
 from dihedral_dynamics.systems import (
     FLIP,
@@ -527,6 +530,11 @@ class TestLevelWindows:
         assert denjoy.relation_lag == 1
         assert denjoy.depth(40, cell_cap=8) == 40
 
+    def test_circle_ceiling(self, denjoy):
+        assert denjoy.depth(128) == 128
+        with pytest.raises(ValueError, match="128"):
+            denjoy.depth(129)
+
     def test_odometer(self, odometer3):
         sym, shifted = odometer3.level_windows(3)
         assert sym is shifted and sym == odometer3.cells(3)
@@ -598,3 +606,42 @@ class TestSystemJson:
                               "junk": True})
         with pytest.raises(ValueError):
             system_from_json({"type": "mystery"})
+
+
+class TestInvariantWindow:
+    @pytest.mark.parametrize("kind", ["circle", "doubled"])
+    def test_flip_invariant_and_shrinking(self, golden, kind):
+        system = DenjoyFlipSystem(golden) if kind == "circle" else DoubledSystem(golden)
+        measures = []
+        for window in (1, 2, 4, 8, 16, 32):
+            y = system.invariant_window(window)
+            assert not y.is_empty()
+            assert system.act(FLIP, y) == y
+            measures.append(y.measure())
+        assert all(qe_cmp(b, a) <= 0 for a, b in zip(measures, measures[1:]))
+        assert qe_cmp(measures[-1], measures[0]) < 0
+
+    def test_circle_window_surrounds_half(self, denjoy, golden):
+        half = QuadExt(Fraction(1, 2), Fraction(0), golden)
+        for window in (1, 3, 9, 27):
+            assert denjoy.invariant_window(window).contains_value(half)
+
+
+SYSTEM_CLASSES = {"DenjoyFlipSystem", "DoubledSystem", "OdometerSystem"}
+
+
+@pytest.mark.parametrize("module", ["cli", "towers"])
+def test_no_system_class_forks(module):
+    """cli.py and towers.py ask systems through their methods: neither
+    imports a system class nor names one (as in ``isinstance``)."""
+    path = Path(dihedral_dynamics.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert not named & SYSTEM_CLASSES

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from dihedral_dynamics.amenability import DEFAULT_TEST_SET, folner
 from dihedral_dynamics import towers
-from dihedral_dynamics.errors import VerificationError
 from dihedral_dynamics.exact_circle import GOLDEN, Arc, ClopenSet, CutPoint, QuadExt, frac
 from dihedral_dynamics.systems import (
     FLIP,
@@ -24,9 +23,8 @@ from dihedral_dynamics.towers import (
     Castle,
     Tower,
     almost_finite_certificate,
-    default_invariant_window,
     first_return_castle,
-    partition_flags,
+    odometer_castle,
     verify_castle,
 )
 
@@ -240,13 +238,13 @@ class TestPartitionSweep:
     @given(sets=st.lists(CIRCLE_SET, max_size=5))
     def test_circle_families(self, sets):
         system = DenjoyFlipSystem(GOLDEN)
-        assert partition_flags(system, sets) == reference_partition_flags(system.full(), sets)
+        assert system.partition_flags(sets) == reference_partition_flags(system.full(), sets)
 
     @settings(max_examples=150, deadline=None)
     @given(sets=window_groups())
     def test_circle_near_partitions(self, sets):
         system = DenjoyFlipSystem(GOLDEN)
-        assert partition_flags(system, sets) == reference_partition_flags(system.full(), sets)
+        assert system.partition_flags(sets) == reference_partition_flags(system.full(), sets)
 
     @settings(max_examples=200, deadline=None)
     @given(pairs=st.lists(st.tuples(CIRCLE_SET, CIRCLE_SET), max_size=4),
@@ -258,7 +256,7 @@ class TestPartitionSweep:
         flipped = [DenjoyFlipSystem(GOLDEN).act(FLIP, s) for s in grouped]
         for pieces in ([DoubledClopen(a, b) for a, b in pairs],
                        [DoubledClopen(a, b) for a, b in zip(grouped, flipped)]):
-            assert partition_flags(system, pieces) == \
+            assert system.partition_flags(pieces) == \
                 reference_partition_flags(system.full(), pieces)
 
     @settings(max_examples=200, deadline=None)
@@ -268,12 +266,12 @@ class TestPartitionSweep:
         pieces = [LevelSet(modulus, r) for r in data.draw(st.lists(residues, max_size=5))]
         full = LevelSet(modulus, frozenset(range(modulus)))
         system = OdometerSystem([2, 4])
-        assert partition_flags(system, pieces) == reference_partition_flags(full, pieces)
+        assert system.partition_flags(pieces) == reference_partition_flags(full, pieces)
 
     def test_odometer_levels_must_match(self):
         with pytest.raises(ValueError):
-            partition_flags(OdometerSystem([2, 4]),
-                            [LevelSet(2, frozenset({0})), LevelSet(4, frozenset({1}))])
+            OdometerSystem([2, 4]).partition_flags(
+                [LevelSet(2, frozenset({0})), LevelSet(4, frozenset({1}))])
 
 
 class TestVerifyOnce:
@@ -305,7 +303,7 @@ class TestCertificates:
     def test_identity_test_set(self, denjoy, golden):
         castle = almost_finite_certificate(denjoy, [IDENTITY], Fraction(1, 7))
         assert castle.shape_ratios([IDENTITY]) == [Fraction(0)] * len(castle.towers)
-        default = first_return_castle(denjoy, default_invariant_window(denjoy))
+        default = first_return_castle(denjoy, denjoy.invariant_window(1))
         assert castle.return_times() == default.return_times()
 
     def test_doubled_certificate(self, doubled):
@@ -328,8 +326,15 @@ class TestCertificates:
         assert got == want
 
     def test_target_scan_cap(self):
-        with pytest.raises(VerificationError, match="10\\^4"):
+        # an exhausted budget is a bad request, not a failed check
+        with pytest.raises(ValueError, match="10\\^4"):
             towers._invariance_target(DEFAULT_TEST_SET, Fraction(1, 10 ** 6))
+
+    def test_shrink_budget_exhausted(self, denjoy):
+        # window 2^1 is too coarse for eps 1/10: a bad request, exit 2
+        with pytest.raises(ValueError, match="2\\^1"):
+            almost_finite_certificate(denjoy, DEFAULT_TEST_SET, Fraction(1, 10),
+                                      shrink_budget=1)
 
     def test_eps_validation(self, denjoy):
         with pytest.raises(ValueError):
@@ -367,10 +372,54 @@ class TestCastleJson:
         assert restored.verify().all_ok()
 
     def test_odometer_round_trip(self):
-        from dihedral_dynamics.amenability import odometer_castle
-        from dihedral_dynamics.systems import OdometerSystem
-
         odo = OdometerSystem([2, 4, 8])
         castle = odometer_castle(odo, 1, 3)
         restored = Castle.from_json(json.loads(json.dumps(castle.to_json())))
         assert restored.verify().all_ok()
+
+    @pytest.mark.parametrize("kind", ["circle", "doubled", "odometer"])
+    @pytest.mark.parametrize("edit", ["none", "repeat-tower", "drop-shape-element"])
+    def test_reverified_report_matches(self, kind, edit):
+        castle = _sample_castle(kind)
+        first = castle.towers[0]
+        if edit == "repeat-tower":
+            castle = Castle(castle.system, castle.towers + (first,))
+        elif edit == "drop-shape-element":
+            short = Tower(first.base, first.shape[:-1], first.return_time)
+            castle = Castle(castle.system, (short,) + castle.towers[1:])
+        restored = Castle.from_json(json.loads(json.dumps(castle.to_json())))
+        assert restored.verify() == castle.verify()
+        assert restored.verify().all_ok() == (edit == "none")
+
+
+def _sample_castle(kind):
+    if kind == "circle":
+        return first_return_castle(DenjoyFlipSystem(GOLDEN), ClopenSet.arc(GOLDEN, -1, 1))
+    if kind == "doubled":
+        z = ClopenSet.arc(GOLDEN, 0, 1)
+        return first_return_castle(DoubledSystem(GOLDEN), DoubledClopen(z, z))
+    return odometer_castle(OdometerSystem([2, 4, 8]), 1, 3)
+
+
+class TestSetJson:
+    """``system.set_from_json`` inverts ``to_json`` for every system."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=CIRCLE_SET)
+    def test_circle_sets(self, s):
+        system = DenjoyFlipSystem(GOLDEN)
+        assert system.set_from_json(json.loads(json.dumps(s.to_json()))) == s
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=CIRCLE_SET, b=CIRCLE_SET)
+    def test_doubled_pairs(self, a, b):
+        s = DoubledClopen(a, b)
+        system = DoubledSystem(GOLDEN)
+        assert system.set_from_json(json.loads(json.dumps(s.to_json()))) == s
+
+    @settings(max_examples=200, deadline=None)
+    @given(modulus=st.integers(1, 60), data=st.data())
+    def test_level_sets(self, modulus, data):
+        s = LevelSet(modulus, data.draw(st.frozensets(st.integers(0, modulus - 1))))
+        system = OdometerSystem([3, 9])
+        assert system.set_from_json(json.loads(json.dumps(s.to_json()))) == s
