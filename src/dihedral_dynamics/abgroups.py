@@ -610,6 +610,28 @@ class AbHom:
         return 0 if coker.rank else math.prod(coker.torsion)
 
 
+class KernelQuotient:
+    """ker(kernel_of) / im(image_of), presented on a basis of the kernel.
+
+    ``basis`` holds the kernel basis as matrix columns.  ``coordinates``
+    writes kernel vectors in that basis: the image columns give the
+    relations of ``presentation``, and a map into the kernel gives the
+    matrix of the induced map into the quotient.
+    """
+
+    def __init__(self, kernel_of: Matrix, image_of: Matrix):
+        kb = kernel_basis(kernel_of)
+        self.basis = from_columns(kb, rows=len(kernel_of[0]) if kernel_of else 0)
+        self._solver = SnfSolver(self.basis)
+        self.presentation = Presentation.of(len(kb), self.coordinates(columns(image_of)))
+
+    def coordinates(self, vectors: Iterable[Sequence[int]]) -> List[List[int]]:
+        out = [self._solver.solve(v) for v in vectors]
+        if None in out:
+            raise AssertionError("vector escaped the kernel lattice")
+        return out
+
+
 def subquotient(kernel_of: Matrix, image_of: Matrix) -> FGAbGroup:
     """ker(kernel_of) / im(image_of), canonical form.
 
@@ -620,18 +642,7 @@ def subquotient(kernel_of: Matrix, image_of: Matrix) -> FGAbGroup:
     prod = mat_mul(kernel_of, image_of)
     if any(any(row) for row in prod):
         raise ValueError("image is not contained in the kernel")
-    kb = kernel_basis(kernel_of)
-    k = len(kb)
-    if k == 0:
-        return FGAbGroup(0)
-    solver = SnfSolver(from_columns(kb))
-    coords = []
-    for col in columns(image_of):
-        y = solver.solve(col)
-        if y is None:
-            raise AssertionError("image vector escaped the kernel lattice")
-        coords.append(y)
-    return Presentation.of(k, coords).canonical()
+    return KernelQuotient(kernel_of, image_of).presentation.canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -703,17 +714,16 @@ class DirectSystem:
         """Stabilization detection; never materializes a non-f.g. limit."""
         if len(self.stages) < 3:
             raise ValueError("need at least 3 computed stages")
-        iso = [h.is_isomorphism() for h in self.maps]
-        if iso and iso[-1]:
-            start = len(iso)
-            while start > 0 and iso[start - 1]:
-                start -= 1
-            if start < len(iso):
-                return LimitDescriptor(
-                    kind="stabilized",
-                    group=self.stages[start].canonical(),
-                    level=start + 1,
-                )
+        # isomorphisms from the top map down, to the first that is not one
+        start = len(self.maps)
+        while start > 0 and self.maps[start - 1].is_isomorphism():
+            start -= 1
+        if start < len(self.maps):
+            return LimitDescriptor(
+                kind="stabilized",
+                group=self.stages[start].canonical(),
+                level=start + 1,
+            )
         mults = [h.free_multiplier() for h in self.maps]
         if all(m is not None and m >= 1 for m in mults) and any(m > 1 for m in mults):
             return LimitDescriptor(

@@ -18,6 +18,8 @@ from fractions import Fraction
 from .amenability import DEFAULT_TEST_SET, folner, folner_ratio, is_transversal
 from .errors import NonStabilizationError, VerificationError
 from .homology import (
+    _BAR_MAX_CELLS,
+    _BAR_MAX_DEGREE,
     InvolutionModule,
     bar_homology,
     coinvariants,
@@ -26,12 +28,16 @@ from .homology import (
     odd_homology,
 )
 from .systems import GroupElement, system_from_json
-from .towers import almost_finite_certificate, first_return_castle, require_first_return
+from .towers import (almost_finite_certificate, ceil_inverse_measure, first_return_castle,
+                     require_first_return)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NON_STABILIZATION = 3
 EXIT_VERIFICATION = 4
+
+#: The largest ceil(1/measure) of a ``castle --base``, about the steps of its first return.
+MAX_BASE_INVERSE_MEASURE = 10 ** 4
 
 
 class ConfigError(ValueError):
@@ -66,10 +72,12 @@ def _parse_eps(text: str) -> Fraction:
     return eps
 
 
-def _check_max_level(value, minimum: int):
-    """``--max-level`` as given (None when absent), or a config error."""
-    if value is not None and value < minimum:
-        raise ConfigError(f"--max-level must be at least {minimum}")
+def _check_range(flag: str, value, low: int, high=None):
+    """An integer option as given (None when absent), or a config error
+    naming its bound."""
+    if value is not None and (value < low or high is not None and value > high):
+        bound = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise ConfigError(f"{flag} must be {bound}")
     return value
 
 
@@ -93,7 +101,7 @@ def _emit(payload: dict, out_path) -> None:
 def cmd_fixed_points(args) -> int:
     system = _load_system(args.system)
     elements = _parse_elements(args.elements)
-    max_level = _check_max_level(args.max_level, 2)
+    max_level = _check_range("--max-level", args.max_level, 2)
     if any(g.is_identity() for g in elements):
         raise ConfigError("the identity element has no fixed-point report")
     report = {str(g): system.fixed_point_report(g, max_level) for g in elements}
@@ -125,6 +133,8 @@ def cmd_castle(args) -> int:
     else:
         # the widest window: the cuts n*theta with |n| <= 1
         y = system.invariant_window(1)
+    if not y.is_empty() and ceil_inverse_measure(y.measure()) > MAX_BASE_INVERSE_MEASURE:
+        raise ConfigError("base too small: ceil(1/measure) is above the ceiling of 10^4")
     # first_return_castle raises unless the castle verifies
     _emit(first_return_castle(system, y).to_json(), args.out)
     return EXIT_OK
@@ -149,7 +159,7 @@ def cmd_certify(args) -> int:
 def cmd_homology(args) -> int:
     system = _load_system(args.system)
     method = {"comp": "closed_form", "freeproduct": "freeproduct", "both": "both"}[args.method]
-    max_level = _check_max_level(args.max_level, 3)
+    max_level = _check_range("--max-level", args.max_level, 3)
     table, provenance = homology_table(system, max_level=max_level, method=method)
     payload = table.to_json()
     payload["provenance"] = provenance
@@ -161,6 +171,10 @@ def cmd_homology(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    _check_range("--count", args.count, 0)
+    # the bar oracle's guards, checked before any module is drawn
+    _check_range("--max-cells", args.max_cells, 1, _BAR_MAX_CELLS)
+    _check_range("--max-degree", args.max_degree, 0, _BAR_MAX_DEGREE)
     rng = random.Random(args.seed)
     mismatches = []
     checked = 0

@@ -6,8 +6,11 @@ order-2 subgroups is computed from the kernel/image formulas attached
 to an involution matrix; the homology of the whole group is assembled
 either from the closed-form case analysis (driven by exact fixed-point
 evidence) or from the free-product exact sequence evaluated level by
-level, and the two must agree.  An unnormalized bar-complex computation
-serves as a brute-force cross-check for the involution formulas.
+level, and the two must agree.  The assembly's H_1 is the direct sum of
+two limits: the flip's odd homologies along the flip windows and the
+reflected flip's along the reflected windows.  An unnormalized
+bar-complex computation serves as a brute-force cross-check for the
+involution formulas.
 
 Circle systems and odometers take one path through every level
 computation.  The system names the cell lists that stand for level N
@@ -30,6 +33,7 @@ from .abgroups import (
     AbHom,
     DirectSystem,
     FGAbGroup,
+    KernelQuotient,
     LimitDescriptor,
     LocalizationDescriptor,
     Matrix,
@@ -37,13 +41,12 @@ from .abgroups import (
     columns,
     from_columns,
     identity_matrix,
-    kernel_basis,
+    kernel_basis,  # unused here; bench/layertrace.py traces it under this module's name
     lattice_subset,
     mat_add,
     mat_mul,
     mat_sub,
     preimage_lattice,
-    SnfSolver,
     snf_diagonal,
     subquotient,
 )
@@ -387,13 +390,23 @@ def _indicator_vector(target, cells) -> List[int]:
 
 @dataclass(frozen=True)
 class FreeProductFragment:
-    """Degree-0/1 homology assembled from the two order-2 subgroups."""
+    """Degree-0/1 homology assembled from the two order-2 subgroups;
+    ``odd_stages`` presents the two odd homologies that make up ``h1``."""
 
     h0: FGAbGroup
     h1: FGAbGroup
     paired_injective: bool
     middle_exact: bool
     h0_presentation: Presentation
+    odd_stages: Tuple[KernelQuotient, KernelQuotient]
+
+
+def _total_coinvariants(msigma: InvolutionModule, mphisigma: InvolutionModule,
+                        inclusion: Matrix) -> Presentation:
+    """The fine module modulo both families of coinvariant relations:
+    f - f o sigma on the fine cells and the included g - g o phisigma."""
+    return Presentation.of(msigma.ncells, columns(_a_minus_i(msigma))
+                           + columns(mat_mul(inclusion, _a_minus_i(mphisigma))))
 
 
 def free_product_fragment(msigma: InvolutionModule, mphisigma: InvolutionModule,
@@ -413,43 +426,36 @@ def free_product_fragment(msigma: InvolutionModule, mphisigma: InvolutionModule,
     if len(inclusion) != n_fine or (inclusion and len(inclusion[0]) != n_coarse):
         raise ValueError("inclusion matrix shape mismatch")
 
-    h1 = odd_homology(msigma).direct_sum(odd_homology(mphisigma))
+    odd_stages = tuple(KernelQuotient(_a_minus_i(m), _a_plus_i(m)) for m in (msigma, mphisigma))
+    h1 = odd_stages[0].presentation.canonical().direct_sum(
+        odd_stages[1].presentation.canonical())
 
-    sig_rels = columns(_a_minus_i(msigma))
-    phisig_rels = columns(mat_mul(inclusion, _a_minus_i(mphisigma)))
-    h0_pres = Presentation.of(n_fine, sig_rels + phisig_rels)
+    h0_pres = _total_coinvariants(msigma, mphisigma, inclusion)
     h0 = h0_pres.canonical()
 
     # middle term: coinvariants of the two modules, as one presentation
-    mid_rels = []
-    for col in columns(_a_minus_i(msigma)):
-        mid_rels.append(tuple(col) + (0,) * n_coarse)
-    for col in columns(_a_minus_i(mphisigma)):
-        mid_rels.append((0,) * n_fine + tuple(col))
-    middle = Presentation.of(n_fine + n_coarse, mid_rels)
+    middle = Presentation.of(
+        n_fine + n_coarse,
+        [col + [0] * n_coarse for col in columns(_a_minus_i(msigma))]
+        + [[0] * n_fine + col for col in columns(_a_minus_i(mphisigma))])
 
-    # (cor, -cor): defined on the coarse module, the intersection of the two
-    paired = [[0] * n_coarse for _ in range(n_fine + n_coarse)]
-    for j in range(n_coarse):
-        for i in range(n_fine):
-            paired[i][j] = inclusion[i][j]
-        paired[n_fine + j][j] = -1
+    # (cor, -cor): defined on the coarse module, the intersection of the
+    # two; the inclusion stacked over -I
+    paired = [list(row) for row in inclusion] + [
+        [-x for x in row] for row in identity_matrix(n_coarse)]
     paired_hom = AbHom.of(Presentation.free(n_coarse), middle, paired)
     paired_injective = paired_hom.kernel_group().is_trivial()
 
     # summed map onto the total coinvariants: [u] + [v] -> [u + incl(v)]
-    summed = [[0] * (n_fine + n_coarse) for _ in range(n_fine)]
-    for i in range(n_fine):
-        summed[i][i] = 1
-        for j in range(n_coarse):
-            summed[i][n_fine + j] = inclusion[i][j]
+    summed = [e + list(row) for e, row in zip(identity_matrix(n_fine), inclusion)]
     kernel_lat = preimage_lattice(summed, h0_pres.relation_matrix())
     image_lat = from_columns(
         columns(paired) + list(middle.relations), rows=n_fine + n_coarse)
     middle_exact = lattice_subset(kernel_lat, image_lat) and lattice_subset(image_lat, kernel_lat)
 
     return FreeProductFragment(h0=h0, h1=h1, paired_injective=paired_injective,
-                               middle_exact=middle_exact, h0_presentation=h0_pres)
+                               middle_exact=middle_exact, h0_presentation=h0_pres,
+                               odd_stages=odd_stages)
 
 
 @dataclass(frozen=True)
@@ -462,45 +468,23 @@ class FreeProductResult:
     all_exact: bool
 
 
-def _odd_homology_stage(module: InvolutionModule) -> Tuple[Presentation, Matrix]:
-    """Present ker(A-I)/im(A+I) on a kernel basis; also return the basis."""
-    kb = kernel_basis(_a_minus_i(module))
-    kb_mat = from_columns(kb, rows=module.ncells)
-    solver = SnfSolver(kb_mat)
-    coords = []
-    for col in columns(_a_plus_i(module)):
-        y = solver.solve(col)
-        if y is None:
-            raise AssertionError("im(A+I) escaped ker(A-I)")
-        coords.append(y)
-    return Presentation.of(len(kb), coords), kb_mat
+def _odd_homology_limit(stages: Sequence[KernelQuotient], inclusions: Sequence[Matrix],
+                        max_level: int) -> FGAbGroup:
+    """The limit of one reflection's odd homologies along refinement.
 
-
-def _odd_homology_system(modules: Sequence[InvolutionModule],
-                         inclusions: Sequence[Matrix]) -> DirectSystem:
-    """The odd-homology groups of a chain of involution modules.
-
-    ``inclusions[i]`` embeds module i into module i+1 and must commute
-    with the involutions; the induced maps are expressed on kernel bases.
+    ``inclusions[i]`` embeds module i into module i+1 and commutes with
+    the involutions, so it maps ker(A - I) into ker(A - I); the induced
+    maps are written on the kernel bases.
     """
-    stages = []
-    kbases = []
-    for m in modules:
-        pres, kb = _odd_homology_stage(m)
-        stages.append(pres)
-        kbases.append(kb)
-    homs = []
-    for i, incl in enumerate(inclusions):
-        solver = SnfSolver(kbases[i + 1])
-        cols_out = []
-        for col in columns(mat_mul(incl, kbases[i])):
-            y = solver.solve(col)
-            if y is None:
-                raise AssertionError("inclusion does not respect the involutions")
-            cols_out.append(y)
-        homs.append(AbHom.of(stages[i], stages[i + 1],
-                             from_columns(cols_out, rows=stages[i + 1].ngens)))
-    return DirectSystem(tuple(stages), tuple(homs))
+    homs = tuple(
+        AbHom.of(a.presentation, b.presentation, from_columns(
+            b.coordinates(columns(mat_mul(incl, a.basis))), rows=b.presentation.ngens))
+        for a, b, incl in zip(stages, stages[1:], inclusions))
+    limit = _image_refined_limit(DirectSystem(tuple(s.presentation for s in stages), homs))
+    if limit.kind != "stabilized":
+        raise NonStabilizationError(
+            f"free-product H1 still moving at level {max_level}", max_level)
+    return limit.group
 
 
 def _image_refined_limit(ds: DirectSystem):
@@ -523,17 +507,6 @@ def _image_refined_limit(ds: DirectSystem):
     return lim
 
 
-def _block_diag(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = len(a), len(a[0]) if a else 0
-    rb, cb = len(b), len(b[0]) if b else 0
-    out = [[0] * (ca + cb) for _ in range(ra + rb)]
-    for i in range(ra):
-        out[i][:ca] = list(a[i])
-    for i in range(rb):
-        out[ra + i][ca:] = list(b[i])
-    return out
-
-
 def free_product_homology(system, max_level: int) -> FreeProductResult:
     """Run the free-product assembly across levels and take honest limits.
 
@@ -543,7 +516,7 @@ def free_product_homology(system, max_level: int) -> FreeProductResult:
     inclusion.  Degree 0 is followed through the chain of
     total-coinvariant presentations (stabilizing for circles, a
     localization for odometers); degree 1 through the chain of odd
-    homologies of the combined involution modules.
+    homologies of each reflection's modules, whose limits add up to H_1.
     """
     _require_levels(system, "free-product assembly requires a circle or odometer system")
     max_level = _deepest_level(system, max_level, _MAX_FREEPRODUCT_CELLS)
@@ -551,27 +524,20 @@ def free_product_homology(system, max_level: int) -> FreeProductResult:
         raise ValueError("need at least three levels")
     levels = list(range(2, max_level + 1))
     windows = [system.level_windows(t) for t in levels]
-    frags = []
-    combined_modules = []
-    for level, (fine, coarse) in zip(levels, windows):
-        msig = InvolutionModule.of(pullback_matrix(system, FLIP, fine, fine))
-        mphisig = InvolutionModule.of(pullback_matrix(system, GroupElement(1, 1), coarse, coarse))
-        frags.append((level, free_product_fragment(msig, mphisig, cover_matrix(coarse, fine))))
-        combined_modules.append(
-            InvolutionModule.of(_block_diag(msig.mat(), mphisig.mat())))
+    frags = [
+        (level, free_product_fragment(
+            InvolutionModule.of(pullback_matrix(system, FLIP, fine, fine)),
+            InvolutionModule.of(pullback_matrix(system, GroupElement(1, 1), coarse, coarse)),
+            cover_matrix(coarse, fine)))
+        for level, (fine, coarse) in zip(levels, windows)]
 
-    # inclusions between consecutive levels, for both windows at once
-    sym_incls = []
-    combined_incls = []
-    for (fine1, coarse1), (fine2, coarse2) in zip(windows, windows[1:]):
-        sym_incls.append(cover_matrix(fine1, fine2))
-        combined_incls.append(_block_diag(sym_incls[-1], cover_matrix(coarse1, coarse2)))
+    # inclusions between consecutive levels, per window
+    sym_incls = [cover_matrix(a, b) for (a, _), (b, _) in zip(windows, windows[1:])]
+    refl_incls = [cover_matrix(a, b) for (_, a), (_, b) in zip(windows, windows[1:])]
 
-    h0_stages = [f.h0_presentation for _, f in frags]
-    h0_system = DirectSystem(
-        tuple(h0_stages),
-        tuple(AbHom.of(h0_stages[i], h0_stages[i + 1], m) for i, m in enumerate(sym_incls)))
-    h0_limit = h0_system.limit()
+    h0_stages = tuple(f.h0_presentation for _, f in frags)
+    h0_limit = DirectSystem(h0_stages, tuple(
+        AbHom.of(a, b, m) for a, b, m in zip(h0_stages, h0_stages[1:], sym_incls))).limit()
     if h0_limit.kind == "stabilized":
         h0: GroupValue = h0_limit.group
         stabilized_at: Optional[int] = levels[h0_limit.level - 1]
@@ -582,15 +548,14 @@ def free_product_homology(system, max_level: int) -> FreeProductResult:
         raise NonStabilizationError(
             f"free-product H0 still moving at level {max_level}", max_level)
 
-    h1_limit = _image_refined_limit(_odd_homology_system(combined_modules, combined_incls))
-    if h1_limit.kind != "stabilized":
-        raise NonStabilizationError(
-            f"free-product H1 still moving at level {max_level}", max_level)
+    sigma, phisigma = zip(*(f.odd_stages for _, f in frags))
+    h1 = _odd_homology_limit(sigma, sym_incls, max_level).direct_sum(
+        _odd_homology_limit(phisigma, refl_incls, max_level))
 
     return FreeProductResult(
         fragments=tuple(frags),
         h0=h0,
-        h1=h1_limit.group,
+        h1=h1,
         stabilized_at=stabilized_at,
         all_injective=all(f.paired_injective for _, f in frags),
         all_exact=all(f.middle_exact for _, f in frags),
@@ -641,17 +606,15 @@ def transfer_report(system, max_level: int) -> TransferReport:
     level = tele.first_level + idx
 
     cells, coarse = system.level_windows(level)
-    sig = pullback_matrix(system, FLIP, cells, cells)
-    incl_b = cover_matrix(coarse, cells)
-    phisig = pullback_matrix(system, GroupElement(1, 1), coarse, coarse)
-    gamma_rels = columns(mat_sub(sig, identity_matrix(len(cells)))) + \
-        columns(mat_mul(incl_b, mat_sub(phisig, identity_matrix(len(coarse)))))
-    h0_gamma = Presentation.of(len(cells), gamma_rels)
+    msig = InvolutionModule.of(pullback_matrix(system, FLIP, cells, cells))
+    h0_gamma = _total_coinvariants(
+        msig, InvolutionModule.of(pullback_matrix(system, GroupElement(1, 1), coarse, coarse)),
+        cover_matrix(coarse, cells))
 
     # into the telescope stage two levels up (relation windows widen once)
     target = tele.stages[idx + 2]
     up = mat_mul(tele.connecting[idx + 1].mat(), tele.connecting[idx].mat())
-    tr_matrix = mat_mul(up, mat_add(identity_matrix(len(cells)), sig))
+    tr_matrix = mat_mul(up, _a_plus_i(msig))
     tr_map = AbHom.of(h0_gamma, target, tr_matrix)
     return transfer_kernel(h0_gamma, tr_map, tele.h0_plus)
 

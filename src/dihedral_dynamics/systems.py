@@ -557,21 +557,30 @@ class OdometerSystem:
             raise ValueError("max_level must be >= 2")
         if max_level > len(self.chain):
             raise ValueError("max_level exceeds the computed chain")
-        forward = []
-        for level in range(1, max_level + 1):
-            fixed = self.level_fixed_set(g, level)
-            if forward:
-                prev = forward[-1]
-                n_prev = self.modulus(level - 1)
-                fixed = frozenset(x for x in fixed if (x % n_prev) in prev)
-            forward.append(fixed)
-        pruned = list(forward)
-        for level in range(max_level - 1, 0, -1):
-            n_here = self.modulus(level)
-            reachable = {y % n_here for y in pruned[level]}
-            pruned[level - 1] = frozenset(x for x in pruned[level - 1] if x in reachable)
-        counts = [len(s) for s in pruned]
-        usable = counts[:-1] if max_level >= 2 else counts
+        if g.s == 0:
+            # A translation fixes every cylinder of a level or none.  If it
+            # fixes the top level, it fixes every level below, and each
+            # residue is the reduction of a top one; if not, no thread
+            # survives pruning.
+            top_fixed = g.n % self.modulus(max_level) == 0
+            counts = [self.modulus(level) if top_fixed else 0
+                      for level in range(1, max_level + 1)]
+        else:
+            forward = []
+            for level in range(1, max_level + 1):
+                fixed = self.level_fixed_set(g, level)
+                if forward:
+                    prev = forward[-1]
+                    n_prev = self.modulus(level - 1)
+                    fixed = frozenset(x for x in fixed if (x % n_prev) in prev)
+                forward.append(fixed)
+            pruned = list(forward)
+            for level in range(max_level - 1, 0, -1):
+                n_here = self.modulus(level)
+                reachable = {y % n_here for y in pruned[level]}
+                pruned[level - 1] = frozenset(x for x in pruned[level - 1] if x in reachable)
+            counts = [len(s) for s in pruned]
+        usable = counts[:-1]
         final = usable[-1]
         stabilized_at = len(usable)
         while stabilized_at > 1 and usable[stabilized_at - 2] == final:

@@ -48,6 +48,7 @@ __all__ = [
     "odometer_castle",
     "verify_castle",
     "almost_finite_certificate",
+    "ceil_inverse_measure",
 ]
 
 
@@ -142,7 +143,7 @@ def verify_castle(castle: Castle) -> CastleReport:
     return CastleReport(disjoint=disjoint, covers=covers, sigma_compatible=sigma_compatible)
 
 
-def _ceil_inverse_measure(mu) -> int:
+def ceil_inverse_measure(mu) -> int:
     """Smallest integer c with c * mu >= 1, for an exact measure mu > 0."""
     c = 1
     while (mu * c).shift(-1).sign() < 0:
@@ -174,7 +175,7 @@ def first_return_castle(system, y, max_steps: Optional[int] = None) -> Castle:
     if system.act(FLIP, y) != y:
         raise ValueError("y must be flip-invariant")
     if max_steps is None:
-        max_steps = 10 * _ceil_inverse_measure(y.measure()) + 10
+        max_steps = 10 * ceil_inverse_measure(y.measure()) + 10
 
     step = GroupElement(1, 0)
     bases = {}

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -16,16 +17,27 @@ ODOMETER_CASTLE_ERROR = {
     "error": "first-return castles are for circle systems; use certify for odometers"}
 
 
-def run_module(args, timeout):
-    """``python -m dihedral_dynamics.cli <args>`` on this checkout's package;
-    returns the finished process and its wall time."""
+def run_python(args, timeout, preexec_fn=None):
+    """``python <args>`` with this checkout's package importable; returns
+    the finished process and its wall time."""
     src = str(Path(dihedral_dynamics.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     start = time.monotonic()
-    proc = subprocess.run([sys.executable, "-m", "dihedral_dynamics.cli", *args],
-                          capture_output=True, env=env, timeout=timeout)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, env=env,
+                          timeout=timeout, preexec_fn=preexec_fn)
     return proc, time.monotonic() - start
+
+
+def run_module(args, timeout, preexec_fn=None):
+    """``python -m dihedral_dynamics.cli <args>``, as ``run_python``."""
+    return run_python(["-m", "dihedral_dynamics.cli", *args], timeout, preexec_fn)
+
+
+def limit_address_space():
+    """In the child: cap its address space at 1 GiB, so that an unbounded
+    allocation fails there instead of pressing on the machine."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 @pytest.fixture()
@@ -81,6 +93,29 @@ class TestFixedPoints:
         capsys.readouterr()
         assert code == 2
 
+    def test_translation_fixing_a_wide_level_is_counted_not_listed(self, tmp_path):
+        # (10^6, 0) fixes all 10^6 cylinders of the second level; the count
+        # takes no memory per cylinder.  The child reports its own peak
+        # (VmHWM): ru_maxrss would carry this process's peak over the exec.
+        if not Path("/proc/self/status").exists():
+            pytest.skip("needs /proc/self/status for the peak resident size")
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"type": "odometer", "chain": [10, 1000000]}))
+        script = ("import sys\n"
+                  "from dihedral_dynamics.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "with open('/proc/self/status') as fh:\n"
+                  "    print(next(l for l in fh if l.startswith('VmHWM:')), file=sys.stderr)\n"
+                  "sys.exit(code)\n")
+        proc, _ = run_python(["-c", script, "fixed-points", "--system", str(path),
+                              "--elements", "[[1000000,0],[0,1],[3000000,0]]"], timeout=30)
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)["fixedPoints"]
+        assert report["(1000000,0)"] == {"count": 10, "stabilizedAt": 1}
+        assert report["(3000000,0)"] == {"count": 10, "stabilizedAt": 1}
+        peak_kb = int(proc.stderr.split()[-2])  # "VmHWM: <n> kB"
+        assert peak_kb < 60 * 1024
+
     def test_max_level_below_minimum(self, capsys, odometer_file):
         for level in ("0", "1", "-3"):
             code = main(["fixed-points", "--system", odometer_file, "--max-level", level])
@@ -135,6 +170,19 @@ class TestCastleCommand:
         assert code == 2
         assert captured.out == ""
         assert json.loads(captured.err) == ODOMETER_CASTLE_ERROR
+
+
+    def test_base_above_the_return_ceiling(self, denjoy_file):
+        # the flip-invariant arc between the cuts at n = -98209 and 98209:
+        # ceil(1/measure) = 439205, so about that many first-return steps
+        base = {"arcs": [{"left": {"m": 60697, "n": -98209},
+                          "right": {"m": -60696, "n": 98209}}]}
+        proc, seconds = run_module(["castle", "--system", denjoy_file,
+                                    "--base", json.dumps(base)], timeout=10)
+        assert seconds < 5
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert "10^4" in json.loads(proc.stderr)["error"]
 
 
 class TestHostileJson:
@@ -280,6 +328,23 @@ class TestOracleCommand:
         _, d2 = run(capsys, ["oracle-check", "--seed", "3", "--count", "4",
                              "--max-degree", "2", "--max-cells", "4"])
         assert d1 == d2
+
+
+    @pytest.mark.parametrize("args,bound", [
+        (["--count", "1", "--max-cells", "8000", "--seed", "15"], "--max-cells must be in 1..8"),
+        (["--max-cells", "0"], "--max-cells must be in 1..8"),
+        (["--max-degree", "7"], "--max-degree must be in 0..6"),
+        (["--max-degree", "-1"], "--max-degree must be in 0..6"),
+        (["--count", "-1"], "--count must be at least 0"),
+    ], ids=["huge-cells", "no-cells", "deep", "negative-degree", "negative-count"])
+    def test_bounds_checked_before_any_work(self, args, bound):
+        # under a 1 GiB address space: a module drawn with thousands of
+        # cells would fail there with MemoryError instead of exit 2
+        proc, _ = run_module(["oracle-check", *args], timeout=30,
+                             preexec_fn=limit_address_space)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert json.loads(proc.stderr) == {"error": bound}
 
 
 class TestOutputFiles:

@@ -1,11 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dihedral_dynamics.abgroups import (
     AbHom,
+    DirectSystem,
     FGAbGroup,
+    LimitDescriptor,
+    LocalizationDescriptor,
     Presentation,
+    SnfSolver,
+    columns,
     from_columns,
     identity_matrix,
     kernel_basis,
@@ -15,9 +22,11 @@ from dihedral_dynamics.abgroups import (
     mat_sub,
     solve_integer,
 )
-from dihedral_dynamics.exact_circle import ClopenSet
+from dihedral_dynamics.errors import NonStabilizationError
+from dihedral_dynamics.exact_circle import ClopenSet, GOLDEN, Theta
 from dihedral_dynamics.homology import (
     InvolutionModule,
+    _image_refined_limit,
     bar_homology,
     coinvariants,
     even_homology,
@@ -32,7 +41,14 @@ from dihedral_dynamics.homology import (
     transfer_kernel,
     transfer_report,
 )
-from dihedral_dynamics.systems import FLIP
+from dihedral_dynamics.systems import (
+    FLIP,
+    DenjoyFlipSystem,
+    GroupElement,
+    OdometerSystem,
+    cover_matrix,
+    pullback_matrix,
+)
 
 Z2 = FGAbGroup(0, (2,))
 ZERO = FGAbGroup(0)
@@ -292,8 +308,6 @@ class TestTelescope:
             assert direct == tele.h0_plus
 
     def test_too_shallow_run_reports_non_stabilization(self, denjoy):
-        from dihedral_dynamics.errors import NonStabilizationError
-
         with pytest.raises(NonStabilizationError):
             h0_translation_telescope(denjoy, 3)
 
@@ -310,8 +324,6 @@ class TestTelescope:
 
 class TestFreeProduct:
     def test_denjoy_fragment_level_eight(self, denjoy):
-        from dihedral_dynamics.systems import GroupElement, cover_matrix, pullback_matrix
-
         fine_cells, coarse_cells = denjoy.level_windows(8)
         msig = InvolutionModule.of(pullback_matrix(denjoy, FLIP, fine_cells, fine_cells))
         mphisig = InvolutionModule.of(
@@ -343,6 +355,164 @@ class TestFreeProduct:
         assert fp.h1 == Z2
         assert fp.all_injective
         assert fp.all_exact
+
+
+def block_diag(a, b):
+    ra, ca = len(a), len(a[0]) if a else 0
+    rb, cb = len(b), len(b[0]) if b else 0
+    out = [[0] * (ca + cb) for _ in range(ra + rb)]
+    for i in range(ra):
+        out[i][:ca] = list(a[i])
+    for i in range(rb):
+        out[ra + i][ca:] = list(b[i])
+    return out
+
+
+def block_diagonal_h1(system, max_level):
+    """Reference H_1 of the free-product assembly: the odd homologies of
+    the block-diagonal modules that carry both reflections at once, along
+    the block-diagonal inclusions, in one limit."""
+    windows = [system.level_windows(t) for t in range(2, max_level + 1)]
+    stages, bases = [], []
+    for fine, coarse in windows:
+        a = block_diag(pullback_matrix(system, FLIP, fine, fine),
+                       pullback_matrix(system, GroupElement(1, 1), coarse, coarse))
+        n = len(a)
+        kb = kernel_basis(mat_sub(a, identity_matrix(n)))
+        solver = SnfSolver(from_columns(kb, rows=n))
+        coords = [solver.solve(col) for col in columns(mat_add(a, identity_matrix(n)))]
+        assert None not in coords
+        stages.append(Presentation.of(len(kb), coords))
+        bases.append((from_columns(kb, rows=n), solver))
+    homs = []
+    for i, ((f1, c1), (f2, c2)) in enumerate(zip(windows, windows[1:])):
+        incl = block_diag(cover_matrix(f1, f2), cover_matrix(c1, c2))
+        solver = bases[i + 1][1]
+        cols = [solver.solve(col) for col in columns(mat_mul(incl, bases[i][0]))]
+        assert None not in cols
+        homs.append(AbHom.of(stages[i], stages[i + 1],
+                             from_columns(cols, rows=stages[i + 1].ngens)))
+    limit = _image_refined_limit(DirectSystem(tuple(stages), tuple(homs)))
+    return limit.group if limit.kind == "stabilized" else None
+
+
+def split_h1(system, max_level):
+    """free_product_homology's H_1, or None where it is still moving."""
+    try:
+        return free_product_homology(system, max_level).h1
+    except NonStabilizationError as exc:
+        assert "H1" in str(exc)
+        return None
+
+
+class TestSplitH1:
+    """The sum of the two reflections' limits against the block-diagonal
+    route, on every level where either is computed."""
+
+    @pytest.mark.parametrize("theta", [GOLDEN, Theta(p=-1, q=1, d=2, r=1),
+                                       Theta(p=-1, q=1, d=3, r=2)],
+                             ids=["golden", "sqrt2", "sqrt3"])
+    def test_circles(self, theta):
+        system = DenjoyFlipSystem(theta)
+        for level in range(4, 11):
+            h1 = split_h1(system, level)
+            assert h1 is not None and h1 == block_diagonal_h1(system, level), level
+
+    @pytest.mark.parametrize("chain,depth", [
+        ([2 ** i for i in range(1, 10)], 7),
+        ([3 ** i for i in range(1, 8)], 4),
+    ], ids=["2^i", "3^i"])
+    def test_odometers(self, chain, depth):
+        # depth: the last level of at most 128 cells, where the assembly stops
+        system = OdometerSystem(chain)
+        results = [(split_h1(system, level), block_diagonal_h1(system, level))
+                   for level in range(4, depth + 1)]
+        assert all(split == block for split, block in results), results
+        assert results[-1][0] is not None
+
+
+def eager_limit(ds):
+    """Reference DirectSystem.limit that tests every map for isomorphism."""
+    iso = [h.is_isomorphism() for h in ds.maps]
+    if iso and iso[-1]:
+        start = len(iso)
+        while start > 0 and iso[start - 1]:
+            start -= 1
+        if start < len(iso):
+            return LimitDescriptor(kind="stabilized", group=ds.stages[start].canonical(),
+                                   level=start + 1)
+    mults = [h.free_multiplier() for h in ds.maps]
+    if all(m is not None and m >= 1 for m in mults) and any(m > 1 for m in mults):
+        return LimitDescriptor(kind="localization",
+                               localization=LocalizationDescriptor(tuple(mults)))
+    return LimitDescriptor(kind="undetermined", level=len(ds.stages))
+
+
+SHAPES = [Presentation.free(1), Presentation.of(1, [(4,)]), Presentation.free(2),
+          Presentation.of(2, [(0, 2)])]
+
+
+@st.composite
+def direct_systems(draw):
+    """Direct systems of 3 to 6 stages whose maps are isomorphisms,
+    non-isomorphisms, or Z -> Z multipliers."""
+    length = draw(st.integers(3, 6))
+    if draw(st.booleans()):
+        stages = (Presentation.free(1),) * length
+        mats = [[[draw(st.sampled_from([1, -1, 1, 2, 3, 0]))]] for _ in range(length - 1)]
+    else:
+        stages = tuple(draw(st.sampled_from(SHAPES)) for _ in range(length))
+        mats = []
+        for src, dst in zip(stages, stages[1:]):
+            if src == dst and draw(st.booleans()):
+                mats.append(identity_matrix(src.ngens))
+            else:
+                mats.append([[draw(st.integers(-2, 2)) for _ in range(src.ngens)]
+                             for _ in range(dst.ngens)])
+    maps = []
+    for src, dst, mat in zip(stages, stages[1:], mats):
+        try:
+            maps.append(AbHom.of(src, dst, mat))
+        except ValueError:
+            maps.append(AbHom.of(src, dst, [[0] * src.ngens for _ in range(dst.ngens)]))
+    return DirectSystem(stages, tuple(maps))
+
+
+def _z_system(multipliers):
+    z = Presentation.free(1)
+    return DirectSystem((z,) * (len(multipliers) + 1),
+                        tuple(AbHom.of(z, z, [[m]]) for m in multipliers))
+
+
+class TestTopDownLimit:
+    @given(direct_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_eager_scan(self, ds):
+        assert ds.limit() == eager_limit(ds)
+
+    def test_kinds_covered(self):
+        assert _z_system([2, 1, 1]).limit().kind == "stabilized"
+        assert _z_system([1, 3, 2]).limit().kind == "localization"
+        assert _z_system([1, 0, 2]).limit().kind == "undetermined"
+
+    @pytest.mark.parametrize("multipliers,calls", [
+        ([1, 1, 1, 2], 1),
+        ([2, 1, 1, 1], 4),
+        ([1, 1, 2, 1], 2),
+    ])
+    def test_scan_stops_at_first_non_isomorphism(self, monkeypatch, multipliers, calls):
+        seen = []
+        original = AbHom.is_isomorphism
+
+        def counted(self):
+            seen.append(self)
+            return original(self)
+
+        monkeypatch.setattr(AbHom, "is_isomorphism", counted)
+        ds = _z_system(multipliers)
+        ds.limit()
+        assert len(seen) == calls
+        assert seen == list(reversed(ds.maps))[:calls]
 
 
 class TestTransfer:

@@ -202,6 +202,11 @@ class TestOdometer:
             ([3 ** i for i in range(1, 7)], GroupElement(1, 1), 3, 3),
             ([2 * 3 ** i for i in range(1, 7)], FLIP, 3, 3),
             ([12 * 2 ** i for i in range(7)], FLIP, 3, 3),
+            # translations: every cylinder of a level or none
+            ([2, 4], GroupElement(4, 0), 1, 1),
+            ([10, 100], GroupElement(-300, 0), 1, 1),
+            ([2, 4, 8, 16], GroupElement(4, 0), 1, 3),
+            ([3, 9, 27], GroupElement(9, 0), 1, 2),
         ]
         for chain, g, depth, extra in cases:
             odo = OdometerSystem(chain)
