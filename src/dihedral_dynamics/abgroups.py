@@ -19,6 +19,13 @@ diagonal-only mode (``snf_diagonal``, ``Presentation.canonical``) tracks
 no transforms.  The transform mode (``smith_normal_form``,
 ``kernel_basis``, ``SnfSolver``) tracks U as sparse rows and V as sparse
 columns, and no inverse of either.
+
+Yes/no questions about maps are decided from Smith diagonals where an
+invariant settles them.  Finitely generated abelian groups are Hopfian:
+a surjection between two isomorphic ones is an isomorphism.  So
+``AbHom.is_isomorphism`` compares the canonical forms of source and
+destination (each read once per presentation) and asks for
+surjectivity, and builds no kernel lattice.
 """
 
 from __future__ import annotations
@@ -506,6 +513,10 @@ class Presentation:
         return from_columns(self.relations, rows=self.ngens)
 
     def canonical(self) -> FGAbGroup:
+        return self._canonical
+
+    @cached_property
+    def _canonical(self) -> FGAbGroup:
         if self.ngens == 0:
             return FGAbGroup(0)
         if not self.relations:
@@ -559,9 +570,17 @@ class AbHom:
         diag = snf_diagonal(stacked)
         return sum(1 for d in diag if d == 1) == self.dst.ngens if self.dst.ngens else True
 
+    def _relation_preimage(self) -> Matrix:
+        """Generators of {x : mat x lies in the destination relations}; all
+        of Z^src.ngens when the destination has no generators (the matrix
+        has no rows then, so its width is read from the source)."""
+        if not self.dst.ngens:
+            return identity_matrix(self.src.ngens)
+        return preimage_lattice(self.mat(), self.dst.relation_matrix())
+
     def kernel_presentation(self) -> Presentation:
         """The kernel as a presented group."""
-        pre = preimage_lattice(self.mat(), self.dst.relation_matrix())
+        pre = self._relation_preimage()
         gens = columns(pre)
         inner = preimage_lattice(pre, self.src.relation_matrix())
         return Presentation.of(len(gens), columns(inner))
@@ -569,18 +588,20 @@ class AbHom:
     def kernel_group(self) -> FGAbGroup:
         return self.kernel_presentation().canonical()
 
-    def is_injective(self) -> bool:
-        pre = preimage_lattice(self.mat(), self.dst.relation_matrix())
-        return lattice_subset(pre, self.src.relation_matrix())
-
     def is_isomorphism(self) -> bool:
-        return self.is_surjective() and self.is_injective()
+        """Whether the map is bijective.
+
+        A surjection between isomorphic finitely generated abelian
+        groups is injective (they are Hopfian: compose with an
+        isomorphism back to get a surjective endomorphism, which is
+        injective), so equal canonical forms and surjectivity decide it.
+        """
+        return self.src.canonical() == self.dst.canonical() and self.is_surjective()
 
     def image_presentation(self) -> Presentation:
         """The image subgroup of the destination, presented on the source
         generators (relations = preimages of destination relations)."""
-        pre = preimage_lattice(self.mat(), self.dst.relation_matrix())
-        return Presentation.of(self.src.ngens, columns(pre))
+        return Presentation.of(self.src.ngens, columns(self._relation_preimage()))
 
     def image_group(self) -> FGAbGroup:
         """Canonical form of the image subgroup of the destination."""

@@ -46,7 +46,6 @@ from .abgroups import (
     mat_add,
     mat_mul,
     mat_sub,
-    preimage_lattice,
     snf_diagonal,
     subquotient,
 )
@@ -417,9 +416,28 @@ def free_product_fragment(msigma: InvolutionModule, mphisigma: InvolutionModule,
     module's (the first is the finer one).  H_1 is the direct sum of the
     two odd homologies; H_0 is the quotient of the fine module by both
     families of coinvariant relations.  The four-term sequence built
-    from the pair of coinvariants is checked exactly: the paired map
-    (cor, -cor) must be injective and its image must exhaust the kernel
-    of the summed map onto the total coinvariants.
+    from the pair of coinvariants is checked exactly, from the canonical
+    form of one cokernel, C = coker(paired):
+
+    * ``paired_injective``: the paired map (cor, -cor) from the free
+      coarse module has a free kernel, so it is injective when the
+      kernel has rank 0.  The rank of the middle term is the sum of the
+      two nullities of A - I (the lengths of the odd-homology kernel
+      bases), so the test is the identity
+      n_coarse - (nullity_sigma + nullity_phisigma) + rank(C) = 0.
+    * ``middle_exact``: the summed map [I | inclusion] sends the middle
+      relations column for column onto the H_0 relations, so it is a
+      map of presented groups, onto because its first block is the
+      identity; and summed * paired = 0.  Both identities are checked.
+      The summed map then induces a surjection C -> H_0, which is an
+      isomorphism, and the sequence exact in the middle, exactly when C
+      and H_0 have the same canonical form (finitely generated abelian
+      groups are Hopfian).
+
+    Exactness in the middle holds for every inclusion matrix: if
+    u + incl(v) = a + incl(b) with a, b coinvariant relations, then
+    (u, v) = (a, b) - paired(v - b).  So a false ``middle_exact`` means
+    an arithmetic fault, not a property of the system.
     """
     n_fine = msigma.ncells
     n_coarse = mphisigma.ncells
@@ -433,25 +451,25 @@ def free_product_fragment(msigma: InvolutionModule, mphisigma: InvolutionModule,
     h0_pres = _total_coinvariants(msigma, mphisigma, inclusion)
     h0 = h0_pres.canonical()
 
-    # middle term: coinvariants of the two modules, as one presentation
-    middle = Presentation.of(
-        n_fine + n_coarse,
-        [col + [0] * n_coarse for col in columns(_a_minus_i(msigma))]
-        + [[0] * n_fine + col for col in columns(_a_minus_i(mphisigma))])
-
+    # middle term: coinvariants of the two modules, relations as columns
+    middle = ([col + [0] * n_coarse for col in columns(_a_minus_i(msigma))]
+              + [[0] * n_fine + col for col in columns(_a_minus_i(mphisigma))])
     # (cor, -cor): defined on the coarse module, the intersection of the
     # two; the inclusion stacked over -I
     paired = [list(row) for row in inclusion] + [
         [-x for x in row] for row in identity_matrix(n_coarse)]
-    paired_hom = AbHom.of(Presentation.free(n_coarse), middle, paired)
-    paired_injective = paired_hom.kernel_group().is_trivial()
+    coker_pres = Presentation.of(n_fine + n_coarse, middle + columns(paired))
+    coker = coker_pres.canonical()
+    nullities = sum(q.presentation.ngens for q in odd_stages)
+    paired_injective = n_coarse - nullities + coker.rank == 0
 
-    # summed map onto the total coinvariants: [u] + [v] -> [u + incl(v)]
+    # summed map onto the total coinvariants: [u] + [v] -> [u + incl(v)];
+    # the columns of coker_pres are the middle relations, then paired
     summed = [e + list(row) for e, row in zip(identity_matrix(n_fine), inclusion)]
-    kernel_lat = preimage_lattice(summed, h0_pres.relation_matrix())
-    image_lat = from_columns(
-        columns(paired) + list(middle.relations), rows=n_fine + n_coarse)
-    middle_exact = lattice_subset(kernel_lat, image_lat) and lattice_subset(image_lat, kernel_lat)
+    images = [tuple(col) for col in columns(mat_mul(summed, coker_pres.relation_matrix()))]
+    middle_exact = (images[:len(middle)] == list(h0_pres.relations)
+                    and not any(any(col) for col in images[len(middle):])
+                    and coker == h0)
 
     return FreeProductFragment(h0=h0, h1=h1, paired_injective=paired_injective,
                                middle_exact=middle_exact, h0_presentation=h0_pres,

@@ -161,11 +161,14 @@ class ThreadCount:
     per_level: tuple
 
 
+#: The ceiling on levels: a circle's --max-level and a geometric odometer's
+#: ``levels``, so that the cost stays bounded whatever the request.
+_MAX_LEVEL = 128
+
+
 # ---------------------------------------------------------------------------
 # Circle systems
 # ---------------------------------------------------------------------------
-
-_MAX_CIRCLE_LEVEL = 128
 
 
 class DenjoyFlipSystem:
@@ -308,9 +311,9 @@ class DenjoyFlipSystem:
         request above the ceiling of 128 levels is rejected, so that the
         cost stays bounded whatever the request.
         """
-        if max_level > _MAX_CIRCLE_LEVEL:
+        if max_level > _MAX_LEVEL:
             raise ValueError(f"max_level {max_level} is above the ceiling of "
-                             f"{_MAX_CIRCLE_LEVEL} circle levels")
+                             f"{_MAX_LEVEL} circle levels")
         return max_level
 
     def reflection_fixed(self, depth: int) -> tuple:
@@ -907,5 +910,8 @@ def system_from_json(data: dict):
         if data.get("growth") != "geometric":
             raise ValueError("only geometric chain growth is supported")
         base, levels = int(data["base"]), int(data["levels"])
+        if levels > _MAX_LEVEL:
+            raise ValueError(f"levels {levels} is above the ceiling of "
+                             f"{_MAX_LEVEL} odometer levels")
         return OdometerSystem([base ** i for i in range(1, levels + 1)])
     raise ValueError(f"unknown system type: {kind!r}")

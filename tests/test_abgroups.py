@@ -19,8 +19,10 @@ from dihedral_dynamics.abgroups import (
     from_columns,
     identity_matrix,
     kernel_basis,
+    lattice_subset,
     mat_mul,
     mat_vec,
+    preimage_lattice,
     smith_normal_form,
     snf_diagonal,
     solve_integer,
@@ -426,12 +428,86 @@ class TestPresentations:
         assert h.image_group() == FGAbGroup(0, (2,))
         assert h.kernel_group() == FGAbGroup(1)
 
+    def test_into_no_generators(self):
+        # the matrix of a map into the zero group has no rows
+        h = AbHom.of(Presentation.free(2), Presentation.free(0), [])
+        assert h.kernel_group() == FGAbGroup(2)
+        assert h.image_group() == FGAbGroup(0)
+        assert not h.is_isomorphism()
+
     def test_equals_hom(self):
         p = Presentation.of(1, [(5,)])
         h1 = AbHom.of(p, p, [[1]])
         h2 = AbHom.of(p, p, [[6]])
         assert h1.equals_hom(h2)
         assert not h1.equals_hom(AbHom.of(p, p, [[2]]))
+
+
+def lattice_injective(h):
+    """Injectivity from kernel lattices: every x whose image lies in the
+    destination relations lies in the source relations."""
+    if not h.dst.ngens:
+        return lattice_subset(identity_matrix(h.src.ngens), h.src.relation_matrix())
+    pre = preimage_lattice(h.mat(), h.dst.relation_matrix())
+    return lattice_subset(pre, h.src.relation_matrix())
+
+
+HOM_ENTRIES = st.sampled_from([0, 0, 1, -1, 2, -2, 3, 4, 6])
+
+
+@st.composite
+def presented_homs(draw):
+    """A valid hom between presented groups on 0..4 generators with
+    torsion: a random or zero matrix (non-square when the sides differ,
+    with the images of the source relations added to the destination's),
+    or an isomorphism (a unimodular change of generators)."""
+    def cols(n, **size):
+        return st.lists(st.lists(HOM_ENTRIES, min_size=n, max_size=n), **size)
+
+    kind = draw(st.sampled_from(["random", "zero", "iso"]))
+    m = draw(st.integers(0, 4))
+    src_rels = draw(cols(m, max_size=4))
+    if kind == "iso":
+        n = m
+        mat = random_unimodular(random.Random(draw(st.integers(0, 2 ** 16))), m)
+        dst_rels = []
+    else:
+        n = draw(st.integers(0, 4))
+        if kind == "zero":
+            mat = [[0] * m for _ in range(n)]
+        else:
+            mat = draw(cols(m, min_size=n, max_size=n))
+        dst_rels = draw(cols(n, max_size=3))
+    dst_rels += [mat_vec(mat, col) for col in src_rels]
+    return kind, AbHom.of(Presentation.of(m, src_rels), Presentation.of(n, dst_rels), mat)
+
+
+class TestIsomorphismRule:
+    @given(presented_homs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_kernel_lattice_route(self, drawn):
+        kind, h = drawn
+        assert h.is_isomorphism() == (h.is_surjective() and lattice_injective(h))
+        if kind == "iso":
+            assert h.is_isomorphism()
+
+    @pytest.mark.parametrize("src,dst,mat,iso", [
+        (Presentation.of(1, [(4,)]), Presentation.of(1, [(4,)]), [[3]], True),
+        (Presentation.of(1, [(4,)]), Presentation.of(1, [(4,)]), [[2]], False),
+        # onto but not one to one
+        (Presentation.of(1, [(4,)]), Presentation.of(1, [(2,)]), [[1]], False),
+        (Presentation.free(1), Presentation.free(1), [[2]], False),
+        (Presentation.free(2), Presentation.of(1, [(0,)]), [[1, 0]], False),
+        (Presentation.of(2, [(0, 1)]), Presentation.free(1), [[1, 0]], True),
+        (Presentation.of(2, [(2, 0), (0, 3)]), Presentation.of(1, [(6,)]), [[3, 2]], True),
+        (Presentation.free(0), Presentation.of(1, [(1,)]), [[]], True),
+        (Presentation.free(2), Presentation.free(0), [], False),
+        (Presentation.of(1, [(1,)]), Presentation.free(0), [], True),
+    ])
+    def test_examples(self, src, dst, mat, iso):
+        h = AbHom.of(src, dst, mat)
+        assert h.is_isomorphism() == iso
+        assert lattice_injective(h) == iso or not h.is_surjective()
 
 
 class TestDirectSystems:

@@ -116,6 +116,20 @@ class TestFixedPoints:
         peak_kb = int(proc.stderr.split()[-2])  # "VmHWM: <n> kB"
         assert peak_kb < 60 * 1024
 
+    def test_geometric_levels_ceiling(self, tmp_path):
+        # levels above the 128-level ceiling exit 2 before any base**i is
+        # built; 20000 levels used to take seconds and end in Python's
+        # integer-to-string error
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(
+            {"type": "odometer", "base": 2, "growth": "geometric", "levels": 20000}))
+        proc, seconds = run_module(["fixed-points", "--system", str(path),
+                                    "--elements", "[[0,1]]"], timeout=10)
+        assert seconds < 5
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert "ceiling of 128" in json.loads(proc.stderr)["error"]
+
     def test_max_level_below_minimum(self, capsys, odometer_file):
         for level in ("0", "1", "-3"):
             code = main(["fixed-points", "--system", odometer_file, "--max-level", level])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dihedral_dynamics import abgroups
 from dihedral_dynamics.abgroups import (
     AbHom,
     DirectSystem,
@@ -20,6 +21,7 @@ from dihedral_dynamics.abgroups import (
     mat_add,
     mat_mul,
     mat_sub,
+    preimage_lattice,
     solve_integer,
 )
 from dihedral_dynamics.errors import NonStabilizationError
@@ -355,6 +357,84 @@ class TestFreeProduct:
         assert fp.h1 == Z2
         assert fp.all_injective
         assert fp.all_exact
+
+
+def lattice_fragment_flags(msigma, mphisigma, inclusion):
+    """``paired_injective`` and ``middle_exact`` from kernel lattices: the
+    kernel of the paired map, and the kernel of the summed map compared
+    with the image of the paired map in both directions."""
+    n_fine, n_coarse = msigma.ncells, mphisigma.ncells
+    a_minus = [mat_sub(m.mat(), identity_matrix(m.ncells)) for m in (msigma, mphisigma)]
+    middle = Presentation.of(
+        n_fine + n_coarse,
+        [col + [0] * n_coarse for col in columns(a_minus[0])]
+        + [[0] * n_fine + col for col in columns(a_minus[1])])
+    paired = [list(row) for row in inclusion] + [
+        [-x for x in row] for row in identity_matrix(n_coarse)]
+    paired_injective = AbHom.of(
+        Presentation.free(n_coarse), middle, paired).kernel_group().is_trivial()
+    h0_relations = from_columns(
+        columns(a_minus[0]) + columns(mat_mul(inclusion, a_minus[1])), rows=n_fine)
+    summed = [e + list(row) for e, row in zip(identity_matrix(n_fine), inclusion)]
+    kernel_lat = preimage_lattice(summed, h0_relations)
+    image_lat = from_columns(columns(paired) + list(middle.relations), rows=n_fine + n_coarse)
+    middle_exact = lattice_subset(kernel_lat, image_lat) and lattice_subset(image_lat, kernel_lat)
+    return paired_injective, middle_exact
+
+
+def random_fragment_input(rng):
+    """Permutation modules on 1..6 fine and 1..4 coarse cells, joined by a
+    zero, a random-integer or a partition inclusion (each coarse cell a
+    disjoint union of fine cells)."""
+    n_fine, n_coarse = rng.randint(1, 6), rng.randint(1, 4)
+    msigma = InvolutionModule.from_permutation(random_involutive_permutation(rng, n_fine))
+    mphisigma = InvolutionModule.from_permutation(random_involutive_permutation(rng, n_coarse))
+    kind = rng.choice(["zero", "integer", "partition"])
+    inclusion = [[0] * n_coarse for _ in range(n_fine)]
+    if kind == "integer":
+        inclusion = [[rng.randint(-2, 2) for _ in range(n_coarse)] for _ in range(n_fine)]
+    elif kind == "partition":
+        for i in range(n_fine):
+            j = rng.randrange(n_coarse + 1)
+            if j < n_coarse:
+                inclusion[i][j] = 1
+    return msigma, mphisigma, inclusion
+
+
+class TestFragmentFlags:
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_match_lattice_route(self, rng):
+        msigma, mphisigma, inclusion = random_fragment_input(rng)
+        frag = free_product_fragment(msigma, mphisigma, inclusion)
+        assert (frag.paired_injective, frag.middle_exact) == lattice_fragment_flags(
+            msigma, mphisigma, inclusion)
+
+    def test_both_verdicts_occur(self):
+        rng = random.Random(8)
+        verdicts = []
+        for _ in range(100):
+            msigma, mphisigma, inclusion = random_fragment_input(rng)
+            frag = free_product_fragment(msigma, mphisigma, inclusion)
+            assert (frag.paired_injective, frag.middle_exact) == lattice_fragment_flags(
+                msigma, mphisigma, inclusion)
+            verdicts.append(frag.paired_injective)
+        assert 10 <= verdicts.count(False) <= 90, verdicts.count(False)
+
+    def test_no_kernel_lattices(self, monkeypatch, denjoy):
+        def refuse(*args):
+            raise AssertionError("preimage_lattice called")
+
+        monkeypatch.setattr(abgroups, "preimage_lattice", refuse)
+        p = Presentation.of(2, [(0, 4)])
+        maps = (AbHom.of(p, p, [[1, 0], [0, 3]]), AbHom.of(p, p, [[1, 0], [2, 1]]))
+        assert DirectSystem((p, p, p), maps).limit().level == 1
+        fine, coarse = denjoy.level_windows(6)
+        frag = free_product_fragment(
+            InvolutionModule.of(pullback_matrix(denjoy, FLIP, fine, fine)),
+            InvolutionModule.of(pullback_matrix(denjoy, GroupElement(1, 1), coarse, coarse)),
+            cover_matrix(coarse, fine))
+        assert frag.paired_injective and frag.middle_exact
 
 
 def block_diag(a, b):

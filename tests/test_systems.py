@@ -602,6 +602,12 @@ class TestSystemJson:
         odo = system_from_json({"type": "odometer", "base": 2, "growth": "geometric",
                                 "levels": 4})
         assert odo.chain == (2, 4, 8, 16)
+        deepest = system_from_json({"type": "odometer", "base": 2, "growth": "geometric",
+                                    "levels": 128})
+        assert deepest.chain[-1] == 2 ** 128
+        with pytest.raises(ValueError, match="ceiling of 128"):
+            system_from_json({"type": "odometer", "base": 2, "growth": "geometric",
+                              "levels": 129})
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError):
