@@ -611,13 +611,6 @@ class AbHom:
         cols = list(self.dst.relations) + columns(self.mat())
         return Presentation.of(self.dst.ngens, cols)
 
-    def equals_hom(self, other: "AbHom") -> bool:
-        """Equality as maps of presented groups (difference lands in relations)."""
-        if self.src.ngens != other.src.ngens or self.dst != other.dst:
-            return False
-        diff = mat_sub(self.mat(), other.mat())
-        return all(self.dst.contains_relation(col) for col in columns(diff))
-
     def free_multiplier(self) -> Optional[int]:
         """For rank-one torsion-free source and destination, the induced
         multiplier Z -> Z up to sign; None when not applicable.

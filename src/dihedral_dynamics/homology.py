@@ -22,6 +22,10 @@ go (``depth``), how its reflections' fixed points are counted
 (``h0_generators``).  Refinement between levels is ``cover_matrix``
 of a coarser level's cells in a finer level's, for arcs and cylinders
 alike; each computation builds each cell list once.
+
+The flip P acts trivially on the translation H_0, and incl * P is then
+a map of presented groups, when every column of incl * (P - I) is a
+relation of the next stage (see ``h0_translation_telescope``).
 """
 
 from __future__ import annotations
@@ -97,10 +101,9 @@ class InvolutionModule:
     """
 
     matrix: tuple
-    labels: tuple = ()
 
     @classmethod
-    def of(cls, matrix: Matrix, labels: Optional[Sequence[str]] = None) -> "InvolutionModule":
+    def of(cls, matrix: Matrix) -> "InvolutionModule":
         mat = tuple(tuple(int(x) for x in row) for row in matrix)
         n = len(mat)
         if any(len(r) != n for r in mat):
@@ -108,18 +111,15 @@ class InvolutionModule:
         sq = mat_mul([list(r) for r in mat], [list(r) for r in mat])
         if sq != identity_matrix(n):
             raise ValueError("matrix must be an involution (A*A = I)")
-        lab = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
-        if len(lab) != n:
-            raise ValueError("labels must match the number of cells")
-        return cls(mat, lab)
+        return cls(mat)
 
     @classmethod
-    def from_permutation(cls, perm: Sequence[int], labels: Optional[Sequence[str]] = None) -> "InvolutionModule":
+    def from_permutation(cls, perm: Sequence[int]) -> "InvolutionModule":
         n = len(perm)
         mat = [[0] * n for _ in range(n)]
         for j, i in enumerate(perm):
             mat[i][j] = 1
-        return cls.of(mat, labels)
+        return cls.of(mat)
 
     @property
     def ncells(self) -> int:
@@ -233,17 +233,14 @@ def bar_homology(module: InvolutionModule, degree: int) -> FGAbGroup:
 
 @dataclass(frozen=True)
 class TelescopeResult:
-    """Stages of H_0(Z, level module) with flip data on top.
+    """Stages of H_0(Z, level module) with the flip's verdict on top.
 
     ``stages[i]`` presents the translation coinvariants at level
-    ``first_level + i``; connecting maps are induced by refinement.
-    The flip maps run one stage up, parallel to the connecting maps.
+    ``i + 1``; connecting maps are induced by refinement.
     """
 
-    first_level: int
     stages: tuple
     connecting: tuple
-    sigma_maps: tuple
     limit: LimitDescriptor
     sigma_trivial: bool
     h0: GroupValue
@@ -254,7 +251,7 @@ class TelescopeResult:
     def stabilized_level(self) -> Optional[int]:
         if self.limit.kind != "stabilized":
             return None
-        return self.first_level + self.limit.level - 1
+        return self.limit.level
 
 
 _MAX_TELESCOPE_CELLS = 512
@@ -281,16 +278,18 @@ def _deepest_level(system, max_level: int, cell_cap: int) -> int:
     return top
 
 
-def h0_translation_telescope(system, max_level: int, with_flip: bool = True) -> TelescopeResult:
+def h0_translation_telescope(system, max_level: int) -> TelescopeResult:
     """H_0 of the translation action on C(X, Z), with the flip action.
 
     Stage N presents the functions on the flip window of level N modulo
     f - f o (1,0) for f on the window ``relation_lag`` levels down.
     Circle systems stabilize to a finitely generated group; odometers
     produce a rank-one system whose limit is reported as a localization
-    descriptor.  The subgroup (1 + flip)H_0 is returned in canonical form
-    (for localizations the flip acts trivially stage by stage, and
-    doubling a localization of Z is an isomorphism onto its image).
+    descriptor.  The flip P acts trivially when every column of
+    incl * (P - I) lies in the next stage's relations; then incl * P is a
+    map of presented groups too (incl * P * r = incl * r + incl * (P - I) * r
+    for a relation r), and (1 + flip)H_0 = 2 H_0 is returned in canonical
+    form (doubling a localization of Z is an isomorphism onto its image).
     """
     if max_level < 3:
         raise ValueError("max_level must be >= 3")
@@ -305,32 +304,22 @@ def h0_translation_telescope(system, max_level: int, with_flip: bool = True) -> 
         for src, cells in zip(windows, cell_lists)]
     incls = [cover_matrix(a, b) for a, b in zip(cell_lists, cell_lists[1:])]
     connecting = tuple(AbHom.of(stages[i], stages[i + 1], m) for i, m in enumerate(incls))
-    sigma_maps = ()
-    if with_flip:
-        sigma_maps = tuple(
-            AbHom.of(stages[i], stages[i + 1],
-                     mat_mul(m, pullback_matrix(system, FLIP, cells, cells)))
-            for i, (m, cells) in enumerate(zip(incls, cell_lists)))
-
-    ds = DirectSystem(tuple(stages), connecting)
-    limit = _image_refined_limit(ds)
-
-    sigma_trivial = True
-    if with_flip:
-        sigma_trivial = all(s.equals_hom(c) for s, c in zip(sigma_maps, connecting))
+    limit = _image_refined_limit(DirectSystem(tuple(stages), connecting))
+    # the flip rule of the docstring: incl * (P - I) lands in the relations
+    sigma_trivial = all(
+        stage.contains_relation(col)
+        for stage, m, cells in zip(stages[1:], incls, cell_lists)
+        for col in columns(mat_sub(mat_mul(m, pullback_matrix(system, FLIP, cells, cells)), m)))
 
     generator_vectors = ()
     generators_generate = None
     if limit.kind == "stabilized":
+        if not sigma_trivial:
+            raise NonStabilizationError(
+                "flip acts nontrivially on the translation H0; "
+                "the doubled subgroup is not computed at finite level", max_level)
         h0: GroupValue = limit.group
-        if with_flip:
-            if not sigma_trivial:
-                raise NonStabilizationError(
-                    "flip acts nontrivially on the translation H0; "
-                    "the doubled subgroup is not computed at finite level", max_level)
-            h0_plus: GroupValue = _doubled_subgroup(h0)
-        else:
-            h0_plus = h0
+        h0_plus: GroupValue = _doubled_subgroup(h0)
         gens = [_indicator_vector(g, cell_lists[-1]) for g in system.h0_generators()]
         if gens:
             generator_vectors = tuple(tuple(v) for v in gens)
@@ -340,22 +329,17 @@ def h0_translation_telescope(system, max_level: int, with_flip: bool = True) -> 
             span = from_columns(gens + list(stages[-1].relations), rows=stages[-1].ngens)
             generators_generate = lattice_subset(connecting[-1].mat(), span)
     elif limit.kind == "localization":
-        if with_flip and not sigma_trivial:
+        if not sigma_trivial:
             raise NonStabilizationError(
                 "flip acts nontrivially on a localization limit", max_level)
-        h0 = limit.localization
-        # (1 + flip) doubles each stage: an isomorphism onto an index-2
-        # subgroup, so the descriptor is unchanged.
-        h0_plus = limit.localization
+        h0 = h0_plus = limit.localization
     else:
         raise NonStabilizationError(
             f"translation H0 undetermined at level {max_level}", max_level)
 
     return TelescopeResult(
-        first_level=1,
         stages=tuple(stages),
         connecting=connecting,
-        sigma_maps=sigma_maps,
         limit=limit,
         sigma_trivial=sigma_trivial,
         h0=h0,
@@ -621,7 +605,7 @@ def transfer_report(system, max_level: int) -> TransferReport:
     idx = len(tele.stages) - 3
     if idx < 0:
         raise NonStabilizationError("not enough computed levels", max_level)
-    level = tele.first_level + idx
+    level = idx + 1
 
     cells, coarse = system.level_windows(level)
     msig = InvolutionModule.of(pullback_matrix(system, FLIP, cells, cells))
@@ -727,7 +711,7 @@ def homology_table(system, max_level: int = 16, method: str = "closed_form"):
         if method != "closed_form":
             raise ValueError("the free-product assembly needs both reflections "
                              "acting on one space; not available for the split case")
-        tele = h0_translation_telescope(system.base, max_level, with_flip=False)
+        tele = h0_translation_telescope(system.base, max_level)
         provenance.update({
             "case": "translation_not_minimal",
             "h0_base": tele.h0.to_json(),

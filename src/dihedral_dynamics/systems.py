@@ -165,6 +165,16 @@ class ThreadCount:
 #: ``levels``, so that the cost stays bounded whatever the request.
 _MAX_LEVEL = 128
 
+#: The ceiling on the cosets of an odometer castle level, whose base and
+#: check hold one entry per coset.
+_MAX_COSETS = 10 ** 6
+
+
+def require_castle_cosets(modulus: int) -> None:
+    if modulus > _MAX_COSETS:
+        raise ValueError(f"a castle level of {modulus} cosets is above the ceiling of "
+                         f"{_MAX_COSETS} cosets")
+
 
 # ---------------------------------------------------------------------------
 # Circle systems
@@ -615,6 +625,7 @@ class OdometerSystem:
         if not pieces:
             return True, False
         modulus = pieces[0].modulus
+        require_castle_cosets(modulus)
         seen = bytearray(modulus)
         disjoint, hits = True, 0
         for p in pieces:

@@ -33,11 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .amenability import folner, folner_ratio
 from .errors import VerificationError
-from .systems import FLIP, GroupElement, LevelSet, system_from_json
+from .systems import FLIP, GroupElement, LevelSet, require_castle_cosets, system_from_json
 
 __all__ = [
     "Tower",
@@ -158,7 +158,7 @@ def ceil_inverse_measure(mu) -> int:
     return hi
 
 
-def first_return_castle(system, y, max_steps: Optional[int] = None) -> Castle:
+def first_return_castle(system, y) -> Castle:
     """Partition the space into towers over the return-time pieces of y.
 
     The translation is applied to the moving image of the part of y
@@ -174,8 +174,7 @@ def first_return_castle(system, y, max_steps: Optional[int] = None) -> Castle:
         raise ValueError("y must be nonempty")
     if system.act(FLIP, y) != y:
         raise ValueError("y must be flip-invariant")
-    if max_steps is None:
-        max_steps = 10 * ceil_inverse_measure(y.measure()) + 10
+    max_steps = 10 * ceil_inverse_measure(y.measure()) + 10
 
     step = GroupElement(1, 0)
     bases = {}
@@ -230,6 +229,7 @@ def odometer_castle(system, n: int, j: int) -> Castle:
         raise ValueError("need 1 <= n <= j <= chain length")
     n_n = system.modulus(n)
     n_j = system.modulus(j)
+    require_castle_cosets(n_j)
     base = LevelSet(n_j, frozenset(range(0, n_j, n_n)))
     shape = folner(n_n)
     tower = Tower(base=base, shape=tuple(shape.elements), return_time=n_n)
@@ -240,8 +240,12 @@ def odometer_castle(system, n: int, j: int) -> Castle:
     return castle
 
 
+#: Window doublings tried before a circle certificate gives up.
+_SHRINK_BUDGET = 24
+
+
 def almost_finite_certificate(system, test_set: Sequence[GroupElement],
-                              eps: Fraction, shrink_budget: int = 24) -> Castle:
+                              eps: Fraction) -> Castle:
     """A partitioning castle whose every shape is (test_set, eps)-invariant.
 
     An odometer gets :func:`odometer_castle` at the first chain level
@@ -268,7 +272,7 @@ def almost_finite_certificate(system, test_set: Sequence[GroupElement],
         return odometer_castle(system, level, min(level + 1, len(system.chain)))
 
     n_target = _invariance_target(test_set, eps)
-    y = _shrink_until_disjoint(system, n_target, shrink_budget)
+    y = _shrink_until_disjoint(system, n_target)
     castle = first_return_castle(system, y)
 
     if castle.min_return_time() < n_target:
@@ -297,16 +301,18 @@ def _invariance_target(test_set: Sequence[GroupElement], eps: Fraction) -> int:
     return n
 
 
-def _shrink_until_disjoint(system, n_target: int, shrink_budget: int):
-    """Find a flip-invariant y whose first n_target translates are disjoint."""
+def _shrink_until_disjoint(system, n_target: int):
+    """Find a flip-invariant y whose first n_target translates are disjoint;
+    a window with n_target * measure > 1 cannot have them and is not swept."""
     window = 1
-    for _ in range(shrink_budget):
+    for _ in range(_SHRINK_BUDGET):
         y = system.invariant_window(window)
-        if _translates_disjoint(system, y, n_target):
+        if ((y.measure() * n_target).shift(-1).sign() <= 0
+                and _translates_disjoint(system, y, n_target)):
             return y
         window *= 2
     raise ValueError(
-        f"no sufficiently small flip-invariant set within window 2^{shrink_budget}")
+        f"no sufficiently small flip-invariant set within window 2^{_SHRINK_BUDGET}")
 
 
 def _translates_disjoint(system, y, n_target: int) -> bool:

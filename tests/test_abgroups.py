@@ -16,11 +16,13 @@ from dihedral_dynamics.abgroups import (
     Presentation,
     SnfSolver,
     _SparseSmith,
+    columns,
     from_columns,
     identity_matrix,
     kernel_basis,
     lattice_subset,
     mat_mul,
+    mat_sub,
     mat_vec,
     preimage_lattice,
     smith_normal_form,
@@ -439,8 +441,24 @@ class TestPresentations:
         p = Presentation.of(1, [(5,)])
         h1 = AbHom.of(p, p, [[1]])
         h2 = AbHom.of(p, p, [[6]])
-        assert h1.equals_hom(h2)
-        assert not h1.equals_hom(AbHom.of(p, p, [[2]]))
+        assert equals_hom(h1, h2)
+        assert not equals_hom(h1, AbHom.of(p, p, [[2]]))
+        assert not equals_hom(h1, AbHom.of(p, Presentation.free(1), [[0]]))
+
+
+def equals_hom(h, k):
+    """Equality as maps of presented groups: both are homs between the
+    same groups and their difference lands in the destination relations."""
+    if h.src.ngens != k.src.ngens or h.dst != k.dst:
+        return False
+    diff = mat_sub(h.mat(), k.mat())
+    return all(h.dst.contains_relation(col) for col in columns(diff))
+
+
+def relation_rule(dst, diff):
+    """The flip rule of the translation telescope: every column of
+    ``diff`` lies in the relations of ``dst``."""
+    return all(dst.contains_relation(col) for col in columns(diff))
 
 
 def lattice_injective(h):
@@ -455,15 +473,17 @@ def lattice_injective(h):
 HOM_ENTRIES = st.sampled_from([0, 0, 1, -1, 2, -2, 3, 4, 6])
 
 
+def cols(n, **size):
+    """Lists of integer columns of length n."""
+    return st.lists(st.lists(HOM_ENTRIES, min_size=n, max_size=n), **size)
+
+
 @st.composite
 def presented_homs(draw):
     """A valid hom between presented groups on 0..4 generators with
     torsion: a random or zero matrix (non-square when the sides differ,
     with the images of the source relations added to the destination's),
     or an isomorphism (a unimodular change of generators)."""
-    def cols(n, **size):
-        return st.lists(st.lists(HOM_ENTRIES, min_size=n, max_size=n), **size)
-
     kind = draw(st.sampled_from(["random", "zero", "iso"]))
     m = draw(st.integers(0, 4))
     src_rels = draw(cols(m, max_size=4))
@@ -480,6 +500,68 @@ def presented_homs(draw):
         dst_rels = draw(cols(n, max_size=3))
     dst_rels += [mat_vec(mat, col) for col in src_rels]
     return kind, AbHom.of(Presentation.of(m, src_rels), Presentation.of(n, dst_rels), mat)
+
+
+@st.composite
+def hom_differences(draw):
+    """A valid hom h (matrix M) between presented groups on 0..4
+    generators and a difference D: either an integer combination of
+    destination relations ("inner"), or any matrix with the images
+    D * r of the source relations added to the destination's
+    ("valid"), so that M + D is a hom as well, or any matrix ("any"),
+    where M + D need not be one."""
+    kind = draw(st.sampled_from(["inner", "valid", "any"]))
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    src_rels = draw(cols(m, max_size=3))
+    mat = draw(cols(m, min_size=n, max_size=n))
+    diff = draw(cols(m, min_size=n, max_size=n))
+    dst_rels = draw(cols(n, max_size=3)) + [mat_vec(mat, col) for col in src_rels]
+    if kind == "inner":
+        combo = draw(cols(m, min_size=len(dst_rels), max_size=len(dst_rels)))
+        diff = mat_mul(from_columns(dst_rels, rows=n), combo) if dst_rels else [
+            [0] * m for _ in range(n)]
+    elif kind == "valid":
+        dst_rels += [mat_vec(diff, col) for col in src_rels]
+    src, dst = Presentation.of(m, src_rels), Presentation.of(n, dst_rels)
+    return kind, AbHom.of(src, dst, mat), diff
+
+
+class TestRelationMembershipRule:
+    """The telescope decides that the flip acts trivially by asking
+    whether each column of incl * (P - I) is a relation; that must agree
+    with comparing incl * P and incl as homs, and must imply that
+    incl * P is a hom."""
+
+    def test_matches_equals_hom(self):
+        verdicts = []
+
+        @given(hom_differences())
+        @settings(max_examples=300, deadline=None)
+        def check(drawn):
+            kind, h, diff = drawn
+            rule = relation_rule(h.dst, diff)
+            shifted = [[x + y for x, y in zip(r, d)] for r, d in zip(h.mat(), diff)]
+            try:
+                k = AbHom.of(h.src, h.dst, shifted)
+            except ValueError:
+                assert not rule and kind == "any"
+                return
+            assert rule == equals_hom(h, k)
+            if kind == "inner":
+                assert rule
+            verdicts.append(rule)
+
+        check()
+        assert True in verdicts and False in verdicts
+
+    def test_examples(self):
+        # Z/6 -> Z/6: multiplying by 1 and by 7 agree, by 1 and 3 do not
+        p = Presentation.of(1, [(6,)])
+        assert relation_rule(p, [[6]]) and equals_hom(AbHom.of(p, p, [[1]]),
+                                                      AbHom.of(p, p, [[7]]))
+        assert not relation_rule(p, [[2]])
+        # into no generators every difference is a relation
+        assert relation_rule(Presentation.free(0), [])
 
 
 class TestIsomorphismRule:

@@ -250,6 +250,19 @@ class TestCertifyCommand:
         assert proc.stdout == b""
         assert "10^4" in json.loads(proc.stderr)["error"]
 
+    def test_castle_level_ceiling(self, tmp_path):
+        # level 3 is invariant enough and the castle is seen at level 4,
+        # whose 10^12 cosets are above the ceiling: exit 2 before any
+        # level set is built
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"type": "odometer", "chain": [2, 4, 1000, 10 ** 12]}))
+        proc, seconds = run_module(["certify", "--system", str(path), "--eps", "1/10"],
+                                   timeout=10, preexec_fn=limit_address_space)
+        assert seconds < 5
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert "ceiling of 1000000 cosets" in json.loads(proc.stderr)["error"]
+
     def test_bad_eps(self, capsys, denjoy_file):
         assert main(["certify", "--system", denjoy_file, "--eps", "0"]) == 2
         capsys.readouterr()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedral_dynamics import abgroups
+from dihedral_dynamics import abgroups, homology
 from dihedral_dynamics.abgroups import (
     AbHom,
     DirectSystem,
@@ -51,6 +51,8 @@ from dihedral_dynamics.systems import (
     cover_matrix,
     pullback_matrix,
 )
+
+from test_abgroups import equals_hom, relation_rule
 
 Z2 = FGAbGroup(0, (2,))
 ZERO = FGAbGroup(0)
@@ -293,7 +295,10 @@ class TestTelescope:
         assert tele.h0.display == "Z[1/30]"
 
     def test_doubled_base_without_flip(self, doubled):
-        tele = h0_translation_telescope(doubled.base, 8, with_flip=False)
+        # the split case reads only h0 of the base circle, where the flip
+        # check holds as well
+        tele = h0_translation_telescope(doubled.base, 8)
+        assert tele.sigma_trivial
         assert tele.h0 == FGAbGroup(2)
         assert tele.h0_plus == FGAbGroup(2)
 
@@ -301,13 +306,80 @@ class TestTelescope:
         # h0_plus comes from doubling the canonical form (flip verified
         # trivial); the image of the summed connecting-plus-flip map must
         # agree at deep stages
-        from dihedral_dynamics.abgroups import mat_add
-
         tele = h0_translation_telescope(denjoy, 8)
         for idx in (5, 6):
-            plus = mat_add(tele.connecting[idx].mat(), tele.sigma_maps[idx].mat())
+            cells = denjoy.symmetric_cells(idx + 1)
+            incl = tele.connecting[idx].mat()
+            plus = mat_add(incl, mat_mul(incl, pullback_matrix(denjoy, FLIP, cells, cells)))
             direct = AbHom.of(tele.stages[idx], tele.stages[idx + 1], plus).image_group()
             assert direct == tele.h0_plus
+
+    @pytest.mark.parametrize("system,level", [
+        (DenjoyFlipSystem(GOLDEN), 8),
+        (DenjoyFlipSystem(Theta(p=-1, q=1, d=2, r=1)), 8),
+        (OdometerSystem([3 ** i for i in range(1, 6)]), 5),
+        (OdometerSystem([2, 6, 12, 60, 120]), 5),
+    ], ids=["golden", "sqrt2", "3^i", "mixed"])
+    def test_flip_rule_matches_equals_hom(self, system, level):
+        # on real stages, the membership rule for incl * (P - I) agrees
+        # with comparing the flip hom incl * P with the inclusion, and the
+        # rule for incl (the doubled inclusion against the inclusion)
+        # agrees as well, with the other outcome
+        tele = h0_translation_telescope(system, level)
+        cells = [system.symmetric_cells(t) for t in range(1, len(tele.stages) + 1)]
+        flip_rules, double_rules = [], []
+        for i, conn in enumerate(tele.connecting):
+            incl, stage = conn.mat(), tele.stages[i + 1]
+            assert incl == cover_matrix(cells[i], cells[i + 1])
+            flipped = mat_mul(incl, pullback_matrix(system, FLIP, cells[i], cells[i]))
+            rule = relation_rule(stage, mat_sub(flipped, incl))
+            assert rule == equals_hom(AbHom.of(tele.stages[i], stage, flipped), conn)
+            flip_rules.append(rule)
+            twice = [[2 * x for x in row] for row in incl]
+            rule = relation_rule(stage, incl)
+            assert rule == equals_hom(AbHom.of(tele.stages[i], stage, twice), conn)
+            double_rules.append(rule)
+        assert tele.sigma_trivial and all(flip_rules)
+        assert not all(double_rules)
+
+    @pytest.mark.parametrize("system,level", [
+        (DenjoyFlipSystem(GOLDEN), 8),
+        (OdometerSystem([3 ** i for i in range(1, 6)]), 5),
+    ], ids=["golden", "3^i"])
+    @pytest.mark.parametrize("bent", [0, -2])
+    def test_flip_nontrivial_at_one_level(self, monkeypatch, system, level, bent):
+        # a stand-in flip 2I on the cells of one level (the first, or the
+        # one below the top) moves every class there: the telescope must
+        # see it, whether its limit stabilizes or is a localization
+        size = len(system.symmetric_cells(range(1, level + 1)[bent]))
+        pullback = homology.pullback_matrix
+
+        def bent_flip(system, g, src, dst):
+            if g == FLIP and len(src) == size:
+                return [[2 * x for x in row] for row in identity_matrix(size)]
+            return pullback(system, g, src, dst)
+
+        monkeypatch.setattr(homology, "pullback_matrix", bent_flip)
+        with pytest.raises(NonStabilizationError, match="flip acts nontrivially"):
+            h0_translation_telescope(system, level)
+
+    @pytest.mark.parametrize("run,calls", [
+        (lambda s: h0_translation_telescope(s, 14), 25),
+        (lambda s: homology_table(s, 14, "both"), 61),
+    ], ids=["telescope", "table"])
+    def test_abhom_count(self, monkeypatch, denjoy, run, calls):
+        # the flip check builds no homs: a golden L14 telescope makes its
+        # 13 inclusions and the 12 maps of the image-refined limit
+        of = AbHom.of.__func__
+        made = []
+
+        def counted(cls, *args):
+            made.append(1)
+            return of(cls, *args)
+
+        monkeypatch.setattr(AbHom, "of", classmethod(counted))
+        run(denjoy)
+        assert len(made) == calls
 
     def test_too_shallow_run_reports_non_stabilization(self, denjoy):
         with pytest.raises(NonStabilizationError):

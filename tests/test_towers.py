@@ -330,11 +330,39 @@ class TestCertificates:
         with pytest.raises(ValueError, match="10\\^4"):
             towers._invariance_target(DEFAULT_TEST_SET, Fraction(1, 10 ** 6))
 
-    def test_shrink_budget_exhausted(self, denjoy):
+    def test_shrink_budget_exhausted(self, denjoy, monkeypatch):
         # window 2^1 is too coarse for eps 1/10: a bad request, exit 2
+        monkeypatch.setattr(towers, "_SHRINK_BUDGET", 1)
         with pytest.raises(ValueError, match="2\\^1"):
-            almost_finite_certificate(denjoy, DEFAULT_TEST_SET, Fraction(1, 10),
-                                      shrink_budget=1)
+            almost_finite_certificate(denjoy, DEFAULT_TEST_SET, Fraction(1, 10))
+
+    @pytest.mark.parametrize("kind,n_target", [
+        ("denjoy", 55), ("denjoy", 233), ("doubled", 40), ("doubled", 150)])
+    def test_sweep_only_windows_that_pass_the_measure_test(self, request, monkeypatch,
+                                                           kind, n_target):
+        system = request.getfixturevalue(kind)
+        sweep = towers._translates_disjoint
+        swept = []
+
+        def recorded(system, y, n):
+            swept.append(y)
+            return sweep(system, y, n)
+
+        monkeypatch.setattr(towers, "_translates_disjoint", recorded)
+        got = towers._shrink_until_disjoint(system, n_target)
+        # every swept window has n * mu <= 1, the last is the one returned
+        assert swept[-1] == got
+        for y in swept:
+            assert (y.measure() * n_target).shift(-1).sign() <= 0
+        # the first window whose translates are disjoint, swept or not
+        windows = (system.invariant_window(2 ** k) for k in range(towers._SHRINK_BUDGET))
+        tried = 0
+        for y in windows:
+            tried += 1
+            if sweep(system, y, n_target):
+                break
+        assert got == y
+        assert len(swept) < tried
 
     def test_eps_validation(self, denjoy):
         with pytest.raises(ValueError):
@@ -345,6 +373,24 @@ def folner_ratio_bound_ok(tower, test_set):
     from dihedral_dynamics.amenability import folner_ratio
 
     return folner_ratio(tower.shape, test_set) <= Fraction(2, tower.return_time)
+
+
+class TestOdometerCosetCeiling:
+    def test_castle_level_above_the_ceiling(self, monkeypatch):
+        # rejected before any level set is built (just above the ceiling,
+        # so that a missing check costs half a million residues, no more)
+        def refuse(*args):
+            raise AssertionError("level set built")
+
+        monkeypatch.setattr(towers, "LevelSet", refuse)
+        with pytest.raises(ValueError, match="ceiling of 1000000 cosets"):
+            odometer_castle(OdometerSystem([2, 4, 10 ** 6 + 4]), 1, 3)
+
+    def test_partition_check_above_the_ceiling(self):
+        system = OdometerSystem([2, 4])
+        assert system.partition_flags([LevelSet(10 ** 6, frozenset({0}))]) == (True, False)
+        with pytest.raises(ValueError, match="ceiling of 1000000 cosets"):
+            system.partition_flags([LevelSet(10 ** 6 + 1, frozenset({0}))])
 
 
 class TestCastleJson:
