@@ -26,6 +26,14 @@ a surjection between two isomorphic ones is an isomorphism.  So
 ``AbHom.is_isomorphism`` compares the canonical forms of source and
 destination (each read once per presentation) and asks for
 surjectivity, and builds no kernel lattice.
+
+A matrix M is a map of presented groups when it sends the source
+relations R into the destination relations R'.  A caller that knows why
+passes the reason as a lift: an integer matrix W with M * R = R' * W,
+one column of W per source relation.  ``lift_identity`` checks that
+identity exactly, column by column from the nonzeros of both sides, so
+it proves the map without a Smith form.  Without a lift, ``AbHom.of``
+solves for each column of W with the destination's relation solver.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -85,6 +94,39 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def mat_vec(a: Matrix, v: Sequence[int]) -> List[int]:
     nonzero = [(k, x) for k, x in enumerate(v) if x]
     return [sum(ai[k] * x for k, x in nonzero) for ai in a]
+
+
+def lift_identity(matrix: Matrix, src_relations: Sequence[Sequence[int]],
+                  dst_relations: Sequence[Sequence[int]], lift: Matrix) -> bool:
+    """Whether matrix * R_src == R_dst * lift, with R_src and R_dst given
+    by their relation columns and ``lift`` by rows, one row per
+    destination relation and one column per source relation.
+
+    Column j of the left side is summed from the nonzeros of source
+    relation j, column j of the right side from the nonzeros of lift
+    column j; zero entries cost one C-level scan.
+    """
+    if len(lift) != len(dst_relations) or any(len(row) != len(src_relations) for row in lift):
+        return False
+    mat_cols, lift_cols = {}, {}
+    for i, row in enumerate(matrix):
+        for k in compress(range(len(row)), row):
+            mat_cols.setdefault(k, []).append((i, row[k]))
+    for i, row in enumerate(lift):
+        for j in compress(range(len(row)), row):
+            lift_cols.setdefault(j, []).append((i, row[j]))
+    for j, rel in enumerate(src_relations):
+        acc = {}
+        for k in compress(range(len(rel)), rel):
+            for i, x in mat_cols.get(k, ()):
+                acc[i] = acc.get(i, 0) + x * rel[k]
+        for k, w in lift_cols.get(j, ()):
+            dst = dst_relations[k]
+            for i in compress(range(len(dst)), dst):
+                acc[i] = acc.get(i, 0) - w * dst[i]
+        if any(acc.values()):
+            return False
+    return True
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -539,9 +581,13 @@ class Presentation:
 class AbHom:
     """A homomorphism of presented groups, given on generators.
 
-    The matrix has shape (dst.ngens, src.ngens) and must map the source
-    relation lattice into the destination one; that is checked at
-    construction.
+    The matrix M has shape (dst.ngens, src.ngens) and must map the source
+    relations R into the destination relations R'; that is checked at
+    construction.  With a ``lift`` W, the proof is the exact identity
+    M * R == R' * W (``lift_identity``), which needs no Smith form; a
+    lift is checked, never trusted, and is not stored.  Without one,
+    each image M * r must lie in the destination's relation lattice,
+    which builds the destination's relation solver.
     """
 
     src: Presentation
@@ -549,14 +595,18 @@ class AbHom:
     matrix: tuple
 
     @classmethod
-    def of(cls, src: Presentation, dst: Presentation, matrix: Matrix) -> "AbHom":
+    def of(cls, src: Presentation, dst: Presentation, matrix: Matrix,
+           lift: Optional[Matrix] = None) -> "AbHom":
         mat = tuple(tuple(int(x) for x in row) for row in matrix)
         if len(mat) != dst.ngens or (mat and any(len(r) != src.ngens for r in mat)):
             raise ValueError("homomorphism matrix has wrong shape")
-        m = [list(r) for r in mat]
-        for col in src.relations:
-            if not dst.contains_relation(mat_vec(m, list(col))):
-                raise ValueError("matrix does not map relations into relations")
+        if lift is None:
+            m = [list(r) for r in mat]
+            ok = all(dst.contains_relation(mat_vec(m, list(col))) for col in src.relations)
+        else:
+            ok = lift_identity(mat, src.relations, dst.relations, lift)
+        if not ok:
+            raise ValueError("matrix does not map relations into relations")
         return cls(src, dst, mat)
 
     def mat(self) -> Matrix:

@@ -26,6 +26,15 @@ alike; each computation builds each cell list once.
 The flip P acts trivially on the translation H_0, and incl * P is then
 a map of presented groups, when every column of incl * (P - I) is a
 relation of the next stage (see ``h0_translation_telescope``).
+
+Every refinement map between stages is proved a map of presented groups
+by an exact identity M * R = R' * W (``abgroups.lift_identity``), with a
+lift W the construction supplies: refinement commutes with translation
+and with both reflections, so a relation built on coarse cells refines
+to the sum of the same relations on the finer cells.  The lifts are the
+refinement of the telescope's relation windows, the block diagonal of
+the two window refinements for the free-product H_0, and the inclusion
+itself for the odd homologies.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ from .abgroups import (
     identity_matrix,
     kernel_basis,  # unused here; bench/layertrace.py traces it under this module's name
     lattice_subset,
+    lift_identity,
     mat_add,
     mat_mul,
     mat_sub,
@@ -245,7 +255,6 @@ class TelescopeResult:
     sigma_trivial: bool
     h0: GroupValue
     h0_plus: GroupValue
-    generator_vectors: tuple = ()
     generators_generate: Optional[bool] = None
 
     def stabilized_level(self) -> Optional[int]:
@@ -302,8 +311,12 @@ def h0_translation_telescope(system, max_level: int) -> TelescopeResult:
         Presentation.of(len(cells), columns(mat_sub(
             cover_matrix(src, cells), pullback_matrix(system, TRANSLATION, src, cells))))
         for src, cells in zip(windows, cell_lists)]
-    incls = [cover_matrix(a, b) for a, b in zip(cell_lists, cell_lists[1:])]
-    connecting = tuple(AbHom.of(stages[i], stages[i + 1], m) for i, m in enumerate(incls))
+    # refinement commutes with translation, so the refinement of the
+    # relation windows lifts each inclusion (see the module docstring)
+    covers = [cover_matrix(a, b) for a, b in zip(windows, windows[1:])]
+    incls = covers[lag:]
+    connecting = tuple(AbHom.of(stages[i], stages[i + 1], m, w)
+                       for i, (m, w) in enumerate(zip(incls, covers)))
     limit = _image_refined_limit(DirectSystem(tuple(stages), connecting))
     # the flip rule of the docstring: incl * (P - I) lands in the relations
     sigma_trivial = all(
@@ -311,7 +324,6 @@ def h0_translation_telescope(system, max_level: int) -> TelescopeResult:
         for stage, m, cells in zip(stages[1:], incls, cell_lists)
         for col in columns(mat_sub(mat_mul(m, pullback_matrix(system, FLIP, cells, cells)), m)))
 
-    generator_vectors = ()
     generators_generate = None
     if limit.kind == "stabilized":
         if not sigma_trivial:
@@ -322,7 +334,6 @@ def h0_translation_telescope(system, max_level: int) -> TelescopeResult:
         h0_plus: GroupValue = _doubled_subgroup(h0)
         gens = [_indicator_vector(g, cell_lists[-1]) for g in system.h0_generators()]
         if gens:
-            generator_vectors = tuple(tuple(v) for v in gens)
             # the classes generate the image of the previous stage, hence
             # the limit: check span(gens, relations) contains the included
             # module
@@ -344,7 +355,6 @@ def h0_translation_telescope(system, max_level: int) -> TelescopeResult:
         sigma_trivial=sigma_trivial,
         h0=h0,
         h0_plus=h0_plus,
-        generator_vectors=generator_vectors,
         generators_generate=generators_generate,
     )
 
@@ -448,11 +458,12 @@ def free_product_fragment(msigma: InvolutionModule, mphisigma: InvolutionModule,
     paired_injective = n_coarse - nullities + coker.rank == 0
 
     # summed map onto the total coinvariants: [u] + [v] -> [u + incl(v)];
-    # the columns of coker_pres are the middle relations, then paired
+    # the columns of coker_pres are the middle relations, then paired, so
+    # the two identities are summed * R_coker = R_h0 * [I | 0]
     summed = [e + list(row) for e, row in zip(identity_matrix(n_fine), inclusion)]
-    images = [tuple(col) for col in columns(mat_mul(summed, coker_pres.relation_matrix()))]
-    middle_exact = (images[:len(middle)] == list(h0_pres.relations)
-                    and not any(any(col) for col in images[len(middle):])
+    width = len(coker_pres.relations)
+    onto_first = [[0] * k + [1] + [0] * (width - k - 1) for k in range(len(middle))]
+    middle_exact = (lift_identity(summed, coker_pres.relations, h0_pres.relations, onto_first)
                     and coker == h0)
 
     return FreeProductFragment(h0=h0, h1=h1, paired_injective=paired_injective,
@@ -476,17 +487,25 @@ def _odd_homology_limit(stages: Sequence[KernelQuotient], inclusions: Sequence[M
 
     ``inclusions[i]`` embeds module i into module i+1 and commutes with
     the involutions, so it maps ker(A - I) into ker(A - I); the induced
-    maps are written on the kernel bases.
+    maps are written on the kernel bases.  A stage's relations are the
+    coordinates of the columns of A + I, and incl * (A + I) = (A' + I) *
+    incl, so ``incl`` is the lift of each induced map.
     """
     homs = tuple(
         AbHom.of(a.presentation, b.presentation, from_columns(
-            b.coordinates(columns(mat_mul(incl, a.basis))), rows=b.presentation.ngens))
+            b.coordinates(columns(mat_mul(incl, a.basis))), rows=b.presentation.ngens), incl)
         for a, b, incl in zip(stages, stages[1:], inclusions))
     limit = _image_refined_limit(DirectSystem(tuple(s.presentation for s in stages), homs))
     if limit.kind != "stabilized":
         raise NonStabilizationError(
             f"free-product H1 still moving at level {max_level}", max_level)
     return limit.group
+
+
+def _block_diag(a: Matrix, b: Matrix) -> Matrix:
+    """The block-diagonal matrix with blocks a and b, each with at least one row."""
+    return ([list(row) + [0] * len(b[0]) for row in a]
+            + [[0] * len(a[0]) + list(row) for row in b])
 
 
 def _image_refined_limit(ds: DirectSystem):
@@ -537,9 +556,12 @@ def free_product_homology(system, max_level: int) -> FreeProductResult:
     sym_incls = [cover_matrix(a, b) for (a, _), (b, _) in zip(windows, windows[1:])]
     refl_incls = [cover_matrix(a, b) for (_, a), (_, b) in zip(windows, windows[1:])]
 
+    # an H0 stage's relations are the flip's, then the included reflected
+    # flip's, so the two window inclusions lift its maps block by block
     h0_stages = tuple(f.h0_presentation for _, f in frags)
     h0_limit = DirectSystem(h0_stages, tuple(
-        AbHom.of(a, b, m) for a, b, m in zip(h0_stages, h0_stages[1:], sym_incls))).limit()
+        AbHom.of(a, b, m, _block_diag(m, r))
+        for a, b, m, r in zip(h0_stages, h0_stages[1:], sym_incls, refl_incls))).limit()
     if h0_limit.kind == "stabilized":
         h0: GroupValue = h0_limit.group
         stabilized_at: Optional[int] = levels[h0_limit.level - 1]

@@ -679,24 +679,6 @@ class OdometerSystem:
         family generates."""
         return []
 
-    def coset_identification_ok(self, level: int, span: Optional[int] = None) -> bool:
-        """Check that (k, j) |-> k mod n_i identifies the coset space.
-
-        Exhaustive over a window of representatives: two elements name
-        the same coset (their quotient lies in the level subgroup
-        n_i Z x| Z_2) exactly when their translation parts agree modulo
-        the level.
-        """
-        n = self.modulus(level)
-        span = span if span is not None else n
-        elems = [GroupElement(k, j) for k in range(-span, span + 1) for j in (0, 1)]
-        for g1 in elems:
-            for g2 in elems:
-                same_coset = (g1.inverse() * g2).n % n == 0
-                if same_coset != ((g1.n - g2.n) % n == 0):
-                    return False
-        return True
-
     def to_json(self) -> dict:
         return {"type": self.kind, "chain": list(self.chain)}
 

@@ -21,6 +21,7 @@ from dihedral_dynamics.abgroups import (
     identity_matrix,
     kernel_basis,
     lattice_subset,
+    lift_identity,
     mat_mul,
     mat_sub,
     mat_vec,
@@ -562,6 +563,112 @@ class TestRelationMembershipRule:
         assert not relation_rule(p, [[2]])
         # into no generators every difference is a relation
         assert relation_rule(Presentation.free(0), [])
+
+
+def solved_lift(dst, images):
+    """Lift columns w with R_dst * w = image, solved one image at a time
+    (a zero column where none exists), and whether every image solved."""
+    lift_cols, ok = [], True
+    for image in images:
+        if not dst.ngens or not any(image):
+            w = [0] * len(dst.relations)
+        else:
+            w = solve_integer(dst.relation_matrix(), image) if dst.relations else None
+        if w is None:
+            w, ok = [0] * len(dst.relations), False
+        lift_cols.append(w)
+    return [list(row) for row in zip(*lift_cols)] if lift_cols else [
+        [] for _ in dst.relations], ok
+
+
+@st.composite
+def lifted_maps(draw):
+    """Presented groups on 0..4 generators, a matrix M and a lift W.
+
+    "lifted" draws add the columns M * r + R0 * c to the drawn destination
+    relations R0, one per source relation r, so M is a hom and its lift
+    [-c ; I] mixes both families of relations; "any" draws keep R0, so M
+    need not be a hom, and W is solved column by column.  ``perturbed``
+    adds a nonzero delta to one entry of W in a row whose destination
+    relation is nonzero, when there is one, so R_dst * W changes.
+    """
+    kind = draw(st.sampled_from(["lifted", "any"]))
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    src_rels = draw(cols(m, max_size=3))
+    mat = draw(cols(m, min_size=n, max_size=n))
+    dst_rels = draw(cols(n, max_size=3))
+    src, base = Presentation.of(m, src_rels), len(dst_rels)
+    images = [mat_vec(mat, col) for col in src_rels]
+    if kind == "lifted":
+        combos = draw(cols(base, min_size=len(src_rels), max_size=len(src_rels)))
+        for image, c in zip(images, combos):
+            dst_rels.append([x + sum(ck * rel[i] for ck, rel in zip(c, dst_rels[:base]))
+                             for i, x in enumerate(image)])
+        lift = [[-c[k] for c in combos] for k in range(base)] + [
+            [int(j == k) for j in range(len(src_rels))] for k in range(len(src_rels))]
+    dst = Presentation.of(n, dst_rels)
+    if kind == "any":
+        lift, _ = solved_lift(dst, images)
+    rows = [k for k, rel in enumerate(dst.relations) if any(rel)]
+    perturbed = bool(rows and src_rels) and draw(st.booleans())
+    if perturbed:
+        k, j = draw(st.sampled_from(rows)), draw(st.integers(0, len(src_rels) - 1))
+        lift[k][j] += draw(st.sampled_from([-2, -1, 1, 3]))
+    return src, dst, mat, lift, perturbed
+
+
+def accepts(src, dst, mat, *lift):
+    try:
+        AbHom.of(src, dst, mat, *lift)
+    except ValueError:
+        return False
+    return True
+
+
+class TestLiftIdentity:
+    """``AbHom.of`` with a lift checks M * R_src == R_dst * W exactly; a
+    correct lift must reach the solver route's verdict and a wrong one
+    must be refused."""
+
+    def test_matches_solver_route(self):
+        verdicts, perturbed_draws = [], []
+
+        @given(lifted_maps())
+        @settings(max_examples=400, deadline=None)
+        def check(drawn):
+            src, dst, mat, lift, perturbed = drawn
+            if perturbed:
+                assert not accepts(src, dst, mat, lift)
+                assert not lift_identity(mat, src.relations, dst.relations, lift)
+                perturbed_draws.append(accepts(src, dst, mat))
+                return
+            verdict = accepts(src, dst, mat, lift)
+            assert verdict == accepts(src, dst, mat)
+            assert verdict == lift_identity(mat, src.relations, dst.relations, lift)
+            verdicts.append(verdict)
+
+        check()
+        assert True in verdicts and False in verdicts
+        # a wrong lift of a valid hom is refused, not trusted
+        assert True in perturbed_draws
+
+    def test_examples(self):
+        two, four = Presentation.of(1, [(2,)]), Presentation.of(1, [(4,)])
+        # Z/2 -> Z/4 by 2: 2 * 2 = 4 * 1
+        assert accepts(two, four, [[2]], [[1]])
+        assert not accepts(two, four, [[2]], [[2]])
+        # Z/2 -> Z/4 by 1 is no hom, and no lift makes it one
+        assert not accepts(two, four, [[1]], [[0]])
+        assert not accepts(two, four, [[1]])
+        # a lift of the wrong shape is refused
+        assert not accepts(two, four, [[2]], [[1, 0]])
+        assert not accepts(two, four, [[2]], [])
+        # into no generators: no rows, and no relations to lift onto
+        assert accepts(Presentation.of(1, [(3,)]), Presentation.free(0), [], [])
+        # a zero relation lifts to anything that lands on zero
+        zero = Presentation.of(1, [(0,)])
+        assert accepts(zero, zero, [[5]], [[7]])
+        assert not accepts(zero, four, [[1]], [[1]]) and accepts(zero, four, [[1]], [[0]])
 
 
 class TestIsomorphismRule:

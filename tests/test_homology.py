@@ -18,6 +18,7 @@ from dihedral_dynamics.abgroups import (
     identity_matrix,
     kernel_basis,
     lattice_subset,
+    lift_identity,
     mat_add,
     mat_mul,
     mat_sub,
@@ -431,6 +432,118 @@ class TestFreeProduct:
         assert fp.all_exact
 
 
+REAL_SYSTEMS = pytest.mark.parametrize("system,level", [
+    (DenjoyFlipSystem(GOLDEN), 8),
+    (DenjoyFlipSystem(Theta(p=-1, q=1, d=2, r=1)), 8),
+    (OdometerSystem([3 ** i for i in range(1, 6)]), 5),
+    (OdometerSystem([2, 6, 12, 60, 120]), 5),
+], ids=["golden", "sqrt2", "3^i", "mixed"])
+
+
+def fragment_at(system, level):
+    """The free-product fragment of one level and its two windows."""
+    fine, coarse = system.level_windows(level)
+    frag = free_product_fragment(
+        InvolutionModule.of(pullback_matrix(system, FLIP, fine, fine)),
+        InvolutionModule.of(pullback_matrix(system, GroupElement(1, 1), coarse, coarse)),
+        cover_matrix(coarse, fine))
+    return frag, fine, coarse
+
+
+class TestLifts:
+    """The homology sites prove their refinement maps by lift identities;
+    every lift they pass must hold, must agree with solving, and a wrong
+    lift or wrong relations must be refused."""
+
+    @REAL_SYSTEMS
+    def test_every_lift_holds_and_agrees(self, monkeypatch, system, level):
+        of = AbHom.of.__func__
+        image_of = AbHom.image_presentation
+        lifted, unlifted, images = [], [], []
+
+        def recording(cls, *args):
+            (lifted if len(args) == 4 else unlifted).append(args)
+            return of(cls, *args)
+
+        def recorded_image(self):
+            images.append(image_of(self))
+            return images[-1]
+
+        monkeypatch.setattr(AbHom, "of", classmethod(recording))
+        monkeypatch.setattr(AbHom, "image_presentation", recorded_image)
+        tele = h0_translation_telescope(system, level)
+        assert len(lifted) == len(tele.stages) - 1
+        try:
+            fp = free_product_homology(system, level)
+            # per level step: one H0 map and one odd map per reflection
+            assert len(lifted) == len(tele.stages) - 1 + 3 * (len(fp.fragments) - 1)
+        except NonStabilizationError:
+            assert len(lifted) > len(tele.stages) - 1
+        monkeypatch.undo()
+        for src, dst, mat, lift in lifted:
+            assert lift_identity(mat, src.relations, dst.relations, lift)
+            assert AbHom.of(src, dst, mat).matrix == AbHom.of(src, dst, mat, lift).matrix
+        # the only maps still proved by solving are those between images
+        # (``_image_refined_limit``)
+        assert all(any(src is im for im in images) for src, *_ in unlifted)
+
+    @REAL_SYSTEMS
+    def test_wrong_relations_or_lifts_are_refused(self, system, level):
+        (frag, fine, coarse), (nxt, fine2, coarse2) = (
+            fragment_at(system, t) for t in (3, 4))
+        sym, refl = cover_matrix(fine, fine2), cover_matrix(coarse, coarse2)
+        lift = block_diag(sym, refl)
+        h0, h0_next = frag.h0_presentation, nxt.h0_presentation
+        AbHom.of(h0, h0_next, sym, lift)
+        # swapping the two blocks of the H0 lift: on a circle the windows
+        # differ, on an odometer both reflections use the same cylinders
+        swapped = block_diag(refl, sym)
+        if fine == coarse:
+            assert swapped == lift
+        else:
+            with pytest.raises(ValueError, match="relations into relations"):
+                AbHom.of(h0, h0_next, sym, swapped)
+        # the next H0 stage with "- I" deleted from its relations A - I
+        fine_flip = pullback_matrix(system, FLIP, fine2, fine2)
+        reflected = pullback_matrix(system, GroupElement(1, 1), coarse2, coarse2)
+        no_minus_i = Presentation.of(len(fine2), columns(fine_flip) + columns(
+            mat_mul(cover_matrix(coarse2, fine2), reflected)))
+        with pytest.raises(ValueError, match="relations into relations"):
+            AbHom.of(h0, no_minus_i, sym, lift)
+        # odd homology: relations are coordinates of A + I, which lie in
+        # ker(A - I); with a term deleted they leave it and have no
+        # coordinates, so the next stage's relations are doubled instead
+        for k, incl in ((0, sym), (1, refl)):
+            a, b = frag.odd_stages[k], nxt.odd_stages[k]
+            induced = from_columns(b.coordinates(columns(mat_mul(incl, a.basis))),
+                                   rows=b.presentation.ngens)
+            AbHom.of(a.presentation, b.presentation, induced, incl)
+            doubled = Presentation.of(b.presentation.ngens, [
+                [2 * x for x in col] for col in b.presentation.relations])
+            with pytest.raises(ValueError, match="relations into relations"):
+                AbHom.of(a.presentation, doubled, induced, incl)
+
+    @pytest.mark.parametrize("run", [
+        lambda s: h0_translation_telescope(s, 14),
+        lambda s: homology_table(s, 14, "both"),
+    ], ids=["telescope", "table"])
+    def test_relation_solver_count(self, monkeypatch, denjoy, run):
+        # the telescope's flip check solves on its 13 upper stages, and the
+        # image-refined limit on its 12 image stages; the lifted maps and
+        # the free product build none (61 for the table before lifts)
+        prop = Presentation.__dict__["_relation_solver"]
+        build = prop.func
+        built = []
+
+        def counted(self):
+            built.append(1)
+            return build(self)
+
+        monkeypatch.setattr(prop, "func", counted)
+        run(denjoy)
+        assert len(built) == 25
+
+
 def lattice_fragment_flags(msigma, mphisigma, inclusion):
     """``paired_injective`` and ``middle_exact`` from kernel lattices: the
     kernel of the paired map, and the kernel of the summed map compared
@@ -507,6 +620,29 @@ class TestFragmentFlags:
             InvolutionModule.of(pullback_matrix(denjoy, GroupElement(1, 1), coarse, coarse)),
             cover_matrix(coarse, fine))
         assert frag.paired_injective and frag.middle_exact
+
+    def test_middle_exact_checks_relations_column_for_column(self, monkeypatch, denjoy):
+        # negating one H0 relation keeps the group, so the canonical forms
+        # still agree, but the summed map no longer sends the middle
+        # relations onto the H0 relations column for column
+        total = homology._total_coinvariants
+
+        def negated_first(*args):
+            pres = total(*args)
+            k = next(k for k, col in enumerate(pres.relations) if any(col))
+            rels = list(pres.relations)
+            rels[k] = [-x for x in rels[k]]
+            return Presentation.of(pres.ngens, rels)
+
+        fine, coarse = denjoy.level_windows(6)
+        modules = (InvolutionModule.of(pullback_matrix(denjoy, FLIP, fine, fine)),
+                   InvolutionModule.of(pullback_matrix(denjoy, GroupElement(1, 1), coarse, coarse)),
+                   cover_matrix(coarse, fine))
+        assert free_product_fragment(*modules).middle_exact
+        monkeypatch.setattr(homology, "_total_coinvariants", negated_first)
+        frag = free_product_fragment(*modules)
+        assert frag.h0 == total(*modules).canonical()
+        assert not frag.middle_exact
 
 
 def block_diag(a, b):
