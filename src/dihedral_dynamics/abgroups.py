@@ -180,7 +180,7 @@ class _SparseSmith:
         self.rows = {}
         self.cols = {j: set() for j in range(self.ncols)}
         for i, row in enumerate(mat):
-            entries = {j: x for j, x in enumerate(row) if x}
+            entries = {j: row[j] for j in compress(range(len(row)), row)}
             if entries:
                 self.rows[i] = entries
                 for j in entries:
@@ -541,7 +541,7 @@ class Presentation:
 
     @classmethod
     def of(cls, ngens: int, relation_columns: Iterable[Sequence[int]]) -> "Presentation":
-        cols = tuple(tuple(int(x) for x in col) for col in relation_columns)
+        cols = tuple(tuple(map(int, col)) for col in relation_columns)
         for col in cols:
             if len(col) != ngens:
                 raise ValueError("relation column length must equal ngens")
@@ -597,7 +597,7 @@ class AbHom:
     @classmethod
     def of(cls, src: Presentation, dst: Presentation, matrix: Matrix,
            lift: Optional[Matrix] = None) -> "AbHom":
-        mat = tuple(tuple(int(x) for x in row) for row in matrix)
+        mat = tuple(tuple(map(int, row)) for row in matrix)
         if len(mat) != dst.ngens or (mat and any(len(r) != src.ngens for r in mat)):
             raise ValueError("homomorphism matrix has wrong shape")
         if lift is None:
@@ -674,39 +674,22 @@ class AbHom:
         return 0 if coker.rank else math.prod(coker.torsion)
 
 
-class KernelQuotient:
-    """ker(kernel_of) / im(image_of), presented on a basis of the kernel.
-
-    ``basis`` holds the kernel basis as matrix columns.  ``coordinates``
-    writes kernel vectors in that basis: the image columns give the
-    relations of ``presentation``, and a map into the kernel gives the
-    matrix of the induced map into the quotient.
-    """
-
-    def __init__(self, kernel_of: Matrix, image_of: Matrix):
-        kb = kernel_basis(kernel_of)
-        self.basis = from_columns(kb, rows=len(kernel_of[0]) if kernel_of else 0)
-        self._solver = SnfSolver(self.basis)
-        self.presentation = Presentation.of(len(kb), self.coordinates(columns(image_of)))
-
-    def coordinates(self, vectors: Iterable[Sequence[int]]) -> List[List[int]]:
-        out = [self._solver.solve(v) for v in vectors]
-        if None in out:
-            raise AssertionError("vector escaped the kernel lattice")
-        return out
-
-
 def subquotient(kernel_of: Matrix, image_of: Matrix) -> FGAbGroup:
     """ker(kernel_of) / im(image_of), canonical form.
 
     The containment im(image_of) in ker(kernel_of) is verified by the
     exact identity kernel_of * image_of = 0; the quotient is read off
-    the Smith form of the image expressed in a kernel basis.
+    the Smith form of the image columns written in a kernel basis.
     """
     prod = mat_mul(kernel_of, image_of)
     if any(any(row) for row in prod):
         raise ValueError("image is not contained in the kernel")
-    return KernelQuotient(kernel_of, image_of).presentation.canonical()
+    basis = kernel_basis(kernel_of)
+    solver = SnfSolver(from_columns(basis, rows=len(kernel_of[0]) if kernel_of else 0))
+    coordinates = [solver.solve(v) for v in columns(image_of)]
+    if None in coordinates:
+        raise AssertionError("vector escaped the kernel lattice")
+    return Presentation.of(len(basis), coordinates).canonical()
 
 
 # ---------------------------------------------------------------------------

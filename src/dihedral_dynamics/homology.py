@@ -1,16 +1,21 @@
 """Group homology of the dihedral systems, with an independent oracle.
 
 The coefficient module is the group C(X, Z) of integer continuous
-functions, presented through its finite level modules.  Homology of the
-order-2 subgroups is computed from the kernel/image formulas attached
-to an involution matrix; the homology of the whole group is assembled
-either from the closed-form case analysis (driven by exact fixed-point
-evidence) or from the free-product exact sequence evaluated level by
-level, and the two must agree.  The assembly's H_1 is the direct sum of
-two limits: the flip's odd homologies along the flip windows and the
-reflected flip's along the reflected windows.  An unnormalized
-bar-complex computation serves as a brute-force cross-check for the
-involution formulas.
+functions, presented through its finite level modules.  The homology of
+the whole group is assembled either from the closed-form case analysis
+(driven by exact fixed-point evidence) or from the free-product exact
+sequence evaluated level by level, and the two must agree.  The
+assembly's H_1 is the direct sum of two limits: the flip's odd
+homologies along the flip windows and the reflected flip's along the
+reflected windows.
+
+Both reflections permute the cells of their windows, so the assembly
+works in orbit coordinates (Shapiro's lemma): H_0 on the flip orbits,
+with one relation per pair of the reflected flip, and odd homology on
+fixed cells with relations 2 * I.  The kernel/image formulas of an
+involution matrix (``odd_homology``, ``even_homology``,
+``coinvariants``) serve modules of any sign, and an unnormalized bar
+complex cross-checks them.
 
 Circle systems and odometers take one path through every level
 computation.  The system names the cell lists that stand for level N
@@ -32,21 +37,23 @@ by an exact identity M * R = R' * W (``abgroups.lift_identity``), with a
 lift W the construction supplies: refinement commutes with translation
 and with both reflections, so a relation built on coarse cells refines
 to the sum of the same relations on the finer cells.  The lifts are the
-refinement of the telescope's relation windows, the block diagonal of
-the two window refinements for the free-product H_0, and the inclusion
-itself for the odd homologies.
+refinement of the telescope's relation windows; for the free-product
+H_0, the reflected window's refinement taken onto the pairs of the
+reflected flip (``_refinement_maps``); and for the odd homologies, the
+map itself, the inclusion restricted to fixed cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .abgroups import (
     AbHom,
     DirectSystem,
     FGAbGroup,
-    KernelQuotient,
     LimitDescriptor,
     LocalizationDescriptor,
     Matrix,
@@ -57,7 +64,6 @@ from .abgroups import (
     kernel_basis,  # unused here; bench/layertrace.py traces it under this module's name
     lattice_subset,
     lift_identity,
-    mat_add,
     mat_mul,
     mat_sub,
     snf_diagonal,
@@ -72,6 +78,7 @@ from .systems import (
     cover_indices,
     cover_matrix,
     pullback_matrix,
+    pullback_permutation,
 )
 
 __all__ = [
@@ -106,60 +113,82 @@ GroupValue = Union[FGAbGroup, LocalizationDescriptor]
 class InvolutionModule:
     """A free abelian module on finitely many cells with an order-2 action.
 
-    ``matrix`` records f -> f o a on the cell basis; for system level
-    modules it is a permutation matrix.
+    ``matrix`` records f -> f o a on the cell basis.  A permutation
+    module (every system level module is one) is kept as ``perm``: column
+    j of its matrix is the unit vector of cell perm[j], and the matrix is
+    written out only when it is read.  Any other module keeps its rows.
     """
 
-    matrix: tuple
+    perm: Optional[tuple]
+    rows: Optional[tuple] = None
 
     @classmethod
     def of(cls, matrix: Matrix) -> "InvolutionModule":
-        mat = tuple(tuple(int(x) for x in row) for row in matrix)
+        mat = tuple(tuple(map(int, row)) for row in matrix)
         n = len(mat)
         if any(len(r) != n for r in mat):
             raise ValueError("involution matrix must be square")
         sq = mat_mul([list(r) for r in mat], [list(r) for r in mat])
         if sq != identity_matrix(n):
             raise ValueError("matrix must be an involution (A*A = I)")
-        return cls(mat)
+        cols = list(zip(*mat))
+        if all(col.count(1) == 1 and col.count(0) == n - 1 for col in cols):
+            return cls(tuple(col.index(1) for col in cols))
+        return cls(None, mat)
 
     @classmethod
     def from_permutation(cls, perm: Sequence[int]) -> "InvolutionModule":
-        n = len(perm)
-        mat = [[0] * n for _ in range(n)]
-        for j, i in enumerate(perm):
-            mat[i][j] = 1
-        return cls.of(mat)
+        """The module of an involutive permutation of range(n), checked in O(n)."""
+        p = tuple(map(int, perm))
+        if not all(0 <= i < len(p) and p[i] == j for j, i in enumerate(p)):
+            raise ValueError("perm must be a permutation of range(n) with perm[perm[i]] == i")
+        return cls(p)
 
     @property
     def ncells(self) -> int:
-        return len(self.matrix)
+        return len(self.perm if self.perm is not None else self.rows)
+
+    @cached_property
+    def matrix(self) -> tuple:
+        if self.perm is None:
+            return self.rows
+        return tuple(tuple(int(i == p) for p in self.perm) for i in range(len(self.perm)))
 
     def mat(self) -> Matrix:
         return [list(r) for r in self.matrix]
 
+    @cached_property
+    def orbits(self) -> Tuple[List[int], List[int], List[int]]:
+        """For a permutation module: the orbit of each cell, then the least
+        cell of each 2-cycle and the fixed cells, in order; the orbits are
+        numbered in that order, the pairs first."""
+        pairs = [i for i, j in enumerate(self.perm) if i < j]
+        fixed = [i for i, j in enumerate(self.perm) if i == j]
+        label = [0] * len(self.perm)
+        for k, i in enumerate(pairs + fixed):
+            label[i] = label[self.perm[i]] = k
+        return label, pairs, fixed
 
-def _a_minus_i(module: InvolutionModule) -> Matrix:
-    return mat_sub(module.mat(), identity_matrix(module.ncells))
 
-
-def _a_plus_i(module: InvolutionModule) -> Matrix:
-    return mat_add(module.mat(), identity_matrix(module.ncells))
+def _shifted(module: InvolutionModule, c: int) -> Matrix:
+    """A + c * I for the module's matrix A."""
+    return [[x + c if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(module.matrix)]
 
 
 def odd_homology(module: InvolutionModule) -> FGAbGroup:
     """ker(A - I) / im(A + I): the odd-degree homology of the order-2 action."""
-    return subquotient(_a_minus_i(module), _a_plus_i(module))
+    return subquotient(_shifted(module, -1), _shifted(module, 1))
 
 
 def even_homology(module: InvolutionModule) -> FGAbGroup:
     """ker(A + I) / im(A - I): the positive even-degree homology."""
-    return subquotient(_a_plus_i(module), _a_minus_i(module))
+    return subquotient(_shifted(module, 1), _shifted(module, -1))
 
 
 def coinvariants(module: InvolutionModule) -> FGAbGroup:
     """coker(A - I), the degree-0 homology of the order-2 action."""
-    return Presentation.of(module.ncells, columns(_a_minus_i(module))).canonical()
+    return Presentation.of(module.ncells, columns(_shifted(module, -1))).canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -383,47 +412,67 @@ def _indicator_vector(target, cells) -> List[int]:
 
 @dataclass(frozen=True)
 class FreeProductFragment:
-    """Degree-0/1 homology assembled from the two order-2 subgroups;
-    ``odd_stages`` presents the two odd homologies that make up ``h1``."""
+    """Degree-0/1 homology assembled from the two order-2 subgroups, in
+    orbit coordinates; ``odd_stages`` presents the two odd homologies
+    that make up ``h1``, each on its module's fixed cells."""
 
     h0: FGAbGroup
     h1: FGAbGroup
     paired_injective: bool
     middle_exact: bool
     h0_presentation: Presentation
-    odd_stages: Tuple[KernelQuotient, KernelQuotient]
+    odd_stages: Tuple[Presentation, Presentation]
 
 
-def _total_coinvariants(msigma: InvolutionModule, mphisigma: InvolutionModule,
-                        inclusion: Matrix) -> Presentation:
-    """The fine module modulo both families of coinvariant relations:
-    f - f o sigma on the fine cells and the included g - g o phisigma."""
-    return Presentation.of(msigma.ncells, columns(_a_minus_i(msigma))
-                           + columns(mat_mul(inclusion, _a_minus_i(mphisigma))))
+def _on_orbits(module: InvolutionModule, vectors: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Q * v for vectors v on the module's cells: v summed onto orbits."""
+    label, pairs, fixed = module.orbits
+    out = []
+    for v in vectors:
+        w = [0] * (len(pairs) + len(fixed))
+        for i in compress(range(len(v)), v):
+            w[label[i]] += v[i]
+        out.append(w)
+    return out
+
+
+def _orbit_coinvariants(n_orbits: int, mphisigma: InvolutionModule,
+                        projected: Sequence[Sequence[int]]) -> Presentation:
+    """The total coinvariants on the sigma-orbits: for each phisigma-pair
+    {c, t(c)}, c the lesser cell, the relation Q * incl * (e_t(c) - e_c),
+    where ``projected[c]`` is Q * incl * e_c."""
+    t = mphisigma.perm
+    return Presentation.of(n_orbits, ([a - b for a, b in zip(projected[t[c]], projected[c])]
+                                      for c in mphisigma.orbits[1]))
 
 
 def free_product_fragment(msigma: InvolutionModule, mphisigma: InvolutionModule,
                           inclusion: Matrix) -> FreeProductFragment:
-    """Assemble H_0 and H_1 from involution modules on matched windows.
+    """Assemble H_0 and H_1 from permutation modules on matched windows.
 
     ``inclusion`` embeds the second module's cells into the first
-    module's (the first is the finer one).  H_1 is the direct sum of the
-    two odd homologies; H_0 is the quotient of the fine module by both
-    families of coinvariant relations.  The four-term sequence built
+    module's (the first is the finer one).  For a permutation module the
+    coinvariants are free on the orbits and odd homology is
+    (Z/2)^{fixed cells} (Shapiro's lemma), so everything is written on
+    orbits.  H_1 is the direct sum of the two odd homologies.  H_0 is
+    the fine module modulo both families of coinvariant relations: on
+    the sigma-orbits (projection Q) the sigma relations vanish, and one
+    relation per phisigma-pair is left.  The four-term sequence built
     from the pair of coinvariants is checked exactly, from the canonical
-    form of one cokernel, C = coker(paired):
+    form of one cokernel, C = coker(paired), presented on the
+    sigma-orbits and the phisigma-orbits by one column (Q incl e_c,
+    -e_[c]) per coarse cell c:
 
     * ``paired_injective``: the paired map (cor, -cor) from the free
       coarse module has a free kernel, so it is injective when the
-      kernel has rank 0.  The rank of the middle term is the sum of the
-      two nullities of A - I (the lengths of the odd-homology kernel
-      bases), so the test is the identity
-      n_coarse - (nullity_sigma + nullity_phisigma) + rank(C) = 0.
-    * ``middle_exact``: the summed map [I | inclusion] sends the middle
-      relations column for column onto the H_0 relations, so it is a
-      map of presented groups, onto because its first block is the
-      identity; and summed * paired = 0.  Both identities are checked.
-      The summed map then induces a surjection C -> H_0, which is an
+      kernel has rank 0.  The middle term is free on the orbits, so the
+      test is n_coarse - (#sigma-orbits + #phisigma-orbits) + rank(C) = 0.
+    * ``middle_exact``: the summed map (the identity on sigma-orbits,
+      Q incl e_r on the phisigma-orbit of its least cell r) sends the
+      column of a coarse cell c to 0 when c is least in its orbit, and
+      to the H_0 relation of its pair otherwise.  That identity is
+      checked column for column, so the summed map induces C -> H_0,
+      onto because its first block is the identity.  It is an
       isomorphism, and the sequence exact in the middle, exactly when C
       and H_0 have the same canonical form (finitely generated abelian
       groups are Hopfian).
@@ -433,37 +482,31 @@ def free_product_fragment(msigma: InvolutionModule, mphisigma: InvolutionModule,
     (u, v) = (a, b) - paired(v - b).  So a false ``middle_exact`` means
     an arithmetic fault, not a property of the system.
     """
-    n_fine = msigma.ncells
+    if msigma.perm is None or mphisigma.perm is None:
+        raise ValueError("the free-product fragment takes permutation modules")
     n_coarse = mphisigma.ncells
-    if len(inclusion) != n_fine or (inclusion and len(inclusion[0]) != n_coarse):
+    if len(inclusion) != msigma.ncells or (inclusion and len(inclusion[0]) != n_coarse):
         raise ValueError("inclusion matrix shape mismatch")
 
-    odd_stages = tuple(KernelQuotient(_a_minus_i(m), _a_plus_i(m)) for m in (msigma, mphisigma))
-    h1 = odd_stages[0].presentation.canonical().direct_sum(
-        odd_stages[1].presentation.canonical())
+    odd_stages = tuple(Presentation.of(len(f), [[2 * (i == j) for i in f] for j in f])
+                       for f in (msigma.orbits[2], mphisigma.orbits[2]))
+    h1 = odd_stages[0].canonical().direct_sum(odd_stages[1].canonical())
 
-    h0_pres = _total_coinvariants(msigma, mphisigma, inclusion)
+    label, pairs, fixed = mphisigma.orbits
+    reps = pairs + fixed
+    projected = _on_orbits(msigma, columns(inclusion))
+    n_sigma = sum(map(len, msigma.orbits[1:]))
+    h0_pres = _orbit_coinvariants(n_sigma, mphisigma, projected)
     h0 = h0_pres.canonical()
 
-    # middle term: coinvariants of the two modules, relations as columns
-    middle = ([col + [0] * n_coarse for col in columns(_a_minus_i(msigma))]
-              + [[0] * n_fine + col for col in columns(_a_minus_i(mphisigma))])
-    # (cor, -cor): defined on the coarse module, the intersection of the
-    # two; the inclusion stacked over -I
-    paired = [list(row) for row in inclusion] + [
-        [-x for x in row] for row in identity_matrix(n_coarse)]
-    coker_pres = Presentation.of(n_fine + n_coarse, middle + columns(paired))
+    coker_pres = Presentation.of(n_sigma + len(reps), (
+        v + [-(label[c] == k) for k in range(len(reps))] for c, v in enumerate(projected)))
     coker = coker_pres.canonical()
-    nullities = sum(q.presentation.ngens for q in odd_stages)
-    paired_injective = n_coarse - nullities + coker.rank == 0
+    paired_injective = n_coarse - n_sigma - len(reps) + coker.rank == 0
 
-    # summed map onto the total coinvariants: [u] + [v] -> [u + incl(v)];
-    # the columns of coker_pres are the middle relations, then paired, so
-    # the two identities are summed * R_coker = R_h0 * [I | 0]
-    summed = [e + list(row) for e, row in zip(identity_matrix(n_fine), inclusion)]
-    width = len(coker_pres.relations)
-    onto_first = [[0] * k + [1] + [0] * (width - k - 1) for k in range(len(middle))]
-    middle_exact = (lift_identity(summed, coker_pres.relations, h0_pres.relations, onto_first)
+    summed = [e + [projected[r][o] for r in reps] for o, e in enumerate(identity_matrix(n_sigma))]
+    onto = [[int(c == mphisigma.perm[p]) for c in range(n_coarse)] for p in pairs]
+    middle_exact = (lift_identity(summed, coker_pres.relations, h0_pres.relations, onto)
                     and coker == h0)
 
     return FreeProductFragment(h0=h0, h1=h1, paired_injective=paired_injective,
@@ -481,31 +524,42 @@ class FreeProductResult:
     all_exact: bool
 
 
-def _odd_homology_limit(stages: Sequence[KernelQuotient], inclusions: Sequence[Matrix],
-                        max_level: int) -> FGAbGroup:
-    """The limit of one reflection's odd homologies along refinement.
+def _reflection_modules(system, fine: list, coarse: list) -> Tuple[InvolutionModule, ...]:
+    """The flip's module on a level's flip window and the reflected flip's
+    on its reflected window."""
+    return tuple(InvolutionModule.from_permutation(pullback_permutation(system, g, cells))
+                 for g, cells in ((FLIP, fine), (GroupElement(1, 1), coarse)))
 
-    ``inclusions[i]`` embeds module i into module i+1 and commutes with
-    the involutions, so it maps ker(A - I) into ker(A - I); the induced
-    maps are written on the kernel bases.  A stage's relations are the
-    coordinates of the columns of A + I, and incl * (A + I) = (A' + I) *
-    incl, so ``incl`` is the lift of each induced map.
+
+def _refinement_maps(lower: Tuple[InvolutionModule, InvolutionModule],
+                     upper: Tuple[InvolutionModule, InvolutionModule],
+                     sym_incl: Matrix, refl_incl: Matrix) -> Tuple[Matrix, Matrix, List[Matrix]]:
+    """The maps of one refinement step between the (flip, reflected flip)
+    modules of two levels, joined by their window inclusions.
+
+    Returns the H_0 map M = Q' sym_incl S, S entering each flip orbit at
+    its least cell (sym_incl commutes with the flip, so Q' sym_incl =
+    M Q), and its lift W: refinement takes e_t(c) - e_c to the sum of
+    e_t'(c') - e_c' over the finer cells c' in c, which is plus or minus
+    the relation of the pair of c' (as c' is least in it or not) or 0.
+    Then the list of the two odd-homology maps, each a window inclusion
+    on fixed cells (pairs vanish in odd homology) and its own lift.
     """
-    homs = tuple(
-        AbHom.of(a.presentation, b.presentation, from_columns(
-            b.coordinates(columns(mat_mul(incl, a.basis))), rows=b.presentation.ngens), incl)
-        for a, b, incl in zip(stages, stages[1:], inclusions))
-    limit = _image_refined_limit(DirectSystem(tuple(s.presentation for s in stages), homs))
-    if limit.kind != "stabilized":
-        raise NonStabilizationError(
-            f"free-product H1 still moving at level {max_level}", max_level)
-    return limit.group
-
-
-def _block_diag(a: Matrix, b: Matrix) -> Matrix:
-    """The block-diagonal matrix with blocks a and b, each with at least one row."""
-    return ([list(row) + [0] * len(b[0]) for row in a]
-            + [[0] * len(a[0]) + list(row) for row in b])
+    (s, t), (s2, t2) = lower, upper
+    sym, refl = columns(sym_incl), columns(refl_incl)
+    h0_map = from_columns(_on_orbits(s2, [sym[r] for r in s.orbits[1] + s.orbits[2]]),
+                          rows=len(s2.orbits[1]) + len(s2.orbits[2]))
+    label, pairs, _ = t2.orbits
+    lift = []
+    for c in t.orbits[1]:
+        w = [0] * len(pairs)
+        for i in compress(range(len(refl[c])), refl[c]):
+            if label[i] < len(pairs):
+                w[label[i]] += refl[c][i] if i < t2.perm[i] else -refl[c][i]
+        lift.append(w)
+    odd = [[[incl[i][j] for j in m.orbits[2]] for i in m2.orbits[2]]
+           for m, m2, incl in ((s, s2, sym_incl), (t, t2, refl_incl))]
+    return h0_map, from_columns(lift, rows=len(pairs)), odd
 
 
 def _image_refined_limit(ds: DirectSystem):
@@ -531,13 +585,13 @@ def _image_refined_limit(ds: DirectSystem):
 def free_product_homology(system, max_level: int) -> FreeProductResult:
     """Run the free-product assembly across levels and take honest limits.
 
-    At each level from 2 up, the flip module lives on the system's flip
-    window and the reflected-flip module on its reflected window (for
-    odometers both are the level's cylinders), joined by the refinement
-    inclusion.  Degree 0 is followed through the chain of
-    total-coinvariant presentations (stabilizing for circles, a
-    localization for odometers); degree 1 through the chain of odd
-    homologies of each reflection's modules, whose limits add up to H_1.
+    At each level from 2 up, the flip permutes the system's flip window
+    and the reflected flip its reflected window (for odometers both are
+    the level's cylinders), joined by the refinement inclusion.  Degree
+    0 is followed through the chain of total coinvariants on flip orbits
+    (stabilizing for circles, a localization for odometers); degree 1
+    through the chain of odd homologies of each reflection's modules, on
+    their fixed cells, whose limits add up to H_1.
     """
     _require_levels(system, "free-product assembly requires a circle or odometer system")
     max_level = _deepest_level(system, max_level, _MAX_FREEPRODUCT_CELLS)
@@ -545,23 +599,15 @@ def free_product_homology(system, max_level: int) -> FreeProductResult:
         raise ValueError("need at least three levels")
     levels = list(range(2, max_level + 1))
     windows = [system.level_windows(t) for t in levels]
-    frags = [
-        (level, free_product_fragment(
-            InvolutionModule.of(pullback_matrix(system, FLIP, fine, fine)),
-            InvolutionModule.of(pullback_matrix(system, GroupElement(1, 1), coarse, coarse)),
-            cover_matrix(coarse, fine)))
-        for level, (fine, coarse) in zip(levels, windows)]
+    modules = [_reflection_modules(system, fine, coarse) for fine, coarse in windows]
+    frags = [(level, free_product_fragment(*pair, cover_matrix(coarse, fine)))
+             for level, pair, (fine, coarse) in zip(levels, modules, windows)]
+    maps = [_refinement_maps(a, b, cover_matrix(fa, fb), cover_matrix(ca, cb))
+            for a, b, (fa, ca), (fb, cb) in zip(modules, modules[1:], windows, windows[1:])]
 
-    # inclusions between consecutive levels, per window
-    sym_incls = [cover_matrix(a, b) for (a, _), (b, _) in zip(windows, windows[1:])]
-    refl_incls = [cover_matrix(a, b) for (_, a), (_, b) in zip(windows, windows[1:])]
-
-    # an H0 stage's relations are the flip's, then the included reflected
-    # flip's, so the two window inclusions lift its maps block by block
     h0_stages = tuple(f.h0_presentation for _, f in frags)
     h0_limit = DirectSystem(h0_stages, tuple(
-        AbHom.of(a, b, m, _block_diag(m, r))
-        for a, b, m, r in zip(h0_stages, h0_stages[1:], sym_incls, refl_incls))).limit()
+        AbHom.of(a, b, m, w) for a, b, (m, w, _) in zip(h0_stages, h0_stages[1:], maps))).limit()
     if h0_limit.kind == "stabilized":
         h0: GroupValue = h0_limit.group
         stabilized_at: Optional[int] = levels[h0_limit.level - 1]
@@ -572,9 +618,16 @@ def free_product_homology(system, max_level: int) -> FreeProductResult:
         raise NonStabilizationError(
             f"free-product H0 still moving at level {max_level}", max_level)
 
-    sigma, phisigma = zip(*(f.odd_stages for _, f in frags))
-    h1 = _odd_homology_limit(sigma, sym_incls, max_level).direct_sum(
-        _odd_homology_limit(phisigma, refl_incls, max_level))
+    # one limit per reflection; an odd-homology map is its own lift
+    h1 = FGAbGroup(0)
+    for k in (0, 1):
+        stages = tuple(f.odd_stages[k] for _, f in frags)
+        limit = _image_refined_limit(DirectSystem(stages, tuple(
+            AbHom.of(a, b, m[2][k], m[2][k]) for a, b, m in zip(stages, stages[1:], maps))))
+        if limit.kind != "stabilized":
+            raise NonStabilizationError(
+                f"free-product H1 still moving at level {max_level}", max_level)
+        h1 = h1.direct_sum(limit.group)
 
     return FreeProductResult(
         fragments=tuple(frags),
@@ -630,15 +683,16 @@ def transfer_report(system, max_level: int) -> TransferReport:
     level = idx + 1
 
     cells, coarse = system.level_windows(level)
-    msig = InvolutionModule.of(pullback_matrix(system, FLIP, cells, cells))
-    h0_gamma = _total_coinvariants(
-        msig, InvolutionModule.of(pullback_matrix(system, GroupElement(1, 1), coarse, coarse)),
-        cover_matrix(coarse, cells))
+    msig, mphisig = _reflection_modules(system, cells, coarse)
+    h0_gamma = free_product_fragment(msig, mphisig, cover_matrix(coarse, cells)).h0_presentation
 
     # into the telescope stage two levels up (relation windows widen once)
+    # by f -> f + f o flip: an orbit to its indicator, a fixed cell to twice its own
     target = tele.stages[idx + 2]
     up = mat_mul(tele.connecting[idx + 1].mat(), tele.connecting[idx].mat())
-    tr_matrix = mat_mul(up, _a_plus_i(msig))
+    label = msig.orbits[0]
+    tr_matrix = mat_mul(up, [[(label[i] == o) * (1 + (msig.perm[i] == i))
+                              for o in range(h0_gamma.ngens)] for i in range(len(cells))])
     tr_map = AbHom.of(h0_gamma, target, tr_matrix)
     return transfer_kernel(h0_gamma, tr_map, tele.h0_plus)
 

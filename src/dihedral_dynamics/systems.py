@@ -26,8 +26,8 @@ cyclic run of cells between them.  An odometer level's cells are the
 cylinders of Z/n_i, named by residue, and the group acts on residues;
 a cylinder of a coarser level n_j | n_i is the union of the n_i / n_j
 cylinders whose residues reduce to its own.  :func:`cover_matrix` and
-:func:`pullback_matrix` build every level matrix by these lookups, in
-integers, with no set operations.
+:func:`pullback_matrix` (or :func:`pullback_permutation`) build every
+level matrix by these lookups, in integers, with no set operations.
 
 For homology the circle and the odometer differ only in which cell
 lists stand for level N (``level_windows``), in the level a stage's
@@ -89,6 +89,7 @@ __all__ = [
     "top_freeness_check",
     "cover_matrix",
     "pullback_matrix",
+    "pullback_permutation",
 ]
 
 
@@ -845,6 +846,17 @@ def pullback_matrix(system, g: GroupElement, src_cells: Sequence, dst_cells: Seq
         for i in index.preimage(g_inv, c):
             mat[i][j] = 1
     return mat
+
+
+def pullback_permutation(system, g: GroupElement, cells: Sequence) -> list:
+    """``pullback_matrix(system, g, cells, cells)`` for a g that permutes
+    the cells, as the row of the one in each column.  A g that does not
+    permute them sends some cell outside the list, and the index raises
+    ``ValueError``."""
+    index = _index_cells(cells)
+    index.require(system)
+    g_inv = g.inverse()
+    return [index.preimage(g_inv, c)[0] for c in cells]
 
 
 def top_freeness_check(chain: Sequence[int], max_level: int, search: int = 4) -> dict:

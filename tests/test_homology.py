@@ -24,6 +24,7 @@ from dihedral_dynamics.abgroups import (
     mat_sub,
     preimage_lattice,
     solve_integer,
+    subquotient,
 )
 from dihedral_dynamics.errors import NonStabilizationError
 from dihedral_dynamics.exact_circle import ClopenSet, GOLDEN, Theta
@@ -51,6 +52,7 @@ from dihedral_dynamics.systems import (
     OdometerSystem,
     cover_matrix,
     pullback_matrix,
+    pullback_permutation,
 )
 
 from test_abgroups import equals_hom, relation_rule
@@ -197,6 +199,26 @@ class TestInvolutionFormulas:
             InvolutionModule.of([[2]])
         with pytest.raises(ValueError):
             InvolutionModule.of([[1, 1], [0, 1]])
+
+    @pytest.mark.parametrize("perm", [[1, 2, 0], [1, 0, 3, 4, 2], [0, 0], [1, 0, 0], [0, 2],
+                                      [-1]],
+                             ids=["3-cycle", "3-cycle-after-swap", "repeat",
+                                  "repeat-after-swap", "too-big", "negative"])
+    def test_permutation_validation(self, perm):
+        # a list that is not a permutation of range(n), or whose square is
+        # not the identity, is refused without any matrix product
+        with pytest.raises(ValueError, match="permutation of range"):
+            InvolutionModule.from_permutation(perm)
+
+    def test_permutation_matrices_give_permutation_modules(self):
+        rng = random.Random(54)
+        for _ in range(40):
+            perm = random_involutive_permutation(rng, rng.randint(0, 8))
+            module = InvolutionModule.from_permutation(perm)
+            assert is_permutation(module)
+            assert InvolutionModule.of(module.mat()) == module
+        assert InvolutionModule.of([[-1]]).perm is None
+        assert InvolutionModule.of([[-1]]).matrix == ((-1,),)
 
 
 class TestPsi:
@@ -440,14 +462,20 @@ REAL_SYSTEMS = pytest.mark.parametrize("system,level", [
 ], ids=["golden", "sqrt2", "3^i", "mixed"])
 
 
-def fragment_at(system, level):
-    """The free-product fragment of one level and its two windows."""
+def level_modules(system, level):
+    """The flip and reflected-flip permutation modules of one level."""
     fine, coarse = system.level_windows(level)
-    frag = free_product_fragment(
-        InvolutionModule.of(pullback_matrix(system, FLIP, fine, fine)),
-        InvolutionModule.of(pullback_matrix(system, GroupElement(1, 1), coarse, coarse)),
-        cover_matrix(coarse, fine))
-    return frag, fine, coarse
+    return (InvolutionModule.from_permutation(pullback_permutation(system, FLIP, fine)),
+            InvolutionModule.from_permutation(
+                pullback_permutation(system, GroupElement(1, 1), coarse)))
+
+
+def fragment_at(system, level):
+    """The free-product fragment of one level, its two modules and its
+    two windows."""
+    fine, coarse = system.level_windows(level)
+    modules = level_modules(system, level)
+    return free_product_fragment(*modules, cover_matrix(coarse, fine)), modules, fine, coarse
 
 
 class TestLifts:
@@ -489,39 +517,37 @@ class TestLifts:
 
     @REAL_SYSTEMS
     def test_wrong_relations_or_lifts_are_refused(self, system, level):
-        (frag, fine, coarse), (nxt, fine2, coarse2) = (
+        (frag, lower, fine, coarse), (nxt, upper, fine2, coarse2) = (
             fragment_at(system, t) for t in (3, 4))
         sym, refl = cover_matrix(fine, fine2), cover_matrix(coarse, coarse2)
-        lift = block_diag(sym, refl)
+        h0_map, lift, odd_maps = homology._refinement_maps(lower, upper, sym, refl)
         h0, h0_next = frag.h0_presentation, nxt.h0_presentation
-        AbHom.of(h0, h0_next, sym, lift)
-        # swapping the two blocks of the H0 lift: on a circle the windows
-        # differ, on an odometer both reflections use the same cylinders
-        swapped = block_diag(refl, sym)
-        if fine == coarse:
-            assert swapped == lift
-        else:
-            with pytest.raises(ValueError, match="relations into relations"):
-                AbHom.of(h0, h0_next, sym, swapped)
-        # the next H0 stage with "- I" deleted from its relations A - I
-        fine_flip = pullback_matrix(system, FLIP, fine2, fine2)
-        reflected = pullback_matrix(system, GroupElement(1, 1), coarse2, coarse2)
-        no_minus_i = Presentation.of(len(fine2), columns(fine_flip) + columns(
-            mat_mul(cover_matrix(coarse2, fine2), reflected)))
+        AbHom.of(h0, h0_next, h0_map, lift)
+        # the H0 lift built from the wrong reflection: the flip's pairs on
+        # the flip window in place of the reflected flip's on its window
+        swapped = homology._refinement_maps(lower[::-1], upper[::-1], refl, sym)[1]
+        assert swapped != lift
         with pytest.raises(ValueError, match="relations into relations"):
-            AbHom.of(h0, no_minus_i, sym, lift)
-        # odd homology: relations are coordinates of A + I, which lie in
-        # ker(A - I); with a term deleted they leave it and have no
-        # coordinates, so the next stage's relations are doubled instead
-        for k, incl in ((0, sym), (1, refl)):
+            AbHom.of(h0, h0_next, h0_map, swapped)
+        # the next H0 stage with "- I" deleted from its relations
+        # Q * incl * (A - I): Q * incl * e_t(c) for each pair {c, t(c)}
+        t2 = upper[1].perm
+        projected = homology._on_orbits(upper[0], columns(cover_matrix(coarse2, fine2)))
+        no_minus_i = Presentation.of(h0_next.ngens, [projected[t2[c]] for c in upper[1].orbits[1]])
+        with pytest.raises(ValueError, match="relations into relations"):
+            AbHom.of(h0, no_minus_i, h0_map, lift)
+        # odd homology on fixed cells: relations 2 * I, so each map is its
+        # own lift, and against doubled relations 4 * I it is refused
+        # (a reflection without fixed cells has nothing to double)
+        for k, induced in enumerate(odd_maps):
             a, b = frag.odd_stages[k], nxt.odd_stages[k]
-            induced = from_columns(b.coordinates(columns(mat_mul(incl, a.basis))),
-                                   rows=b.presentation.ngens)
-            AbHom.of(a.presentation, b.presentation, induced, incl)
-            doubled = Presentation.of(b.presentation.ngens, [
-                [2 * x for x in col] for col in b.presentation.relations])
+            AbHom.of(a, b, induced, induced)
+            doubled = Presentation.of(b.ngens, [[2 * x for x in col] for col in b.relations])
+            if not b.ngens:
+                assert doubled == b and not a.ngens
+                continue
             with pytest.raises(ValueError, match="relations into relations"):
-                AbHom.of(a.presentation, doubled, induced, incl)
+                AbHom.of(a, doubled, induced, induced)
 
     @pytest.mark.parametrize("run", [
         lambda s: h0_translation_telescope(s, 14),
@@ -622,13 +648,13 @@ class TestFragmentFlags:
         assert frag.paired_injective and frag.middle_exact
 
     def test_middle_exact_checks_relations_column_for_column(self, monkeypatch, denjoy):
-        # negating one H0 relation keeps the group, so the canonical forms
-        # still agree, but the summed map no longer sends the middle
-        # relations onto the H0 relations column for column
-        total = homology._total_coinvariants
+        # negating one H0 relation (on flip orbits) keeps the group, so the
+        # canonical forms still agree, but the summed map no longer sends
+        # the paired columns onto the H0 relations column for column
+        orbit_h0 = homology._orbit_coinvariants
 
         def negated_first(*args):
-            pres = total(*args)
+            pres = orbit_h0(*args)
             k = next(k for k, col in enumerate(pres.relations) if any(col))
             rels = list(pres.relations)
             rels[k] = [-x for x in rels[k]]
@@ -639,10 +665,78 @@ class TestFragmentFlags:
                    InvolutionModule.of(pullback_matrix(denjoy, GroupElement(1, 1), coarse, coarse)),
                    cover_matrix(coarse, fine))
         assert free_product_fragment(*modules).middle_exact
-        monkeypatch.setattr(homology, "_total_coinvariants", negated_first)
+        monkeypatch.setattr(homology, "_orbit_coinvariants", negated_first)
         frag = free_product_fragment(*modules)
-        assert frag.h0 == total(*modules).canonical()
+        assert frag.h0 == total_coinvariants(*modules).canonical()
         assert not frag.middle_exact
+
+    def test_middle_exact_compares_canonical_forms(self, monkeypatch, denjoy):
+        # one more free generator on H0 leaves the column-for-column
+        # identity intact (the summed map never reaches it), so only the
+        # canonical forms of C and H0 can tell that the sequence is wrong
+        orbit_h0 = homology._orbit_coinvariants
+
+        def extra_generator(*args):
+            pres = orbit_h0(*args)
+            return Presentation.of(pres.ngens + 1, [list(col) + [0] for col in pres.relations])
+
+        monkeypatch.setattr(homology, "_orbit_coinvariants", extra_generator)
+        fine, coarse = denjoy.level_windows(6)
+        frag = free_product_fragment(*level_modules(denjoy, 6), cover_matrix(coarse, fine))
+        assert frag.paired_injective
+        assert not frag.middle_exact
+
+
+def total_coinvariants(msigma, mphisigma, inclusion):
+    """Reference H_0 on all fine cells: the fine module modulo f - f o sigma
+    and the included g - g o phisigma."""
+    minus = [mat_sub(m.mat(), identity_matrix(m.ncells)) for m in (msigma, mphisigma)]
+    return Presentation.of(msigma.ncells,
+                           columns(minus[0]) + columns(mat_mul(inclusion, minus[1])))
+
+
+def kernel_quotient(kernel_of, image_of):
+    """ker(kernel_of) / im(image_of) presented on a kernel basis: the
+    presentation, the basis as matrix columns, and a solver for
+    coordinates in that basis."""
+    kb = kernel_basis(kernel_of)
+    basis = from_columns(kb, rows=len(kernel_of[0]))
+    solver = SnfSolver(basis)
+    coords = [solver.solve(col) for col in columns(image_of)]
+    assert None not in coords
+    return Presentation.of(len(kb), coords), basis, solver
+
+
+def full_cell_limits(system, levels):
+    """Reference limits of the free-product assembly on all cells, with
+    Smith forms: H0 on the total coinvariants of the fine cells, lifted
+    by the block diagonal of the two window inclusions, and per
+    reflection the limit of ker(A - I) / im(A + I) on kernel bases,
+    lifted by its inclusion."""
+    windows = [system.level_windows(t) for t in levels]
+    flips = [(pullback_matrix(system, FLIP, fine, fine),
+              pullback_matrix(system, GroupElement(1, 1), coarse, coarse))
+             for fine, coarse in windows]
+    h0_stages = tuple(
+        total_coinvariants(InvolutionModule.of(a), InvolutionModule.of(b), cover_matrix(c, f))
+        for (a, b), (f, c) in zip(flips, windows))
+    incls = [(cover_matrix(f1, f2), cover_matrix(c1, c2))
+             for (f1, c1), (f2, c2) in zip(windows, windows[1:])]
+    h0_limit = DirectSystem(h0_stages, tuple(
+        AbHom.of(a, b, m, block_diag(m, r))
+        for a, b, (m, r) in zip(h0_stages, h0_stages[1:], incls))).limit()
+    odd_stages, odd_limits = [], []
+    for k in (0, 1):
+        quotients = [kernel_quotient(mat_sub(f[k], identity_matrix(len(f[k]))),
+                                     mat_add(f[k], identity_matrix(len(f[k]))))
+                     for f in flips]
+        homs = []
+        for (a, basis, _), (b, _, solver), incl in zip(quotients, quotients[1:], incls):
+            induced = [solver.solve(col) for col in columns(mat_mul(incl[k], basis))]
+            homs.append(AbHom.of(a, b, from_columns(induced, rows=b.ngens), incl[k]))
+        odd_stages.append(tuple(q[0] for q in quotients))
+        odd_limits.append(_image_refined_limit(DirectSystem(odd_stages[-1], tuple(homs))))
+    return h0_stages, h0_limit, odd_stages, odd_limits
 
 
 def block_diag(a, b):
@@ -666,12 +760,10 @@ def block_diagonal_h1(system, max_level):
         a = block_diag(pullback_matrix(system, FLIP, fine, fine),
                        pullback_matrix(system, GroupElement(1, 1), coarse, coarse))
         n = len(a)
-        kb = kernel_basis(mat_sub(a, identity_matrix(n)))
-        solver = SnfSolver(from_columns(kb, rows=n))
-        coords = [solver.solve(col) for col in columns(mat_add(a, identity_matrix(n)))]
-        assert None not in coords
-        stages.append(Presentation.of(len(kb), coords))
-        bases.append((from_columns(kb, rows=n), solver))
+        stage, basis, solver = kernel_quotient(mat_sub(a, identity_matrix(n)),
+                                               mat_add(a, identity_matrix(n)))
+        stages.append(stage)
+        bases.append((basis, solver))
     homs = []
     for i, ((f1, c1), (f2, c2)) in enumerate(zip(windows, windows[1:])):
         incl = block_diag(cover_matrix(f1, f2), cover_matrix(c1, c2))
@@ -691,6 +783,71 @@ def split_h1(system, max_level):
     except NonStabilizationError as exc:
         assert "H1" in str(exc)
         return None
+
+
+class TestOrbitRoute:
+    """The free product in orbit coordinates against the Smith route on
+    all cells."""
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_fragment_matches_full_cell_route(self, rng):
+        msigma, mphisigma, inclusion = random_fragment_input(rng)
+        frag = free_product_fragment(msigma, mphisigma, inclusion)
+        assert frag.h0 == total_coinvariants(msigma, mphisigma, inclusion).canonical()
+        odd = [subquotient(mat_sub(m.mat(), identity_matrix(m.ncells)),
+                           mat_add(m.mat(), identity_matrix(m.ncells)))
+               for m in (msigma, mphisigma)]
+        assert [stage.canonical() for stage in frag.odd_stages] == odd
+        assert frag.h1 == odd[0].direct_sum(odd[1])
+        assert (frag.paired_injective, frag.middle_exact) == lattice_fragment_flags(
+            msigma, mphisigma, inclusion)
+
+    @REAL_SYSTEMS
+    def test_limits_match_full_cell_route(self, system, level):
+        # the odometers stop at the 128-cell cap, below L8 and below
+        # their level here
+        top = homology._deepest_level(system, level, homology._MAX_FREEPRODUCT_CELLS)
+        levels = list(range(2, top + 1))
+        h0_stages, h0_limit, odd_stages, odd_limits = full_cell_limits(system, levels)
+        for i, level in enumerate(levels):
+            frag = fragment_at(system, level)[0]
+            assert frag.h0 == h0_stages[i].canonical(), level
+            assert [s.canonical() for s in frag.odd_stages] == [
+                odd_stages[0][i].canonical(), odd_stages[1][i].canonical()], level
+        try:
+            fp = free_product_homology(system, level)
+        except NonStabilizationError as exc:
+            # the mixed chain: an odd-homology limit is still moving
+            assert "H1" in str(exc)
+            assert h0_limit.kind != "undetermined"
+            assert any(lim.kind != "stabilized" for lim in odd_limits)
+            return
+        if h0_limit.kind == "stabilized":
+            assert (fp.h0, fp.stabilized_at) == (h0_limit.group, levels[h0_limit.level - 1])
+        else:
+            assert h0_limit.kind == "localization" and fp.h0 == h0_limit.localization
+        assert all(lim.kind == "stabilized" for lim in odd_limits)
+        assert fp.h1 == odd_limits[0].group.direct_sum(odd_limits[1].group)
+
+    def test_builds_no_dense_modules(self, monkeypatch, denjoy):
+        # no dense pullback or involution matrix, and no kernel basis (the
+        # Smith route of the odd homologies) on the free-product path
+        def refuse(*args):
+            raise AssertionError("dense route used")
+
+        monkeypatch.setattr(homology, "pullback_matrix", refuse)
+        monkeypatch.setattr(InvolutionModule, "of", classmethod(refuse))
+        monkeypatch.setattr(InvolutionModule, "matrix", property(refuse))
+        monkeypatch.setattr(abgroups, "kernel_basis", refuse)
+        fp = free_product_homology(denjoy, 8)
+        assert (fp.h0, fp.h1) == (FGAbGroup(2), FGAbGroup(0, (2, 2, 2)))
+
+    def test_fragment_refuses_signed_modules(self):
+        sign, trivial = InvolutionModule.of([[-1]]), InvolutionModule.from_permutation([0])
+        for pair in ((sign, trivial), (trivial, sign)):
+            with pytest.raises(ValueError, match="permutation modules"):
+                free_product_fragment(*pair, [[1]])
 
 
 class TestSplitH1:

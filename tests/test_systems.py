@@ -24,6 +24,7 @@ from dihedral_dynamics.systems import (
     cover_indices,
     cover_matrix,
     pullback_matrix,
+    pullback_permutation,
     system_from_json,
     top_freeness_check,
 )
@@ -492,6 +493,27 @@ class TestLevelMatrixOracle:
            grow=st.integers(0, 3))
     def test_random_windows(self, name, lo, width, n, s, grow):
         check_window(DenjoyFlipSystem(THETAS[name]), GroupElement(n, s), lo, lo + width, grow)
+
+    def test_permutations_match_matrices(self, denjoy):
+        # column j of the pullback matrix is the unit vector of perm[j]
+        def as_matrix(perm):
+            return [[int(i == p) for p in perm] for i in range(len(perm))]
+
+        for level in range(1, 7):
+            for g, cells in ((FLIP, denjoy.symmetric_cells(level)),
+                             (GroupElement(1, 1), denjoy.shifted_cells(level))):
+                assert as_matrix(pullback_permutation(denjoy, g, cells)) == \
+                    pullback_matrix(denjoy, g, cells, cells)
+            with pytest.raises(ValueError):
+                pullback_permutation(denjoy, TRANSLATION, denjoy.symmetric_cells(level))
+        odo = OdometerSystem([2, 6, 12, 60])
+        for level in range(1, 5):
+            cells = odo.cells(level)
+            for g in ELEMENTS + [GroupElement(-5, 1), GroupElement(7, 0)]:
+                assert as_matrix(pullback_permutation(odo, g, cells)) == \
+                    pullback_matrix(odo, g, cells, cells)
+        with pytest.raises(ValueError):
+            pullback_permutation(odo, FLIP, denjoy.symmetric_cells(2))
 
     def test_rejects_what_it_cannot_answer(self, denjoy, golden):
         cells = denjoy.symmetric_cells(2)
