@@ -29,7 +29,6 @@ from .systems import (
     LevelSet,
     OdometerSystem,
     TRANSLATION,
-    top_freeness_check,
 )
 from .amenability import FolnerSet, folner, folner_ratio, is_transversal
 from .towers import (

@@ -55,7 +55,6 @@ __all__ = [
     "smith_normal_form",
     "snf_diagonal",
     "kernel_basis",
-    "solve_integer",
     "subquotient",
     "identity_matrix",
     "mat_mul",
@@ -418,13 +417,6 @@ class SnfSolver:
             for k, vk in self._v[col].items():
                 x[k] += q * vk
         return x
-
-
-def solve_integer(mat: Matrix, rhs: Sequence[int]) -> Optional[List[int]]:
-    """An integer solution x of mat x = rhs, or None."""
-    if not mat:
-        return [] if not any(rhs) else None
-    return SnfSolver(mat).solve(rhs)
 
 
 def lattice_subset(a: Matrix, b: Matrix) -> bool:

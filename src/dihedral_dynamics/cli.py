@@ -14,6 +14,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .amenability import DEFAULT_TEST_SET, folner, folner_ratio, is_transversal
 from .errors import NonStabilizationError, VerificationError
@@ -233,7 +234,11 @@ def _random_involutive_permutation(rng: random.Random, n: int):
     return perm
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept: argparse
+    leaves its builder objects in reference cycles, so one parser serves
+    every ``main`` call in a process."""
     parser = argparse.ArgumentParser(
         prog="dihedral-dynamics",
         description="Exact castles, invariant windows and homology for "

@@ -19,13 +19,15 @@ complex cross-checks them.
 
 Circle systems and odometers take one path through every level
 computation.  The system names the cell lists that stand for level N
-(``level_windows``: a circle's windows [-N, N] and [1-N, N], an
-odometer's cylinders for both reflections), the level a stage's
-translation relations start from (``relation_lag``), how deep its levels
-go (``depth``), how its reflections' fixed points are counted
+and their relation window (``level_windows``: a circle's windows
+[-N, N] and [1-N, N], an odometer's cylinders for both), how deep its
+levels go (``depth``), how its reflections' fixed points are counted
 (``reflection_fixed``) and which sets generate its translation H_0
-(``h0_generators``).  Refinement between levels is ``cover_matrix``
-of a coarser level's cells in a finer level's, for arcs and cylinders
+(``h0_generators``).  The telescope and the free product read the same
+windows: the first as the cells of a stage and the window of its
+translation relations, the second as the windows of the two
+reflections.  Refinement between levels is ``cover_matrix`` of a
+coarser level's cells in a finer level's, for arcs and cylinders
 alike; each computation builds each cell list once.
 
 The flip P acts trivially on the translation H_0, and incl * P is then
@@ -40,7 +42,10 @@ to the sum of the same relations on the finer cells.  The lifts are the
 refinement of the telescope's relation windows; for the free-product
 H_0, the reflected window's refinement taken onto the pairs of the
 reflected flip (``_refinement_maps``); and for the odd homologies, the
-map itself, the inclusion restricted to fixed cells.
+map itself, the inclusion restricted to fixed cells.  Each telescope
+stage is already the limit on circles, so its connecting maps are
+isomorphisms; only the odd-homology limits take the system of images
+(``_image_refined_limit``), whose maps are proved by solving.
 """
 
 from __future__ import annotations
@@ -319,10 +324,11 @@ def _deepest_level(system, max_level: int, cell_cap: int) -> int:
 def h0_translation_telescope(system, max_level: int) -> TelescopeResult:
     """H_0 of the translation action on C(X, Z), with the flip action.
 
-    Stage N presents the functions on the flip window of level N modulo
-    f - f o (1,0) for f on the window ``relation_lag`` levels down.
-    Circle systems stabilize to a finitely generated group; odometers
-    produce a rank-one system whose limit is reported as a localization
+    Stage N presents the functions on level N's flip window modulo
+    f - f o (1,0) for f on its reflected window (``level_windows``), the
+    widest window whose translate stays inside the flip window.  Circle
+    systems stabilize to a finitely generated group; odometers produce a
+    rank-one system whose limit is reported as a localization
     descriptor.  The flip P acts trivially when every column of
     incl * (P - I) lies in the next stage's relations; then incl * P is a
     map of presented groups too (incl * P * r = incl * r + incl * (P - I) * r
@@ -333,20 +339,20 @@ def h0_translation_telescope(system, max_level: int) -> TelescopeResult:
         raise ValueError("max_level must be >= 3")
     _require_levels(system, "telescope requires a circle or odometer system")
     top = _deepest_level(system, max_level, _MAX_TELESCOPE_CELLS)
-    lag = system.relation_lag
-    windows = [system.symmetric_cells(t) for t in range(1 - lag, top + 1)]
-    cell_lists = windows[lag:]
+    windows = [system.level_windows(t) for t in range(1, top + 1)]
+    cell_lists = [fine for fine, _ in windows]
     stages = [
-        Presentation.of(len(cells), columns(mat_sub(
-            cover_matrix(src, cells), pullback_matrix(system, TRANSLATION, src, cells))))
-        for src, cells in zip(windows, cell_lists)]
+        Presentation.of(len(fine), columns(mat_sub(
+            cover_matrix(coarse, fine), pullback_matrix(system, TRANSLATION, coarse, fine))))
+        for fine, coarse in windows]
     # refinement commutes with translation, so the refinement of the
-    # relation windows lifts each inclusion (see the module docstring)
-    covers = [cover_matrix(a, b) for a, b in zip(windows, windows[1:])]
-    incls = covers[lag:]
-    connecting = tuple(AbHom.of(stages[i], stages[i + 1], m, w)
-                       for i, (m, w) in enumerate(zip(incls, covers)))
-    limit = _image_refined_limit(DirectSystem(tuple(stages), connecting))
+    # reflected windows lifts each inclusion (see the module docstring);
+    # an odometer's two windows are one list, whose inclusion is its own lift
+    incls = [cover_matrix(a, b) for a, b in zip(cell_lists, cell_lists[1:])]
+    connecting = tuple(
+        AbHom.of(a, b, m, m if ca is fa else cover_matrix(ca, cb))
+        for a, b, m, (fa, ca), (_, cb) in zip(stages, stages[1:], incls, windows, windows[1:]))
+    limit = DirectSystem(tuple(stages), connecting).limit()
     # the flip rule of the docstring: incl * (P - I) lands in the relations
     sigma_trivial = all(
         stage.contains_relation(col)
@@ -567,7 +573,10 @@ def _image_refined_limit(ds: DirectSystem):
 
     The colimit of a direct system equals the colimit of the images of
     its connecting maps, and classes that die under refinement only
-    vanish in the image system.
+    vanish in the image system.  The odd-homology limits need it: on the
+    ``2^i`` odometer the flip fixes the cells {0, 2^(i-1)}, and
+    2^(i-1) has no fixed refinement, so every stage is (Z/2)^2 while the
+    limit is Z/2.
     """
     lim = ds.limit()
     if lim.kind != "undetermined" or len(ds.maps) < 3:
@@ -671,29 +680,23 @@ def transfer_kernel(h0_gamma: Presentation, tr_map: AbHom,
 
 
 def transfer_report(system, max_level: int) -> TransferReport:
-    """The transfer, evaluated two levels below the top of the telescope.
+    """The transfer, evaluated at the top level of the telescope.
 
     On the circle system the flip has a fixed point, so the kernel must
     vanish and the image must realize the doubled translation classes.
     """
     tele = h0_translation_telescope(system, max_level)
-    idx = len(tele.stages) - 3
-    if idx < 0:
-        raise NonStabilizationError("not enough computed levels", max_level)
-    level = idx + 1
-
+    level = len(tele.stages)
     cells, coarse = system.level_windows(level)
     msig, mphisig = _reflection_modules(system, cells, coarse)
     h0_gamma = free_product_fragment(msig, mphisig, cover_matrix(coarse, cells)).h0_presentation
 
-    # into the telescope stage two levels up (relation windows widen once)
-    # by f -> f + f o flip: an orbit to its indicator, a fixed cell to twice its own
-    target = tele.stages[idx + 2]
-    up = mat_mul(tele.connecting[idx + 1].mat(), tele.connecting[idx].mat())
+    # into the telescope stage of the same level by f -> f + f o flip: an
+    # orbit to its indicator, a fixed cell to twice its own
     label = msig.orbits[0]
-    tr_matrix = mat_mul(up, [[(label[i] == o) * (1 + (msig.perm[i] == i))
-                              for o in range(h0_gamma.ngens)] for i in range(len(cells))])
-    tr_map = AbHom.of(h0_gamma, target, tr_matrix)
+    tr_matrix = [[(label[i] == o) * (1 + (msig.perm[i] == i)) for o in range(h0_gamma.ngens)]
+                 for i in range(len(cells))]
+    tr_map = AbHom.of(h0_gamma, tele.stages[level - 1], tr_matrix)
     return transfer_kernel(h0_gamma, tr_map, tele.h0_plus)
 
 

@@ -30,16 +30,16 @@ cylinders whose residues reduce to its own.  :func:`cover_matrix` and
 level matrix by these lookups, in integers, with no set operations.
 
 For homology the circle and the odometer differ only in which cell
-lists stand for level N (``level_windows``), in the level a stage's
-translation relations start from (``relation_lag``), in how deep their
-levels go (``depth``), in how the reflections' fixed points are counted
+lists stand for level N (``level_windows``), in how deep their levels go
+(``depth``), in how the reflections' fixed points are counted
 (``reflection_fixed``) and in which sets generate translation H_0
-(``h0_generators``).  The flip (0,1) permutes a circle's window
+(``h0_generators``).  ``level_windows(N)`` gives the cells of level N
+and their relation window.  The flip (0,1) permutes a circle's window
 [-N, N] and the reflected rotation (1,1) its window [1-N, N]; a
-rotation by one moves the cuts of level N - 1's window [1-N, N-1] into
-[-N, N], so a circle stage's relations start one level down.  Both
-reflections and the translation permute an odometer's level cylinders,
-so one list serves all three and the relations stay on the level.
+rotation by one moves the cuts of [1-N, N] into [-N, N], so the
+translation relations of level N are taken on [1-N, N] and land in
+[-N, N].  Both reflections and the translation permute an odometer's
+level cylinders, so one list serves as both windows.
 
 Castles, certificates and the CLI ask every system the same questions:
 ``act`` (the image of a clopen set), ``set_from_json`` (a clopen set
@@ -86,7 +86,6 @@ __all__ = [
     "DoubledSystem",
     "LevelSet",
     "OdometerSystem",
-    "top_freeness_check",
     "cover_matrix",
     "pullback_matrix",
     "pullback_permutation",
@@ -186,9 +185,6 @@ class DenjoyFlipSystem:
     """Rotation by theta plus the flip x -> -x on the cut circle."""
 
     kind = "denjoy_flip"
-    #: A stage's translation relations map the window of level N - 1 into
-    #: that of level N.
-    relation_lag = 1
 
     def __init__(self, theta: Theta):
         self.theta = theta
@@ -311,7 +307,11 @@ class DenjoyFlipSystem:
         return self.cells(1 - level, level)
 
     def level_windows(self, level: int) -> tuple:
-        """The cells of level N for the flip and for the reflected rotation."""
+        """The cells of level N for the flip and for the reflected rotation.
+
+        The second window is also the relation window of the first: the
+        rotation by one moves its cuts into the first window.
+        """
         return self.symmetric_cells(level), self.shifted_cells(level)
 
     def depth(self, max_level: int, cell_cap: Optional[int] = None) -> int:
@@ -497,8 +497,6 @@ class OdometerSystem:
     """The odometer along a strict divisibility chain n_1 | n_2 | ..."""
 
     kind = "odometer"
-    #: The translation permutes a level's cylinders.
-    relation_lag = 0
 
     def __init__(self, chain: Sequence[int]):
         chain = tuple(int(n) for n in chain)
@@ -650,13 +648,10 @@ class OdometerSystem:
         n = self.modulus(level)
         return [self.cylinder(level, k) for k in range(n)]
 
-    def symmetric_cells(self, level: int) -> list:
-        """The level cylinders, which the flip permutes."""
-        return self.cells(level)
-
     def level_windows(self, level: int) -> tuple:
         """The cells of level N for the flip and for the reflected rotation:
-        one list of cylinders, which both permute."""
+        one list of cylinders, which both permute, and which is its own
+        relation window, since the translation permutes it too."""
         cells = self.cells(level)
         return cells, cells
 
@@ -857,39 +852,6 @@ def pullback_permutation(system, g: GroupElement, cells: Sequence) -> list:
     index.require(system)
     g_inv = g.inverse()
     return [index.preimage(g_inv, c)[0] for c in cells]
-
-
-def top_freeness_check(chain: Sequence[int], max_level: int, search: int = 4) -> dict:
-    """Search conjugation witnesses taking the flip out of the chain core.
-
-    For a strict divisibility chain the intersection of the level
-    subgroups is {identity, flip}; the check hunts, for every level j up
-    to ``max_level``, an element b of the level subgroup with
-    b^-1 (0,1) b outside that intersection, and reports the witnesses.
-    """
-    odo = OdometerSystem(chain)
-    if max_level > len(odo.chain):
-        raise ValueError("max_level exceeds the computed chain")
-    core = {IDENTITY, FLIP}
-    witnesses = {}
-    ok = True
-    for j in range(1, max_level + 1):
-        n_j = odo.modulus(j)
-        found = None
-        for m in range(1, search + 1):
-            for t in (0, 1):
-                b = GroupElement(n_j * m, t)
-                conj = b.inverse() * FLIP * b
-                if conj not in core:
-                    found = (b, conj)
-                    break
-            if found:
-                break
-        if found is None:
-            ok = False
-        else:
-            witnesses[j] = found
-    return {"topologically_free": ok, "witnesses": witnesses}
 
 
 def system_from_json(data: dict):

@@ -28,9 +28,15 @@ from dihedral_dynamics.abgroups import (
     preimage_lattice,
     smith_normal_form,
     snf_diagonal,
-    solve_integer,
     subquotient,
 )
+
+
+def solve_integer(mat, rhs):
+    """An integer solution x of mat x = rhs, or None."""
+    if not mat:
+        return [] if not any(rhs) else None
+    return SnfSolver(mat).solve(rhs)
 
 
 def det(m):

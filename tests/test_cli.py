@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import dihedral_dynamics
-from dihedral_dynamics.cli import main
+from dihedral_dynamics.cli import build_parser, main
 from dihedral_dynamics.towers import Castle
 
 GOLDEN_THETA = {"p": -1, "q": 1, "d": 5, "r": 2}
@@ -311,11 +311,15 @@ class TestHomologyCommand:
             assert captured.out == ""
             assert "--max-level" in json.loads(captured.err)["error"]
 
-    def test_non_stabilization_exit_code(self, capsys, denjoy_file):
-        # three levels are not enough for any limit detection
-        code = main(["homology", "--system", denjoy_file, "--max-level", "3"])
-        capsys.readouterr()
+    def test_non_stabilization_exit_code(self, capsys, tmp_path):
+        # the mixed chain's free-product H1 is still moving at its top level
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({"type": "odometer", "chain": [2, 6, 12, 60, 120]}))
+        code = main(["homology", "--system", str(path), "--method", "freeproduct"])
+        captured = capsys.readouterr()
         assert code == 3
+        assert captured.out == ""
+        assert "H1 still moving" in json.loads(captured.err)["error"]
 
     def test_doubled_freeproduct_rejected_before_levels(self, doubled_file):
         # the split case has no free-product route: exit 2 without
@@ -372,6 +376,17 @@ class TestOracleCommand:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert json.loads(proc.stderr) == {"error": bound}
+
+
+class TestParser:
+    def test_two_calls_build_one_parser(self, capsys):
+        build_parser.cache_clear()
+        code, first = run(capsys, ["folner", "--m", "2", "--check-transversal"])
+        assert code == 0 and "transversal" in first
+        # the kept parser carries nothing from one call into the next
+        code, second = run(capsys, ["folner", "--m", "3"])
+        assert code == 0 and "transversal" not in second
+        assert build_parser.cache_info().misses == 1
 
 
 class TestOutputFiles:

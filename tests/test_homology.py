@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -23,7 +24,6 @@ from dihedral_dynamics.abgroups import (
     mat_mul,
     mat_sub,
     preimage_lattice,
-    solve_integer,
     subquotient,
 )
 from dihedral_dynamics.errors import NonStabilizationError
@@ -47,7 +47,9 @@ from dihedral_dynamics.homology import (
 )
 from dihedral_dynamics.systems import (
     FLIP,
+    TRANSLATION,
     DenjoyFlipSystem,
+    DoubledSystem,
     GroupElement,
     OdometerSystem,
     cover_matrix,
@@ -55,7 +57,7 @@ from dihedral_dynamics.systems import (
     pullback_permutation,
 )
 
-from test_abgroups import equals_hom, relation_rule
+from test_abgroups import equals_hom, relation_rule, solve_integer
 
 Z2 = FGAbGroup(0, (2,))
 ZERO = FGAbGroup(0)
@@ -349,7 +351,7 @@ class TestTelescope:
         # rule for incl (the doubled inclusion against the inclusion)
         # agrees as well, with the other outcome
         tele = h0_translation_telescope(system, level)
-        cells = [system.symmetric_cells(t) for t in range(1, len(tele.stages) + 1)]
+        cells = [system.level_windows(t)[0] for t in range(1, len(tele.stages) + 1)]
         flip_rules, double_rules = [], []
         for i, conn in enumerate(tele.connecting):
             incl, stage = conn.mat(), tele.stages[i + 1]
@@ -374,7 +376,7 @@ class TestTelescope:
         # a stand-in flip 2I on the cells of one level (the first, or the
         # one below the top) moves every class there: the telescope must
         # see it, whether its limit stabilizes or is a localization
-        size = len(system.symmetric_cells(range(1, level + 1)[bent]))
+        size = len(system.level_windows(range(1, level + 1)[bent])[0])
         pullback = homology.pullback_matrix
 
         def bent_flip(system, g, src, dst):
@@ -387,12 +389,13 @@ class TestTelescope:
             h0_translation_telescope(system, level)
 
     @pytest.mark.parametrize("run,calls", [
-        (lambda s: h0_translation_telescope(s, 14), 25),
-        (lambda s: homology_table(s, 14, "both"), 61),
+        (lambda s: h0_translation_telescope(s, 14), 13),
+        (lambda s: homology_table(s, 14, "both"), 49),
     ], ids=["telescope", "table"])
     def test_abhom_count(self, monkeypatch, denjoy, run, calls):
-        # the flip check builds no homs: a golden L14 telescope makes its
-        # 13 inclusions and the 12 maps of the image-refined limit
+        # the flip check builds no homs and the limit takes no images: a
+        # golden L14 telescope makes its 13 inclusions, and the table adds
+        # the free product's 12 H0 maps and 24 odd-homology maps
         of = AbHom.of.__func__
         made = []
 
@@ -404,9 +407,56 @@ class TestTelescope:
         run(denjoy)
         assert len(made) == calls
 
-    def test_too_shallow_run_reports_non_stabilization(self, denjoy):
-        with pytest.raises(NonStabilizationError):
-            h0_translation_telescope(denjoy, 3)
+    def test_three_levels_suffice(self, denjoy):
+        tele = h0_translation_telescope(denjoy, 3)
+        assert tele.h0 == FGAbGroup(2)
+        assert tele.stabilized_level() == 1
+
+    def test_undetermined_limit_reports_non_stabilization(self, monkeypatch, denjoy, tmp_path,
+                                                          capsys):
+        from dihedral_dynamics.cli import main
+
+        monkeypatch.setattr(DirectSystem, "limit", lambda self: LimitDescriptor(
+            kind="undetermined", level=len(self.stages)))
+        with pytest.raises(NonStabilizationError, match="undetermined"):
+            h0_translation_telescope(denjoy, 8)
+        path = tmp_path / "golden.json"
+        path.write_text(json.dumps(denjoy.to_json()))
+        assert main(["homology", "--system", str(path), "--max-level", "8"]) == 3
+        assert "undetermined" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("theta", [GOLDEN, Theta(p=-1, q=1, d=2, r=1),
+                                       Theta(p=-1, q=1, d=3, r=2)],
+                             ids=["golden", "sqrt2", "sqrt3"])
+    def test_circle_stages_are_the_limit(self, theta):
+        # relations on the reflected window: every stage is Z^2 and every
+        # connecting map an isomorphism
+        tele = h0_translation_telescope(DenjoyFlipSystem(theta), 8)
+        assert all(stage.canonical() == FGAbGroup(2) for stage in tele.stages)
+        assert all(m.is_isomorphism() for m in tele.connecting)
+        assert tele.stabilized_level() == 1
+
+    def test_no_image_retry(self, monkeypatch, denjoy):
+        def refuse(*args):
+            raise AssertionError("the telescope took the system of images")
+
+        monkeypatch.setattr(homology, "_image_refined_limit", refuse)
+        monkeypatch.setattr(AbHom, "image_presentation", refuse)
+        assert h0_translation_telescope(denjoy, 8).h0 == FGAbGroup(2)
+
+    @pytest.mark.parametrize("system,level", [
+        (DenjoyFlipSystem(GOLDEN), 8),
+        (DenjoyFlipSystem(Theta(p=-1, q=1, d=2, r=1)), 8),
+        (DenjoyFlipSystem(Theta(p=-1, q=1, d=3, r=2)), 8),
+        (DoubledSystem(GOLDEN).base, 12),
+        (OdometerSystem([3 ** i for i in range(1, 6)]), 5),
+        (OdometerSystem([2, 6, 12, 60, 120]), 5),
+    ], ids=["golden", "sqrt2", "sqrt3", "doubled-base", "3^i", "mixed"])
+    def test_matches_lagged_route(self, system, level):
+        tele = h0_translation_telescope(system, level)
+        ref = lagged_telescope_limit(system, level)
+        assert ref.kind == tele.limit.kind
+        assert (ref.group, ref.localization) == (tele.limit.group, tele.limit.localization)
 
     def test_shallowest_working_depth(self, denjoy):
         tele = h0_translation_telescope(denjoy, 4)
@@ -417,6 +467,25 @@ class TestTelescope:
 
         with pytest.raises(ValueError):
             h0_translation_telescope(OdometerSystem([600, 1200, 2400]), 3)
+
+
+def lagged_telescope_limit(system, top):
+    """Reference limit of the translation H_0 by the lagged route: stage N
+    on the flip window of level N modulo f - f o (1,0) for f on the flip
+    window one level down (on its own level for an odometer, which the
+    translation permutes), limited with the image retry, since on circles
+    every connecting map kills a Z."""
+    lag = 0 if isinstance(system, OdometerSystem) else 1
+    windows = [system.level_windows(t)[0] for t in range(1 - lag, top + 1)]
+    cells = windows[lag:]
+    stages = tuple(
+        Presentation.of(len(c), columns(mat_sub(
+            cover_matrix(s, c), pullback_matrix(system, TRANSLATION, s, c))))
+        for s, c in zip(windows, cells))
+    covers = [cover_matrix(a, b) for a, b in zip(windows, windows[1:])]
+    homs = tuple(AbHom.of(a, b, m, w)
+                 for a, b, m, w in zip(stages, stages[1:], covers[lag:], covers))
+    return _image_refined_limit(DirectSystem(stages, homs))
 
 
 class TestFreeProduct:
@@ -554,9 +623,9 @@ class TestLifts:
         lambda s: homology_table(s, 14, "both"),
     ], ids=["telescope", "table"])
     def test_relation_solver_count(self, monkeypatch, denjoy, run):
-        # the telescope's flip check solves on its 13 upper stages, and the
-        # image-refined limit on its 12 image stages; the lifted maps and
-        # the free product build none (61 for the table before lifts)
+        # the telescope's flip check solves on its 13 upper stages; its
+        # limit takes no images, and the lifted maps and the free product
+        # build none (61 for the table before lifts)
         prop = Presentation.__dict__["_relation_solver"]
         build = prop.func
         built = []
@@ -567,7 +636,7 @@ class TestLifts:
 
         monkeypatch.setattr(prop, "func", counted)
         run(denjoy)
-        assert len(built) == 25
+        assert len(built) == 13
 
 
 def lattice_fragment_flags(msigma, mphisigma, inclusion):

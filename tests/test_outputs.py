@@ -27,30 +27,30 @@ EMPTY = hashlib.sha256(b"").hexdigest()[:16]
 
 # (system, --max-level, --method, exit code, stdout digest, stderr digest)
 CASES = [
-    ("golden", 4, "comp", 0, "e5614ae1d757944b", EMPTY),
-    ("golden", 4, "freeproduct", 0, "86616ab8fc3cd471", EMPTY),
-    ("golden", 4, "both", 0, "3a7a9bdf16768b93", EMPTY),
-    ("golden", 8, "comp", 0, "94206ec490d02648", EMPTY),
-    ("golden", 8, "freeproduct", 0, "1aa3d4008ed24720", EMPTY),
-    ("golden", 8, "both", 0, "f503c8d557b2f83b", EMPTY),
-    ("sqrt2", 4, "comp", 0, "f85d53a4a8b43537", EMPTY),
-    ("sqrt2", 4, "freeproduct", 0, "0c3cc98ee663d268", EMPTY),
-    ("sqrt2", 4, "both", 0, "4e3416fd7de34c93", EMPTY),
-    ("sqrt2", 8, "comp", 0, "04202ef56828277c", EMPTY),
-    ("sqrt2", 8, "freeproduct", 0, "efcc001924511e26", EMPTY),
-    ("sqrt2", 8, "both", 0, "ba22b23e00f89409", EMPTY),
-    ("sqrt3", 4, "comp", 0, "be62462e8ca613c7", EMPTY),
-    ("sqrt3", 4, "freeproduct", 0, "99862ba81a336ce8", EMPTY),
-    ("sqrt3", 4, "both", 0, "bb12a87637421cb2", EMPTY),
-    ("sqrt3", 8, "comp", 0, "bbaa956450741f03", EMPTY),
-    ("sqrt3", 8, "freeproduct", 0, "1868f8cfd204e6dc", EMPTY),
-    ("sqrt3", 8, "both", 0, "9cd8523e202a167a", EMPTY),
-    ("golden", 3, "comp", 3, EMPTY, "357d7a8c1c49da7b"),
-    ("golden", 3, "freeproduct", 3, EMPTY, "357d7a8c1c49da7b"),
-    ("golden", 3, "both", 3, EMPTY, "357d7a8c1c49da7b"),
-    ("doubled", 8, "comp", 0, "5e573ff2e4c8f533", EMPTY),
+    ("golden", 4, "comp", 0, "ee4dd954bda4c34f", EMPTY),
+    ("golden", 4, "freeproduct", 0, "1d6517a1f80bc0ad", EMPTY),
+    ("golden", 4, "both", 0, "45580b4065917e34", EMPTY),
+    ("golden", 8, "comp", 0, "be0730875c69206b", EMPTY),
+    ("golden", 8, "freeproduct", 0, "a7647f9bce3bb73f", EMPTY),
+    ("golden", 8, "both", 0, "6510d4230590c2d0", EMPTY),
+    ("sqrt2", 4, "comp", 0, "76b0f8663bd483d8", EMPTY),
+    ("sqrt2", 4, "freeproduct", 0, "bdc80d5fa00e4cd1", EMPTY),
+    ("sqrt2", 4, "both", 0, "399c498afd5bb86a", EMPTY),
+    ("sqrt2", 8, "comp", 0, "ee278cb9394c0d6b", EMPTY),
+    ("sqrt2", 8, "freeproduct", 0, "7d36853d3c805f1f", EMPTY),
+    ("sqrt2", 8, "both", 0, "0ea9c078b1c732b2", EMPTY),
+    ("sqrt3", 4, "comp", 0, "812800fa42eeeccc", EMPTY),
+    ("sqrt3", 4, "freeproduct", 0, "674c954ef4d708c9", EMPTY),
+    ("sqrt3", 4, "both", 0, "45ab6b84c4e302d7", EMPTY),
+    ("sqrt3", 8, "comp", 0, "afb9054a5947d8c1", EMPTY),
+    ("sqrt3", 8, "freeproduct", 0, "5b556ef3c9a21e22", EMPTY),
+    ("sqrt3", 8, "both", 0, "46d6db191bad31b5", EMPTY),
+    ("golden", 3, "comp", 0, "6130b06a52748a13", EMPTY),
+    ("golden", 3, "freeproduct", 2, EMPTY, "9541e3634efc722f"),
+    ("golden", 3, "both", 2, EMPTY, "9541e3634efc722f"),
+    ("doubled", 8, "comp", 0, "74a5d70bf15e19b9", EMPTY),
     ("doubled", 8, "freeproduct", 2, EMPTY, "344073af6686e22b"),
-    ("doubled", 12, "comp", 0, "ca5eefce82db34ed", EMPTY),
+    ("doubled", 12, "comp", 0, "18eec60c3a86cf88", EMPTY),
     ("doubled", 12, "freeproduct", 2, EMPTY, "344073af6686e22b"),
     ("2^i-6", 16, "comp", 0, "10de51f97e6fe5b7", EMPTY),
     ("2^i-6", 16, "freeproduct", 0, "2f9b927b64e38e9b", EMPTY),

@@ -26,7 +26,6 @@ from dihedral_dynamics.systems import (
     pullback_matrix,
     pullback_permutation,
     system_from_json,
-    top_freeness_check,
 )
 
 from test_exact_circle import THETAS as CIRCLE_THETAS
@@ -281,6 +280,39 @@ class TestOdometer:
             g = GroupElement(rng.randint(-9, 9), rng.randint(0, 1))
             h = GroupElement(rng.randint(-9, 9), rng.randint(0, 1))
             assert odometer3.act(g * h, s) == odometer3.act(g, odometer3.act(h, s))
+
+
+def top_freeness_check(chain, max_level, search=4):
+    """Search conjugation witnesses taking the flip out of the chain core.
+
+    For a strict divisibility chain the intersection of the level
+    subgroups is {identity, flip}; the check hunts, for every level j up
+    to ``max_level``, an element b of the level subgroup with
+    b^-1 (0,1) b outside that intersection, and reports the witnesses.
+    """
+    odo = OdometerSystem(chain)
+    if max_level > len(odo.chain):
+        raise ValueError("max_level exceeds the computed chain")
+    core = {IDENTITY, FLIP}
+    witnesses = {}
+    ok = True
+    for j in range(1, max_level + 1):
+        n_j = odo.modulus(j)
+        found = None
+        for m in range(1, search + 1):
+            for t in (0, 1):
+                b = GroupElement(n_j * m, t)
+                conj = b.inverse() * FLIP * b
+                if conj not in core:
+                    found = (b, conj)
+                    break
+            if found:
+                break
+        if found is None:
+            ok = False
+        else:
+            witnesses[j] = found
+    return {"topologically_free": ok, "witnesses": witnesses}
 
 
 class TestTopologicalFreeness:
@@ -568,7 +600,9 @@ class TestLevelWindows:
     def test_circle(self, denjoy):
         sym, shifted = denjoy.level_windows(3)
         assert sym == denjoy.symmetric_cells(3) and shifted == denjoy.shifted_cells(3)
-        assert denjoy.relation_lag == 1
+        # the second window is the relation window: its translate is a
+        # union of first-window cells
+        assert pullback_matrix(denjoy, TRANSLATION, shifted, sym)
         assert denjoy.depth(40, cell_cap=8) == 40
 
     def test_circle_ceiling(self, denjoy):
@@ -579,7 +613,7 @@ class TestLevelWindows:
     def test_odometer(self, odometer3):
         sym, shifted = odometer3.level_windows(3)
         assert sym is shifted and sym == odometer3.cells(3)
-        assert odometer3.relation_lag == 0
+        assert sorted(pullback_permutation(odometer3, TRANSLATION, sym)) == list(range(27))
         assert odometer3.depth(16) == 7
         assert odometer3.depth(5) == 5
         assert odometer3.depth(16, cell_cap=128) == 4
