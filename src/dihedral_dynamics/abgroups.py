@@ -128,10 +128,6 @@ def lift_identity(matrix: Matrix, src_relations: Sequence[Sequence[int]],
     return True
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -514,10 +510,6 @@ class FGAbGroup:
     @classmethod
     def free(cls, rank: int) -> "FGAbGroup":
         return cls(rank, ())
-
-    @classmethod
-    def cyclic(cls, n: int) -> "FGAbGroup":
-        return cls(0, (n,)) if n > 1 else cls(0, ())
 
     @classmethod
     def elementary_two(cls, k: int) -> "FGAbGroup":

@@ -297,8 +297,8 @@ class TelescopeResult:
         return self.limit.level
 
 
-_MAX_TELESCOPE_CELLS = 512
-_MAX_FREEPRODUCT_CELLS = 128
+#: The ceiling on the cells of one level; only an odometer's levels reach it.
+_MAX_LEVEL_CELLS = 512
 
 
 def _require_levels(system, message: str) -> None:
@@ -308,16 +308,16 @@ def _require_levels(system, message: str) -> None:
         raise ValueError(message)
 
 
-def _deepest_level(system, max_level: int, cell_cap: int) -> int:
+def _deepest_level(system, max_level: int) -> int:
     """Deepest usable level: within the request and the system's depth.
 
     Only an odometer's depth falls short of a request, where its chain
-    ends or its levels pass ``cell_cap`` cosets.
+    ends or its levels pass ``_MAX_LEVEL_CELLS`` cosets.
     """
-    top = system.depth(max_level, cell_cap)
+    top = system.depth(max_level, _MAX_LEVEL_CELLS)
     if top < min(max_level, 3):
         raise ValueError(
-            f"need at least 3 odometer levels with at most {cell_cap} cosets")
+            f"need at least 3 odometer levels with at most {_MAX_LEVEL_CELLS} cosets")
     return top
 
 
@@ -338,7 +338,7 @@ def h0_translation_telescope(system, max_level: int) -> TelescopeResult:
     if max_level < 3:
         raise ValueError("max_level must be >= 3")
     _require_levels(system, "telescope requires a circle or odometer system")
-    top = _deepest_level(system, max_level, _MAX_TELESCOPE_CELLS)
+    top = _deepest_level(system, max_level)
     windows = [system.level_windows(t) for t in range(1, top + 1)]
     cell_lists = [fine for fine, _ in windows]
     stages = [
@@ -603,9 +603,10 @@ def free_product_homology(system, max_level: int) -> FreeProductResult:
     their fixed cells, whose limits add up to H_1.
     """
     _require_levels(system, "free-product assembly requires a circle or odometer system")
-    max_level = _deepest_level(system, max_level, _MAX_FREEPRODUCT_CELLS)
+    max_level = _deepest_level(system, max_level)
     if max_level < 4:
-        raise ValueError("need at least three levels")
+        raise ValueError("the free-product assembly starts at level 2, "
+                         "so it needs max_level >= 4 (levels 2 to 4)")
     levels = list(range(2, max_level + 1))
     windows = [system.level_windows(t) for t in levels]
     modules = [_reflection_modules(system, fine, coarse) for fine, coarse in windows]

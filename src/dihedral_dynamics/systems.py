@@ -25,9 +25,13 @@ exactly when both its ends are cells' left cuts, and it then holds the
 cyclic run of cells between them.  An odometer level's cells are the
 cylinders of Z/n_i, named by residue, and the group acts on residues;
 a cylinder of a coarser level n_j | n_i is the union of the n_i / n_j
-cylinders whose residues reduce to its own.  :func:`cover_matrix` and
-:func:`pullback_matrix` (or :func:`pullback_permutation`) build every
-level matrix by these lookups, in integers, with no set operations.
+cylinders whose residues reduce to its own.  A level's cells are a
+window that carries its own index, built once by ``cells``: a circle
+window keeps the position of each cut from the sort that ordered them,
+and an odometer cell's position is its residue.  :func:`cover_matrix`,
+:func:`pullback_matrix`, :func:`pullback_permutation` and
+:func:`cover_indices` read that index, in integers, with no set
+operations; any other sequence of cells is refused.
 
 For homology the circle and the odometer differ only in which cell
 lists stand for level N (``level_windows``), in how deep their levels go
@@ -281,38 +285,26 @@ class DenjoyFlipSystem:
     def cut_window(self, lo: int, hi: int) -> list:
         return sorted(CutPoint.of(self.theta, n) for n in range(lo, hi + 1))
 
-    def cells(self, lo: int, hi: int) -> list:
-        """Arcs between consecutive cut points with indices in [lo, hi].
+    def cells(self, lo: int, hi: int) -> "_CircleCells":
+        """The cells of the cut window [lo, hi]: the arcs between
+        consecutive cuts n*theta, lo <= n <= hi, in the order of their
+        left cuts, indexed by the sort that ordered the cuts.
 
         A single cut yields one cell: the whole circle opened at that
         cut, represented by the full-circle set.
         """
-        cuts = self.cut_window(lo, hi)
-        if len(cuts) == 1:
-            return [ClopenSet.full_circle(self.theta)]
-        out = []
-        for i, c in enumerate(cuts):
-            nxt = cuts[(i + 1) % len(cuts)]
-            out.append(ClopenSet(self.theta, (Arc(c, nxt),)))
-        return out
-
-    def symmetric_cells(self, level: int) -> list:
-        """Cells of the window [-N, N]; the flip permutes them."""
-        return self.cells(-level, level)
-
-    def shifted_cells(self, level: int) -> list:
-        """Cells of the window [1-N, N]; the reflected rotation (1,1)
-        permutes them, since no finite window is invariant under both
-        involutions."""
-        return self.cells(1 - level, level)
+        return _CircleCells(self.theta, self.cut_window(lo, hi))
 
     def level_windows(self, level: int) -> tuple:
-        """The cells of level N for the flip and for the reflected rotation.
+        """The cells of level N for the flip and for the reflected rotation:
+        the windows [-N, N], which the flip permutes, and [1-N, N], which
+        (1,1) permutes, since no finite window is invariant under both
+        involutions.
 
         The second window is also the relation window of the first: the
         rotation by one moves its cuts into the first window.
         """
-        return self.symmetric_cells(level), self.shifted_cells(level)
+        return self.cells(-level, level), self.cells(1 - level, level)
 
     def depth(self, max_level: int, cell_cap: Optional[int] = None) -> int:
         """The deepest level a computation up to ``max_level`` uses.
@@ -534,12 +526,7 @@ class OdometerSystem:
 
     def fixed_fraction(self, g: GroupElement, level: int) -> Fraction:
         """|{x in Z/n_i : g x = x}| / n_i, exactly."""
-        n = self.modulus(level)
-        if g.s == 0:
-            return Fraction(1) if g.n % n == 0 else Fraction(0)
-        # g x = x  <=>  2x = n (mod modulus), solvable iff gcd(2, modulus) | n.
-        g2 = gcd(2, n)
-        return Fraction(g2, n) if g.n % g2 == 0 else Fraction(0)
+        return Fraction(len(self.level_fixed_set(g, level)), self.modulus(level))
 
     def level_fixed_set(self, g: GroupElement, level: int) -> frozenset:
         n = self.modulus(level)
@@ -640,13 +627,9 @@ class OdometerSystem:
 
     # -- level structure ----------------------------------------------
 
-    def cylinder(self, level: int, residue: int) -> LevelSet:
-        n = self.modulus(level)
-        return LevelSet(n, frozenset({residue % n}))
-
-    def cells(self, level: int) -> list:
-        n = self.modulus(level)
-        return [self.cylinder(level, k) for k in range(n)]
+    def cells(self, level: int) -> "_CylinderCells":
+        """The cylinders of level ``level``, cell r being residue r."""
+        return _CylinderCells(self.modulus(level))
 
     def level_windows(self, level: int) -> tuple:
         """The cells of level N for the flip and for the reflected rotation:
@@ -684,36 +667,28 @@ class OdometerSystem:
 # ---------------------------------------------------------------------------
 
 
-class _CircleCells:
-    """A circle cell list as a cyclic run of cut indices.
+class _LevelCells(tuple):
+    """The cells of one level in their order, with the index the level
+    matrices read.  Only ``DenjoyFlipSystem.cells`` and
+    ``OdometerSystem.cells`` build them; a slice or any list of cells
+    carries no index and is refused as cells."""
 
-    The list is accepted only if its cells are single arcs that chain
-    (each ends at the next one's left cut) and exactly one of them wraps
-    past 0.  Such arcs travel once around the circle, so they are the
-    gaps of one sorted cut list, and the arc between two of their cuts
-    is the cyclic run of cells from one to the other.  A lone full
-    circle is the one cell of a one-cut window.
-    """
 
-    def __init__(self, cells: Sequence[ClopenSet]):
-        self.theta = cells[0].theta
-        self.k = len(cells)
-        self.pos = {}
-        if self.k == 1 and cells[0].full:
-            return
-        lefts, rights, wraps = [], [], 0
-        for c in cells:
-            if not isinstance(c, ClopenSet) or c.theta != self.theta or len(c.arcs) != 1:
-                raise ValueError("circle cells must be single arcs over one theta")
-            a = c.arcs[0]
-            lefts.append(a.left.n)
-            rights.append(a.right.n)
-            wraps += a.right < a.left
-        if rights != lefts[1:] + lefts[:1]:
-            raise ValueError("circle cells do not chain end to start")
-        if wraps != 1:
-            raise ValueError(f"circle cells wind {wraps} times around the circle, not once")
-        self.pos = {n: i for i, n in enumerate(lefts)}
+class _CircleCells(_LevelCells):
+    """The cells of a cut window: cell i is the arc from the i-th of its
+    sorted cuts to the next, cyclically, so the arc between two of the
+    window's cuts is the cyclic run of cells from one to the other.  A
+    one-cut window has one cell, the full circle."""
+
+    def __new__(cls, theta: Theta, cuts: list):
+        if len(cuts) == 1:
+            cells = (ClopenSet.full_circle(theta),)
+        else:
+            cells = (ClopenSet(theta, (Arc(c, nxt),)) for c, nxt in zip(cuts, cuts[1:] + cuts[:1]))
+        self = super().__new__(cls, cells)
+        self.theta = theta
+        self.pos = {c.n: i for i, c in enumerate(cuts)}
+        return self
 
     def require(self, system) -> None:
         if not (isinstance(system, DenjoyFlipSystem) and system.theta == self.theta):
@@ -725,7 +700,7 @@ class _CircleCells:
 
     def _runs(self, s: ClopenSet, ends: list) -> list:
         if s.full:
-            return list(range(self.k))
+            return list(range(len(self)))
         if not s.arcs:
             raise ValueError("target is not covered by the given cells")
         picked = []
@@ -733,7 +708,7 @@ class _CircleCells:
             if a not in self.pos or b not in self.pos:
                 raise ValueError("target is not a union of the given cells")
             i, j = self.pos[a], self.pos[b]
-            picked.extend(range(i, j) if i < j else [*range(i, self.k), *range(j)])
+            picked.extend(range(i, j) if i < j else [*range(i, len(self)), *range(j)])
         return sorted(picked)
 
     def cover(self, target) -> list:
@@ -751,73 +726,58 @@ class _CircleCells:
         return self._runs(cell, ends)
 
 
-class _CylinderCells:
-    """Odometer cylinders of one level, each named by its residue.
+class _CylinderCells(_LevelCells):
+    """The cylinders of one odometer level Z/n: cell r is the cylinder of
+    residue r.  A target may be a level set of any level whose modulus
+    divides n: residue r mod m is the union of the cells r + t*m."""
 
-    A target may be a level set of any level whose modulus divides the
-    cells' own: residue r mod m is the union of the cells r + t*m.
-    """
-
-    def __init__(self, cells: Sequence[LevelSet]):
-        self.modulus = cells[0].modulus
-        self.pos = {}
-        for i, c in enumerate(cells):
-            if not isinstance(c, LevelSet) or c.modulus != self.modulus or len(c.residues) != 1:
-                raise ValueError("odometer cells must be single cylinders of one level")
-            self.pos[next(iter(c.residues))] = i
-        if len(self.pos) != len(cells):
-            raise ValueError("odometer cells repeat a cylinder")
+    def __new__(cls, modulus: int):
+        self = super().__new__(cls, (LevelSet(modulus, frozenset({r})) for r in range(modulus)))
+        self.modulus = modulus
+        return self
 
     def require(self, system) -> None:
         if not isinstance(system, OdometerSystem):
             raise ValueError("the system does not act on odometer cells")
 
-    def _check(self, s) -> None:
-        if not isinstance(s, LevelSet) or s.modulus != self.modulus:
-            raise ValueError("not a level set at the cells' level")
-
-    def _lookup(self, residues: list) -> list:
+    @staticmethod
+    def _sorted(residues: list) -> list:
         if not residues:
             raise ValueError("target is not covered by the given cells")
-        try:
-            return sorted(self.pos[r] for r in residues)
-        except KeyError:
-            raise ValueError("target is not a union of the given cells") from None
+        return sorted(residues)
 
     def cover(self, target) -> list:
         if not isinstance(target, LevelSet) or self.modulus % target.modulus:
             raise ValueError("not a level set at the cells' level or a coarser one")
         m = target.modulus
-        return self._lookup([r + t * m for r in target.residues
+        return self._sorted([r + t * m for r in target.residues
                              for t in range(self.modulus // m)])
 
     def preimage(self, g_inv: GroupElement, cell) -> list:
-        self._check(cell)
+        if not isinstance(cell, LevelSet) or cell.modulus != self.modulus:
+            raise ValueError("not a level set at the cells' level")
         sign = -1 if g_inv.s else 1
-        return self._lookup([(g_inv.n + sign * r) % self.modulus for r in cell.residues])
+        return self._sorted([(g_inv.n + sign * r) % self.modulus for r in cell.residues])
 
 
-def _index_cells(cells: Sequence):
-    """Position lookup for the cells of one level; validates the list."""
-    if cells and isinstance(cells[0], ClopenSet):
-        return _CircleCells(cells)
-    if cells and isinstance(cells[0], LevelSet):
-        return _CylinderCells(cells)
-    raise ValueError("cells must be a nonempty list of circle or odometer level cells")
+def _indexed(cells) -> _LevelCells:
+    if not isinstance(cells, _LevelCells):
+        raise ValueError("cells must be the cells of one level, as a system's cells() gives them")
+    return cells
 
 
-def cover_indices(target, cells: Sequence) -> list:
+def cover_indices(target, cells: _LevelCells) -> list:
     """Indices of the cells whose union is exactly ``target``; exact check.
 
     ``cells`` must be the cells of one level (see the module docstring);
     a target that is not a union of them raises ``ValueError``.
     """
-    return _index_cells(cells).cover(target)
+    return _indexed(cells).cover(target)
 
 
-def cover_matrix(coarse: Sequence, fine: Sequence) -> list:
+def cover_matrix(coarse: Sequence, fine: _LevelCells) -> list:
     """Matrix of the refinement: column j sums the fine cells inside coarse j."""
-    index = _index_cells(fine)
+    index = _indexed(fine)
     mat = [[0] * len(coarse) for _ in range(len(fine))]
     for j, c in enumerate(coarse):
         for i in index.cover(c):
@@ -825,7 +785,7 @@ def cover_matrix(coarse: Sequence, fine: Sequence) -> list:
     return mat
 
 
-def pullback_matrix(system, g: GroupElement, src_cells: Sequence, dst_cells: Sequence) -> list:
+def pullback_matrix(system, g: GroupElement, src_cells: Sequence, dst_cells: _LevelCells) -> list:
     """Matrix of f -> f o g from functions on src_cells to functions on dst_cells.
 
     The indicator of a source cell pulls back to the indicator of its
@@ -833,7 +793,7 @@ def pullback_matrix(system, g: GroupElement, src_cells: Sequence, dst_cells: Seq
     preimage's ends come from integer arithmetic on cut indices or
     residues, so no set is built.
     """
-    index = _index_cells(dst_cells)
+    index = _indexed(dst_cells)
     index.require(system)
     g_inv = g.inverse()
     mat = [[0] * len(src_cells) for _ in range(len(dst_cells))]
@@ -843,12 +803,12 @@ def pullback_matrix(system, g: GroupElement, src_cells: Sequence, dst_cells: Seq
     return mat
 
 
-def pullback_permutation(system, g: GroupElement, cells: Sequence) -> list:
+def pullback_permutation(system, g: GroupElement, cells: _LevelCells) -> list:
     """``pullback_matrix(system, g, cells, cells)`` for a g that permutes
     the cells, as the row of the one in each column.  A g that does not
     permute them sends some cell outside the list, and the index raises
     ``ValueError``."""
-    index = _index_cells(cells)
+    index = _indexed(cells)
     index.require(system)
     g_inv = g.inverse()
     return [index.preimage(g_inv, c)[0] for c in cells]

@@ -311,6 +311,18 @@ class TestHomologyCommand:
             assert captured.out == ""
             assert "--max-level" in json.loads(captured.err)["error"]
 
+    @pytest.mark.parametrize("method", ["freeproduct", "both"])
+    def test_free_product_needs_four_levels(self, capsys, denjoy_file, method):
+        # the assembly starts at level 2, so --max-level 3 gives it two
+        # levels; the message names the requirement
+        code = main(["homology", "--system", denjoy_file, "--max-level", "3",
+                     "--method", method])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert "max_level >= 4" in error and "starts at level 2" in error
+
     def test_non_stabilization_exit_code(self, capsys, tmp_path):
         # the mixed chain's free-product H1 is still moving at its top level
         path = tmp_path / "mixed.json"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dihedral_dynamics import abgroups, homology
+from dihedral_dynamics import abgroups, homology, systems
 from dihedral_dynamics.abgroups import (
     AbHom,
     DirectSystem,
@@ -20,7 +20,6 @@ from dihedral_dynamics.abgroups import (
     kernel_basis,
     lattice_subset,
     lift_identity,
-    mat_add,
     mat_mul,
     mat_sub,
     preimage_lattice,
@@ -61,6 +60,10 @@ from test_abgroups import equals_hom, relation_rule, solve_integer
 
 Z2 = FGAbGroup(0, (2,))
 ZERO = FGAbGroup(0)
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def is_permutation(module):
@@ -333,7 +336,7 @@ class TestTelescope:
         # agree at deep stages
         tele = h0_translation_telescope(denjoy, 8)
         for idx in (5, 6):
-            cells = denjoy.symmetric_cells(idx + 1)
+            cells = denjoy.level_windows(idx + 1)[0]
             incl = tele.connecting[idx].mat()
             plus = mat_add(incl, mat_mul(incl, pullback_matrix(denjoy, FLIP, cells, cells)))
             direct = AbHom.of(tele.stages[idx], tele.stages[idx + 1], plus).image_group()
@@ -486,6 +489,34 @@ def lagged_telescope_limit(system, top):
     homs = tuple(AbHom.of(a, b, m, w)
                  for a, b, m, w in zip(stages, stages[1:], covers[lag:], covers))
     return _image_refined_limit(DirectSystem(stages, homs))
+
+
+class TestLevelIndexes:
+    """Each level window is indexed once, when a system's ``cells`` builds
+    it; the level matrices read that index and build none."""
+
+    @pytest.mark.parametrize("system,level,windows", [
+        (DenjoyFlipSystem(GOLDEN), 14, 54),
+        (DenjoyFlipSystem(GOLDEN), 64, 254),
+        (OdometerSystem([3 ** i for i in range(1, 5)]), 16, 7),
+    ], ids=["golden-L14", "golden-L64", "3^i-4"])
+    def test_one_index_per_window(self, monkeypatch, system, level, windows):
+        # the telescope builds levels 1..N and the free product levels
+        # 2..N: two circle windows per level, one odometer list
+        built = []
+
+        def counting(base):
+            class Counting(base):
+                def __new__(cls, *args):
+                    window = super().__new__(cls, *args)
+                    built.append(window)
+                    return window
+            return Counting
+
+        for name in ("_CircleCells", "_CylinderCells"):
+            monkeypatch.setattr(systems, name, counting(getattr(systems, name)))
+        homology_table(system, level, "both")
+        assert len(built) == windows
 
 
 class TestFreeProduct:
@@ -874,9 +905,10 @@ class TestOrbitRoute:
 
     @REAL_SYSTEMS
     def test_limits_match_full_cell_route(self, system, level):
-        # the odometers stop at the 128-cell cap, below L8 and below
-        # their level here
-        top = homology._deepest_level(system, level, homology._MAX_FREEPRODUCT_CELLS)
+        # every level here is within the 512-cell cap, so the assembly
+        # runs to the requested level (3^i: 243 cells at level 5)
+        top = homology._deepest_level(system, level)
+        assert top == level
         levels = list(range(2, top + 1))
         h0_stages, h0_limit, odd_stages, odd_limits = full_cell_limits(system, levels)
         for i, level in enumerate(levels):
@@ -937,7 +969,8 @@ class TestSplitH1:
         ([3 ** i for i in range(1, 8)], 4),
     ], ids=["2^i", "3^i"])
     def test_odometers(self, chain, depth):
-        # depth: the last level of at most 128 cells, where the assembly stops
+        # depth: the last level of at most 128 cells, which keeps the dense
+        # block-diagonal route small; the assembly itself goes on to 512
         system = OdometerSystem(chain)
         results = [(split_h1(system, level), block_diagonal_h1(system, level))
                    for level in range(4, depth + 1)]

@@ -46,8 +46,8 @@ CASES = [
     ("sqrt3", 8, "freeproduct", 0, "5b556ef3c9a21e22", EMPTY),
     ("sqrt3", 8, "both", 0, "46d6db191bad31b5", EMPTY),
     ("golden", 3, "comp", 0, "6130b06a52748a13", EMPTY),
-    ("golden", 3, "freeproduct", 2, EMPTY, "9541e3634efc722f"),
-    ("golden", 3, "both", 2, EMPTY, "9541e3634efc722f"),
+    ("golden", 3, "freeproduct", 2, EMPTY, "b2eb478645e208af"),
+    ("golden", 3, "both", 2, EMPTY, "b2eb478645e208af"),
     ("doubled", 8, "comp", 0, "74a5d70bf15e19b9", EMPTY),
     ("doubled", 8, "freeproduct", 2, EMPTY, "344073af6686e22b"),
     ("doubled", 12, "comp", 0, "18eec60c3a86cf88", EMPTY),

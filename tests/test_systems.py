@@ -342,7 +342,7 @@ class TestLevelPartition:
         return all(sum(line) == 1 for line in [*mat, *zip(*mat)])
 
     def test_denjoy_level_one(self, denjoy, golden):
-        cells = denjoy.symmetric_cells(1)
+        cells = denjoy.cells(-1, 1)
         assert len(cells) == 3
         sigma = pullback_matrix(denjoy, FLIP, cells, cells)
         assert self.is_permutation(sigma)
@@ -352,19 +352,19 @@ class TestLevelPartition:
         assert cells[fixed[0]].contains_value(half)
 
     def test_denjoy_level_zero(self, denjoy):
-        cells = denjoy.symmetric_cells(0)
+        cells = denjoy.cells(0, 0)
         assert len(cells) == 1 and cells[0].full
         assert pullback_matrix(denjoy, FLIP, cells, cells) == [[1]]
 
     def test_partition_matrices(self, denjoy):
-        cells = denjoy.symmetric_cells(2)
+        cells = denjoy.cells(-2, 2)
         assert self.is_permutation(pullback_matrix(denjoy, FLIP, cells, cells))
-        finer = denjoy.symmetric_cells(3)
+        finer = denjoy.cells(-3, 3)
         phi = pullback_matrix(denjoy, TRANSLATION, cells, finer)
         assert len(phi) == len(finer) and len(phi[0]) == len(cells)
         # each cell's preimage is made of at least one finer cell
         assert all(any(col) for col in zip(*phi))
-        shifted = denjoy.shifted_cells(2)
+        shifted = denjoy.cells(-1, 2)
         assert self.is_permutation(pullback_matrix(denjoy, GroupElement(1, 1), shifted, shifted))
 
         odo = OdometerSystem([4, 8])
@@ -388,8 +388,8 @@ class TestLevelPartition:
 
     def test_refinement(self, denjoy):
         for level in range(0, 4):
-            coarse = denjoy.symmetric_cells(level)
-            fine = denjoy.symmetric_cells(level + 1)
+            coarse = denjoy.cells(-level, level)
+            fine = denjoy.cells(-level - 1, level + 1)
             for c in coarse:
                 ix = cover_indices(c, fine)
                 union = fine[ix[0]]
@@ -407,8 +407,8 @@ class TestLevelPartition:
     def test_partition_is_partition(self, denjoy):
         from dihedral_dynamics.exact_circle import is_partition
         for level in (1, 2, 3):
-            assert is_partition(denjoy.symmetric_cells(level))
-            assert is_partition(denjoy.shifted_cells(level))
+            assert is_partition(denjoy.cells(-level, level))
+            assert is_partition(denjoy.cells(1 - level, level))
 
 
 def refine(odo, s, level_from, level_to):
@@ -490,9 +490,8 @@ class TestLevelMatrixOracle:
     def test_circle_windows(self, name):
         system = DenjoyFlipSystem(THETAS[name])
         for level in range(1, 9):
-            sym = system.symmetric_cells(level)
-            shifted = system.shifted_cells(level)
-            finer = system.symmetric_cells(level + 1)
+            sym, shifted = system.level_windows(level)
+            finer = system.cells(-level - 1, level + 1)
             for g in ELEMENTS:
                 for lo, hi in ((-level, level), (1 - level, level)):
                     check_window(system, g, lo, hi, grow=level % 2)
@@ -504,7 +503,7 @@ class TestLevelMatrixOracle:
             assert pullback_matrix(system, TRANSLATION, sym, finer) == \
                 reference_pullback_matrix(system, TRANSLATION, sym, finer)
             for coarse, fine in ((sym, finer), (shifted, sym),
-                                 (shifted, system.shifted_cells(level + 1))):
+                                 (shifted, system.cells(-level, level + 1))):
                 assert cover_matrix(coarse, fine) == reference_cover_matrix(coarse, fine)
 
     @pytest.mark.parametrize("base", [2, 3])
@@ -532,12 +531,11 @@ class TestLevelMatrixOracle:
             return [[int(i == p) for p in perm] for i in range(len(perm))]
 
         for level in range(1, 7):
-            for g, cells in ((FLIP, denjoy.symmetric_cells(level)),
-                             (GroupElement(1, 1), denjoy.shifted_cells(level))):
+            for g, cells in zip((FLIP, GroupElement(1, 1)), denjoy.level_windows(level)):
                 assert as_matrix(pullback_permutation(denjoy, g, cells)) == \
                     pullback_matrix(denjoy, g, cells, cells)
             with pytest.raises(ValueError):
-                pullback_permutation(denjoy, TRANSLATION, denjoy.symmetric_cells(level))
+                pullback_permutation(denjoy, TRANSLATION, denjoy.cells(-level, level))
         odo = OdometerSystem([2, 6, 12, 60])
         for level in range(1, 5):
             cells = odo.cells(level)
@@ -545,10 +543,10 @@ class TestLevelMatrixOracle:
                 assert as_matrix(pullback_permutation(odo, g, cells)) == \
                     pullback_matrix(odo, g, cells, cells)
         with pytest.raises(ValueError):
-            pullback_permutation(odo, FLIP, denjoy.symmetric_cells(2))
+            pullback_permutation(odo, FLIP, denjoy.cells(-2, 2))
 
     def test_rejects_what_it_cannot_answer(self, denjoy, golden):
-        cells = denjoy.symmetric_cells(2)
+        cells = denjoy.cells(-2, 2)
         # a target endpoint outside the window
         with pytest.raises(ValueError):
             cover_indices(ClopenSet.arc(golden, 0, 3), cells)
@@ -570,6 +568,23 @@ class TestLevelMatrixOracle:
             cover_indices(odo.cells(2)[0], odo.cells(1))
         with pytest.raises(ValueError):
             pullback_matrix(odo, FLIP, cells, cells)
+
+    def test_refuses_cells_without_index(self, denjoy, odometer3):
+        # a plain list of a window's cells is not a window: each level
+        # matrix refuses it as the indexed argument, and takes the window
+        for system, window in ((denjoy, denjoy.cells(-2, 2)), (odometer3, odometer3.cells(2))):
+            plain = list(window)
+            with pytest.raises(ValueError):
+                cover_indices(window[0], plain)
+            with pytest.raises(ValueError):
+                cover_matrix(window, plain)
+            with pytest.raises(ValueError):
+                pullback_matrix(system, FLIP, window, plain)
+            with pytest.raises(ValueError):
+                pullback_permutation(system, FLIP, plain)
+            assert cover_indices(window[0], window) == [0]
+            assert cover_matrix(plain, window) == pullback_matrix(system, IDENTITY, plain, window)
+            assert sorted(pullback_permutation(system, FLIP, window)) == list(range(len(window)))
 
 
 class TestCrossLevelCover:
@@ -599,11 +614,25 @@ class TestCrossLevelCover:
 class TestLevelWindows:
     def test_circle(self, denjoy):
         sym, shifted = denjoy.level_windows(3)
-        assert sym == denjoy.symmetric_cells(3) and shifted == denjoy.shifted_cells(3)
+        assert sym == denjoy.cells(-3, 3) and shifted == denjoy.cells(-2, 3)
         # the second window is the relation window: its translate is a
         # union of first-window cells
         assert pullback_matrix(denjoy, TRANSLATION, shifted, sym)
         assert denjoy.depth(40, cell_cap=8) == 40
+
+    def test_windows_are_cell_sequences(self, denjoy, odometer3):
+        from dihedral_dynamics.exact_circle import is_partition
+
+        window = denjoy.cells(-2, 2)
+        assert len(window) == 5 and list(window) == [window[i] for i in range(5)]
+        assert window == denjoy.cells(-2, 2) and window != denjoy.cells(-3, 3)
+        assert is_partition(window)
+        assert [c.arcs[0].right for c in window] == [c.arcs[0].left for c in window[1:] + window[:1]]
+        # a slice is a plain tuple of cells, with no index
+        assert type(window[1:]) is tuple
+        cylinders = odometer3.cells(2)
+        assert [c.residues for c in cylinders] == [frozenset({r}) for r in range(9)]
+        assert cylinders == odometer3.cells(2) != odometer3.cells(1)
 
     def test_circle_ceiling(self, denjoy):
         assert denjoy.depth(128) == 128

@@ -137,7 +137,7 @@ class TestReturnTimeContinuity:
         # meeting the base set lies inside a single tower base
         y = ClopenSet.arc(golden, -1, 1)
         castle = first_return_castle(denjoy, y)
-        cells = denjoy.symmetric_cells(4)
+        cells = denjoy.cells(-4, 4)
         for cell in cells:
             if cell.intersection(y).is_empty():
                 continue

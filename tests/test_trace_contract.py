@@ -47,3 +47,29 @@ def test_install_wraps_every_traced_name_and_uninstall_restores():
     for holder, key, original in patched:
         assert vars(holder)[key] is original, f"{holder.__name__}.{key}"
     assert traced_originals(layertrace) == originals
+
+
+#: Functions that a module imported by name, so that its own calls go
+#: through that module's binding.
+BY_NAME = {
+    "homology": ["cover_indices", "cover_matrix", "pullback_matrix", "snf_diagonal",
+                 "kernel_basis", "mat_mul"],
+    "cli": ["folner_ratio", "first_return_castle", "almost_finite_certificate"],
+    "towers": ["folner_ratio"],
+}
+
+
+def test_install_wraps_by_name_imports():
+    layertrace = load_layertrace()
+    modules = {m: importlib.import_module(f"{layertrace.PACKAGE}.{m}") for m in BY_NAME}
+    before = {(m, name): getattr(modules[m], name) for m, names in BY_NAME.items()
+              for name in names}
+    tracer = layertrace.LayerTrace()
+    try:
+        tracer.install()
+        for (m, name), fn in before.items():
+            assert getattr(getattr(modules[m], name), "__wrapped__", None) is fn, f"{m}.{name}"
+    finally:
+        tracer.uninstall()
+    for (m, name), fn in before.items():
+        assert getattr(modules[m], name) is fn, f"{m}.{name}"
