@@ -16,7 +16,6 @@ from .exact_circle import (
     QuadExt,
     Theta,
     frac,
-    is_partition,
     qe_cmp,
 )
 from .systems import (

@@ -20,12 +20,16 @@ no transforms.  The transform mode (``smith_normal_form``,
 ``kernel_basis``, ``SnfSolver``) tracks U as sparse rows and V as sparse
 columns, and no inverse of either.
 
-Yes/no questions about maps are decided from Smith diagonals where an
-invariant settles them.  Finitely generated abelian groups are Hopfian:
-a surjection between two isomorphic ones is an isomorphism.  So
-``AbHom.is_isomorphism`` compares the canonical forms of source and
-destination (each read once per presentation) and asks for
-surjectivity, and builds no kernel lattice.
+Yes/no questions are decided from Smith diagonals, and transform
+tracking serves only callers that read coordinates (``subquotient``,
+``kernel_basis``, ``smith_normal_form``).  Finitely generated abelian
+groups are Hopfian: a surjection between two isomorphic ones is an
+isomorphism.  So ``AbHom.is_isomorphism`` compares the canonical forms
+of source and destination (each read once per presentation) and asks
+for surjectivity, and builds no kernel lattice.  Relation membership is
+the same test: Z^n / L(R) maps onto Z^n / L(R + X), so the columns X lie
+in the relation lattice L(R) exactly when both quotients have the same
+canonical form (``Presentation.contains_relations``).
 
 A matrix M is a map of presented groups when it sends the source
 relations R into the destination relations R'.  A caller that knows why
@@ -33,7 +37,7 @@ passes the reason as a lift: an integer matrix W with M * R = R' * W,
 one column of W per source relation.  ``lift_identity`` checks that
 identity exactly, column by column from the nonzeros of both sides, so
 it proves the map without a Smith form.  Without a lift, ``AbHom.of``
-solves for each column of W with the destination's relation solver.
+asks once whether the images M * R lie in the destination relations.
 """
 
 from __future__ import annotations
@@ -374,7 +378,7 @@ class SnfSolver:
 
     def __init__(self, mat: Matrix):
         snf = _SparseSmith(mat, track=True)
-        self.rows, self.cols = snf.nrows, snf.ncols
+        self.cols = snf.ncols
         self._u_cols = {}
         for i, urow in snf.u.items():
             for k, x in urow.items():
@@ -382,45 +386,24 @@ class SnfSolver:
         self._pivot_of_row = {r: (c, d) for r, c, d in snf.pivots}
         self._v = snf.v
 
-    def _quotients(self, rhs: Sequence[int]) -> Optional[dict]:
-        """y with S*y = U*rhs, keyed by pivot column, or None."""
+    def solve(self, rhs: Sequence[int]) -> Optional[List[int]]:
+        """An integer x with mat x = rhs, or None: y solves S*y = U*rhs
+        pivot by pivot, and x = V*y."""
         c = {}
         for k, b in enumerate(rhs):
             if b:
-                for i, x in self._u_cols.get(k, ()):
-                    c[i] = c.get(i, 0) + b * x
-        y = {}
+                for i, u in self._u_cols.get(k, ()):
+                    c[i] = c.get(i, 0) + b * u
+        x = [0] * self.cols
         for i, ci in c.items():
             if ci:
                 pivot = self._pivot_of_row.get(i)
-                if pivot is None:
+                if pivot is None or ci % pivot[1]:
                     return None
-                q, rem = divmod(ci, pivot[1])
-                if rem:
-                    return None
-                y[pivot[0]] = q
-        return y
-
-    def contains(self, rhs: Sequence[int]) -> bool:
-        return self._quotients(rhs) is not None
-
-    def solve(self, rhs: Sequence[int]) -> Optional[List[int]]:
-        y = self._quotients(rhs)
-        if y is None:
-            return None
-        x = [0] * self.cols
-        for col, q in y.items():
-            for k, vk in self._v[col].items():
-                x[k] += q * vk
+                q = ci // pivot[1]
+                for k, vk in self._v[pivot[0]].items():
+                    x[k] += q * vk
         return x
-
-
-def lattice_subset(a: Matrix, b: Matrix) -> bool:
-    """Whether every column of a lies in the column lattice of b."""
-    if not a or not a[0]:
-        return True
-    solver = SnfSolver(b)
-    return all(solver.contains(col) for col in columns(a))
 
 
 def preimage_lattice(mat: Matrix, lat: Matrix) -> Matrix:
@@ -551,14 +534,21 @@ class Presentation:
         nonzero = [d for d in diag if d]
         return FGAbGroup(self.ngens - len(nonzero), tuple(d for d in nonzero if d > 1))
 
-    @cached_property
-    def _relation_solver(self) -> "SnfSolver":
-        return SnfSolver(self.relation_matrix())
+    def contains_relations(self, vectors: Iterable[Sequence[int]]) -> bool:
+        """Whether every vector lies in the relation lattice L(R).
 
-    def contains_relation(self, v: Sequence[int]) -> bool:
-        if not self.relations:
-            return not any(v)
-        return self._relation_solver.contains(v)
+        The quotient map Z^n / L(R) -> Z^n / L(R + X) is onto, so X lies
+        in L(R) exactly when both quotients have the same canonical form
+        (finitely generated abelian groups are Hopfian): one diagonal-only
+        Smith form, with the zero vectors left out.
+        """
+        extra = tuple(v for v in vectors if any(v))
+        if not extra:
+            return True
+        # the vectors go first, so pivot ties break toward their columns:
+        # on deep golden telescope stages that about halves the elimination
+        grown = Presentation.of(self.ngens, extra + self.relations)
+        return grown.canonical() == self.canonical()
 
 
 @dataclass(frozen=True)
@@ -570,8 +560,9 @@ class AbHom:
     construction.  With a ``lift`` W, the proof is the exact identity
     M * R == R' * W (``lift_identity``), which needs no Smith form; a
     lift is checked, never trusted, and is not stored.  Without one,
-    each image M * r must lie in the destination's relation lattice,
-    which builds the destination's relation solver.
+    the images M * r must lie in the destination's relation lattice,
+    which ``Presentation.contains_relations`` decides by one Smith
+    diagonal.
     """
 
     src: Presentation
@@ -585,8 +576,7 @@ class AbHom:
         if len(mat) != dst.ngens or (mat and any(len(r) != src.ngens for r in mat)):
             raise ValueError("homomorphism matrix has wrong shape")
         if lift is None:
-            m = [list(r) for r in mat]
-            ok = all(dst.contains_relation(mat_vec(m, list(col))) for col in src.relations)
+            ok = dst.contains_relations(mat_vec(mat, col) for col in src.relations)
         else:
             ok = lift_identity(mat, src.relations, dst.relations, lift)
         if not ok:

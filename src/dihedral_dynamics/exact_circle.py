@@ -30,7 +30,6 @@ __all__ = [
     "ClopenSet",
     "qe_cmp",
     "frac",
-    "is_partition",
     "sweep_partition",
 ]
 
@@ -572,9 +571,3 @@ def sweep_partition(sets: Iterable[ClopenSet]) -> tuple:
         depth += delta[c.n]
         lo, hi = min(lo, depth), max(hi, depth)
     return hi <= 1, lo >= 1
-
-
-def is_partition(sets: Sequence[ClopenSet]) -> bool:
-    """True iff the sets are pairwise disjoint and cover the circle."""
-    disjoint, covers = sweep_partition(sets)
-    return disjoint and covers

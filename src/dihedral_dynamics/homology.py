@@ -21,9 +21,8 @@ Circle systems and odometers take one path through every level
 computation.  The system names the cell lists that stand for level N
 and their relation window (``level_windows``: a circle's windows
 [-N, N] and [1-N, N], an odometer's cylinders for both), how deep its
-levels go (``depth``), how its reflections' fixed points are counted
-(``reflection_fixed``) and which sets generate its translation H_0
-(``h0_generators``).  The telescope and the free product read the same
+levels go (``depth``) and how its reflections' fixed points are counted
+(``reflection_fixed``).  The telescope and the free product read the same
 windows: the first as the cells of a stage and the window of its
 translation relations, the second as the windows of the two
 reflections.  Refinement between levels is ``cover_matrix`` of a
@@ -31,8 +30,9 @@ coarser level's cells in a finer level's, for arcs and cylinders
 alike; each computation builds each cell list once.
 
 The flip P acts trivially on the translation H_0, and incl * P is then
-a map of presented groups, when every column of incl * (P - I) is a
-relation of the next stage (see ``h0_translation_telescope``).
+a map of presented groups, when the columns of incl * (P - I) are
+relations of the next stage (see ``h0_translation_telescope``): one
+Smith diagonal per stage decides it (``Presentation.contains_relations``).
 
 Every refinement map between stages is proved a map of presented groups
 by an exact identity M * R = R' * W (``abgroups.lift_identity``), with a
@@ -45,7 +45,8 @@ reflected flip (``_refinement_maps``); and for the odd homologies, the
 map itself, the inclusion restricted to fixed cells.  Each telescope
 stage is already the limit on circles, so its connecting maps are
 isomorphisms; only the odd-homology limits take the system of images
-(``_image_refined_limit``), whose maps are proved by solving.
+(``_image_refined_limit``), whose maps have no lift and are proved by
+relation membership.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from .abgroups import (
     from_columns,
     identity_matrix,
     kernel_basis,  # unused here; bench/layertrace.py traces it under this module's name
-    lattice_subset,
     lift_identity,
     mat_mul,
     mat_sub,
@@ -80,7 +80,7 @@ from .systems import (
     TRANSLATION,
     DoubledSystem,
     GroupElement,
-    cover_indices,
+    cover_indices,  # unused here; bench/layertrace.py traces it under this module's name
     cover_matrix,
     pullback_matrix,
     pullback_permutation,
@@ -289,7 +289,6 @@ class TelescopeResult:
     sigma_trivial: bool
     h0: GroupValue
     h0_plus: GroupValue
-    generators_generate: Optional[bool] = None
 
     def stabilized_level(self) -> Optional[int]:
         if self.limit.kind != "stabilized":
@@ -329,8 +328,8 @@ def h0_translation_telescope(system, max_level: int) -> TelescopeResult:
     widest window whose translate stays inside the flip window.  Circle
     systems stabilize to a finitely generated group; odometers produce a
     rank-one system whose limit is reported as a localization
-    descriptor.  The flip P acts trivially when every column of
-    incl * (P - I) lies in the next stage's relations; then incl * P is a
+    descriptor.  The flip P acts trivially when the columns of
+    incl * (P - I) lie in the next stage's relations; then incl * P is a
     map of presented groups too (incl * P * r = incl * r + incl * (P - I) * r
     for a relation r), and (1 + flip)H_0 = 2 H_0 is returned in canonical
     form (doubling a localization of Z is an isomorphism onto its image).
@@ -355,11 +354,10 @@ def h0_translation_telescope(system, max_level: int) -> TelescopeResult:
     limit = DirectSystem(tuple(stages), connecting).limit()
     # the flip rule of the docstring: incl * (P - I) lands in the relations
     sigma_trivial = all(
-        stage.contains_relation(col)
-        for stage, m, cells in zip(stages[1:], incls, cell_lists)
-        for col in columns(mat_sub(mat_mul(m, pullback_matrix(system, FLIP, cells, cells)), m)))
+        stage.contains_relations(columns(mat_sub(
+            mat_mul(m, pullback_matrix(system, FLIP, cells, cells)), m)))
+        for stage, m, cells in zip(stages[1:], incls, cell_lists))
 
-    generators_generate = None
     if limit.kind == "stabilized":
         if not sigma_trivial:
             raise NonStabilizationError(
@@ -367,13 +365,6 @@ def h0_translation_telescope(system, max_level: int) -> TelescopeResult:
                 "the doubled subgroup is not computed at finite level", max_level)
         h0: GroupValue = limit.group
         h0_plus: GroupValue = _doubled_subgroup(h0)
-        gens = [_indicator_vector(g, cell_lists[-1]) for g in system.h0_generators()]
-        if gens:
-            # the classes generate the image of the previous stage, hence
-            # the limit: check span(gens, relations) contains the included
-            # module
-            span = from_columns(gens + list(stages[-1].relations), rows=stages[-1].ngens)
-            generators_generate = lattice_subset(connecting[-1].mat(), span)
     elif limit.kind == "localization":
         if not sigma_trivial:
             raise NonStabilizationError(
@@ -390,7 +381,6 @@ def h0_translation_telescope(system, max_level: int) -> TelescopeResult:
         sigma_trivial=sigma_trivial,
         h0=h0,
         h0_plus=h0_plus,
-        generators_generate=generators_generate,
     )
 
 
@@ -402,13 +392,6 @@ def _doubled_subgroup(g: FGAbGroup) -> FGAbGroup:
         if dd > 1:
             torsion.append(dd)
     return FGAbGroup(g.rank, tuple(torsion))
-
-
-def _indicator_vector(target, cells) -> List[int]:
-    vec = [0] * len(cells)
-    for i in cover_indices(target, cells):
-        vec[i] = 1
-    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -800,6 +783,9 @@ def homology_table(system, max_level: int = 16, method: str = "closed_form"):
         return split_orbit_table(tele.h0), provenance
 
     _require_levels(system, f"unsupported system: {system!r}")
+    # a chain too short or too wide for three levels is refused up front,
+    # before the telescope sees its depth as the request
+    _deepest_level(system, max_level)
     depth = system.depth(max_level)
     fixed_name, fixed, fixed_count = system.reflection_fixed(depth)
     tele = h0_translation_telescope(system, depth)

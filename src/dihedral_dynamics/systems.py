@@ -35,9 +35,8 @@ operations; any other sequence of cells is refused.
 
 For homology the circle and the odometer differ only in which cell
 lists stand for level N (``level_windows``), in how deep their levels go
-(``depth``), in how the reflections' fixed points are counted
-(``reflection_fixed``) and in which sets generate translation H_0
-(``h0_generators``).  ``level_windows(N)`` gives the cells of level N
+(``depth``) and in how the reflections' fixed points are counted
+(``reflection_fixed``).  ``level_windows(N)`` gives the cells of level N
 and their relation window.  The flip (0,1) permutes a circle's window
 [-N, N] and the reflected rotation (1,1) its window [1-N, N]; a
 rotation by one moves the cuts of [1-N, N] into [-N, N], so the
@@ -329,10 +328,6 @@ class DenjoyFlipSystem:
         if not any(counts.values()):
             raise ValueError("circle flip systems always have reflection fixed points")
         return "fixedPoints", counts, sum(counts.values())
-
-    def h0_generators(self) -> list:
-        """[0, theta) and [theta, 0), whose classes generate translation H_0."""
-        return [ClopenSet.arc(self.theta, 0, 1), ClopenSet.arc(self.theta, 1, 0)]
 
     def to_json(self) -> dict:
         return {"type": self.kind, "theta": self.theta.to_json()}
@@ -652,11 +647,6 @@ class OdometerSystem:
         stabilization per reflection, and the sum of the counts."""
         report = {name: self.fixed_point_report(g, depth) for name, g in REFLECTIONS}
         return "fixedThreads", report, sum(r["count"] for r in report.values())
-
-    def h0_generators(self) -> list:
-        """No sets: translation H_0 is a localization of Z, which no finite
-        family generates."""
-        return []
 
     def to_json(self) -> dict:
         return {"type": self.kind, "chain": list(self.chain)}

@@ -260,6 +260,8 @@ def almost_finite_certificate(system, test_set: Sequence[GroupElement],
     if eps <= 0:
         raise ValueError("eps must be positive")
     test_set = tuple(test_set)
+    if not test_set:
+        raise ValueError("the test set is empty; give at least one group element")
 
     if not _has_invariant_windows(system):
         level = None

@@ -263,6 +263,17 @@ class TestCertifyCommand:
         assert proc.stdout == b""
         assert "ceiling of 1000000 cosets" in json.loads(proc.stderr)["error"]
 
+    @pytest.mark.parametrize("system", ["denjoy_file", "doubled_file", "odometer_file"])
+    def test_empty_test_set(self, capsys, request, system):
+        # no element to be invariant under: refused before any window or
+        # chain level is scanned, with a message that says so
+        code = main(["certify", "--system", request.getfixturevalue(system),
+                     "--eps", "1/10", "--K", "[]"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "test set is empty" in json.loads(captured.err)["error"]
+
     def test_bad_eps(self, capsys, denjoy_file):
         assert main(["certify", "--system", denjoy_file, "--eps", "0"]) == 2
         capsys.readouterr()
@@ -322,6 +333,19 @@ class TestHomologyCommand:
         assert captured.out == ""
         error = json.loads(captured.err)["error"]
         assert "max_level >= 4" in error and "starts at level 2" in error
+
+    @pytest.mark.parametrize("method", ["comp", "freeproduct", "both"])
+    def test_two_level_chain(self, capsys, tmp_path, method):
+        # the default --max-level is 16; the chain, not the request, is
+        # too short, and the message says so
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"type": "odometer", "chain": [2, 4]}))
+        code = main(["homology", "--system", str(path), "--method", method])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == (
+            "need at least 3 odometer levels with at most 512 cosets")
 
     def test_non_stabilization_exit_code(self, capsys, tmp_path):
         # the mixed chain's free-product H1 is still moving at its top level

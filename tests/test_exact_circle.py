@@ -17,9 +17,15 @@ from dihedral_dynamics.exact_circle import (
     _is_squarefree,
     format_point,
     frac,
-    is_partition,
     qe_cmp,
+    sweep_partition,
 )
+
+
+def is_partition(sets):
+    """True iff the sets are pairwise disjoint and cover the circle."""
+    disjoint, covers = sweep_partition(sets)
+    return disjoint and covers
 
 
 def q(theta, a, b=0):

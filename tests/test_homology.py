@@ -18,7 +18,6 @@ from dihedral_dynamics.abgroups import (
     from_columns,
     identity_matrix,
     kernel_basis,
-    lattice_subset,
     lift_identity,
     mat_mul,
     mat_sub,
@@ -51,12 +50,13 @@ from dihedral_dynamics.systems import (
     DoubledSystem,
     GroupElement,
     OdometerSystem,
+    cover_indices,
     cover_matrix,
     pullback_matrix,
     pullback_permutation,
 )
 
-from test_abgroups import equals_hom, relation_rule, solve_integer
+from test_abgroups import equals_hom, lattice_subset, relation_rule, solve_integer
 
 Z2 = FGAbGroup(0, (2,))
 ZERO = FGAbGroup(0)
@@ -296,7 +296,26 @@ class TestTelescope:
         assert tele.sigma_trivial
         assert tele.h0_plus == FGAbGroup(2)
         assert tele.limit.kind == "stabilized"
-        assert tele.generators_generate
+
+    @pytest.mark.parametrize("theta", [GOLDEN, Theta(p=-1, q=1, d=2, r=1),
+                                       Theta(p=-1, q=1, d=3, r=2)],
+                             ids=["golden", "sqrt2", "sqrt3"])
+    def test_two_arcs_generate(self, theta):
+        # [0, theta) and [theta, 0), with the top stage's relations, span
+        # the module included from the stage below, hence the limit
+        system = DenjoyFlipSystem(theta)
+        tele = h0_translation_telescope(system, 8)
+        top = tele.stages[-1]
+        cells = system.level_windows(len(tele.stages))[0]
+        gens = []
+        for arc in (ClopenSet.arc(theta, 0, 1), ClopenSet.arc(theta, 1, 0)):
+            ix = cover_indices(arc, cells)
+            gens.append([int(i in ix) for i in range(len(cells))])
+        span = from_columns(gens + list(top.relations), rows=top.ngens)
+        assert lattice_subset(tele.connecting[-1].mat(), span)
+        # one arc alone does not: the limit is Z^2
+        alone = from_columns(gens[:1] + list(top.relations), rows=top.ngens)
+        assert not lattice_subset(tele.connecting[-1].mat(), alone)
 
     def test_denjoy_other_theta(self, sqrt2_theta):
         from dihedral_dynamics.systems import DenjoyFlipSystem
@@ -649,25 +668,31 @@ class TestLifts:
             with pytest.raises(ValueError, match="relations into relations"):
                 AbHom.of(a, doubled, induced, induced)
 
-    @pytest.mark.parametrize("run", [
-        lambda s: h0_translation_telescope(s, 14),
-        lambda s: homology_table(s, 14, "both"),
-    ], ids=["telescope", "table"])
-    def test_relation_solver_count(self, monkeypatch, denjoy, run):
-        # the telescope's flip check solves on its 13 upper stages; its
-        # limit takes no images, and the lifted maps and the free product
-        # build none (61 for the table before lifts)
-        prop = Presentation.__dict__["_relation_solver"]
-        build = prop.func
+    @pytest.mark.parametrize("system,run", [
+        (DenjoyFlipSystem(GOLDEN), lambda s: h0_translation_telescope(s, 14)),
+        (DenjoyFlipSystem(GOLDEN), lambda s: homology_table(s, 14, "both")),
+        (DenjoyFlipSystem(Theta(p=-1, q=1, d=2, r=1)), lambda s: homology_table(s, 10, "both")),
+        (OdometerSystem([2 ** i for i in range(1, 7)]), lambda s: homology_table(s, 16, "both")),
+        (OdometerSystem([3 ** i for i in range(1, 5)]), lambda s: homology_table(s, 16, "both")),
+    ], ids=["telescope", "table", "sqrt2-L10", "2^i-6", "3^i-4"])
+    def test_relation_solver_count(self, monkeypatch, system, run):
+        # relation membership (the flip rule, and the maps without a lift
+        # on the 2^i odd-homology images) is decided by Smith diagonals, so
+        # no transform-tracking solver is built (14, 14, 10, 8 and 3 were
+        # built when membership was solved)
+        init = SnfSolver.__init__
         built = []
 
-        def counted(self):
+        def counted(self, mat):
             built.append(1)
-            return build(self)
+            init(self, mat)
 
-        monkeypatch.setattr(prop, "func", counted)
-        run(denjoy)
-        assert len(built) == 13
+        monkeypatch.setattr(SnfSolver, "__init__", counted)
+        run(system)
+        assert built == []
+        # the count sees a solver where one is built
+        subquotient([[0]], [[0]])
+        assert built == [1]
 
 
 def lattice_fragment_flags(msigma, mphisigma, inclusion):
@@ -1088,8 +1113,8 @@ class TestTransfer:
         middle = Presentation.of(2, [(2, -2)])
         witness = AbHom.of(Presentation.free(1), middle, [[1], [-1]])
         assert witness.image_group() == Z2
-        assert middle.contains_relation([2, -2])
-        assert not middle.contains_relation([1, -1])
+        assert middle.contains_relations([[2, -2]])
+        assert not middle.contains_relations([[1, -1]])
         tr = AbHom.of(middle, Presentation.free(1), [[1, 1]])
         report = transfer_kernel(middle, tr, FGAbGroup(1))
         assert report.kernel == Z2

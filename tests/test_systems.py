@@ -29,7 +29,7 @@ from dihedral_dynamics.systems import (
 )
 
 from test_exact_circle import THETAS as CIRCLE_THETAS
-from test_exact_circle import clopen_sets, random_clopen
+from test_exact_circle import clopen_sets, is_partition, random_clopen
 
 
 def coset_identification_ok(odo, level):
@@ -405,7 +405,6 @@ class TestLevelPartition:
                 assert len(ix) == odometer3.modulus(level + 1) // odometer3.modulus(level)
 
     def test_partition_is_partition(self, denjoy):
-        from dihedral_dynamics.exact_circle import is_partition
         for level in (1, 2, 3):
             assert is_partition(denjoy.cells(-level, level))
             assert is_partition(denjoy.cells(1 - level, level))
@@ -621,8 +620,6 @@ class TestLevelWindows:
         assert denjoy.depth(40, cell_cap=8) == 40
 
     def test_windows_are_cell_sequences(self, denjoy, odometer3):
-        from dihedral_dynamics.exact_circle import is_partition
-
         window = denjoy.cells(-2, 2)
         assert len(window) == 5 and list(window) == [window[i] for i in range(5)]
         assert window == denjoy.cells(-2, 2) and window != denjoy.cells(-3, 3)
