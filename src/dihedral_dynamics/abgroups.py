@@ -16,9 +16,10 @@ left, the least absolute entry is the pivot, Euclid steps clear its row
 and column, and the leftover block is made divisible by it.  Ties break
 on (cost, row, col), so outputs are reproducible bit for bit.  The
 diagonal-only mode (``snf_diagonal``, ``Presentation.canonical``) tracks
-no transforms.  The transform mode (``smith_normal_form``,
-``kernel_basis``, ``SnfSolver``) tracks U as sparse rows and V as sparse
-columns, and no inverse of either.
+no transforms, and drops a unit pivot's row once its column is clear:
+the column steps would change only that row.  The transform mode
+(``smith_normal_form``, ``kernel_basis``, ``SnfSolver``) tracks U as
+sparse rows and V as sparse columns, and no inverse of either.
 
 Yes/no questions are decided from Smith diagonals, and transform
 tracking serves only callers that read coordinates (``subquotient``,
@@ -233,9 +234,13 @@ class _SparseSmith:
             _axpy(self.v[dst], self.v[src], q)
 
     def _finish(self, r: int, c: int) -> None:
-        """Record the cleared pivot (r, c) and drop it from the block."""
-        d = self.rows.pop(r)[c]
+        """Record the pivot (r, c), whose column is clear, and drop its
+        row and column from the block."""
+        row = self.rows.pop(r)
+        d = row.pop(c)
         del self.cols[c]
+        for j in row:
+            self.cols[j].discard(r)
         if d < 0 and self.track:
             self.u[r] = {k: -x for k, x in self.u[r].items()}
             d = -d
@@ -246,39 +251,51 @@ class _SparseSmith:
     def _markowitz(self, i: int, j: int) -> int:
         return (len(self.rows[i]) - 1) * (len(self.cols[j]) - 1)
 
-    def _unit_entries(self, rows: Iterable[int], cols: Iterable[int]):
-        """(Markowitz cost, row, col) of the +-1 entries in the given lines."""
-        for i in rows:
-            for j, x in self.rows[i].items():
-                if x == 1 or x == -1:
-                    yield self._markowitz(i, j), i, j
-        for j in cols:
-            for i in self.cols[j]:
-                x = self.rows[i][j]
-                if x == 1 or x == -1:
-                    yield self._markowitz(i, j), i, j
+    def _row_units(self, i: int, skip=()) -> list:
+        """(Markowitz cost, row, col) of the +-1 entries of row i outside
+        the columns ``skip``."""
+        cols = self.cols
+        f = len(self.rows[i]) - 1
+        return [(f * (len(cols[j]) - 1), i, j) for j, x in self.rows[i].items()
+                if (x == 1 or x == -1) and j not in skip]
+
+    def _col_units(self, j: int) -> list:
+        """(Markowitz cost, row, col) of the +-1 entries of column j."""
+        rows = self.rows
+        f = len(self.cols[j]) - 1
+        return [((len(rows[i]) - 1) * f, i, j) for i in self.cols[j]
+                if rows[i][j] == 1 or rows[i][j] == -1]
 
     def _unit_phase(self) -> None:
         """Take +-1 pivots while any is left, least Markowitz cost first.
 
-        The heap may hold stale keys.  A pivot step re-pushes every unit
-        in the rows and columns it touched, which are the only entries
-        whose cost or value it can change, so a popped key that still
-        equals its entry's cost is the exact minimum of (cost, row, col).
+        The heap may hold stale keys, but it holds the current key of
+        every unit.  A pivot step changes the value or cost of an entry
+        only in its line columns (the pivot row's other columns) and in
+        the rows it touched whose length changed: a touched row of the
+        same length keeps its entries outside the line columns, and their
+        columns keep their lengths.  Those entries are re-pushed, each
+        once, so a popped key that still equals its entry's cost is the
+        exact minimum of (cost, row, col).
         """
-        heap = list(self._unit_entries(self.rows, ()))
+        rows, cols = self.rows, self.cols
+        heap = [entry for i in rows for entry in self._row_units(i)]
         heapq.heapify(heap)
         while heap:
             cost, r, c = heapq.heappop(heap)
-            row = self.rows.get(r)
+            row = rows.get(r)
             x = row.get(c) if row is not None else None
             if (x == 1 or x == -1) and self._markowitz(r, c) == cost:
-                others = [i for i in self.cols[c] if i != r]
-                line = [j for j in row if j != c]
+                lengths = [(i, len(rows[i])) for i in cols[c] if i != r]
+                line = {j for j in row if j != c}
                 self._pivot(r, c)
-                touched = [i for i in others if self.rows[i]]
-                for entry in self._unit_entries(touched, line):
-                    heapq.heappush(heap, entry)
+                for j in line:
+                    for entry in self._col_units(j):
+                        heapq.heappush(heap, entry)
+                for i, n in lengths:
+                    if len(rows[i]) != n:
+                        for entry in self._row_units(i, line):
+                            heapq.heappush(heap, entry)
 
     # -- the block left without units, and the pivot step of both phases -
 
@@ -311,6 +328,9 @@ class _SparseSmith:
             if rest:
                 r = min(rest, key=lambda i: (abs(rows[i][c]), i))
                 continue
+            if (p == 1 or p == -1) and not self.track:
+                # the column steps would change only row r, which _finish drops
+                break
             for j in [j for j in rows[r] if j != c]:
                 self._add_col(j, c, -(rows[r][j] // p))
             rest = [j for j in rows[r] if j != c]

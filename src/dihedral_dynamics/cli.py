@@ -22,7 +22,7 @@ from .homology import (
     _BAR_MAX_CELLS,
     _BAR_MAX_DEGREE,
     InvolutionModule,
-    bar_homology,
+    bar_homologies,
     coinvariants,
     even_homology,
     homology_table,
@@ -85,8 +85,12 @@ def _check_range(flag: str, value, low: int, high=None):
 def _emit(payload: dict, out_path) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            # before stdout, so a refused path prints no payload
+            raise ConfigError(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
     try:
         print(text)
         # flush inside the try, so a reader that went away is seen here
@@ -182,13 +186,12 @@ def cmd_oracle_check(args) -> int:
     for case in range(args.count):
         n = rng.randint(1, args.max_cells)
         module = _random_involution(rng, n)
-        for degree in range(args.max_degree + 1):
+        for degree, got in enumerate(bar_homologies(module, args.max_degree)):
             expected = (
                 coinvariants(module) if degree == 0
                 else odd_homology(module) if degree % 2
                 else even_homology(module)
             )
-            got = bar_homology(module, degree)
             checked += 1
             if got != expected:
                 mismatches.append({

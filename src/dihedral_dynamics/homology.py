@@ -12,10 +12,12 @@ reflected windows.
 Both reflections permute the cells of their windows, so the assembly
 works in orbit coordinates (Shapiro's lemma): H_0 on the flip orbits,
 with one relation per pair of the reflected flip, and odd homology on
-fixed cells with relations 2 * I.  The kernel/image formulas of an
-involution matrix (``odd_homology``, ``even_homology``,
-``coinvariants``) serve modules of any sign, and an unnormalized bar
-complex cross-checks them.
+fixed cells with relations 2 * I.  The order-2 homology of one module
+(``odd_homology``, ``even_homology``, ``coinvariants``) is the same orbit
+count for a permutation module, (Z/2)^{fixed}, 0 and Z^{orbits}, and the
+kernel/image formulas of its matrix for a signed one.  An unnormalized
+bar complex cross-checks both (``bar_homologies`` eliminates each of its
+boundaries once for all degrees up to a top one).
 
 Circle systems and odometers take one path through every level
 computation.  The system names the cell lists that stand for level N
@@ -92,6 +94,7 @@ __all__ = [
     "even_homology",
     "coinvariants",
     "bar_homology",
+    "bar_homologies",
     "TelescopeResult",
     "h0_translation_telescope",
     "free_product_fragment",
@@ -182,17 +185,27 @@ def _shifted(module: InvolutionModule, c: int) -> Matrix:
 
 
 def odd_homology(module: InvolutionModule) -> FGAbGroup:
-    """ker(A - I) / im(A + I): the odd-degree homology of the order-2 action."""
+    """ker(A - I) / im(A + I): the odd-degree homology of the order-2
+    action; (Z/2)^{fixed cells} for a permutation module."""
+    if module.perm is not None:
+        return FGAbGroup.elementary_two(len(module.orbits[2]))
     return subquotient(_shifted(module, -1), _shifted(module, 1))
 
 
 def even_homology(module: InvolutionModule) -> FGAbGroup:
-    """ker(A + I) / im(A - I): the positive even-degree homology."""
+    """ker(A + I) / im(A - I): the positive even-degree homology; 0 for a
+    permutation module."""
+    if module.perm is not None:
+        return FGAbGroup(0)
     return subquotient(_shifted(module, 1), _shifted(module, -1))
 
 
 def coinvariants(module: InvolutionModule) -> FGAbGroup:
-    """coker(A - I), the degree-0 homology of the order-2 action."""
+    """coker(A - I), the degree-0 homology of the order-2 action; free on
+    the orbits for a permutation module."""
+    if module.perm is not None:
+        _, pairs, fixed = module.orbits
+        return FGAbGroup.free(len(pairs) + len(fixed))
     return Presentation.of(module.ncells, columns(_shifted(module, -1))).canonical()
 
 
@@ -245,29 +258,51 @@ def _bar_boundary(module: InvolutionModule, k: int) -> Matrix:
     return mat
 
 
-def bar_homology(module: InvolutionModule, degree: int) -> FGAbGroup:
-    """H_degree of the order-2 action via the unnormalized bar complex.
-
-    Independent of the periodic two-term formulas: the homology is read
-    off ranks and elementary divisors of the raw bar boundaries.  Sizes
-    are guarded since the complex grows like 2^degree.
-    """
+def _check_bar_size(module: InvolutionModule, degree: int) -> None:
+    """Refuse a degree or module outside the bar oracle's guards; the
+    complex grows like 2^degree."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if degree > _BAR_MAX_DEGREE or module.ncells > _BAR_MAX_CELLS:
         raise ValueError(
             f"bar oracle guard: degree <= {_BAR_MAX_DEGREE} and cells <= {_BAR_MAX_CELLS}")
-    n = module.ncells
-    dim_n = n * (1 << degree)
-    d_n = _bar_boundary(module, degree)
-    rank_d_n = sum(1 for d in snf_diagonal(d_n) if d) if d_n else 0
-    d_next = _bar_boundary(module, degree + 1)
-    diag_next = snf_diagonal(d_next)
-    rank_next = sum(1 for d in diag_next if d)
-    torsion = tuple(d for d in diag_next if d > 1)
-    # im(d_next) sits inside the pure sublattice ker(d_n), so the
-    # elementary divisors of d_next are those of the inclusion.
-    return FGAbGroup(dim_n - rank_d_n - rank_next, torsion)
+
+
+def _bar_group(ncells: int, degree: int, diag_in: List[int], diag_out: List[int]) -> FGAbGroup:
+    """H_degree from the Smith diagonals of d_degree (empty for degree 0)
+    and of d_{degree+1}."""
+    rank_in = sum(1 for d in diag_in if d)
+    rank_out = sum(1 for d in diag_out if d)
+    # im(d_out) sits inside the pure sublattice ker(d_in), so the
+    # elementary divisors of d_out are those of the inclusion.
+    return FGAbGroup(ncells * (1 << degree) - rank_in - rank_out,
+                     tuple(d for d in diag_out if d > 1))
+
+
+def bar_homology(module: InvolutionModule, degree: int) -> FGAbGroup:
+    """H_degree of the order-2 action via the unnormalized bar complex.
+
+    Independent of the orbit counts and the periodic two-term formulas:
+    the homology is read off ranks and elementary divisors of the raw
+    bar boundaries d_degree and d_{degree+1}.
+    """
+    _check_bar_size(module, degree)
+    d_in = _bar_boundary(module, degree)
+    diag_in = snf_diagonal(d_in) if d_in else []
+    diag_out = snf_diagonal(_bar_boundary(module, degree + 1))
+    return _bar_group(module.ncells, degree, diag_in, diag_out)
+
+
+def bar_homologies(module: InvolutionModule, top: int) -> List[FGAbGroup]:
+    """[bar_homology(module, k) for k in 0..top], with each boundary
+    d_1 .. d_{top+1} built and eliminated once."""
+    _check_bar_size(module, top)
+    groups, diag_in = [], []
+    for degree in range(top + 1):
+        diag_out = snf_diagonal(_bar_boundary(module, degree + 1))
+        groups.append(_bar_group(module.ncells, degree, diag_in, diag_out))
+        diag_in = diag_out
+    return groups
 
 
 # ---------------------------------------------------------------------------

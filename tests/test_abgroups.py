@@ -344,6 +344,16 @@ class TestSnfOracles:
             pivots = _SparseSmith(mat, track=track).pivots
             assert [(r, c) for r, c, _ in pivots[:len(ref)]] == ref
 
+    @with_shapes
+    @given(ANY_MATRIX)
+    @settings(max_examples=200, deadline=None)
+    def test_diagonal_mode_moves_no_pivot(self, shaped):
+        # without transforms a unit pivot's row leaves without column
+        # steps; the pivots are those of the transform mode, up to sign
+        mat, _ = shaped
+        plain, tracked = (_SparseSmith(mat, track=track).pivots for track in (False, True))
+        assert [(r, c, abs(d)) for r, c, d in plain] == [(r, c, abs(d)) for r, c, d in tracked]
+
     def test_fill_avoided(self):
         # Arrowhead: the diagonal units cost 1 and go first; the dense
         # first row and column wait, so no step fills the block.

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import dihedral_dynamics
+from dihedral_dynamics import cli
+from dihedral_dynamics.abgroups import FGAbGroup
 from dihedral_dynamics.cli import build_parser, main
 from dihedral_dynamics.towers import Castle
 
@@ -396,6 +398,16 @@ class TestOracleCommand:
                              "--max-degree", "2", "--max-cells", "4"])
         assert d1 == d2
 
+    def test_wrong_formula_is_reported(self, capsys, monkeypatch):
+        # the bar complex is an independent check: a wrong odd-degree
+        # formula shows as a mismatch in every odd degree of every case
+        monkeypatch.setattr(cli, "odd_homology", lambda module: FGAbGroup(0, (3,)))
+        code, data = run(capsys, ["oracle-check", "--seed", "2", "--count", "3",
+                                  "--max-degree", "3", "--max-cells", "4"])
+        assert code == 4
+        assert [(m["case"], m["degree"]) for m in data["mismatches"]] == [
+            (case, degree) for case in range(3) for degree in (1, 3)]
+        assert all(m["expected"] == {"rank": 0, "torsion": [3]} for m in data["mismatches"])
 
     @pytest.mark.parametrize("args,bound", [
         (["--count", "1", "--max-cells", "8000", "--seed", "15"], "--max-cells must be in 1..8"),
@@ -432,6 +444,18 @@ class TestOutputFiles:
                                   "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text()) == data
+
+    @pytest.mark.parametrize("command", ["oracle-check", "homology"])
+    def test_unwritable_out_is_a_config_error(self, command, denjoy_file, tmp_path):
+        # a path in a missing directory, and a directory: exit 2 with the
+        # path named, and no payload on stdout
+        args = {"oracle-check": ["oracle-check", "--count", "1"],
+                "homology": ["homology", "--system", denjoy_file, "--max-level", "4"]}[command]
+        out = {"oracle-check": tmp_path / "missing" / "x.json", "homology": tmp_path}[command]
+        proc, _ = run_module([*args, "--out", str(out)], timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert str(out) in json.loads(proc.stderr)["error"]
 
 
 class TestClosedReader:

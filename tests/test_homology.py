@@ -22,6 +22,7 @@ from dihedral_dynamics.abgroups import (
     mat_mul,
     mat_sub,
     preimage_lattice,
+    snf_diagonal,
     subquotient,
 )
 from dihedral_dynamics.errors import NonStabilizationError
@@ -29,6 +30,7 @@ from dihedral_dynamics.exact_circle import ClopenSet, GOLDEN, Theta
 from dihedral_dynamics.homology import (
     InvolutionModule,
     _image_refined_limit,
+    bar_homologies,
     bar_homology,
     coinvariants,
     even_homology,
@@ -155,7 +157,55 @@ def random_involution_module(rng, max_cells):
     return InvolutionModule.of(mat)
 
 
+@st.composite
+def involutive_permutations(draw, max_cells):
+    """A permutation of range(n), n <= max_cells, that swaps a drawn
+    number of disjoint pairs."""
+    n = draw(st.integers(0, max_cells))
+    order = draw(st.permutations(range(n)))
+    perm = list(range(n))
+    for k in range(draw(st.integers(0, n // 2))):
+        a, b = order[2 * k], order[2 * k + 1]
+        perm[a], perm[b] = b, a
+    return perm
+
+
+@st.composite
+def signed_involutions(draw, max_cells):
+    """A signed permutation module that is not a permutation module: each
+    orbit of an involutive permutation carries a sign, one of them -1."""
+    perm = draw(involutive_permutations(max_cells).filter(bool))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(perm), max_size=len(perm)))
+    k = draw(st.integers(0, len(perm) - 1))
+    signs[min(k, perm[k])] = -1
+    sign = [signs[min(i, p)] for i, p in enumerate(perm)]
+    n = len(perm)
+    return InvolutionModule.of([[sign[j] if perm[j] == i else 0 for j in range(n)]
+                                for i in range(n)])
+
+
+def smith_route(module):
+    """(odd, even, coinvariants) of a module by the kernel/image formulas
+    on its matrix: subquotient(A -+ I, A +- I) and coker(A - I)."""
+    ident = identity_matrix(module.ncells)
+    minus, plus = mat_sub(module.mat(), ident), mat_add(module.mat(), ident)
+    return (subquotient(minus, plus), subquotient(plus, minus),
+            Presentation.of(module.ncells, columns(minus)).canonical())
+
+
 class TestInvolutionFormulas:
+    @given(involutive_permutations(10))
+    @settings(max_examples=200, deadline=None)
+    def test_orbit_counts_match_smith_route(self, perm):
+        m = InvolutionModule.from_permutation(perm)
+        assert (odd_homology(m), even_homology(m), coinvariants(m)) == smith_route(m)
+
+    @given(signed_involutions(6))
+    @settings(max_examples=100, deadline=None)
+    def test_signed_modules_take_smith_route(self, m):
+        assert m.perm is None
+        assert (odd_homology(m), even_homology(m), coinvariants(m)) == smith_route(m)
+
     def test_odd_counts_fixed_cells(self):
         m = InvolutionModule.from_permutation([0, 1, 2, 4, 3])
         assert odd_homology(m) == FGAbGroup(0, (2, 2, 2))
@@ -277,6 +327,31 @@ class TestBarOracle:
             d_next = _bar_boundary(m, k + 1)
             prod = mat_mul(d_k, d_next)
             assert all(all(x == 0 for x in row) for row in prod)
+
+    @given(st.one_of(involutive_permutations(5).map(InvolutionModule.from_permutation),
+                     signed_involutions(5)), st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_all_degrees_at_once(self, m, top):
+        assert bar_homologies(m, top) == [bar_homology(m, k) for k in range(top + 1)]
+
+    def test_all_degrees_eliminate_each_boundary_once(self, monkeypatch):
+        calls = []
+
+        def counting(mat):
+            calls.append((len(mat), len(mat[0])))
+            return snf_diagonal(mat)
+
+        monkeypatch.setattr(homology, "snf_diagonal", counting)
+        m = InvolutionModule.from_permutation([1, 0, 2])
+        bar_homologies(m, 4)
+        # d_1 .. d_5, each C_k -> C_{k-1} of size 3 * 2^(k-1) x 3 * 2^k
+        assert calls == [(3 << (k - 1), 3 << k) for k in range(1, 6)]
+
+    def test_all_degrees_guards(self):
+        with pytest.raises(ValueError):
+            bar_homologies(InvolutionModule.of(identity_matrix(9)), 1)
+        with pytest.raises(ValueError):
+            bar_homologies(InvolutionModule.of([[1]]), 7)
 
     def test_matches_formulas_random(self):
         rng = random.Random(59)

@@ -24,6 +24,8 @@ ALLOWED = {
                        "comparison (ROADMAP item 4)",
     "free_action_table": "the free case, which waits for free minimal circle systems "
                          "(ROADMAP item 7)",
+    "bar_homology": "the one-degree bar oracle, which the benchmark's drawn-module "
+                    "operation calls per degree",
 }
 
 
