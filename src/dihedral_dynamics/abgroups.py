@@ -55,6 +55,7 @@ __all__ = [
     "Presentation",
     "AbHom",
     "DirectSystem",
+    "multiplier_limit",
     "LimitDescriptor",
     "LocalizationDescriptor",
     "smith_normal_form",
@@ -735,6 +736,25 @@ class LimitDescriptor:
         if self.localization is not None:
             out.update(self.localization.to_json())
         return out
+
+
+def multiplier_limit(group: FGAbGroup, multipliers: Sequence[int]) -> LimitDescriptor:
+    """The limit of group -> group -> ... whose i-th map is multiplication
+    by ``multipliers[i]``, by the rule of ``DirectSystem.limit``: the maps
+    that are isomorphisms (multiplier +-1) from the top down give the
+    group, stabilized at the stage below the lowest of them; maps of Z by
+    nonzero multipliers, some not +-1, give their localization, named by
+    the multipliers up to sign; anything else is undetermined."""
+    sizes = [abs(m) for m in multipliers]
+    start = len(sizes)
+    while start > 0 and sizes[start - 1] == 1:
+        start -= 1
+    if start < len(sizes):
+        return LimitDescriptor(kind="stabilized", group=group, level=start + 1)
+    if group == FGAbGroup(1) and all(sizes) and any(m > 1 for m in sizes):
+        return LimitDescriptor(kind="localization",
+                               localization=LocalizationDescriptor(tuple(sizes)))
+    return LimitDescriptor(kind="undetermined", level=len(multipliers) + 1)
 
 
 @dataclass(frozen=True)

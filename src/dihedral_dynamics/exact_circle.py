@@ -15,6 +15,7 @@ realises that Boolean algebra in a unique normal form.
 from __future__ import annotations
 
 import itertools
+import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +24,7 @@ from math import isqrt
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
+    "json_int",
     "Theta",
     "QuadExt",
     "CutPoint",
@@ -84,6 +86,14 @@ def _is_squarefree(d: int) -> bool:
                 return False
         f += 1 if f == 2 else 2
     return d == 1 or isqrt(d) ** 2 != d
+
+
+def json_int(value, field: str) -> int:
+    """A JSON integer as it was parsed; a float, bool or string is refused
+    with a ``ValueError`` that names the field, not rounded."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {json.dumps(value)}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -152,7 +162,7 @@ class Theta:
 
     @classmethod
     def from_json(cls, data: dict) -> "Theta":
-        return cls(p=int(data["p"]), q=int(data["q"]), d=int(data["d"]), r=int(data["r"]))
+        return cls(**{k: json_int(data[k], f"theta field {k!r}") for k in ("p", "q", "d", "r")})
 
 
 #: The golden rotation number (sqrt(5) - 1) / 2.

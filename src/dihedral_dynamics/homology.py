@@ -27,14 +27,19 @@ levels go (``depth``) and how its reflections' fixed points are counted
 (``reflection_fixed``).  The telescope and the free product read the same
 windows: the first as the cells of a stage and the window of its
 translation relations, the second as the windows of the two
-reflections.  Refinement between levels is ``cover_matrix`` of a
-coarser level's cells in a finer level's, for arcs and cylinders
-alike; each computation builds each cell list once.
+reflections.  ``homology_table`` builds them once, as the system's
+``level_chain``, and hands the chain to both routes.  Refinement between
+levels is ``cover_matrix`` of a coarser level's cells in a finer
+level's, for arcs and cylinders alike.
 
-The flip P acts trivially on the translation H_0, and incl * P is then
-a map of presented groups, when the columns of incl * (P - I) are
-relations of the next stage (see ``h0_translation_telescope``): one
-Smith diagonal per stage decides it (``Presentation.contains_relations``).
+The telescope is proved through the length state l_N of each level
+(Putnam-Schmidt-Skau): a circle cell's exact length a + b*theta, or an
+odometer cylinder's measure in units of 1/n_N.  The state kills the
+translation relations and maps onto Z^r, so with the stage's one Smith
+form equal to Z^r it identifies the stage with Z^r; each connecting map
+is then multiplication by the integer c_N with l_{N+1} * incl = c_N * l_N,
+and the flip P acts trivially on stage N exactly when l_N * P = l_N.
+Each is an integer identity (see ``h0_translation_telescope``).
 
 Every refinement map between stages is proved a map of presented groups
 by an exact identity M * R = R' * W (``abgroups.lift_identity``), with a
@@ -44,18 +49,20 @@ to the sum of the same relations on the finer cells.  The lifts are the
 refinement of the telescope's relation windows; for the free-product
 H_0, the reflected window's refinement taken onto the pairs of the
 reflected flip (``_refinement_maps``); and for the odd homologies, the
-map itself, the inclusion restricted to fixed cells.  Each telescope
-stage is already the limit on circles, so its connecting maps are
-isomorphisms; only the odd-homology limits take the system of images
-(``_image_refined_limit``), whose maps have no lift and are proved by
-relation membership.
+map itself, the inclusion restricted to fixed cells.  The telescope
+reads its limit off the state multipliers (``multiplier_limit``), and
+the free product's H_0 through ``DirectSystem.limit``, as an
+independent second route; only the odd-homology limits take the system
+of images (``_image_refined_limit``), whose maps have no lift and are
+proved by relation membership.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import combinations, compress
+from math import gcd
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .abgroups import (
@@ -73,10 +80,11 @@ from .abgroups import (
     lift_identity,
     mat_mul,
     mat_sub,
+    multiplier_limit,
     snf_diagonal,
     subquotient,
 )
-from .errors import NonStabilizationError
+from .errors import NonStabilizationError, VerificationError
 from .systems import (
     FLIP,
     TRANSLATION,
@@ -338,7 +346,7 @@ _MAX_LEVEL_CELLS = 512
 def _require_levels(system, message: str) -> None:
     """Reject a system that has no level windows (circle and odometer
     systems have them)."""
-    if not hasattr(system, "level_windows"):
+    if not hasattr(system, "level_chain"):
         raise ValueError(message)
 
 
@@ -355,59 +363,128 @@ def _deepest_level(system, max_level: int) -> int:
     return top
 
 
-def h0_translation_telescope(system, max_level: int) -> TelescopeResult:
+def _state_images(state: Matrix, vectors) -> List[List[int]]:
+    """state * v for each vector v, summed over the nonzeros of v."""
+    images = []
+    for v in vectors:
+        nonzero = list(compress(range(len(v)), v))
+        images.append([sum(row[i] * v[i] for i in nonzero) for row in state])
+    return images
+
+
+def _det(m: Matrix) -> int:
+    """The determinant of a small square matrix, along its first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j, x in enumerate(m[0]))
+
+
+def _is_onto(state: Matrix) -> bool:
+    """Whether the r x n matrix maps Z^n onto Z^r: its r x r minors have
+    gcd 1."""
+    g = 0
+    for cols in combinations(range(len(state[0])), len(state)):
+        g = gcd(g, _det([[row[c] for c in cols] for row in state]))
+        if g == 1:
+            return True
+    return False
+
+
+def _check_state(stage: Presentation, state: Matrix, level: int) -> None:
+    """That the length state is an isomorphism from the stage onto Z^r:
+    it kills the relations and maps onto Z^r, and the stage is Z^r, so
+    it induces a surjection Z^r -> Z^r, which is injective (Hopfian)."""
+    if any(any(w) for w in _state_images(state, stage.relations)):
+        raise VerificationError(f"the length state of level {level} does not kill its relations")
+    if not _is_onto(state):
+        raise VerificationError(f"the length state of level {level} is not onto Z^{len(state)}")
+    if stage.canonical() != FGAbGroup(len(state)):
+        raise VerificationError(
+            f"translation H0 stage at level {level} is {stage.canonical()}, not Z^{len(state)}")
+
+
+def _state_multiplier(fine: Matrix, incl: Matrix, coarse: Matrix, level: int) -> int:
+    """The integer c with fine * incl == c * coarse: the connecting map
+    from level ``level``, read through the length states of both ends."""
+    image, want = _state_images(fine, zip(*incl)), columns(coarse)
+    j, k = next((j, k) for j, col in enumerate(want) for k, x in enumerate(col) if x)
+    c, rem = divmod(image[j][k], want[j][k])
+    if rem or image != [[c * x for x in col] for col in want]:
+        raise VerificationError(
+            f"refinement from level {level} to {level + 1} does not scale the length state")
+    return c
+
+
+def h0_translation_telescope(system, max_level: int,
+                             chain: Optional[list] = None) -> TelescopeResult:
     """H_0 of the translation action on C(X, Z), with the flip action.
 
     Stage N presents the functions on level N's flip window modulo
     f - f o (1,0) for f on its reflected window (``level_windows``), the
-    widest window whose translate stays inside the flip window.  Circle
-    systems stabilize to a finitely generated group; odometers produce a
-    rank-one system whose limit is reported as a localization
-    descriptor.  The flip P acts trivially when the columns of
-    incl * (P - I) lie in the next stage's relations; then incl * P is a
-    map of presented groups too (incl * P * r = incl * r + incl * (P - I) * r
-    for a relation r), and (1 + flip)H_0 = 2 H_0 is returned in canonical
-    form (doubling a localization of Z is an isomorphism onto its image).
+    widest window whose translate stays inside the flip window.  The
+    windows are ``chain``, the system's ``level_chain`` up to the deepest
+    usable level, built here unless the caller holds it already.
+
+    Each stage is proved by the length state l_N of its cells
+    (``length_state``: a circle cell's exact length a + b*theta as the
+    column (a, b), an odometer cylinder's measure in units of 1/n_N).
+    Translation keeps lengths, so l_N kills the relations; it maps onto
+    Z^r, and the stage's one Smith form is Z^r, so l_N is an isomorphism
+    (Hopfian).  Refinement keeps lengths too: l_{N+1} * incl = c_N * l_N
+    with c_N = 1 on circles and n_{N+1}/n_N on odometers, so through the
+    states each connecting map is multiplication by c_N.  The limit
+    follows from the c_N (``multiplier_limit``): circle systems stabilize
+    to Z^2, and odometers give a localization of Z.  The flip acts
+    trivially on stage N exactly when l_N * P = l_N for its permutation
+    P; (1 + flip)H_0 = 2 H_0 is then returned in canonical form (doubling
+    a localization of Z is an isomorphism onto its image).  A state
+    identity that fails is a fault in the arithmetic and raises
+    ``VerificationError``; a flip that moves the state, or a limit the
+    multipliers leave open, raises ``NonStabilizationError``.
     """
     if max_level < 3:
         raise ValueError("max_level must be >= 3")
     _require_levels(system, "telescope requires a circle or odometer system")
-    top = _deepest_level(system, max_level)
-    windows = [system.level_windows(t) for t in range(1, top + 1)]
-    cell_lists = [fine for fine, _ in windows]
+    if chain is None:
+        chain = system.level_chain(_deepest_level(system, max_level))
+    top = len(chain)
+    cell_lists = [fine for fine, _ in chain]
+    states = [fine.length_state() for fine in cell_lists]
     stages = [
         Presentation.of(len(fine), columns(mat_sub(
             cover_matrix(coarse, fine), pullback_matrix(system, TRANSLATION, coarse, fine))))
-        for fine, coarse in windows]
+        for fine, coarse in chain]
+    for level, (stage, state) in enumerate(zip(stages, states), 1):
+        _check_state(stage, state, level)
     # refinement commutes with translation, so the refinement of the
     # reflected windows lifts each inclusion (see the module docstring);
     # an odometer's two windows are one list, whose inclusion is its own lift
     incls = [cover_matrix(a, b) for a, b in zip(cell_lists, cell_lists[1:])]
     connecting = tuple(
         AbHom.of(a, b, m, m if ca is fa else cover_matrix(ca, cb))
-        for a, b, m, (fa, ca), (_, cb) in zip(stages, stages[1:], incls, windows, windows[1:]))
-    limit = DirectSystem(tuple(stages), connecting).limit()
-    # the flip rule of the docstring: incl * (P - I) lands in the relations
+        for a, b, m, (fa, ca), (_, cb) in zip(stages, stages[1:], incls, chain, chain[1:]))
+    limit = multiplier_limit(FGAbGroup(len(states[0])), [
+        _state_multiplier(fine, m, coarse, level)
+        for level, (m, coarse, fine) in enumerate(zip(incls, states, states[1:]), 1)])
     sigma_trivial = all(
-        stage.contains_relations(columns(mat_sub(
-            mat_mul(m, pullback_matrix(system, FLIP, cells, cells)), m)))
-        for stage, m, cells in zip(stages[1:], incls, cell_lists))
+        _state_images(state, zip(*pullback_matrix(system, FLIP, cells, cells))) == columns(state)
+        for state, cells in zip(states, cell_lists))
 
     if limit.kind == "stabilized":
         if not sigma_trivial:
             raise NonStabilizationError(
                 "flip acts nontrivially on the translation H0; "
-                "the doubled subgroup is not computed at finite level", max_level)
+                "the doubled subgroup is not computed at finite level", top)
         h0: GroupValue = limit.group
         h0_plus: GroupValue = _doubled_subgroup(h0)
     elif limit.kind == "localization":
         if not sigma_trivial:
             raise NonStabilizationError(
-                "flip acts nontrivially on a localization limit", max_level)
+                "flip acts nontrivially on a localization limit", top)
         h0 = h0_plus = limit.localization
     else:
-        raise NonStabilizationError(
-            f"translation H0 undetermined at level {max_level}", max_level)
+        raise NonStabilizationError(f"translation H0 undetermined at level {top}", top)
 
     return TelescopeResult(
         stages=tuple(stages),
@@ -609,7 +686,8 @@ def _image_refined_limit(ds: DirectSystem):
     return lim
 
 
-def free_product_homology(system, max_level: int) -> FreeProductResult:
+def free_product_homology(system, max_level: int,
+                          chain: Optional[list] = None) -> FreeProductResult:
     """Run the free-product assembly across levels and take honest limits.
 
     At each level from 2 up, the flip permutes the system's flip window
@@ -618,15 +696,18 @@ def free_product_homology(system, max_level: int) -> FreeProductResult:
     0 is followed through the chain of total coinvariants on flip orbits
     (stabilizing for circles, a localization for odometers); degree 1
     through the chain of odd homologies of each reflection's modules, on
-    their fixed cells, whose limits add up to H_1.
+    their fixed cells, whose limits add up to H_1.  ``chain`` is as for
+    ``h0_translation_telescope``, whose windows from level 2 up are these.
     """
     _require_levels(system, "free-product assembly requires a circle or odometer system")
-    max_level = _deepest_level(system, max_level)
-    if max_level < 4:
+    if chain is None:
+        chain = system.level_chain(_deepest_level(system, max_level))
+    windows = chain[1:]
+    if len(windows) < 3:
         raise ValueError("the free-product assembly starts at level 2, "
                          "so it needs max_level >= 4 (levels 2 to 4)")
+    max_level = len(windows) + 1
     levels = list(range(2, max_level + 1))
-    windows = [system.level_windows(t) for t in levels]
     modules = [_reflection_modules(system, fine, coarse) for fine, coarse in windows]
     frags = [(level, free_product_fragment(*pair, cover_matrix(coarse, fine)))
              for level, pair, (fine, coarse) in zip(levels, modules, windows)]
@@ -820,10 +901,13 @@ def homology_table(system, max_level: int = 16, method: str = "closed_form"):
     _require_levels(system, f"unsupported system: {system!r}")
     # a chain too short or too wide for three levels is refused up front,
     # before the telescope sees its depth as the request
-    _deepest_level(system, max_level)
+    top = _deepest_level(system, max_level)
     depth = system.depth(max_level)
     fixed_name, fixed, fixed_count = system.reflection_fixed(depth)
-    tele = h0_translation_telescope(system, depth)
+    # one chain of windows for both routes: the telescope reads levels
+    # 1..top, the free product levels 2..top
+    chain = system.level_chain(top)
+    tele = h0_translation_telescope(system, depth, chain)
     provenance.update({
         "case": "not_free",
         fixed_name: fixed,
@@ -836,7 +920,7 @@ def homology_table(system, max_level: int = 16, method: str = "closed_form"):
     closed = nonfree_action_table(tele.h0_plus, fixed_count)
     if method == "closed_form":
         return closed, provenance
-    fp = free_product_homology(system, depth)
+    fp = free_product_homology(system, depth, chain)
     provenance["freeproduct"] = {
         "stabilizedAt": fp.stabilized_at,
         "pairedInjective": fp.all_injective,

@@ -42,7 +42,11 @@ and their relation window.  The flip (0,1) permutes a circle's window
 rotation by one moves the cuts of [1-N, N] into [-N, N], so the
 translation relations of level N are taken on [1-N, N] and land in
 [-N, N].  Both reflections and the translation permute an odometer's
-level cylinders, so one list serves as both windows.
+level cylinders, so one list serves as both windows.  ``level_chain(N)``
+gives the windows of levels 1..N at once, as a homology computation
+reads them: a circle grows one cut list, placing each new cut by
+bisection, and snapshots it.  Each window also has its length state
+(``length_state``), the exact lengths of its cells as integer rows.
 
 Castles, certificates and the CLI ask every system the same questions:
 ``act`` (the image of a clopen set), ``set_from_json`` (a clopen set
@@ -68,14 +72,15 @@ circle (the split case).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
 from .errors import NonStabilizationError
-from .exact_circle import Arc, ClopenSet, CutPoint, QuadExt, Theta, format_point, sweep_partition
+from .exact_circle import (Arc, ClopenSet, CutPoint, QuadExt, Theta, format_point, json_int,
+                           sweep_partition)
 
 __all__ = [
     "GroupElement",
@@ -304,6 +309,24 @@ class DenjoyFlipSystem:
         rotation by one moves its cuts into the first window.
         """
         return self.cells(-level, level), self.cells(1 - level, level)
+
+    def level_chain(self, top: int) -> list:
+        """``[level_windows(t) for t in 1..top]``, from one growing cut list.
+
+        Window [1-t, t] is window [1-t, t-1] plus the cut t, and window
+        [-t, t] is that plus the cut -t, so each cut is placed once, by
+        bisection in the exact cut order, and each window is a snapshot
+        of the list.
+        """
+        theta = self.theta
+        cuts = [CutPoint.of(theta, 0)]
+        chain = []
+        for t in range(1, top + 1):
+            insort(cuts, CutPoint.of(theta, t))
+            reflected = _CircleCells(theta, cuts[:])
+            insort(cuts, CutPoint.of(theta, -t))
+            chain.append((_CircleCells(theta, cuts[:]), reflected))
+        return chain
 
     def depth(self, max_level: int, cell_cap: Optional[int] = None) -> int:
         """The deepest level a computation up to ``max_level`` uses.
@@ -633,6 +656,10 @@ class OdometerSystem:
         cells = self.cells(level)
         return cells, cells
 
+    def level_chain(self, top: int) -> list:
+        """``[level_windows(t) for t in 1..top]``."""
+        return [self.level_windows(t) for t in range(1, top + 1)]
+
     def depth(self, max_level: int, cell_cap: Optional[int] = None) -> int:
         """The deepest level up to ``max_level`` within the chain and, if
         ``cell_cap`` is given, with at most that many cosets."""
@@ -677,8 +704,20 @@ class _CircleCells(_LevelCells):
             cells = (ClopenSet(theta, (Arc(c, nxt),)) for c, nxt in zip(cuts, cuts[1:] + cuts[:1]))
         self = super().__new__(cls, cells)
         self.theta = theta
+        self.cuts = cuts
         self.pos = {c.n: i for i, c in enumerate(cuts)}
         return self
+
+    def length_state(self) -> list:
+        """The exact lengths a + b*theta of the cells, as the rows of
+        their a and of their b: cell i runs from cut i to cut i+1, so its
+        length is the difference of their values m + n*theta, plus one
+        on the cell that wraps past 0."""
+        cuts = self.cuts
+        ends = cuts[1:] + cuts[:1]
+        wraps = [0] * (len(cuts) - 1) + [1]
+        return [[b.m - a.m + w for a, b, w in zip(cuts, ends, wraps)],
+                [b.n - a.n for a, b in zip(cuts, ends)]]
 
     def require(self, system) -> None:
         if not (isinstance(system, DenjoyFlipSystem) and system.theta == self.theta):
@@ -725,6 +764,10 @@ class _CylinderCells(_LevelCells):
         self = super().__new__(cls, (LevelSet(modulus, frozenset({r})) for r in range(modulus)))
         self.modulus = modulus
         return self
+
+    def length_state(self) -> list:
+        """The measures of the cylinders in units of 1/n: one row of ones."""
+        return [[1] * self.modulus]
 
     def require(self, system) -> None:
         if not isinstance(system, OdometerSystem):
@@ -820,13 +863,13 @@ def system_from_json(data: dict):
             extra = set(data) - {"type", "chain"}
             if extra:
                 raise ValueError(f"unknown system fields: {sorted(extra)}")
-            return OdometerSystem(data["chain"])
+            return OdometerSystem([json_int(n, "odometer chain entry") for n in data["chain"]])
         extra = set(data) - {"type", "base", "growth", "levels"}
         if extra:
             raise ValueError(f"unknown system fields: {sorted(extra)}")
         if data.get("growth") != "geometric":
             raise ValueError("only geometric chain growth is supported")
-        base, levels = int(data["base"]), int(data["levels"])
+        base, levels = (json_int(data[k], f"odometer field {k!r}") for k in ("base", "levels"))
         if levels > _MAX_LEVEL:
             raise ValueError(f"levels {levels} is above the ceiling of "
                              f"{_MAX_LEVEL} odometer levels")

@@ -132,6 +132,23 @@ class TestFixedPoints:
         assert proc.stdout == b""
         assert "ceiling of 128" in json.loads(proc.stderr)["error"]
 
+    @pytest.mark.parametrize("system,field", [
+        ({"type": "denjoy_flip", "theta": {**GOLDEN_THETA, "r": 2.5}}, "theta field 'r'"),
+        ({"type": "odometer", "base": 3, "growth": "geometric", "levels": True},
+         "odometer field 'levels'"),
+    ], ids=["theta-float", "odometer-bool"])
+    @pytest.mark.parametrize("command", [
+        ["homology"], ["certify", "--eps", "1/10"], ["fixed-points"]])
+    def test_non_integer_field_refused(self, tmp_path, system, field, command):
+        # 2.5 and true used to be read by int() as 2 and 1, so the golden
+        # system ran under the wrong name and every command exited 0
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(system))
+        proc, _ = run_module([command[0], "--system", str(path), *command[1:]], timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert f"{field} must be an integer" in json.loads(proc.stderr)["error"]
+
     def test_max_level_below_minimum(self, capsys, odometer_file):
         for level in ("0", "1", "-3"):
             code = main(["fixed-points", "--system", odometer_file, "--max-level", level])

@@ -1,5 +1,6 @@
 import json
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +22,12 @@ from dihedral_dynamics.abgroups import (
     lift_identity,
     mat_mul,
     mat_sub,
+    multiplier_limit,
     preimage_lattice,
     snf_diagonal,
     subquotient,
 )
-from dihedral_dynamics.errors import NonStabilizationError
+from dihedral_dynamics.errors import NonStabilizationError, VerificationError
 from dihedral_dynamics.exact_circle import ClopenSet, GOLDEN, Theta
 from dihedral_dynamics.homology import (
     InvolutionModule,
@@ -364,6 +366,28 @@ class TestBarOracle:
                 assert bar_homology(m, degree) == expected, (m.matrix, degree)
 
 
+SQUAREFREE = [d for d in range(2, 31) if all(d % (k * k) for k in range(2, 6))]
+
+
+@st.composite
+def quadratic_thetas(draw):
+    """theta = (p + q*sqrt(d))/r in (0, 1), with d squarefree and <= 30."""
+    d = draw(st.sampled_from(SQUAREFREE))
+    q = draw(st.sampled_from([-2, -1, 1, 2]))
+    r = draw(st.integers(1, 6))
+    # 0 < p + q*sqrt(d) < r for the r integers p from -floor(q*sqrt(d))
+    root = isqrt(q * q * d)
+    floor_qs = root if q > 0 else -root - 1
+    return Theta(p=draw(st.integers(-floor_qs, r - floor_qs - 1)), q=q, d=d, r=r)
+
+
+def measured_state(cells):
+    """The rows (a) and (b) of the exact measures a + b*theta of the cells."""
+    measures = [c.measure() for c in cells]
+    assert all(m.a.denominator == m.b.denominator == 1 for m in measures)
+    return [[int(m.a) for m in measures], [int(m.b) for m in measures]]
+
+
 class TestTelescope:
     def test_denjoy(self, denjoy):
         tele = h0_translation_telescope(denjoy, 8)
@@ -513,8 +537,8 @@ class TestTelescope:
                                                           capsys):
         from dihedral_dynamics.cli import main
 
-        monkeypatch.setattr(DirectSystem, "limit", lambda self: LimitDescriptor(
-            kind="undetermined", level=len(self.stages)))
+        # a connecting map that is multiplication by 0 leaves the limit open
+        monkeypatch.setattr(homology, "_state_multiplier", lambda *args: 0)
         with pytest.raises(NonStabilizationError, match="undetermined"):
             h0_translation_telescope(denjoy, 8)
         path = tmp_path / "golden.json"
@@ -555,6 +579,61 @@ class TestTelescope:
         assert ref.kind == tele.limit.kind
         assert (ref.group, ref.localization) == (tele.limit.group, tele.limit.localization)
 
+    @pytest.mark.parametrize("system,level,calls", [
+        (DenjoyFlipSystem(GOLDEN), 14, 14),
+        (OdometerSystem([3 ** i for i in range(1, 5)]), 4, 4),
+    ], ids=["golden-L14", "3^i-4"])
+    def test_one_smith_form_per_stage(self, monkeypatch, system, level, calls):
+        # each stage's canonical form is the telescope's only Smith form:
+        # no surjectivity test, relation membership or multiplier adds one
+        diagonal = abgroups.snf_diagonal
+        made = []
+
+        def counted(mat):
+            made.append(1)
+            return diagonal(mat)
+
+        monkeypatch.setattr(abgroups, "snf_diagonal", counted)
+        h0_translation_telescope(system, level)
+        assert len(made) == calls
+
+    @settings(max_examples=25, deadline=None)
+    @given(quadratic_thetas(), st.integers(4, 10))
+    def test_length_state_identities(self, theta, top):
+        # the identities the telescope rests on, with the state read off
+        # the exact cell measures: at every level it kills the relations,
+        # maps onto Z^2 and is kept by the flip, and refinement keeps it.
+        # The lagged route's image retry needs three maps, so four levels.
+        system = DenjoyFlipSystem(theta)
+        tele = h0_translation_telescope(system, top)
+        cells = [system.level_windows(t)[0] for t in range(1, top + 1)]
+        states = [measured_state(c) for c in cells]
+        for stage, state, c in zip(tele.stages, states, cells):
+            assert not any(map(any, mat_mul(state, stage.relation_matrix())))
+            assert snf_diagonal(state) == [1, 1]
+            assert mat_mul(state, pullback_matrix(system, FLIP, c, c)) == state
+        for conn, coarse, fine in zip(tele.connecting, states, states[1:]):
+            assert mat_mul(fine, conn.mat()) == coarse
+        ref = lagged_telescope_limit(system, top)
+        assert (ref.kind, ref.group, ref.localization) == (
+            tele.limit.kind, tele.limit.group, tele.limit.localization)
+
+    def test_broken_state_identity_fails_verification(self, monkeypatch, denjoy, tmp_path,
+                                                      capsys):
+        # a state that misses Z^2 (twice the lengths) is an arithmetic
+        # fault: exit 4, naming the level, and no fallback route
+        from dihedral_dynamics.cli import main
+
+        lengths = systems._CircleCells.length_state
+        monkeypatch.setattr(systems._CircleCells, "length_state",
+                            lambda self: [[2 * x for x in row] for row in lengths(self)])
+        with pytest.raises(VerificationError, match="level 1 is not onto"):
+            h0_translation_telescope(denjoy, 8)
+        path = tmp_path / "golden.json"
+        path.write_text(json.dumps(denjoy.to_json()))
+        assert main(["homology", "--system", str(path), "--max-level", "8"]) == 4
+        assert "not onto" in json.loads(capsys.readouterr().err)["error"]
+
     def test_shallowest_working_depth(self, denjoy):
         tele = h0_translation_telescope(denjoy, 4)
         assert tele.h0 == FGAbGroup(2)
@@ -586,17 +665,18 @@ def lagged_telescope_limit(system, top):
 
 
 class TestLevelIndexes:
-    """Each level window is indexed once, when a system's ``cells`` builds
-    it; the level matrices read that index and build none."""
+    """Each level window is indexed once, when a system's ``cells`` or
+    ``level_chain`` builds it; the level matrices read that index and
+    build none."""
 
     @pytest.mark.parametrize("system,level,windows", [
-        (DenjoyFlipSystem(GOLDEN), 14, 54),
-        (DenjoyFlipSystem(GOLDEN), 64, 254),
-        (OdometerSystem([3 ** i for i in range(1, 5)]), 16, 7),
+        (DenjoyFlipSystem(GOLDEN), 14, 28),
+        (DenjoyFlipSystem(GOLDEN), 64, 128),
+        (OdometerSystem([3 ** i for i in range(1, 5)]), 16, 4),
     ], ids=["golden-L14", "golden-L64", "3^i-4"])
     def test_one_index_per_window(self, monkeypatch, system, level, windows):
-        # the telescope builds levels 1..N and the free product levels
-        # 2..N: two circle windows per level, one odometer list
+        # one chain of levels 1..N serves the telescope and the free
+        # product: two circle windows per level, one odometer list
         built = []
 
         def counting(base):
@@ -1141,6 +1221,12 @@ class TestTopDownLimit:
         assert _z_system([2, 1, 1]).limit().kind == "stabilized"
         assert _z_system([1, 3, 2]).limit().kind == "localization"
         assert _z_system([1, 0, 2]).limit().kind == "undetermined"
+
+    @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, 0]), min_size=2, max_size=5))
+    def test_multiplier_limit_follows_direct_system(self, multipliers):
+        # the telescope's limit from its state multipliers takes the rule
+        # DirectSystem.limit takes on the same maps of Z
+        assert multiplier_limit(FGAbGroup(1), multipliers) == _z_system(multipliers).limit()
 
     @pytest.mark.parametrize("multipliers,calls", [
         ([1, 1, 1, 2], 1),
