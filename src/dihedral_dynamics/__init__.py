@@ -45,7 +45,6 @@ from .abgroups import (
     Presentation,
     smith_normal_form,
     snf_diagonal,
-    subquotient,
 )
 from .homology import (
     HomologyTable,
@@ -57,7 +56,6 @@ from .homology import (
     h0_translation_telescope,
     homology_table,
     odd_homology,
-    transfer_report,
 )
 
 __version__ = "0.1.0"

@@ -1,8 +1,7 @@
 """Exact finitely generated abelian groups and integer lattice algebra.
 
-Everything runs on arbitrary-precision integers: Smith normal forms with
-unimodular transforms, integer linear solving, kernel and preimage
-lattices, presented groups with homomorphisms, and direct systems with
+Everything runs on arbitrary-precision integers: Smith normal forms,
+presented groups with homomorphisms, and direct systems with
 stabilization detection.  Rank-one systems whose limit is not finitely
 generated (Z -> Z by repeated multiplication) are reported through a
 localization descriptor instead of being materialized.
@@ -21,11 +20,11 @@ the column steps would change only that row.  The transform mode
 (``smith_normal_form``, ``kernel_basis``, ``SnfSolver``) tracks U as
 sparse rows and V as sparse columns, and no inverse of either.
 
-Yes/no questions are decided from Smith diagonals, and transform
-tracking serves only callers that read coordinates (``subquotient``,
-``kernel_basis``, ``smith_normal_form``).  Finitely generated abelian
-groups are Hopfian: a surjection between two isomorphic ones is an
-isomorphism.  So ``AbHom.is_isomorphism`` compares the canonical forms
+Every question the library asks is decided from Smith diagonals; the
+transform mode has no caller in the library, and serves callers that
+read coordinates (the benchmark's layer trace, the tests' oracles).
+Finitely generated abelian groups are Hopfian: a surjection between two
+isomorphic ones is an isomorphism.  So ``AbHom.is_isomorphism`` compares the canonical forms
 of source and destination (each read once per presentation) and asks
 for surjectivity, and builds no kernel lattice.  Relation membership is
 the same test: Z^n / L(R) maps onto Z^n / L(R + X), so the columns X lie
@@ -61,7 +60,6 @@ __all__ = [
     "smith_normal_form",
     "snf_diagonal",
     "kernel_basis",
-    "subquotient",
     "identity_matrix",
     "mat_mul",
     "mat_vec",
@@ -427,20 +425,6 @@ class SnfSolver:
         return x
 
 
-def preimage_lattice(mat: Matrix, lat: Matrix) -> Matrix:
-    """Generators of {x : mat x lies in the column lattice of lat}.
-
-    Computed as the projection of the kernel of the block [mat | -lat].
-    """
-    n = len(mat[0]) if mat else 0
-    if not mat:
-        return identity_matrix(n)
-    k = len(lat[0]) if lat else 0
-    block = [list(mat[i]) + [-lat[i][j] for j in range(k)] for i in range(len(mat))]
-    gens = [col[:n] for col in kernel_basis(block)]
-    return from_columns(gens, rows=n)
-
-
 # ---------------------------------------------------------------------------
 # Canonical groups and presentations
 # ---------------------------------------------------------------------------
@@ -615,24 +599,6 @@ class AbHom:
         diag = snf_diagonal(stacked)
         return sum(1 for d in diag if d == 1) == self.dst.ngens if self.dst.ngens else True
 
-    def _relation_preimage(self) -> Matrix:
-        """Generators of {x : mat x lies in the destination relations}; all
-        of Z^src.ngens when the destination has no generators (the matrix
-        has no rows then, so its width is read from the source)."""
-        if not self.dst.ngens:
-            return identity_matrix(self.src.ngens)
-        return preimage_lattice(self.mat(), self.dst.relation_matrix())
-
-    def kernel_presentation(self) -> Presentation:
-        """The kernel as a presented group."""
-        pre = self._relation_preimage()
-        gens = columns(pre)
-        inner = preimage_lattice(pre, self.src.relation_matrix())
-        return Presentation.of(len(gens), columns(inner))
-
-    def kernel_group(self) -> FGAbGroup:
-        return self.kernel_presentation().canonical()
-
     def is_isomorphism(self) -> bool:
         """Whether the map is bijective.
 
@@ -642,15 +608,6 @@ class AbHom:
         injective), so equal canonical forms and surjectivity decide it.
         """
         return self.src.canonical() == self.dst.canonical() and self.is_surjective()
-
-    def image_presentation(self) -> Presentation:
-        """The image subgroup of the destination, presented on the source
-        generators (relations = preimages of destination relations)."""
-        return Presentation.of(self.src.ngens, columns(self._relation_preimage()))
-
-    def image_group(self) -> FGAbGroup:
-        """Canonical form of the image subgroup of the destination."""
-        return self.image_presentation().canonical()
 
     def cokernel(self) -> Presentation:
         cols = list(self.dst.relations) + columns(self.mat())
@@ -667,24 +624,6 @@ class AbHom:
             return None
         coker = self.cokernel().canonical()
         return 0 if coker.rank else math.prod(coker.torsion)
-
-
-def subquotient(kernel_of: Matrix, image_of: Matrix) -> FGAbGroup:
-    """ker(kernel_of) / im(image_of), canonical form.
-
-    The containment im(image_of) in ker(kernel_of) is verified by the
-    exact identity kernel_of * image_of = 0; the quotient is read off
-    the Smith form of the image columns written in a kernel basis.
-    """
-    prod = mat_mul(kernel_of, image_of)
-    if any(any(row) for row in prod):
-        raise ValueError("image is not contained in the kernel")
-    basis = kernel_basis(kernel_of)
-    solver = SnfSolver(from_columns(basis, rows=len(kernel_of[0]) if kernel_of else 0))
-    coordinates = [solver.solve(v) for v in columns(image_of)]
-    if None in coordinates:
-        raise AssertionError("vector escaped the kernel lattice")
-    return Presentation.of(len(basis), coordinates).canonical()
 
 
 # ---------------------------------------------------------------------------

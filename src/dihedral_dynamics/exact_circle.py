@@ -19,7 +19,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import isqrt
 from typing import Callable, Iterable, Sequence
 
@@ -34,16 +34,6 @@ __all__ = [
     "frac",
     "sweep_partition",
 ]
-
-# Scale used for the initial integer estimate of sqrt(d); exact sign
-# corrections afterwards make the result independent of this value.
-_SQRT_SCALE = 1 << 40
-
-
-@lru_cache(maxsize=None)
-def _scaled_sqrt(d: int) -> int:
-    return isqrt(d * _SQRT_SCALE * _SQRT_SCALE)
-
 
 def _int_sign(a: int, b: int, d: int) -> int:
     """Sign of a + b*sqrt(d) for integers a, b and non-square d >= 2."""
@@ -141,9 +131,12 @@ class Theta:
 
     def floor_scaled(self, a: int, b: int, den: int) -> int:
         """floor((a + b*theta) / den) for integers a, b and den > 0."""
-        # Integer estimate from the scaled square root, then exact fix-up.
-        num = a * self.r * _SQRT_SCALE + b * (self.p * _SQRT_SCALE + self.q * _scaled_sqrt(self.d))
-        k = num // (den * self.r * _SQRT_SCALE)
+        # (a + b*theta) / den = (a*r + b*p + s) / (den*r) with s = b*q*sqrt(d),
+        # and the integer root puts floor(s) in num, so k is the floor: the
+        # fix-up loops below confirm it by exact signs
+        root = isqrt(b * b * self.q * self.q * self.d)
+        num = a * self.r + b * self.p + (root if b * self.q >= 0 else -root - 1)
+        k = num // (den * self.r)
         # sign of (a + b*theta)/den - kk, by integer arithmetic alone
         def sign_minus(kk: int) -> int:
             return _int_sign((a - kk * den) * self.r + b * self.p, b * self.q, self.d)

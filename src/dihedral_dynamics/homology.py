@@ -11,13 +11,14 @@ reflected windows.
 
 Both reflections permute the cells of their windows, so the assembly
 works in orbit coordinates (Shapiro's lemma): H_0 on the flip orbits,
-with one relation per pair of the reflected flip, and odd homology on
-fixed cells with relations 2 * I.  The order-2 homology of one module
-(``odd_homology``, ``even_homology``, ``coinvariants``) is the same orbit
-count for a permutation module, (Z/2)^{fixed}, 0 and Z^{orbits}, and the
-kernel/image formulas of its matrix for a signed one.  An unnormalized
-bar complex cross-checks both (``bar_homologies`` eliminates each of its
-boundaries once for all degrees up to a top one).
+with one relation per pair of the reflected flip, and odd homology
+(Z/2)^{fixed cells}.  The order-2 homology of one module
+(``odd_homology``, ``even_homology``, ``coinvariants``) is read off the
+orbits of its signed permutation: a 2-cycle is a free orbit whatever
+its sign, and only the fixed cells, +1 or -1, add Z/2 summands.  An
+unnormalized bar complex cross-checks these counts
+(``bar_homologies`` eliminates each of its boundaries once for all
+degrees up to a top one).
 
 Circle systems and odometers take one path through every level
 computation.  The system names the cell lists that stand for level N
@@ -48,13 +49,12 @@ and with both reflections, so a relation built on coarse cells refines
 to the sum of the same relations on the finer cells.  The lifts are the
 refinement of the telescope's relation windows; for the free-product
 H_0, the reflected window's refinement taken onto the pairs of the
-reflected flip (``_refinement_maps``); and for the odd homologies, the
-map itself, the inclusion restricted to fixed cells.  The telescope
-reads its limit off the state multipliers (``multiplier_limit``), and
-the free product's H_0 through ``DirectSystem.limit``, as an
-independent second route; only the odd-homology limits take the system
-of images (``_image_refined_limit``), whose maps have no lift and are
-proved by relation membership.
+reflected flip (``_refinement_maps``).  The telescope reads its limit
+off the state multipliers (``multiplier_limit``), and the free product's
+H_0 through ``DirectSystem.limit``, as an independent second route.  The
+odd homologies are vector spaces over GF(2), each refinement map the
+inclusion restricted to fixed cells read modulo 2, so their limits
+follow the same rule from GF(2) ranks alone (``_odd_limit``).
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ from .abgroups import (
     mat_sub,
     multiplier_limit,
     snf_diagonal,
-    subquotient,
 )
 from .errors import NonStabilizationError, VerificationError
 from .systems import (
@@ -107,8 +106,6 @@ __all__ = [
     "h0_translation_telescope",
     "free_product_fragment",
     "free_product_homology",
-    "transfer_kernel",
-    "transfer_report",
     "HomologyTable",
     "homology_table",
     "split_orbit_table",
@@ -129,55 +126,64 @@ GroupValue = Union[FGAbGroup, LocalizationDescriptor]
 class InvolutionModule:
     """A free abelian module on finitely many cells with an order-2 action.
 
-    ``matrix`` records f -> f o a on the cell basis.  A permutation
-    module (every system level module is one) is kept as ``perm``: column
-    j of its matrix is the unit vector of cell perm[j], and the matrix is
-    written out only when it is read.  Any other module keeps its rows.
+    The action is a signed involutive permutation: the involution takes
+    the cell e_j to signs[j] * e_perm[j], so column j of its matrix (f ->
+    f o a on the cell basis) is signs[j] times the unit vector of cell
+    perm[j].  It squares to the identity exactly when perm is an
+    involution and each 2-cycle carries one sign.  A permutation module
+    (every system level module is one) has every sign +1.
     """
 
-    perm: Optional[tuple]
-    rows: Optional[tuple] = None
+    perm: tuple
+    signs: tuple
+
+    def __post_init__(self) -> None:
+        p = self.perm
+        if not all(0 <= i < len(p) and p[i] == j for j, i in enumerate(p)):
+            raise ValueError("perm must be a permutation of range(n) with perm[perm[i]] == i")
+        if len(self.signs) != len(p) or any(
+                s not in (1, -1) or self.signs[p[j]] != s for j, s in enumerate(self.signs)):
+            raise ValueError("signs must be +-1, one per cell, equal on each 2-cycle")
 
     @classmethod
     def of(cls, matrix: Matrix) -> "InvolutionModule":
-        mat = tuple(tuple(map(int, row)) for row in matrix)
-        n = len(mat)
-        if any(len(r) != n for r in mat):
+        """The module of a signed permutation matrix that squares to I;
+        any other matrix is refused."""
+        n = len(matrix)
+        if any(len(row) != n for row in matrix):
             raise ValueError("involution matrix must be square")
-        sq = mat_mul([list(r) for r in mat], [list(r) for r in mat])
-        if sq != identity_matrix(n):
-            raise ValueError("matrix must be an involution (A*A = I)")
-        cols = list(zip(*mat))
-        if all(col.count(1) == 1 and col.count(0) == n - 1 for col in cols):
-            return cls(tuple(col.index(1) for col in cols))
-        return cls(None, mat)
+        perm, signs = [], []
+        for j in range(n):
+            entries = [(i, int(row[j])) for i, row in enumerate(matrix) if row[j]]
+            if len(entries) != 1 or entries[0][1] not in (1, -1):
+                raise ValueError("involution matrix must be a signed permutation matrix")
+            perm.append(entries[0][0])
+            signs.append(entries[0][1])
+        return cls(tuple(perm), tuple(signs))
 
     @classmethod
     def from_permutation(cls, perm: Sequence[int]) -> "InvolutionModule":
         """The module of an involutive permutation of range(n), checked in O(n)."""
         p = tuple(map(int, perm))
-        if not all(0 <= i < len(p) and p[i] == j for j, i in enumerate(p)):
-            raise ValueError("perm must be a permutation of range(n) with perm[perm[i]] == i")
-        return cls(p)
+        return cls(p, (1,) * len(p))
 
     @property
     def ncells(self) -> int:
-        return len(self.perm if self.perm is not None else self.rows)
+        return len(self.perm)
 
     @cached_property
     def matrix(self) -> tuple:
-        if self.perm is None:
-            return self.rows
-        return tuple(tuple(int(i == p) for p in self.perm) for i in range(len(self.perm)))
+        return tuple(tuple(s if p == i else 0 for p, s in zip(self.perm, self.signs))
+                     for i in range(len(self.perm)))
 
     def mat(self) -> Matrix:
         return [list(r) for r in self.matrix]
 
     @cached_property
     def orbits(self) -> Tuple[List[int], List[int], List[int]]:
-        """For a permutation module: the orbit of each cell, then the least
-        cell of each 2-cycle and the fixed cells, in order; the orbits are
-        numbered in that order, the pairs first."""
+        """The orbit of each cell, then the least cell of each 2-cycle and
+        the fixed cells, in order; the orbits are numbered in that order,
+        the pairs first."""
         pairs = [i for i, j in enumerate(self.perm) if i < j]
         fixed = [i for i, j in enumerate(self.perm) if i == j]
         label = [0] * len(self.perm)
@@ -185,36 +191,35 @@ class InvolutionModule:
             label[i] = label[self.perm[i]] = k
         return label, pairs, fixed
 
+    @cached_property
+    def negated_fixed(self) -> int:
+        """The number of fixed cells with sign -1."""
+        return sum(self.signs[i] < 0 for i in self.orbits[2])
 
-def _shifted(module: InvolutionModule, c: int) -> Matrix:
-    """A + c * I for the module's matrix A."""
-    return [[x + c if i == j else x for j, x in enumerate(row)]
-            for i, row in enumerate(module.matrix)]
+
+# A 2-cycle with sign -1 is a free orbit in the basis (e_c, -e_t(c)), so
+# only fixed cells add torsion: Z has odd homology Z/2, even homology 0
+# and coinvariants Z; the sign module Z^- has 0, Z/2 and Z/2 (Brown,
+# Cohomology of Groups, III.1).
 
 
 def odd_homology(module: InvolutionModule) -> FGAbGroup:
     """ker(A - I) / im(A + I): the odd-degree homology of the order-2
-    action; (Z/2)^{fixed cells} for a permutation module."""
-    if module.perm is not None:
-        return FGAbGroup.elementary_two(len(module.orbits[2]))
-    return subquotient(_shifted(module, -1), _shifted(module, 1))
+    action, (Z/2)^{fixed +1 cells}."""
+    return FGAbGroup.elementary_two(len(module.orbits[2]) - module.negated_fixed)
 
 
 def even_homology(module: InvolutionModule) -> FGAbGroup:
-    """ker(A + I) / im(A - I): the positive even-degree homology; 0 for a
-    permutation module."""
-    if module.perm is not None:
-        return FGAbGroup(0)
-    return subquotient(_shifted(module, 1), _shifted(module, -1))
+    """ker(A + I) / im(A - I): the positive even-degree homology,
+    (Z/2)^{fixed -1 cells}."""
+    return FGAbGroup.elementary_two(module.negated_fixed)
 
 
 def coinvariants(module: InvolutionModule) -> FGAbGroup:
-    """coker(A - I), the degree-0 homology of the order-2 action; free on
-    the orbits for a permutation module."""
-    if module.perm is not None:
-        _, pairs, fixed = module.orbits
-        return FGAbGroup.free(len(pairs) + len(fixed))
-    return Presentation.of(module.ncells, columns(_shifted(module, -1))).canonical()
+    """coker(A - I), the degree-0 homology of the order-2 action: free on
+    the 2-cycles and the fixed +1 cells, Z/2 on each fixed -1 cell."""
+    _, pairs, fixed = module.orbits
+    return FGAbGroup(len(pairs) + len(fixed) - module.negated_fixed, (2,) * module.negated_fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +243,14 @@ def _bar_boundary(module: InvolutionModule, k: int) -> Matrix:
     rows = n * (1 << (k - 1))
     cols = n * (1 << k)
     mat = [[0] * cols for _ in range(rows)]
-    a = module.matrix
+    perm, signs = module.perm, module.signs
     for w in range(1 << k):
         for c in range(n):
             col = w * n + c
-            # face 0: move g_1 onto the coefficient
+            # face 0: move g_1 onto the coefficient, e_c to signs[c] * e_perm[c]
             w_rest = w >> 1
             if w & 1:
-                for cp in range(n):
-                    if a[cp][c]:
-                        mat[w_rest * n + cp][col] += a[cp][c]
+                mat[w_rest * n + perm[c]][col] += signs[c]
             else:
                 mat[w_rest * n + c][col] += 1
             # middle faces: merge adjacent letters
@@ -514,15 +517,13 @@ def _doubled_subgroup(g: FGAbGroup) -> FGAbGroup:
 @dataclass(frozen=True)
 class FreeProductFragment:
     """Degree-0/1 homology assembled from the two order-2 subgroups, in
-    orbit coordinates; ``odd_stages`` presents the two odd homologies
-    that make up ``h1``, each on its module's fixed cells."""
+    orbit coordinates."""
 
     h0: FGAbGroup
     h1: FGAbGroup
     paired_injective: bool
     middle_exact: bool
     h0_presentation: Presentation
-    odd_stages: Tuple[Presentation, Presentation]
 
 
 def _on_orbits(module: InvolutionModule, vectors: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -583,15 +584,13 @@ def free_product_fragment(msigma: InvolutionModule, mphisigma: InvolutionModule,
     (u, v) = (a, b) - paired(v - b).  So a false ``middle_exact`` means
     an arithmetic fault, not a property of the system.
     """
-    if msigma.perm is None or mphisigma.perm is None:
+    if -1 in msigma.signs or -1 in mphisigma.signs:
         raise ValueError("the free-product fragment takes permutation modules")
     n_coarse = mphisigma.ncells
     if len(inclusion) != msigma.ncells or (inclusion and len(inclusion[0]) != n_coarse):
         raise ValueError("inclusion matrix shape mismatch")
 
-    odd_stages = tuple(Presentation.of(len(f), [[2 * (i == j) for i in f] for j in f])
-                       for f in (msigma.orbits[2], mphisigma.orbits[2]))
-    h1 = odd_stages[0].canonical().direct_sum(odd_stages[1].canonical())
+    h1 = FGAbGroup.elementary_two(len(msigma.orbits[2]) + len(mphisigma.orbits[2]))
 
     label, pairs, fixed = mphisigma.orbits
     reps = pairs + fixed
@@ -611,8 +610,7 @@ def free_product_fragment(msigma: InvolutionModule, mphisigma: InvolutionModule,
                     and coker == h0)
 
     return FreeProductFragment(h0=h0, h1=h1, paired_injective=paired_injective,
-                               middle_exact=middle_exact, h0_presentation=h0_pres,
-                               odd_stages=odd_stages)
+                               middle_exact=middle_exact, h0_presentation=h0_pres)
 
 
 @dataclass(frozen=True)
@@ -644,7 +642,7 @@ def _refinement_maps(lower: Tuple[InvolutionModule, InvolutionModule],
     e_t'(c') - e_c' over the finer cells c' in c, which is plus or minus
     the relation of the pair of c' (as c' is least in it or not) or 0.
     Then the list of the two odd-homology maps, each a window inclusion
-    on fixed cells (pairs vanish in odd homology) and its own lift.
+    on fixed cells (pairs vanish in odd homology), read modulo 2.
     """
     (s, t), (s2, t2) = lower, upper
     sym, refl = columns(sym_incl), columns(refl_incl)
@@ -663,27 +661,49 @@ def _refinement_maps(lower: Tuple[InvolutionModule, InvolutionModule],
     return h0_map, from_columns(lift, rows=len(pairs)), odd
 
 
-def _image_refined_limit(ds: DirectSystem):
-    """limit(), retried on the system of images when undetermined.
+def _gf2_rank(nrows: int, cols: Sequence[Sequence[int]]) -> int:
+    """The rank over GF(2) of integer columns of length ``nrows``: Z^nrows
+    modulo the columns and 2 * I is (Z/2)^(nrows - rank)."""
+    two = [[2 * (i == j) for i in range(nrows)] for j in range(nrows)]
+    return nrows - len(Presentation.of(nrows, list(cols) + two).canonical().torsion)
 
-    The colimit of a direct system equals the colimit of the images of
-    its connecting maps, and classes that die under refinement only
-    vanish in the image system.  The odd-homology limits need it: on the
-    ``2^i`` odometer the flip fixes the cells {0, 2^(i-1)}, and
+
+def _top_run(iso: Sequence[bool]) -> int:
+    """The index where the run of True at the end of ``iso`` starts."""
+    start = len(iso)
+    while start > 0 and iso[start - 1]:
+        start -= 1
+    return start
+
+
+def _odd_limit(sizes: Sequence[int], maps: Sequence[Matrix]) -> LimitDescriptor:
+    """The limit of (Z/2)^sizes[0] -> (Z/2)^sizes[1] -> ... along the
+    integer matrices ``maps`` read modulo 2, by the rule of
+    ``DirectSystem.limit`` on GF(2) ranks.
+
+    A map h_i is an isomorphism when it is square with full rank; the
+    maps that are, from the top down, give the limit at the stage below
+    the lowest of them.  Otherwise the same rule runs on the system of
+    images, whose colimit is the same: im h_i -> im h_{i+1} (induced by
+    h_{i+1}) is a bijection when rank(h_{i+1} h_i) = rank h_i =
+    rank h_{i+1}.  Classes that die under refinement vanish only there:
+    on the ``2^i`` odometer the flip fixes the cells {0, 2^(i-1)}, and
     2^(i-1) has no fixed refinement, so every stage is (Z/2)^2 while the
     limit is Z/2.
     """
-    lim = ds.limit()
-    if lim.kind != "undetermined" or len(ds.maps) < 3:
-        return lim
-    im_stages = tuple(h.image_presentation() for h in ds.maps)
-    im_homs = tuple(
-        AbHom.of(im_stages[i], im_stages[i + 1], ds.maps[i].mat())
-        for i in range(len(im_stages) - 1))
-    lim2 = DirectSystem(im_stages, im_homs).limit()
-    if lim2.kind == "stabilized":
-        return LimitDescriptor(kind="stabilized", group=lim2.group, level=lim2.level + 1)
-    return lim
+    ranks = [_gf2_rank(b, columns(h)) for b, h in zip(sizes[1:], maps)]
+    start = _top_run([a == b == r for a, b, r in zip(sizes, sizes[1:], ranks)])
+    if start < len(maps):
+        return LimitDescriptor(kind="stabilized", group=FGAbGroup.elementary_two(sizes[start]),
+                               level=start + 1)
+    if len(maps) >= 3:
+        through = [_gf2_rank(c, columns(mat_mul(h2, h1)))
+                   for c, h1, h2 in zip(sizes[2:], maps, maps[1:])]
+        start = _top_run([r1 == r2 == r for r1, r2, r in zip(ranks, ranks[1:], through)])
+        if start < len(through):
+            return LimitDescriptor(kind="stabilized",
+                                   group=FGAbGroup.elementary_two(ranks[start]), level=start + 2)
+    return LimitDescriptor(kind="undetermined", level=len(sizes))
 
 
 def free_product_homology(system, max_level: int,
@@ -727,12 +747,10 @@ def free_product_homology(system, max_level: int,
         raise NonStabilizationError(
             f"free-product H0 still moving at level {max_level}", max_level)
 
-    # one limit per reflection; an odd-homology map is its own lift
+    # one limit per reflection, of its odd homologies (Z/2)^{fixed cells}
     h1 = FGAbGroup(0)
     for k in (0, 1):
-        stages = tuple(f.odd_stages[k] for _, f in frags)
-        limit = _image_refined_limit(DirectSystem(stages, tuple(
-            AbHom.of(a, b, m[2][k], m[2][k]) for a, b, m in zip(stages, stages[1:], maps))))
+        limit = _odd_limit([len(pair[k].orbits[2]) for pair in modules], [m[2][k] for m in maps])
         if limit.kind != "stabilized":
             raise NonStabilizationError(
                 f"free-product H1 still moving at level {max_level}", max_level)
@@ -746,58 +764,6 @@ def free_product_homology(system, max_level: int,
         all_injective=all(f.paired_injective for _, f in frags),
         all_exact=all(f.middle_exact for _, f in frags),
     )
-
-
-# ---------------------------------------------------------------------------
-# Transfer map
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransferReport:
-    kernel: FGAbGroup
-    injective: bool
-    image: FGAbGroup
-    target_plus: FGAbGroup
-    onto_plus: bool
-
-
-def transfer_kernel(h0_gamma: Presentation, tr_map: AbHom,
-                    target_plus: FGAbGroup) -> TransferReport:
-    """Kernel and image of the summed-over-flip map out of the total
-    coinvariants, compared against the doubled translation classes."""
-    if tr_map.src != h0_gamma:
-        raise ValueError("transfer map must start at the given presentation")
-    kernel = tr_map.kernel_group()
-    image = tr_map.image_group()
-    return TransferReport(
-        kernel=kernel,
-        injective=kernel.is_trivial(),
-        image=image,
-        target_plus=target_plus,
-        onto_plus=image == target_plus,
-    )
-
-
-def transfer_report(system, max_level: int) -> TransferReport:
-    """The transfer, evaluated at the top level of the telescope.
-
-    On the circle system the flip has a fixed point, so the kernel must
-    vanish and the image must realize the doubled translation classes.
-    """
-    tele = h0_translation_telescope(system, max_level)
-    level = len(tele.stages)
-    cells, coarse = system.level_windows(level)
-    msig, mphisig = _reflection_modules(system, cells, coarse)
-    h0_gamma = free_product_fragment(msig, mphisig, cover_matrix(coarse, cells)).h0_presentation
-
-    # into the telescope stage of the same level by f -> f + f o flip: an
-    # orbit to its indicator, a fixed cell to twice its own
-    label = msig.orbits[0]
-    tr_matrix = [[(label[i] == o) * (1 + (msig.perm[i] == i)) for o in range(h0_gamma.ngens)]
-                 for i in range(len(cells))]
-    tr_map = AbHom.of(h0_gamma, tele.stages[level - 1], tr_matrix)
-    return transfer_kernel(h0_gamma, tr_map, tele.h0_plus)
 
 
 # ---------------------------------------------------------------------------

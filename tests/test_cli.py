@@ -85,6 +85,16 @@ class TestFixedPoints:
         assert code == 0
         assert data["fixedPoints"]["(0,1)"] == {"count": 1, "stabilizedAt": 1}
 
+    def test_large_index_is_fast(self, denjoy_file):
+        # the floor of N*theta takes its estimate from an exact integer
+        # root, so a 24-digit index needs no walk of about N/2^40 steps
+        proc, seconds = run_module(["fixed-points", "--system", denjoy_file,
+                                    "--elements", f"[[{10 ** 23},1]]"], timeout=60)
+        assert proc.returncode == 0
+        assert seconds < 5
+        assert json.loads(proc.stdout)["fixedPoints"] == {
+            f"({10 ** 23},1)": ["(-61803398874989484820457+100000000000000000000000*theta)/2"]}
+
     def test_identity_rejected(self, capsys, denjoy_file):
         code = main(["fixed-points", "--system", denjoy_file, "--elements", "[[0,0]]"])
         capsys.readouterr()

@@ -91,6 +91,21 @@ class TestFrac:
             assert (x - f).b == 0 and (x - f).a.denominator == 1
 
 
+BIG = 10 ** 40
+
+
+class TestFloorScaled:
+    @given(theta=st.sampled_from([Theta(p=-1, q=1, d=5, r=2), Theta(p=-1, q=1, d=2, r=1),
+                                  Theta(p=-1, q=1, d=3, r=2)]),
+           a=st.integers(-BIG, BIG), b=st.integers(-BIG, BIG), den=st.integers(1, BIG))
+    @settings(max_examples=300, deadline=None)
+    def test_floor_brackets_the_value(self, theta, a, b, den):
+        # k <= (a + b*theta) / den < k + 1, by exact signs of a - k*den + b*theta
+        k = theta.floor_scaled(a, b, den)
+        assert theta.sign_of(Fraction(a - k * den), Fraction(b)) >= 0
+        assert theta.sign_of(Fraction(a - (k + 1) * den), Fraction(b)) < 0
+
+
 class TestTheta:
     def test_validation(self):
         with pytest.raises(ValueError):

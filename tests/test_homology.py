@@ -1,5 +1,7 @@
 import json
 import random
+from collections import Counter
+from dataclasses import dataclass
 from math import isqrt
 
 import pytest
@@ -23,15 +25,14 @@ from dihedral_dynamics.abgroups import (
     mat_mul,
     mat_sub,
     multiplier_limit,
-    preimage_lattice,
     snf_diagonal,
-    subquotient,
 )
 from dihedral_dynamics.errors import NonStabilizationError, VerificationError
 from dihedral_dynamics.exact_circle import ClopenSet, GOLDEN, Theta
 from dihedral_dynamics.homology import (
     InvolutionModule,
-    _image_refined_limit,
+    _odd_limit,
+    _reflection_modules,
     bar_homologies,
     bar_homology,
     coinvariants,
@@ -44,8 +45,6 @@ from dihedral_dynamics.homology import (
     nonfree_action_table,
     odd_homology,
     split_orbit_table,
-    transfer_kernel,
-    transfer_report,
 )
 from dihedral_dynamics.systems import (
     FLIP,
@@ -60,6 +59,13 @@ from dihedral_dynamics.systems import (
     pullback_permutation,
 )
 
+from lattice_oracles import (
+    image_group,
+    image_refined_limit,
+    kernel_group,
+    preimage_lattice,
+    subquotient,
+)
 from test_abgroups import equals_hom, lattice_subset, relation_rule, solve_integer
 
 Z2 = FGAbGroup(0, (2,))
@@ -205,7 +211,6 @@ class TestInvolutionFormulas:
     @given(signed_involutions(6))
     @settings(max_examples=100, deadline=None)
     def test_signed_modules_take_smith_route(self, m):
-        assert m.perm is None
         assert (odd_homology(m), even_homology(m), coinvariants(m)) == smith_route(m)
 
     def test_odd_counts_fixed_cells(self):
@@ -256,6 +261,16 @@ class TestInvolutionFormulas:
             InvolutionModule.of([[2]])
         with pytest.raises(ValueError):
             InvolutionModule.of([[1, 1], [0, 1]])
+        # an involution, but not a signed permutation matrix
+        with pytest.raises(ValueError, match="signed permutation"):
+            InvolutionModule.of([[1, 1], [0, -1]])
+        # a signed permutation matrix that is no involution: the signs of a
+        # 2-cycle differ
+        with pytest.raises(ValueError, match="equal on each 2-cycle"):
+            InvolutionModule.of([[0, 1], [-1, 0]])
+        m = InvolutionModule.of([[0, -1], [-1, 0]])
+        assert (m.perm, m.signs) == ((1, 0), (-1, -1))
+        assert (odd_homology(m), even_homology(m), coinvariants(m)) == smith_route(m)
 
     @pytest.mark.parametrize("perm", [[1, 2, 0], [1, 0, 3, 4, 2], [0, 0], [1, 0, 0], [0, 2],
                                       [-1]],
@@ -274,7 +289,7 @@ class TestInvolutionFormulas:
             module = InvolutionModule.from_permutation(perm)
             assert is_permutation(module)
             assert InvolutionModule.of(module.mat()) == module
-        assert InvolutionModule.of([[-1]]).perm is None
+        assert InvolutionModule.of([[-1]]).signs == (-1,)
         assert InvolutionModule.of([[-1]]).matrix == ((-1,),)
 
 
@@ -457,7 +472,7 @@ class TestTelescope:
             cells = denjoy.level_windows(idx + 1)[0]
             incl = tele.connecting[idx].mat()
             plus = mat_add(incl, mat_mul(incl, pullback_matrix(denjoy, FLIP, cells, cells)))
-            direct = AbHom.of(tele.stages[idx], tele.stages[idx + 1], plus).image_group()
+            direct = image_group(AbHom.of(tele.stages[idx], tele.stages[idx + 1], plus))
             assert direct == tele.h0_plus
 
     @pytest.mark.parametrize("system,level", [
@@ -511,12 +526,13 @@ class TestTelescope:
 
     @pytest.mark.parametrize("run,calls", [
         (lambda s: h0_translation_telescope(s, 14), 13),
-        (lambda s: homology_table(s, 14, "both"), 49),
+        (lambda s: homology_table(s, 14, "both"), 25),
     ], ids=["telescope", "table"])
     def test_abhom_count(self, monkeypatch, denjoy, run, calls):
         # the flip check builds no homs and the limit takes no images: a
         # golden L14 telescope makes its 13 inclusions, and the table adds
-        # the free product's 12 H0 maps and 24 odd-homology maps
+        # the free product's 12 H0 maps (its odd-homology limits read GF(2)
+        # ranks and build none)
         of = AbHom.of.__func__
         made = []
 
@@ -558,11 +574,13 @@ class TestTelescope:
         assert tele.stabilized_level() == 1
 
     def test_no_image_retry(self, monkeypatch, denjoy):
+        # the telescope reads its limit off the state multipliers: neither
+        # the odd limits' image retry nor a direct system of stages
         def refuse(*args):
-            raise AssertionError("the telescope took the system of images")
+            raise AssertionError("the telescope took a direct-system limit")
 
-        monkeypatch.setattr(homology, "_image_refined_limit", refuse)
-        monkeypatch.setattr(AbHom, "image_presentation", refuse)
+        monkeypatch.setattr(homology, "_odd_limit", refuse)
+        monkeypatch.setattr(DirectSystem, "limit", refuse)
         assert h0_translation_telescope(denjoy, 8).h0 == FGAbGroup(2)
 
     @pytest.mark.parametrize("system,level", [
@@ -661,7 +679,7 @@ def lagged_telescope_limit(system, top):
     covers = [cover_matrix(a, b) for a, b in zip(windows, windows[1:])]
     homs = tuple(AbHom.of(a, b, m, w)
                  for a, b, m, w in zip(stages, stages[1:], covers[lag:], covers))
-    return _image_refined_limit(DirectSystem(stages, homs))
+    return image_refined_limit(DirectSystem(stages, homs))
 
 
 class TestLevelIndexes:
@@ -744,6 +762,11 @@ def level_modules(system, level):
                 pullback_permutation(system, GroupElement(1, 1), coarse)))
 
 
+def elementary_two_presentation(n):
+    """(Z/2)^n as Z^n modulo 2 * I."""
+    return Presentation.of(n, [[2 * (i == j) for i in range(n)] for j in range(n)])
+
+
 def fragment_at(system, level):
     """The free-product fragment of one level, its two modules and its
     two windows."""
@@ -760,34 +783,27 @@ class TestLifts:
     @REAL_SYSTEMS
     def test_every_lift_holds_and_agrees(self, monkeypatch, system, level):
         of = AbHom.of.__func__
-        image_of = AbHom.image_presentation
-        lifted, unlifted, images = [], [], []
+        lifted, unlifted = [], []
 
         def recording(cls, *args):
             (lifted if len(args) == 4 else unlifted).append(args)
             return of(cls, *args)
 
-        def recorded_image(self):
-            images.append(image_of(self))
-            return images[-1]
-
         monkeypatch.setattr(AbHom, "of", classmethod(recording))
-        monkeypatch.setattr(AbHom, "image_presentation", recorded_image)
         tele = h0_translation_telescope(system, level)
         assert len(lifted) == len(tele.stages) - 1
         try:
             fp = free_product_homology(system, level)
-            # per level step: one H0 map and one odd map per reflection
-            assert len(lifted) == len(tele.stages) - 1 + 3 * (len(fp.fragments) - 1)
+            # per level step: one H0 map
+            assert len(lifted) == len(tele.stages) - 1 + len(fp.fragments) - 1
         except NonStabilizationError:
             assert len(lifted) > len(tele.stages) - 1
         monkeypatch.undo()
         for src, dst, mat, lift in lifted:
             assert lift_identity(mat, src.relations, dst.relations, lift)
             assert AbHom.of(src, dst, mat).matrix == AbHom.of(src, dst, mat, lift).matrix
-        # the only maps still proved by solving are those between images
-        # (``_image_refined_limit``)
-        assert all(any(src is im for im in images) for src, *_ in unlifted)
+        # no map is proved by solving
+        assert unlifted == []
 
     @REAL_SYSTEMS
     def test_wrong_relations_or_lifts_are_refused(self, system, level):
@@ -814,7 +830,7 @@ class TestLifts:
         # own lift, and against doubled relations 4 * I it is refused
         # (a reflection without fixed cells has nothing to double)
         for k, induced in enumerate(odd_maps):
-            a, b = frag.odd_stages[k], nxt.odd_stages[k]
+            a, b = (elementary_two_presentation(len(m[k].orbits[2])) for m in (lower, upper))
             AbHom.of(a, b, induced, induced)
             doubled = Presentation.of(b.ngens, [[2 * x for x in col] for col in b.relations])
             if not b.ngens:
@@ -845,9 +861,105 @@ class TestLifts:
         monkeypatch.setattr(SnfSolver, "__init__", counted)
         run(system)
         assert built == []
-        # the count sees a solver where one is built
+        # the count sees a solver where one is built (the lattice oracle)
         subquotient([[0]], [[0]])
         assert built == [1]
+
+
+def refuse_transforms(monkeypatch):
+    """Make every transform-tracking Smith form raise."""
+    smith = abgroups._SparseSmith
+
+    class DiagonalOnly(smith):
+        def __init__(self, mat, track):
+            if track:
+                raise AssertionError("transform-tracking Smith form")
+            super().__init__(mat, track)
+
+    monkeypatch.setattr(abgroups, "_SparseSmith", DiagonalOnly)
+
+
+GUARDED_SYSTEMS = {
+    "golden": {"type": "denjoy_flip", "theta": {"p": -1, "q": 1, "d": 5, "r": 2}},
+    "2^i": {"type": "odometer", "base": 2, "growth": "geometric", "levels": 8},
+    "3^i": {"type": "odometer", "base": 3, "growth": "geometric", "levels": 6},
+}
+
+
+class TestNoTransformTracking:
+    """No command builds a Smith form with transforms: signed modules are
+    read off orbit counts and odd-homology limits off GF(2) ranks."""
+
+    @pytest.mark.parametrize("command", ["oracle-check", *GUARDED_SYSTEMS])
+    def test_cli_paths(self, monkeypatch, capsys, tmp_path, command):
+        from dihedral_dynamics.cli import main
+
+        refuse_transforms(monkeypatch)
+        with pytest.raises(AssertionError, match="transform-tracking"):
+            kernel_basis([[1]])
+        if command == "oracle-check":
+            argv = ["oracle-check", "--seed", "0", "--count", "100"]
+        else:
+            path = tmp_path / "system.json"
+            path.write_text(json.dumps(GUARDED_SYSTEMS[command]))
+            argv = ["homology", "--system", str(path), "--method", "both"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+
+def random_odd_system(rng):
+    """Sizes 0..5 of 3 to 7 stages (Z/2)^size and 0/1 maps between them:
+    a size repeats half the time, and a map between equal sizes is then a
+    permutation (an isomorphism) half the time; any other map has random
+    entries."""
+    sizes = [rng.randint(0, 5)]
+    for _ in range(rng.randint(2, 6)):
+        sizes.append(sizes[-1] if rng.random() < 0.5 else rng.randint(0, 5))
+    maps = []
+    for a, b in zip(sizes, sizes[1:]):
+        if a == b and rng.random() < 0.5:
+            order = rng.sample(range(a), a)
+            maps.append([[int(order[j] == i) for j in range(a)] for i in range(b)])
+        else:
+            maps.append([[rng.randint(0, 1) for _ in range(a)] for _ in range(b)])
+    return sizes, maps
+
+
+def odd_direct_system(sizes, maps):
+    """The stages as presented groups, each map its own lift."""
+    stages = tuple(elementary_two_presentation(n) for n in sizes)
+    return DirectSystem(stages, tuple(
+        AbHom.of(a, b, m, m) for a, b, m in zip(stages, stages[1:], maps)))
+
+
+class TestOddLimit:
+    """Odd-homology limits from GF(2) ranks against the system of images
+    built from preimage lattices."""
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_image_refined_limit(self, rng):
+        sizes, maps = random_odd_system(rng)
+        assert _odd_limit(sizes, maps) == image_refined_limit(odd_direct_system(sizes, maps))
+
+    def test_draws_reach_every_verdict(self):
+        # systems stabilized at once, settled only by the image retry, and
+        # left undetermined all occur among the draws
+        rng = random.Random(9)
+        verdicts = Counter()
+        for _ in range(200):
+            sizes, maps = random_odd_system(rng)
+            ds = odd_direct_system(sizes, maps)
+            refined = image_refined_limit(ds)
+            assert _odd_limit(sizes, maps) == refined
+            verdicts["direct" if ds.limit().kind == "stabilized" else refined.kind] += 1
+        assert min(verdicts[k] for k in ("direct", "stabilized", "undetermined")) >= 10, verdicts
+
+    def test_vanishing_fixed_cell(self):
+        # the 2^i odometer's flip: cells {0, 2^(i-1)} fixed at every level,
+        # the second with no fixed refinement, so the limit is Z/2
+        limit = _odd_limit([2, 2, 2, 2], [[[1, 0], [0, 0]]] * 3)
+        assert (limit.kind, limit.group, limit.level) == ("stabilized", Z2, 2)
 
 
 def lattice_fragment_flags(msigma, mphisigma, inclusion):
@@ -862,8 +974,8 @@ def lattice_fragment_flags(msigma, mphisigma, inclusion):
         + [[0] * n_fine + col for col in columns(a_minus[1])])
     paired = [list(row) for row in inclusion] + [
         [-x for x in row] for row in identity_matrix(n_coarse)]
-    paired_injective = AbHom.of(
-        Presentation.free(n_coarse), middle, paired).kernel_group().is_trivial()
+    paired_injective = kernel_group(
+        AbHom.of(Presentation.free(n_coarse), middle, paired)).is_trivial()
     h0_relations = from_columns(
         columns(a_minus[0]) + columns(mat_mul(inclusion, a_minus[1])), rows=n_fine)
     summed = [e + list(row) for e, row in zip(identity_matrix(n_fine), inclusion)]
@@ -913,10 +1025,7 @@ class TestFragmentFlags:
         assert 10 <= verdicts.count(False) <= 90, verdicts.count(False)
 
     def test_no_kernel_lattices(self, monkeypatch, denjoy):
-        def refuse(*args):
-            raise AssertionError("preimage_lattice called")
-
-        monkeypatch.setattr(abgroups, "preimage_lattice", refuse)
+        refuse_transforms(monkeypatch)
         p = Presentation.of(2, [(0, 4)])
         maps = (AbHom.of(p, p, [[1, 0], [0, 3]]), AbHom.of(p, p, [[1, 0], [2, 1]]))
         assert DirectSystem((p, p, p), maps).limit().level == 1
@@ -1015,7 +1124,7 @@ def full_cell_limits(system, levels):
             induced = [solver.solve(col) for col in columns(mat_mul(incl[k], basis))]
             homs.append(AbHom.of(a, b, from_columns(induced, rows=b.ngens), incl[k]))
         odd_stages.append(tuple(q[0] for q in quotients))
-        odd_limits.append(_image_refined_limit(DirectSystem(odd_stages[-1], tuple(homs))))
+        odd_limits.append(image_refined_limit(DirectSystem(odd_stages[-1], tuple(homs))))
     return h0_stages, h0_limit, odd_stages, odd_limits
 
 
@@ -1052,7 +1161,7 @@ def block_diagonal_h1(system, max_level):
         assert None not in cols
         homs.append(AbHom.of(stages[i], stages[i + 1],
                              from_columns(cols, rows=stages[i + 1].ngens)))
-    limit = _image_refined_limit(DirectSystem(tuple(stages), tuple(homs)))
+    limit = image_refined_limit(DirectSystem(tuple(stages), tuple(homs)))
     return limit.group if limit.kind == "stabilized" else None
 
 
@@ -1078,7 +1187,7 @@ class TestOrbitRoute:
         odd = [subquotient(mat_sub(m.mat(), identity_matrix(m.ncells)),
                            mat_add(m.mat(), identity_matrix(m.ncells)))
                for m in (msigma, mphisigma)]
-        assert [stage.canonical() for stage in frag.odd_stages] == odd
+        assert [odd_homology(m) for m in (msigma, mphisigma)] == odd
         assert frag.h1 == odd[0].direct_sum(odd[1])
         assert (frag.paired_injective, frag.middle_exact) == lattice_fragment_flags(
             msigma, mphisigma, inclusion)
@@ -1092,9 +1201,9 @@ class TestOrbitRoute:
         levels = list(range(2, top + 1))
         h0_stages, h0_limit, odd_stages, odd_limits = full_cell_limits(system, levels)
         for i, level in enumerate(levels):
-            frag = fragment_at(system, level)[0]
+            frag, modules, _, _ = fragment_at(system, level)
             assert frag.h0 == h0_stages[i].canonical(), level
-            assert [s.canonical() for s in frag.odd_stages] == [
+            assert [odd_homology(m) for m in modules] == [
                 odd_stages[0][i].canonical(), odd_stages[1][i].canonical()], level
         try:
             fp = free_product_homology(system, level)
@@ -1248,8 +1357,40 @@ class TestTopDownLimit:
         assert seen == list(reversed(ds.maps))[:calls]
 
 
+@dataclass(frozen=True)
+class TransferReport:
+    kernel: FGAbGroup
+    injective: bool
+    image: FGAbGroup
+    onto_plus: bool
+
+
+def transfer_kernel(tr_map, target_plus):
+    """Kernel and image of the summed-over-flip map out of the total
+    coinvariants, compared against the doubled translation classes."""
+    kernel, image = kernel_group(tr_map), image_group(tr_map)
+    return TransferReport(kernel, kernel.is_trivial(), image, image == target_plus)
+
+
+def transfer_report(system, max_level):
+    """The transfer at the top level of the telescope, into the stage of
+    that level by f -> f + f o flip: an orbit to its indicator, a fixed
+    cell to twice its own."""
+    tele = h0_translation_telescope(system, max_level)
+    level = len(tele.stages)
+    cells, coarse = system.level_windows(level)
+    msig, mphisig = _reflection_modules(system, cells, coarse)
+    h0_gamma = free_product_fragment(msig, mphisig, cover_matrix(coarse, cells)).h0_presentation
+    label = msig.orbits[0]
+    tr_matrix = [[(label[i] == o) * (1 + (msig.perm[i] == i)) for o in range(h0_gamma.ngens)]
+                 for i in range(len(cells))]
+    return transfer_kernel(AbHom.of(h0_gamma, tele.stages[level - 1], tr_matrix), tele.h0_plus)
+
+
 class TestTransfer:
     def test_denjoy_kernel_trivial(self, denjoy):
+        # the flip has a fixed point, so the kernel vanishes and the image
+        # realizes the doubled translation classes
         rep = transfer_report(denjoy, 8)
         assert rep.kernel == ZERO
         assert rep.injective
@@ -1273,11 +1414,11 @@ class TestTransfer:
         # the order-2 class (1,-1) in Z^2 modulo (2,-2)
         middle = Presentation.of(2, [(2, -2)])
         witness = AbHom.of(Presentation.free(1), middle, [[1], [-1]])
-        assert witness.image_group() == Z2
+        assert image_group(witness) == Z2
         assert middle.contains_relations([[2, -2]])
         assert not middle.contains_relations([[1, -1]])
         tr = AbHom.of(middle, Presentation.free(1), [[1, 1]])
-        report = transfer_kernel(middle, tr, FGAbGroup(1))
+        report = transfer_kernel(tr, FGAbGroup(1))
         assert report.kernel == Z2
         assert not report.injective
         assert report.image == FGAbGroup(1)

@@ -1,4 +1,4 @@
-"""Pinned output digests of fast homology commands.
+"""Pinned output digests of fast commands.
 
 Each case runs ``cli.main`` in-process and compares the exit code and
 the first 16 hex digits of the sha256 of stdout and of stderr with the
@@ -33,6 +33,7 @@ CASES = [
     ("golden", 8, "comp", 0, "be0730875c69206b", EMPTY),
     ("golden", 8, "freeproduct", 0, "a7647f9bce3bb73f", EMPTY),
     ("golden", 8, "both", 0, "6510d4230590c2d0", EMPTY),
+    ("golden", 64, "both", 0, "ec60f19bb1c8fd77", EMPTY),
     ("sqrt2", 4, "comp", 0, "76b0f8663bd483d8", EMPTY),
     ("sqrt2", 4, "freeproduct", 0, "bdc80d5fa00e4cd1", EMPTY),
     ("sqrt2", 4, "both", 0, "399c498afd5bb86a", EMPTY),
@@ -85,5 +86,25 @@ def _digest(text: str) -> str:
 def test_homology_output_digest(capsys, system_files, system, level, method, code, out, err):
     got = main(["homology", "--system", str(system_files[system]),
                 "--max-level", str(level), "--method", method])
+    captured = capsys.readouterr()
+    assert (got, _digest(captured.out), _digest(captured.err)) == (code, out, err)
+
+
+# (argv with {system} files named, exit code, stdout digest, stderr digest)
+COMMANDS = [
+    (["oracle-check", "--seed", "229620266", "--count", "100", "--max-degree", "2"],
+     0, "4ff22c38cb739a14", EMPTY),
+    (["oracle-check", "--seed", "0", "--count", "20"], 0, "ae509e3163a7604d", EMPTY),
+    (["oracle-check", "--seed", "7", "--count", "40", "--max-cells", "4", "--max-degree", "4"],
+     0, "dc712ae58852474c", EMPTY),
+    (["fixed-points", "--system", "{golden}", "--elements", f"[[{10 ** 18},1]]"],
+     0, "29eb0caf783a48d1", EMPTY),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", COMMANDS,
+                         ids=["oracle-229620266", "oracle-0", "oracle-7", "fixed-points-1e18"])
+def test_command_output_digest(capsys, system_files, argv, code, out, err):
+    got = main([arg.format(**system_files) for arg in argv])
     captured = capsys.readouterr()
     assert (got, _digest(captured.out), _digest(captured.err)) == (code, out, err)

@@ -20,8 +20,8 @@ ALLOWED = {
                          "benchmark's layer trace and checked against sympy",
     "cover_indices": "the exact cover lookup of one target, traced by the benchmark's "
                      "layer trace under systems and homology",
-    "transfer_report": "the transfer at the top telescope level, kept for the K-theory "
-                       "comparison (ROADMAP item 4)",
+    "kernel_basis": "resolved by bench/layertrace.py; leaves with ROADMAP item 1",
+    "SnfSolver": "resolved by bench/layertrace.py; leaves with ROADMAP item 1",
     "free_action_table": "the free case, which waits for free minimal circle systems "
                          "(ROADMAP item 7)",
     "bar_homology": "the one-degree bar oracle, which the benchmark's drawn-module "
