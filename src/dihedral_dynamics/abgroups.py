@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "FGAbGroup",
@@ -677,6 +677,17 @@ class LimitDescriptor:
         return out
 
 
+def top_run(count: int, is_iso: Callable[[int], bool]) -> int:
+    """The index where the run of isomorphisms at the top of ``count``
+    connecting maps starts (``count`` when the top map is not one).
+    ``is_iso(i)`` is asked from the top map down, and not below the first
+    map that is not an isomorphism."""
+    start = count
+    while start > 0 and is_iso(start - 1):
+        start -= 1
+    return start
+
+
 def multiplier_limit(group: FGAbGroup, multipliers: Sequence[int]) -> LimitDescriptor:
     """The limit of group -> group -> ... whose i-th map is multiplication
     by ``multipliers[i]``, by the rule of ``DirectSystem.limit``: the maps
@@ -685,9 +696,7 @@ def multiplier_limit(group: FGAbGroup, multipliers: Sequence[int]) -> LimitDescr
     nonzero multipliers, some not +-1, give their localization, named by
     the multipliers up to sign; anything else is undetermined."""
     sizes = [abs(m) for m in multipliers]
-    start = len(sizes)
-    while start > 0 and sizes[start - 1] == 1:
-        start -= 1
+    start = top_run(len(sizes), lambda i: sizes[i] == 1)
     if start < len(sizes):
         return LimitDescriptor(kind="stabilized", group=group, level=start + 1)
     if group == FGAbGroup(1) and all(sizes) and any(m > 1 for m in sizes):
@@ -714,10 +723,7 @@ class DirectSystem:
         """Stabilization detection; never materializes a non-f.g. limit."""
         if len(self.stages) < 3:
             raise ValueError("need at least 3 computed stages")
-        # isomorphisms from the top map down, to the first that is not one
-        start = len(self.maps)
-        while start > 0 and self.maps[start - 1].is_isomorphism():
-            start -= 1
+        start = top_run(len(self.maps), lambda i: self.maps[i].is_isomorphism())
         if start < len(self.maps):
             return LimitDescriptor(
                 kind="stabilized",

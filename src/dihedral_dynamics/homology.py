@@ -60,7 +60,7 @@ follow the same rule from GF(2) ranks alone (``_odd_limit``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, compress
 from math import gcd
 from typing import List, Optional, Sequence, Tuple, Union
@@ -82,6 +82,7 @@ from .abgroups import (
     mat_sub,
     multiplier_limit,
     snf_diagonal,
+    top_run,
 )
 from .errors import NonStabilizationError, VerificationError
 from .systems import (
@@ -668,14 +669,6 @@ def _gf2_rank(nrows: int, cols: Sequence[Sequence[int]]) -> int:
     return nrows - len(Presentation.of(nrows, list(cols) + two).canonical().torsion)
 
 
-def _top_run(iso: Sequence[bool]) -> int:
-    """The index where the run of True at the end of ``iso`` starts."""
-    start = len(iso)
-    while start > 0 and iso[start - 1]:
-        start -= 1
-    return start
-
-
 def _odd_limit(sizes: Sequence[int], maps: Sequence[Matrix]) -> LimitDescriptor:
     """The limit of (Z/2)^sizes[0] -> (Z/2)^sizes[1] -> ... along the
     integer matrices ``maps`` read modulo 2, by the rule of
@@ -691,18 +684,22 @@ def _odd_limit(sizes: Sequence[int], maps: Sequence[Matrix]) -> LimitDescriptor:
     2^(i-1) has no fixed refinement, so every stage is (Z/2)^2 while the
     limit is Z/2.
     """
-    ranks = [_gf2_rank(b, columns(h)) for b, h in zip(sizes[1:], maps)]
-    start = _top_run([a == b == r for a, b, r in zip(sizes, sizes[1:], ranks)])
+    @cache
+    def rank(i: int) -> int:
+        return _gf2_rank(sizes[i + 1], columns(maps[i]))
+
+    def through(i: int) -> int:
+        return _gf2_rank(sizes[i + 2], columns(mat_mul(maps[i + 1], maps[i])))
+
+    start = top_run(len(maps), lambda i: sizes[i] == sizes[i + 1] == rank(i))
     if start < len(maps):
         return LimitDescriptor(kind="stabilized", group=FGAbGroup.elementary_two(sizes[start]),
                                level=start + 1)
     if len(maps) >= 3:
-        through = [_gf2_rank(c, columns(mat_mul(h2, h1)))
-                   for c, h1, h2 in zip(sizes[2:], maps, maps[1:])]
-        start = _top_run([r1 == r2 == r for r1, r2, r in zip(ranks, ranks[1:], through)])
-        if start < len(through):
+        start = top_run(len(maps) - 1, lambda i: rank(i) == rank(i + 1) == through(i))
+        if start < len(maps) - 1:
             return LimitDescriptor(kind="stabilized",
-                                   group=FGAbGroup.elementary_two(ranks[start]), level=start + 2)
+                                   group=FGAbGroup.elementary_two(rank(start)), level=start + 2)
     return LimitDescriptor(kind="undetermined", level=len(sizes))
 
 
