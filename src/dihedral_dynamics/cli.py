@@ -39,6 +39,8 @@ EXIT_VERIFICATION = 4
 
 #: The largest ceil(1/measure) of a ``castle --base``, about the steps of its first return.
 MAX_BASE_INVERSE_MEASURE = 10 ** 4
+#: The largest ``folner --m``; the payload lists all m elements of the window set.
+MAX_FOLNER_M = 10 ** 5
 
 
 class ConfigError(ValueError):
@@ -115,10 +117,11 @@ def cmd_fixed_points(args) -> int:
 
 
 def cmd_folner(args) -> int:
-    f = folner(args.m)
-    payload = {"m": args.m, "elements": f.to_json()}
+    m = _check_range("--m", args.m, 1, MAX_FOLNER_M)
+    f = folner(m)
+    payload = {"m": m, "elements": f.to_json()}
     if args.check_transversal:
-        payload["transversal"] = is_transversal(f, args.m)
+        payload["transversal"] = is_transversal(f, m)
     if args.ratio is not None:
         test_set = _parse_elements(args.ratio)
         r = folner_ratio(f, test_set)

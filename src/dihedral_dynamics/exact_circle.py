@@ -326,7 +326,8 @@ class CutPoint:
 
     @classmethod
     def from_json(cls, theta: Theta, data: dict) -> "CutPoint":
-        return cls(n=int(data["n"]), m=int(data["m"]), theta=theta)
+        return cls(n=json_int(data["n"], "cut field 'n'"), m=json_int(data["m"], "cut field 'm'"),
+                   theta=theta)
 
 
 @dataclass(frozen=True)

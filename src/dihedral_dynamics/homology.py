@@ -25,36 +25,32 @@ computation.  The system names the cell lists that stand for level N
 and their relation window (``level_windows``: a circle's windows
 [-N, N] and [1-N, N], an odometer's cylinders for both), how deep its
 levels go (``depth``) and how its reflections' fixed points are counted
-(``reflection_fixed``).  The telescope and the free product read the same
-windows: the first as the cells of a stage and the window of its
-translation relations, the second as the windows of the two
-reflections.  ``homology_table`` builds them once, as the system's
-``level_chain``, and hands the chain to both routes.  Refinement between
-levels is ``cover_matrix`` of a coarser level's cells in a finer
-level's, for arcs and cylinders alike.
+(``reflection_fixed``).  ``_levels`` reads the system's ``level_chain``
+once and builds each level's inclusions once (``cover_matrix``, for arcs
+and cylinders alike), and ``homology_table`` hands that one list to both
+routes: the telescope reads a level as the cells of a stage and the
+window of its translation relations, the free product as the windows of
+the two reflections.
 
 The telescope is proved through the length state l_N of each level
 (Putnam-Schmidt-Skau): a circle cell's exact length a + b*theta, or an
 odometer cylinder's measure in units of 1/n_N.  The state kills the
 translation relations and maps onto Z^r, so with the stage's one Smith
 form equal to Z^r it identifies the stage with Z^r; each connecting map
-is then multiplication by the integer c_N with l_{N+1} * incl = c_N * l_N,
-and the flip P acts trivially on stage N exactly when l_N * P = l_N.
-Each is an integer identity (see ``h0_translation_telescope``).
+is then multiplication by the integer c_N with l_{N+1} * incl = c_N * l_N
+(which also proves it a map of stages), and the flip P acts trivially
+on stage N exactly when l_N * P = l_N (see ``h0_translation_telescope``).
 
-Every refinement map between stages is proved a map of presented groups
-by an exact identity M * R = R' * W (``abgroups.lift_identity``), with a
-lift W the construction supplies: refinement commutes with translation
-and with both reflections, so a relation built on coarse cells refines
-to the sum of the same relations on the finer cells.  The lifts are the
-refinement of the telescope's relation windows; for the free-product
-H_0, the reflected window's refinement taken onto the pairs of the
-reflected flip (``_refinement_maps``).  The telescope reads its limit
-off the state multipliers (``multiplier_limit``), and the free product's
-H_0 through ``DirectSystem.limit``, as an independent second route.  The
-odd homologies are vector spaces over GF(2), each refinement map the
-inclusion restricted to fixed cells read modulo 2, so their limits
-follow the same rule from GF(2) ranks alone (``_odd_limit``).
+The free product's H_0 maps are proved maps of presented groups by an
+exact identity M * R = R' * W (``abgroups.lift_identity``), whose lift
+W is the reflected window's refinement taken onto the pairs of the
+reflected flip (``_refinement_maps``): refinement commutes with both
+reflections, so a coarse relation refines to a sum of finer ones.  Its
+H_0 limit, through ``DirectSystem.limit``, is the independent second
+route to the telescope's.  The odd homologies are vector spaces over
+GF(2), each refinement map the inclusion restricted to fixed cells read
+modulo 2, so their limits follow the same rule from GF(2) ranks alone
+(``_odd_limit``).
 """
 
 from __future__ import annotations
@@ -327,11 +323,10 @@ class TelescopeResult:
     """Stages of H_0(Z, level module) with the flip's verdict on top.
 
     ``stages[i]`` presents the translation coinvariants at level
-    ``i + 1``; connecting maps are induced by refinement.
+    ``i + 1``; ``limit`` is read off the state multipliers of refinement.
     """
 
     stages: tuple
-    connecting: tuple
     limit: LimitDescriptor
     sigma_trivial: bool
     h0: GroupValue
@@ -365,6 +360,17 @@ def _deepest_level(system, max_level: int) -> int:
         raise ValueError(
             f"need at least 3 odometer levels with at most {_MAX_LEVEL_CELLS} cosets")
     return top
+
+
+def _levels(system, top: int) -> list:
+    """Levels 1..top as ``(fine, coarse, within, up)``: the flip and
+    reflected windows (``level_chain``), the inclusion of the second in
+    the first, and of the level below's flip window in ``fine`` (None at
+    level 1)."""
+    chain = system.level_chain(top)
+    ups = [None] + [cover_matrix(a, b) for (a, _), (b, _) in zip(chain, chain[1:])]
+    return [(fine, coarse, cover_matrix(coarse, fine), up)
+            for (fine, coarse), up in zip(chain, ups)]
 
 
 def _state_images(state: Matrix, vectors) -> List[List[int]]:
@@ -421,59 +427,55 @@ def _state_multiplier(fine: Matrix, incl: Matrix, coarse: Matrix, level: int) ->
 
 
 def h0_translation_telescope(system, max_level: int,
-                             chain: Optional[list] = None) -> TelescopeResult:
+                             levels: Optional[list] = None) -> TelescopeResult:
     """H_0 of the translation action on C(X, Z), with the flip action.
 
     Stage N presents the functions on level N's flip window modulo
     f - f o (1,0) for f on its reflected window (``level_windows``), the
     widest window whose translate stays inside the flip window.  The
-    windows are ``chain``, the system's ``level_chain`` up to the deepest
-    usable level, built here unless the caller holds it already.
+    windows and their inclusions are ``levels`` (``_levels`` up to the
+    deepest usable level), built here unless the caller holds them.
 
     Each stage is proved by the length state l_N of its cells
     (``length_state``: a circle cell's exact length a + b*theta as the
     column (a, b), an odometer cylinder's measure in units of 1/n_N).
     Translation keeps lengths, so l_N kills the relations; it maps onto
     Z^r, and the stage's one Smith form is Z^r, so l_N is an isomorphism
-    (Hopfian).  Refinement keeps lengths too: l_{N+1} * incl = c_N * l_N
-    with c_N = 1 on circles and n_{N+1}/n_N on odometers, so through the
-    states each connecting map is multiplication by c_N.  The limit
-    follows from the c_N (``multiplier_limit``): circle systems stabilize
-    to Z^2, and odometers give a localization of Z.  The flip acts
-    trivially on stage N exactly when l_N * P = l_N for its permutation
-    P; (1 + flip)H_0 = 2 H_0 is then returned in canonical form (doubling
-    a localization of Z is an isomorphism onto its image).  A state
-    identity that fails is a fault in the arithmetic and raises
-    ``VerificationError``; a flip that moves the state, or a limit the
-    multipliers leave open, raises ``NonStabilizationError``.
+    (Hopfian) with kernel L(R_N), the relation lattice.  Refinement keeps
+    lengths too: l_{N+1} * incl = c_N * l_N, with c_N = 1 on circles and
+    n_{N+1}/n_N on odometers.  That identity alone proves each inclusion
+    a map of stages: for a relation r at level N, l_{N+1} * incl * r =
+    c_N * l_N * r = 0, so incl * r lies in ker l_{N+1} = L(R_{N+1}).
+    Through the states each connecting map is multiplication by c_N,
+    and the limit follows from the c_N (``multiplier_limit``): circle
+    systems stabilize to Z^2, and odometers give a localization of Z.
+    The flip acts trivially on stage N exactly when l_N * P = l_N for
+    its permutation P; (1 + flip)H_0 = 2 H_0 is then returned in
+    canonical form (doubling a localization of Z is an isomorphism onto
+    its image).  A state identity that fails is a fault in the
+    arithmetic and raises ``VerificationError``; a flip that moves the
+    state, or a limit the multipliers leave open, raises
+    ``NonStabilizationError``.
     """
     if max_level < 3:
         raise ValueError("max_level must be >= 3")
     _require_levels(system, "telescope requires a circle or odometer system")
-    if chain is None:
-        chain = system.level_chain(_deepest_level(system, max_level))
-    top = len(chain)
-    cell_lists = [fine for fine, _ in chain]
-    states = [fine.length_state() for fine in cell_lists]
+    if levels is None:
+        levels = _levels(system, _deepest_level(system, max_level))
+    top = len(levels)
+    states = [fine.length_state() for fine, *_ in levels]
     stages = [
         Presentation.of(len(fine), columns(mat_sub(
-            cover_matrix(coarse, fine), pullback_matrix(system, TRANSLATION, coarse, fine))))
-        for fine, coarse in chain]
+            within, pullback_matrix(system, TRANSLATION, coarse, fine))))
+        for fine, coarse, within, _ in levels]
     for level, (stage, state) in enumerate(zip(stages, states), 1):
         _check_state(stage, state, level)
-    # refinement commutes with translation, so the refinement of the
-    # reflected windows lifts each inclusion (see the module docstring);
-    # an odometer's two windows are one list, whose inclusion is its own lift
-    incls = [cover_matrix(a, b) for a, b in zip(cell_lists, cell_lists[1:])]
-    connecting = tuple(
-        AbHom.of(a, b, m, m if ca is fa else cover_matrix(ca, cb))
-        for a, b, m, (fa, ca), (_, cb) in zip(stages, stages[1:], incls, chain, chain[1:]))
     limit = multiplier_limit(FGAbGroup(len(states[0])), [
-        _state_multiplier(fine, m, coarse, level)
-        for level, (m, coarse, fine) in enumerate(zip(incls, states, states[1:]), 1)])
+        _state_multiplier(fine, up, coarse, level)
+        for level, (coarse, fine, (*_, up)) in enumerate(zip(states, states[1:], levels[1:]), 1)])
     sigma_trivial = all(
         _state_images(state, zip(*pullback_matrix(system, FLIP, cells, cells))) == columns(state)
-        for state, cells in zip(states, cell_lists))
+        for state, (cells, *_) in zip(states, levels))
 
     if limit.kind == "stabilized":
         if not sigma_trivial:
@@ -492,7 +494,6 @@ def h0_translation_telescope(system, max_level: int,
 
     return TelescopeResult(
         stages=tuple(stages),
-        connecting=connecting,
         limit=limit,
         sigma_trivial=sigma_trivial,
         h0=h0,
@@ -704,7 +705,7 @@ def _odd_limit(sizes: Sequence[int], maps: Sequence[Matrix]) -> LimitDescriptor:
 
 
 def free_product_homology(system, max_level: int,
-                          chain: Optional[list] = None) -> FreeProductResult:
+                          levels: Optional[list] = None) -> FreeProductResult:
     """Run the free-product assembly across levels and take honest limits.
 
     At each level from 2 up, the flip permutes the system's flip window
@@ -713,30 +714,29 @@ def free_product_homology(system, max_level: int,
     0 is followed through the chain of total coinvariants on flip orbits
     (stabilizing for circles, a localization for odometers); degree 1
     through the chain of odd homologies of each reflection's modules, on
-    their fixed cells, whose limits add up to H_1.  ``chain`` is as for
-    ``h0_translation_telescope``, whose windows from level 2 up are these.
+    their fixed cells, whose limits add up to H_1.  ``levels`` is as for
+    ``h0_translation_telescope``; this route reads it from level 2 up.
     """
     _require_levels(system, "free-product assembly requires a circle or odometer system")
-    if chain is None:
-        chain = system.level_chain(_deepest_level(system, max_level))
-    windows = chain[1:]
-    if len(windows) < 3:
+    if levels is None:
+        levels = _levels(system, _deepest_level(system, max_level))
+    levels = levels[1:]
+    if len(levels) < 3:
         raise ValueError("the free-product assembly starts at level 2, "
                          "so it needs max_level >= 4 (levels 2 to 4)")
-    max_level = len(windows) + 1
-    levels = list(range(2, max_level + 1))
-    modules = [_reflection_modules(system, fine, coarse) for fine, coarse in windows]
-    frags = [(level, free_product_fragment(*pair, cover_matrix(coarse, fine)))
-             for level, pair, (fine, coarse) in zip(levels, modules, windows)]
-    maps = [_refinement_maps(a, b, cover_matrix(fa, fb), cover_matrix(ca, cb))
-            for a, b, (fa, ca), (fb, cb) in zip(modules, modules[1:], windows, windows[1:])]
+    max_level = len(levels) + 1
+    modules = [_reflection_modules(system, fine, coarse) for fine, coarse, *_ in levels]
+    frags = [(level, free_product_fragment(*pair, within))
+             for level, pair, (*_, within, _) in zip(range(2, max_level + 1), modules, levels)]
+    maps = [_refinement_maps(a, b, up, cover_matrix(ca, cb))
+            for a, b, (_, ca, *_), (_, cb, _, up) in zip(modules, modules[1:], levels, levels[1:])]
 
     h0_stages = tuple(f.h0_presentation for _, f in frags)
     h0_limit = DirectSystem(h0_stages, tuple(
         AbHom.of(a, b, m, w) for a, b, (m, w, _) in zip(h0_stages, h0_stages[1:], maps))).limit()
     if h0_limit.kind == "stabilized":
         h0: GroupValue = h0_limit.group
-        stabilized_at: Optional[int] = levels[h0_limit.level - 1]
+        stabilized_at: Optional[int] = h0_limit.level + 1
     elif h0_limit.kind == "localization":
         h0 = h0_limit.localization
         stabilized_at = None
@@ -863,14 +863,12 @@ def homology_table(system, max_level: int = 16, method: str = "closed_form"):
 
     _require_levels(system, f"unsupported system: {system!r}")
     # a chain too short or too wide for three levels is refused up front,
-    # before the telescope sees its depth as the request
-    top = _deepest_level(system, max_level)
+    # before the telescope sees its depth as the request; both routes read
+    # one level list, the telescope levels 1..top and the free product 2..top
+    levels = _levels(system, _deepest_level(system, max_level))
     depth = system.depth(max_level)
     fixed_name, fixed, fixed_count = system.reflection_fixed(depth)
-    # one chain of windows for both routes: the telescope reads levels
-    # 1..top, the free product levels 2..top
-    chain = system.level_chain(top)
-    tele = h0_translation_telescope(system, depth, chain)
+    tele = h0_translation_telescope(system, depth, levels)
     provenance.update({
         "case": "not_free",
         fixed_name: fixed,
@@ -883,7 +881,7 @@ def homology_table(system, max_level: int = 16, method: str = "closed_form"):
     closed = nonfree_action_table(tele.h0_plus, fixed_count)
     if method == "closed_form":
         return closed, provenance
-    fp = free_product_homology(system, depth, chain)
+    fp = free_product_homology(system, depth, levels)
     provenance["freeproduct"] = {
         "stabilizedAt": fp.stabilized_at,
         "pairedInjective": fp.all_injective,

@@ -126,9 +126,9 @@ class GroupElement:
 
     @classmethod
     def from_json(cls, data: Sequence[int]) -> "GroupElement":
-        if len(data) != 2:
+        if not isinstance(data, list) or len(data) != 2:
             raise ValueError("group element must be a pair [n, s]")
-        return cls(int(data[0]), int(data[1]))
+        return cls(json_int(data[0], "group element n"), json_int(data[1], "group element s"))
 
     def __str__(self) -> str:
         return f"({self.n},{self.s})"
@@ -621,7 +621,8 @@ class OdometerSystem:
     # -- clopen sets ----------------------------------------------------
 
     def set_from_json(self, data: dict) -> LevelSet:
-        return LevelSet(int(data["modulus"]), frozenset(int(k) for k in data["residues"]))
+        return LevelSet(json_int(data["modulus"], "level set field 'modulus'"),
+                        frozenset(json_int(k, "level set residue") for k in data["residues"]))
 
     def partition_flags(self, pieces: Sequence[LevelSet]) -> tuple:
         """``(disjoint, covers)`` of level sets of one level, by marking

@@ -37,6 +37,7 @@ from typing import Sequence
 
 from .amenability import folner, folner_ratio
 from .errors import VerificationError
+from .exact_circle import json_int
 from .systems import FLIP, GroupElement, LevelSet, require_castle_cosets, system_from_json
 
 __all__ = [
@@ -126,7 +127,8 @@ class Castle:
         for tj in data["towers"]:
             base = system.set_from_json(tj["base"])
             shape = tuple(GroupElement.from_json(g) for g in tj["shape"])
-            towers.append(Tower(base=base, shape=shape, return_time=int(tj["J"])))
+            towers.append(Tower(base=base, shape=shape,
+                                return_time=json_int(tj["J"], "tower field 'J'")))
         return cls(system=system, towers=tuple(towers))
 
 

@@ -12,6 +12,7 @@ import dihedral_dynamics
 from dihedral_dynamics import cli
 from dihedral_dynamics.abgroups import FGAbGroup
 from dihedral_dynamics.cli import build_parser, main
+from dihedral_dynamics.systems import OdometerSystem
 from dihedral_dynamics.towers import Castle
 
 GOLDEN_THETA = {"p": -1, "q": 1, "d": 5, "r": 2}
@@ -182,6 +183,20 @@ class TestFolnerCommand:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("m", [0, cli.MAX_FOLNER_M + 1, 10 ** 12])
+    def test_m_bounds_checked_before_any_work(self, capsys, monkeypatch, m):
+        # the payload lists all m elements, so a large m is refused before
+        # the window set is built
+        def refuse(m):
+            raise AssertionError("folner ran")
+
+        monkeypatch.setattr(cli, "folner", refuse)
+        code = main(["folner", "--m", str(m), "--check-transversal"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": f"--m must be in 1..{cli.MAX_FOLNER_M}"}
+
 
 class TestCastleCommand:
     def test_default_window(self, capsys, denjoy_file):
@@ -241,6 +256,59 @@ class TestHostileJson:
         assert code == 2
         assert captured.out == ""
         assert "bad base set" in json.loads(captured.err)["error"]
+
+    @pytest.mark.parametrize("args,error", [
+        (["fixed-points", "--elements", "[[1e400,1]]"], "group element n must be an integer"),
+        (["fixed-points", "--elements", "[[true,1]]"], "group element n must be an integer"),
+        (["fixed-points", "--elements", "[[0,1.0]]"], "group element s must be an integer"),
+        (["fixed-points", "--elements", '[{"0":1,"1":1}]'], "group element must be a pair"),
+        (["certify", "--eps", "1/10", "--K", "[[1e400,0]]"], "group element n must be an integer"),
+    ], ids=["elements-huge", "elements-bool", "elements-float", "elements-object", "certify-K"])
+    def test_group_element_fields(self, capsys, denjoy_file, args, error):
+        # 1e400 parses as an infinite float, on which int() raised
+        # OverflowError; true and 1.0 were read as 1; an object of two
+        # keys ended in a KeyError
+        code = main([args[0], "--system", denjoy_file, *args[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert error in json.loads(captured.err)["error"]
+
+    def test_folner_ratio_field(self, capsys):
+        code = main(["folner", "--m", "4", "--ratio", "[[0,0],[1e400,0]]"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "group element n must be an integer" in json.loads(captured.err)["error"]
+
+    @pytest.mark.parametrize("left,field", [
+        ({"m": 1e400, "n": -1}, "cut field 'm'"),
+        ({"m": 1, "n": -1.5}, "cut field 'n'"),
+        ({"m": True, "n": -1}, "cut field 'm'"),
+    ], ids=["huge-m", "float-n", "bool-m"])
+    def test_castle_base_fields(self, capsys, denjoy_file, left, field):
+        # -1.5 was read as -1, so a base other than the one given ran
+        base = {"arcs": [{"left": left, "right": {"m": 0, "n": 1}}]}
+        code = main(["castle", "--system", denjoy_file, "--base", json.dumps(base)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{field} must be an integer" in json.loads(captured.err)["error"]
+
+    @pytest.mark.parametrize("value", [1e400, 5.0, True], ids=["huge", "float", "bool"])
+    def test_castle_json_fields(self, capsys, denjoy_file, value):
+        # a castle read back for re-verification takes its return times
+        # and level sets through the same integer rule
+        assert main(["castle", "--system", denjoy_file]) == 0
+        data = json.loads(capsys.readouterr().out)
+        data["towers"][0]["J"] = value
+        with pytest.raises(ValueError, match="tower field 'J' must be an integer"):
+            Castle.from_json(json.loads(json.dumps(data)))
+        odometer = OdometerSystem([2, 4])
+        with pytest.raises(ValueError, match="level set field 'modulus' must be an integer"):
+            odometer.set_from_json({"modulus": value, "residues": [0]})
+        with pytest.raises(ValueError, match="level set residue must be an integer"):
+            odometer.set_from_json({"modulus": 4, "residues": [value]})
 
     @pytest.mark.parametrize("theta", [[1], {"p": -1}], ids=["list", "missing-keys"])
     def test_system_theta(self, capsys, tmp_path, theta):

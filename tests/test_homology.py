@@ -403,6 +403,21 @@ def measured_state(cells):
     return [[int(m.a) for m in measures], [int(m.b) for m in measures]]
 
 
+def connecting_maps(system, tele, lift=True):
+    """The telescope's connecting maps as homs of its stages, which the
+    telescope itself reads only through the length states: the inclusions
+    of consecutive flip windows, proved with the refinement of the
+    reflected windows as lift (an odometer's two windows are one list,
+    so its inclusion is its own lift), or with no lift, by solving."""
+    chain = system.level_chain(len(tele.stages))
+    maps = []
+    for a, b, (fa, ca), (fb, cb) in zip(tele.stages, tele.stages[1:], chain, chain[1:]):
+        m = cover_matrix(fa, fb)
+        lifts = [m if ca is fa else cover_matrix(ca, cb)] if lift else []
+        maps.append(AbHom.of(a, b, m, *lifts))
+    return maps
+
+
 class TestTelescope:
     def test_denjoy(self, denjoy):
         tele = h0_translation_telescope(denjoy, 8)
@@ -426,10 +441,11 @@ class TestTelescope:
             ix = cover_indices(arc, cells)
             gens.append([int(i in ix) for i in range(len(cells))])
         span = from_columns(gens + list(top.relations), rows=top.ngens)
-        assert lattice_subset(tele.connecting[-1].mat(), span)
+        incl = connecting_maps(system, tele)[-1].mat()
+        assert lattice_subset(incl, span)
         # one arc alone does not: the limit is Z^2
         alone = from_columns(gens[:1] + list(top.relations), rows=top.ngens)
-        assert not lattice_subset(tele.connecting[-1].mat(), alone)
+        assert not lattice_subset(incl, alone)
 
     def test_denjoy_other_theta(self, sqrt2_theta):
         from dihedral_dynamics.systems import DenjoyFlipSystem
@@ -468,9 +484,10 @@ class TestTelescope:
         # trivial); the image of the summed connecting-plus-flip map must
         # agree at deep stages
         tele = h0_translation_telescope(denjoy, 8)
+        connecting = connecting_maps(denjoy, tele)
         for idx in (5, 6):
             cells = denjoy.level_windows(idx + 1)[0]
-            incl = tele.connecting[idx].mat()
+            incl = connecting[idx].mat()
             plus = mat_add(incl, mat_mul(incl, pullback_matrix(denjoy, FLIP, cells, cells)))
             direct = image_group(AbHom.of(tele.stages[idx], tele.stages[idx + 1], plus))
             assert direct == tele.h0_plus
@@ -489,7 +506,7 @@ class TestTelescope:
         tele = h0_translation_telescope(system, level)
         cells = [system.level_windows(t)[0] for t in range(1, len(tele.stages) + 1)]
         flip_rules, double_rules = [], []
-        for i, conn in enumerate(tele.connecting):
+        for i, conn in enumerate(connecting_maps(system, tele)):
             incl, stage = conn.mat(), tele.stages[i + 1]
             assert incl == cover_matrix(cells[i], cells[i + 1])
             flipped = mat_mul(incl, pullback_matrix(system, FLIP, cells[i], cells[i]))
@@ -525,14 +542,14 @@ class TestTelescope:
             h0_translation_telescope(system, level)
 
     @pytest.mark.parametrize("run,calls", [
-        (lambda s: h0_translation_telescope(s, 14), 13),
-        (lambda s: homology_table(s, 14, "both"), 25),
+        (lambda s: h0_translation_telescope(s, 14), 0),
+        (lambda s: homology_table(s, 14, "both"), 12),
     ], ids=["telescope", "table"])
     def test_abhom_count(self, monkeypatch, denjoy, run, calls):
-        # the flip check builds no homs and the limit takes no images: a
-        # golden L14 telescope makes its 13 inclusions, and the table adds
-        # the free product's 12 H0 maps (its odd-homology limits read GF(2)
-        # ranks and build none)
+        # the telescope proves its inclusions through the length state
+        # and builds no hom (13 at golden L14 when each was also proved by
+        # a lift); the table adds the free product's 12 H0 maps (its
+        # odd-homology limits read GF(2) ranks and build none)
         of = AbHom.of.__func__
         made = []
 
@@ -567,10 +584,12 @@ class TestTelescope:
                              ids=["golden", "sqrt2", "sqrt3"])
     def test_circle_stages_are_the_limit(self, theta):
         # relations on the reflected window: every stage is Z^2 and every
-        # connecting map an isomorphism
-        tele = h0_translation_telescope(DenjoyFlipSystem(theta), 8)
+        # connecting map an isomorphism, proved with its lift or by solving
+        system = DenjoyFlipSystem(theta)
+        tele = h0_translation_telescope(system, 8)
         assert all(stage.canonical() == FGAbGroup(2) for stage in tele.stages)
-        assert all(m.is_isomorphism() for m in tele.connecting)
+        for lift in (True, False):
+            assert all(m.is_isomorphism() for m in connecting_maps(system, tele, lift))
         assert tele.stabilized_level() == 1
 
     def test_no_image_retry(self, monkeypatch, denjoy):
@@ -630,7 +649,7 @@ class TestTelescope:
             assert not any(map(any, mat_mul(state, stage.relation_matrix())))
             assert snf_diagonal(state) == [1, 1]
             assert mat_mul(state, pullback_matrix(system, FLIP, c, c)) == state
-        for conn, coarse, fine in zip(tele.connecting, states, states[1:]):
+        for conn, coarse, fine in zip(connecting_maps(system, tele), states, states[1:]):
             assert mat_mul(fine, conn.mat()) == coarse
         ref = lagged_telescope_limit(system, top)
         assert (ref.kind, ref.group, ref.localization) == (
@@ -651,6 +670,34 @@ class TestTelescope:
         path.write_text(json.dumps(denjoy.to_json()))
         assert main(["homology", "--system", str(path), "--max-level", "8"]) == 4
         assert "not onto" in json.loads(capsys.readouterr().err)["error"]
+
+    def test_state_alone_catches_a_wrong_inclusion(self, monkeypatch, denjoy, tmp_path,
+                                                   capsys):
+        # the inclusion of level 3 into level 4 with the columns of two
+        # level-3 cells of different lengths swapped: no lift checks it,
+        # and the state identity l_4 * incl = l_3 refuses it, naming the
+        # level (exit 4)
+        from dihedral_dynamics.cli import main
+
+        build = homology._levels
+
+        def swapped(system, top):
+            levels = build(system, top)
+            fine, coarse, within, up = levels[3]
+            lengths = columns(measured_state(levels[2][0]))
+            j = next(j for j, x in enumerate(lengths) if x != lengths[0])
+            cols = columns(up)
+            cols[0], cols[j] = cols[j], cols[0]
+            levels[3] = (fine, coarse, within, from_columns(cols, rows=len(up)))
+            return levels
+
+        with pytest.raises(VerificationError, match="from level 3 to 4 does not scale"):
+            h0_translation_telescope(denjoy, 8, swapped(denjoy, 8))
+        monkeypatch.setattr(homology, "_levels", swapped)
+        path = tmp_path / "golden.json"
+        path.write_text(json.dumps(denjoy.to_json()))
+        assert main(["homology", "--system", str(path), "--max-level", "8"]) == 4
+        assert "from level 3 to 4" in json.loads(capsys.readouterr().err)["error"]
 
     def test_shallowest_working_depth(self, denjoy):
         tele = h0_translation_telescope(denjoy, 4)
@@ -709,6 +756,29 @@ class TestLevelIndexes:
             monkeypatch.setattr(systems, name, counting(getattr(systems, name)))
         homology_table(system, level, "both")
         assert len(built) == windows
+
+    @pytest.mark.parametrize("system,level,covers,smith", [
+        (DenjoyFlipSystem(GOLDEN), 14, 39, 76),
+        (OdometerSystem([3 ** i for i in range(1, 5)]), 16, 9, 17),
+    ], ids=["golden-L14", "3^i-4"])
+    def test_one_inclusion_per_window_pair(self, monkeypatch, system, level, covers, smith):
+        # both routes read one level list: per level its windows'
+        # inclusion, and the flip window's from the level below; the free
+        # product adds only its reflected windows' inclusions. 77 and 14
+        # cover matrices were built when each route built its own; the
+        # Smith forms are as many as then.
+        made = Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                made[name] += 1
+                return fn(*args)
+            return counted
+
+        for module, name in ((homology, "cover_matrix"), (abgroups, "snf_diagonal")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        homology_table(system, level, "both")
+        assert (made["cover_matrix"], made["snf_diagonal"]) == (covers, smith)
 
 
 class TestFreeProduct:
@@ -790,14 +860,15 @@ class TestLifts:
             return of(cls, *args)
 
         monkeypatch.setattr(AbHom, "of", classmethod(recording))
-        tele = h0_translation_telescope(system, level)
-        assert len(lifted) == len(tele.stages) - 1
+        # the telescope proves its inclusions through the length state
+        h0_translation_telescope(system, level)
+        assert lifted == []
         try:
             fp = free_product_homology(system, level)
             # per level step: one H0 map
-            assert len(lifted) == len(tele.stages) - 1 + len(fp.fragments) - 1
+            assert len(lifted) == len(fp.fragments) - 1
         except NonStabilizationError:
-            assert len(lifted) > len(tele.stages) - 1
+            assert lifted
         monkeypatch.undo()
         for src, dst, mat, lift in lifted:
             assert lift_identity(mat, src.relations, dst.relations, lift)
