@@ -99,11 +99,23 @@ COMMANDS = [
      0, "dc712ae58852474c", EMPTY),
     (["fixed-points", "--system", "{golden}", "--elements", f"[[{10 ** 18},1]]"],
      0, "29eb0caf783a48d1", EMPTY),
+    (["castle", "--system", "{golden}"], 0, "18f53f85a3968d2a", EMPTY),
+    (["castle", "--system", "{sqrt2}"], 0, "51459bf16970cf88", EMPTY),
+    (["castle", "--system", "{doubled}"], 0, "f301528cc8f057db", EMPTY),
+    (["certify", "--system", "{golden}", "--eps", "1/10"], 0, "c0163fc1c154bee6", EMPTY),
+    (["certify", "--system", "{golden}", "--eps", "1/25"], 0, "42bb18d54fe2c09a", EMPTY),
+    (["certify", "--system", "{golden}", "--eps", "1/100"], 0, "473a70a265e1c9f8", EMPTY),
+    (["certify", "--system", "{sqrt2}", "--eps", "1/10"], 0, "7049615d72abcb52", EMPTY),
+    (["certify", "--system", "{doubled}", "--eps", "1/10"], 0, "167e829cedcff028", EMPTY),
+    (["certify", "--system", "{3^i-4}", "--eps", "1/10"], 0, "422783b1fbd4b191", EMPTY),
 ]
 
 
 @pytest.mark.parametrize("argv,code,out,err", COMMANDS,
-                         ids=["oracle-229620266", "oracle-0", "oracle-7", "fixed-points-1e18"])
+                         ids=["oracle-229620266", "oracle-0", "oracle-7", "fixed-points-1e18",
+                              "castle-golden", "castle-sqrt2", "castle-doubled",
+                              "certify-golden-1/10", "certify-golden-1/25", "certify-golden-1/100",
+                              "certify-sqrt2-1/10", "certify-doubled-1/10", "certify-3^i-4-1/10"])
 def test_command_output_digest(capsys, system_files, argv, code, out, err):
     got = main([arg.format(**system_files) for arg in argv])
     captured = capsys.readouterr()
