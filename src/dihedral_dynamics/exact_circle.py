@@ -10,18 +10,23 @@ split into a left copy t- and a right copy t+) turns the circle into a
 Cantor set.  Its clopen subsets are exactly the finite unions of
 half-open arcs [s+, t+) with cut-point endpoints, and :class:`ClopenSet`
 realises that Boolean algebra in a unique normal form.
+
+Every question about clopen sets that depends on the gaps between cuts
+(the normal form of an arc list, the Boolean operations, whether a
+family partitions the circle) is answered by one sweep, ``_sweep``: the
+distinct arc ends are sorted once in the exact order of
+:class:`CutPoint`, and each gap's covering depth is a prefix sum of
++1 at left ends and -1 at right ends.  A set of n arcs therefore costs
+O(n log n) exact comparisons, not one per arc and cut.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import isqrt
-from typing import Callable, Iterable, Sequence
+from math import gcd, isqrt
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "json_int",
@@ -250,7 +255,7 @@ def frac(x: QuadExt) -> QuadExt:
 
 def format_point(x: QuadExt) -> str:
     """Human-readable form of a + b*theta, e.g. ``1/2``, ``theta/2``, ``(1+theta)/2``."""
-    den = x.a.denominator * x.b.denominator // _gcd(x.a.denominator, x.b.denominator)
+    den = x.a.denominator * x.b.denominator // gcd(x.a.denominator, x.b.denominator)
     an = x.a.numerator * (den // x.a.denominator)
     bn = x.b.numerator * (den // x.b.denominator)
     if bn == 0:
@@ -265,12 +270,6 @@ def format_point(x: QuadExt) -> str:
 
 def _theta_term(b: int) -> str:
     return "theta" if b == 1 else f"{b}*theta"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)
@@ -367,12 +366,6 @@ class Arc:
             return qe_cmp(l, x) <= 0 and qe_cmp(x, r) < 0
         return qe_cmp(l, x) <= 0 or qe_cmp(x, r) < 0
 
-    def contains_cut(self, c: CutPoint) -> bool:
-        """Membership of the right copy c+, by integer comparisons only."""
-        if self.left < self.right:
-            return not (c < self.left) and c < self.right
-        return not (c < self.left) or c < self.right
-
     def to_json(self) -> dict:
         return {"left": self.left.to_json(), "right": self.right.to_json()}
 
@@ -411,13 +404,11 @@ class ClopenSet:
     @classmethod
     def from_arcs(cls, theta: Theta, arcs: Iterable[Arc]) -> "ClopenSet":
         """Normal form of an arbitrary (possibly overlapping) arc list."""
-        arcs = tuple(arcs)
-        if not arcs:
-            return cls.empty(theta)
-        bounds = _sorted_cuts(
-            itertools.chain.from_iterable((a.left, a.right) for a in arcs))
-        bits = [any(a.contains_cut(c) for a in arcs) for c in bounds]
-        return _rebuild(theta, bounds, bits)
+        bounds, bits = [], []
+        for c, (depth,) in _sweep((arcs,), (0,)):
+            bounds.append(c)
+            bits.append(depth > 0)
+        return _rebuild(theta, bounds, bits) if bounds else cls.empty(theta)
 
     @classmethod
     def arc(cls, theta: Theta, left_n: int, right_n: int) -> "ClopenSet":
@@ -432,41 +423,21 @@ class ClopenSet:
             return True
         return any(a.contains_value(x) for a in self.arcs)
 
-    @cached_property
-    def _lefts(self) -> list:
-        return [a.left for a in self.arcs]
-
-    def contains_cut(self, c: CutPoint) -> bool:
-        """Membership of the right copy c+, via bisection on arc starts."""
-        if self.full:
-            return True
-        if not self.arcs:
-            return False
-        idx = bisect_right(self._lefts, c) - 1
-        if idx < 0:
-            last = self.arcs[-1]
-            # only the wrapped tail [0, right) of the last arc can reach here
-            return last.right < last.left and c < last.right
-        a = self.arcs[idx]
-        return c < a.right if a.left < a.right else True
-
     def is_empty(self) -> bool:
         return not self.full and not self.arcs
-
-    def boundary_cuts(self) -> list:
-        return _sorted_cuts(
-            itertools.chain.from_iterable((a.left, a.right) for a in self.arcs))
 
     # -- Boolean algebra ---------------------------------------------
 
     def _combine(self, other: "ClopenSet", fn: Callable[[bool, bool], bool]) -> "ClopenSet":
         if self.theta != other.theta:
             raise ValueError("sets over different theta values")
-        bounds = _sorted_cuts(self.boundary_cuts() + other.boundary_cuts())
+        bounds, bits = [], []
+        for c, (a, b) in _sweep((self.arcs, other.arcs), (self.full, other.full)):
+            bounds.append(c)
+            bits.append(fn(a > 0, b > 0))
         if not bounds:
             inside = fn(self.full, other.full)
             return ClopenSet.full_circle(self.theta) if inside else ClopenSet.empty(self.theta)
-        bits = [fn(self.contains_cut(c), other.contains_cut(c)) for c in bounds]
         return _rebuild(self.theta, bounds, bits)
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
@@ -505,16 +476,40 @@ class ClopenSet:
 
     @classmethod
     def from_json(cls, theta: Theta, data: dict) -> "ClopenSet":
-        if data.get("full"):
+        """The set written by :meth:`to_json`: ``{"arcs": [...]}``, or
+        ``{"full": true}`` with no arcs for the whole circle."""
+        if "full" in data:
+            if data["full"] is not True or "arcs" in data:
+                raise ValueError('the full circle is written {"full": true}, with no arcs')
             return cls.full_circle(theta)
         return cls.from_arcs(theta, (Arc.from_json(theta, a) for a in data["arcs"]))
 
 
-def _sorted_cuts(cuts: Iterable[CutPoint]) -> list:
-    by_n = {c.n: c for c in cuts}
-    out = list(by_n.values())
-    out.sort()
-    return out
+def _sweep(families: Sequence[Iterable[Arc]], start: Sequence[int]) -> Iterator[tuple]:
+    """``(cut, depths)`` for every distinct end of the arcs in ``families``,
+    in the exact order of :class:`CutPoint`.
+
+    ``depths[k]`` is the covering depth of family k on the gap from this
+    cut to the next (cyclically): ``start[k]`` plus the arcs of the
+    family that cover it.  Every arc adds 1 at its left cut and takes it
+    away at its right cut; an arc that wraps past 0 also covers the gap
+    before the first cut, where the sweep starts.  The cuts are sorted
+    once, and one more comparison per arc tells whether it wraps, so n
+    arcs cost O(n log n) exact comparisons.
+    """
+    depth = list(start)
+    cuts, deltas = {}, [{} for _ in families]
+    for k, arcs in enumerate(families):
+        delta = deltas[k]
+        for a in arcs:
+            cuts[a.left.n] = a.left
+            cuts[a.right.n] = a.right
+            delta[a.left.n] = delta.get(a.left.n, 0) + 1
+            delta[a.right.n] = delta.get(a.right.n, 0) - 1
+            depth[k] += a.right < a.left
+    for c in sorted(cuts.values()):
+        depth = [d + delta.get(c.n, 0) for d, delta in zip(depth, deltas)]
+        yield c, depth
 
 
 def _rebuild(theta: Theta, bounds: Sequence[CutPoint], bits: Sequence[bool]) -> ClopenSet:
@@ -540,38 +535,22 @@ def _rebuild(theta: Theta, bounds: Sequence[CutPoint], bits: Sequence[bool]) -> 
 
 
 def sweep_partition(sets: Iterable[ClopenSet]) -> tuple:
-    """``(disjoint, covers)`` of a family of clopen sets, by one sorted sweep.
+    """``(disjoint, covers)`` of a family of clopen sets, by one sweep.
 
-    Every arc adds 1 to the covering depth at its left cut and takes it
-    away at its right cut; an arc that wraps past 0 also covers the gap
-    before the first cut, where the sweep starts.  The distinct cuts are
-    sorted once in the exact order of :class:`CutPoint`, so the depth of
-    each gap between consecutive cuts is an integer prefix sum: the sets
-    are pairwise disjoint iff no gap has depth above 1, and they cover
-    the circle iff no gap has depth 0.  A full member covers everything
-    and so meets every other nonempty member.
+    The arcs of all members form one family whose depth starts at the
+    number of full members, so each gap's depth is the number of members
+    that contain it: the sets are pairwise disjoint iff no gap has depth
+    above 1, and they cover the circle iff no gap has depth 0.
     """
     theta = None
     full = 0
-    depth = 0
-    cuts, delta = {}, {}
+    arcs = []
     for s in sets:
         if theta is None:
             theta = s.theta
         elif s.theta != theta:
             raise ValueError("sets over different theta values")
-        if s.full:
-            full += 1
-        for a in s.arcs:
-            cuts[a.left.n] = a.left
-            cuts[a.right.n] = a.right
-            delta[a.left.n] = delta.get(a.left.n, 0) + 1
-            delta[a.right.n] = delta.get(a.right.n, 0) - 1
-            depth += a.right < a.left
-    if full:
-        return full == 1 and not cuts, True
-    lo = hi = depth
-    for c in sorted(cuts.values()):
-        depth += delta[c.n]
-        lo, hi = min(lo, depth), max(hi, depth)
-    return hi <= 1, lo >= 1
+        full += s.full
+        arcs.extend(s.arcs)
+    depths = {d for _, (d,) in _sweep((arcs,), (full,))} or {full}
+    return max(depths) <= 1, min(depths) >= 1

@@ -249,7 +249,14 @@ class TestHostileJson:
         "x",
         {"arcs": 5},
         {"arcs": [{"left": {"m": None, "n": -1}, "right": {"m": 0, "n": 1}}]},
-    ], ids=["list", "string", "arcs-not-a-list", "null-m"])
+        # any truthy full was read as the whole circle, and its arcs ignored
+        {"full": "no"},
+        {"full": 1},
+        {"full": [0]},
+        {"full": False, "arcs": []},
+        {"full": True, "arcs": [{"left": {"m": 1, "n": -1}, "right": {"m": 0, "n": 1}}]},
+    ], ids=["list", "string", "arcs-not-a-list", "null-m", "full-string", "full-int",
+            "full-list", "full-false", "full-with-arcs"])
     def test_castle_base(self, capsys, denjoy_file, base):
         code = main(["castle", "--system", denjoy_file, "--base", json.dumps(base)])
         captured = capsys.readouterr()

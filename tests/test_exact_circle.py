@@ -2,7 +2,7 @@ import json
 import random
 import time
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log2
 
 import pytest
 from hypothesis import given, settings
@@ -230,6 +230,19 @@ class TestClopenAlgebraPointwise:
             assert [r.contains_value(x) for r in results] == \
                 [ina or inb, ina and inb, ina and not inb, not ina]
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), theta=st.sampled_from(THETAS))
+    def test_from_arcs(self, data, theta):
+        # overlapping, wrapping and repeated arcs, each tested on its own
+        ends = st.tuples(st.sampled_from(WINDOW), st.sampled_from(WINDOW)).filter(
+            lambda e: e[0] != e[1])
+        pairs = data.draw(st.lists(ends, max_size=6))
+        pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else []
+        arcs = [Arc(CutPoint.of(theta, a), CutPoint.of(theta, b)) for a, b in pairs]
+        s = ClopenSet.from_arcs(theta, arcs)
+        for x in sample_points(theta):
+            assert s.contains_value(x) == any(a.contains_value(x) for a in arcs)
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), theta=st.sampled_from(THETAS))
     def test_laws(self, data, theta):
@@ -325,6 +338,29 @@ class TestClopenAlgebra:
             assert ClopenSet.from_json(golden, data) == s
         full = ClopenSet.full_circle(golden)
         assert ClopenSet.from_json(golden, full.to_json()) == full
+
+
+class TestSweepCost:
+    def test_from_arcs_is_n_log_n(self, golden, monkeypatch):
+        # 2000 disjoint arcs in shuffled order; testing every arc at every
+        # cut made about 685 * n * log2(n) exact comparisons
+        n = 2000
+        cuts = sorted(CutPoint.of(golden, k) for k in range(-n, n))
+        ordered = tuple(Arc(cuts[i], cuts[i + 1]) for i in range(0, 2 * n, 2))
+        arcs = list(ordered)
+        random.Random(19).shuffle(arcs)
+        calls = 0
+        compare = CutPoint._cmp
+
+        def counting(self, other):
+            nonlocal calls
+            calls += 1
+            return compare(self, other)
+
+        monkeypatch.setattr(CutPoint, "_cmp", counting)
+        s = ClopenSet.from_arcs(golden, arcs)
+        assert calls <= 4 * n * log2(n)
+        assert s.arcs == ordered
 
 
 class TestFormat:

@@ -201,6 +201,23 @@ def reference_partition_flags(full, pieces):
     return disjoint, union is not None and union == full
 
 
+def pointwise_partition_flags(pieces):
+    """(disjoint, covers) of circle sets by exact membership alone: count
+    the sets that contain each arc end of the family and one point
+    inside each gap between consecutive ends (1/2 when there are none).
+
+    ``reference_partition_flags`` builds its unions and intersections by
+    the same sweep as the code under test; this reference shares none of
+    it.
+    """
+    ends = {c.n: c.value for s in pieces for a in s.arcs for c in (a.left, a.right)}
+    cuts = sorted(ends.values())
+    gaps = [((x + y) * Fraction(1, 2)).frac() for x, y in zip(cuts, cuts[1:] + cuts[:1])]
+    points = cuts + gaps or [QuadExt.rational(Fraction(1, 2), GOLDEN)]
+    counts = [sum(s.contains_value(x) for s in pieces) for x in points]
+    return max(counts) <= 1, min(counts) >= 1
+
+
 def _arc(pair):
     return Arc(CutPoint.of(GOLDEN, pair[0]), CutPoint.of(GOLDEN, pair[1]))
 
@@ -238,13 +255,17 @@ class TestPartitionSweep:
     @given(sets=st.lists(CIRCLE_SET, max_size=5))
     def test_circle_families(self, sets):
         system = DenjoyFlipSystem(GOLDEN)
-        assert system.partition_flags(sets) == reference_partition_flags(system.full(), sets)
+        flags = system.partition_flags(sets)
+        assert flags == reference_partition_flags(system.full(), sets)
+        assert flags == pointwise_partition_flags(sets)
 
     @settings(max_examples=150, deadline=None)
     @given(sets=window_groups())
     def test_circle_near_partitions(self, sets):
         system = DenjoyFlipSystem(GOLDEN)
-        assert system.partition_flags(sets) == reference_partition_flags(system.full(), sets)
+        flags = system.partition_flags(sets)
+        assert flags == reference_partition_flags(system.full(), sets)
+        assert flags == pointwise_partition_flags(sets)
 
     @settings(max_examples=200, deadline=None)
     @given(pairs=st.lists(st.tuples(CIRCLE_SET, CIRCLE_SET), max_size=4),
@@ -256,8 +277,12 @@ class TestPartitionSweep:
         flipped = [DenjoyFlipSystem(GOLDEN).act(FLIP, s) for s in grouped]
         for pieces in ([DoubledClopen(a, b) for a, b in pairs],
                        [DoubledClopen(a, b) for a, b in zip(grouped, flipped)]):
-            assert system.partition_flags(pieces) == \
-                reference_partition_flags(system.full(), pieces)
+            flags = system.partition_flags(pieces)
+            assert flags == reference_partition_flags(system.full(), pieces)
+            # the doubled space is two disjoint circles, checked one by one
+            (d0, c0), (d1, c1) = (pointwise_partition_flags([p.comp0 for p in pieces]),
+                                  pointwise_partition_flags([p.comp1 for p in pieces]))
+            assert flags == (d0 and d1, c0 and c1)
 
     @settings(max_examples=200, deadline=None)
     @given(modulus=st.integers(1, 12), data=st.data())
