@@ -9,14 +9,16 @@ localization descriptor instead of being materialized.
 Matrices enter and leave as lists of rows.  Every Smith form comes from
 one sparse elimination (``_SparseSmith``): the working matrix is a dict
 of sparse rows with a column -> rows index, and a finished pivot's row
-and column leave it.  Pivots of absolute value 1 go first, least
-Markowitz cost (row nnz - 1) * (col nnz - 1) first; when no unit is
-left, the least absolute entry is the pivot, Euclid steps clear its row
-and column, and the leftover block is made divisible by it.  Ties break
-on (cost, row, col), so outputs are reproducible bit for bit.  The
-diagonal-only mode (``snf_diagonal``, ``Presentation.canonical``) tracks
-no transforms, and drops a unit pivot's row once its column is clear:
-the column steps would change only that row.  The transform mode
+and column leave it.  Pivots of absolute value 1 go first: the shortest
+row holding a unit (ties to the lower row index), on its unit in the
+shortest column (ties to the lower column index).  When no unit is
+left, the least absolute entry is the pivot (ties on Markowitz cost
+(row nnz - 1) * (col nnz - 1), then row, then col), Euclid steps clear
+its row and column, and the leftover block is made divisible by it.
+Every tie breaks on indices, so outputs are reproducible bit for bit.
+The diagonal-only mode (``snf_diagonal``, ``Presentation.canonical``)
+tracks no transforms, and drops a unit pivot's row once its column is
+clear: the column steps would change only that row.  The transform mode
 (``smith_normal_form``, ``kernel_basis``, ``SnfSolver``) tracks U as
 sparse rows and V as sparse columns, and no inverse of either.
 
@@ -245,58 +247,39 @@ class _SparseSmith:
             d = -d
         self.pivots.append((r, c, d))
 
-    # -- unit pivots, fewest fill first ---------------------------------
+    # -- unit pivots, shortest row first --------------------------------
+
+    def _unit_phase(self) -> None:
+        """Take +-1 pivots while any is left: the least (length, row) row
+        holding a unit, on its unit in the least (length, col) column.
+
+        The heap holds (length, row) keys.  A unit pivot's row operations
+        change only the other rows of its column, and each of those is
+        pushed again with its new length, so the heap holds every live
+        row's current key: a popped key of a finished row, or of a length
+        its row no longer has, is dropped.  A row without a unit is passed
+        over until a pivot touches it.
+        """
+        rows, cols = self.rows, self.cols
+        heap = [(len(row), i) for i, row in rows.items()]
+        heapq.heapify(heap)
+        while heap:
+            n, r = heapq.heappop(heap)
+            row = rows.get(r)
+            if row is None or len(row) != n:
+                continue
+            units = [j for j, x in row.items() if x == 1 or x == -1]
+            if units:
+                c = min(units, key=lambda j: (len(cols[j]), j))
+                touched = [i for i in cols[c] if i != r]
+                self._pivot(r, c)
+                for i in touched:
+                    heapq.heappush(heap, (len(rows[i]), i))
+
+    # -- the block left without units, and the pivot step of both phases -
 
     def _markowitz(self, i: int, j: int) -> int:
         return (len(self.rows[i]) - 1) * (len(self.cols[j]) - 1)
-
-    def _row_units(self, i: int, skip=()) -> list:
-        """(Markowitz cost, row, col) of the +-1 entries of row i outside
-        the columns ``skip``."""
-        cols = self.cols
-        f = len(self.rows[i]) - 1
-        return [(f * (len(cols[j]) - 1), i, j) for j, x in self.rows[i].items()
-                if (x == 1 or x == -1) and j not in skip]
-
-    def _col_units(self, j: int) -> list:
-        """(Markowitz cost, row, col) of the +-1 entries of column j."""
-        rows = self.rows
-        f = len(self.cols[j]) - 1
-        return [((len(rows[i]) - 1) * f, i, j) for i in self.cols[j]
-                if rows[i][j] == 1 or rows[i][j] == -1]
-
-    def _unit_phase(self) -> None:
-        """Take +-1 pivots while any is left, least Markowitz cost first.
-
-        The heap may hold stale keys, but it holds the current key of
-        every unit.  A pivot step changes the value or cost of an entry
-        only in its line columns (the pivot row's other columns) and in
-        the rows it touched whose length changed: a touched row of the
-        same length keeps its entries outside the line columns, and their
-        columns keep their lengths.  Those entries are re-pushed, each
-        once, so a popped key that still equals its entry's cost is the
-        exact minimum of (cost, row, col).
-        """
-        rows, cols = self.rows, self.cols
-        heap = [entry for i in rows for entry in self._row_units(i)]
-        heapq.heapify(heap)
-        while heap:
-            cost, r, c = heapq.heappop(heap)
-            row = rows.get(r)
-            x = row.get(c) if row is not None else None
-            if (x == 1 or x == -1) and self._markowitz(r, c) == cost:
-                lengths = [(i, len(rows[i])) for i in cols[c] if i != r]
-                line = {j for j in row if j != c}
-                self._pivot(r, c)
-                for j in line:
-                    for entry in self._col_units(j):
-                        heapq.heappush(heap, entry)
-                for i, n in lengths:
-                    if len(rows[i]) != n:
-                        for entry in self._row_units(i, line):
-                            heapq.heappush(heap, entry)
-
-    # -- the block left without units, and the pivot step of both phases -
 
     def _euclid_phase(self) -> None:
         """Pivot on the least |entry| (then Markowitz cost, row, col) of

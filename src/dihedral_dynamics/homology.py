@@ -242,27 +242,26 @@ def _bar_boundary(module: InvolutionModule, k: int) -> Matrix:
     mat = [[0] * cols for _ in range(rows)]
     perm, signs = module.perm, module.signs
     for w in range(1 << k):
+        # the faces after the first leave the cell alone: (row block, sign)
+        faces = []
+        for i in range(1, k):
+            # middle face i: merge letters i and i + 1
+            low = w & ((1 << (i - 1)) - 1)
+            merged = ((w >> (i - 1)) ^ (w >> i)) & 1
+            high = (w >> (i + 1)) << i
+            faces.append(((low | (merged << (i - 1)) | high) * n, (-1) ** i))
+        # last face: drop g_k
+        faces.append(((w & ((1 << (k - 1)) - 1)) * n, (-1) ** k))
+        # face 0: move g_1 onto the coefficient, e_c to signs[c] * e_perm[c]
+        first = (w >> 1) * n
         for c in range(n):
             col = w * n + c
-            # face 0: move g_1 onto the coefficient, e_c to signs[c] * e_perm[c]
-            w_rest = w >> 1
             if w & 1:
-                mat[w_rest * n + perm[c]][col] += signs[c]
+                mat[first + perm[c]][col] += signs[c]
             else:
-                mat[w_rest * n + c][col] += 1
-            # middle faces: merge adjacent letters
-            sign = 1
-            for i in range(1, k):
-                sign = -sign
-                low = w & ((1 << (i - 1)) - 1)
-                merged = ((w >> (i - 1)) ^ (w >> i)) & 1
-                high = (w >> (i + 1)) << i
-                w_mid = low | (merged << (i - 1)) | high
-                mat[w_mid * n + c][col] += sign
-            # last face: drop g_k
-            sign = -sign
-            w_last = w & ((1 << (k - 1)) - 1)
-            mat[w_last * n + c][col] += sign
+                mat[first + c][col] += 1
+            for block, sign in faces:
+                mat[block + c][col] += sign
     return mat
 
 

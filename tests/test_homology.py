@@ -31,6 +31,7 @@ from dihedral_dynamics.errors import NonStabilizationError, VerificationError
 from dihedral_dynamics.exact_circle import ClopenSet, GOLDEN, Theta
 from dihedral_dynamics.homology import (
     InvolutionModule,
+    _bar_boundary,
     _odd_limit,
     _reflection_modules,
     bar_homologies,
@@ -66,7 +67,13 @@ from lattice_oracles import (
     preimage_lattice,
     subquotient,
 )
-from test_abgroups import equals_hom, lattice_subset, relation_rule, solve_integer
+from test_abgroups import (
+    equals_hom,
+    lattice_subset,
+    reference_snf_diagonal,
+    relation_rule,
+    solve_integer,
+)
 
 Z2 = FGAbGroup(0, (2,))
 ZERO = FGAbGroup(0)
@@ -336,8 +343,6 @@ class TestBarOracle:
         assert bar_homology(m, 6) == even_homology(m)
 
     def test_boundary_squares_to_zero(self):
-        from dihedral_dynamics.homology import _bar_boundary
-
         m = InvolutionModule.from_permutation([1, 0, 2])
         for k in range(1, 5):
             d_k = _bar_boundary(m, k)
@@ -350,6 +355,31 @@ class TestBarOracle:
     @settings(max_examples=100, deadline=None)
     def test_all_degrees_at_once(self, m, top):
         assert bar_homologies(m, top) == [bar_homology(m, k) for k in range(top + 1)]
+
+    @given(st.one_of(involutive_permutations(3).map(InvolutionModule.from_permutation),
+                     signed_involutions(3)), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_boundary_diagonals_match_dense(self, m, k):
+        d = _bar_boundary(m, k)
+        assert snf_diagonal(d) == reference_snf_diagonal(d)
+
+    def test_boundary_elimination_pops_few_heap_keys(self, monkeypatch):
+        # each unit pivot pushes again only the rows of its column, so the
+        # unit phase pops a few keys per row; counted, not timed
+        pops = []
+        heappop = abgroups.heapq.heappop
+
+        def counting(heap):
+            pops.append(1)
+            return heappop(heap)
+
+        monkeypatch.setattr(abgroups.heapq, "heappop", counting)
+        m = InvolutionModule.from_permutation([1, 0, 3, 2, 4, 5, 7, 6])
+        for k in (6, 7):
+            d = _bar_boundary(m, k)
+            pops.clear()
+            snf_diagonal(d)
+            assert len(pops) <= 8 * len(d)
 
     def test_all_degrees_eliminate_each_boundary_once(self, monkeypatch):
         calls = []

@@ -97,6 +97,10 @@ COMMANDS = [
     (["oracle-check", "--seed", "0", "--count", "20"], 0, "ae509e3163a7604d", EMPTY),
     (["oracle-check", "--seed", "7", "--count", "40", "--max-cells", "4", "--max-degree", "4"],
      0, "dc712ae58852474c", EMPTY),
+    # these two reach the 256x512 and 512x1024 bar boundaries
+    (["oracle-check", "--seed", "0", "--count", "100"], 0, "c96004617a6d7750", EMPTY),
+    (["oracle-check", "--seed", "1", "--count", "30", "--max-cells", "8", "--max-degree", "6"],
+     0, "4fef4c8f513669ec", EMPTY),
     (["fixed-points", "--system", "{golden}", "--elements", f"[[{10 ** 18},1]]"],
      0, "29eb0caf783a48d1", EMPTY),
     (["castle", "--system", "{golden}"], 0, "18f53f85a3968d2a", EMPTY),
@@ -112,7 +116,8 @@ COMMANDS = [
 
 
 @pytest.mark.parametrize("argv,code,out,err", COMMANDS,
-                         ids=["oracle-229620266", "oracle-0", "oracle-7", "fixed-points-1e18",
+                         ids=["oracle-229620266", "oracle-0", "oracle-7", "oracle-0-100",
+                              "oracle-1-deep", "fixed-points-1e18",
                               "castle-golden", "castle-sqrt2", "castle-doubled",
                               "certify-golden-1/10", "certify-golden-1/25", "certify-golden-1/100",
                               "certify-sqrt2-1/10", "certify-doubled-1/10", "certify-3^i-4-1/10"])
