@@ -7,20 +7,23 @@ generated (Z -> Z by repeated multiplication) are reported through a
 localization descriptor instead of being materialized.
 
 Matrices enter and leave as lists of rows.  Every Smith form comes from
-one sparse elimination (``_SparseSmith``): the working matrix is a dict
-of sparse rows with a column -> rows index, and a finished pivot's row
-and column leave it.  Pivots of absolute value 1 go first: the shortest
-row holding a unit (ties to the lower row index), on its unit in the
-shortest column (ties to the lower column index).  When no unit is
-left, the least absolute entry is the pivot (ties on Markowitz cost
-(row nnz - 1) * (col nnz - 1), then row, then col), Euclid steps clear
-its row and column, and the leftover block is made divisible by it.
-Every tie breaks on indices, so outputs are reproducible bit for bit.
-The diagonal-only mode (``snf_diagonal``, ``Presentation.canonical``)
-tracks no transforms, and drops a unit pivot's row once its column is
-clear: the column steps would change only that row.  The transform mode
-(``smith_normal_form``, ``kernel_basis``, ``SnfSolver``) tracks U as
-sparse rows and V as sparse columns, and no inverse of either.
+one sparse elimination (``_SparseSmith``) of the sparse rows {row: {col:
+nonzero}} of a matrix: ``sparse_snf_diagonal`` takes them as built (the
+bar boundaries), and the dense entries convert a list of rows once.  A
+column -> rows index rides along, and a finished pivot's row and column
+leave.  Pivots of absolute value 1 go first: the shortest row holding a
+unit (ties to the lower row index), on its unit in the shortest column
+(ties to the lower column index), eliminated in place by subtracting its
+row from the other rows of its column.  When no unit is left, the least
+absolute entry is the pivot (ties on Markowitz cost (row nnz - 1) * (col
+nnz - 1), then row, then col), Euclid steps clear its row and column,
+and the leftover block is made divisible by it.  Every tie breaks on
+indices, so outputs are reproducible bit for bit.  The diagonal-only
+mode (``snf_diagonal``, ``Presentation.canonical``) tracks no
+transforms.  The transform mode (``smith_normal_form``, ``kernel_basis``,
+``SnfSolver``) tracks U as sparse rows and V as sparse columns, and no
+inverse of either; a unit pivot's column steps would change only its
+row, so they are made in V alone.
 
 Every question the library asks is decided from Smith diagonals; the
 transform mode has no caller in the library, and serves callers that
@@ -166,26 +169,23 @@ def _axpy(dst: dict, src: dict, q: int) -> None:
 class _SparseSmith:
     """Exact sparse elimination of an integer matrix to Smith form.
 
-    The active block of S is ``rows`` ({row: {col: nonzero}}) indexed by
-    ``cols`` ({col: set of rows}).  A pivot whose row and column are
-    clear leaves the block.  ``pivots`` lists (row, col, d) in original
-    indices, the d in a divisibility chain.  With ``track``, ``u`` holds
+    The active block of S is ``rows`` ({row: {col: nonzero}}, taken over
+    from the caller) indexed by ``cols`` ({col: set of rows}); ``shape``
+    is the matrix's (rows, cols).  A pivot whose row and column are clear
+    leaves the block.  ``pivots`` lists (row, col, d) in original
+    indices, the |d| in a divisibility chain.  With ``track``, ``u`` holds
     the rows of U and ``v`` the columns of V, keyed by original index, so
     that U*mat*V has d at each (row, col) of ``pivots`` and zeros
-    elsewhere; every d is then positive.
+    elsewhere.
     """
 
-    def __init__(self, mat: Matrix, track: bool):
-        self.nrows = len(mat)
-        self.ncols = len(mat[0]) if mat else 0
-        self.rows = {}
+    def __init__(self, rows: dict, shape: Tuple[int, int], track: bool):
+        self.nrows, self.ncols = shape
+        self.rows = rows
         self.cols = {j: set() for j in range(self.ncols)}
-        for i, row in enumerate(mat):
-            entries = {j: row[j] for j in compress(range(len(row)), row)}
-            if entries:
-                self.rows[i] = entries
-                for j in entries:
-                    self.cols[j].add(i)
+        for i, row in rows.items():
+            for j in row:
+                self.cols[j].add(i)
         self.track = track
         if track:
             self.u = {i: {i: 1} for i in range(self.nrows)}
@@ -193,6 +193,12 @@ class _SparseSmith:
         self.pivots = []
         self._unit_phase()
         self._euclid_phase()
+
+    @classmethod
+    def of(cls, mat: Matrix, track: bool) -> "_SparseSmith":
+        """The elimination of a dense list of rows."""
+        rows = {i: {j: row[j] for j in compress(range(len(row)), row)} for i, row in enumerate(mat)}
+        return cls(rows, (len(mat), len(mat[0]) if mat else 0), track)
 
     def diagonal(self) -> List[int]:
         diag = [abs(d) for _, _, d in self.pivots]
@@ -234,19 +240,6 @@ class _SparseSmith:
         if self.track:
             _axpy(self.v[dst], self.v[src], q)
 
-    def _finish(self, r: int, c: int) -> None:
-        """Record the pivot (r, c), whose column is clear, and drop its
-        row and column from the block."""
-        row = self.rows.pop(r)
-        d = row.pop(c)
-        del self.cols[c]
-        for j in row:
-            self.cols[j].discard(r)
-        if d < 0 and self.track:
-            self.u[r] = {k: -x for k, x in self.u[r].items()}
-            d = -d
-        self.pivots.append((r, c, d))
-
     # -- unit pivots, shortest row first --------------------------------
 
     def _unit_phase(self) -> None:
@@ -271,12 +264,30 @@ class _SparseSmith:
             units = [j for j, x in row.items() if x == 1 or x == -1]
             if units:
                 c = min(units, key=lambda j: (len(cols[j]), j))
-                touched = [i for i in cols[c] if i != r]
-                self._pivot(r, c)
-                for i in touched:
+                for i in self._eliminate(r, c):
                     heapq.heappush(heap, (len(rows[i]), i))
 
-    # -- the block left without units, and the pivot step of both phases -
+    def _eliminate(self, r: int, c: int) -> set:
+        """Finish the pivot p at (r, c), a unit or the last entry of its row
+        and column: row i -= (entry i * p) * row r for the other rows i of
+        column c (returned), then row r and column c leave the block, their
+        column steps made in V alone."""
+        rows, cols = self.rows, self.cols
+        row = rows[r]
+        p = row.pop(c)
+        touched = cols.pop(c)
+        touched.discard(r)
+        for i in touched:
+            self._add_row(i, r, -rows[i].pop(c) * p)
+        del rows[r]
+        for j, x in row.items():
+            cols[j].discard(r)
+            if self.track:
+                _axpy(self.v[j], self.v[c], -x * p)
+        self.pivots.append((r, c, p))
+        return touched
+
+    # -- the block left without units, by Euclid steps ------------------
 
     def _markowitz(self, i: int, j: int) -> int:
         return (len(self.rows[i]) - 1) * (len(self.cols[j]) - 1)
@@ -293,40 +304,37 @@ class _SparseSmith:
             self._pivot(best[2], best[3])
 
     def _pivot(self, r: int, c: int) -> None:
-        """Clear row r and column c around a pivot at (r, c) and finish it.
+        """Clear row r and column c around a pivot at (r, c) and record it.
 
         Row operations clear the column and column operations the row;
         a nonzero remainder is smaller than the pivot and becomes the
-        pivot (Euclid steps).  A pivot that does not divide the rest of
-        the block takes in a row it does not divide and goes on; a unit
-        divides everything.
+        pivot (Euclid steps), and a unit needs no more steps.  A pivot that
+        does not divide the rest of the block takes in a row it does not
+        divide and goes on.
         """
         rows, cols = self.rows, self.cols
         while True:
             p = rows[r][c]
+            if p == 1 or p == -1:
+                break
             for i in [i for i in cols[c] if i != r]:
                 self._add_row(i, r, -(rows[i][c] // p))
             rest = [i for i in cols[c] if i != r]
             if rest:
                 r = min(rest, key=lambda i: (abs(rows[i][c]), i))
                 continue
-            if (p == 1 or p == -1) and not self.track:
-                # the column steps would change only row r, which _finish drops
-                break
             for j in [j for j in rows[r] if j != c]:
                 self._add_col(j, c, -(rows[r][j] // p))
             rest = [j for j in rows[r] if j != c]
             if rest:
                 c = min(rest, key=lambda j: (abs(rows[r][j]), j))
                 continue
-            if p == 1 or p == -1:
-                break
             bad = min((i for i, row in rows.items()
                        if i != r and any(x % p for x in row.values())), default=None)
             if bad is None:
                 break
             self._add_row(r, bad, 1)
-        self._finish(r, c)
+        self._eliminate(r, c)
 
 
 def smith_normal_form(mat: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
@@ -335,7 +343,7 @@ def smith_normal_form(mat: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
     U and V are unimodular; the identity is verified by multiplication
     before returning.
     """
-    snf = _SparseSmith(mat, track=True)
+    snf = _SparseSmith.of(mat, track=True)
     rows, cols = snf.nrows, snf.ncols
     prows = [r for r, _, _ in snf.pivots]
     pcols = [c for _, c, _ in snf.pivots]
@@ -345,20 +353,27 @@ def smith_normal_form(mat: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
     v = [[snf.v[j].get(k, 0) for j in col_order] for k in range(cols)]
     s = [[0] * cols for _ in range(rows)]
     for k, (_, _, d) in enumerate(snf.pivots):
-        s[k][k] = d
+        s[k][k] = abs(d)
+        if d < 0:
+            u[k] = [-x for x in u[k]]
     if rows and cols and mat_mul(mat_mul(u, mat), v) != s:
         raise AssertionError("smith normal form transform identity failed")
     return u, s, v
 
 
 def snf_diagonal(mat: Matrix) -> List[int]:
-    """The diagonal of the Smith form (same pivoting, no transforms)."""
-    return _SparseSmith(mat, track=False).diagonal()
+    """The diagonal of the Smith form of a list of rows (no transforms)."""
+    return _SparseSmith.of(mat, track=False).diagonal()
+
+
+def sparse_snf_diagonal(rows: dict, shape: Tuple[int, int]) -> List[int]:
+    """The Smith diagonal of the sparse rows (consumed) of a matrix of ``shape``."""
+    return _SparseSmith(rows, shape, track=False).diagonal()
 
 
 def kernel_basis(mat: Matrix) -> List[List[int]]:
     """Columns spanning {x : mat x = 0}; a basis of the kernel lattice."""
-    snf = _SparseSmith(mat, track=True)
+    snf = _SparseSmith.of(mat, track=True)
     pivot_cols = {c for _, c, _ in snf.pivots}
     basis = []
     for j in range(snf.ncols):
@@ -379,7 +394,7 @@ class SnfSolver:
     """
 
     def __init__(self, mat: Matrix):
-        snf = _SparseSmith(mat, track=True)
+        snf = _SparseSmith.of(mat, track=True)
         self.cols = snf.ncols
         self._u_cols = {}
         for i, urow in snf.u.items():
@@ -682,7 +697,8 @@ def multiplier_limit(group: FGAbGroup, multipliers: Sequence[int]) -> LimitDescr
     start = top_run(len(sizes), lambda i: sizes[i] == 1)
     if start < len(sizes):
         return LimitDescriptor(kind="stabilized", group=group, level=start + 1)
-    if group == FGAbGroup(1) and all(sizes) and any(m > 1 for m in sizes):
+    # the top multiplier is not +-1 here, so nonzero ones include a non-unit
+    if group == FGAbGroup(1) and sizes and all(sizes):
         return LimitDescriptor(kind="localization",
                                localization=LocalizationDescriptor(tuple(sizes)))
     return LimitDescriptor(kind="undetermined", level=len(multipliers) + 1)

@@ -16,9 +16,9 @@ with one relation per pair of the reflected flip, and odd homology
 (``odd_homology``, ``even_homology``, ``coinvariants``) is read off the
 orbits of its signed permutation: a 2-cycle is a free orbit whatever
 its sign, and only the fixed cells, +1 or -1, add Z/2 summands.  An
-unnormalized bar complex cross-checks these counts
-(``bar_homologies`` eliminates each of its boundaries once for all
-degrees up to a top one).
+unnormalized bar complex, built as sparse rows for the Smith kernel,
+cross-checks these counts (``bar_homologies`` eliminates each boundary
+once for all degrees up to a top one).
 
 Circle systems and odometers take one path through every level
 computation.  The system names the cell lists that stand for level N
@@ -77,7 +77,8 @@ from .abgroups import (
     mat_mul,
     mat_sub,
     multiplier_limit,
-    snf_diagonal,
+    snf_diagonal,  # unused here; bench/layertrace.py traces it under this module's name
+    sparse_snf_diagonal,
     top_run,
 )
 from .errors import NonStabilizationError, VerificationError
@@ -227,19 +228,17 @@ _BAR_MAX_DEGREE = 6
 _BAR_MAX_CELLS = 8
 
 
-def _bar_boundary(module: InvolutionModule, k: int) -> Matrix:
-    """Boundary C_k -> C_{k-1} of M tensored over the group ring with the
-    unnormalized bar resolution of the 2-element group.
+def _bar_boundary(module: InvolutionModule, k: int) -> Tuple[dict, Tuple[int, int]]:
+    """Boundary C_k -> C_{k-1} (k >= 1) of M tensored over the group ring
+    with the unnormalized bar resolution of the 2-element group: the sparse
+    rows {row: {col: nonzero}} of its matrix, and its shape (rows, cols).
 
     C_k is free on (cell, word) with word a k-bit mask (bit = the
     involution, 0 = identity); the first face acts on the module side.
+    Each column sums its k + 1 faces and drops an entry they cancel.
     """
     n = module.ncells
-    if k == 0:
-        return []
-    rows = n * (1 << (k - 1))
-    cols = n * (1 << k)
-    mat = [[0] * cols for _ in range(rows)]
+    rows = {i: {} for i in range(n << (k - 1))}
     perm, signs = module.perm, module.signs
     for w in range(1 << k):
         # the faces after the first leave the cell alone: (row block, sign)
@@ -257,12 +256,17 @@ def _bar_boundary(module: InvolutionModule, k: int) -> Matrix:
         for c in range(n):
             col = w * n + c
             if w & 1:
-                mat[first + perm[c]][col] += signs[c]
+                rows[first + perm[c]][col] = signs[c]
             else:
-                mat[first + c][col] += 1
+                rows[first + c][col] = 1
             for block, sign in faces:
-                mat[block + c][col] += sign
-    return mat
+                row = rows[block + c]
+                x = row.get(col, 0) + sign
+                if x:
+                    row[col] = x
+                else:
+                    del row[col]
+    return rows, (len(rows), n << k)
 
 
 def _check_bar_size(module: InvolutionModule, degree: int) -> None:
@@ -294,9 +298,8 @@ def bar_homology(module: InvolutionModule, degree: int) -> FGAbGroup:
     bar boundaries d_degree and d_{degree+1}.
     """
     _check_bar_size(module, degree)
-    d_in = _bar_boundary(module, degree)
-    diag_in = snf_diagonal(d_in) if d_in else []
-    diag_out = snf_diagonal(_bar_boundary(module, degree + 1))
+    diag_in = sparse_snf_diagonal(*_bar_boundary(module, degree)) if degree else []
+    diag_out = sparse_snf_diagonal(*_bar_boundary(module, degree + 1))
     return _bar_group(module.ncells, degree, diag_in, diag_out)
 
 
@@ -306,7 +309,7 @@ def bar_homologies(module: InvolutionModule, top: int) -> List[FGAbGroup]:
     _check_bar_size(module, top)
     groups, diag_in = [], []
     for degree in range(top + 1):
-        diag_out = snf_diagonal(_bar_boundary(module, degree + 1))
+        diag_out = sparse_snf_diagonal(*_bar_boundary(module, degree + 1))
         groups.append(_bar_group(module.ncells, degree, diag_in, diag_out))
         diag_in = diag_out
     return groups

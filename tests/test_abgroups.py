@@ -235,6 +235,7 @@ def reference_unit_pivots(mat):
 
 UNIT_ENTRIES = (0, 1, -1)
 SPARSE_UNIT_ENTRIES = (0, 0, 0, 0, 1, -1)
+DENSE_UNIT_ENTRIES = (1, -1, 1, -1, 0, 2, -3)
 NON_UNIT_ENTRIES = (0, 2, -2, 3, -3, 6, -6)
 
 
@@ -343,7 +344,7 @@ class TestSnfOracles:
         mat, _ = shaped
         ref = reference_unit_pivots(mat)
         for track in (False, True):
-            pivots = _SparseSmith(mat, track=track).pivots
+            pivots = _SparseSmith.of(mat, track).pivots
             assert [(r, c) for r, c, _ in pivots[:len(ref)]] == ref
 
     @given(shaped_matrices(SPARSE_UNIT_ENTRIES, 16))
@@ -354,15 +355,26 @@ class TestSnfOracles:
         mat, _ = shaped
         assert snf_diagonal(mat) == reference_snf_diagonal(mat)
 
+    @given(shaped_matrices(DENSE_UNIT_ENTRIES))
+    @settings(max_examples=200, deadline=None)
+    def test_unit_step_on_matrices_dense_in_units(self, shaped):
+        # most pivots are units whose rows fill every other row of their
+        # columns; smith_normal_form raises unless U * mat * V == S
+        mat, _ = shaped
+        diag = snf_diagonal(mat)
+        assert diag == reference_snf_diagonal(mat)
+        _, s, _ = smith_normal_form(mat)
+        assert [s[i][i] for i in range(len(diag))] == diag
+
     @with_shapes
     @given(ANY_MATRIX)
     @settings(max_examples=200, deadline=None)
     def test_diagonal_mode_moves_no_pivot(self, shaped):
-        # without transforms a unit pivot's row leaves without column
-        # steps; the pivots are those of the transform mode, up to sign
+        # the transform mode's steps in U and V leave S as the diagonal
+        # mode has it, so both take the same pivots, signs included
         mat, _ = shaped
-        plain, tracked = (_SparseSmith(mat, track=track).pivots for track in (False, True))
-        assert [(r, c, abs(d)) for r, c, d in plain] == [(r, c, abs(d)) for r, c, d in tracked]
+        plain, tracked = (_SparseSmith.of(mat, track).pivots for track in (False, True))
+        assert plain == tracked
 
     def test_fill_avoided(self):
         # Arrowhead: the diagonal units sit in the shortest rows and columns
@@ -371,11 +383,11 @@ class TestSnfOracles:
         n = 6
         arrow = [[1 if i == 0 or j == 0 or i == j else 0 for j in range(n)] for i in range(n)]
         arrow[0][0] = n
-        pivots = _SparseSmith(arrow, track=False).pivots
+        pivots = _SparseSmith.of(arrow, False).pivots
         assert [(r, c) for r, c, _ in pivots] == [(i, i) for i in range(1, n - 1)] + [(0, n - 1), (n - 1, 0)]
 
     def test_least_entry_first_without_units(self):
-        assert _SparseSmith([[6, 0], [0, 2]], track=False).pivots == [(1, 1, 2), (0, 0, 6)]
+        assert _SparseSmith.of([[6, 0], [0, 2]], False).pivots == [(1, 1, 2), (0, 0, 6)]
         assert snf_diagonal([[4, 0], [0, 6]]) == [2, 12]
 
 

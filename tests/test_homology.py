@@ -26,6 +26,7 @@ from dihedral_dynamics.abgroups import (
     mat_sub,
     multiplier_limit,
     snf_diagonal,
+    sparse_snf_diagonal,
 )
 from dihedral_dynamics.errors import NonStabilizationError, VerificationError
 from dihedral_dynamics.exact_circle import ClopenSet, GOLDEN, Theta
@@ -313,6 +314,42 @@ class TestPsi:
             psi_check(InvolutionModule.of([[-1]]))
 
 
+def dense_bar_boundary(module, k):
+    """The bar boundary d_k as a dense list of rows, written out face by
+    face: the reference the sparse rows of ``_bar_boundary`` are checked
+    against."""
+    n = module.ncells
+    mat = [[0] * (n << k) for _ in range(n << (k - 1))]
+    perm, signs = module.perm, module.signs
+    for w in range(1 << k):
+        # the faces after the first leave the cell alone: (row block, sign)
+        faces = []
+        for i in range(1, k):
+            # middle face i: merge letters i and i + 1
+            low = w & ((1 << (i - 1)) - 1)
+            merged = ((w >> (i - 1)) ^ (w >> i)) & 1
+            high = (w >> (i + 1)) << i
+            faces.append(((low | (merged << (i - 1)) | high) * n, (-1) ** i))
+        # last face: drop g_k
+        faces.append(((w & ((1 << (k - 1)) - 1)) * n, (-1) ** k))
+        # face 0: move g_1 onto the coefficient, e_c to signs[c] * e_perm[c]
+        first = (w >> 1) * n
+        for c in range(n):
+            col = w * n + c
+            if w & 1:
+                mat[first + perm[c]][col] += signs[c]
+            else:
+                mat[first + c][col] += 1
+            for block, sign in faces:
+                mat[block + c][col] += sign
+    return mat
+
+
+def sparse_rows(mat):
+    """{row: {col: nonzero}} of a dense list of rows, every row kept."""
+    return {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(mat)}
+
+
 class TestBarOracle:
     def test_trivial_module_degree_one(self):
         assert bar_homology(InvolutionModule.of([[1]]), 1) == Z2
@@ -343,12 +380,25 @@ class TestBarOracle:
         assert bar_homology(m, 6) == even_homology(m)
 
     def test_boundary_squares_to_zero(self):
-        m = InvolutionModule.from_permutation([1, 0, 2])
-        for k in range(1, 5):
-            d_k = _bar_boundary(m, k)
-            d_next = _bar_boundary(m, k + 1)
-            prod = mat_mul(d_k, d_next)
-            assert all(all(x == 0 for x in row) for row in prod)
+        # d_k * d_{k+1} = 0, multiplied out on the sparse rows
+        for m in (InvolutionModule.from_permutation([1, 0, 2]), InvolutionModule.of([[-1]])):
+            for k in range(1, 6):
+                d_k, _ = _bar_boundary(m, k)
+                d_next, (_, cols) = _bar_boundary(m, k + 1)
+                for row in d_k.values():
+                    prod = [0] * cols
+                    for j, x in row.items():
+                        for l, y in d_next[j].items():
+                            prod[l] += x * y
+                    assert not any(prod)
+
+    @given(st.one_of(involutive_permutations(5).map(InvolutionModule.from_permutation),
+                     signed_involutions(5)), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_sparse_rows_match_dense_reference(self, m, k):
+        rows, shape = _bar_boundary(m, k)
+        assert shape == (m.ncells << (k - 1), m.ncells << k)
+        assert rows == sparse_rows(dense_bar_boundary(m, k))
 
     @given(st.one_of(involutive_permutations(5).map(InvolutionModule.from_permutation),
                      signed_involutions(5)), st.integers(0, 4))
@@ -360,8 +410,8 @@ class TestBarOracle:
                      signed_involutions(3)), st.integers(1, 4))
     @settings(max_examples=100, deadline=None)
     def test_boundary_diagonals_match_dense(self, m, k):
-        d = _bar_boundary(m, k)
-        assert snf_diagonal(d) == reference_snf_diagonal(d)
+        d = dense_bar_boundary(m, k)
+        assert sparse_snf_diagonal(*_bar_boundary(m, k)) == reference_snf_diagonal(d)
 
     def test_boundary_elimination_pops_few_heap_keys(self, monkeypatch):
         # each unit pivot pushes again only the rows of its column, so the
@@ -376,19 +426,23 @@ class TestBarOracle:
         monkeypatch.setattr(abgroups.heapq, "heappop", counting)
         m = InvolutionModule.from_permutation([1, 0, 3, 2, 4, 5, 7, 6])
         for k in (6, 7):
-            d = _bar_boundary(m, k)
+            rows, shape = _bar_boundary(m, k)
             pops.clear()
-            snf_diagonal(d)
-            assert len(pops) <= 8 * len(d)
+            sparse_snf_diagonal(rows, shape)
+            assert len(pops) <= 8 * shape[0]
 
     def test_all_degrees_eliminate_each_boundary_once(self, monkeypatch):
         calls = []
 
-        def counting(mat):
-            calls.append((len(mat), len(mat[0])))
-            return snf_diagonal(mat)
+        def counting(rows, shape):
+            calls.append(shape)
+            return sparse_snf_diagonal(rows, shape)
 
-        monkeypatch.setattr(homology, "snf_diagonal", counting)
+        def dense(mat):
+            raise AssertionError("a bar boundary went through the dense entry")
+
+        monkeypatch.setattr(homology, "sparse_snf_diagonal", counting)
+        monkeypatch.setattr(homology, "snf_diagonal", dense)
         m = InvolutionModule.from_permutation([1, 0, 2])
         bar_homologies(m, 4)
         # d_1 .. d_5, each C_k -> C_{k-1} of size 3 * 2^(k-1) x 3 * 2^k
@@ -972,10 +1026,10 @@ def refuse_transforms(monkeypatch):
     smith = abgroups._SparseSmith
 
     class DiagonalOnly(smith):
-        def __init__(self, mat, track):
+        def __init__(self, rows, shape, track):
             if track:
                 raise AssertionError("transform-tracking Smith form")
-            super().__init__(mat, track)
+            super().__init__(rows, shape, track)
 
     monkeypatch.setattr(abgroups, "_SparseSmith", DiagonalOnly)
 
@@ -1061,6 +1115,15 @@ class TestOddLimit:
         # the second with no fixed refinement, so the limit is Z/2
         limit = _odd_limit([2, 2, 2, 2], [[[1, 0], [0, 0]]] * 3)
         assert (limit.kind, limit.group, limit.level) == ("stabilized", Z2, 2)
+
+    def test_image_retry_needs_the_composite_rank(self):
+        # every map has rank 1, but each composite of two is zero, so the
+        # images never settle: without the rank of the composite the
+        # retry would read Z/2
+        sizes, maps = [2, 2, 2, 2], [[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[1, 0], [0, 0]]]
+        limit = _odd_limit(sizes, maps)
+        assert (limit.kind, limit.group, limit.level) == ("undetermined", None, 4)
+        assert limit == image_refined_limit(odd_direct_system(sizes, maps))
 
 
 def lattice_fragment_flags(msigma, mphisigma, inclusion):
@@ -1431,6 +1494,10 @@ class TestTopDownLimit:
         assert _z_system([2, 1, 1]).limit().kind == "stabilized"
         assert _z_system([1, 3, 2]).limit().kind == "localization"
         assert _z_system([1, 0, 2]).limit().kind == "undetermined"
+
+    def test_no_multipliers_is_undetermined(self):
+        limit = multiplier_limit(FGAbGroup(1), [])
+        assert (limit.kind, limit.level, limit.localization) == ("undetermined", 1, None)
 
     @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, 0]), min_size=2, max_size=5))
     def test_multiplier_limit_follows_direct_system(self, multipliers):
