@@ -6,34 +6,42 @@ stabilization detection.  Rank-one systems whose limit is not finitely
 generated (Z -> Z by repeated multiplication) are reported through a
 localization descriptor instead of being materialized.
 
-Matrices enter and leave as lists of rows.  Every Smith form comes from
-one sparse elimination (``_SparseSmith``) of the sparse rows {row: {col:
-nonzero}} of a matrix: ``sparse_snf_diagonal`` takes them as built (the
-bar boundaries), and the dense entries convert a list of rows once.  A
-column -> rows index rides along, and a finished pivot's row and column
-leave.  Pivots of absolute value 1 go first: the shortest row holding a
-unit (ties to the lower row index), on its unit in the shortest column
-(ties to the lower column index), eliminated in place by subtracting its
-row from the other rows of its column.  When no unit is left, the least
-absolute entry is the pivot (ties on Markowitz cost (row nnz - 1) * (col
-nnz - 1), then row, then col), Euclid steps clear its row and column,
-and the leftover block is made divisible by it.  Every tie breaks on
-indices, so outputs are reproducible bit for bit.  The diagonal-only
-mode (``snf_diagonal``, ``Presentation.canonical``) tracks no
+A matrix is a list of sparse columns, each a dict {row: nonzero} that
+holds no zero: a presentation's relations, a homomorphism's matrix (one
+column per source generator) and a lift (one column per source
+relation).  ``mat_vec`` multiplies such columns by a sparse vector.
+Dense lists of rows are left only at the dense entries (``snf_diagonal``,
+``smith_normal_form``, ``kernel_basis``, ``SnfSolver``), which convert a
+list of rows once and have no caller in the library.
+
+Every Smith form comes from one sparse elimination (``_SparseSmith``) of
+the sparse rows {row: {col: nonzero}} of a matrix, which it consumes:
+``sparse_snf_diagonal`` takes them as built (the bar boundaries), and
+``_group`` transposes a presentation's columns into fresh rows for it,
+so a presentation's own columns are never consumed.  A column -> rows
+index rides along, and a finished pivot's row and column leave.  Pivots
+of absolute value 1 go first: the shortest row holding a unit (ties to
+the lower row index), on its unit in the shortest column (ties to the
+lower column index), eliminated in place by subtracting its row from the
+other rows of its column.  When no unit is left, the least absolute
+entry is the pivot (ties on Markowitz cost (row nnz - 1) * (col nnz -
+1), then row, then col), Euclid steps clear its row and column, and the
+leftover block is made divisible by it.  Every tie breaks on indices, so
+outputs are reproducible bit for bit.  The diagonal-only mode tracks no
 transforms.  The transform mode (``smith_normal_form``, ``kernel_basis``,
 ``SnfSolver``) tracks U as sparse rows and V as sparse columns, and no
 inverse of either; a unit pivot's column steps would change only its
 row, so they are made in V alone.
 
 Every question the library asks is decided from Smith diagonals; the
-transform mode has no caller in the library, and serves callers that
-read coordinates (the benchmark's layer trace, the tests' oracles).
-Finitely generated abelian groups are Hopfian: a surjection between two
-isomorphic ones is an isomorphism.  So ``AbHom.is_isomorphism`` compares the canonical forms
-of source and destination (each read once per presentation) and asks
-for surjectivity, and builds no kernel lattice.  Relation membership is
-the same test: Z^n / L(R) maps onto Z^n / L(R + X), so the columns X lie
-in the relation lattice L(R) exactly when both quotients have the same
+transform mode serves callers that read coordinates (the benchmark's
+layer trace, the tests' oracles).  Finitely generated abelian groups are
+Hopfian: a surjection between two isomorphic ones is an isomorphism.  So
+``AbHom.is_isomorphism`` compares the canonical forms of source and
+destination (each read once per presentation) and asks for
+surjectivity, and builds no kernel lattice.  Relation membership is the
+same test: Z^n / L(R) maps onto Z^n / L(R + X), so the columns X lie in
+the relation lattice L(R) exactly when both quotients have the same
 canonical form (``Presentation.contains_relations``).
 
 A matrix M is a map of presented groups when it sends the source
@@ -65,7 +73,6 @@ __all__ = [
     "smith_normal_form",
     "snf_diagonal",
     "kernel_basis",
-    "identity_matrix",
     "mat_mul",
     "mat_vec",
 ]
@@ -76,10 +83,6 @@ Matrix = List[List[int]]
 # ---------------------------------------------------------------------------
 # Basic matrix helpers
 # ---------------------------------------------------------------------------
-
-
-def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -99,63 +102,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: Sequence[int]) -> List[int]:
-    nonzero = [(k, x) for k, x in enumerate(v) if x]
-    return [sum(ai[k] * x for k, x in nonzero) for ai in a]
-
-
-def lift_identity(matrix: Matrix, src_relations: Sequence[Sequence[int]],
-                  dst_relations: Sequence[Sequence[int]], lift: Matrix) -> bool:
-    """Whether matrix * R_src == R_dst * lift, with R_src and R_dst given
-    by their relation columns and ``lift`` by rows, one row per
-    destination relation and one column per source relation.
-
-    Column j of the left side is summed from the nonzeros of source
-    relation j, column j of the right side from the nonzeros of lift
-    column j; zero entries cost one C-level scan.
-    """
-    if len(lift) != len(dst_relations) or any(len(row) != len(src_relations) for row in lift):
-        return False
-    mat_cols, lift_cols = {}, {}
-    for i, row in enumerate(matrix):
-        for k in compress(range(len(row)), row):
-            mat_cols.setdefault(k, []).append((i, row[k]))
-    for i, row in enumerate(lift):
-        for j in compress(range(len(row)), row):
-            lift_cols.setdefault(j, []).append((i, row[j]))
-    for j, rel in enumerate(src_relations):
-        acc = {}
-        for k in compress(range(len(rel)), rel):
-            for i, x in mat_cols.get(k, ()):
-                acc[i] = acc.get(i, 0) + x * rel[k]
-        for k, w in lift_cols.get(j, ()):
-            dst = dst_relations[k]
-            for i in compress(range(len(dst)), dst):
-                acc[i] = acc.get(i, 0) - w * dst[i]
-        if any(acc.values()):
-            return False
-    return True
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def columns(a: Matrix) -> List[List[int]]:
-    return [list(col) for col in zip(*a)] if a else []
-
-
-def from_columns(cols: Sequence[Sequence[int]], rows: Optional[int] = None) -> Matrix:
-    if not cols:
-        return [[] for _ in range(rows)] if rows else []
-    return [list(row) for row in zip(*cols)]
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form
-# ---------------------------------------------------------------------------
-
-
 def _axpy(dst: dict, src: dict, q: int) -> None:
     """dst += q * src for sparse vectors stored as {index: nonzero}."""
     for k, x in src.items():
@@ -164,6 +110,42 @@ def _axpy(dst: dict, src: dict, q: int) -> None:
             dst[k] = y
         else:
             del dst[k]
+
+
+def mat_vec(cols: Sequence[dict], v: dict) -> dict:
+    """The sparse column M * v, for M given by its sparse columns."""
+    out = {}
+    for k, x in v.items():
+        if x:
+            _axpy(out, cols[k], x)
+    return out
+
+
+def lift_identity(matrix: Sequence[dict], src_relations: Sequence[dict],
+                  dst_relations: Sequence[dict], lift: Sequence[dict]) -> bool:
+    """Whether matrix * R_src == R_dst * lift, every matrix given by its
+    sparse columns: ``lift`` has one column per source relation, on the
+    destination relations.
+
+    Column j of the left side is summed from the nonzeros of source
+    relation j, column j of the right side from the nonzeros of lift
+    column j.
+    """
+    if len(lift) != len(src_relations) or any(
+            not 0 <= k < len(dst_relations) for w in lift for k in w):
+        return False
+    for rel, w in zip(src_relations, lift):
+        acc = mat_vec(matrix, rel)
+        for k, x in w.items():
+            _axpy(acc, dst_relations[k], -x)
+        if acc:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form
+# ---------------------------------------------------------------------------
 
 
 class _SparseSmith:
@@ -502,81 +484,85 @@ class FGAbGroup:
         return cls(0, (2,) * k)
 
 
+def _group(ngens: int, cols: Sequence[dict]) -> FGAbGroup:
+    """Z^ngens modulo the lattice of the sparse columns ``cols``, in
+    canonical form, from one Smith diagonal of their transpose: fresh
+    sparse rows, since the elimination consumes its rows."""
+    if not ngens or not cols:
+        return FGAbGroup(ngens)
+    rows = {i: {} for i in range(ngens)}
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows[i][j] = x
+    diag = sparse_snf_diagonal(rows, (ngens, len(cols)))
+    nonzero = [d for d in diag if d]
+    return FGAbGroup(ngens - len(nonzero), tuple(d for d in nonzero if d > 1))
+
+
 @dataclass(frozen=True)
 class Presentation:
-    """Z^ngens modulo the column lattice of ``relations``."""
+    """Z^ngens modulo the lattice of the sparse columns ``relations``."""
 
     ngens: int
-    relations: tuple  # tuple of columns, each a tuple of length ngens
+    relations: tuple  # sparse columns {generator: nonzero}
 
     @classmethod
-    def of(cls, ngens: int, relation_columns: Iterable[Sequence[int]]) -> "Presentation":
-        cols = tuple(tuple(map(int, col)) for col in relation_columns)
-        for col in cols:
-            if len(col) != ngens:
-                raise ValueError("relation column length must equal ngens")
+    def of(cls, ngens: int, relation_columns: Iterable[dict]) -> "Presentation":
+        cols = tuple({i: x for i, x in col.items() if x} for col in relation_columns)
+        if any(not 0 <= i < ngens for col in cols for i in col):
+            raise ValueError("relation column has an entry outside the ngens generators")
         return cls(ngens, cols)
 
     @classmethod
     def free(cls, ngens: int) -> "Presentation":
         return cls(ngens, ())
 
-    def relation_matrix(self) -> Matrix:
-        return from_columns(self.relations, rows=self.ngens)
-
     def canonical(self) -> FGAbGroup:
         return self._canonical
 
     @cached_property
     def _canonical(self) -> FGAbGroup:
-        if self.ngens == 0:
-            return FGAbGroup(0)
-        if not self.relations:
-            return FGAbGroup(self.ngens)
-        diag = snf_diagonal(self.relation_matrix())
-        nonzero = [d for d in diag if d]
-        return FGAbGroup(self.ngens - len(nonzero), tuple(d for d in nonzero if d > 1))
+        return _group(self.ngens, self.relations)
 
-    def contains_relations(self, vectors: Iterable[Sequence[int]]) -> bool:
-        """Whether every vector lies in the relation lattice L(R).
+    def contains_relations(self, vectors: Iterable[dict]) -> bool:
+        """Whether every sparse vector lies in the relation lattice L(R).
 
         The quotient map Z^n / L(R) -> Z^n / L(R + X) is onto, so X lies
         in L(R) exactly when both quotients have the same canonical form
         (finitely generated abelian groups are Hopfian): one diagonal-only
         Smith form, with the zero vectors left out.
         """
-        extra = tuple(v for v in vectors if any(v))
+        extra = tuple(v for v in vectors if v)
         if not extra:
             return True
         # the vectors go first, so pivot ties break toward their columns:
         # on deep golden telescope stages that about halves the elimination
-        grown = Presentation.of(self.ngens, extra + self.relations)
-        return grown.canonical() == self.canonical()
+        return _group(self.ngens, extra + self.relations) == self.canonical()
 
 
 @dataclass(frozen=True)
 class AbHom:
     """A homomorphism of presented groups, given on generators.
 
-    The matrix M has shape (dst.ngens, src.ngens) and must map the source
-    relations R into the destination relations R'; that is checked at
-    construction.  With a ``lift`` W, the proof is the exact identity
-    M * R == R' * W (``lift_identity``), which needs no Smith form; a
-    lift is checked, never trusted, and is not stored.  Without one,
-    the images M * r must lie in the destination's relation lattice,
-    which ``Presentation.contains_relations`` decides by one Smith
-    diagonal.
+    The matrix M has one sparse column per source generator, on the
+    destination generators, and must map the source relations R into the
+    destination relations R'; that is checked at construction.  With a
+    ``lift`` W, the proof is the exact identity M * R == R' * W
+    (``lift_identity``), which needs no Smith form; a lift is checked,
+    never trusted, and is not stored.  Without one, the images M * r must
+    lie in the destination's relation lattice, which
+    ``Presentation.contains_relations`` decides by one Smith diagonal.
     """
 
     src: Presentation
     dst: Presentation
-    matrix: tuple
+    matrix: tuple  # sparse columns, one per source generator
 
     @classmethod
-    def of(cls, src: Presentation, dst: Presentation, matrix: Matrix,
-           lift: Optional[Matrix] = None) -> "AbHom":
-        mat = tuple(tuple(map(int, row)) for row in matrix)
-        if len(mat) != dst.ngens or (mat and any(len(r) != src.ngens for r in mat)):
+    def of(cls, src: Presentation, dst: Presentation, matrix: Iterable[dict],
+           lift: Optional[Sequence[dict]] = None) -> "AbHom":
+        mat = tuple({i: x for i, x in col.items() if x} for col in matrix)
+        if len(mat) != src.ngens or any(not 0 <= i < dst.ngens for col in mat for i in col):
             raise ValueError("homomorphism matrix has wrong shape")
         if lift is None:
             ok = dst.contains_relations(mat_vec(mat, col) for col in src.relations)
@@ -586,16 +572,10 @@ class AbHom:
             raise ValueError("matrix does not map relations into relations")
         return cls(src, dst, mat)
 
-    def mat(self) -> Matrix:
-        return [list(r) for r in self.matrix]
-
     # -- structural predicates -----------------------------------------
 
     def is_surjective(self) -> bool:
-        stacked = from_columns(
-            columns(self.mat()) + list(self.dst.relations), rows=self.dst.ngens)
-        diag = snf_diagonal(stacked)
-        return sum(1 for d in diag if d == 1) == self.dst.ngens if self.dst.ngens else True
+        return _group(self.dst.ngens, self.matrix + self.dst.relations).is_trivial()
 
     def is_isomorphism(self) -> bool:
         """Whether the map is bijective.
@@ -608,8 +588,7 @@ class AbHom:
         return self.src.canonical() == self.dst.canonical() and self.is_surjective()
 
     def cokernel(self) -> Presentation:
-        cols = list(self.dst.relations) + columns(self.mat())
-        return Presentation.of(self.dst.ngens, cols)
+        return Presentation(self.dst.ngens, self.dst.relations + self.matrix)
 
     def free_multiplier(self) -> Optional[int]:
         """For rank-one torsion-free source and destination, the induced
@@ -719,7 +698,14 @@ class DirectSystem:
                 raise ValueError(f"connecting map {i} does not match its stages")
 
     def limit(self) -> LimitDescriptor:
-        """Stabilization detection; never materializes a non-f.g. limit."""
+        """Stabilization detection; never materializes a non-f.g. limit.
+
+        The isomorphisms from the top map down give the limit, stabilized
+        at the stage below the lowest of them.  Failing that, maps that
+        are all maps of Z (``free_multiplier``) are decided by their
+        multipliers (``multiplier_limit``), and anything else is
+        undetermined.
+        """
         if len(self.stages) < 3:
             raise ValueError("need at least 3 computed stages")
         start = top_run(len(self.maps), lambda i: self.maps[i].is_isomorphism())
@@ -729,10 +715,11 @@ class DirectSystem:
                 group=self.stages[start].canonical(),
                 level=start + 1,
             )
-        mults = [h.free_multiplier() for h in self.maps]
-        if all(m is not None and m >= 1 for m in mults) and any(m > 1 for m in mults):
-            return LimitDescriptor(
-                kind="localization",
-                localization=LocalizationDescriptor(tuple(mults)),
-            )
-        return LimitDescriptor(kind="undetermined", level=len(self.stages))
+        mults = []
+        for h in self.maps:
+            m = h.free_multiplier()
+            if m is None:
+                return LimitDescriptor(kind="undetermined", level=len(self.stages))
+            mults.append(m)
+        # on maps of Z, multiplier +-1 is an isomorphism: the top map's is not
+        return multiplier_limit(FGAbGroup(1), mults)

@@ -21,8 +21,8 @@ cross-checks these counts (``bar_homologies`` eliminates each boundary
 once for all degrees up to a top one).
 
 Circle systems and odometers take one path through every level
-computation.  The system names the cell lists that stand for level N
-and their relation window (``level_windows``: a circle's windows
+computation.  The system names the cell lists that stand for levels
+1..N and their relation windows (``level_chain``: a circle's windows
 [-N, N] and [1-N, N], an odometer's cylinders for both), how deep its
 levels go (``depth``) and how its reflections' fixed points are counted
 (``reflection_fixed``).  ``_levels`` reads the system's ``level_chain``
@@ -30,7 +30,12 @@ once and builds each level's inclusions once (``cover_matrix``, for arcs
 and cylinders alike), and ``homology_table`` hands that one list to both
 routes: the telescope reads a level as the cells of a stage and the
 window of its translation relations, the free product as the windows of
-the two reflections.
+the two reflections.  Every matrix on the way is a list of sparse
+columns {row: nonzero}, as ``abgroups`` takes them: a telescope relation
+is the difference of two columns, and the free product's maps are
+summed onto orbits column by column.  Only a length state, two rows at
+most, is held densely; a module's dense ``matrix`` is built only for the
+JSON that prints it.
 
 The telescope is proved through the length state l_N of each level
 (Putnam-Schmidt-Skau): a circle cell's exact length a + b*theta, or an
@@ -57,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations, compress
+from itertools import combinations
 from math import gcd
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -69,13 +74,11 @@ from .abgroups import (
     LocalizationDescriptor,
     Matrix,
     Presentation,
-    columns,
-    from_columns,
-    identity_matrix,
+    _axpy,
     kernel_basis,  # unused here; bench/layertrace.py traces it under this module's name
     lift_identity,
-    mat_mul,
-    mat_sub,
+    mat_mul,  # unused here; bench/layertrace.py traces it under this module's name
+    mat_vec,
     multiplier_limit,
     snf_diagonal,  # unused here; bench/layertrace.py traces it under this module's name
     sparse_snf_diagonal,
@@ -107,7 +110,6 @@ __all__ = [
     "HomologyTable",
     "homology_table",
     "split_orbit_table",
-    "free_action_table",
     "nonfree_action_table",
     "GroupValue",
 ]
@@ -375,13 +377,16 @@ def _levels(system, top: int) -> list:
             for (fine, coarse), up in zip(chain, ups)]
 
 
-def _state_images(state: Matrix, vectors) -> List[List[int]]:
-    """state * v for each vector v, summed over the nonzeros of v."""
-    images = []
-    for v in vectors:
-        nonzero = list(compress(range(len(v)), v))
-        images.append([sum(row[i] * v[i] for i in nonzero) for row in state])
-    return images
+def _state_images(state: Matrix, cols: Sequence[dict]) -> List[List[int]]:
+    """state * M for the sparse columns of M, as rows like the state's."""
+    return [[sum(row[i] * x for i, x in col.items()) for col in cols] for row in state]
+
+
+def _minus(a: dict, b: dict) -> dict:
+    """The sparse column a - b."""
+    out = dict(a)
+    _axpy(out, b, -1)
+    return out
 
 
 def _det(m: Matrix) -> int:
@@ -407,7 +412,7 @@ def _check_state(stage: Presentation, state: Matrix, level: int) -> None:
     """That the length state is an isomorphism from the stage onto Z^r:
     it kills the relations and maps onto Z^r, and the stage is Z^r, so
     it induces a surjection Z^r -> Z^r, which is injective (Hopfian)."""
-    if any(any(w) for w in _state_images(state, stage.relations)):
+    if any(any(row) for row in _state_images(state, stage.relations)):
         raise VerificationError(f"the length state of level {level} does not kill its relations")
     if not _is_onto(state):
         raise VerificationError(f"the length state of level {level} is not onto Z^{len(state)}")
@@ -416,13 +421,13 @@ def _check_state(stage: Presentation, state: Matrix, level: int) -> None:
             f"translation H0 stage at level {level} is {stage.canonical()}, not Z^{len(state)}")
 
 
-def _state_multiplier(fine: Matrix, incl: Matrix, coarse: Matrix, level: int) -> int:
+def _state_multiplier(fine: Matrix, incl: Sequence[dict], coarse: Matrix, level: int) -> int:
     """The integer c with fine * incl == c * coarse: the connecting map
     from level ``level``, read through the length states of both ends."""
-    image, want = _state_images(fine, zip(*incl)), columns(coarse)
-    j, k = next((j, k) for j, col in enumerate(want) for k, x in enumerate(col) if x)
-    c, rem = divmod(image[j][k], want[j][k])
-    if rem or image != [[c * x for x in col] for col in want]:
+    image = _state_images(fine, incl)
+    k, j = next((k, j) for k, row in enumerate(coarse) for j, x in enumerate(row) if x)
+    c, rem = divmod(image[k][j], coarse[k][j])
+    if rem or image != [[c * x for x in row] for row in coarse]:
         raise VerificationError(
             f"refinement from level {level} to {level + 1} does not scale the length state")
     return c
@@ -433,7 +438,7 @@ def h0_translation_telescope(system, max_level: int,
     """H_0 of the translation action on C(X, Z), with the flip action.
 
     Stage N presents the functions on level N's flip window modulo
-    f - f o (1,0) for f on its reflected window (``level_windows``), the
+    f - f o (1,0) for f on its reflected window (``level_chain``), the
     widest window whose translate stays inside the flip window.  The
     windows and their inclusions are ``levels`` (``_levels`` up to the
     deepest usable level), built here unless the caller holds them.
@@ -452,9 +457,9 @@ def h0_translation_telescope(system, max_level: int,
     and the limit follows from the c_N (``multiplier_limit``): circle
     systems stabilize to Z^2, and odometers give a localization of Z.
     The flip acts trivially on stage N exactly when l_N * P = l_N for
-    its permutation P; (1 + flip)H_0 = 2 H_0 is then returned in
-    canonical form (doubling a localization of Z is an isomorphism onto
-    its image).  A state identity that fails is a fault in the
+    its permutation P (``pullback_permutation``); (1 + flip)H_0 = 2 H_0
+    is then returned in canonical form (doubling a localization of Z is
+    an isomorphism onto its image).  A state identity that fails is a fault in the
     arithmetic and raises ``VerificationError``; a flip that moves the
     state, or a limit the multipliers leave open, raises
     ``NonStabilizationError``.
@@ -466,17 +471,19 @@ def h0_translation_telescope(system, max_level: int,
         levels = _levels(system, _deepest_level(system, max_level))
     top = len(levels)
     states = [fine.length_state() for fine, *_ in levels]
+    # relation j is within[j] - pullback[j]: f - f o (1,0) on reflected cell j
     stages = [
-        Presentation.of(len(fine), columns(mat_sub(
-            within, pullback_matrix(system, TRANSLATION, coarse, fine))))
+        Presentation.of(len(fine), map(_minus, within,
+                                       pullback_matrix(system, TRANSLATION, coarse, fine)))
         for fine, coarse, within, _ in levels]
     for level, (stage, state) in enumerate(zip(stages, states), 1):
         _check_state(stage, state, level)
     limit = multiplier_limit(FGAbGroup(len(states[0])), [
         _state_multiplier(fine, up, coarse, level)
         for level, (coarse, fine, (*_, up)) in enumerate(zip(states, states[1:], levels[1:]), 1)])
+    # l_N * P = l_N reads l_N at the cell each cell's indicator pulls back to
     sigma_trivial = all(
-        _state_images(state, zip(*pullback_matrix(system, FLIP, cells, cells))) == columns(state)
+        [[row[p] for p in pullback_permutation(system, FLIP, cells)] for row in state] == state
         for state, (cells, *_) in zip(states, levels))
 
     if limit.kind == "stabilized":
@@ -530,37 +537,37 @@ class FreeProductFragment:
     h0_presentation: Presentation
 
 
-def _on_orbits(module: InvolutionModule, vectors: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Q * v for vectors v on the module's cells: v summed onto orbits."""
-    label, pairs, fixed = module.orbits
+def _on_orbits(module: InvolutionModule, cols: Sequence[dict]) -> List[dict]:
+    """Q * v for sparse columns v on the module's cells: v summed onto orbits."""
+    label = module.orbits[0]
     out = []
-    for v in vectors:
-        w = [0] * (len(pairs) + len(fixed))
-        for i in compress(range(len(v)), v):
-            w[label[i]] += v[i]
-        out.append(w)
+    for v in cols:
+        w = {}
+        for i, x in v.items():
+            w[label[i]] = w.get(label[i], 0) + x
+        out.append({o: x for o, x in w.items() if x})
     return out
 
 
 def _orbit_coinvariants(n_orbits: int, mphisigma: InvolutionModule,
-                        projected: Sequence[Sequence[int]]) -> Presentation:
+                        projected: Sequence[dict]) -> Presentation:
     """The total coinvariants on the sigma-orbits: for each phisigma-pair
     {c, t(c)}, c the lesser cell, the relation Q * incl * (e_t(c) - e_c),
     where ``projected[c]`` is Q * incl * e_c."""
     t = mphisigma.perm
-    return Presentation.of(n_orbits, ([a - b for a, b in zip(projected[t[c]], projected[c])]
+    return Presentation.of(n_orbits, (_minus(projected[t[c]], projected[c])
                                       for c in mphisigma.orbits[1]))
 
 
 def free_product_fragment(msigma: InvolutionModule, mphisigma: InvolutionModule,
-                          inclusion: Matrix) -> FreeProductFragment:
+                          inclusion: Sequence[dict]) -> FreeProductFragment:
     """Assemble H_0 and H_1 from permutation modules on matched windows.
 
     ``inclusion`` embeds the second module's cells into the first
-    module's (the first is the finer one).  For a permutation module the
-    coinvariants are free on the orbits and odd homology is
-    (Z/2)^{fixed cells} (Shapiro's lemma), so everything is written on
-    orbits.  H_1 is the direct sum of the two odd homologies.  H_0 is
+    module's (the first is the finer one), one sparse column per cell of
+    the second.  For a permutation module the coinvariants are free on
+    the orbits and odd homology is (Z/2)^{fixed cells} (Shapiro's
+    lemma), so everything is written on orbits.  H_1 is the direct sum of the two odd homologies.  H_0 is
     the fine module modulo both families of coinvariant relations: on
     the sigma-orbits (projection Q) the sigma relations vanish, and one
     relation per phisigma-pair is left.  The four-term sequence built
@@ -591,25 +598,28 @@ def free_product_fragment(msigma: InvolutionModule, mphisigma: InvolutionModule,
     if -1 in msigma.signs or -1 in mphisigma.signs:
         raise ValueError("the free-product fragment takes permutation modules")
     n_coarse = mphisigma.ncells
-    if len(inclusion) != msigma.ncells or (inclusion and len(inclusion[0]) != n_coarse):
+    if len(inclusion) != n_coarse or any(
+            not 0 <= i < msigma.ncells for col in inclusion for i in col):
         raise ValueError("inclusion matrix shape mismatch")
 
     h1 = FGAbGroup.elementary_two(len(msigma.orbits[2]) + len(mphisigma.orbits[2]))
 
     label, pairs, fixed = mphisigma.orbits
     reps = pairs + fixed
-    projected = _on_orbits(msigma, columns(inclusion))
+    projected = _on_orbits(msigma, inclusion)
     n_sigma = sum(map(len, msigma.orbits[1:]))
     h0_pres = _orbit_coinvariants(n_sigma, mphisigma, projected)
     h0 = h0_pres.canonical()
 
     coker_pres = Presentation.of(n_sigma + len(reps), (
-        v + [-(label[c] == k) for k in range(len(reps))] for c, v in enumerate(projected)))
+        {**v, n_sigma + label[c]: -1} for c, v in enumerate(projected)))
     coker = coker_pres.canonical()
     paired_injective = n_coarse - n_sigma - len(reps) + coker.rank == 0
 
-    summed = [e + [projected[r][o] for r in reps] for o, e in enumerate(identity_matrix(n_sigma))]
-    onto = [[int(c == mphisigma.perm[p]) for c in range(n_coarse)] for p in pairs]
+    summed = [{o: 1} for o in range(n_sigma)] + [projected[r] for r in reps]
+    onto = [{} for _ in range(n_coarse)]
+    for k, p in enumerate(pairs):
+        onto[mphisigma.perm[p]] = {k: 1}
     middle_exact = (lift_identity(summed, coker_pres.relations, h0_pres.relations, onto)
                     and coker == h0)
 
@@ -636,7 +646,7 @@ def _reflection_modules(system, fine: list, coarse: list) -> Tuple[InvolutionMod
 
 def _refinement_maps(lower: Tuple[InvolutionModule, InvolutionModule],
                      upper: Tuple[InvolutionModule, InvolutionModule],
-                     sym_incl: Matrix, refl_incl: Matrix) -> Tuple[Matrix, Matrix, List[Matrix]]:
+                     sym_incl: Sequence[dict], refl_incl: Sequence[dict]) -> tuple:
     """The maps of one refinement step between the (flip, reflected flip)
     modules of two levels, joined by their window inclusions.
 
@@ -646,36 +656,38 @@ def _refinement_maps(lower: Tuple[InvolutionModule, InvolutionModule],
     e_t'(c') - e_c' over the finer cells c' in c, which is plus or minus
     the relation of the pair of c' (as c' is least in it or not) or 0.
     Then the list of the two odd-homology maps, each a window inclusion
-    on fixed cells (pairs vanish in odd homology), read modulo 2.
+    on fixed cells (pairs vanish in odd homology), read modulo 2.  Every
+    map is given by its sparse columns.
     """
     (s, t), (s2, t2) = lower, upper
-    sym, refl = columns(sym_incl), columns(refl_incl)
-    h0_map = from_columns(_on_orbits(s2, [sym[r] for r in s.orbits[1] + s.orbits[2]]),
-                          rows=len(s2.orbits[1]) + len(s2.orbits[2]))
+    h0_map = _on_orbits(s2, [sym_incl[r] for r in s.orbits[1] + s.orbits[2]])
     label, pairs, _ = t2.orbits
     lift = []
     for c in t.orbits[1]:
-        w = [0] * len(pairs)
-        for i in compress(range(len(refl[c])), refl[c]):
+        w = {}
+        for i, x in refl_incl[c].items():
             if label[i] < len(pairs):
-                w[label[i]] += refl[c][i] if i < t2.perm[i] else -refl[c][i]
-        lift.append(w)
-    odd = [[[incl[i][j] for j in m.orbits[2]] for i in m2.orbits[2]]
-           for m, m2, incl in ((s, s2, sym_incl), (t, t2, refl_incl))]
-    return h0_map, from_columns(lift, rows=len(pairs)), odd
+                w[label[i]] = w.get(label[i], 0) + (x if i < t2.perm[i] else -x)
+        lift.append({k: x for k, x in w.items() if x})
+    odd = []
+    for m, m2, incl in ((s, s2, sym_incl), (t, t2, refl_incl)):
+        where = {i: k for k, i in enumerate(m2.orbits[2])}
+        odd.append([{where[i]: x for i, x in incl[j].items() if i in where}
+                    for j in m.orbits[2]])
+    return h0_map, lift, odd
 
 
-def _gf2_rank(nrows: int, cols: Sequence[Sequence[int]]) -> int:
-    """The rank over GF(2) of integer columns of length ``nrows``: Z^nrows
-    modulo the columns and 2 * I is (Z/2)^(nrows - rank)."""
-    two = [[2 * (i == j) for i in range(nrows)] for j in range(nrows)]
+def _gf2_rank(nrows: int, cols: Sequence[dict]) -> int:
+    """The rank over GF(2) of sparse integer columns on ``nrows`` rows:
+    Z^nrows modulo the columns and 2 * I is (Z/2)^(nrows - rank)."""
+    two = [{j: 2} for j in range(nrows)]
     return nrows - len(Presentation.of(nrows, list(cols) + two).canonical().torsion)
 
 
-def _odd_limit(sizes: Sequence[int], maps: Sequence[Matrix]) -> LimitDescriptor:
+def _odd_limit(sizes: Sequence[int], maps: Sequence[Sequence[dict]]) -> LimitDescriptor:
     """The limit of (Z/2)^sizes[0] -> (Z/2)^sizes[1] -> ... along the
-    integer matrices ``maps`` read modulo 2, by the rule of
-    ``DirectSystem.limit`` on GF(2) ranks.
+    integer matrices ``maps``, given by their sparse columns, read modulo
+    2, by the rule of ``DirectSystem.limit`` on GF(2) ranks.
 
     A map h_i is an isomorphism when it is square with full rank; the
     maps that are, from the top down, give the limit at the stage below
@@ -689,10 +701,10 @@ def _odd_limit(sizes: Sequence[int], maps: Sequence[Matrix]) -> LimitDescriptor:
     """
     @cache
     def rank(i: int) -> int:
-        return _gf2_rank(sizes[i + 1], columns(maps[i]))
+        return _gf2_rank(sizes[i + 1], maps[i])
 
     def through(i: int) -> int:
-        return _gf2_rank(sizes[i + 2], columns(mat_mul(maps[i + 1], maps[i])))
+        return _gf2_rank(sizes[i + 2], [mat_vec(maps[i + 1], col) for col in maps[i]])
 
     start = top_run(len(maps), lambda i: sizes[i] == sizes[i + 1] == rank(i))
     if start < len(maps):
@@ -818,17 +830,6 @@ def split_orbit_table(h0_base: GroupValue) -> HomologyTable:
     """The case of a non-minimal translation: the space splits into two
     flip-exchanged halves and homology reduces to the half."""
     return _table(h0_base, _ZERO, _ZERO, tail_from=2, h1=FGAbGroup(1))
-
-
-def free_action_table(h0_plus: GroupValue) -> HomologyTable:
-    """The free case: degree 0 gains a single order-2 class, higher
-    degrees vanish."""
-    if isinstance(h0_plus, FGAbGroup):
-        h0 = FGAbGroup(0, (2,)).direct_sum(h0_plus)
-    else:
-        raise ValueError("free case with a localization H0 is not representable "
-                         "as one canonical group; keep the summands separate")
-    return _table(h0, _ZERO, _ZERO, tail_from=1)
 
 
 def nonfree_action_table(h0_plus: GroupValue, fixed_count: int) -> HomologyTable:

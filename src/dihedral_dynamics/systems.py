@@ -26,27 +26,30 @@ cyclic run of cells between them.  An odometer level's cells are the
 cylinders of Z/n_i, named by residue, and the group acts on residues;
 a cylinder of a coarser level n_j | n_i is the union of the n_i / n_j
 cylinders whose residues reduce to its own.  A level's cells are a
-window that carries its own index, built once by ``cells``: a circle
+window that carries its own index, built with the window: a circle
 window keeps the position of each cut from the sort that ordered them,
-and an odometer cell's position is its residue.  :func:`cover_matrix`,
-:func:`pullback_matrix`, :func:`pullback_permutation` and
-:func:`cover_indices` read that index, in integers, with no set
-operations; any other sequence of cells is refused.
+and an odometer cell's position is its residue.  The level matrices read
+that index, in integers, with no set operations; any other sequence of
+cells is refused.  :func:`cover_matrix` and :func:`pullback_matrix`
+return sparse columns, one {cell: 1} per source cell, so they cost their
+nonzeros and never rows x cols; :func:`pullback_permutation` writes a
+g that permutes the cells as one index per cell.  :func:`cover_indices`
+looks up one target, and no homology computation calls it.
 
-For homology the circle and the odometer differ only in which cell
-lists stand for level N (``level_windows``), in how deep their levels go
-(``depth``) and in how the reflections' fixed points are counted
-(``reflection_fixed``).  ``level_windows(N)`` gives the cells of level N
+For homology the circle and the odometer differ only in their levels
+(``level_chain``), in how deep their levels go (``depth``) and in how the
+reflections' fixed points are counted (``reflection_fixed``).
+``level_chain(N)`` gives, for each level t = 1..N, the cells of level t
 and their relation window.  The flip (0,1) permutes a circle's window
-[-N, N] and the reflected rotation (1,1) its window [1-N, N]; a
-rotation by one moves the cuts of [1-N, N] into [-N, N], so the
-translation relations of level N are taken on [1-N, N] and land in
-[-N, N].  Both reflections and the translation permute an odometer's
-level cylinders, so one list serves as both windows.  ``level_chain(N)``
-gives the windows of levels 1..N at once, as a homology computation
-reads them: a circle grows one cut list, placing each new cut by
-bisection, and snapshots it.  Each window also has its length state
-(``length_state``), the exact lengths of its cells as integer rows.
+[-t, t] and the reflected rotation (1,1) its window [1-t, t]; a rotation
+by one moves the cuts of [1-t, t] into [-t, t], so the translation
+relations of level t are taken on [1-t, t] and land in [-t, t].  Both
+reflections and the translation permute an odometer's level cylinders,
+so one list serves as both windows.  A circle grows one cut list,
+placing each new cut by bisection, and snapshots it; ``level_windows``
+and ``cells`` build one level's windows alone.  Each window also has its
+length state (``length_state``), the exact lengths of its cells as
+integer rows.
 
 Castles, certificates and the CLI ask every system the same questions:
 ``act`` (the image of a clopen set), ``set_from_json`` (a clopen set
@@ -810,17 +813,16 @@ def cover_indices(target, cells: _LevelCells) -> list:
 
 
 def cover_matrix(coarse: Sequence, fine: _LevelCells) -> list:
-    """Matrix of the refinement: column j sums the fine cells inside coarse j."""
+    """The refinement's sparse columns: column j is 1 on each fine cell
+    inside coarse cell j."""
     index = _indexed(fine)
-    mat = [[0] * len(coarse) for _ in range(len(fine))]
-    for j, c in enumerate(coarse):
-        for i in index.cover(c):
-            mat[i][j] = 1
-    return mat
+    return [dict.fromkeys(index.cover(c), 1) for c in coarse]
 
 
 def pullback_matrix(system, g: GroupElement, src_cells: Sequence, dst_cells: _LevelCells) -> list:
-    """Matrix of f -> f o g from functions on src_cells to functions on dst_cells.
+    """The sparse columns of f -> f o g from functions on src_cells to
+    functions on dst_cells: column j is 1 on each destination cell of the
+    preimage of source cell j.
 
     The indicator of a source cell pulls back to the indicator of its
     preimage, which must be an exact union of destination cells.  The
@@ -830,11 +832,7 @@ def pullback_matrix(system, g: GroupElement, src_cells: Sequence, dst_cells: _Le
     index = _indexed(dst_cells)
     index.require(system)
     g_inv = g.inverse()
-    mat = [[0] * len(src_cells) for _ in range(len(dst_cells))]
-    for j, c in enumerate(src_cells):
-        for i in index.preimage(g_inv, c):
-            mat[i][j] = 1
-    return mat
+    return [dict.fromkeys(index.preimage(g_inv, c), 1) for c in src_cells]
 
 
 def pullback_permutation(system, g: GroupElement, cells: _LevelCells) -> list:

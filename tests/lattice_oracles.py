@@ -14,12 +14,11 @@ from dihedral_dynamics.abgroups import (
     LimitDescriptor,
     Presentation,
     SnfSolver,
-    columns,
-    from_columns,
-    identity_matrix,
     kernel_basis,
     mat_mul,
 )
+
+from dense import columns, dense, from_columns, identity_matrix, sparse
 
 
 def preimage_lattice(mat, lat):
@@ -49,7 +48,7 @@ def subquotient(kernel_of, image_of) -> FGAbGroup:
     coordinates = [solver.solve(v) for v in columns(image_of)]
     if None in coordinates:
         raise AssertionError("vector escaped the kernel lattice")
-    return Presentation.of(len(basis), coordinates).canonical()
+    return Presentation.of(len(basis), sparse(coordinates)).canonical()
 
 
 def relation_preimage(h: AbHom):
@@ -58,20 +57,20 @@ def relation_preimage(h: AbHom):
     no rows then, so its width is read from the source)."""
     if not h.dst.ngens:
         return identity_matrix(h.src.ngens)
-    return preimage_lattice(h.mat(), h.dst.relation_matrix())
+    return preimage_lattice(dense(h.matrix, h.dst.ngens), dense(h.dst.relations, h.dst.ngens))
 
 
 def kernel_group(h: AbHom) -> FGAbGroup:
     """The kernel of h, presented on a basis of the relation preimage."""
     pre = relation_preimage(h)
-    inner = preimage_lattice(pre, h.src.relation_matrix())
-    return Presentation.of(len(columns(pre)), columns(inner)).canonical()
+    inner = preimage_lattice(pre, dense(h.src.relations, h.src.ngens))
+    return Presentation.of(len(columns(pre)), sparse(columns(inner))).canonical()
 
 
 def image_presentation(h: AbHom) -> Presentation:
     """The image subgroup of the destination, presented on the source
     generators (relations = preimages of destination relations)."""
-    return Presentation.of(h.src.ngens, columns(relation_preimage(h)))
+    return Presentation.of(h.src.ngens, sparse(columns(relation_preimage(h))))
 
 
 def image_group(h: AbHom) -> FGAbGroup:
@@ -88,7 +87,7 @@ def image_refined_limit(ds: DirectSystem) -> LimitDescriptor:
         return lim
     im_stages = tuple(image_presentation(h) for h in ds.maps)
     im_homs = tuple(
-        AbHom.of(im_stages[i], im_stages[i + 1], ds.maps[i].mat())
+        AbHom.of(im_stages[i], im_stages[i + 1], ds.maps[i].matrix)
         for i in range(len(im_stages) - 1))
     lim2 = DirectSystem(im_stages, im_homs).limit()
     if lim2.kind == "stabilized":

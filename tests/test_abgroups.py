@@ -16,18 +16,15 @@ from dihedral_dynamics.abgroups import (
     Presentation,
     SnfSolver,
     _SparseSmith,
-    columns,
-    from_columns,
-    identity_matrix,
     kernel_basis,
     lift_identity,
     mat_mul,
-    mat_sub,
-    mat_vec,
     smith_normal_form,
     snf_diagonal,
 )
 
+from dense import (columns, dense, dense_columns, from_columns, identity_matrix, mat_sub,
+                   mat_vec, sparse)
 from lattice_oracles import image_group, kernel_group, preimage_lattice, subquotient
 
 
@@ -455,42 +452,48 @@ def _int_inverse(u):
 
 class TestPresentations:
     def test_canonical(self):
-        p = Presentation.of(2, [(2, 0)])
+        p = Presentation.of(2, sparse([(2, 0)]))
         assert p.canonical() == FGAbGroup(1, (2,))
         assert Presentation.free(3).canonical() == FGAbGroup(3)
-        assert Presentation.of(1, [(1,)]).canonical() == FGAbGroup(0)
+        assert Presentation.of(1, sparse([(1,)])).canonical() == FGAbGroup(0)
 
     def test_hom_validation(self):
-        src = Presentation.of(1, [(2,)])
+        src = Presentation.of(1, sparse([(2,)]))
         dst = Presentation.free(1)
         with pytest.raises(ValueError):
-            AbHom.of(src, dst, [[1]])     # 2*1 = 2 is not a relation in Z
-        AbHom.of(src, Presentation.of(1, [(2,)]), [[1]])
+            AbHom.of(src, dst, sparse([[1]]))     # 2*1 = 2 is not a relation in Z
+        AbHom.of(src, Presentation.of(1, sparse([(2,)])), sparse([[1]]))
+        # a column per source generator, each on the destination's generators
+        for cols in ([], [{0: 1}, {}], [{1: 1}], [{-1: 1}]):
+            with pytest.raises(ValueError, match="wrong shape"):
+                AbHom.of(src, Presentation.of(1, sparse([(2,)])), cols)
+        with pytest.raises(ValueError, match="outside"):
+            Presentation.of(1, [{1: 2}])
 
     def test_kernel_image(self):
         # Z --x2--> Z has trivial kernel and image 2Z (canonically Z)
-        h = AbHom.of(Presentation.free(1), Presentation.free(1), [[2]])
+        h = AbHom.of(Presentation.free(1), Presentation.free(1), sparse([[2]]))
         assert kernel_group(h) == FGAbGroup(0)
         assert image_group(h) == FGAbGroup(1)
         # Z -> Z/4 by 1 -> 2 has kernel 2Z and image Z/2
-        h = AbHom.of(Presentation.free(1), Presentation.of(1, [(4,)]), [[2]])
+        h = AbHom.of(Presentation.free(1), Presentation.of(1, sparse([(4,)])), sparse([[2]]))
         assert image_group(h) == FGAbGroup(0, (2,))
         assert kernel_group(h) == FGAbGroup(1)
 
     def test_into_no_generators(self):
-        # the matrix of a map into the zero group has no rows
-        h = AbHom.of(Presentation.free(2), Presentation.free(0), [])
+        # the matrix of a map into the zero group has no rows: two empty columns
+        h = AbHom.of(Presentation.free(2), Presentation.free(0), sparse([[], []]))
         assert kernel_group(h) == FGAbGroup(2)
         assert image_group(h) == FGAbGroup(0)
         assert not h.is_isomorphism()
 
     def test_equals_hom(self):
-        p = Presentation.of(1, [(5,)])
-        h1 = AbHom.of(p, p, [[1]])
-        h2 = AbHom.of(p, p, [[6]])
+        p = Presentation.of(1, sparse([(5,)]))
+        h1 = AbHom.of(p, p, sparse([[1]]))
+        h2 = AbHom.of(p, p, sparse([[6]]))
         assert equals_hom(h1, h2)
-        assert not equals_hom(h1, AbHom.of(p, p, [[2]]))
-        assert not equals_hom(h1, AbHom.of(p, Presentation.free(1), [[0]]))
+        assert not equals_hom(h1, AbHom.of(p, p, sparse([[2]])))
+        assert not equals_hom(h1, AbHom.of(p, Presentation.free(1), sparse([[0]])))
 
 
 def equals_hom(h, k):
@@ -499,22 +502,23 @@ def equals_hom(h, k):
     (by the solver reference)."""
     if h.src.ngens != k.src.ngens or h.dst != k.dst:
         return False
-    return relation_rule(h.dst, mat_sub(h.mat(), k.mat()))
+    return relation_rule(h.dst, mat_sub(dense(h.matrix, h.dst.ngens), dense(k.matrix, k.dst.ngens)))
 
 
 def relation_rule(dst, diff):
     """The flip rule of the translation telescope, by the solver
     reference: every column of ``diff`` lies in the relations of ``dst``."""
-    return lattice_subset(diff, dst.relation_matrix())
+    return lattice_subset(diff, dense(dst.relations, dst.ngens))
 
 
 def lattice_injective(h):
     """Injectivity from kernel lattices: every x whose image lies in the
     destination relations lies in the source relations."""
+    src_relations = dense(h.src.relations, h.src.ngens)
     if not h.dst.ngens:
-        return lattice_subset(identity_matrix(h.src.ngens), h.src.relation_matrix())
-    pre = preimage_lattice(h.mat(), h.dst.relation_matrix())
-    return lattice_subset(pre, h.src.relation_matrix())
+        return lattice_subset(identity_matrix(h.src.ngens), src_relations)
+    pre = preimage_lattice(dense(h.matrix, h.dst.ngens), dense(h.dst.relations, h.dst.ngens))
+    return lattice_subset(pre, src_relations)
 
 
 HOM_ENTRIES = st.sampled_from([0, 0, 1, -1, 2, -2, 3, 4, 6])
@@ -546,7 +550,8 @@ def presented_homs(draw):
             mat = draw(cols(m, min_size=n, max_size=n))
         dst_rels = draw(cols(n, max_size=3))
     dst_rels += [mat_vec(mat, col) for col in src_rels]
-    return kind, AbHom.of(Presentation.of(m, src_rels), Presentation.of(n, dst_rels), mat)
+    src, dst = Presentation.of(m, sparse(src_rels)), Presentation.of(n, sparse(dst_rels))
+    return kind, AbHom.of(src, dst, sparse(columns(mat, m)))
 
 
 @st.composite
@@ -569,8 +574,8 @@ def hom_differences(draw):
             [0] * m for _ in range(n)]
     elif kind == "valid":
         dst_rels += [mat_vec(diff, col) for col in src_rels]
-    src, dst = Presentation.of(m, src_rels), Presentation.of(n, dst_rels)
-    return kind, AbHom.of(src, dst, mat), diff
+    src, dst = Presentation.of(m, sparse(src_rels)), Presentation.of(n, sparse(dst_rels))
+    return kind, AbHom.of(src, dst, sparse(columns(mat, m))), diff
 
 
 class TestRelationMembershipRule:
@@ -587,9 +592,10 @@ class TestRelationMembershipRule:
         def check(drawn):
             kind, h, diff = drawn
             rule = relation_rule(h.dst, diff)
-            shifted = [[x + y for x, y in zip(r, d)] for r, d in zip(h.mat(), diff)]
+            shifted = [[x + y for x, y in zip(r, d)]
+                       for r, d in zip(dense(h.matrix, h.dst.ngens), diff)]
             try:
-                k = AbHom.of(h.src, h.dst, shifted)
+                k = AbHom.of(h.src, h.dst, sparse(columns(shifted, h.src.ngens)))
             except ValueError:
                 assert not rule and kind == "any"
                 return
@@ -603,9 +609,9 @@ class TestRelationMembershipRule:
 
     def test_examples(self):
         # Z/6 -> Z/6: multiplying by 1 and by 7 agree, by 1 and 3 do not
-        p = Presentation.of(1, [(6,)])
-        assert relation_rule(p, [[6]]) and equals_hom(AbHom.of(p, p, [[1]]),
-                                                      AbHom.of(p, p, [[7]]))
+        p = Presentation.of(1, sparse([(6,)]))
+        assert relation_rule(p, [[6]]) and equals_hom(AbHom.of(p, p, sparse([[1]])),
+                                                      AbHom.of(p, p, sparse([[7]])))
         assert not relation_rule(p, [[2]])
         # into no generators every difference is a relation
         assert relation_rule(Presentation.free(0), [])
@@ -633,7 +639,7 @@ def membership_cases(draw):
             vectors.append([0] * n)
         else:
             vectors.append(draw(st.lists(HOM_ENTRIES, min_size=n, max_size=n)))
-    return Presentation.of(n, rels), vectors
+    return Presentation.of(n, sparse(rels)), vectors
 
 
 @st.composite
@@ -648,7 +654,7 @@ def candidate_homs(draw):
     scale = draw(st.sampled_from([0, 1, 2]))
     if scale:
         dst_rels += [[scale * x for x in mat_vec(mat, col)] for col in src_rels]
-    return Presentation.of(m, src_rels), Presentation.of(n, dst_rels), mat
+    return Presentation.of(m, sparse(src_rels)), Presentation.of(n, sparse(dst_rels)), mat
 
 
 class TestContainsRelations:
@@ -664,8 +670,8 @@ class TestContainsRelations:
         def check(case):
             pres, vectors = case
             expected = lattice_subset(from_columns(vectors, rows=pres.ngens),
-                                      pres.relation_matrix())
-            assert pres.contains_relations(vectors) == expected
+                                      dense(pres.relations, pres.ngens))
+            assert pres.contains_relations(sparse(vectors)) == expected
             verdicts.append(expected)
 
         check()
@@ -678,47 +684,49 @@ class TestContainsRelations:
         @settings(max_examples=300, deadline=None)
         def check(drawn):
             src, dst, mat = drawn
-            images = [mat_vec(mat, col) for col in src.relations]
+            images = [mat_vec(mat, col) for col in dense_columns(src.relations, src.ngens)]
             expected = lattice_subset(from_columns(images, rows=dst.ngens),
-                                      dst.relation_matrix())
-            assert accepts(src, dst, mat) == expected
+                                      dense(dst.relations, dst.ngens))
+            assert accepts(src, dst, sparse(columns(mat, src.ngens))) == expected
             verdicts.append(expected)
 
         check()
         assert True in verdicts and False in verdicts
 
     def test_examples(self):
-        six = Presentation.of(2, [(6, 0), (0, 0)])
-        assert six.contains_relations([[12, 0], [0, 0], [-6, 0]])
-        assert not six.contains_relations([[12, 0], [2, 0]])
-        assert not six.contains_relations([[0, 1]])
+        six = Presentation.of(2, sparse([(6, 0), (0, 0)]))
+        assert six.contains_relations(sparse([[12, 0], [0, 0], [-6, 0]]))
+        assert not six.contains_relations(sparse([[12, 0], [2, 0]]))
+        assert not six.contains_relations(sparse([[0, 1]]))
         # no relations: only zero columns; no columns at all: vacuously
-        assert Presentation.free(2).contains_relations([[0, 0]])
-        assert not Presentation.free(2).contains_relations([[0, 1]])
+        assert Presentation.free(2).contains_relations(sparse([[0, 0]]))
+        assert not Presentation.free(2).contains_relations(sparse([[0, 1]]))
         assert six.contains_relations([])
         # zero generators
-        assert Presentation.free(0).contains_relations([[], []])
+        assert Presentation.free(0).contains_relations(sparse([[], []]))
 
 
 def solved_lift(dst, images):
     """Lift columns w with R_dst * w = image, solved one image at a time
-    (a zero column where none exists), and whether every image solved."""
+    (a zero column where none exists), as dense columns, and whether every
+    image solved."""
     lift_cols, ok = [], True
+    relations = dense(dst.relations, dst.ngens)
     for image in images:
         if not dst.ngens or not any(image):
             w = [0] * len(dst.relations)
         else:
-            w = solve_integer(dst.relation_matrix(), image) if dst.relations else None
+            w = solve_integer(relations, image) if dst.relations else None
         if w is None:
             w, ok = [0] * len(dst.relations), False
         lift_cols.append(w)
-    return [list(row) for row in zip(*lift_cols)] if lift_cols else [
-        [] for _ in dst.relations], ok
+    return lift_cols, ok
 
 
 @st.composite
 def lifted_maps(draw):
-    """Presented groups on 0..4 generators, a matrix M and a lift W.
+    """Presented groups on 0..4 generators, a matrix M and a lift W, both
+    as dense columns.
 
     "lifted" draws add the columns M * r + R0 * c to the drawn destination
     relations R0, one per source relation r, so M is a hom and its lift
@@ -732,24 +740,24 @@ def lifted_maps(draw):
     src_rels = draw(cols(m, max_size=3))
     mat = draw(cols(m, min_size=n, max_size=n))
     dst_rels = draw(cols(n, max_size=3))
-    src, base = Presentation.of(m, src_rels), len(dst_rels)
+    src, base = Presentation.of(m, sparse(src_rels)), len(dst_rels)
     images = [mat_vec(mat, col) for col in src_rels]
     if kind == "lifted":
         combos = draw(cols(base, min_size=len(src_rels), max_size=len(src_rels)))
         for image, c in zip(images, combos):
             dst_rels.append([x + sum(ck * rel[i] for ck, rel in zip(c, dst_rels[:base]))
                              for i, x in enumerate(image)])
-        lift = [[-c[k] for c in combos] for k in range(base)] + [
-            [int(j == k) for j in range(len(src_rels))] for k in range(len(src_rels))]
-    dst = Presentation.of(n, dst_rels)
+        lift = [[-ck for ck in c] + [int(j == k) for k in range(len(src_rels))]
+                for j, c in enumerate(combos)]
+    dst = Presentation.of(n, sparse(dst_rels))
     if kind == "any":
         lift, _ = solved_lift(dst, images)
-    rows = [k for k, rel in enumerate(dst.relations) if any(rel)]
+    rows = [k for k, rel in enumerate(dst.relations) if rel]
     perturbed = bool(rows and src_rels) and draw(st.booleans())
     if perturbed:
         k, j = draw(st.sampled_from(rows)), draw(st.integers(0, len(src_rels) - 1))
-        lift[k][j] += draw(st.sampled_from([-2, -1, 1, 3]))
-    return src, dst, mat, lift, perturbed
+        lift[j][k] += draw(st.sampled_from([-2, -1, 1, 3]))
+    return src, dst, columns(mat, m), lift, perturbed
 
 
 def accepts(src, dst, mat, *lift):
@@ -758,6 +766,17 @@ def accepts(src, dst, mat, *lift):
     except ValueError:
         return False
     return True
+
+
+def dense_lift_identity(mat, src, dst, lift):
+    """M * R == R' * W multiplied out on lists of rows, column by column,
+    for M and W as dense columns; a W of another shape than (#dst
+    relations, #src relations) fails."""
+    if len(lift) != len(src.relations) or any(len(w) != len(dst.relations) for w in lift):
+        return False
+    m_rows, r_rows = from_columns(mat, rows=dst.ngens), dense(dst.relations, dst.ngens)
+    return all(mat_vec(m_rows, rel) == mat_vec(r_rows, w)
+               for rel, w in zip(dense_columns(src.relations, src.ngens), lift))
 
 
 class TestLiftIdentity:
@@ -772,6 +791,7 @@ class TestLiftIdentity:
         @settings(max_examples=400, deadline=None)
         def check(drawn):
             src, dst, mat, lift, perturbed = drawn
+            mat, lift = sparse(mat), sparse(lift)
             if perturbed:
                 assert not accepts(src, dst, mat, lift)
                 assert not lift_identity(mat, src.relations, dst.relations, lift)
@@ -787,23 +807,43 @@ class TestLiftIdentity:
         # a wrong lift of a valid hom is refused, not trusted
         assert True in perturbed_draws
 
+    @given(lifted_maps(), st.sampled_from(["drawn", "outside", "short"]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_identity(self, drawn, change):
+        # the sparse identity against M * R == R' * W multiplied out on
+        # lists of rows, for right and wrong lifts, a lift with a row
+        # outside the destination relations, and a lift short of a column
+        src, dst, mat, lift, _ = drawn
+        if change == "outside":
+            lift = [w + [1] for w in lift]
+        elif change == "short" and lift:
+            lift = lift[:-1]
+        verdict = lift_identity(sparse(mat), src.relations, dst.relations, sparse(lift))
+        assert verdict == dense_lift_identity(mat, src, dst, lift)
+        if change == "outside" and lift:
+            assert not verdict
+
     def test_examples(self):
-        two, four = Presentation.of(1, [(2,)]), Presentation.of(1, [(4,)])
+        two, four = Presentation.of(1, sparse([(2,)])), Presentation.of(1, sparse([(4,)]))
         # Z/2 -> Z/4 by 2: 2 * 2 = 4 * 1
-        assert accepts(two, four, [[2]], [[1]])
-        assert not accepts(two, four, [[2]], [[2]])
+        assert accepts(two, four, sparse([[2]]), sparse([[1]]))
+        assert not accepts(two, four, sparse([[2]]), sparse([[2]]))
         # Z/2 -> Z/4 by 1 is no hom, and no lift makes it one
-        assert not accepts(two, four, [[1]], [[0]])
-        assert not accepts(two, four, [[1]])
-        # a lift of the wrong shape is refused
-        assert not accepts(two, four, [[2]], [[1, 0]])
-        assert not accepts(two, four, [[2]], [])
+        assert not accepts(two, four, sparse([[1]]), sparse([[0]]))
+        assert not accepts(two, four, sparse([[1]]))
+        # a lift of the wrong shape is refused: two columns for one source
+        # relation, none, or a row outside the one destination relation
+        assert not accepts(two, four, sparse([[2]]), sparse([[1], [0]]))
+        assert not accepts(two, four, sparse([[2]]), [])
+        assert not accepts(two, four, sparse([[2]]), sparse([[1, 1]]))
         # into no generators: no rows, and no relations to lift onto
-        assert accepts(Presentation.of(1, [(3,)]), Presentation.free(0), [], [])
+        assert accepts(Presentation.of(1, sparse([(3,)])), Presentation.free(0),
+                       sparse([[]]), sparse([[]]))
         # a zero relation lifts to anything that lands on zero
-        zero = Presentation.of(1, [(0,)])
-        assert accepts(zero, zero, [[5]], [[7]])
-        assert not accepts(zero, four, [[1]], [[1]]) and accepts(zero, four, [[1]], [[0]])
+        zero = Presentation.of(1, sparse([(0,)]))
+        assert accepts(zero, zero, sparse([[5]]), sparse([[7]]))
+        assert not accepts(zero, four, sparse([[1]]), sparse([[1]]))
+        assert accepts(zero, four, sparse([[1]]), sparse([[0]]))
 
 
 class TestIsomorphismRule:
@@ -815,21 +855,23 @@ class TestIsomorphismRule:
         if kind == "iso":
             assert h.is_isomorphism()
 
+    # relations and matrices as dense columns
     @pytest.mark.parametrize("src,dst,mat,iso", [
-        (Presentation.of(1, [(4,)]), Presentation.of(1, [(4,)]), [[3]], True),
-        (Presentation.of(1, [(4,)]), Presentation.of(1, [(4,)]), [[2]], False),
+        ((1, [(4,)]), (1, [(4,)]), [[3]], True),
+        ((1, [(4,)]), (1, [(4,)]), [[2]], False),
         # onto but not one to one
-        (Presentation.of(1, [(4,)]), Presentation.of(1, [(2,)]), [[1]], False),
-        (Presentation.free(1), Presentation.free(1), [[2]], False),
-        (Presentation.free(2), Presentation.of(1, [(0,)]), [[1, 0]], False),
-        (Presentation.of(2, [(0, 1)]), Presentation.free(1), [[1, 0]], True),
-        (Presentation.of(2, [(2, 0), (0, 3)]), Presentation.of(1, [(6,)]), [[3, 2]], True),
-        (Presentation.free(0), Presentation.of(1, [(1,)]), [[]], True),
-        (Presentation.free(2), Presentation.free(0), [], False),
-        (Presentation.of(1, [(1,)]), Presentation.free(0), [], True),
+        ((1, [(4,)]), (1, [(2,)]), [[1]], False),
+        ((1, []), (1, []), [[2]], False),
+        ((2, []), (1, [(0,)]), [[1], [0]], False),
+        ((2, [(0, 1)]), (1, []), [[1], [0]], True),
+        ((2, [(2, 0), (0, 3)]), (1, [(6,)]), [[3], [2]], True),
+        ((0, []), (1, [(1,)]), [], True),
+        ((2, []), (0, []), [[], []], False),
+        ((1, [(1,)]), (0, []), [[]], True),
     ])
     def test_examples(self, src, dst, mat, iso):
-        h = AbHom.of(src, dst, mat)
+        src, dst = (Presentation.of(n, sparse(rels)) for n, rels in (src, dst))
+        h = AbHom.of(src, dst, sparse(mat))
         assert h.is_isomorphism() == iso
         assert lattice_injective(h) == iso or not h.is_surjective()
 
@@ -837,7 +879,7 @@ class TestIsomorphismRule:
 class TestDirectSystems:
     def test_localization(self):
         stages = tuple(Presentation.free(1) for _ in range(4))
-        maps = tuple(AbHom.of(stages[i], stages[i + 1], [[k]])
+        maps = tuple(AbHom.of(stages[i], stages[i + 1], sparse([[k]]))
                      for i, k in enumerate((2, 3, 2)))
         lim = DirectSystem(stages, maps).limit()
         assert lim.kind == "localization"
@@ -847,7 +889,7 @@ class TestDirectSystems:
 
     def test_constant_free(self):
         stages = tuple(Presentation.free(2) for _ in range(3))
-        maps = tuple(AbHom.of(stages[i], stages[i + 1], identity_matrix(2))
+        maps = tuple(AbHom.of(stages[i], stages[i + 1], sparse(identity_matrix(2)))
                      for i in range(2))
         lim = DirectSystem(stages, maps).limit()
         assert lim.kind == "stabilized"
@@ -855,31 +897,31 @@ class TestDirectSystems:
         assert lim.level == 1
 
     def test_constant_torsion(self):
-        p = Presentation.of(1, [(2,)])
+        p = Presentation.of(1, sparse([(2,)]))
         stages = (p, p, p)
-        maps = tuple(AbHom.of(p, p, [[1]]) for _ in range(2))
+        maps = tuple(AbHom.of(p, p, sparse([[1]])) for _ in range(2))
         lim = DirectSystem(stages, maps).limit()
         assert lim.kind == "stabilized" and lim.group == FGAbGroup(0, (2,))
 
     def test_prefix_invariance(self):
         p0 = Presentation.free(1)
         p = Presentation.free(2)
-        first = AbHom.of(p0, p, [[1], [0]])
-        later = AbHom.of(p, p, identity_matrix(2))
+        first = AbHom.of(p0, p, sparse([[1, 0]]))
+        later = AbHom.of(p, p, sparse(identity_matrix(2)))
         full = DirectSystem((p0, p, p, p), (first, later, later))
         dropped = DirectSystem((p, p, p), (later, later))
         assert full.limit().group == dropped.limit().group == FGAbGroup(2)
 
     def test_undetermined(self):
         p = Presentation.free(2)
-        grow = AbHom.of(p, p, [[2, 0], [0, 3]])
+        grow = AbHom.of(p, p, sparse([[2, 0], [0, 3]]))
         lim = DirectSystem((p, p, p), (grow, grow)).limit()
         assert lim.kind == "undetermined"
 
     def test_needs_three_stages(self):
         p = Presentation.free(1)
         with pytest.raises(ValueError):
-            DirectSystem((p, p), (AbHom.of(p, p, [[1]]),)).limit()
+            DirectSystem((p, p), (AbHom.of(p, p, sparse([[1]])),)).limit()
 
 
 class TestFGAbGroup:

@@ -34,12 +34,14 @@ CASES = [
     ("golden", 8, "freeproduct", 0, "a7647f9bce3bb73f", EMPTY),
     ("golden", 8, "both", 0, "6510d4230590c2d0", EMPTY),
     ("golden", 64, "both", 0, "ec60f19bb1c8fd77", EMPTY),
+    ("golden", 128, "comp", 0, "06cd45f29c73969c", EMPTY),
     ("sqrt2", 4, "comp", 0, "76b0f8663bd483d8", EMPTY),
     ("sqrt2", 4, "freeproduct", 0, "bdc80d5fa00e4cd1", EMPTY),
     ("sqrt2", 4, "both", 0, "399c498afd5bb86a", EMPTY),
     ("sqrt2", 8, "comp", 0, "ee278cb9394c0d6b", EMPTY),
     ("sqrt2", 8, "freeproduct", 0, "7d36853d3c805f1f", EMPTY),
     ("sqrt2", 8, "both", 0, "0ea9c078b1c732b2", EMPTY),
+    ("sqrt2", 64, "both", 0, "7388bc83d7d9feff", EMPTY),
     ("sqrt3", 4, "comp", 0, "812800fa42eeeccc", EMPTY),
     ("sqrt3", 4, "freeproduct", 0, "674c954ef4d708c9", EMPTY),
     ("sqrt3", 4, "both", 0, "45ab6b84c4e302d7", EMPTY),

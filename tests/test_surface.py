@@ -22,8 +22,8 @@ ALLOWED = {
                      "layer trace under systems and homology",
     "kernel_basis": "resolved by bench/layertrace.py; leaves with ROADMAP item 1",
     "SnfSolver": "resolved by bench/layertrace.py; leaves with ROADMAP item 1",
-    "free_action_table": "the free case, which waits for free minimal circle systems "
-                         "(ROADMAP item 7)",
+    "snf_diagonal": "dense entry resolved by bench/layertrace.py, whose `_snf_input` reads "
+                    "dense rows; leaves with ROADMAP item 1",
     "bar_homology": "the one-degree bar oracle, which the benchmark's drawn-module "
                     "operation calls per degree",
 }

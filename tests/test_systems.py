@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dihedral_dynamics
+from dihedral_dynamics import systems
 from dihedral_dynamics.exact_circle import Arc, ClopenSet, QuadExt, Theta, frac, qe_cmp
 from dihedral_dynamics.systems import (
     FLIP,
@@ -28,6 +29,7 @@ from dihedral_dynamics.systems import (
     system_from_json,
 )
 
+from dense import columns, dense, sparse
 from test_exact_circle import THETAS as CIRCLE_THETAS
 from test_exact_circle import clopen_sets, is_partition, random_clopen
 
@@ -344,7 +346,7 @@ class TestLevelPartition:
     def test_denjoy_level_one(self, denjoy, golden):
         cells = denjoy.cells(-1, 1)
         assert len(cells) == 3
-        sigma = pullback_matrix(denjoy, FLIP, cells, cells)
+        sigma = dense(pullback_matrix(denjoy, FLIP, cells, cells), 3)
         assert self.is_permutation(sigma)
         fixed = [i for i in range(3) if sigma[i][i]]
         assert len(fixed) == 1
@@ -354,32 +356,33 @@ class TestLevelPartition:
     def test_denjoy_level_zero(self, denjoy):
         cells = denjoy.cells(0, 0)
         assert len(cells) == 1 and cells[0].full
-        assert pullback_matrix(denjoy, FLIP, cells, cells) == [[1]]
+        assert pullback_matrix(denjoy, FLIP, cells, cells) == [{0: 1}]
 
     def test_partition_matrices(self, denjoy):
         cells = denjoy.cells(-2, 2)
-        assert self.is_permutation(pullback_matrix(denjoy, FLIP, cells, cells))
+        assert self.is_permutation(dense(pullback_matrix(denjoy, FLIP, cells, cells), 5))
         finer = denjoy.cells(-3, 3)
         phi = pullback_matrix(denjoy, TRANSLATION, cells, finer)
-        assert len(phi) == len(finer) and len(phi[0]) == len(cells)
-        # each cell's preimage is made of at least one finer cell
-        assert all(any(col) for col in zip(*phi))
+        # one column per cell, each cell's preimage made of at least one finer cell
+        assert len(phi) == len(cells) and all(col for col in phi)
+        assert all(0 <= i < len(finer) for col in phi for i in col)
         shifted = denjoy.cells(-1, 2)
-        assert self.is_permutation(pullback_matrix(denjoy, GroupElement(1, 1), shifted, shifted))
+        assert self.is_permutation(
+            dense(pullback_matrix(denjoy, GroupElement(1, 1), shifted, shifted), 4))
 
         odo = OdometerSystem([4, 8])
         ocells = odo.cells(1)
-        assert pullback_matrix(odo, FLIP, ocells, ocells)[0][0] == 1
-        assert self.is_permutation(pullback_matrix(odo, TRANSLATION, ocells, ocells))
+        assert pullback_matrix(odo, FLIP, ocells, ocells)[0] == {0: 1}
+        assert self.is_permutation(dense(pullback_matrix(odo, TRANSLATION, ocells, ocells), 4))
 
     def test_odometer_level(self):
         odo = OdometerSystem([4, 8])
         cells = odo.cells(1)
         assert len(cells) == 4
-        sigma = pullback_matrix(odo, FLIP, cells, cells)
+        sigma = dense(pullback_matrix(odo, FLIP, cells, cells), 4)
         assert [i for i in range(4) if sigma[i][i]] == [0, 2]
         # translation cycles all cells
-        phi = pullback_matrix(odo, TRANSLATION, cells, cells)
+        phi = dense(pullback_matrix(odo, TRANSLATION, cells, cells), 4)
         seen, i = set(), 0
         for _ in range(4):
             seen.add(i)
@@ -437,6 +440,44 @@ def reference_cover_indices(target, cells):
     return picked
 
 
+def dense_cover_matrix(coarse, fine):
+    """The refinement as the dense list of rows the library built before
+    it built sparse columns, from the cells' index."""
+    mat = [[0] * len(coarse) for _ in range(len(fine))]
+    for j, c in enumerate(coarse):
+        for i in cover_indices(c, fine):
+            mat[i][j] = 1
+    return mat
+
+
+def dense_pullback_matrix(system, g, src_cells, dst_cells):
+    """f -> f o g as the dense list of rows the library built before it
+    built sparse columns, from the destination cells' index."""
+    index = systems._indexed(dst_cells)
+    index.require(system)
+    g_inv = g.inverse()
+    mat = [[0] * len(src_cells) for _ in range(len(dst_cells))]
+    for j, c in enumerate(src_cells):
+        for i in index.preimage(g_inv, c):
+            mat[i][j] = 1
+    return mat
+
+
+def check_cover(coarse, fine):
+    """The sparse refinement columns hold the dense builder's matrix, and
+    that is the set-operation reference's."""
+    rows = dense_cover_matrix(coarse, fine)
+    assert rows == reference_cover_matrix(coarse, fine)
+    assert cover_matrix(coarse, fine) == sparse(columns(rows, len(coarse)))
+
+
+def check_pullback(system, g, src, dst):
+    """As ``check_cover``, for the pullback of g."""
+    rows = dense_pullback_matrix(system, g, src, dst)
+    assert rows == reference_pullback_matrix(system, g, src, dst)
+    assert pullback_matrix(system, g, src, dst) == sparse(columns(rows, len(src)))
+
+
 def reference_cover_matrix(coarse, fine):
     mat = [[0] * len(coarse) for _ in range(len(fine))]
     for j, c in enumerate(coarse):
@@ -478,8 +519,8 @@ def check_window(system, g, lo, hi, grow):
     plo, phi = preimage_window(g, lo, hi)
     src = system.cells(lo, hi)
     dst = system.cells(min(lo, plo) - grow, max(hi, phi) + grow)
-    assert pullback_matrix(system, g, src, dst) == reference_pullback_matrix(system, g, src, dst)
-    assert cover_matrix(src, dst) == reference_cover_matrix(src, dst)
+    check_pullback(system, g, src, dst)
+    check_cover(src, dst)
 
 
 class TestLevelMatrixOracle:
@@ -495,15 +536,12 @@ class TestLevelMatrixOracle:
                 for lo, hi in ((-level, level), (1 - level, level)):
                     check_window(system, g, lo, hi, grow=level % 2)
             # the matrices the homology levels use
-            assert pullback_matrix(system, FLIP, sym, sym) == \
-                reference_pullback_matrix(system, FLIP, sym, sym)
-            assert pullback_matrix(system, GroupElement(1, 1), shifted, shifted) == \
-                reference_pullback_matrix(system, GroupElement(1, 1), shifted, shifted)
-            assert pullback_matrix(system, TRANSLATION, sym, finer) == \
-                reference_pullback_matrix(system, TRANSLATION, sym, finer)
+            check_pullback(system, FLIP, sym, sym)
+            check_pullback(system, GroupElement(1, 1), shifted, shifted)
+            check_pullback(system, TRANSLATION, sym, finer)
             for coarse, fine in ((sym, finer), (shifted, sym),
                                  (shifted, system.cells(-level, level + 1))):
-                assert cover_matrix(coarse, fine) == reference_cover_matrix(coarse, fine)
+                check_cover(coarse, fine)
 
     @pytest.mark.parametrize("base", [2, 3])
     def test_odometer_levels(self, base):
@@ -511,11 +549,9 @@ class TestLevelMatrixOracle:
         for level in range(1, 5):
             cells = odo.cells(level)
             for g in ELEMENTS + [GroupElement(-5, 1), GroupElement(7, 0)]:
-                assert pullback_matrix(odo, g, cells, cells) == \
-                    reference_pullback_matrix(odo, g, cells, cells)
+                check_pullback(odo, g, cells, cells)
             refined = [refine(odo, c, level, level + 1) for c in cells]
-            fine = odo.cells(level + 1)
-            assert cover_matrix(refined, fine) == reference_cover_matrix(refined, fine)
+            check_cover(refined, odo.cells(level + 1))
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(THETAS)), lo=st.integers(-12, 6),
@@ -527,7 +563,7 @@ class TestLevelMatrixOracle:
     def test_permutations_match_matrices(self, denjoy):
         # column j of the pullback matrix is the unit vector of perm[j]
         def as_matrix(perm):
-            return [[int(i == p) for p in perm] for i in range(len(perm))]
+            return [{p: 1} for p in perm]
 
         for level in range(1, 7):
             for g, cells in zip((FLIP, GroupElement(1, 1)), denjoy.level_windows(level)):
@@ -599,7 +635,7 @@ class TestCrossLevelCover:
             coarse, fine = odo.cells(t), odo.cells(t + k)
             refined = [refine(odo, c, t, t + k) for c in coarse]
             want = [[int(f.residues <= r.residues) for r in refined] for f in fine]
-            assert cover_matrix(coarse, fine) == want
+            assert cover_matrix(coarse, fine) == sparse(columns(want, len(coarse)))
             assert want == reference_cover_matrix(refined, fine)
 
     def test_modulus_must_divide(self):
