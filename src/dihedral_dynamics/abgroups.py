@@ -476,10 +476,6 @@ class FGAbGroup:
         return cls(int(data["rank"]), tuple(int(d) for d in data.get("torsion", ())))
 
     @classmethod
-    def free(cls, rank: int) -> "FGAbGroup":
-        return cls(rank, ())
-
-    @classmethod
     def elementary_two(cls, k: int) -> "FGAbGroup":
         return cls(0, (2,) * k)
 
@@ -512,10 +508,6 @@ class Presentation:
         if any(not 0 <= i < ngens for col in cols for i in col):
             raise ValueError("relation column has an entry outside the ngens generators")
         return cls(ngens, cols)
-
-    @classmethod
-    def free(cls, ngens: int) -> "Presentation":
-        return cls(ngens, ())
 
     def canonical(self) -> FGAbGroup:
         return self._canonical

@@ -347,10 +347,6 @@ class Arc:
         if self.left.n == self.right.n:
             raise ValueError("arc must be nonempty and proper (left != right)")
 
-    @property
-    def theta(self) -> Theta:
-        return self.left.theta
-
     def length(self) -> QuadExt:
         diff = self.right.value - self.left.value
         return diff if diff.sign() > 0 else diff.shift(1)
@@ -454,11 +450,6 @@ class ClopenSet:
 
     def complement(self) -> "ClopenSet":
         return self._combine(ClopenSet.empty(self.theta), lambda a, _: not a)
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
-    __xor__ = symmetric_difference
 
     def measure(self) -> QuadExt:
         """Total arc length, an exact element of Q + Q*theta."""

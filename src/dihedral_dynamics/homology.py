@@ -176,9 +176,6 @@ class InvolutionModule:
         return tuple(tuple(s if p == i else 0 for p, s in zip(self.perm, self.signs))
                      for i in range(len(self.perm)))
 
-    def mat(self) -> Matrix:
-        return [list(r) for r in self.matrix]
-
     @cached_property
     def orbits(self) -> Tuple[List[int], List[int], List[int]]:
         """The orbit of each cell, then the least cell of each 2-cycle and

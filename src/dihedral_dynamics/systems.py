@@ -46,10 +46,10 @@ by one moves the cuts of [1-t, t] into [-t, t], so the translation
 relations of level t are taken on [1-t, t] and land in [-t, t].  Both
 reflections and the translation permute an odometer's level cylinders,
 so one list serves as both windows.  A circle grows one cut list,
-placing each new cut by bisection, and snapshots it; ``level_windows``
-and ``cells`` build one level's windows alone.  Each window also has its
-length state (``length_state``), the exact lengths of its cells as
-integer rows.
+placing each new cut by bisection, and snapshots it; ``cells`` builds
+the window of any cut range alone.  Each window also has its length
+state (``length_state``), the exact lengths of its cells as integer
+rows.
 
 Castles, certificates and the CLI ask every system the same questions:
 ``act`` (the image of a clopen set), ``set_from_json`` (a clopen set
@@ -159,17 +159,14 @@ class FixedPointSet:
 class ThreadCount:
     """Fixed-point count of an odometer element across levels.
 
-    ``count`` is the number of level-compatible fixed threads surviving
-    backward pruning from the computation horizon; ``stabilized_at`` is
-    the first level from which that count is constant on the pruned
-    range.
+    ``count`` is the number of fixed threads that reach the computation
+    horizon, read at the level below it; ``stabilized_at`` is the first
+    level from which that count is constant up to there.
     """
 
     element: GroupElement
     count: int
     stabilized_at: int
-    horizon: int
-    per_level: tuple
 
 
 #: The ceiling on levels: a circle's --max-level and a geometric odometer's
@@ -289,9 +286,6 @@ class DenjoyFlipSystem:
 
     # -- level structure ----------------------------------------------
 
-    def cut_window(self, lo: int, hi: int) -> list:
-        return sorted(CutPoint.of(self.theta, n) for n in range(lo, hi + 1))
-
     def cells(self, lo: int, hi: int) -> "_CircleCells":
         """The cells of the cut window [lo, hi]: the arcs between
         consecutive cuts n*theta, lo <= n <= hi, in the order of their
@@ -300,26 +294,21 @@ class DenjoyFlipSystem:
         A single cut yields one cell: the whole circle opened at that
         cut, represented by the full-circle set.
         """
-        return _CircleCells(self.theta, self.cut_window(lo, hi))
-
-    def level_windows(self, level: int) -> tuple:
-        """The cells of level N for the flip and for the reflected rotation:
-        the windows [-N, N], which the flip permutes, and [1-N, N], which
-        (1,1) permutes, since no finite window is invariant under both
-        involutions.
-
-        The second window is also the relation window of the first: the
-        rotation by one moves its cuts into the first window.
-        """
-        return self.cells(-level, level), self.cells(1 - level, level)
+        theta = self.theta
+        return _CircleCells(theta, sorted(CutPoint.of(theta, n) for n in range(lo, hi + 1)))
 
     def level_chain(self, top: int) -> list:
-        """``[level_windows(t) for t in 1..top]``, from one growing cut list.
+        """The cells of each level t = 1..top for the flip and for the
+        reflected rotation: the windows [-t, t], which the flip permutes,
+        and [1-t, t], which (1,1) permutes, since no finite window is
+        invariant under both involutions.  The second window is also the
+        relation window of the first: the rotation by one moves its cuts
+        into the first window.
 
         Window [1-t, t] is window [1-t, t-1] plus the cut t, and window
-        [-t, t] is that plus the cut -t, so each cut is placed once, by
-        bisection in the exact cut order, and each window is a snapshot
-        of the list.
+        [-t, t] is that plus the cut -t, so the windows are snapshots of
+        one growing cut list, each cut placed once by bisection in the
+        exact cut order.
         """
         theta = self.theta
         cuts = [CutPoint.of(theta, 0)]
@@ -565,12 +554,10 @@ class OdometerSystem:
         return frozenset((x0 + t * half) % n for t in range(g2))
 
     def stable_fixed_count(self, g: GroupElement, max_level: int) -> ThreadCount:
-        """Count inverse-limit fixed points of g by thread pruning.
-
-        Level-wise fixed sets are chained by the reduction maps; threads
-        that cannot be extended to the horizon are pruned away, and the
-        count must be constant on the pruned range to be reported.
-        """
+        """Count inverse-limit fixed points of g by the fixed threads that
+        reach the horizon ``max_level`` (see :class:`ThreadCount`); a
+        count that settles only at the level below the horizon, above
+        level 1, raises ``NonStabilizationError``."""
         if g.is_identity():
             raise ValueError("count is only defined for non-identity elements")
         if max_level < 2:
@@ -581,38 +568,25 @@ class OdometerSystem:
             # A translation fixes every cylinder of a level or none.  If it
             # fixes the top level, it fixes every level below, and each
             # residue is the reduction of a top one; if not, no thread
-            # survives pruning.
+            # reaches the top.
             top_fixed = g.n % self.modulus(max_level) == 0
             counts = [self.modulus(level) if top_fixed else 0
-                      for level in range(1, max_level + 1)]
+                      for level in range(1, max_level)]
         else:
-            forward = []
-            for level in range(1, max_level + 1):
-                fixed = self.level_fixed_set(g, level)
-                if forward:
-                    prev = forward[-1]
-                    n_prev = self.modulus(level - 1)
-                    fixed = frozenset(x for x in fixed if (x % n_prev) in prev)
-                forward.append(fixed)
-            pruned = list(forward)
-            for level in range(max_level - 1, 0, -1):
-                n_here = self.modulus(level)
-                reachable = {y % n_here for y in pruned[level]}
-                pruned[level - 1] = frozenset(x for x in pruned[level - 1] if x in reachable)
-            counts = [len(s) for s in pruned]
-        usable = counts[:-1]
-        final = usable[-1]
-        stabilized_at = len(usable)
-        while stabilized_at > 1 and usable[stabilized_at - 2] == final:
+            # A residue with 2x = g.n mod n_{k+1} reduces to one with
+            # 2x = g.n mod n_k, so each of the (at most two) fixed residues
+            # at the horizon ends a thread, and no other thread reaches it.
+            top = self.level_fixed_set(g, max_level)
+            counts = [len({y % self.modulus(level) for y in top})
+                      for level in range(1, max_level)]
+        final = counts[-1]
+        stabilized_at = len(counts)
+        while stabilized_at > 1 and counts[stabilized_at - 2] == final:
             stabilized_at -= 1
-        if any(c != final for c in usable[stabilized_at - 1:]):
-            raise NonStabilizationError(
-                f"thread count for {g} still changing at level {max_level}", max_level)
-        if stabilized_at == len(usable) and len(usable) > 1:
+        if stabilized_at == len(counts) > 1:
             raise NonStabilizationError(
                 f"thread count for {g} settled only at the horizon", max_level)
-        return ThreadCount(element=g, count=final, stabilized_at=stabilized_at,
-                           horizon=max_level, per_level=tuple(counts))
+        return ThreadCount(element=g, count=final, stabilized_at=stabilized_at)
 
     def fixed_point_report(self, g: GroupElement, max_level: Optional[int]) -> dict:
         """The stable thread count of g and the level it settles at,
@@ -653,16 +627,12 @@ class OdometerSystem:
         """The cylinders of level ``level``, cell r being residue r."""
         return _CylinderCells(self.modulus(level))
 
-    def level_windows(self, level: int) -> tuple:
-        """The cells of level N for the flip and for the reflected rotation:
-        one list of cylinders, which both permute, and which is its own
-        relation window, since the translation permutes it too."""
-        cells = self.cells(level)
-        return cells, cells
-
     def level_chain(self, top: int) -> list:
-        """``[level_windows(t) for t in 1..top]``."""
-        return [self.level_windows(t) for t in range(1, top + 1)]
+        """The cells of each level t = 1..top for the flip and for the
+        reflected rotation: one list of cylinders, which both permute,
+        and which is its own relation window, since the translation
+        permutes it too."""
+        return [(cells, cells) for cells in map(self.cells, range(1, top + 1))]
 
     def depth(self, max_level: int, cell_cap: Optional[int] = None) -> int:
         """The deepest level up to ``max_level`` within the chain and, if
@@ -690,9 +660,9 @@ class OdometerSystem:
 
 class _LevelCells(tuple):
     """The cells of one level in their order, with the index the level
-    matrices read.  Only ``DenjoyFlipSystem.cells`` and
-    ``OdometerSystem.cells`` build them; a slice or any list of cells
-    carries no index and is refused as cells."""
+    matrices read.  Only the systems' ``cells`` and ``level_chain``
+    build them; a slice or any list of cells carries no index and is
+    refused as cells."""
 
 
 class _CircleCells(_LevelCells):

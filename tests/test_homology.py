@@ -97,8 +97,8 @@ def psi_check(module):
     if not is_permutation(module):
         raise ValueError("psi_check requires a permutation involution")
     ident = identity_matrix(module.ncells)
-    plus = mat_add(module.mat(), ident)
-    minus = mat_sub(module.mat(), ident)
+    plus = mat_add(module.matrix, ident)
+    minus = mat_sub(module.matrix, ident)
     # injectivity: kernel of (A + I) inside the coinvariant relations
     for v in kernel_basis(plus):
         if solve_integer(minus, v) is None:
@@ -201,7 +201,7 @@ def smith_route(module):
     """(odd, even, coinvariants) of a module by the kernel/image formulas
     on its matrix: subquotient(A -+ I, A +- I) and coker(A - I)."""
     ident = identity_matrix(module.ncells)
-    minus, plus = mat_sub(module.mat(), ident), mat_add(module.mat(), ident)
+    minus, plus = mat_sub(module.matrix, ident), mat_add(module.matrix, ident)
     return (subquotient(minus, plus), subquotient(plus, minus),
             Presentation.of(module.ncells, sparse(columns(minus))).canonical())
 
@@ -293,7 +293,7 @@ class TestInvolutionFormulas:
             perm = random_involutive_permutation(rng, rng.randint(0, 8))
             module = InvolutionModule.from_permutation(perm)
             assert is_permutation(module)
-            assert InvolutionModule.of(module.mat()) == module
+            assert InvolutionModule.of(module.matrix) == module
         assert InvolutionModule.of([[-1]]).signs == (-1,)
         assert InvolutionModule.of([[-1]]).matrix == ((-1,),)
 
@@ -516,7 +516,7 @@ class TestTelescope:
         system = DenjoyFlipSystem(theta)
         tele = h0_translation_telescope(system, 8)
         top = tele.stages[-1]
-        cells = system.level_windows(len(tele.stages))[0]
+        cells = system.level_chain(len(tele.stages))[-1][0]
         gens = []
         for arc in (ClopenSet.arc(theta, 0, 1), ClopenSet.arc(theta, 1, 0)):
             ix = cover_indices(arc, cells)
@@ -569,7 +569,7 @@ class TestTelescope:
         tele = h0_translation_telescope(denjoy, 8)
         connecting = connecting_maps(denjoy, tele)
         for idx in (5, 6):
-            cells = denjoy.level_windows(idx + 1)[0]
+            cells = denjoy.level_chain(idx + 1)[-1][0]
             incl = dense(connecting[idx].matrix, tele.stages[idx + 1].ngens)
             flip = dense(pullback_matrix(denjoy, FLIP, cells, cells), len(cells))
             plus = mat_add(incl, mat_mul(incl, flip))
@@ -589,7 +589,7 @@ class TestTelescope:
         # rule for incl (the doubled inclusion against the inclusion)
         # agrees as well, with the other outcome
         tele = h0_translation_telescope(system, level)
-        cells = [system.level_windows(t)[0] for t in range(1, len(tele.stages) + 1)]
+        cells = [fine for fine, _ in system.level_chain(len(tele.stages))]
         flip_rules, double_rules = [], []
         for i, conn in enumerate(connecting_maps(system, tele)):
             stage = tele.stages[i + 1]
@@ -619,7 +619,7 @@ class TestTelescope:
         # cylinders keeps their measures, so the localization is made here
         # by a stand-in limit of the circle's multipliers.
         level = 8
-        size = len(denjoy.level_windows(range(1, level + 1)[bent])[0])
+        size = len(denjoy.level_chain(level)[bent][0])
         permutation = homology.pullback_permutation
 
         def bent_flip(system, g, cells):
@@ -739,7 +739,7 @@ class TestTelescope:
         # The lagged route's image retry needs three maps, so four levels.
         system = DenjoyFlipSystem(theta)
         tele = h0_translation_telescope(system, top)
-        cells = [system.level_windows(t)[0] for t in range(1, top + 1)]
+        cells = [fine for fine, _ in system.level_chain(top)]
         states = [measured_state(c) for c in cells]
         for stage, state, c in zip(tele.stages, states, cells):
             assert not any(map(any, mat_mul(state, dense(stage.relations, stage.ngens))))
@@ -813,7 +813,8 @@ def lagged_telescope_limit(system, top):
     translation permutes), limited with the image retry, since on circles
     every connecting map kills a Z."""
     lag = 0 if isinstance(system, OdometerSystem) else 1
-    windows = [system.level_windows(t)[0] for t in range(1 - lag, top + 1)]
+    windows = [system.cells(0, 0)] if lag else []
+    windows += [fine for fine, _ in system.level_chain(top)]
     cells = windows[lag:]
     stages = tuple(
         Presentation.of(len(c), sparse(columns(mat_sub(
@@ -880,7 +881,7 @@ class TestLevelIndexes:
 
 class TestFreeProduct:
     def test_denjoy_fragment_level_eight(self, denjoy):
-        fine_cells, coarse_cells = denjoy.level_windows(8)
+        fine_cells, coarse_cells = denjoy.level_chain(8)[-1]
         msig, mphisig = dense_modules(denjoy, fine_cells, coarse_cells)
         assert odd_homology(msig) == Z2
         assert odd_homology(mphisig) == FGAbGroup(0, (2, 2))
@@ -921,7 +922,7 @@ REAL_SYSTEMS = pytest.mark.parametrize("system,level", [
 
 def level_modules(system, level):
     """The flip and reflected-flip permutation modules of one level."""
-    fine, coarse = system.level_windows(level)
+    fine, coarse = system.level_chain(level)[-1]
     return (InvolutionModule.from_permutation(pullback_permutation(system, FLIP, fine)),
             InvolutionModule.from_permutation(
                 pullback_permutation(system, GroupElement(1, 1), coarse)))
@@ -935,7 +936,7 @@ def elementary_two_presentation(n):
 def fragment_at(system, level):
     """The free-product fragment of one level, its two modules and its
     two windows."""
-    fine, coarse = system.level_windows(level)
+    fine, coarse = system.level_chain(level)[-1]
     modules = level_modules(system, level)
     return free_product_fragment(*modules, cover_matrix(coarse, fine)), modules, fine, coarse
 
@@ -1146,7 +1147,7 @@ def lattice_fragment_flags(msigma, mphisigma, inclusion):
     with the image of the paired map in both directions."""
     n_fine, n_coarse = msigma.ncells, mphisigma.ncells
     inclusion = dense(inclusion, n_fine)
-    a_minus = [mat_sub(m.mat(), identity_matrix(m.ncells)) for m in (msigma, mphisigma)]
+    a_minus = [mat_sub(m.matrix, identity_matrix(m.ncells)) for m in (msigma, mphisigma)]
     middle = Presentation.of(
         n_fine + n_coarse, sparse(
             [col + [0] * n_coarse for col in columns(a_minus[0])]
@@ -1154,7 +1155,7 @@ def lattice_fragment_flags(msigma, mphisigma, inclusion):
     paired = [list(row) for row in inclusion] + [
         [-x for x in row] for row in identity_matrix(n_coarse)]
     paired_injective = kernel_group(
-        AbHom.of(Presentation.free(n_coarse), middle, sparse(columns(paired)))).is_trivial()
+        AbHom.of(Presentation(n_coarse, ()), middle, sparse(columns(paired)))).is_trivial()
     h0_relations = from_columns(
         columns(a_minus[0]) + columns(mat_mul(inclusion, a_minus[1])), rows=n_fine)
     summed = [e + list(row) for e, row in zip(identity_matrix(n_fine), inclusion)]
@@ -1210,7 +1211,7 @@ class TestFragmentFlags:
         maps = (AbHom.of(p, p, sparse(columns([[1, 0], [0, 3]]))),
                 AbHom.of(p, p, sparse(columns([[1, 0], [2, 1]]))))
         assert DirectSystem((p, p, p), maps).limit().level == 1
-        fine, coarse = denjoy.level_windows(6)
+        fine, coarse = denjoy.level_chain(6)[-1]
         frag = free_product_fragment(*dense_modules(denjoy, fine, coarse),
                                      cover_matrix(coarse, fine))
         assert frag.paired_injective and frag.middle_exact
@@ -1228,7 +1229,7 @@ class TestFragmentFlags:
             rels[k] = {i: -x for i, x in rels[k].items()}
             return Presentation.of(pres.ngens, rels)
 
-        fine, coarse = denjoy.level_windows(6)
+        fine, coarse = denjoy.level_chain(6)[-1]
         modules = (*dense_modules(denjoy, fine, coarse), cover_matrix(coarse, fine))
         assert free_product_fragment(*modules).middle_exact
         monkeypatch.setattr(homology, "_orbit_coinvariants", negated_first)
@@ -1247,7 +1248,7 @@ class TestFragmentFlags:
             return Presentation.of(pres.ngens + 1, pres.relations)
 
         monkeypatch.setattr(homology, "_orbit_coinvariants", extra_generator)
-        fine, coarse = denjoy.level_windows(6)
+        fine, coarse = denjoy.level_chain(6)[-1]
         frag = free_product_fragment(*level_modules(denjoy, 6), cover_matrix(coarse, fine))
         assert frag.paired_injective
         assert not frag.middle_exact
@@ -1263,7 +1264,7 @@ def dense_modules(system, fine, coarse):
 def total_coinvariants(msigma, mphisigma, inclusion):
     """Reference H_0 on all fine cells: the fine module modulo f - f o sigma
     and the included g - g o phisigma, for the inclusion's sparse columns."""
-    minus = [mat_sub(m.mat(), identity_matrix(m.ncells)) for m in (msigma, mphisigma)]
+    minus = [mat_sub(m.matrix, identity_matrix(m.ncells)) for m in (msigma, mphisigma)]
     inclusion = dense(inclusion, msigma.ncells)
     return Presentation.of(msigma.ncells, sparse(
         columns(minus[0]) + columns(mat_mul(inclusion, minus[1]))))
@@ -1287,7 +1288,7 @@ def full_cell_limits(system, levels):
     by the block diagonal of the two window inclusions, and per
     reflection the limit of ker(A - I) / im(A + I) on kernel bases,
     lifted by its inclusion."""
-    windows = [system.level_windows(t) for t in levels]
+    windows = [system.level_chain(t)[-1] for t in levels]
     flips = [(dense(pullback_matrix(system, FLIP, fine, fine), len(fine)),
               dense(pullback_matrix(system, GroupElement(1, 1), coarse, coarse), len(coarse)))
              for fine, coarse in windows]
@@ -1328,7 +1329,7 @@ def block_diagonal_h1(system, max_level):
     """Reference H_1 of the free-product assembly: the odd homologies of
     the block-diagonal modules that carry both reflections at once, along
     the block-diagonal inclusions, in one limit."""
-    windows = [system.level_windows(t) for t in range(2, max_level + 1)]
+    windows = system.level_chain(max_level)[1:]
     stages, bases = [], []
     for fine, coarse in windows:
         a = block_diag(dense(pullback_matrix(system, FLIP, fine, fine), len(fine)),
@@ -1370,8 +1371,8 @@ class TestOrbitRoute:
         msigma, mphisigma, inclusion = random_fragment_input(rng)
         frag = free_product_fragment(msigma, mphisigma, inclusion)
         assert frag.h0 == total_coinvariants(msigma, mphisigma, inclusion).canonical()
-        odd = [subquotient(mat_sub(m.mat(), identity_matrix(m.ncells)),
-                           mat_add(m.mat(), identity_matrix(m.ncells)))
+        odd = [subquotient(mat_sub(m.matrix, identity_matrix(m.ncells)),
+                           mat_add(m.matrix, identity_matrix(m.ncells)))
                for m in (msigma, mphisigma)]
         assert [odd_homology(m) for m in (msigma, mphisigma)] == odd
         assert frag.h1 == odd[0].direct_sum(odd[1])
@@ -1470,7 +1471,7 @@ def eager_limit(ds):
     return LimitDescriptor(kind="undetermined", level=len(ds.stages))
 
 
-SHAPES = [Presentation.free(1), Presentation.of(1, sparse([(4,)])), Presentation.free(2),
+SHAPES = [Presentation(1, ()), Presentation.of(1, sparse([(4,)])), Presentation(2, ()),
           Presentation.of(2, sparse([(0, 2)]))]
 
 
@@ -1480,7 +1481,7 @@ def direct_systems(draw):
     non-isomorphisms, or Z -> Z multipliers."""
     length = draw(st.integers(3, 6))
     if draw(st.booleans()):
-        stages = (Presentation.free(1),) * length
+        stages = (Presentation(1, ()),) * length
         mats = [[[draw(st.sampled_from([1, -1, 1, 2, 3, 0]))]] for _ in range(length - 1)]
     else:
         stages = tuple(draw(st.sampled_from(SHAPES)) for _ in range(length))
@@ -1502,7 +1503,7 @@ def direct_systems(draw):
 
 
 def _z_system(multipliers):
-    z = Presentation.free(1)
+    z = Presentation(1, ())
     return DirectSystem((z,) * (len(multipliers) + 1),
                         tuple(AbHom.of(z, z, sparse([[m]])) for m in multipliers))
 
@@ -1569,7 +1570,7 @@ def transfer_report(system, max_level):
     cell to twice its own."""
     tele = h0_translation_telescope(system, max_level)
     level = len(tele.stages)
-    cells, coarse = system.level_windows(level)
+    cells, coarse = system.level_chain(level)[-1]
     msig, mphisig = _reflection_modules(system, cells, coarse)
     h0_gamma = free_product_fragment(msig, mphisig, cover_matrix(coarse, cells)).h0_presentation
     label = msig.orbits[0]
@@ -1605,11 +1606,11 @@ class TestTransfer:
     def test_synthetic_free_case(self):
         # the order-2 class (1,-1) in Z^2 modulo (2,-2)
         middle = Presentation.of(2, sparse([(2, -2)]))
-        witness = AbHom.of(Presentation.free(1), middle, sparse(columns([[1], [-1]])))
+        witness = AbHom.of(Presentation(1, ()), middle, sparse(columns([[1], [-1]])))
         assert image_group(witness) == Z2
         assert middle.contains_relations(sparse([[2, -2]]))
         assert not middle.contains_relations(sparse([[1, -1]]))
-        tr = AbHom.of(middle, Presentation.free(1), sparse(columns([[1, 1]])))
+        tr = AbHom.of(middle, Presentation(1, ()), sparse(columns([[1, 1]])))
         report = transfer_kernel(tr, FGAbGroup(1))
         assert report.kernel == Z2
         assert not report.injective

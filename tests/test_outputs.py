@@ -105,6 +105,12 @@ COMMANDS = [
      0, "4fef4c8f513669ec", EMPTY),
     (["fixed-points", "--system", "{golden}", "--elements", f"[[{10 ** 18},1]]"],
      0, "29eb0caf783a48d1", EMPTY),
+    (["fixed-points", "--system", "{2^i-6}"], 0, "7d65af21f207767c", EMPTY),
+    (["fixed-points", "--system", "{3^i-4}"], 0, "8b9be525a18f220f", EMPTY),
+    # a reflection whose thread count settles only at the horizon
+    (["fixed-points", "--system", "{mixed}", "--max-level", "4"], 3, EMPTY, "fda5b43be4fe53f8"),
+    (["fixed-points", "--system", "{mixed}", "--elements",
+      "[[0,1],[1,1],[2,1],[3,1],[6,0],[120,0]]"], 3, EMPTY, "dd7b8fd993460065"),
     (["castle", "--system", "{golden}"], 0, "18f53f85a3968d2a", EMPTY),
     (["castle", "--system", "{sqrt2}"], 0, "51459bf16970cf88", EMPTY),
     (["castle", "--system", "{doubled}"], 0, "f301528cc8f057db", EMPTY),
@@ -120,6 +126,8 @@ COMMANDS = [
 @pytest.mark.parametrize("argv,code,out,err", COMMANDS,
                          ids=["oracle-229620266", "oracle-0", "oracle-7", "oracle-0-100",
                               "oracle-1-deep", "fixed-points-1e18",
+                              "fixed-points-2^i-6", "fixed-points-3^i-4",
+                              "fixed-points-mixed-L4", "fixed-points-mixed-elements",
                               "castle-golden", "castle-sqrt2", "castle-doubled",
                               "certify-golden-1/10", "certify-golden-1/25", "certify-golden-1/100",
                               "certify-sqrt2-1/10", "certify-doubled-1/10", "certify-3^i-4-1/10"])

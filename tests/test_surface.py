@@ -4,7 +4,9 @@ A name in a module's ``__all__``, or a public top-level function or
 class, must be referenced somewhere in ``src/`` outside its own
 definition.  Imports and ``__all__`` entries are not references, so a
 name that only the package re-exports, or only the tests call, fails
-here unless ``ALLOWED`` names it with a reason.
+here unless ``ALLOWED`` names it with a reason.  The same holds for the
+public methods and properties of public classes, with ``ALLOWED_METHODS``
+as their list of exceptions.
 """
 
 import ast
@@ -26,6 +28,21 @@ ALLOWED = {
                     "dense rows; leaves with ROADMAP item 1",
     "bar_homology": "the one-degree bar oracle, which the benchmark's drawn-module "
                     "operation calls per degree",
+}
+
+#: Public methods and properties kept without a library caller, each with
+#: its reason.
+ALLOWED_METHODS = {
+    "SnfSolver.solve": "the solver's query, on a class resolved by bench/layertrace.py; "
+                       "the tests' reference oracles call it",
+    "ClopenSet.arc": "the single-arc constructor of the acceptance tests",
+    "ClopenSet.contains_value": "point membership, read by the acceptance tests",
+    "OdometerSystem.fixed_fraction": "the fixed fraction of a level, read by the "
+                                     "acceptance tests",
+    "Castle.return_times": "the towers' return times, read by the acceptance tests",
+    "ClopenSet.symmetric_difference": "a set operation that bench/layertrace.py wraps",
+    "ClopenSet.complement": "a set operation that bench/layertrace.py wraps",
+    "DoubledClopen.union": "the union of the tests' witness oracle",
 }
 
 
@@ -75,6 +92,28 @@ def unreferenced_names():
     return sorted(missing)
 
 
+def _public_methods(tree):
+    """{"Class.method": definition node} of the public methods and
+    properties of a module's public classes."""
+    return {f"{cls.name}.{node.name}": node
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def unreferenced_methods():
+    """Sorted "Class.method" names of public methods and properties with
+    no reference by name in the library outside their own definition."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    missing = []
+    for tree in trees:
+        for qualified, node in _public_methods(tree).items():
+            if not any(node.name in _referenced_names(t, {id(node)}) for t in trees):
+                missing.append(qualified)
+    return sorted(missing)
+
+
 def test_every_public_name_has_a_library_caller():
     missing = [(m, name) for m, name in unreferenced_names() if name not in ALLOWED]
     assert not missing, f"public names without a caller in src/: {missing}"
@@ -83,3 +122,13 @@ def test_every_public_name_has_a_library_caller():
 def test_allow_list_is_current():
     # a name that gained a caller, or left the library, leaves the list
     assert sorted(ALLOWED) == sorted(name for _, name in unreferenced_names())
+
+
+def test_every_public_method_has_a_library_caller():
+    missing = [name for name in unreferenced_methods() if name not in ALLOWED_METHODS]
+    assert not missing, f"public methods without a caller in src/: {missing}"
+
+
+def test_method_allow_list_is_current():
+    # a method that gained a caller, or left the library, leaves the list
+    assert sorted(ALLOWED_METHODS) == unreferenced_methods()

@@ -6,11 +6,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dihedral_dynamics
 from dihedral_dynamics import systems
+from dihedral_dynamics.errors import NonStabilizationError
 from dihedral_dynamics.exact_circle import Arc, ClopenSet, QuadExt, Theta, frac, qe_cmp
 from dihedral_dynamics.systems import (
     FLIP,
@@ -218,6 +219,9 @@ class TestOdometer:
             ([3 ** i for i in range(1, 7)], GroupElement(1, 1), 3, 3),
             ([2 * 3 ** i for i in range(1, 7)], FLIP, 3, 3),
             ([12 * 2 ** i for i in range(7)], FLIP, 3, 3),
+            # the flip fixes 0 and 1 mod 2, but only 0 is the reduction of
+            # one it fixes mod 4 (0 or 2): one thread
+            ([2, 4], FLIP, 1, 1),
             # translations: every cylinder of a level or none
             ([2, 4], GroupElement(4, 0), 1, 1),
             ([10, 100], GroupElement(-300, 0), 1, 1),
@@ -228,6 +232,17 @@ class TestOdometer:
             odo = OdometerSystem(chain)
             tc = odo.stable_fixed_count(g, depth + extra)
             assert tc.count == brute(chain, g, depth, extra), (chain, g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(factors=st.lists(st.sampled_from([2, 3, 4, 5]), min_size=2, max_size=6),
+           n=st.integers(-40, 40), s=st.integers(0, 1), data=st.data())
+    def test_thread_count_matches_explicit_threads(self, factors, n, s, data):
+        chain = list(itertools.accumulate(factors, lambda a, b: a * b))
+        horizon = data.draw(st.integers(2, len(chain)))
+        g = GroupElement(n, s)
+        assume(not g.is_identity())
+        assert thread_count_outcome(OdometerSystem(chain), g, horizon) == \
+            explicit_thread_outcome(chain, g, horizon)
 
     def test_translation_element_counts(self, odometer3):
         # (k, 0) fixes everything at levels dividing k, nothing after
@@ -282,6 +297,43 @@ class TestOdometer:
             g = GroupElement(rng.randint(-9, 9), rng.randint(0, 1))
             h = GroupElement(rng.randint(-9, 9), rng.randint(0, 1))
             assert odometer3.act(g * h, s) == odometer3.act(g, odometer3.act(h, s))
+
+
+def thread_count_outcome(odo, g, horizon):
+    """``(count, stabilized_at)`` of ``stable_fixed_count``, or the type,
+    message and level of the ``NonStabilizationError`` it raises."""
+    try:
+        tc = odo.stable_fixed_count(g, horizon)
+    except NonStabilizationError as exc:
+        return type(exc), str(exc), exc.level
+    return tc.count, tc.stabilized_at
+
+
+def explicit_thread_outcome(chain, g, horizon):
+    """The thread count by enumerating the threads (x_1, ..., x_N) up to
+    the horizon N: x_k is fixed by g mod n_k and reduces to x_{k-1}.
+
+    The count at level k is the number of distinct prefixes (x_1, ...,
+    x_k).  The reported count is the one at level N - 1, and it settles
+    at the first level from which the count is constant through N - 1;
+    a count that settles only at N - 1, above level 1, is refused.
+    """
+    sign = -1 if g.s else 1
+    threads = [()]
+    for k in range(horizon):
+        m = chain[k]
+        fixed = [x for x in range(m) if (g.n + sign * x) % m == x]
+        threads = [t + (x,) for t in threads for x in fixed
+                   if not t or x % chain[k - 1] == t[-1]]
+    counts = [len({t[:k] for t in threads}) for k in range(1, horizon)]
+    final = counts[-1]
+    settled = len(counts)
+    while settled > 1 and counts[settled - 2] == final:
+        settled -= 1
+    if settled == len(counts) > 1:
+        return (NonStabilizationError,
+                f"thread count for {g} settled only at the horizon", horizon)
+    return final, settled
 
 
 def top_freeness_check(chain, max_level, search=4):
@@ -530,7 +582,7 @@ class TestLevelMatrixOracle:
     def test_circle_windows(self, name):
         system = DenjoyFlipSystem(THETAS[name])
         for level in range(1, 9):
-            sym, shifted = system.level_windows(level)
+            sym, shifted = system.level_chain(level)[-1]
             finer = system.cells(-level - 1, level + 1)
             for g in ELEMENTS:
                 for lo, hi in ((-level, level), (1 - level, level)):
@@ -566,7 +618,7 @@ class TestLevelMatrixOracle:
             return [{p: 1} for p in perm]
 
         for level in range(1, 7):
-            for g, cells in zip((FLIP, GroupElement(1, 1)), denjoy.level_windows(level)):
+            for g, cells in zip((FLIP, GroupElement(1, 1)), denjoy.level_chain(level)[-1]):
                 assert as_matrix(pullback_permutation(denjoy, g, cells)) == \
                     pullback_matrix(denjoy, g, cells, cells)
             with pytest.raises(ValueError):
@@ -591,7 +643,7 @@ class TestLevelMatrixOracle:
         with pytest.raises(ValueError):
             cover_matrix(cells[:1], cells[:2] + cells[3:])
         # a chained list winding twice around the circle
-        cuts = denjoy.cut_window(-2, 2)
+        cuts = denjoy.cells(-2, 2).cuts
         order = [0, 2, 4, 1, 3]
         twice = [ClopenSet(golden, (Arc(cuts[a], cuts[b]),))
                  for a, b in zip(order, order[1:] + order[:1])]
@@ -648,7 +700,7 @@ class TestCrossLevelCover:
 
 class TestLevelWindows:
     def test_circle(self, denjoy):
-        sym, shifted = denjoy.level_windows(3)
+        sym, shifted = denjoy.level_chain(3)[-1]
         assert sym == denjoy.cells(-3, 3) and shifted == denjoy.cells(-2, 3)
         # the second window is the relation window: its translate is a
         # union of first-window cells
@@ -673,7 +725,7 @@ class TestLevelWindows:
             denjoy.depth(129)
 
     def test_odometer(self, odometer3):
-        sym, shifted = odometer3.level_windows(3)
+        sym, shifted = odometer3.level_chain(3)[-1]
         assert sym is shifted and sym == odometer3.cells(3)
         assert sorted(pullback_permutation(odometer3, TRANSLATION, sym)) == list(range(27))
         assert odometer3.depth(16) == 7
