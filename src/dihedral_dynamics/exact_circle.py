@@ -11,21 +11,35 @@ Cantor set.  Its clopen subsets are exactly the finite unions of
 half-open arcs [s+, t+) with cut-point endpoints, and :class:`ClopenSet`
 realises that Boolean algebra in a unique normal form.
 
+Each :class:`Theta` builds each of its cut points once: ``CutPoint.of``
+returns the one cut of index n that the theta's table holds, built on
+first use.  Building a cut takes one exact floor, its integer key
+floor((m + n*theta) * 2^64), which also proves it canonical (the key
+lies in [0, 2^64) exactly when m + n*theta lies in [0, 1)).  Cuts are
+ordered by key, and two cuts with equal keys by the exact sign of their
+difference, so the order stays exact while almost every comparison is
+one of integers.  ``sort_by_cut`` sorts by key in C and re-sorts only
+the runs of equal keys exactly.
+
 Every question about clopen sets that depends on the gaps between cuts
 (the normal form of an arc list, the Boolean operations, whether a
 family partitions the circle) is answered by one sweep, ``_sweep``: the
 distinct arc ends are sorted once in the exact order of
 :class:`CutPoint`, and each gap's covering depth is a prefix sum of
 +1 at left ends and -1 at right ends.  A set of n arcs therefore costs
-O(n log n) exact comparisons, not one per arc and cut.
+one sort of at most 2n integer keys, not one exact comparison per arc
+and cut.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import groupby
 from math import gcd, isqrt
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -37,6 +51,7 @@ __all__ = [
     "ClopenSet",
     "qe_cmp",
     "frac",
+    "sort_by_cut",
     "sweep_partition",
 ]
 
@@ -98,6 +113,9 @@ class Theta:
     d must be squarefree and not a perfect square, and q nonzero, so the
     value is irrational and the representation is faithful.  d must also
     be below 2^63, which keeps the squarefree check under 2^21 steps.
+
+    Each theta keeps the table of its cut points, filled by
+    :meth:`CutPoint.of`; the table takes no part in equality.
     """
 
     p: int
@@ -125,6 +143,7 @@ class Theta:
             raise ValueError("theta must be less than 1")
         if not _is_squarefree(self.d):
             raise ValueError("d must be squarefree")
+        object.__setattr__(self, "_cuts", {})
 
     def sign_of(self, a: Fraction, b: Fraction) -> int:
         """Exact sign of a + b*theta."""
@@ -272,37 +291,58 @@ def _theta_term(b: int) -> str:
     return "theta" if b == 1 else f"{b}*theta"
 
 
+#: Bits of a cut's order key floor((m + n*theta) * 2^_KEY_BITS).
+_KEY_BITS = 64
+
+
 @dataclass(frozen=True)
 class CutPoint:
     """The cut point of value m + n*theta, reduced into [0, 1).
 
     For each integer n there is exactly one integer m putting the value
-    in [0, 1), so cut points are canonically indexed by n alone.
+    in [0, 1), so cut points are canonically indexed by n alone, and
+    :meth:`of` returns the one cut of index n that its theta holds.
+    ``key`` is floor((m + n*theta) * 2^64): cuts with different keys are
+    ordered by key, and only cuts with equal keys by exact signs.
     """
 
     n: int
     m: int
     theta: Theta
+    key: int = field(init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, theta: Theta, n: int) -> "CutPoint":
-        m = -theta.floor_scaled(0, n, 1)
-        return cls(n=n, m=m, theta=theta)
+        """The cut of index n from the table of ``theta``, built on first use."""
+        cut = theta._cuts.get(n)
+        if cut is None:
+            # floor(n*theta * 2^b) = floor(n*theta) * 2^b + key, and the
+            # canonical m is -floor(n*theta)
+            scaled = theta.floor_scaled(0, n << _KEY_BITS, 1)
+            cut = object.__new__(cls)
+            for name, value in (("n", n), ("m", -(scaled >> _KEY_BITS)), ("theta", theta),
+                                ("key", scaled & ((1 << _KEY_BITS) - 1))):
+                object.__setattr__(cut, name, value)
+            theta._cuts[n] = cut
+        return cut
 
     def __post_init__(self) -> None:
-        # canonical iff 0 <= m + n*theta < 1: two integer sign checks
-        t = self.theta
-        if _int_sign(self.m * t.r + self.n * t.p, self.n * t.q, t.d) < 0 or \
-                _int_sign((self.m - 1) * t.r + self.n * t.p, self.n * t.q, t.d) >= 0:
-            raise ValueError(f"non-canonical cut point (m={self.m}, n={self.n})")
+        object.__setattr__(self, "key", _table_cut(self.theta, self.n, self.m).key)
 
     @property
     def value(self) -> QuadExt:
         return QuadExt(Fraction(self.m), Fraction(self.n), self.theta)
 
+    def above_half(self) -> bool:
+        """Whether the value exceeds 1/2: no cut value equals 1/2, so
+        this holds exactly when the key is at least 2^(_KEY_BITS - 1)."""
+        return self.key >> (_KEY_BITS - 1) == 1
+
     def _cmp(self, other: "CutPoint") -> int:
-        if self.theta != other.theta:
+        if self.theta is not other.theta and self.theta != other.theta:
             raise ValueError("cut points over different theta values")
+        if self.key != other.key:
+            return -1 if self.key < other.key else 1
         if self.n == other.n:
             return 0
         return _int_sign(
@@ -317,16 +357,44 @@ class CutPoint:
     def negate(self) -> "CutPoint":
         return CutPoint.of(self.theta, -self.n)
 
-    def shift(self, k: int) -> "CutPoint":
-        return CutPoint.of(self.theta, self.n + k)
-
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n}
 
     @classmethod
     def from_json(cls, theta: Theta, data: dict) -> "CutPoint":
-        return cls(n=json_int(data["n"], "cut field 'n'"), m=json_int(data["m"], "cut field 'm'"),
-                   theta=theta)
+        return _table_cut(theta, json_int(data["n"], "cut field 'n'"),
+                          json_int(data["m"], "cut field 'm'"))
+
+
+def _table_cut(theta: Theta, n: int, m: int) -> CutPoint:
+    """The table's cut of index n, which must have the given m."""
+    cut = CutPoint.of(theta, n)
+    if cut.m != m:
+        raise ValueError(f"non-canonical cut point (m={m}, n={n})")
+    return cut
+
+
+def sort_by_cut(items: Iterable, cut: str = "") -> list:
+    """``items`` in the exact order of their cuts: the items themselves,
+    or the cut at attribute ``cut`` of each item (``"left"`` for arcs).
+
+    One sort by integer key runs in C; only a run of equal keys, whose
+    cuts lie within 2^-64 of each other, is sorted again by exact
+    comparison.  Items with equal cuts keep their order.
+    """
+    by_key = attrgetter(f"{cut}.key" if cut else "key")
+    out = sorted(items, key=by_key)
+    keys = list(map(by_key, out))
+    if len(set(keys)) < len(keys):
+        cut_of = attrgetter(cut) if cut else (lambda x: x)
+        exact = cmp_to_key(lambda x, y: cut_of(x)._cmp(cut_of(y)))
+        i = 0
+        for _, run in groupby(keys):
+            j = i + sum(1 for _ in run)
+            if j - i > 1:
+                out[i:j] = sorted(out[i:j], key=exact)
+            i = j
+    return out
 
 
 @dataclass(frozen=True)
@@ -342,7 +410,7 @@ class Arc:
     right: CutPoint
 
     def __post_init__(self) -> None:
-        if self.left.theta != self.right.theta:
+        if self.left.theta is not self.right.theta and self.left.theta != self.right.theta:
             raise ValueError("arc endpoints over different theta values")
         if self.left.n == self.right.n:
             raise ValueError("arc must be nonempty and proper (left != right)")
@@ -485,8 +553,8 @@ def _sweep(families: Sequence[Iterable[Arc]], start: Sequence[int]) -> Iterator[
     family that cover it.  Every arc adds 1 at its left cut and takes it
     away at its right cut; an arc that wraps past 0 also covers the gap
     before the first cut, where the sweep starts.  The cuts are sorted
-    once, and one more comparison per arc tells whether it wraps, so n
-    arcs cost O(n log n) exact comparisons.
+    once by :func:`sort_by_cut`, and one more comparison per arc tells
+    whether it wraps, so n arcs cost one sort of at most 2n integer keys.
     """
     depth = list(start)
     cuts, deltas = {}, [{} for _ in families]
@@ -498,7 +566,7 @@ def _sweep(families: Sequence[Iterable[Arc]], start: Sequence[int]) -> Iterator[
             delta[a.left.n] = delta.get(a.left.n, 0) + 1
             delta[a.right.n] = delta.get(a.right.n, 0) - 1
             depth[k] += a.right < a.left
-    for c in sorted(cuts.values()):
+    for c in sort_by_cut(cuts.values()):
         depth = [d + delta.get(c.n, 0) for d, delta in zip(depth, deltas)]
         yield c, depth
 

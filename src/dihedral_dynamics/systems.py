@@ -19,7 +19,10 @@ Level cells and their matrices rest on one invariant.  The cells of a
 circle level are the gaps between consecutive cuts of one window
 {n*theta : lo <= n <= hi}, sorted once in the exact order of
 :class:`CutPoint`, and the group acts on cut indices: (k, s) sends cut n
-to (-1)^s n + k, and a flip swaps the two ends of an arc.  So the image
+to (-1)^s n + k, and a flip swaps the two ends of an arc.  Every cut
+comes from its theta's table, which builds each cut once with its
+integer key, so acting and building windows look cuts up and order
+them by key, settling equal keys by exact signs.  So the image
 of an arc between cuts is again such an arc, it is a union of cells
 exactly when both its ends are cells' left cuts, and it then holds the
 cyclic run of cells between them.  An odometer level's cells are the
@@ -60,7 +63,8 @@ in its own terms:
 
 * the cut circle writes a set as arcs between cuts, checks pieces by one
   sorted sweep over their ends, reports exact fixed points, and has the
-  flip-invariant windows [1-u, u) around 1/2 (``invariant_window``);
+  flip-invariant windows [1-u, u) around 1/2 (``invariant_window``,
+  which reads "above 1/2" off each cut's key);
 * the doubled system writes a set as one arc set per copy, sweeps each
   copy once, reports no fixed points (its action is free), and has the
   flip-invariant windows [0, u) on both copies;
@@ -83,7 +87,7 @@ from typing import Optional, Sequence
 
 from .errors import NonStabilizationError
 from .exact_circle import (Arc, ClopenSet, CutPoint, QuadExt, Theta, format_point, json_int,
-                           sweep_partition)
+                           sort_by_cut, sweep_partition)
 
 __all__ = [
     "GroupElement",
@@ -203,31 +207,22 @@ class DenjoyFlipSystem:
     def __hash__(self) -> int:
         return hash((self.kind, self.theta))
 
-    def full(self) -> ClopenSet:
-        return ClopenSet.full_circle(self.theta)
-
-    def empty(self) -> ClopenSet:
-        return ClopenSet.empty(self.theta)
-
     def act(self, g: GroupElement, s: ClopenSet) -> ClopenSet:
         """Exact image of a clopen set under (n,s): x -> (-1)^s x + n*theta.
 
         The flip sends [l+, r+) to [(-r)+, (-l)+) because it swaps the
-        two copies of every cut point.
+        two copies of every cut point.  The image cuts come from the
+        theta's cut table, and the image arcs are put back in order by
+        the keys of their left cuts.
         """
         if s.full or s.is_empty():
             return s
-        arcs = []
-        for a in s.arcs:
-            if g.s:
-                left = a.right.negate().shift(g.n)
-                right = a.left.negate().shift(g.n)
-            else:
-                left = a.left.shift(g.n)
-                right = a.right.shift(g.n)
-            arcs.append(Arc(left, right))
-        arcs.sort(key=lambda a: a.left)
-        return ClopenSet(self.theta, tuple(arcs))
+        theta, k, of = self.theta, g.n, CutPoint.of
+        if g.s:
+            arcs = [Arc(of(theta, k - a.right.n), of(theta, k - a.left.n)) for a in s.arcs]
+        else:
+            arcs = [Arc(of(theta, a.left.n + k), of(theta, a.right.n + k)) for a in s.arcs]
+        return ClopenSet(theta, tuple(sort_by_cut(arcs, "left")))
 
     def fixed_points(self, g: GroupElement) -> FixedPointSet:
         """Solve (-1)^s x + n*theta = x on the cut circle.
@@ -279,9 +274,8 @@ class DenjoyFlipSystem:
         1 - theta lies above 1/2, so every window has such a cut.
         """
         theta = self.theta
-        half = Fraction(1, 2)
         cuts = (CutPoint.of(theta, n) for n in range(-window, window + 1))
-        u = min(c for c in cuts if theta.sign_of(c.value.a - half, c.value.b) > 0)
+        u = min(c for c in cuts if c.above_half())
         return ClopenSet(theta, (Arc(u.negate(), u),))
 
     # -- level structure ----------------------------------------------
@@ -295,7 +289,7 @@ class DenjoyFlipSystem:
         cut, represented by the full-circle set.
         """
         theta = self.theta
-        return _CircleCells(theta, sorted(CutPoint.of(theta, n) for n in range(lo, hi + 1)))
+        return _CircleCells(theta, sort_by_cut(CutPoint.of(theta, n) for n in range(lo, hi + 1)))
 
     def level_chain(self, top: int) -> list:
         """The cells of each level t = 1..top for the flip and for the
@@ -402,12 +396,6 @@ class DoubledSystem:
 
     def __hash__(self) -> int:
         return hash((self.kind, self.theta))
-
-    def full(self) -> DoubledClopen:
-        return DoubledClopen(self.base.full(), self.base.full())
-
-    def empty(self) -> DoubledClopen:
-        return DoubledClopen(self.base.empty(), self.base.empty())
 
     def act(self, g: GroupElement, s: DoubledClopen) -> DoubledClopen:
         a, b = (s.comp1, s.comp0) if g.s else (s.comp0, s.comp1)
@@ -521,13 +509,6 @@ class OdometerSystem:
         if not (1 <= level <= len(self.chain)):
             raise ValueError(f"level must be in 1..{len(self.chain)}")
         return self.chain[level - 1]
-
-    def full(self, level: int) -> LevelSet:
-        n = self.modulus(level)
-        return LevelSet(n, frozenset(range(n)))
-
-    def empty(self, level: int) -> LevelSet:
-        return LevelSet(self.modulus(level), frozenset())
 
     def act(self, g: GroupElement, s: LevelSet) -> LevelSet:
         sign = -1 if g.s else 1

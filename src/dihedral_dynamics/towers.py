@@ -243,7 +243,7 @@ def odometer_castle(system, n: int, j: int) -> Castle:
 
 
 #: Window doublings tried before a circle certificate gives up.
-_SHRINK_BUDGET = 24
+_SHRINK_BUDGET = 16
 
 
 def almost_finite_certificate(system, test_set: Sequence[GroupElement],

@@ -1,6 +1,7 @@
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
 import time
@@ -353,6 +354,33 @@ class TestCertifyCommand:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert "10^4" in json.loads(proc.stderr)["error"]
+
+    def test_tiny_theta_ends_quickly(self, capsys, tmp_path):
+        # theta = sqrt(2)/10^6: every invariant window up to 2^15 is the arc
+        # [theta, 1 - theta), too wide for 55 disjoint translates, so the
+        # search exhausts its window budget (exit 2) within a second; with
+        # windows up to 2^23 it ran for minutes and held millions of cuts
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"type": "denjoy_flip",
+                                    "theta": {"p": 0, "q": 1, "d": 2, "r": 10 ** 6}}))
+
+        def overrun(signum, frame):
+            raise TimeoutError("certify ran past its 10 s alarm")
+
+        previous = signal.signal(signal.SIGALRM, overrun)
+        signal.alarm(10)
+        try:
+            start = time.monotonic()
+            code = main(["certify", "--system", str(path), "--eps", "1/10"])
+            seconds = time.monotonic() - start
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        captured = capsys.readouterr()
+        assert seconds < 5
+        assert code == 2
+        assert captured.out == ""
+        assert "window 2^16" in json.loads(captured.err)["error"]
 
     def test_castle_level_ceiling(self, tmp_path):
         # level 3 is invariant enough and the castle is seen at level 4,

@@ -2,24 +2,30 @@ import json
 import random
 import time
 from fractions import Fraction
+from functools import cmp_to_key
 from math import isqrt, log2
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dihedral_dynamics import exact_circle
 from dihedral_dynamics.exact_circle import (
     Arc,
     ClopenSet,
     CutPoint,
     QuadExt,
     Theta,
+    _int_sign,
     _is_squarefree,
+    _sweep,
     format_point,
     frac,
     qe_cmp,
+    sort_by_cut,
     sweep_partition,
 )
+from dihedral_dynamics.systems import DenjoyFlipSystem, GroupElement
 
 
 def is_partition(sets):
@@ -178,6 +184,150 @@ class TestCutPoint:
     def test_json_round_trip(self, golden):
         c = CutPoint.of(golden, -7)
         assert CutPoint.from_json(golden, json.loads(json.dumps(c.to_json()))) == c
+
+    def test_one_cut_per_index(self):
+        theta = Theta(p=-1, q=1, d=5, r=2)
+        c = CutPoint.of(theta, 12)
+        assert CutPoint.of(theta, 12) is c
+        assert CutPoint.from_json(theta, c.to_json()) is c
+        # the table takes no part in equality: a theta with a filled table
+        # equals a fresh one, and their cuts are equal
+        fresh = Theta(p=-1, q=1, d=5, r=2)
+        assert fresh == theta and hash(fresh) == hash(theta)
+        assert CutPoint.of(fresh, 12) == c
+        assert CutPoint(n=12, m=c.m, theta=theta).key == c.key
+
+    @pytest.mark.parametrize("dm", [-1, 1, 7])
+    def test_json_with_wrong_m_is_refused(self, golden, dm):
+        c = CutPoint.of(golden, 9)
+        with pytest.raises(ValueError, match="non-canonical cut point"):
+            CutPoint.from_json(golden, {"m": c.m + dm, "n": 9})
+        arc = {"left": {"m": c.m + dm, "n": 9}, "right": CutPoint.of(golden, 2).to_json()}
+        with pytest.raises(ValueError, match="non-canonical cut point"):
+            ClopenSet.from_json(golden, {"arcs": [arc]})
+        # the refused cut leaves the table's cut as it was
+        assert CutPoint.of(golden, 9) is c
+
+
+# golden, sqrt2 - 1, sqrt2/10^6 (tiny), 1 - sqrt2/10^6 (near 1), sqrt3/10^9
+THETA_FIELDS = [(-1, 1, 5, 2), (-1, 1, 2, 1), (0, 1, 2, 10 ** 6), (10 ** 6, -1, 2, 10 ** 6),
+                (0, 1, 3, 10 ** 9)]
+# a fresh theta per draw, so that every example fills its own cut table
+FRESH_THETAS = st.sampled_from(THETA_FIELDS).map(lambda f: Theta(*f))
+INDICES = st.lists(st.integers(-400, 400) | st.integers(-10 ** 12, 10 ** 12),
+                   min_size=1, max_size=30, unique=True)
+
+
+def reference_cmp(x, y):
+    """Exact order of two cuts by the sign of their difference alone."""
+    t = x.theta
+    return _int_sign((x.m - y.m) * t.r + (x.n - y.n) * t.p, (x.n - y.n) * t.q, t.d)
+
+
+def reference_sorted(cuts):
+    return sorted(cuts, key=cmp_to_key(reference_cmp))
+
+
+def reference_normal_form(cuts, pairs):
+    """(full, [(left n, right n), ...]) of the union of the arcs between
+    the given cut indices, from the reference order of their ends."""
+    ends = reference_sorted({cuts[n] for pair in pairs for n in pair})
+    pos = {c.n: i for i, c in enumerate(ends)}
+    t = len(ends)
+    inside = [False] * t
+    for left, right in pairs:
+        i = pos[left]
+        while i != pos[right]:
+            inside[i] = True
+            i = (i + 1) % t
+    if ends and all(inside):
+        return True, []
+    arcs = []
+    for i in range(t):
+        if inside[i] and not inside[i - 1]:
+            j = (i + 1) % t
+            while inside[j]:
+                j = (j + 1) % t
+            arcs.append((ends[i].n, ends[j].n))
+    return False, arcs
+
+
+def check_exact_order(theta, indices, pairs, shift):
+    """Every route that orders cuts gives the reference order."""
+    bits = exact_circle._KEY_BITS
+    cuts = {n: CutPoint.of(theta, n) for n in indices}
+    for c in cuts.values():
+        # canonical, and key = floor((m + n*theta) * 2^bits), by exact signs
+        assert _int_sign(c.m * theta.r + c.n * theta.p, c.n * theta.q, theta.d) >= 0
+        assert _int_sign((c.m - 1) * theta.r + c.n * theta.p, c.n * theta.q, theta.d) < 0
+        scaled = (c.m << bits) * theta.r + (c.n << bits) * theta.p
+        assert _int_sign(scaled - c.key * theta.r, (c.n << bits) * theta.q, theta.d) >= 0
+        assert _int_sign(scaled - (c.key + 1) * theta.r, (c.n << bits) * theta.q, theta.d) < 0
+    want = reference_sorted(cuts.values())
+    shuffled = list(cuts.values())
+    random.Random(len(indices)).shuffle(shuffled)
+    assert sort_by_cut(shuffled) == want
+    assert sorted(shuffled) == want
+    assert sort_by_cut([Arc(c, cuts[indices[0]]) for c in shuffled if c.n != indices[0]],
+                       "left") == [Arc(c, cuts[indices[0]]) for c in want if c.n != indices[0]]
+
+    arcs = [Arc(cuts[a], cuts[b]) for a, b in pairs]
+    swept = [c for c, _ in _sweep((arcs,), (0,))]
+    assert swept == reference_sorted({c for a in arcs for c in (a.left, a.right)})
+    full, normal = reference_normal_form(cuts, pairs)
+    s = ClopenSet.from_arcs(theta, arcs)
+    assert s.full == full
+    assert [(a.left.n, a.right.n) for a in s.arcs] == normal
+    # the image under a translation is put back in order by its left cuts
+    moved = DenjoyFlipSystem(theta).act(GroupElement(shift, 0), s)
+    assert [a.left for a in moved.arcs] == reference_sorted(a.left for a in moved.arcs)
+
+
+@st.composite
+def order_cases(draw):
+    theta = draw(FRESH_THETAS)
+    indices = draw(INDICES)
+    pairs = draw(st.lists(st.tuples(st.sampled_from(indices), st.sampled_from(indices))
+                          .filter(lambda p: p[0] != p[1]), max_size=8)) if len(indices) > 1 else []
+    return theta, indices, pairs, draw(st.integers(-50, 50))
+
+
+class TestIntegerKeyOrder:
+    """Cuts ordered by integer key, equal keys settled exactly, give the
+    exact order of the cut values."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=order_cases())
+    def test_key_order_is_exact(self, case):
+        check_exact_order(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=order_cases())
+    def test_equal_keys_settled_exactly(self, case):
+        # 4-bit keys: many cuts share a key, so the exact re-sort of each
+        # run of equal keys decides their order
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(exact_circle, "_KEY_BITS", 4)
+            check_exact_order(*case)
+
+    def test_four_bit_keys_tie(self):
+        # cuts n*theta for n = 1..20 on theta = sqrt2/10^6 all lie below
+        # 1/16, so at 4 bits they share key 0 and only exact signs order them
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(exact_circle, "_KEY_BITS", 4)
+            theta = Theta(p=0, q=1, d=2, r=10 ** 6)
+            cuts = [CutPoint.of(theta, n) for n in range(20, 0, -1)]
+            assert {c.key for c in cuts} == {0}
+            assert [c.n for c in sort_by_cut(cuts)] == list(range(1, 21))
+            assert [c.n for c in sort_by_cut(cuts)] == [c.n for c in reference_sorted(cuts)]
+
+    def test_above_half(self):
+        for fields in THETA_FIELDS:
+            theta = Theta(*fields)
+            for n in range(-60, 61):
+                c = CutPoint.of(theta, n)
+                half = theta.sign_of(c.value.a - Fraction(1, 2), c.value.b) > 0
+                assert c.above_half() == half
 
 
 def random_clopen(theta, rng, max_arcs=10):

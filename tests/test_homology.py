@@ -138,7 +138,9 @@ def verify_complementary_witness(system, witness, g):
     if not overlap.is_empty():
         raise WitnessError(f"witness overlaps its {g} image", leftover=overlap)
     union = witness.union(image)
-    full = system.full()
+    full = ClopenSet.full_circle(system.theta)
+    if isinstance(system, systems.DoubledSystem):
+        full = systems.DoubledClopen(full, full)
     if union != full:
         raise WitnessError(f"witness and its {g} image do not cover",
                            leftover=full.difference(union))
@@ -1600,7 +1602,7 @@ class TestTransfer:
     def test_witness_accepted_for_doubled(self, doubled, golden):
         from dihedral_dynamics.systems import DoubledClopen
 
-        k = DoubledClopen(doubled.base.full(), doubled.base.empty())
+        k = DoubledClopen(ClopenSet.full_circle(golden), ClopenSet.empty(golden))
         assert verify_complementary_witness(doubled, k, FLIP)
 
     def test_synthetic_free_case(self):

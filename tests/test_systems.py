@@ -648,7 +648,7 @@ class TestLevelMatrixOracle:
         twice = [ClopenSet(golden, (Arc(cuts[a], cuts[b]),))
                  for a, b in zip(order, order[1:] + order[:1])]
         with pytest.raises(ValueError):
-            cover_matrix([denjoy.full()], twice)
+            cover_matrix([ClopenSet.full_circle(golden)], twice)
         # odometer targets at another level, and foreign systems
         odo = OdometerSystem([3, 9])
         with pytest.raises(ValueError):

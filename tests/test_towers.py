@@ -84,7 +84,7 @@ class TestFirstReturnCastle:
             assert owners[0].return_time == lam
 
     def test_full_circle_base(self, denjoy):
-        castle = first_return_castle(denjoy, denjoy.full())
+        castle = first_return_castle(denjoy, ClopenSet.full_circle(GOLDEN))
         assert castle.return_times() == (1,)
         assert castle.towers[0].base.full
         assert castle.verify().all_ok()
@@ -95,7 +95,7 @@ class TestFirstReturnCastle:
 
     def test_requires_nonempty(self, denjoy):
         with pytest.raises(ValueError):
-            first_return_castle(denjoy, denjoy.empty())
+            first_return_castle(denjoy, ClopenSet.empty(GOLDEN))
 
     def test_other_theta(self, sqrt2_theta):
         system = DenjoyFlipSystem(sqrt2_theta)
@@ -256,7 +256,7 @@ class TestPartitionSweep:
     def test_circle_families(self, sets):
         system = DenjoyFlipSystem(GOLDEN)
         flags = system.partition_flags(sets)
-        assert flags == reference_partition_flags(system.full(), sets)
+        assert flags == reference_partition_flags(ClopenSet.full_circle(GOLDEN), sets)
         assert flags == pointwise_partition_flags(sets)
 
     @settings(max_examples=150, deadline=None)
@@ -264,7 +264,7 @@ class TestPartitionSweep:
     def test_circle_near_partitions(self, sets):
         system = DenjoyFlipSystem(GOLDEN)
         flags = system.partition_flags(sets)
-        assert flags == reference_partition_flags(system.full(), sets)
+        assert flags == reference_partition_flags(ClopenSet.full_circle(GOLDEN), sets)
         assert flags == pointwise_partition_flags(sets)
 
     @settings(max_examples=200, deadline=None)
@@ -278,7 +278,8 @@ class TestPartitionSweep:
         for pieces in ([DoubledClopen(a, b) for a, b in pairs],
                        [DoubledClopen(a, b) for a, b in zip(grouped, flipped)]):
             flags = system.partition_flags(pieces)
-            assert flags == reference_partition_flags(system.full(), pieces)
+            full = ClopenSet.full_circle(GOLDEN)
+            assert flags == reference_partition_flags(DoubledClopen(full, full), pieces)
             # the doubled space is two disjoint circles, checked one by one
             (d0, c0), (d1, c1) = (pointwise_partition_flags([p.comp0 for p in pieces]),
                                   pointwise_partition_flags([p.comp1 for p in pieces]))
