@@ -21,6 +21,14 @@ castle is immutable, so :meth:`Castle.verify` runs it once per castle
 and keeps the report; building, serializing and the CLI all read that
 one report.
 
+A circle certificate proves nothing twice.  Its target height comes in
+closed form (:func:`_invariance_target`: past a few windows the ratio's
+numerator depends only on the window's parity), and the sweep that
+proves the base's first N translates disjoint also proves that the
+first N - 1 steps of the first-return loop meet the base nowhere, so
+the loop starts at step N.  A base with ceil(1/measure) above
+max(10^4, 16 N) is refused before the loop, whose length it sets.
+
 The window shape F_J holds (n, 0) for 0 <= n < J - J//2 and (n, 1) for
 -J//2 <= n < 0.  Since (n, 1) = (n + J, 0) * (-J, 1), a base B with
 (-J, 1) B = B has (n, 1) B = (n + J, 0) B, so once flip-compatibility
@@ -37,7 +45,7 @@ from typing import Sequence
 
 from .amenability import folner, folner_ratio
 from .errors import VerificationError
-from .exact_circle import json_int
+from .exact_circle import QuadExt, json_int
 from .systems import FLIP, GroupElement, LevelSet, require_castle_cosets, system_from_json
 
 __all__ = [
@@ -146,21 +154,22 @@ def verify_castle(castle: Castle) -> CastleReport:
 
 
 def ceil_inverse_measure(mu) -> int:
-    """Smallest integer c with c * mu >= 1, for an exact measure mu > 0."""
-    c = 1
-    while (mu * c).shift(-1).sign() < 0:
-        c *= 2
-    lo, hi = c // 2, c
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if (mu * mid).shift(-1).sign() < 0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    """Smallest integer c with c * mu >= 1, for an exact measure mu > 0.
+
+    That c is ceil(1/mu), and 1/mu lies in the field of mu = a + b*theta:
+    with theta' the conjugate of theta, theta + theta' = 2p/r, so the
+    conjugate of mu is (a + 2bp/r) - b*theta, and 1/mu is that conjugate
+    over the rational norm mu * mu'.
+    """
+    theta = mu.theta
+    conj_a = mu.a + 2 * mu.b * Fraction(theta.p, theta.r)
+    # theta * theta' = (p^2 - q^2 d) / r^2
+    norm = mu.a * conj_a + mu.b * mu.b * Fraction(
+        theta.p * theta.p - theta.q * theta.q * theta.d, theta.r * theta.r)
+    return -QuadExt(-conj_a / norm, mu.b / norm, theta).floor()
 
 
-def first_return_castle(system, y) -> Castle:
+def first_return_castle(system, y, *, proven_disjoint: int = 1) -> Castle:
     """Partition the space into towers over the return-time pieces of y.
 
     The translation is applied to the moving image of the part of y
@@ -170,8 +179,18 @@ def first_return_castle(system, y) -> Castle:
     translates partition the space and the flip composed with each full
     climb fixes its base, so the climbs partition it as well (see the
     module docstring).
+
+    ``proven_disjoint = n`` says that y, T y, ..., T^(n-1) y are already
+    proved pairwise disjoint.  Then steps 1 .. n-1 meet y nowhere and
+    leave all of y moving, so the loop starts at T^(n-1) y with one
+    action.  A false claim cannot pass: each point of y is then placed
+    by its first return at step n or later, so a point that returns
+    sooner makes the floors' total measure exceed 1 (Kac's lemma) and
+    the verification fails.
     """
     require_first_return(system)
+    if proven_disjoint < 1:
+        raise ValueError("proven_disjoint must be at least 1")
     if y.is_empty():
         raise ValueError("y must be nonempty")
     if system.act(FLIP, y) != y:
@@ -180,8 +199,8 @@ def first_return_castle(system, y) -> Castle:
 
     step = GroupElement(1, 0)
     bases = {}
-    active = y
-    k = 0
+    k = proven_disjoint - 1
+    active = system.act(GroupElement(k, 0), y) if k else y
     while not active.is_empty():
         k += 1
         if k > max_steps:
@@ -244,6 +263,8 @@ def odometer_castle(system, n: int, j: int) -> Castle:
 
 #: Window doublings tried before a circle certificate gives up.
 _SHRINK_BUDGET = 16
+#: The largest invariance target; a certificate's towers are at least this high.
+_TARGET_CAP = 10_000
 
 
 def almost_finite_certificate(system, test_set: Sequence[GroupElement],
@@ -252,11 +273,15 @@ def almost_finite_certificate(system, test_set: Sequence[GroupElement],
 
     An odometer gets :func:`odometer_castle` at the first chain level
     whose window is invariant enough, seen one level further down.  On
-    a circle system the target height N is found by
-    :func:`_invariance_target`; a flip-invariant window is then shrunk
-    until its first N translates are disjoint, which forces every return
-    time to be at least N.  All invariance claims are re-checked exactly
-    on the realized shapes.
+    a circle system the target height N comes in closed form from
+    :func:`_invariance_target`; a flip-invariant window y is then
+    shrunk until its first N translates are disjoint, which forces
+    every return time to be at least N.  A y with ceil(1/measure) above
+    max(10^4, 16 N) is refused (``ValueError``) before the first-return
+    loop, which would take about that many steps.  The loop starts at
+    T^(N-1) y, since the sweep has proved that steps 1 .. N-1 meet y
+    nowhere.  All invariance claims are re-checked exactly on the
+    realized shapes.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -277,7 +302,13 @@ def almost_finite_certificate(system, test_set: Sequence[GroupElement],
 
     n_target = _invariance_target(test_set, eps)
     y = _shrink_until_disjoint(system, n_target)
-    castle = first_return_castle(system, y)
+    # the first-return loop takes about ceil(1/measure) steps
+    ceiling = max(10_000, 16 * n_target)
+    if ceil_inverse_measure(y.measure()) > ceiling:
+        raise ValueError(
+            f"base too small: ceil(1/measure) is above the ceiling of "
+            f"max(10^4, 16 * {n_target}) = {ceiling}")
+    castle = first_return_castle(system, y, proven_disjoint=n_target)
 
     if castle.min_return_time() < n_target:
         raise VerificationError("return times fell below the invariance target")
@@ -290,18 +321,59 @@ def almost_finite_certificate(system, test_set: Sequence[GroupElement],
 def _invariance_target(test_set: Sequence[GroupElement], eps: Fraction) -> int:
     """The least n whose windows F_n, ..., F_4n all have ratio below eps.
 
-    One upward scan finds it and computes each window's ratio once: n is
-    one past the last failing window seen so far, and the scan stops
-    once it has covered F_4n.  Any smaller n has a failing window in
-    its own range, or the scan would have stopped there.
+    Call a window F_j failing when its ratio N(j)/j is at least eps,
+    where N(j) = |K F_j (sym diff) F_j|.  Windows up to j0 + 1, with
+    j0 = 4s + 4 and s = max |k.n| over K, are scanned upward: n is one
+    past the last failing window seen so far, and the scan stops once
+    it has covered F_4n.  Any smaller n has a failing window in its own
+    range, or the scan would have stopped there.
+
+    Past j0, N(j) depends only on the parity of j.  F_j is the run
+    [0, a) on bit 0 and [-b, 0) on bit 1, a = j - j//2 and b = j//2.
+    An element (k, 0) shifts each run by k; (k, 1) carries [0, a) to
+    [k + 1 - a, k + 1) on bit 1 and [-b, 0) to [k + 1, k + 1 + b) on bit 0.
+    So on bit 0 the image runs start at k or k + 1, within 2s + 1 of
+    each other, and end at k + a or k + 1 + b; on bit 1 they end at k
+    or k + 1 and start at k - b or k + 1 - a.  Once b >= 2s + 2, that
+    is j >= j0, every run is longer than the spread of the starts, so
+    each bit's images merge into one run whose ends lie at offsets from
+    0, a and -b fixed by K and by a - b = j mod 2.  Then |K F_j|, |F_j|
+    and |K F_j & F_j| are each j plus a constant fixed by the parity,
+    and N(j) = |K F_j| + |F_j| - 2 |K F_j & F_j| is N(j0) or N(j0 + 1).
+
+    So once the scan passes F_{j0 + 1}, the failing j > j0 + 1 are
+    exactly those with j <= N(j0 + p)/eps and the parity of j0 + p, for
+    p = 0, 1, and both numerators are already scanned.  No n with
+    4n <= j0 + 1 works, or the scan would have stopped there.  Any
+    other n has [n, 4n] reaching past j0 + 1, so it must lie above
+    every scanned failing window, and above the largest failing j of
+    either parity too: else [n, 4n] holds a failing j of that parity
+    (the least one past j0 + 1 if n <= j0 + 1, else n or n + 1).  So n
+    is one past the last failing window, scanned or in closed form.
+    With the default K (s = 1) that takes at most 9 ratios at any eps.
+
+    An n above 10^4 is refused: the certificate's towers are at least
+    n high, so n bounds its cost.
     """
-    n, j = 1, 0
-    while j < 4 * n:
+    j0 = 4 * max(abs(k.n) for k in test_set) + 4
+    n, j, numerators = 1, 0, []
+    while j < 4 * n and n <= _TARGET_CAP:
         j += 1
-        if folner_ratio(folner(j), test_set) >= eps:
+        if j > j0 + 1:
+            for p, numerator in enumerate(numerators):
+                # the largest j with N/j >= eps and the parity of j0 + p
+                top = numerator * eps.denominator // eps.numerator
+                top -= (top - j0 - p) % 2
+                if top > j0 + 1:
+                    n = max(n, top + 1)
+            break
+        ratio = folner_ratio(folner(j), test_set)
+        if j >= j0:
+            numerators.append((ratio * j).numerator)
+        if ratio >= eps:
             n = j + 1
-            if n > 10_000:
-                raise ValueError("no invariant window size found below 10^4")
+    if n > _TARGET_CAP:
+        raise ValueError("no invariant window size found below 10^4")
     return n
 
 

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import resource
 import signal
@@ -8,9 +11,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dihedral_dynamics
-from dihedral_dynamics import cli
+from dihedral_dynamics import cli, towers
 from dihedral_dynamics.abgroups import FGAbGroup
 from dihedral_dynamics.cli import build_parser, main
 from dihedral_dynamics.systems import OdometerSystem
@@ -36,6 +41,22 @@ def run_python(args, timeout, preexec_fn=None):
 def run_module(args, timeout, preexec_fn=None):
     """``python -m dihedral_dynamics.cli <args>``, as ``run_python``."""
     return run_python(["-m", "dihedral_dynamics.cli", *args], timeout, preexec_fn)
+
+
+@contextlib.contextmanager
+def alarm(seconds: int):
+    """Raise ``TimeoutError`` in this process if the block runs past
+    ``seconds``, so that a hang fails the test instead of stalling it."""
+    def overrun(signum, frame):
+        raise TimeoutError(f"ran past its {seconds} s alarm")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def limit_address_space():
@@ -356,31 +377,49 @@ class TestCertifyCommand:
         assert "10^4" in json.loads(proc.stderr)["error"]
 
     def test_tiny_theta_ends_quickly(self, capsys, tmp_path):
-        # theta = sqrt(2)/10^6: every invariant window up to 2^15 is the arc
-        # [theta, 1 - theta), too wide for 55 disjoint translates, so the
+        # theta = sqrt(2)/10^6: invariant window w up to 2^15 is the arc
+        # [w theta, 1 - w theta), of measure above 0.9 and so too wide for
+        # 21 disjoint translates, so the
         # search exhausts its window budget (exit 2) within a second; with
         # windows up to 2^23 it ran for minutes and held millions of cuts
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps({"type": "denjoy_flip",
                                     "theta": {"p": 0, "q": 1, "d": 2, "r": 10 ** 6}}))
-
-        def overrun(signum, frame):
-            raise TimeoutError("certify ran past its 10 s alarm")
-
-        previous = signal.signal(signal.SIGALRM, overrun)
-        signal.alarm(10)
-        try:
+        with alarm(10):
             start = time.monotonic()
             code = main(["certify", "--system", str(path), "--eps", "1/10"])
             seconds = time.monotonic() - start
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
         captured = capsys.readouterr()
         assert seconds < 5
         assert code == 2
         assert captured.out == ""
         assert "window 2^16" in json.loads(captured.err)["error"]
+
+    def test_near_half_theta_ends_quickly(self, capsys, tmp_path):
+        # theta = 1/2 + sqrt(2)/10^6: window 1 passes at once, but its
+        # ceil(1/measure) = 353,554 is above max(10^4, 16 * 21), so
+        # certify exits 2 before the first-return loop, which would take
+        # that many steps (it ran past 15 s without the ceiling)
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps({"type": "denjoy_flip",
+                                    "theta": {"p": 500_000, "q": 1, "d": 2, "r": 10 ** 6}}))
+        with alarm(5):
+            code = main(["certify", "--system", str(path), "--eps", "1/10"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "ceiling of max(10^4, 16 * 21)" in json.loads(captured.err)["error"]
+
+    def test_lying_sweep_prints_no_certificate(self, capsys, monkeypatch, denjoy_file):
+        # at eps 1/30 the first window that passes the measure test fails
+        # the sweep; called disjoint, it returns before the target and the
+        # castle fails verification before anything is printed
+        monkeypatch.setattr(towers, "_translates_disjoint", lambda system, y, n: True)
+        code = main(["certify", "--system", denjoy_file, "--eps", "1/30"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "verification" in json.loads(captured.err)["error"]
 
     def test_castle_level_ceiling(self, tmp_path):
         # level 3 is invariant enough and the castle is seen at level 4,
@@ -411,6 +450,44 @@ class TestCertifyCommand:
         capsys.readouterr()
         assert main(["certify", "--system", denjoy_file, "--eps", "x/y"]) == 2
         capsys.readouterr()
+
+
+@st.composite
+def hostile_thetas(draw):
+    """Valid thetas (p + q sqrt(d)) / r in (0, 1) that are tiny, near 1/2,
+    near 1, or drawn at random."""
+    kind = draw(st.sampled_from(["tiny", "half", "one", "any"]))
+    d = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    r = 10 ** draw(st.integers(1, 30))
+    if kind == "tiny":
+        return {"p": 0, "q": 1, "d": d, "r": r}
+    if kind == "half":
+        return {"p": r, "q": draw(st.sampled_from([1, -1])), "d": d, "r": 2 * r}
+    if kind == "one":
+        return {"p": r, "q": -1, "d": d, "r": r}
+    q = draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1]))
+    r = draw(st.integers(1, 10 ** 6))
+    # floor(q sqrt(d)); d is not a square, so q sqrt(d) is not an integer
+    f = math.isqrt(q * q * d) if q > 0 else -math.isqrt(q * q * d) - 1
+    # 0 < p + q sqrt(d) < r
+    return {"p": draw(st.integers(-f, r - f - 1)), "q": q, "d": d, "r": r}
+
+
+class TestHostileTheta:
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(theta=hostile_thetas(), eps=st.sampled_from(["1/3", "1/10", "1/25"]))
+    def test_certify_ends_with_an_exit_code(self, tmp_path_factory, theta, eps):
+        # every valid theta ends in exit 0, 2, 3 or 4, within the alarm
+        # and with no traceback
+        path = tmp_path_factory.mktemp("theta") / "system.json"
+        path.write_text(json.dumps({"type": "denjoy_flip", "theta": theta}))
+        out, err = io.StringIO(), io.StringIO()
+        with alarm(5), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["certify", "--system", str(path), "--eps", eps])
+        assert code in {0, 2, 3, 4}
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert "error" in json.loads(err.getvalue())
 
 
 class TestHomologyCommand:

@@ -3,12 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dihedral_dynamics.amenability import DEFAULT_TEST_SET, folner
+from dihedral_dynamics.amenability import DEFAULT_TEST_SET, folner, folner_ratio
 from dihedral_dynamics import towers
-from dihedral_dynamics.exact_circle import GOLDEN, Arc, ClopenSet, CutPoint, QuadExt, frac
+from dihedral_dynamics.errors import VerificationError
+from dihedral_dynamics.exact_circle import GOLDEN, Arc, ClopenSet, CutPoint, QuadExt, Theta, frac
 from dihedral_dynamics.systems import (
     FLIP,
     DenjoyFlipSystem,
@@ -27,6 +28,37 @@ from dihedral_dynamics.towers import (
     odometer_castle,
     verify_castle,
 )
+
+
+#: The circle systems of the certificate tests: golden, sqrt2, sqrt3 and
+#: sqrt7 - 2, each plain and doubled.
+CERTIFIED_THETAS = {
+    "golden": GOLDEN,
+    "sqrt2": Theta(p=-1, q=1, d=2, r=1),
+    "sqrt3": Theta(p=-1, q=1, d=3, r=2),
+    "sqrt7": Theta(p=-2, q=1, d=7, r=1),
+}
+CERTIFIED_SYSTEMS = {
+    **{name: DenjoyFlipSystem(theta) for name, theta in CERTIFIED_THETAS.items()},
+    **{f"{name}-doubled": DoubledSystem(theta) for name, theta in CERTIFIED_THETAS.items()},
+}
+
+
+def scan_invariance_target(test_set, eps, ratio=folner_ratio):
+    """Oracle for ``towers._invariance_target``: the full upward scan.
+
+    n is one past the last failing window seen so far, and the scan
+    stops once it has covered F_4n, so n is the least n whose windows
+    F_n, ..., F_4n all have ratio below eps; above 10^4 it gives up.
+    """
+    n, j = 1, 0
+    while j < 4 * n:
+        j += 1
+        if ratio(folner(j), test_set) >= eps:
+            n = j + 1
+            if n > 10_000:
+                raise ValueError("no invariant window size found below 10^4")
+    return n
 
 
 def orbit_return_time(theta, x, target, cap=1000):
@@ -129,6 +161,25 @@ class TestFirstReturnCastle:
                 part = t.base.measure() * t.return_time
                 total = part if total is None else total + part
             assert total == one
+
+
+class TestCeilInverseMeasure:
+    @settings(max_examples=150, deadline=None)
+    @given(theta=st.sampled_from([*CERTIFIED_THETAS.values(),
+                                  Theta(p=500_000, q=1, d=2, r=10 ** 6),
+                                  Theta(p=0, q=1, d=2, r=10 ** 6)]),
+           a=st.fractions(max_denominator=10 ** 4), b=st.fractions(max_denominator=10 ** 4))
+    def test_least_multiple_reaching_one(self, theta, a, b):
+        mu = QuadExt(a, b, theta)
+        assume(mu.sign())
+        mu = mu if mu.sign() > 0 else -mu
+        c = towers.ceil_inverse_measure(mu)
+        assert (mu * c).shift(-1).sign() >= 0
+        assert (mu * (c - 1)).shift(-1).sign() < 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 10 ** 9])
+    def test_rational_measure(self, golden, k):
+        assert towers.ceil_inverse_measure(QuadExt(Fraction(1, k), Fraction(0), golden)) == k
 
 
 class TestReturnTimeContinuity:
@@ -344,12 +395,59 @@ class TestCertificates:
         def ratio(f, k):
             return Fraction(1) if len(f) in bad else Fraction(0)
 
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(towers, "folner_ratio", ratio)
-            got = towers._invariance_target(DEFAULT_TEST_SET, Fraction(1, 2))
+        got = scan_invariance_target(DEFAULT_TEST_SET, Fraction(1, 2), ratio)
         # the least n whose windows F_n, ..., F_4n all pass
         want = next(n for n in range(1, 200) if not bad & set(range(n, 4 * n + 1)))
         assert got == want
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(test_set=st.lists(st.builds(GroupElement, st.integers(-12, 12), st.integers(0, 1)),
+                             min_size=1, max_size=6),
+           eps=st.builds(Fraction, st.integers(1, 60), st.integers(1, 500)))
+    @example(test_set=[GroupElement(12, 0)], eps=Fraction(1, 500))
+    @example(test_set=[GroupElement(-12, 1), GroupElement(12, 1)], eps=Fraction(7, 500))
+    def test_closed_form_target_matches_scan(self, test_set, eps):
+        # the oracle's cost grows with n, so eps stays above 1/500; a
+        # shift of 12 at eps 1/500 reaches the 10^4 cap on both routes
+        def outcome(target):
+            try:
+                return target(test_set, eps)
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(towers._invariance_target) == outcome(scan_invariance_target)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(test_set=st.lists(st.builds(GroupElement, st.integers(-12, 12), st.integers(0, 1)),
+                             min_size=1, max_size=6))
+    def test_numerator_has_period_two_past_j0(self, test_set):
+        # N(j) = |K F_j (sym diff) F_j| depends only on the parity of j
+        # once j >= j0 = 4s + 4
+        s = max(abs(k.n) for k in test_set)
+
+        def numerator(j):
+            return folner_ratio(folner(j), test_set) * j
+
+        assert all(numerator(j) == numerator(j + 2) for j in range(4 * s + 4, 8 * s + 31))
+
+    @pytest.mark.parametrize("q", [1, 3, 10, 25, 1000, 3000, 10 ** 6])
+    def test_default_target_makes_few_ratio_calls(self, monkeypatch, q):
+        calls = []
+
+        def counted(f, k):
+            calls.append(len(f))
+            return folner_ratio(f, k)
+
+        monkeypatch.setattr(towers, "folner_ratio", counted)
+        eps = Fraction(1, q)
+        try:
+            got = towers._invariance_target(DEFAULT_TEST_SET, eps)
+        except ValueError:
+            got = None
+        assert len(calls) <= 11
+        # the default K has N(j) = 2 for every j >= 2
+        want = 2 * q + 1
+        assert got == (want if want <= 10_000 else None)
 
     def test_target_scan_cap(self):
         # an exhausted budget is a bad request, not a failed check
@@ -395,9 +493,65 @@ class TestCertificates:
             almost_finite_certificate(denjoy, DEFAULT_TEST_SET, Fraction(0))
 
 
-def folner_ratio_bound_ok(tower, test_set):
-    from dihedral_dynamics.amenability import folner_ratio
+class TestLoopStartedAtTarget:
+    @pytest.mark.parametrize("name", sorted(CERTIFIED_SYSTEMS))
+    @pytest.mark.parametrize("q", [10, 25, 30])
+    def test_certificate_equals_loop_from_step_one(self, name, q):
+        # golden 1/30, sqrt3 1/25 and sqrt7 1/10 include windows that
+        # pass the measure test and fail the sweep
+        system, eps = CERTIFIED_SYSTEMS[name], Fraction(1, q)
+        n_target = towers._invariance_target(DEFAULT_TEST_SET, eps)
+        y = towers._shrink_until_disjoint(system, n_target)
+        castle = almost_finite_certificate(system, DEFAULT_TEST_SET, eps)
+        assert castle == first_return_castle(system, y)
+        assert castle.min_return_time() >= n_target
 
+    def test_proven_disjoint_matches_step_one(self, denjoy):
+        y = denjoy.invariant_window(8)
+        full = first_return_castle(denjoy, y)
+        for n in range(1, full.min_return_time() + 1):
+            assert first_return_castle(denjoy, y, proven_disjoint=n) == full
+
+    def test_false_disjointness_claim_fails_verification(self, denjoy, golden):
+        # the window's return times are 3 and 5, so 4 translates meet
+        y = ClopenSet.arc(golden, -1, 1)
+        with pytest.raises(VerificationError):
+            first_return_castle(denjoy, y, proven_disjoint=4)
+        with pytest.raises(ValueError):
+            first_return_castle(denjoy, y, proven_disjoint=0)
+
+    @pytest.mark.parametrize("name,q", [("golden", 30), ("sqrt3", 25), ("sqrt3-doubled", 25),
+                                        ("sqrt7", 10), ("sqrt7-doubled", 10)])
+    def test_lying_sweep_raises(self, monkeypatch, name, q):
+        # in these cases a window passes the measure test and fails the
+        # sweep; a sweep that calls it disjoint hands the loop a window
+        # that returns before the target, and verification refuses it
+        sweep = towers._translates_disjoint
+        swept = []
+
+        def lying(system, y, n):
+            swept.append(sweep(system, y, n))
+            return True
+
+        monkeypatch.setattr(towers, "_translates_disjoint", lying)
+        with pytest.raises(VerificationError):
+            almost_finite_certificate(CERTIFIED_SYSTEMS[name], DEFAULT_TEST_SET, Fraction(1, q))
+        assert swept == [False]
+
+    def test_small_base_refused_before_the_loop(self, monkeypatch):
+        # theta = 1/2 + sqrt(2)/10^6: window 1 passes at once, but its
+        # ceil(1/measure) = 353,554 is above max(10^4, 16 * 21)
+        system = DenjoyFlipSystem(Theta(p=500_000, q=1, d=2, r=10 ** 6))
+
+        def no_loop(*args, **kwargs):
+            raise AssertionError("the first-return loop ran")
+
+        monkeypatch.setattr(towers, "first_return_castle", no_loop)
+        with pytest.raises(ValueError, match="ceiling of max\\(10\\^4, 16 \\* 21\\) = 10000"):
+            almost_finite_certificate(system, DEFAULT_TEST_SET, Fraction(1, 10))
+
+
+def folner_ratio_bound_ok(tower, test_set):
     return folner_ratio(tower.shape, test_set) <= Fraction(2, tower.return_time)
 
 
