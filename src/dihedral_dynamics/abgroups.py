@@ -443,24 +443,6 @@ class FGAbGroup:
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
 
-    def direct_sum(self, other: "FGAbGroup") -> "FGAbGroup":
-        # Recombine prime powers into a divisor chain.
-        primes = {}
-        for d in self.torsion + other.torsion:
-            for p, e in _factorize(d).items():
-                primes.setdefault(p, []).append(e)
-        depth = max((len(v) for v in primes.values()), default=0)
-        chain = []
-        for k in range(depth):
-            d = 1
-            for p, exps in primes.items():
-                exps_sorted = sorted(exps, reverse=True)
-                if k < len(exps_sorted):
-                    d *= p ** exps_sorted[k]
-            chain.append(d)
-        chain.reverse()
-        return FGAbGroup(self.rank + other.rank, tuple(chain))
-
     def __str__(self) -> str:
         parts = []
         if self.rank:

@@ -45,6 +45,8 @@ form equal to Z^r it identifies the stage with Z^r; each connecting map
 is then multiplication by the integer c_N with l_{N+1} * incl = c_N * l_N
 (which also proves it a map of stages), and the flip P acts trivially
 on stage N exactly when l_N * P = l_N (see ``h0_translation_telescope``).
+The closed form's degree 0, (1 + flip)H_0 = 2 H_0 for a trivial flip,
+is isomorphic to the torsion-free H_0, so the table reads ``h0`` as is.
 
 The free product's H_0 maps are proved maps of presented groups by an
 exact identity M * R = R' * W (``abgroups.lift_identity``), whose lift
@@ -331,7 +333,6 @@ class TelescopeResult:
     limit: LimitDescriptor
     sigma_trivial: bool
     h0: GroupValue
-    h0_plus: GroupValue
 
     def stabilized_level(self) -> Optional[int]:
         if self.limit.kind != "stabilized":
@@ -454,12 +455,13 @@ def h0_translation_telescope(system, max_level: int,
     and the limit follows from the c_N (``multiplier_limit``): circle
     systems stabilize to Z^2, and odometers give a localization of Z.
     The flip acts trivially on stage N exactly when l_N * P = l_N for
-    its permutation P (``pullback_permutation``); (1 + flip)H_0 = 2 H_0
-    is then returned in canonical form (doubling a localization of Z is
-    an isomorphism onto its image).  A state identity that fails is a fault in the
-    arithmetic and raises ``VerificationError``; a flip that moves the
-    state, or a limit the multipliers leave open, raises
-    ``NonStabilizationError``.
+    its permutation P (``pullback_permutation``); then (1 + flip)H_0 =
+    2 H_0, which the closed form reads, is isomorphic to ``h0``: the
+    limit is torsion-free, 2 Z^r is isomorphic to Z^r, and doubling a
+    localization of Z is an isomorphism onto its image.  A state
+    identity that fails is a fault in the arithmetic and raises
+    ``VerificationError``; a flip that moves the state, or a limit the
+    multipliers leave open, raises ``NonStabilizationError``.
     """
     if max_level < 3:
         raise ValueError("max_level must be >= 3")
@@ -489,12 +491,11 @@ def h0_translation_telescope(system, max_level: int,
                 "flip acts nontrivially on the translation H0; "
                 "the doubled subgroup is not computed at finite level", top)
         h0: GroupValue = limit.group
-        h0_plus: GroupValue = _doubled_subgroup(h0)
     elif limit.kind == "localization":
         if not sigma_trivial:
             raise NonStabilizationError(
                 "flip acts nontrivially on a localization limit", top)
-        h0 = h0_plus = limit.localization
+        h0 = limit.localization
     else:
         raise NonStabilizationError(f"translation H0 undetermined at level {top}", top)
 
@@ -503,18 +504,7 @@ def h0_translation_telescope(system, max_level: int,
         limit=limit,
         sigma_trivial=sigma_trivial,
         h0=h0,
-        h0_plus=h0_plus,
     )
-
-
-def _doubled_subgroup(g: FGAbGroup) -> FGAbGroup:
-    """The image of multiplication by 2 on a group in canonical form."""
-    torsion = []
-    for d in g.torsion:
-        dd = d // 2 if d % 2 == 0 else d
-        if dd > 1:
-            torsion.append(dd)
-    return FGAbGroup(g.rank, tuple(torsion))
 
 
 # ---------------------------------------------------------------------------
@@ -755,19 +745,19 @@ def free_product_homology(system, max_level: int,
         raise NonStabilizationError(
             f"free-product H0 still moving at level {max_level}", max_level)
 
-    # one limit per reflection, of its odd homologies (Z/2)^{fixed cells}
-    h1 = FGAbGroup(0)
+    # one limit (Z/2)^k per reflection, of its odd homologies; H_1 = (Z/2)^(k0 + k1)
+    twos = 0
     for k in (0, 1):
         limit = _odd_limit([len(pair[k].orbits[2]) for pair in modules], [m[2][k] for m in maps])
         if limit.kind != "stabilized":
             raise NonStabilizationError(
                 f"free-product H1 still moving at level {max_level}", max_level)
-        h1 = h1.direct_sum(limit.group)
+        twos += len(limit.group.torsion)
 
     return FreeProductResult(
         fragments=tuple(frags),
         h0=h0,
-        h1=h1,
+        h1=FGAbGroup.elementary_two(twos),
         stabilized_at=stabilized_at,
         all_injective=all(f.paired_injective for _, f in frags),
         all_exact=all(f.middle_exact for _, f in frags),
@@ -829,12 +819,12 @@ def split_orbit_table(h0_base: GroupValue) -> HomologyTable:
     return _table(h0_base, _ZERO, _ZERO, tail_from=2, h1=FGAbGroup(1))
 
 
-def nonfree_action_table(h0_plus: GroupValue, fixed_count: int) -> HomologyTable:
+def nonfree_action_table(h0: GroupValue, fixed_count: int) -> HomologyTable:
     """The non-free case: odd degrees carry one order-2 class per fixed
     point of the two reflections."""
     if fixed_count < 1:
         raise ValueError("the non-free case requires at least one fixed point")
-    return _table(h0_plus, FGAbGroup.elementary_two(fixed_count), _ZERO, tail_from=1)
+    return _table(h0, FGAbGroup.elementary_two(fixed_count), _ZERO, tail_from=1)
 
 
 def homology_table(system, max_level: int = 16, method: str = "closed_form"):
@@ -878,7 +868,7 @@ def homology_table(system, max_level: int = 16, method: str = "closed_form"):
         provenance["stabilizedAt"] = tele.stabilized_level()
     else:
         provenance["limit"] = tele.limit.to_json()
-    closed = nonfree_action_table(tele.h0_plus, fixed_count)
+    closed = nonfree_action_table(tele.h0, fixed_count)
     if method == "closed_form":
         return closed, provenance
     fp = free_product_homology(system, depth, levels)

@@ -48,11 +48,10 @@ and their relation window.  The flip (0,1) permutes a circle's window
 by one moves the cuts of [1-t, t] into [-t, t], so the translation
 relations of level t are taken on [1-t, t] and land in [-t, t].  Both
 reflections and the translation permute an odometer's level cylinders,
-so one list serves as both windows.  A circle grows one cut list,
-placing each new cut by bisection, and snapshots it; ``cells`` builds
-the window of any cut range alone.  Each window also has its length
-state (``length_state``), the exact lengths of its cells as integer
-rows.
+so one list serves as both windows.  Every window of either system is
+built by its ``cells``, the one builder of level cells.  Each window
+also has its length state (``length_state``), the exact lengths of its
+cells as integer rows.
 
 Castles, certificates and the CLI ask every system the same questions:
 ``act`` (the image of a clopen set), ``set_from_json`` (a clopen set
@@ -79,7 +78,7 @@ circle (the split case).
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -297,22 +296,8 @@ class DenjoyFlipSystem:
         and [1-t, t], which (1,1) permutes, since no finite window is
         invariant under both involutions.  The second window is also the
         relation window of the first: the rotation by one moves its cuts
-        into the first window.
-
-        Window [1-t, t] is window [1-t, t-1] plus the cut t, and window
-        [-t, t] is that plus the cut -t, so the windows are snapshots of
-        one growing cut list, each cut placed once by bisection in the
-        exact cut order.
-        """
-        theta = self.theta
-        cuts = [CutPoint.of(theta, 0)]
-        chain = []
-        for t in range(1, top + 1):
-            insort(cuts, CutPoint.of(theta, t))
-            reflected = _CircleCells(theta, cuts[:])
-            insort(cuts, CutPoint.of(theta, -t))
-            chain.append((_CircleCells(theta, cuts[:]), reflected))
-        return chain
+        into the first window.  Each window is built by ``cells``."""
+        return [(self.cells(-t, t), self.cells(1 - t, t)) for t in range(1, top + 1)]
 
     def depth(self, max_level: int, cell_cap: Optional[int] = None) -> int:
         """The deepest level a computation up to ``max_level`` uses.
@@ -641,9 +626,8 @@ class OdometerSystem:
 
 class _LevelCells(tuple):
     """The cells of one level in their order, with the index the level
-    matrices read.  Only the systems' ``cells`` and ``level_chain``
-    build them; a slice or any list of cells carries no index and is
-    refused as cells."""
+    matrices read.  Only the systems' ``cells`` build them; a slice or
+    any list of cells carries no index and is refused as cells."""
 
 
 class _CircleCells(_LevelCells):

@@ -26,8 +26,9 @@ closed form (:func:`_invariance_target`: past a few windows the ratio's
 numerator depends only on the window's parity), and the sweep that
 proves the base's first N translates disjoint also proves that the
 first N - 1 steps of the first-return loop meet the base nowhere, so
-the loop starts at step N.  A base with ceil(1/measure) above
-max(10^4, 16 N) is refused before the loop, whose length it sets.
+the loop starts at step N.  Its one ceiling, max(10^4, 16 N) on
+ceil(1/measure), is in :func:`first_return_castle`, so it bounds
+``castle --base`` (N = 1) too.
 
 The window shape F_J holds (n, 0) for 0 <= n < J - J//2 and (n, 1) for
 -J//2 <= n < 0.  Since (n, 1) = (n + J, 0) * (-J, 1), a base B with
@@ -104,9 +105,6 @@ class Castle:
     @cached_property
     def _report(self) -> CastleReport:
         return verify_castle(self)
-
-    def min_return_time(self) -> int:
-        return min(t.return_time for t in self.towers)
 
     def shape_ratios(self, test_set: Sequence[GroupElement]) -> list:
         return [folner_ratio(t.shape, test_set) for t in self.towers]
@@ -186,7 +184,9 @@ def first_return_castle(system, y, *, proven_disjoint: int = 1) -> Castle:
     action.  A false claim cannot pass: each point of y is then placed
     by its first return at step n or later, so a point that returns
     sooner makes the floors' total measure exceed 1 (Kac's lemma) and
-    the verification fails.
+    the verification fails.  The loop takes about ceil(1/measure) steps,
+    so a y with that above max(10^4, 16 * proven_disjoint) is refused
+    (``ValueError``) before the first step.
     """
     require_first_return(system)
     if proven_disjoint < 1:
@@ -195,7 +195,13 @@ def first_return_castle(system, y, *, proven_disjoint: int = 1) -> Castle:
         raise ValueError("y must be nonempty")
     if system.act(FLIP, y) != y:
         raise ValueError("y must be flip-invariant")
-    max_steps = 10 * ceil_inverse_measure(y.measure()) + 10
+    inverse_measure = ceil_inverse_measure(y.measure())
+    ceiling = max(10_000, 16 * proven_disjoint)
+    if inverse_measure > ceiling:
+        raise ValueError(
+            f"base too small: ceil(1/measure) is above the ceiling of "
+            f"max(10^4, 16 * {proven_disjoint}) = {ceiling}")
+    max_steps = 10 * inverse_measure + 10
 
     step = GroupElement(1, 0)
     bases = {}
@@ -276,12 +282,11 @@ def almost_finite_certificate(system, test_set: Sequence[GroupElement],
     a circle system the target height N comes in closed form from
     :func:`_invariance_target`; a flip-invariant window y is then
     shrunk until its first N translates are disjoint, which forces
-    every return time to be at least N.  A y with ceil(1/measure) above
-    max(10^4, 16 N) is refused (``ValueError``) before the first-return
-    loop, which would take about that many steps.  The loop starts at
-    T^(N-1) y, since the sweep has proved that steps 1 .. N-1 meet y
-    nowhere.  All invariance claims are re-checked exactly on the
-    realized shapes.
+    every return time to be at least N.  :func:`first_return_castle`
+    then starts its loop at T^(N-1) y, since the sweep has proved that
+    steps 1 .. N-1 meet y nowhere, and refuses a y with ceil(1/measure)
+    above max(10^4, 16 N).  Every castle's invariance claims are
+    re-checked exactly on the realized shapes.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -298,20 +303,12 @@ def almost_finite_certificate(system, test_set: Sequence[GroupElement],
                 break
         if level is None:
             raise ValueError("no chain level is invariant enough; extend the chain")
-        return odometer_castle(system, level, min(level + 1, len(system.chain)))
+        castle = odometer_castle(system, level, min(level + 1, len(system.chain)))
+    else:
+        n_target = _invariance_target(test_set, eps)
+        y = _shrink_until_disjoint(system, n_target)
+        castle = first_return_castle(system, y, proven_disjoint=n_target)
 
-    n_target = _invariance_target(test_set, eps)
-    y = _shrink_until_disjoint(system, n_target)
-    # the first-return loop takes about ceil(1/measure) steps
-    ceiling = max(10_000, 16 * n_target)
-    if ceil_inverse_measure(y.measure()) > ceiling:
-        raise ValueError(
-            f"base too small: ceil(1/measure) is above the ceiling of "
-            f"max(10^4, 16 * {n_target}) = {ceiling}")
-    castle = first_return_castle(system, y, proven_disjoint=n_target)
-
-    if castle.min_return_time() < n_target:
-        raise VerificationError("return times fell below the invariance target")
     bad = [r for r in castle.shape_ratios(test_set) if r >= eps]
     if bad:
         raise VerificationError(f"shape invariance violated: ratios {bad} >= {eps}")

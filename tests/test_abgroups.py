@@ -925,12 +925,6 @@ class TestDirectSystems:
 
 
 class TestFGAbGroup:
-    def test_direct_sum_chain(self):
-        g = FGAbGroup(1, (2,)).direct_sum(FGAbGroup(0, (2, 6)))
-        assert g == FGAbGroup(1, (2, 2, 6))
-        h = FGAbGroup(0, (2,)).direct_sum(FGAbGroup(0, (3,)))
-        assert h == FGAbGroup(0, (6,))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             FGAbGroup(0, (3, 2))

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -420,6 +421,18 @@ class TestCertifyCommand:
         assert code == 4
         assert captured.out == ""
         assert "verification" in json.loads(captured.err)["error"]
+
+    def test_odometer_ratio_failure_prints_nothing(self, capsys, monkeypatch, odometer_file):
+        # the odometer castle goes through the certificate's shared check
+        # of the realized shapes: a ratio at eps fails it before anything
+        # is printed
+        monkeypatch.setattr(Castle, "shape_ratios",
+                            lambda self, test_set: [Fraction(1, 10)])
+        code = main(["certify", "--system", odometer_file, "--eps", "1/10"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "shape invariance violated" in json.loads(captured.err)["error"]
 
     def test_castle_level_ceiling(self, tmp_path):
         # level 3 is invariant enough and the castle is seen at level 4,

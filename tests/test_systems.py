@@ -707,6 +707,25 @@ class TestLevelWindows:
         assert pullback_matrix(denjoy, TRANSLATION, shifted, sym)
         assert denjoy.depth(40, cell_cap=8) == 40
 
+    @pytest.mark.parametrize("top", [1, 6, 14])
+    def test_circle_windows_come_from_cells(self, monkeypatch, golden, sqrt2_theta, top):
+        # cells is the one builder of circle windows: level_chain asks it
+        # for the two windows of each level and builds none of its own
+        built = []
+        cells = DenjoyFlipSystem.cells
+
+        def counted(system, lo, hi):
+            built.append((lo, hi))
+            return cells(system, lo, hi)
+
+        monkeypatch.setattr(DenjoyFlipSystem, "cells", counted)
+        for theta in (golden, sqrt2_theta):
+            built.clear()
+            DenjoyFlipSystem(theta).level_chain(top)
+            assert len(built) == 2 * top
+            assert sorted(built) == sorted(w for t in range(1, top + 1)
+                                           for w in ((-t, t), (1 - t, t)))
+
     def test_windows_are_cell_sequences(self, denjoy, odometer3):
         window = denjoy.cells(-2, 2)
         assert len(window) == 5 and list(window) == [window[i] for i in range(5)]

@@ -29,6 +29,8 @@ from dihedral_dynamics.towers import (
     verify_castle,
 )
 
+from test_cli import alarm
+
 
 #: The circle systems of the certificate tests: golden, sqrt2, sqrt3 and
 #: sqrt7 - 2, each plain and doubled.
@@ -504,12 +506,12 @@ class TestLoopStartedAtTarget:
         y = towers._shrink_until_disjoint(system, n_target)
         castle = almost_finite_certificate(system, DEFAULT_TEST_SET, eps)
         assert castle == first_return_castle(system, y)
-        assert castle.min_return_time() >= n_target
+        assert min(castle.return_times()) >= n_target
 
     def test_proven_disjoint_matches_step_one(self, denjoy):
         y = denjoy.invariant_window(8)
         full = first_return_castle(denjoy, y)
-        for n in range(1, full.min_return_time() + 1):
+        for n in range(1, min(full.return_times()) + 1):
             assert first_return_castle(denjoy, y, proven_disjoint=n) == full
 
     def test_false_disjointness_claim_fails_verification(self, denjoy, golden):
@@ -540,15 +542,38 @@ class TestLoopStartedAtTarget:
 
     def test_small_base_refused_before_the_loop(self, monkeypatch):
         # theta = 1/2 + sqrt(2)/10^6: window 1 passes at once, but its
-        # ceil(1/measure) = 353,554 is above max(10^4, 16 * 21)
+        # ceil(1/measure) = 353,554 is above max(10^4, 16 * 21), and
+        # first_return_castle refuses it before its loop acts by any
+        # translation; only its flip check acts
         system = DenjoyFlipSystem(Theta(p=500_000, q=1, d=2, r=10 ** 6))
+        castle_of = towers.first_return_castle
+        inside, acted = [], []
 
-        def no_loop(*args, **kwargs):
-            raise AssertionError("the first-return loop ran")
+        def act(g, s):
+            if inside:
+                acted.append(g)
+            return DenjoyFlipSystem.act(system, g, s)
 
-        monkeypatch.setattr(towers, "first_return_castle", no_loop)
+        def spied(*args, **kwargs):
+            inside.append(True)
+            try:
+                return castle_of(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(system, "act", act)
+        monkeypatch.setattr(towers, "first_return_castle", spied)
         with pytest.raises(ValueError, match="ceiling of max\\(10\\^4, 16 \\* 21\\) = 10000"):
             almost_finite_certificate(system, DEFAULT_TEST_SET, Fraction(1, 10))
+        assert acted == [FLIP]
+
+    def test_library_castle_is_bounded(self):
+        # the same base handed to first_return_castle directly: refused
+        # under the ceiling of max(10^4, 16 * 1) before the loop, which
+        # would take about 353,554 steps
+        system = DenjoyFlipSystem(Theta(p=500_000, q=1, d=2, r=10 ** 6))
+        with alarm(5), pytest.raises(ValueError, match="max\\(10\\^4, 16 \\* 1\\) = 10000"):
+            first_return_castle(system, system.invariant_window(1))
 
 
 def folner_ratio_bound_ok(tower, test_set):
