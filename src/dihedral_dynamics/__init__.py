@@ -54,6 +54,7 @@ from .homology import (
     even_homology,
     free_product_homology,
     h0_translation_telescope,
+    homology_levels,
     homology_table,
     odd_homology,
 )

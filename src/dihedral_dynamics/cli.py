@@ -40,10 +40,6 @@ EXIT_VERIFICATION = 4
 MAX_FOLNER_M = 10 ** 5
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _load_system(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -51,7 +47,7 @@ def _load_system(path: str):
         return system_from_json(data)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         # JSON of the wrong shape surfaces as a lookup or type error
-        raise ConfigError(f"cannot load system: {exc}") from exc
+        raise ValueError(f"cannot load system: {exc}") from exc
 
 
 def _parse_elements(text: str):
@@ -59,16 +55,16 @@ def _parse_elements(text: str):
         data = json.loads(text)
         return [GroupElement.from_json(e) for e in data]
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad group-element list: {exc}") from exc
+        raise ValueError(f"bad group-element list: {exc}") from exc
 
 
 def _parse_eps(text: str) -> Fraction:
     try:
         eps = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad eps: {exc}") from exc
+        raise ValueError(f"bad eps: {exc}") from exc
     if eps <= 0:
-        raise ConfigError("eps must be positive")
+        raise ValueError("eps must be positive")
     return eps
 
 
@@ -77,7 +73,7 @@ def _check_range(flag: str, value, low: int, high=None):
     naming its bound."""
     if value is not None and (value < low or high is not None and value > high):
         bound = f"at least {low}" if high is None else f"in {low}..{high}"
-        raise ConfigError(f"{flag} must be {bound}")
+        raise ValueError(f"{flag} must be {bound}")
     return value
 
 
@@ -89,7 +85,7 @@ def _emit(payload: dict, out_path) -> None:
                 fh.write(text + "\n")
         except OSError as exc:
             # before stdout, so a refused path prints no payload
-            raise ConfigError(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
+            raise ValueError(f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
     try:
         print(text)
         # flush inside the try, so a reader that went away is seen here
@@ -107,7 +103,7 @@ def cmd_fixed_points(args) -> int:
     elements = _parse_elements(args.elements)
     max_level = _check_range("--max-level", args.max_level, 2)
     if any(g.is_identity() for g in elements):
-        raise ConfigError("the identity element has no fixed-point report")
+        raise ValueError("the identity element has no fixed-point report")
     report = {str(g): system.fixed_point_report(g, max_level) for g in elements}
     _emit({"fixedPoints": report, "system": system.to_json()}, args.out)
     return EXIT_OK
@@ -134,7 +130,7 @@ def cmd_castle(args) -> int:
         try:
             y = system.set_from_json(json.loads(args.base))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise ConfigError(f"bad base set: {exc}") from exc
+            raise ValueError(f"bad base set: {exc}") from exc
     else:
         # the widest window: the cuts n*theta with |n| <= 1
         y = system.invariant_window(1)
@@ -148,14 +144,13 @@ def cmd_certify(args) -> int:
     system = _load_system(args.system)
     eps = _parse_eps(args.eps)
     test_set = _parse_elements(args.K) if args.K else list(DEFAULT_TEST_SET)
-    castle = almost_finite_certificate(system, test_set, eps)
+    # almost_finite_certificate raises unless the castle verifies and
+    # every ratio is below eps, and returns the ratios it checked
+    castle, ratios = almost_finite_certificate(system, test_set, eps)
     payload = castle.to_json()
     payload["epsilon"] = str(eps)
     payload["testSet"] = [g.to_json() for g in test_set]
-    ratios = castle.shape_ratios(test_set)
     payload["shapeRatios"] = [str(r) for r in ratios]
-    # almost_finite_certificate raises unless the castle verifies and
-    # every ratio is below eps
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -299,9 +294,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_CONFIG
     except NonStabilizationError as exc:
         print(json.dumps({"error": str(exc), "level": exc.level}), file=sys.stderr)
         return EXIT_NON_STABILIZATION

@@ -25,17 +25,18 @@ computation.  The system names the cell lists that stand for levels
 1..N and their relation windows (``level_chain``: a circle's windows
 [-N, N] and [1-N, N], an odometer's cylinders for both), how deep its
 levels go (``depth``) and how its reflections' fixed points are counted
-(``reflection_fixed``).  ``_levels`` reads the system's ``level_chain``
-once and builds each level's inclusions once (``cover_matrix``, for arcs
-and cylinders alike), and ``homology_table`` hands that one list to both
-routes: the telescope reads a level as the cells of a stage and the
-window of its translation relations, the free product as the windows of
-the two reflections.  Every matrix on the way is a list of sparse
-columns {row: nonzero}, as ``abgroups`` takes them: a telescope relation
-is the difference of two columns, and the free product's maps are
-summed onto orbits column by column.  Only a length state, two rows at
-most, is held densely; a module's dense ``matrix`` is built only for the
-JSON that prints it.
+(``reflection_fixed``).  :func:`homology_levels`, the one builder and
+depth check, reads ``level_chain`` once and builds each level's
+inclusions once (``cover_matrix``, for arcs and cylinders alike).  That
+list is both routes' one input, as the cells fix the action: the
+telescope reads a level as the cells of a stage and the window of its
+translation relations, the free product as the windows of the two
+reflections, and each names its levels by their count.  Every matrix on
+the way is a list of sparse columns {row: nonzero}, as ``abgroups``
+takes them: a telescope relation is the difference of two columns, and
+the free product's maps are summed onto orbits column by column.  Only
+a length state, two rows at most, is held densely; a module's dense
+``matrix`` is built only for the JSON that prints it.
 
 The telescope is proved through the length state l_N of each level
 (Putnam-Schmidt-Skau): a circle cell's exact length a + b*theta, or an
@@ -88,6 +89,7 @@ from .abgroups import (
 )
 from .errors import NonStabilizationError, VerificationError
 from .systems import (
+    _MAX_LEVEL_CELLS,
     FLIP,
     TRANSLATION,
     DoubledSystem,
@@ -106,6 +108,7 @@ __all__ = [
     "bar_homology",
     "bar_homologies",
     "TelescopeResult",
+    "homology_levels",
     "h0_translation_telescope",
     "free_product_fragment",
     "free_product_homology",
@@ -340,36 +343,16 @@ class TelescopeResult:
         return self.limit.level
 
 
-#: The ceiling on the cells of one level; only an odometer's levels reach it.
-_MAX_LEVEL_CELLS = 512
-
-
-def _require_levels(system, message: str) -> None:
-    """Reject a system that has no level windows (circle and odometer
-    systems have them)."""
-    if not hasattr(system, "level_chain"):
-        raise ValueError(message)
-
-
-def _deepest_level(system, max_level: int) -> int:
-    """Deepest usable level: within the request and the system's depth.
-
-    Only an odometer's depth falls short of a request, where its chain
-    ends or its levels pass ``_MAX_LEVEL_CELLS`` cosets.
-    """
-    top = system.depth(max_level, _MAX_LEVEL_CELLS)
-    if top < min(max_level, 3):
+def homology_levels(system, max_level: int) -> list:
+    """Levels 1..N as ``(fine, coarse, within, up)``: the flip and
+    reflected windows (``level_chain`` up to ``depth(max_level)``), the
+    inclusion of the second in the first, and of the level below's flip
+    window in ``fine`` (None at level 1).  Fewer than min(max_level, 3)
+    levels, which only an odometer's chain can give, are refused."""
+    chain = system.level_chain(system.depth(max_level))
+    if len(chain) < min(max_level, 3):
         raise ValueError(
             f"need at least 3 odometer levels with at most {_MAX_LEVEL_CELLS} cosets")
-    return top
-
-
-def _levels(system, top: int) -> list:
-    """Levels 1..top as ``(fine, coarse, within, up)``: the flip and
-    reflected windows (``level_chain``), the inclusion of the second in
-    the first, and of the level below's flip window in ``fine`` (None at
-    level 1)."""
-    chain = system.level_chain(top)
     ups = [None] + [cover_matrix(a, b) for (a, _), (b, _) in zip(chain, chain[1:])]
     return [(fine, coarse, cover_matrix(coarse, fine), up)
             for (fine, coarse), up in zip(chain, ups)]
@@ -431,15 +414,14 @@ def _state_multiplier(fine: Matrix, incl: Sequence[dict], coarse: Matrix, level:
     return c
 
 
-def h0_translation_telescope(system, max_level: int,
-                             levels: Optional[list] = None) -> TelescopeResult:
+def h0_translation_telescope(levels: list) -> TelescopeResult:
     """H_0 of the translation action on C(X, Z), with the flip action.
 
     Stage N presents the functions on level N's flip window modulo
     f - f o (1,0) for f on its reflected window (``level_chain``), the
     widest window whose translate stays inside the flip window.  The
-    windows and their inclusions are ``levels`` (``_levels`` up to the
-    deepest usable level), built here unless the caller holds them.
+    windows and their inclusions are ``levels``, as
+    :func:`homology_levels` builds them, at least three of them.
 
     Each stage is proved by the length state l_N of its cells
     (``length_state``: a circle cell's exact length a + b*theta as the
@@ -463,17 +445,14 @@ def h0_translation_telescope(system, max_level: int,
     ``VerificationError``; a flip that moves the state, or a limit the
     multipliers leave open, raises ``NonStabilizationError``.
     """
-    if max_level < 3:
-        raise ValueError("max_level must be >= 3")
-    _require_levels(system, "telescope requires a circle or odometer system")
-    if levels is None:
-        levels = _levels(system, _deepest_level(system, max_level))
     top = len(levels)
+    if top < 3:
+        raise ValueError("the telescope needs at least 3 levels")
     states = [fine.length_state() for fine, *_ in levels]
     # relation j is within[j] - pullback[j]: f - f o (1,0) on reflected cell j
     stages = [
         Presentation.of(len(fine), map(_minus, within,
-                                       pullback_matrix(system, TRANSLATION, coarse, fine)))
+                                       pullback_matrix(TRANSLATION, coarse, fine)))
         for fine, coarse, within, _ in levels]
     for level, (stage, state) in enumerate(zip(stages, states), 1):
         _check_state(stage, state, level)
@@ -482,7 +461,7 @@ def h0_translation_telescope(system, max_level: int,
         for level, (coarse, fine, (*_, up)) in enumerate(zip(states, states[1:], levels[1:]), 1)])
     # l_N * P = l_N reads l_N at the cell each cell's indicator pulls back to
     sigma_trivial = all(
-        [[row[p] for p in pullback_permutation(system, FLIP, cells)] for row in state] == state
+        [[row[p] for p in pullback_permutation(FLIP, cells)] for row in state] == state
         for state, (cells, *_) in zip(states, levels))
 
     if limit.kind == "stabilized":
@@ -624,10 +603,10 @@ class FreeProductResult:
     all_exact: bool
 
 
-def _reflection_modules(system, fine: list, coarse: list) -> Tuple[InvolutionModule, ...]:
+def _reflection_modules(fine: list, coarse: list) -> Tuple[InvolutionModule, ...]:
     """The flip's module on a level's flip window and the reflected flip's
     on its reflected window."""
-    return tuple(InvolutionModule.from_permutation(pullback_permutation(system, g, cells))
+    return tuple(InvolutionModule.from_permutation(pullback_permutation(g, cells))
                  for g, cells in ((FLIP, fine), (GroupElement(1, 1), coarse)))
 
 
@@ -705,8 +684,7 @@ def _odd_limit(sizes: Sequence[int], maps: Sequence[Sequence[dict]]) -> LimitDes
     return LimitDescriptor(kind="undetermined", level=len(sizes))
 
 
-def free_product_homology(system, max_level: int,
-                          levels: Optional[list] = None) -> FreeProductResult:
+def free_product_homology(levels: list) -> FreeProductResult:
     """Run the free-product assembly across levels and take honest limits.
 
     At each level from 2 up, the flip permutes the system's flip window
@@ -718,17 +696,14 @@ def free_product_homology(system, max_level: int,
     their fixed cells, whose limits add up to H_1.  ``levels`` is as for
     ``h0_translation_telescope``; this route reads it from level 2 up.
     """
-    _require_levels(system, "free-product assembly requires a circle or odometer system")
-    if levels is None:
-        levels = _levels(system, _deepest_level(system, max_level))
-    levels = levels[1:]
-    if len(levels) < 3:
+    top = len(levels)
+    if top < 4:
         raise ValueError("the free-product assembly starts at level 2, "
                          "so it needs max_level >= 4 (levels 2 to 4)")
-    max_level = len(levels) + 1
-    modules = [_reflection_modules(system, fine, coarse) for fine, coarse, *_ in levels]
+    levels = levels[1:]
+    modules = [_reflection_modules(fine, coarse) for fine, coarse, *_ in levels]
     frags = [(level, free_product_fragment(*pair, within))
-             for level, pair, (*_, within, _) in zip(range(2, max_level + 1), modules, levels)]
+             for level, pair, (*_, within, _) in zip(range(2, top + 1), modules, levels)]
     maps = [_refinement_maps(a, b, up, cover_matrix(ca, cb))
             for a, b, (_, ca, *_), (_, cb, _, up) in zip(modules, modules[1:], levels, levels[1:])]
 
@@ -743,7 +718,7 @@ def free_product_homology(system, max_level: int,
         stabilized_at = None
     else:
         raise NonStabilizationError(
-            f"free-product H0 still moving at level {max_level}", max_level)
+            f"free-product H0 still moving at level {top}", top)
 
     # one limit (Z/2)^k per reflection, of its odd homologies; H_1 = (Z/2)^(k0 + k1)
     twos = 0
@@ -751,7 +726,7 @@ def free_product_homology(system, max_level: int,
         limit = _odd_limit([len(pair[k].orbits[2]) for pair in modules], [m[2][k] for m in maps])
         if limit.kind != "stabilized":
             raise NonStabilizationError(
-                f"free-product H1 still moving at level {max_level}", max_level)
+                f"free-product H1 still moving at level {top}", top)
         twos += len(limit.group.torsion)
 
     return FreeProductResult(
@@ -843,7 +818,7 @@ def homology_table(system, max_level: int = 16, method: str = "closed_form"):
         if method != "closed_form":
             raise ValueError("the free-product assembly needs both reflections "
                              "acting on one space; not available for the split case")
-        tele = h0_translation_telescope(system.base, max_level)
+        tele = h0_translation_telescope(homology_levels(system.base, max_level))
         provenance.update({
             "case": "translation_not_minimal",
             "h0_base": tele.h0.to_json(),
@@ -851,14 +826,12 @@ def homology_table(system, max_level: int = 16, method: str = "closed_form"):
         })
         return split_orbit_table(tele.h0), provenance
 
-    _require_levels(system, f"unsupported system: {system!r}")
-    # a chain too short or too wide for three levels is refused up front,
-    # before the telescope sees its depth as the request; both routes read
-    # one level list, the telescope levels 1..top and the free product 2..top
-    levels = _levels(system, _deepest_level(system, max_level))
-    depth = system.depth(max_level)
-    fixed_name, fixed, fixed_count = system.reflection_fixed(depth)
-    tele = h0_translation_telescope(system, depth, levels)
+    # a chain too short or too wide for three levels is refused before the
+    # fixed points are counted; both routes read this one level list, the
+    # telescope levels 1..N and the free product 2..N
+    levels = homology_levels(system, max_level)
+    fixed_name, fixed, fixed_count = system.reflection_fixed(system.depth(max_level))
+    tele = h0_translation_telescope(levels)
     provenance.update({
         "case": "not_free",
         fixed_name: fixed,
@@ -871,7 +844,7 @@ def homology_table(system, max_level: int = 16, method: str = "closed_form"):
     closed = nonfree_action_table(tele.h0, fixed_count)
     if method == "closed_form":
         return closed, provenance
-    fp = free_product_homology(system, depth, levels)
+    fp = free_product_homology(levels)
     provenance["freeproduct"] = {
         "stabilizedAt": fp.stabilized_at,
         "pairedInjective": fp.all_injective,

@@ -33,25 +33,29 @@ window that carries its own index, built with the window: a circle
 window keeps the position of each cut from the sort that ordered them,
 and an odometer cell's position is its residue.  The level matrices read
 that index, in integers, with no set operations; any other sequence of
-cells is refused.  :func:`cover_matrix` and :func:`pullback_matrix`
-return sparse columns, one {cell: 1} per source cell, so they cost their
-nonzeros and never rows x cols; :func:`pullback_permutation` writes a
-g that permutes the cells as one index per cell.  :func:`cover_indices`
+cells is refused.  The cells also fix the action on their cut indices
+or residues, so a pullback takes g and cells, and no system.
+:func:`cover_matrix` and :func:`pullback_matrix` return sparse columns,
+one {cell: 1} per source cell, so they cost their nonzeros and never
+rows x cols; :func:`pullback_permutation` writes a g that permutes the
+cells as one index per cell.  :func:`cover_indices`
 looks up one target, and no homology computation calls it.
 
 For homology the circle and the odometer differ only in their levels
-(``level_chain``), in how deep their levels go (``depth``) and in how the
-reflections' fixed points are counted (``reflection_fixed``).
+(``level_chain``), in how deep their levels go (``depth``: the request,
+up to 128 on a circle and up to the chain's end on an odometer) and in
+how the reflections' fixed points are counted (``reflection_fixed``).
 ``level_chain(N)`` gives, for each level t = 1..N, the cells of level t
-and their relation window.  The flip (0,1) permutes a circle's window
-[-t, t] and the reflected rotation (1,1) its window [1-t, t]; a rotation
-by one moves the cuts of [1-t, t] into [-t, t], so the translation
-relations of level t are taken on [1-t, t] and land in [-t, t].  Both
-reflections and the translation permute an odometer's level cylinders,
-so one list serves as both windows.  Every window of either system is
-built by its ``cells``, the one builder of level cells.  Each window
-also has its length state (``length_state``), the exact lengths of its
-cells as integer rows.
+and their relation window; an odometer's stops at its last level of at
+most 512 cosets.  The flip (0,1) permutes a circle's window [-t, t] and
+the reflected rotation (1,1) its window [1-t, t]; a rotation by one
+moves the cuts of [1-t, t] into [-t, t], so the translation relations
+of level t are taken on [1-t, t] and land in [-t, t].  Both reflections
+and the translation permute an odometer's level cylinders, so one list
+serves as both windows.  Every window of either system is built by its
+``cells``, the one builder of level cells.  Each window also has its
+length state (``length_state``), the exact lengths of its cells as
+integer rows.
 
 Castles, certificates and the CLI ask every system the same questions:
 ``act`` (the image of a clopen set), ``set_from_json`` (a clopen set
@@ -180,6 +184,9 @@ _MAX_LEVEL = 128
 #: check hold one entry per coset.
 _MAX_COSETS = 10 ** 6
 
+#: The ceiling on the cosets of an odometer homology level.
+_MAX_LEVEL_CELLS = 512
+
 
 def require_castle_cosets(modulus: int) -> None:
     if modulus > _MAX_COSETS:
@@ -299,11 +306,10 @@ class DenjoyFlipSystem:
         into the first window.  Each window is built by ``cells``."""
         return [(self.cells(-t, t), self.cells(1 - t, t)) for t in range(1, top + 1)]
 
-    def depth(self, max_level: int, cell_cap: Optional[int] = None) -> int:
+    def depth(self, max_level: int) -> int:
         """The deepest level a computation up to ``max_level`` uses.
 
-        Level N has 2N + 1 cells, so ``max_level`` bounds the cost and
-        ``cell_cap`` (a bound on odometer cosets) does not apply.  A
+        Level N has 2N + 1 cells, so ``max_level`` bounds the cost.  A
         request above the ceiling of 128 levels is rejected, so that the
         cost stays bounded whatever the request.
         """
@@ -564,7 +570,11 @@ class OdometerSystem:
     # -- clopen sets ----------------------------------------------------
 
     def set_from_json(self, data: dict) -> LevelSet:
-        return LevelSet(json_int(data["modulus"], "level set field 'modulus'"),
+        modulus = json_int(data["modulus"], "level set field 'modulus'")
+        if modulus < 1 or self.chain[-1] % modulus:
+            raise ValueError(f"level set field 'modulus' is {modulus}, not a positive "
+                             f"divisor of the chain's last level {self.chain[-1]}")
+        return LevelSet(modulus,
                         frozenset(json_int(k, "level set residue") for k in data["residues"]))
 
     def partition_flags(self, pieces: Sequence[LevelSet]) -> tuple:
@@ -597,16 +607,14 @@ class OdometerSystem:
         """The cells of each level t = 1..top for the flip and for the
         reflected rotation: one list of cylinders, which both permute,
         and which is its own relation window, since the translation
-        permutes it too."""
+        permutes it too.  The list stops at the last level of at most
+        512 cosets."""
+        top = min(top, bisect_right(self.chain, _MAX_LEVEL_CELLS))
         return [(cells, cells) for cells in map(self.cells, range(1, top + 1))]
 
-    def depth(self, max_level: int, cell_cap: Optional[int] = None) -> int:
-        """The deepest level up to ``max_level`` within the chain and, if
-        ``cell_cap`` is given, with at most that many cosets."""
-        top = min(max_level, len(self.chain))
-        if cell_cap is not None:
-            top = min(top, bisect_right(self.chain, cell_cap))
-        return top
+    def depth(self, max_level: int) -> int:
+        """The deepest level up to ``max_level`` within the chain."""
+        return min(max_level, len(self.chain))
 
     def reflection_fixed(self, depth: int) -> tuple:
         """Fixed threads of (0,1) and (1,1) up to ``depth``, as the homology
@@ -658,10 +666,6 @@ class _CircleCells(_LevelCells):
         return [[b.m - a.m + w for a, b, w in zip(cuts, ends, wraps)],
                 [b.n - a.n for a, b in zip(cuts, ends)]]
 
-    def require(self, system) -> None:
-        if not (isinstance(system, DenjoyFlipSystem) and system.theta == self.theta):
-            raise ValueError("the system does not act on these circle cells")
-
     def _check(self, s) -> None:
         if not isinstance(s, ClopenSet) or s.theta != self.theta:
             raise ValueError("not a circle set over the cells' theta")
@@ -708,10 +712,6 @@ class _CylinderCells(_LevelCells):
         """The measures of the cylinders in units of 1/n: one row of ones."""
         return [[1] * self.modulus]
 
-    def require(self, system) -> None:
-        if not isinstance(system, OdometerSystem):
-            raise ValueError("the system does not act on odometer cells")
-
     @staticmethod
     def _sorted(residues: list) -> list:
         if not residues:
@@ -754,7 +754,7 @@ def cover_matrix(coarse: Sequence, fine: _LevelCells) -> list:
     return [dict.fromkeys(index.cover(c), 1) for c in coarse]
 
 
-def pullback_matrix(system, g: GroupElement, src_cells: Sequence, dst_cells: _LevelCells) -> list:
+def pullback_matrix(g: GroupElement, src_cells: Sequence, dst_cells: _LevelCells) -> list:
     """The sparse columns of f -> f o g from functions on src_cells to
     functions on dst_cells: column j is 1 on each destination cell of the
     preimage of source cell j.
@@ -765,18 +765,16 @@ def pullback_matrix(system, g: GroupElement, src_cells: Sequence, dst_cells: _Le
     residues, so no set is built.
     """
     index = _indexed(dst_cells)
-    index.require(system)
     g_inv = g.inverse()
     return [dict.fromkeys(index.preimage(g_inv, c), 1) for c in src_cells]
 
 
-def pullback_permutation(system, g: GroupElement, cells: _LevelCells) -> list:
-    """``pullback_matrix(system, g, cells, cells)`` for a g that permutes
+def pullback_permutation(g: GroupElement, cells: _LevelCells) -> list:
+    """``pullback_matrix(g, cells, cells)`` for a g that permutes
     the cells, as the row of the one in each column.  A g that does not
     permute them sends some cell outside the list, and the index raises
     ``ValueError``."""
     index = _indexed(cells)
-    index.require(system)
     g_inv = g.inverse()
     return [index.preimage(g_inv, c)[0] for c in cells]
 

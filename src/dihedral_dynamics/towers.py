@@ -274,8 +274,9 @@ _TARGET_CAP = 10_000
 
 
 def almost_finite_certificate(system, test_set: Sequence[GroupElement],
-                              eps: Fraction) -> Castle:
-    """A partitioning castle whose every shape is (test_set, eps)-invariant.
+                              eps: Fraction) -> tuple:
+    """A partitioning castle whose every shape is (test_set, eps)-invariant,
+    and its shape ratios, one per tower.
 
     An odometer gets :func:`odometer_castle` at the first chain level
     whose window is invariant enough, seen one level further down.  On
@@ -309,10 +310,11 @@ def almost_finite_certificate(system, test_set: Sequence[GroupElement],
         y = _shrink_until_disjoint(system, n_target)
         castle = first_return_castle(system, y, proven_disjoint=n_target)
 
-    bad = [r for r in castle.shape_ratios(test_set) if r >= eps]
+    ratios = castle.shape_ratios(test_set)
+    bad = [r for r in ratios if r >= eps]
     if bad:
         raise VerificationError(f"shape invariance violated: ratios {bad} >= {eps}")
-    return castle
+    return castle, ratios
 
 
 def _invariance_target(test_set: Sequence[GroupElement], eps: Fraction) -> int:

@@ -23,6 +23,7 @@ from dihedral_dynamics.homology import (
     coinvariants,
     even_homology,
     free_product_homology,
+    homology_levels,
     homology_table,
     odd_homology,
 )
@@ -225,7 +226,7 @@ def test_criterion_8_bar_oracle_equivalence():
 def test_criterion_9_two_path_consistency():
     system = DenjoyFlipSystem(GOLDEN)
     closed, prov = homology_table(system, max_level=16)
-    fp = free_product_homology(system, 16)
+    fp = free_product_homology(homology_levels(system, 16))
     assert fp.h0 == closed.entry(0)
     assert fp.h1 == closed.entry(1)
     assert fp.all_injective          # paired coinvariants map injective, N <= 16

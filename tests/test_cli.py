@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 import dihedral_dynamics
 from dihedral_dynamics import cli, towers
 from dihedral_dynamics.abgroups import FGAbGroup
+from dihedral_dynamics.amenability import DEFAULT_TEST_SET, folner
 from dihedral_dynamics.cli import build_parser, main
-from dihedral_dynamics.systems import OdometerSystem
+from dihedral_dynamics.systems import OdometerSystem, system_from_json
 from dihedral_dynamics.towers import Castle
 
 GOLDEN_THETA = {"p": -1, "q": 1, "d": 5, "r": 2}
@@ -421,6 +422,40 @@ class TestCertifyCommand:
         assert code == 4
         assert captured.out == ""
         assert "verification" in json.loads(captured.err)["error"]
+
+    @pytest.mark.parametrize("system,eps", [
+        ({"type": "denjoy_flip", "theta": GOLDEN_THETA}, "1/10"),
+        ({"type": "doubled", "theta": GOLDEN_THETA}, "1/25"),
+        ({"type": "odometer", "base": 3, "growth": "geometric", "levels": 4}, "1/10"),
+    ], ids=["golden", "doubled", "3^i-4"])
+    def test_each_shape_ratio_taken_once(self, capsys, monkeypatch, tmp_path, system, eps):
+        # certify prints the ratios the certificate checked: one ratio per
+        # tower, beside the target's own (the closed-form scan on a circle,
+        # the level search on an odometer); the payload, pinned for 3^i-4,
+        # reads back and verifies
+        eps_q = Fraction(eps)
+        ratio = towers.folner_ratio
+        calls = []
+
+        def counted(window, test_set):
+            calls.append(window)
+            return ratio(window, test_set)
+
+        monkeypatch.setattr(towers, "folner_ratio", counted)
+        parsed = system_from_json(system)
+        if isinstance(parsed, OdometerSystem):
+            target = next(n for n, m in enumerate(parsed.chain, 1)
+                          if ratio(folner(m), DEFAULT_TEST_SET) < eps_q)
+        else:
+            towers._invariance_target(DEFAULT_TEST_SET, eps_q)
+            target = len(calls)
+        calls.clear()
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(system))
+        code, data = run(capsys, ["certify", "--system", str(path), "--eps", eps])
+        assert code == 0
+        assert len(calls) == target + len(data["towers"])
+        assert Castle.from_json(data).verify().all_ok()
 
     def test_odometer_ratio_failure_prints_nothing(self, capsys, monkeypatch, odometer_file):
         # the odometer castle goes through the certificate's shared check

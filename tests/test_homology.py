@@ -38,6 +38,7 @@ from dihedral_dynamics.homology import (
     free_product_fragment,
     free_product_homology,
     h0_translation_telescope,
+    homology_levels,
     homology_table,
     nonfree_action_table,
     odd_homology,
@@ -503,7 +504,7 @@ def connecting_maps(system, tele, lift=True):
 
 class TestTelescope:
     def test_denjoy(self, denjoy):
-        tele = h0_translation_telescope(denjoy, 8)
+        tele = h0_translation_telescope(homology_levels(denjoy, 8))
         assert tele.h0 == FGAbGroup(2)
         assert tele.sigma_trivial
         assert tele.h0 == FGAbGroup(2)
@@ -516,7 +517,7 @@ class TestTelescope:
         # [0, theta) and [theta, 0), with the top stage's relations, span
         # the module included from the stage below, hence the limit
         system = DenjoyFlipSystem(theta)
-        tele = h0_translation_telescope(system, 8)
+        tele = h0_translation_telescope(homology_levels(system, 8))
         top = tele.stages[-1]
         cells = system.level_chain(len(tele.stages))[-1][0]
         gens = []
@@ -535,12 +536,12 @@ class TestTelescope:
     def test_denjoy_other_theta(self, sqrt2_theta):
         from dihedral_dynamics.systems import DenjoyFlipSystem
 
-        tele = h0_translation_telescope(DenjoyFlipSystem(sqrt2_theta), 8)
+        tele = h0_translation_telescope(homology_levels(DenjoyFlipSystem(sqrt2_theta), 8))
         assert tele.sigma_trivial
         assert tele.limit.kind == "stabilized"
 
     def test_odometer_localization(self, odometer3):
-        tele = h0_translation_telescope(odometer3, 5)
+        tele = h0_translation_telescope(homology_levels(odometer3, 5))
         assert tele.limit.kind == "localization"
         assert tele.h0.display == "Z[1/3]"
         assert set(tele.h0.multipliers) == {3}
@@ -551,7 +552,7 @@ class TestTelescope:
         from dihedral_dynamics.systems import OdometerSystem
 
         odo = OdometerSystem([2, 6, 12, 60, 120])
-        tele = h0_translation_telescope(odo, 5)
+        tele = h0_translation_telescope(homology_levels(odo, 5))
         assert tele.limit.kind == "localization"
         assert tele.h0.multipliers == (3, 2, 5, 2)
         assert tele.h0.display == "Z[1/30]"
@@ -559,7 +560,7 @@ class TestTelescope:
     def test_doubled_base_without_flip(self, doubled):
         # the split case reads only h0 of the base circle, where the flip
         # check holds as well
-        tele = h0_translation_telescope(doubled.base, 8)
+        tele = h0_translation_telescope(homology_levels(doubled.base, 8))
         assert tele.sigma_trivial
         assert tele.h0 == FGAbGroup(2)
         assert tele.h0 == FGAbGroup(2)
@@ -568,12 +569,12 @@ class TestTelescope:
         # h0 is what the closed form reads for the doubled subgroup (flip
         # verified trivial, 2 Z^2 isomorphic to Z^2); the image of the
         # summed connecting-plus-flip map must agree at deep stages
-        tele = h0_translation_telescope(denjoy, 8)
+        tele = h0_translation_telescope(homology_levels(denjoy, 8))
         connecting = connecting_maps(denjoy, tele)
         for idx in (5, 6):
             cells = denjoy.level_chain(idx + 1)[-1][0]
             incl = dense(connecting[idx].matrix, tele.stages[idx + 1].ngens)
-            flip = dense(pullback_matrix(denjoy, FLIP, cells, cells), len(cells))
+            flip = dense(pullback_matrix(FLIP, cells, cells), len(cells))
             plus = mat_add(incl, mat_mul(incl, flip))
             direct = image_group(AbHom.of(tele.stages[idx], tele.stages[idx + 1],
                                           sparse(columns(plus))))
@@ -590,14 +591,14 @@ class TestTelescope:
         # with comparing the flip hom incl * P with the inclusion, and the
         # rule for incl (the doubled inclusion against the inclusion)
         # agrees as well, with the other outcome
-        tele = h0_translation_telescope(system, level)
+        tele = h0_translation_telescope(homology_levels(system, level))
         cells = [fine for fine, _ in system.level_chain(len(tele.stages))]
         flip_rules, double_rules = [], []
         for i, conn in enumerate(connecting_maps(system, tele)):
             stage = tele.stages[i + 1]
             assert list(conn.matrix) == cover_matrix(cells[i], cells[i + 1])
             incl = dense(conn.matrix, stage.ngens)
-            flip = dense(pullback_matrix(system, FLIP, cells[i], cells[i]), len(cells[i]))
+            flip = dense(pullback_matrix(FLIP, cells[i], cells[i]), len(cells[i]))
             flipped = mat_mul(incl, flip)
             rule = relation_rule(stage, mat_sub(flipped, incl))
             assert rule == equals_hom(AbHom.of(tele.stages[i], stage, sparse(columns(flipped))),
@@ -624,8 +625,8 @@ class TestTelescope:
         size = len(denjoy.level_chain(level)[bent][0])
         permutation = homology.pullback_permutation
 
-        def bent_flip(system, g, cells):
-            perm = permutation(system, g, cells)
+        def bent_flip(g, cells):
+            perm = permutation(g, cells)
             if g == FLIP and len(cells) == size:
                 lengths = columns(measured_state(cells))
                 j = next(j for j, x in enumerate(lengths) if x != lengths[0])
@@ -637,10 +638,10 @@ class TestTelescope:
             monkeypatch.setattr(homology, "multiplier_limit", lambda group, mults: LimitDescriptor(
                 kind="localization", localization=LocalizationDescriptor((2,) * len(mults))))
         with pytest.raises(NonStabilizationError, match="flip acts nontrivially"):
-            h0_translation_telescope(denjoy, level)
+            h0_translation_telescope(homology_levels(denjoy, level))
 
     @pytest.mark.parametrize("run,calls", [
-        (lambda s: h0_translation_telescope(s, 14), 0),
+        (lambda s: h0_translation_telescope(homology_levels(s, 14)), 0),
         (lambda s: homology_table(s, 14, "both"), 12),
     ], ids=["telescope", "table"])
     def test_abhom_count(self, monkeypatch, denjoy, run, calls):
@@ -660,7 +661,7 @@ class TestTelescope:
         assert len(made) == calls
 
     def test_three_levels_suffice(self, denjoy):
-        tele = h0_translation_telescope(denjoy, 3)
+        tele = h0_translation_telescope(homology_levels(denjoy, 3))
         assert tele.h0 == FGAbGroup(2)
         assert tele.stabilized_level() == 1
 
@@ -671,7 +672,7 @@ class TestTelescope:
         # a connecting map that is multiplication by 0 leaves the limit open
         monkeypatch.setattr(homology, "_state_multiplier", lambda *args: 0)
         with pytest.raises(NonStabilizationError, match="undetermined"):
-            h0_translation_telescope(denjoy, 8)
+            h0_translation_telescope(homology_levels(denjoy, 8))
         path = tmp_path / "golden.json"
         path.write_text(json.dumps(denjoy.to_json()))
         assert main(["homology", "--system", str(path), "--max-level", "8"]) == 3
@@ -684,7 +685,7 @@ class TestTelescope:
         # relations on the reflected window: every stage is Z^2 and every
         # connecting map an isomorphism, proved with its lift or by solving
         system = DenjoyFlipSystem(theta)
-        tele = h0_translation_telescope(system, 8)
+        tele = h0_translation_telescope(homology_levels(system, 8))
         assert all(stage.canonical() == FGAbGroup(2) for stage in tele.stages)
         for lift in (True, False):
             assert all(m.is_isomorphism() for m in connecting_maps(system, tele, lift))
@@ -698,7 +699,7 @@ class TestTelescope:
 
         monkeypatch.setattr(homology, "_odd_limit", refuse)
         monkeypatch.setattr(DirectSystem, "limit", refuse)
-        assert h0_translation_telescope(denjoy, 8).h0 == FGAbGroup(2)
+        assert h0_translation_telescope(homology_levels(denjoy, 8)).h0 == FGAbGroup(2)
 
     @pytest.mark.parametrize("system,level", [
         (DenjoyFlipSystem(GOLDEN), 8),
@@ -709,7 +710,7 @@ class TestTelescope:
         (OdometerSystem([2, 6, 12, 60, 120]), 5),
     ], ids=["golden", "sqrt2", "sqrt3", "doubled-base", "3^i", "mixed"])
     def test_matches_lagged_route(self, system, level):
-        tele = h0_translation_telescope(system, level)
+        tele = h0_translation_telescope(homology_levels(system, level))
         ref = lagged_telescope_limit(system, level)
         assert ref.kind == tele.limit.kind
         assert (ref.group, ref.localization) == (tele.limit.group, tele.limit.localization)
@@ -729,7 +730,7 @@ class TestTelescope:
             return diagonal(rows, shape)
 
         monkeypatch.setattr(abgroups, "sparse_snf_diagonal", counted)
-        h0_translation_telescope(system, level)
+        h0_translation_telescope(homology_levels(system, level))
         assert len(made) == calls
 
     @settings(max_examples=25, deadline=None)
@@ -740,13 +741,13 @@ class TestTelescope:
         # maps onto Z^2 and is kept by the flip, and refinement keeps it.
         # The lagged route's image retry needs three maps, so four levels.
         system = DenjoyFlipSystem(theta)
-        tele = h0_translation_telescope(system, top)
+        tele = h0_translation_telescope(homology_levels(system, top))
         cells = [fine for fine, _ in system.level_chain(top)]
         states = [measured_state(c) for c in cells]
         for stage, state, c in zip(tele.stages, states, cells):
             assert not any(map(any, mat_mul(state, dense(stage.relations, stage.ngens))))
             assert snf_diagonal(state) == [1, 1]
-            assert mat_mul(state, dense(pullback_matrix(system, FLIP, c, c), len(c))) == state
+            assert mat_mul(state, dense(pullback_matrix(FLIP, c, c), len(c))) == state
         for conn, coarse, fine in zip(connecting_maps(system, tele), states, states[1:]):
             assert mat_mul(fine, dense(conn.matrix, conn.dst.ngens)) == coarse
         ref = lagged_telescope_limit(system, top)
@@ -763,7 +764,7 @@ class TestTelescope:
         monkeypatch.setattr(systems._CircleCells, "length_state",
                             lambda self: [[2 * x for x in row] for row in lengths(self)])
         with pytest.raises(VerificationError, match="level 1 is not onto"):
-            h0_translation_telescope(denjoy, 8)
+            h0_translation_telescope(homology_levels(denjoy, 8))
         path = tmp_path / "golden.json"
         path.write_text(json.dumps(denjoy.to_json()))
         assert main(["homology", "--system", str(path), "--max-level", "8"]) == 4
@@ -777,35 +778,32 @@ class TestTelescope:
         # level (exit 4)
         from dihedral_dynamics.cli import main
 
-        build = homology._levels
-
-        def swapped(system, top):
-            levels = build(system, top)
-            fine, coarse, within, up = levels[3]
-            lengths = columns(measured_state(levels[2][0]))
-            j = next(j for j, x in enumerate(lengths) if x != lengths[0])
-            cols = list(up)
-            cols[0], cols[j] = cols[j], cols[0]
-            levels[3] = (fine, coarse, within, cols)
-            return levels
+        levels = homology_levels(denjoy, 8)
+        fine, coarse, within, up = levels[3]
+        lengths = columns(measured_state(levels[2][0]))
+        j = next(j for j, x in enumerate(lengths) if x != lengths[0])
+        cols = list(up)
+        cols[0], cols[j] = cols[j], cols[0]
+        levels[3] = (fine, coarse, within, cols)
 
         with pytest.raises(VerificationError, match="from level 3 to 4 does not scale"):
-            h0_translation_telescope(denjoy, 8, swapped(denjoy, 8))
-        monkeypatch.setattr(homology, "_levels", swapped)
+            h0_translation_telescope(levels)
+        # the table builds its levels by name, so the CLI reads this list
+        monkeypatch.setattr(homology, "homology_levels", lambda system, max_level: levels)
         path = tmp_path / "golden.json"
         path.write_text(json.dumps(denjoy.to_json()))
         assert main(["homology", "--system", str(path), "--max-level", "8"]) == 4
         assert "from level 3 to 4" in json.loads(capsys.readouterr().err)["error"]
 
     def test_shallowest_working_depth(self, denjoy):
-        tele = h0_translation_telescope(denjoy, 4)
+        tele = h0_translation_telescope(homology_levels(denjoy, 4))
         assert tele.h0 == FGAbGroup(2)
 
     def test_cell_cap_needs_three_levels(self):
         from dihedral_dynamics.systems import OdometerSystem
 
         with pytest.raises(ValueError):
-            h0_translation_telescope(OdometerSystem([600, 1200, 2400]), 3)
+            h0_translation_telescope(homology_levels(OdometerSystem([600, 1200, 2400]), 3))
 
 
 def lagged_telescope_limit(system, top):
@@ -821,7 +819,7 @@ def lagged_telescope_limit(system, top):
     stages = tuple(
         Presentation.of(len(c), sparse(columns(mat_sub(
             dense(cover_matrix(s, c), len(c)),
-            dense(pullback_matrix(system, TRANSLATION, s, c), len(c))))))
+            dense(pullback_matrix(TRANSLATION, s, c), len(c))))))
         for s, c in zip(windows, cells))
     covers = [cover_matrix(a, b) for a, b in zip(windows, windows[1:])]
     homs = tuple(AbHom.of(a, b, m, w)
@@ -857,16 +855,19 @@ class TestLevelIndexes:
         homology_table(system, level, "both")
         assert len(built) == windows
 
-    @pytest.mark.parametrize("system,level,covers,smith", [
-        (DenjoyFlipSystem(GOLDEN), 14, 39, 76),
-        (OdometerSystem([3 ** i for i in range(1, 5)]), 16, 9, 17),
-    ], ids=["golden-L14", "3^i-4"])
-    def test_one_inclusion_per_window_pair(self, monkeypatch, system, level, covers, smith):
+    @pytest.mark.parametrize("system,level,method,covers,smith", [
+        (DenjoyFlipSystem(GOLDEN), 14, "both", 39, 76),
+        (OdometerSystem([3 ** i for i in range(1, 5)]), 16, "both", 9, 17),
+        (DoubledSystem(GOLDEN), 12, "closed_form", 23, 12),
+    ], ids=["golden-L14", "3^i-4", "doubled-L12-comp"])
+    def test_one_inclusion_per_window_pair(self, monkeypatch, system, level, method, covers,
+                                           smith):
         # both routes read one level list: per level its windows'
         # inclusion, and the flip window's from the level below; the free
         # product adds only its reflected windows' inclusions. 77 and 14
         # cover matrices were built when each route built its own; the
-        # Smith forms are as many as then.
+        # Smith forms are as many as then.  The doubled system's base list
+        # is built once, for its telescope alone: one Smith form per stage.
         made = Counter()
 
         def counting(name, fn):
@@ -877,7 +878,7 @@ class TestLevelIndexes:
 
         for module, name in ((homology, "cover_matrix"), (abgroups, "sparse_snf_diagonal")):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        homology_table(system, level, "both")
+        homology_table(system, level, method)
         assert (made["cover_matrix"], made["sparse_snf_diagonal"]) == (covers, smith)
 
 
@@ -899,14 +900,14 @@ class TestFreeProduct:
         assert frag.h0 == FGAbGroup(1)
 
     def test_denjoy_result(self, denjoy):
-        fp = free_product_homology(denjoy, 8)
+        fp = free_product_homology(homology_levels(denjoy, 8))
         assert fp.h0 == FGAbGroup(2)
         assert fp.h1 == FGAbGroup(0, (2, 2, 2))
         assert fp.all_injective
         assert fp.all_exact
 
     def test_odometer_result(self, odometer2):
-        fp = free_product_homology(odometer2, 6)
+        fp = free_product_homology(homology_levels(odometer2, 6))
         assert fp.h0.display == "Z[1/2]"
         # finite levels show two flip-fixed cells but only one thread survives
         assert fp.h1 == Z2
@@ -925,9 +926,9 @@ REAL_SYSTEMS = pytest.mark.parametrize("system,level", [
 def level_modules(system, level):
     """The flip and reflected-flip permutation modules of one level."""
     fine, coarse = system.level_chain(level)[-1]
-    return (InvolutionModule.from_permutation(pullback_permutation(system, FLIP, fine)),
+    return (InvolutionModule.from_permutation(pullback_permutation(FLIP, fine)),
             InvolutionModule.from_permutation(
-                pullback_permutation(system, GroupElement(1, 1), coarse)))
+                pullback_permutation(GroupElement(1, 1), coarse)))
 
 
 def elementary_two_presentation(n):
@@ -959,10 +960,10 @@ class TestLifts:
 
         monkeypatch.setattr(AbHom, "of", classmethod(recording))
         # the telescope proves its inclusions through the length state
-        h0_translation_telescope(system, level)
+        h0_translation_telescope(homology_levels(system, level))
         assert lifted == []
         try:
-            fp = free_product_homology(system, level)
+            fp = free_product_homology(homology_levels(system, level))
             # per level step: one H0 map
             assert len(lifted) == len(fp.fragments) - 1
         except NonStabilizationError:
@@ -1010,7 +1011,7 @@ class TestLifts:
                 AbHom.of(a, doubled, induced, induced)
 
     @pytest.mark.parametrize("system,run", [
-        (DenjoyFlipSystem(GOLDEN), lambda s: h0_translation_telescope(s, 14)),
+        (DenjoyFlipSystem(GOLDEN), lambda s: h0_translation_telescope(homology_levels(s, 14))),
         (DenjoyFlipSystem(GOLDEN), lambda s: homology_table(s, 14, "both")),
         (DenjoyFlipSystem(Theta(p=-1, q=1, d=2, r=1)), lambda s: homology_table(s, 10, "both")),
         (OdometerSystem([2 ** i for i in range(1, 7)]), lambda s: homology_table(s, 16, "both")),
@@ -1259,7 +1260,7 @@ class TestFragmentFlags:
 def dense_modules(system, fine, coarse):
     """The flip's and the reflected flip's modules of a level, read off
     their dense pullback matrices."""
-    return tuple(InvolutionModule.of(dense(pullback_matrix(system, g, cells, cells), len(cells)))
+    return tuple(InvolutionModule.of(dense(pullback_matrix(g, cells, cells), len(cells)))
                  for g, cells in ((FLIP, fine), (GroupElement(1, 1), coarse)))
 
 
@@ -1291,8 +1292,8 @@ def full_cell_limits(system, levels):
     reflection the limit of ker(A - I) / im(A + I) on kernel bases,
     lifted by its inclusion."""
     windows = [system.level_chain(t)[-1] for t in levels]
-    flips = [(dense(pullback_matrix(system, FLIP, fine, fine), len(fine)),
-              dense(pullback_matrix(system, GroupElement(1, 1), coarse, coarse), len(coarse)))
+    flips = [(dense(pullback_matrix(FLIP, fine, fine), len(fine)),
+              dense(pullback_matrix(GroupElement(1, 1), coarse, coarse), len(coarse)))
              for fine, coarse in windows]
     h0_stages = tuple(
         total_coinvariants(InvolutionModule.of(a), InvolutionModule.of(b), cover_matrix(c, f))
@@ -1334,8 +1335,8 @@ def block_diagonal_h1(system, max_level):
     windows = system.level_chain(max_level)[1:]
     stages, bases = [], []
     for fine, coarse in windows:
-        a = block_diag(dense(pullback_matrix(system, FLIP, fine, fine), len(fine)),
-                       dense(pullback_matrix(system, GroupElement(1, 1), coarse, coarse),
+        a = block_diag(dense(pullback_matrix(FLIP, fine, fine), len(fine)),
+                       dense(pullback_matrix(GroupElement(1, 1), coarse, coarse),
                              len(coarse)))
         n = len(a)
         stage, basis, solver = kernel_quotient(mat_sub(a, identity_matrix(n)),
@@ -1357,7 +1358,7 @@ def block_diagonal_h1(system, max_level):
 def split_h1(system, max_level):
     """free_product_homology's H_1, or None where it is still moving."""
     try:
-        return free_product_homology(system, max_level).h1
+        return free_product_homology(homology_levels(system, max_level)).h1
     except NonStabilizationError as exc:
         assert "H1" in str(exc)
         return None
@@ -1386,7 +1387,7 @@ class TestOrbitRoute:
     def test_limits_match_full_cell_route(self, system, level):
         # every level here is within the 512-cell cap, so the assembly
         # runs to the requested level (3^i: 243 cells at level 5)
-        top = homology._deepest_level(system, level)
+        top = len(homology_levels(system, level))
         assert top == level
         levels = list(range(2, top + 1))
         h0_stages, h0_limit, odd_stages, odd_limits = full_cell_limits(system, levels)
@@ -1396,7 +1397,7 @@ class TestOrbitRoute:
             assert [odd_homology(m) for m in modules] == [
                 odd_stages[0][i].canonical(), odd_stages[1][i].canonical()], level
         try:
-            fp = free_product_homology(system, level)
+            fp = free_product_homology(homology_levels(system, level))
         except NonStabilizationError as exc:
             # the mixed chain: an odd-homology limit is still moving
             assert "H1" in str(exc)
@@ -1422,7 +1423,7 @@ class TestOrbitRoute:
         monkeypatch.setattr(InvolutionModule, "of", classmethod(refuse))
         monkeypatch.setattr(InvolutionModule, "matrix", property(refuse))
         monkeypatch.setattr(abgroups, "kernel_basis", refuse)
-        fp = free_product_homology(denjoy, 8)
+        fp = free_product_homology(homology_levels(denjoy, 8))
         assert (fp.h0, fp.h1) == (FGAbGroup(2), FGAbGroup(0, (2, 2, 2)))
 
     def test_fragment_refuses_signed_modules(self):
@@ -1573,10 +1574,10 @@ def transfer_report(system, max_level):
     """The transfer at the top level of the telescope, into the stage of
     that level by f -> f + f o flip: an orbit to its indicator, a fixed
     cell to twice its own."""
-    tele = h0_translation_telescope(system, max_level)
+    tele = h0_translation_telescope(homology_levels(system, max_level))
     level = len(tele.stages)
     cells, coarse = system.level_chain(level)[-1]
-    msig, mphisig = _reflection_modules(system, cells, coarse)
+    msig, mphisig = _reflection_modules(cells, coarse)
     h0_gamma = free_product_fragment(msig, mphisig, cover_matrix(coarse, cells)).h0_presentation
     label = msig.orbits[0]
     tr_matrix = [[(label[i] == o) * (1 + (msig.perm[i] == i)) for o in range(h0_gamma.ngens)]
@@ -1707,7 +1708,7 @@ class TestTables:
 
 class TestLemmaSequenceChecks:
     def test_exactness_small_levels(self, denjoy):
-        fp = free_product_homology(denjoy, 6)
+        fp = free_product_homology(homology_levels(denjoy, 6))
         for level, frag in fp.fragments:
             assert frag.paired_injective, level
             assert frag.middle_exact, level

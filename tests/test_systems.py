@@ -398,7 +398,7 @@ class TestLevelPartition:
     def test_denjoy_level_one(self, denjoy, golden):
         cells = denjoy.cells(-1, 1)
         assert len(cells) == 3
-        sigma = dense(pullback_matrix(denjoy, FLIP, cells, cells), 3)
+        sigma = dense(pullback_matrix(FLIP, cells, cells), 3)
         assert self.is_permutation(sigma)
         fixed = [i for i in range(3) if sigma[i][i]]
         assert len(fixed) == 1
@@ -408,33 +408,33 @@ class TestLevelPartition:
     def test_denjoy_level_zero(self, denjoy):
         cells = denjoy.cells(0, 0)
         assert len(cells) == 1 and cells[0].full
-        assert pullback_matrix(denjoy, FLIP, cells, cells) == [{0: 1}]
+        assert pullback_matrix(FLIP, cells, cells) == [{0: 1}]
 
     def test_partition_matrices(self, denjoy):
         cells = denjoy.cells(-2, 2)
-        assert self.is_permutation(dense(pullback_matrix(denjoy, FLIP, cells, cells), 5))
+        assert self.is_permutation(dense(pullback_matrix(FLIP, cells, cells), 5))
         finer = denjoy.cells(-3, 3)
-        phi = pullback_matrix(denjoy, TRANSLATION, cells, finer)
+        phi = pullback_matrix(TRANSLATION, cells, finer)
         # one column per cell, each cell's preimage made of at least one finer cell
         assert len(phi) == len(cells) and all(col for col in phi)
         assert all(0 <= i < len(finer) for col in phi for i in col)
         shifted = denjoy.cells(-1, 2)
         assert self.is_permutation(
-            dense(pullback_matrix(denjoy, GroupElement(1, 1), shifted, shifted), 4))
+            dense(pullback_matrix(GroupElement(1, 1), shifted, shifted), 4))
 
         odo = OdometerSystem([4, 8])
         ocells = odo.cells(1)
-        assert pullback_matrix(odo, FLIP, ocells, ocells)[0] == {0: 1}
-        assert self.is_permutation(dense(pullback_matrix(odo, TRANSLATION, ocells, ocells), 4))
+        assert pullback_matrix(FLIP, ocells, ocells)[0] == {0: 1}
+        assert self.is_permutation(dense(pullback_matrix(TRANSLATION, ocells, ocells), 4))
 
     def test_odometer_level(self):
         odo = OdometerSystem([4, 8])
         cells = odo.cells(1)
         assert len(cells) == 4
-        sigma = dense(pullback_matrix(odo, FLIP, cells, cells), 4)
+        sigma = dense(pullback_matrix(FLIP, cells, cells), 4)
         assert [i for i in range(4) if sigma[i][i]] == [0, 2]
         # translation cycles all cells
-        phi = dense(pullback_matrix(odo, TRANSLATION, cells, cells), 4)
+        phi = dense(pullback_matrix(TRANSLATION, cells, cells), 4)
         seen, i = set(), 0
         for _ in range(4):
             seen.add(i)
@@ -502,11 +502,10 @@ def dense_cover_matrix(coarse, fine):
     return mat
 
 
-def dense_pullback_matrix(system, g, src_cells, dst_cells):
+def dense_pullback_matrix(g, src_cells, dst_cells):
     """f -> f o g as the dense list of rows the library built before it
     built sparse columns, from the destination cells' index."""
     index = systems._indexed(dst_cells)
-    index.require(system)
     g_inv = g.inverse()
     mat = [[0] * len(src_cells) for _ in range(len(dst_cells))]
     for j, c in enumerate(src_cells):
@@ -525,9 +524,9 @@ def check_cover(coarse, fine):
 
 def check_pullback(system, g, src, dst):
     """As ``check_cover``, for the pullback of g."""
-    rows = dense_pullback_matrix(system, g, src, dst)
+    rows = dense_pullback_matrix(g, src, dst)
     assert rows == reference_pullback_matrix(system, g, src, dst)
-    assert pullback_matrix(system, g, src, dst) == sparse(columns(rows, len(src)))
+    assert pullback_matrix(g, src, dst) == sparse(columns(rows, len(src)))
 
 
 def reference_cover_matrix(coarse, fine):
@@ -619,18 +618,16 @@ class TestLevelMatrixOracle:
 
         for level in range(1, 7):
             for g, cells in zip((FLIP, GroupElement(1, 1)), denjoy.level_chain(level)[-1]):
-                assert as_matrix(pullback_permutation(denjoy, g, cells)) == \
-                    pullback_matrix(denjoy, g, cells, cells)
+                assert as_matrix(pullback_permutation(g, cells)) == \
+                    pullback_matrix(g, cells, cells)
             with pytest.raises(ValueError):
-                pullback_permutation(denjoy, TRANSLATION, denjoy.cells(-level, level))
+                pullback_permutation(TRANSLATION, denjoy.cells(-level, level))
         odo = OdometerSystem([2, 6, 12, 60])
         for level in range(1, 5):
             cells = odo.cells(level)
             for g in ELEMENTS + [GroupElement(-5, 1), GroupElement(7, 0)]:
-                assert as_matrix(pullback_permutation(odo, g, cells)) == \
-                    pullback_matrix(odo, g, cells, cells)
-        with pytest.raises(ValueError):
-            pullback_permutation(odo, FLIP, denjoy.cells(-2, 2))
+                assert as_matrix(pullback_permutation(g, cells)) == \
+                    pullback_matrix(g, cells, cells)
 
     def test_rejects_what_it_cannot_answer(self, denjoy, golden):
         cells = denjoy.cells(-2, 2)
@@ -638,7 +635,7 @@ class TestLevelMatrixOracle:
         with pytest.raises(ValueError):
             cover_indices(ClopenSet.arc(golden, 0, 3), cells)
         with pytest.raises(ValueError):
-            pullback_matrix(denjoy, TRANSLATION, cells, cells)
+            pullback_matrix(TRANSLATION, cells, cells)
         # a cell list with a gap
         with pytest.raises(ValueError):
             cover_matrix(cells[:1], cells[:2] + cells[3:])
@@ -649,12 +646,13 @@ class TestLevelMatrixOracle:
                  for a, b in zip(order, order[1:] + order[:1])]
         with pytest.raises(ValueError):
             cover_matrix([ClopenSet.full_circle(golden)], twice)
-        # odometer targets at another level, and foreign systems
+        # odometer targets at another level, and cells of the other family
         odo = OdometerSystem([3, 9])
         with pytest.raises(ValueError):
             cover_indices(odo.cells(2)[0], odo.cells(1))
-        with pytest.raises(ValueError):
-            pullback_matrix(odo, FLIP, cells, cells)
+        for src, dst in ((odo.cells(1), cells), (cells, odo.cells(1))):
+            with pytest.raises(ValueError):
+                pullback_matrix(FLIP, src, dst)
 
     def test_refuses_cells_without_index(self, denjoy, odometer3):
         # a plain list of a window's cells is not a window: each level
@@ -666,12 +664,12 @@ class TestLevelMatrixOracle:
             with pytest.raises(ValueError):
                 cover_matrix(window, plain)
             with pytest.raises(ValueError):
-                pullback_matrix(system, FLIP, window, plain)
+                pullback_matrix(FLIP, window, plain)
             with pytest.raises(ValueError):
-                pullback_permutation(system, FLIP, plain)
+                pullback_permutation(FLIP, plain)
             assert cover_indices(window[0], window) == [0]
-            assert cover_matrix(plain, window) == pullback_matrix(system, IDENTITY, plain, window)
-            assert sorted(pullback_permutation(system, FLIP, window)) == list(range(len(window)))
+            assert cover_matrix(plain, window) == pullback_matrix(IDENTITY, plain, window)
+            assert sorted(pullback_permutation(FLIP, window)) == list(range(len(window)))
 
 
 class TestCrossLevelCover:
@@ -704,8 +702,9 @@ class TestLevelWindows:
         assert sym == denjoy.cells(-3, 3) and shifted == denjoy.cells(-2, 3)
         # the second window is the relation window: its translate is a
         # union of first-window cells
-        assert pullback_matrix(denjoy, TRANSLATION, shifted, sym)
-        assert denjoy.depth(40, cell_cap=8) == 40
+        assert pullback_matrix(TRANSLATION, shifted, sym)
+        # the odometers' 512-coset ceiling does not bound circle levels
+        assert len(denjoy.level_chain(40)) == 40
 
     @pytest.mark.parametrize("top", [1, 6, 14])
     def test_circle_windows_come_from_cells(self, monkeypatch, golden, sqrt2_theta, top):
@@ -746,11 +745,14 @@ class TestLevelWindows:
     def test_odometer(self, odometer3):
         sym, shifted = odometer3.level_chain(3)[-1]
         assert sym is shifted and sym == odometer3.cells(3)
-        assert sorted(pullback_permutation(odometer3, TRANSLATION, sym)) == list(range(27))
+        assert sorted(pullback_permutation(TRANSLATION, sym)) == list(range(27))
         assert odometer3.depth(16) == 7
         assert odometer3.depth(5) == 5
-        assert odometer3.depth(16, cell_cap=128) == 4
-        assert odometer3.depth(16, cell_cap=2) == 0
+        # the list stops at the last level of at most 512 cosets, 3^5 = 243
+        assert len(odometer3.level_chain(16)) == len(odometer3.level_chain(5)) == 5
+        assert len(odometer3.level_chain(4)) == 4
+        assert len(OdometerSystem([512, 1024]).level_chain(2)) == 1
+        assert OdometerSystem([600, 1200]).level_chain(2) == []
 
 
 ELEMENT = st.builds(GroupElement, st.integers(-6, 6), st.integers(0, 1))

@@ -370,23 +370,23 @@ class TestVerifyOnce:
 
 class TestCertificates:
     def test_moderate_eps(self, denjoy):
-        castle = almost_finite_certificate(denjoy, DEFAULT_TEST_SET, Fraction(1, 2))
+        castle, _ = almost_finite_certificate(denjoy, DEFAULT_TEST_SET, Fraction(1, 2))
         assert all(r < Fraction(1, 2) for r in castle.shape_ratios(DEFAULT_TEST_SET))
         for t in castle.towers:
             assert folner_ratio_bound_ok(t, DEFAULT_TEST_SET)
 
     def test_huge_eps_returns_plain_castle(self, denjoy):
-        castle = almost_finite_certificate(denjoy, DEFAULT_TEST_SET, Fraction(3))
+        castle, _ = almost_finite_certificate(denjoy, DEFAULT_TEST_SET, Fraction(3))
         assert castle.verify().all_ok()
 
     def test_identity_test_set(self, denjoy, golden):
-        castle = almost_finite_certificate(denjoy, [IDENTITY], Fraction(1, 7))
+        castle, _ = almost_finite_certificate(denjoy, [IDENTITY], Fraction(1, 7))
         assert castle.shape_ratios([IDENTITY]) == [Fraction(0)] * len(castle.towers)
         default = first_return_castle(denjoy, denjoy.invariant_window(1))
         assert castle.return_times() == default.return_times()
 
     def test_doubled_certificate(self, doubled):
-        castle = almost_finite_certificate(doubled, DEFAULT_TEST_SET, Fraction(1, 3))
+        castle, _ = almost_finite_certificate(doubled, DEFAULT_TEST_SET, Fraction(1, 3))
         assert castle.verify().all_ok()
         assert all(r < Fraction(1, 3) for r in castle.shape_ratios(DEFAULT_TEST_SET))
 
@@ -504,7 +504,7 @@ class TestLoopStartedAtTarget:
         system, eps = CERTIFIED_SYSTEMS[name], Fraction(1, q)
         n_target = towers._invariance_target(DEFAULT_TEST_SET, eps)
         y = towers._shrink_until_disjoint(system, n_target)
-        castle = almost_finite_certificate(system, DEFAULT_TEST_SET, eps)
+        castle, _ = almost_finite_certificate(system, DEFAULT_TEST_SET, eps)
         assert castle == first_return_castle(system, y)
         assert min(castle.return_times()) >= n_target
 
@@ -628,6 +628,19 @@ class TestCastleJson:
         restored = Castle.from_json(json.loads(json.dumps(castle.to_json())))
         assert restored.verify().all_ok()
 
+    @pytest.mark.parametrize("modulus,residues", [(0, []), (3, [0, 1, 2]), (-1, [])],
+                             ids=["zero", "three", "negative"])
+    def test_odometer_base_must_divide_the_chain(self, modulus, residues):
+        # a base modulus that does not divide the chain's last level names
+        # no clopen set of the odometer and is refused, naming the field:
+        # the empty base at modulus 0 "covered" the space and the one at
+        # modulus 3 verified on the chain [2, 4, 8]
+        data = {"system": {"type": "odometer", "chain": [2, 4, 8]},
+                "towers": [{"base": {"modulus": modulus, "residues": residues},
+                            "J": 1, "shape": [[0, 0]]}]}
+        with pytest.raises(ValueError, match="level set field 'modulus'"):
+            Castle.from_json(data).verify()
+
     @pytest.mark.parametrize("kind", ["circle", "doubled", "odometer"])
     @pytest.mark.parametrize("edit", ["none", "repeat-tower", "drop-shape-element"])
     def test_reverified_report_matches(self, kind, edit):
@@ -669,8 +682,9 @@ class TestSetJson:
         assert system.set_from_json(json.loads(json.dumps(s.to_json()))) == s
 
     @settings(max_examples=200, deadline=None)
-    @given(modulus=st.integers(1, 60), data=st.data())
+    @given(modulus=st.sampled_from([m for m in range(1, 121) if 120 % m == 0]), data=st.data())
     def test_level_sets(self, modulus, data):
+        # any divisor of the chain's last level is a level of the odometer
         s = LevelSet(modulus, data.draw(st.frozensets(st.integers(0, modulus - 1))))
-        system = OdometerSystem([3, 9])
+        system = OdometerSystem([2, 6, 12, 60, 120])
         assert system.set_from_json(json.loads(json.dumps(s.to_json()))) == s
