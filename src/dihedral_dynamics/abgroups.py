@@ -18,20 +18,21 @@ Every Smith form comes from one sparse elimination (``_SparseSmith``) of
 the sparse rows {row: {col: nonzero}} of a matrix, which it consumes:
 ``sparse_snf_diagonal`` takes them as built (the bar boundaries), and
 ``_group`` transposes a presentation's columns into fresh rows for it,
-so a presentation's own columns are never consumed.  A column -> rows
-index rides along, and a finished pivot's row and column leave.  Pivots
-of absolute value 1 go first: the shortest row holding a unit (ties to
-the lower row index), on its unit in the shortest column (ties to the
-lower column index), eliminated in place by subtracting its row from the
-other rows of its column.  When no unit is left, the least absolute
-entry is the pivot (ties on Markowitz cost (row nnz - 1) * (col nnz -
-1), then row, then col), Euclid steps clear its row and column, and the
-leftover block is made divisible by it.  Every tie breaks on indices, so
-outputs are reproducible bit for bit.  The diagonal-only mode tracks no
-transforms.  The transform mode (``smith_normal_form``, ``kernel_basis``,
-``SnfSolver``) tracks U as sparse rows and V as sparse columns, and no
-inverse of either; a unit pivot's column steps would change only its
-row, so they are made in V alone.
+so a presentation's own columns are never consumed.  Empty rows are left
+out, only the columns holding an entry are indexed (column -> rows), and
+a finished pivot's row and column leave.  Pivots of absolute value 1 go
+first: the shortest row holding a unit (ties to the lower row index), on
+its unit in the shortest column (ties to the lower column index),
+eliminated by subtracting its row from the other rows of its column.  A
+block left without units takes the least absolute entry as pivot (ties
+on Markowitz cost (row nnz - 1) * (col nnz - 1), then row, then col):
+Euclid steps clear its row and column, and the rest is made divisible
+by it.  Every tie breaks on indices, so outputs are reproducible bit for
+bit.  The diagonal-only mode tracks no transforms.  The transform mode
+(``smith_normal_form``, ``kernel_basis``, ``SnfSolver``) tracks U as
+sparse rows and V as sparse columns, and no inverse of either; a unit
+pivot's column steps would change only its row, so they are made in V
+alone.
 
 Every question the library asks is decided from Smith diagonals; the
 transform mode serves callers that read coordinates (the benchmark's
@@ -151,23 +152,26 @@ def lift_identity(matrix: Sequence[dict], src_relations: Sequence[dict],
 class _SparseSmith:
     """Exact sparse elimination of an integer matrix to Smith form.
 
-    The active block of S is ``rows`` ({row: {col: nonzero}}, taken over
-    from the caller) indexed by ``cols`` ({col: set of rows}); ``shape``
-    is the matrix's (rows, cols).  A pivot whose row and column are clear
-    leaves the block.  ``pivots`` lists (row, col, d) in original
-    indices, the |d| in a divisibility chain.  With ``track``, ``u`` holds
-    the rows of U and ``v`` the columns of V, keyed by original index, so
-    that U*mat*V has d at each (row, col) of ``pivots`` and zeros
-    elsewhere.
+    The active block of S is ``rows`` ({row: {col: nonzero}}, the caller's
+    rows less the empty ones) indexed by ``cols`` ({col: set of rows});
+    ``shape`` is the matrix's (rows, cols).  A pivot whose row and column
+    are clear leaves the block, as does a row the unit pivots empty.
+    ``pivots`` lists (row, col, d) in original indices, the |d| in a
+    divisibility chain.  With ``track``, ``u`` holds the rows of U and
+    ``v`` the columns of V, keyed by original index, so that U*mat*V has
+    d at each (row, col) of ``pivots`` and zeros elsewhere.
     """
 
     def __init__(self, rows: dict, shape: Tuple[int, int], track: bool):
         self.nrows, self.ncols = shape
-        self.rows = rows
-        self.cols = {j: set() for j in range(self.ncols)}
+        self.rows = rows = {i: row for i, row in rows.items() if row}
+        self.cols = cols = {}
         for i, row in rows.items():
             for j in row:
-                self.cols[j].add(i)
+                if j in cols:
+                    cols[j].add(i)
+                else:
+                    cols[j] = {i}
         self.track = track
         if track:
             self.u = {i: {i: 1} for i in range(self.nrows)}
@@ -186,7 +190,65 @@ class _SparseSmith:
         diag = [abs(d) for _, _, d in self.pivots]
         return diag + [0] * (min(self.nrows, self.ncols) - len(diag))
 
-    # -- elementary operations ------------------------------------------
+    # -- unit pivots, shortest row first --------------------------------
+
+    def _unit_phase(self) -> None:
+        """Take +-1 pivots while any is left: the least (length, row) row
+        holding a unit, on its unit in the least (length, col) column.
+
+        The heap holds (length, row) keys.  A unit pivot p at (r, c)
+        changes only the other rows i of its column (row i -= (entry i *
+        p) * row r), each pushed again with its new length, so a popped key
+        of a finished row, or of a length its row no longer has, is stale.
+        A row without a unit waits until a pivot touches it.  The column
+        steps that would clear row r change only row r: V alone takes them.
+        """
+        rows, cols, pivots, track = self.rows, self.cols, self.pivots, self.track
+        heap = sorted((len(row), i) for i, row in rows.items())   # sorted, so a heap
+        pop, push = heapq.heappop, heapq.heappush
+        while heap:
+            n, r = pop(heap)
+            row = rows.get(r)
+            if row is None or len(row) != n:
+                continue
+            c = -1
+            for j, x in row.items():
+                if x == 1 or x == -1:
+                    m = len(cols[j])
+                    if c < 0 or m < cm or m == cm and j < c:
+                        c, cm = j, m
+            if c < 0:
+                continue
+            del rows[r]
+            p = row.pop(c)
+            for j in row:
+                cols[j].discard(r)
+            steps = [(i, -rows[i].pop(c) * p) for i in cols.pop(c) if i != r]
+            for i, q in steps:
+                dst = rows[i]
+                for j, x in row.items():
+                    if j in dst:
+                        y = dst[j] + q * x
+                        if y:
+                            dst[j] = y
+                        else:
+                            del dst[j]
+                            cols[j].discard(i)
+                    else:
+                        dst[j] = q * x
+                        cols[j].add(i)
+                if dst:
+                    push(heap, (len(dst), i))
+                else:
+                    del rows[i]
+            pivots.append((r, c, p))
+            if track:
+                for i, q in steps:
+                    _axpy(self.u[i], self.u[r], q)
+                for j, x in row.items():
+                    _axpy(self.v[j], self.v[c], -x * p)
+
+    # -- the block left without units, by Euclid steps ------------------
 
     def _add_row(self, dst: int, src: int, q: int) -> None:
         """row dst += q * row src (S and U)."""
@@ -222,101 +284,42 @@ class _SparseSmith:
         if self.track:
             _axpy(self.v[dst], self.v[src], q)
 
-    # -- unit pivots, shortest row first --------------------------------
-
-    def _unit_phase(self) -> None:
-        """Take +-1 pivots while any is left: the least (length, row) row
-        holding a unit, on its unit in the least (length, col) column.
-
-        The heap holds (length, row) keys.  A unit pivot's row operations
-        change only the other rows of its column, and each of those is
-        pushed again with its new length, so the heap holds every live
-        row's current key: a popped key of a finished row, or of a length
-        its row no longer has, is dropped.  A row without a unit is passed
-        over until a pivot touches it.
-        """
-        rows, cols = self.rows, self.cols
-        heap = [(len(row), i) for i, row in rows.items()]
-        heapq.heapify(heap)
-        while heap:
-            n, r = heapq.heappop(heap)
-            row = rows.get(r)
-            if row is None or len(row) != n:
-                continue
-            units = [j for j, x in row.items() if x == 1 or x == -1]
-            if units:
-                c = min(units, key=lambda j: (len(cols[j]), j))
-                for i in self._eliminate(r, c):
-                    heapq.heappush(heap, (len(rows[i]), i))
-
-    def _eliminate(self, r: int, c: int) -> set:
-        """Finish the pivot p at (r, c), a unit or the last entry of its row
-        and column: row i -= (entry i * p) * row r for the other rows i of
-        column c (returned), then row r and column c leave the block, their
-        column steps made in V alone."""
-        rows, cols = self.rows, self.cols
-        row = rows[r]
-        p = row.pop(c)
-        touched = cols.pop(c)
-        touched.discard(r)
-        for i in touched:
-            self._add_row(i, r, -rows[i].pop(c) * p)
-        del rows[r]
-        for j, x in row.items():
-            cols[j].discard(r)
-            if self.track:
-                _axpy(self.v[j], self.v[c], -x * p)
-        self.pivots.append((r, c, p))
-        return touched
-
-    # -- the block left without units, by Euclid steps ------------------
-
-    def _markowitz(self, i: int, j: int) -> int:
-        return (len(self.rows[i]) - 1) * (len(self.cols[j]) - 1)
-
     def _euclid_phase(self) -> None:
-        """Pivot on the least |entry| (then Markowitz cost, row, col) of
-        the block left without units, until it is empty."""
-        while True:
-            best = min(((abs(x), self._markowitz(i, j), i, j)
-                        for i, row in self.rows.items() for j, x in row.items()),
-                       default=None)
-            if best is None:
-                return
-            self._pivot(best[2], best[3])
-
-    def _pivot(self, r: int, c: int) -> None:
-        """Clear row r and column c around a pivot at (r, c) and record it.
-
-        Row operations clear the column and column operations the row;
-        a nonzero remainder is smaller than the pivot and becomes the
-        pivot (Euclid steps), and a unit needs no more steps.  A pivot that
-        does not divide the rest of the block takes in a row it does not
-        divide and goes on.
-        """
+        """Pivot on the least |entry| (then Markowitz cost (row nnz - 1) *
+        (col nnz - 1), row, col) of the block left without units until it
+        is empty.  Row operations clear the pivot's column and column
+        operations its row; a nonzero remainder is smaller and becomes the
+        pivot (Euclid steps).  A pivot that is not a unit and does not
+        divide the rest of the block takes in a row it does not divide and
+        goes on."""
         rows, cols = self.rows, self.cols
-        while True:
-            p = rows[r][c]
-            if p == 1 or p == -1:
-                break
-            for i in [i for i in cols[c] if i != r]:
-                self._add_row(i, r, -(rows[i][c] // p))
-            rest = [i for i in cols[c] if i != r]
-            if rest:
-                r = min(rest, key=lambda i: (abs(rows[i][c]), i))
-                continue
-            for j in [j for j in rows[r] if j != c]:
-                self._add_col(j, c, -(rows[r][j] // p))
-            rest = [j for j in rows[r] if j != c]
-            if rest:
-                c = min(rest, key=lambda j: (abs(rows[r][j]), j))
-                continue
-            bad = min((i for i, row in rows.items()
-                       if i != r and any(x % p for x in row.values())), default=None)
-            if bad is None:
-                break
-            self._add_row(r, bad, 1)
-        self._eliminate(r, c)
+        while any(rows.values()):
+            least = min(abs(x) for row in rows.values() for x in row.values())
+            _, r, c = min(((len(row) - 1) * (len(cols[j]) - 1), i, j)
+                          for i, row in rows.items() for j, x in row.items() if abs(x) == least)
+            while True:
+                p = rows[r][c]
+                for i in [i for i in cols[c] if i != r]:
+                    self._add_row(i, r, -(rows[i][c] // p))
+                rest = [i for i in cols[c] if i != r]
+                if rest:
+                    r = min(rest, key=lambda i: (abs(rows[i][c]), i))
+                    continue
+                for j in [j for j in rows[r] if j != c]:
+                    self._add_col(j, c, -(rows[r][j] // p))
+                rest = [j for j in rows[r] if j != c]
+                if rest:
+                    c = min(rest, key=lambda j: (abs(rows[r][j]), j))
+                    continue
+                if p == 1 or p == -1:
+                    break
+                bad = min((i for i, row in rows.items()
+                           if i != r and any(x % p for x in row.values())), default=None)
+                if bad is None:
+                    break
+                self._add_row(r, bad, 1)
+            del rows[r], cols[c]
+            self.pivots.append((r, c, p))
 
 
 def smith_normal_form(mat: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
@@ -357,14 +360,8 @@ def kernel_basis(mat: Matrix) -> List[List[int]]:
     """Columns spanning {x : mat x = 0}; a basis of the kernel lattice."""
     snf = _SparseSmith.of(mat, track=True)
     pivot_cols = {c for _, c, _ in snf.pivots}
-    basis = []
-    for j in range(snf.ncols):
-        if j not in pivot_cols:
-            col = [0] * snf.ncols
-            for k, x in snf.v[j].items():
-                col[k] = x
-            basis.append(col)
-    return basis
+    return [[snf.v[j].get(k, 0) for k in range(snf.ncols)]
+            for j in range(snf.ncols) if j not in pivot_cols]
 
 
 class SnfSolver:

@@ -210,10 +210,7 @@ def _random_involution(rng: random.Random, n: int) -> InvolutionModule:
     if rng.random() < 0.7:
         perm = _random_involutive_permutation(rng, n)
         return InvolutionModule.from_permutation(perm)
-    mat = [[0] * n for _ in range(n)]
-    for i in range(n):
-        mat[i][i] = rng.choice([1, -1])
-    return InvolutionModule.of(mat)
+    return InvolutionModule(tuple(range(n)), tuple(rng.choice((1, -1)) for _ in range(n)))
 
 
 def _random_involutive_permutation(rng: random.Random, n: int):

@@ -232,45 +232,53 @@ _BAR_MAX_DEGREE = 6
 _BAR_MAX_CELLS = 8
 
 
+@cache
+def _bar_faces(k: int) -> tuple:
+    """Per word of C_k (k >= 1), the (row block, summed sign) pairs of the
+    faces that fix the cell, nonzero sums only."""
+    words = []
+    for w in range(1 << k):
+        # face 0 of an even word moves g_1 = 1 onto the coefficient
+        blocks = {} if w & 1 else {w >> 1: 1}
+        for i in range(1, k):
+            # middle face i merges letters i and i + 1, bits i - 1 and i
+            b = (w >> i << (i - 1)) ^ (w & ((1 << i) - 1))
+            blocks[b] = blocks.get(b, 0) + (-1) ** i
+        # last face: drop g_k
+        b = w & ((1 << (k - 1)) - 1)
+        blocks[b] = blocks.get(b, 0) + (-1) ** k
+        words.append(tuple((b, sign) for b, sign in blocks.items() if sign))
+    return tuple(words)
+
+
 def _bar_boundary(module: InvolutionModule, k: int) -> Tuple[dict, Tuple[int, int]]:
     """Boundary C_k -> C_{k-1} (k >= 1) of M tensored over the group ring
     with the unnormalized bar resolution of the 2-element group: the sparse
-    rows {row: {col: nonzero}} of its matrix, and its shape (rows, cols).
+    rows {row: {col: nonzero}} of its matrix, every row kept, and its shape.
 
     C_k is free on (cell, word) with word a k-bit mask (bit = the
     involution, 0 = identity); the first face acts on the module side.
-    Each column sums its k + 1 faces and drops an entry they cancel.
+    Each word's faces that fix the cell (``_bar_faces``) are written by
+    row block for all cells; face 0 of an odd word is added per cell and
+    cancels only at a fixed cell.
     """
     n = module.ncells
-    rows = {i: {} for i in range(n << (k - 1))}
-    perm, signs = module.perm, module.signs
-    for w in range(1 << k):
-        # the faces after the first leave the cell alone: (row block, sign)
-        faces = []
-        for i in range(1, k):
-            # middle face i: merge letters i and i + 1
-            low = w & ((1 << (i - 1)) - 1)
-            merged = ((w >> (i - 1)) ^ (w >> i)) & 1
-            high = (w >> (i + 1)) << i
-            faces.append(((low | (merged << (i - 1)) | high) * n, (-1) ** i))
-        # last face: drop g_k
-        faces.append(((w & ((1 << (k - 1)) - 1)) * n, (-1) ** k))
-        # face 0: move g_1 onto the coefficient, e_c to signs[c] * e_perm[c]
-        first = (w >> 1) * n
-        for c in range(n):
-            col = w * n + c
-            if w & 1:
-                rows[first + perm[c]][col] = signs[c]
-            else:
-                rows[first + c][col] = 1
-            for block, sign in faces:
-                row = rows[block + c]
-                x = row.get(col, 0) + sign
+    rows = [{} for _ in range(n << (k - 1))]
+    moves = list(enumerate(zip(module.perm, module.signs)))
+    for w, blocks in enumerate(_bar_faces(k)):
+        col = w * n
+        for b, sign in blocks:
+            for row, j in zip(rows[b * n:b * n + n], range(col, col + n)):
+                row[j] = sign
+        if w & 1:
+            # face 0 of an odd word: g_1 moves e_c to signs[c] * e_perm[c]
+            first = (w >> 1) * n
+            for c, (t, s) in moves:
+                row = rows[first + t]
+                x = row.pop(col + c, 0) + s
                 if x:
-                    row[col] = x
-                else:
-                    del row[col]
-    return rows, (len(rows), n << k)
+                    row[col + c] = x
+    return dict(enumerate(rows)), (len(rows), n << k)
 
 
 def _check_bar_size(module: InvolutionModule, degree: int) -> None:

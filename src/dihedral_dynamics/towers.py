@@ -379,15 +379,13 @@ def _invariance_target(test_set: Sequence[GroupElement], eps: Fraction) -> int:
 def _shrink_until_disjoint(system, n_target: int):
     """Find a flip-invariant y whose first n_target translates are disjoint;
     a window with n_target * measure > 1 cannot have them and is not swept."""
-    window = 1
-    for _ in range(_SHRINK_BUDGET):
-        y = system.invariant_window(window)
+    for k in range(_SHRINK_BUDGET):
+        y = system.invariant_window(2 ** k)
         if ((y.measure() * n_target).shift(-1).sign() <= 0
                 and _translates_disjoint(system, y, n_target)):
             return y
-        window *= 2
     raise ValueError(
-        f"no sufficiently small flip-invariant set within window 2^{_SHRINK_BUDGET}")
+        f"no sufficiently small flip-invariant set within window 2^{_SHRINK_BUDGET - 1}")
 
 
 def _translates_disjoint(system, y, n_target: int) -> bool:

@@ -388,6 +388,63 @@ class TestSnfOracles:
         assert snf_diagonal([[4, 0], [0, 6]]) == [2, 12]
 
 
+
+class TestKernelEdgeShapes:
+    """Shapes and blocks at the edges of the sparse kernel, each against
+    the dense reference and sympy, in both modes."""
+
+    @staticmethod
+    def check(mat, cols):
+        want = reference_snf_diagonal(mat)
+        assert want == sympy_snf_diagonal(mat, cols)
+        shape = (len(mat), cols)
+        # the sparse entry keeps the width of a matrix of no rows
+        plain, tracked = (_SparseSmith({i: {j: x for j, x in enumerate(row) if x}
+                                        for i, row in enumerate(mat)}, shape, track)
+                          for track in (False, True))
+        assert plain.diagonal() == tracked.diagonal() == want
+        assert plain.pivots == tracked.pivots
+        # U and V keep every row and column, whatever the block holds
+        assert sorted(tracked.u) == list(range(len(mat)))
+        assert sorted(tracked.v) == list(range(cols))
+        if mat and cols:
+            _, s, _ = smith_normal_form(mat)
+            assert [s[i][i] for i in range(len(want))] == want
+        return plain
+
+    @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 1), (0, 5), (1, 0), (5, 0)])
+    def test_empty_shapes(self, rows, cols):
+        snf = self.check([[0] * cols for _ in range(rows)], cols)
+        assert snf.pivots == [] and snf.diagonal() == []
+
+    def test_zero_rows_and_columns(self):
+        mat = [[0, 0, 0, 0, 0],
+               [0, 2, 0, 4, 0],
+               [0, 0, 0, 0, 0],
+               [0, 6, 0, 2, 0]]
+        snf = self.check(mat, 5)
+        assert snf.diagonal() == [2, 10, 0, 0]
+        assert {r for r, _, _ in snf.pivots} == {1, 3}
+        assert {c for _, c, _ in snf.pivots} == {1, 3}
+
+    def test_column_emptied_by_units_beside_a_euclid_block(self):
+        # the unit at (0, 0) clears column 1 (2 - 2) and row 1 (a copy of
+        # row 0); rows 2 and 3 are left without units, for Euclid steps
+        mat = [[1, 2, 0, 0],
+               [1, 2, 0, 0],
+               [1, 2, 4, 0],
+               [0, 0, 6, 4]]
+        snf = self.check(mat, 4)
+        assert snf.pivots[0] == (0, 0, 1)
+        assert snf.diagonal() == [1, 2, 8, 0]
+        assert not snf.cols.get(1) and not snf.rows.get(1)
+
+    @pytest.mark.parametrize("d", [2, -4, 6])
+    def test_one_by_one_non_unit(self, d):
+        snf = self.check([[d]], 1)
+        assert snf.pivots == [(0, 0, d)]
+
+
 class TestSubquotient:
     def test_identity_action(self):
         # ker(A - I)/im(A + I) for A = I on Z^1

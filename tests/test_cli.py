@@ -395,7 +395,7 @@ class TestCertifyCommand:
         assert seconds < 5
         assert code == 2
         assert captured.out == ""
-        assert "window 2^16" in json.loads(captured.err)["error"]
+        assert "window 2^15" in json.loads(captured.err)["error"]
 
     def test_near_half_theta_ends_quickly(self, capsys, tmp_path):
         # theta = 1/2 + sqrt(2)/10^6: window 1 passes at once, but its

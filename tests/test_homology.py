@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dihedral_dynamics import abgroups, homology, systems
@@ -21,6 +21,7 @@ from dihedral_dynamics.abgroups import (
     lift_identity,
     mat_mul,
     multiplier_limit,
+    smith_normal_form,
     snf_diagonal,
     sparse_snf_diagonal,
 )
@@ -399,6 +400,43 @@ class TestBarOracle:
         rows, shape = _bar_boundary(m, k)
         assert shape == (m.ncells << (k - 1), m.ncells << k)
         assert rows == sparse_rows(dense_bar_boundary(m, k))
+
+    @given(st.one_of(involutive_permutations(8).map(InvolutionModule.from_permutation),
+                     signed_involutions(8)), st.integers(1, 7))
+    @example(InvolutionModule((1, 0, 2, 4, 3, 5, 6, 7), (-1, -1, 1, 1, 1, -1, -1, 1)), 7)
+    @settings(max_examples=50, deadline=None)
+    def test_sparse_rows_match_dense_reference_at_full_size(self, m, k):
+        # up to the oracle's guards: 8 cells, d_7 of the top degree 6
+        rows, shape = _bar_boundary(m, k)
+        assert shape == (m.ncells << (k - 1), m.ncells << k)
+        assert set(rows) == set(range(shape[0]))
+        assert all(x for row in rows.values() for x in row.values())
+        assert rows == sparse_rows(dense_bar_boundary(m, k))
+
+    def test_permutation_face_cancels_on_a_negated_fixed_cell(self):
+        # d_2 on the odd word 11: the last face puts +1 on row block 1, and
+        # face 0 adds signs[c] at row perm[c] of that block
+        m = InvolutionModule((1, 0, 2, 3), (1, 1, -1, 1))
+        rows, shape = _bar_boundary(m, 2)
+        n, col = 4, 3 * 4
+        assert col + 2 not in rows[n + 2]           # -1 fixed cell: 1 - 1
+        assert rows[n + 3][col + 3] == 2            # +1 fixed cell: 1 + 1
+        assert rows[n + 1][col] == rows[n][col + 1] == 1    # the 2-cycle moves
+        assert rows[n][col] == rows[n + 1][col + 1] == 1    # and keeps its block
+        assert set(rows) == set(range(shape[0]))
+        assert rows == sparse_rows(dense_bar_boundary(m, 2))
+
+    def test_transforms_on_a_full_size_boundary(self):
+        # d_3 of an 8-cell signed module, 32 x 64: smith_normal_form raises
+        # unless its own U * d * V == S, and both modes take one pivot list
+        m = InvolutionModule((1, 0, 2, 4, 3, 5, 6, 7), (-1, -1, 1, 1, 1, -1, -1, 1))
+        d = dense_bar_boundary(m, 3)
+        u, s, v = smith_normal_form(d)
+        assert mat_mul(mat_mul(u, d), v) == s
+        diag = [s[i][i] for i in range(len(d))]
+        assert diag == sparse_snf_diagonal(*_bar_boundary(m, 3)) == reference_snf_diagonal(d)
+        assert (abgroups._SparseSmith.of(d, False).pivots
+                == abgroups._SparseSmith.of(d, True).pivots)
 
     @given(st.one_of(involutive_permutations(5).map(InvolutionModule.from_permutation),
                      signed_involutions(5)), st.integers(0, 4))

@@ -457,9 +457,10 @@ class TestCertificates:
             towers._invariance_target(DEFAULT_TEST_SET, Fraction(1, 10 ** 6))
 
     def test_shrink_budget_exhausted(self, denjoy, monkeypatch):
-        # window 2^1 is too coarse for eps 1/10: a bad request, exit 2
+        # window 2^0 = 1, the only one tried, is too coarse for eps 1/10:
+        # a bad request, exit 2
         monkeypatch.setattr(towers, "_SHRINK_BUDGET", 1)
-        with pytest.raises(ValueError, match="2\\^1"):
+        with pytest.raises(ValueError, match="window 2\\^0$"):
             almost_finite_certificate(denjoy, DEFAULT_TEST_SET, Fraction(1, 10))
 
     @pytest.mark.parametrize("kind,n_target", [
