@@ -3,8 +3,8 @@
 The sets used here have a double role: F_m is simultaneously an
 approximately invariant set (its translate boundary shrinks like 1/m)
 and a complete set of coset representatives for the index-m subgroup
-m*Z x| Z_2.  Castles for odometers (``towers.odometer_castle``) are
-assembled from a single cylinder base translated by such a transversal.
+m*Z x| Z_2.  An odometer castle (``towers.odometer_castle``) is one
+first-return tower over a level cylinder, with such a transversal as shape.
 """
 
 from __future__ import annotations

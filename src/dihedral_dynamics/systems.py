@@ -61,8 +61,9 @@ Castles, certificates and the CLI ask every system the same questions:
 ``act`` (the image of a clopen set), ``set_from_json`` (a clopen set
 from its JSON), ``partition_flags`` (whether pieces are disjoint and
 cover the space), ``fixed_point_report`` (the fixed points of an
-element as ``fixed-points`` prints them) and ``to_json``.  Each answers
-in its own terms:
+element as ``fixed-points`` prints them) and ``to_json``; its sets
+answer ``intersection``, ``difference``, ``is_empty`` and an exact
+``measure``.  Each answers in its own terms:
 
 * the cut circle writes a set as arcs between cuts, checks pieces by one
   sorted sweep over their ends, reports exact fixed points, and has the
@@ -73,7 +74,7 @@ in its own terms:
   flip-invariant windows [0, u) on both copies;
 * the odometer writes a set as residues at one level, checks pieces by
   marking residues, reports stable thread counts up to its ``depth``,
-  and has no flip-invariant windows: its castles are level transversals.
+  and has no flip-invariant windows: a certificate's base is a cylinder.
 
 Homology asks the circle and the odometer for their levels as above;
 for the doubled system it reads only the translation H_0 of its base

@@ -8,10 +8,9 @@ time is constant on finitely many clopen pieces of Y, each piece gets
 its return time as tower height, and the flip folds each tower onto
 itself (the flip composed with the full climb fixes the base).
 
-Odometers have no flip-invariant windows to return to; their castles
-are one tower over a level cylinder whose shape is a coset transversal
-(:func:`odometer_castle`).  Whether a system has such windows
-(``invariant_window``) is the one test of which kind it gets.
+Every family's castles come from :func:`first_return_castle`, which asks
+no family question: circle and doubled systems hand it a flip-invariant
+window (``invariant_window``), an odometer a level cylinder (:func:`odometer_castle`).
 
 Verification is one routine, :func:`verify_castle`: it acts by every
 shape element on its tower's base and checks the translates with the
@@ -126,15 +125,19 @@ class Castle:
 
     @classmethod
     def from_json(cls, data: dict) -> "Castle":
-        system = system_from_json(data["system"])
-        if not isinstance(data["towers"], list) or not data["towers"]:
-            raise ValueError("a castle needs a nonempty list of towers")
-        towers = []
-        for tj in data["towers"]:
-            base = system.set_from_json(tj["base"])
-            shape = tuple(GroupElement.from_json(g) for g in tj["shape"])
-            towers.append(Tower(base=base, shape=shape,
-                                return_time=json_int(tj["J"], "tower field 'J'")))
+        """Read :meth:`to_json`'s output; JSON of another shape raises ``ValueError``."""
+        try:
+            system = system_from_json(data["system"])
+            if not isinstance(data["towers"], list) or not data["towers"]:
+                raise ValueError("a castle needs a nonempty list of towers")
+            towers = []
+            for tj in data["towers"]:
+                base = system.set_from_json(tj["base"])
+                shape = tuple(GroupElement.from_json(g) for g in tj["shape"])
+                towers.append(Tower(base=base, shape=shape,
+                                    return_time=json_int(tj["J"], "tower field 'J'")))
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ValueError(f"bad castle JSON: {exc}") from exc
         return cls(system=system, towers=tuple(towers))
 
 
@@ -157,8 +160,10 @@ def ceil_inverse_measure(mu) -> int:
     That c is ceil(1/mu), and 1/mu lies in the field of mu = a + b*theta:
     with theta' the conjugate of theta, theta + theta' = 2p/r, so the
     conjugate of mu is (a + 2bp/r) - b*theta, and 1/mu is that conjugate
-    over the rational norm mu * mu'.
+    over the rational norm mu * mu'.  An odometer's mu is a ``Fraction``.
     """
+    if isinstance(mu, Fraction):
+        return -(-mu.denominator // mu.numerator)
     theta = mu.theta
     conj_a = mu.a + 2 * mu.b * Fraction(theta.p, theta.r)
     # theta * theta' = (p^2 - q^2 d) / r^2
@@ -176,7 +181,7 @@ def first_return_castle(system, y, *, proven_disjoint: int = 1) -> Castle:
     Before returning, the castle is verified exactly: the window-shape
     translates partition the space and the flip composed with each full
     climb fixes its base, so the climbs partition it as well (see the
-    module docstring).
+    module docstring), whatever the system's family.
 
     ``proven_disjoint = n`` says that y, T y, ..., T^(n-1) y are already
     proved pairwise disjoint.  Then steps 1 .. n-1 meet y nowhere and
@@ -188,7 +193,6 @@ def first_return_castle(system, y, *, proven_disjoint: int = 1) -> Castle:
     so a y with that above max(10^4, 16 * proven_disjoint) is refused
     (``ValueError``) before the first step.
     """
-    require_first_return(system)
     if proven_disjoint < 1:
         raise ValueError("proven_disjoint must be at least 1")
     if y.is_empty():
@@ -231,26 +235,25 @@ def first_return_castle(system, y, *, proven_disjoint: int = 1) -> Castle:
 
 
 def _has_invariant_windows(system) -> bool:
-    """Whether the system's castles are first-return towers over its
-    flip-invariant windows (circle and doubled systems) rather than
-    level transversals (odometers)."""
+    """Whether the system has flip-invariant windows to take castle bases
+    from (circle and doubled systems); an odometer takes a cylinder."""
     return hasattr(system, "invariant_window")
 
 
 def require_first_return(system) -> None:
-    """Reject a system that has no flip-invariant windows to return to."""
+    """Reject a system with no flip-invariant window for ``castle``."""
     if not _has_invariant_windows(system):
         raise ValueError("first-return castles are for circle systems; "
                          "use certify for odometers")
 
 
 def odometer_castle(system, n: int, j: int) -> Castle:
-    """The one-tower castle of the level-n identity cylinder, seen at level j.
+    """The first-return castle of the level-n identity cylinder, seen at level j.
 
-    The base is the class of 0 mod n_n inside Z/n_j and the shape is the
-    n_n-element window, whose translates tile the level exactly because
-    the window is a transversal.  The partition is verified before the
-    castle is returned.
+    The base, the class of 0 mod n_n inside Z/n_j, is flip-invariant and
+    each of its points returns after exactly n_n steps, so
+    :func:`first_return_castle`, told so, takes one step and builds one
+    tower whose shape is the n_n-element window, a coset transversal.
     """
     if not (1 <= n <= j <= len(system.chain)):
         raise ValueError("need 1 <= n <= j <= chain length")
@@ -258,13 +261,7 @@ def odometer_castle(system, n: int, j: int) -> Castle:
     n_j = system.modulus(j)
     require_castle_cosets(n_j)
     base = LevelSet(n_j, frozenset(range(0, n_j, n_n)))
-    shape = folner(n_n)
-    tower = Tower(base=base, shape=tuple(shape.elements), return_time=n_n)
-    castle = Castle(system=system, towers=(tower,))
-    report = castle.verify()
-    if not report.all_ok():
-        raise VerificationError(f"odometer castle failed verification: {report}")
-    return castle
+    return first_return_castle(system, base, proven_disjoint=n_n)
 
 
 #: Window doublings tried before a circle certificate gives up.

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -534,6 +535,91 @@ class TestHostileTheta:
             code = main(["certify", "--system", str(path), "--eps", eps])
         assert code in {0, 2, 3, 4}
         assert "Traceback" not in err.getvalue()
+        if code:
+            assert "error" in json.loads(err.getvalue())
+
+
+#: What a mutation puts in place of a JSON node: other types, extreme and
+#: degenerate integers, and the deletion of the node.
+DELETE = object()
+SWAPS = [DELETE, None, True, 0, -1, 2 ** 70, 1.5, "x", [], {}, [0, 1]]
+
+
+def json_nodes(value, path=()):
+    """``(path, node)`` for every node of parsed JSON, the root first."""
+    yield path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from json_nodes(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from json_nodes(item, path + (i,))
+
+
+@st.composite
+def mutated(draw, value, donors=()):
+    """``value`` (parsed JSON) with one to three nodes deleted or replaced,
+    each by a value of another type, an extreme integer, or a subtree of
+    ``value`` or of one of the ``donors``, such as a field of another
+    family's system or set."""
+    value = copy.deepcopy(value)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from([p for p, _ in json_nodes(value)]))
+        pool = SWAPS + [node for tree in (value, *donors) for _, node in json_nodes(tree)]
+        new = draw(st.sampled_from(pool))
+        if new is not DELETE:
+            new = copy.deepcopy(new)
+        if not path:
+            value = None if new is DELETE else new
+            continue
+        parent = value
+        for key in path[:-1]:
+            parent = parent[key]
+        if new is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = new
+    return value
+
+
+FUZZ_SYSTEMS = [
+    {"type": "denjoy_flip", "theta": GOLDEN_THETA},
+    {"type": "doubled", "theta": GOLDEN_THETA},
+    {"type": "odometer", "base": 3, "growth": "geometric", "levels": 4},
+    {"type": "odometer", "chain": [2, 6, 12, 60, 120]},
+]
+#: Each command's fixed arguments, and the JSON option it takes with a valid value.
+FUZZ_COMMANDS = {
+    "fixed-points": ([], "--elements", [[0, 1], [1, 1]]),
+    "castle": ([], "--base", {"arcs": [{"left": {"m": 1, "n": -1}, "right": {"m": 0, "n": 1}}]}),
+    "certify": (["--eps", "1/10"], "--K", [[0, 0], [1, 0], [0, 1]]),
+    "homology": (["--max-level", "4"], None, None),
+}
+#: Sets of every family, for a mutation to put in place of a field.
+FUZZ_SETS = [FUZZ_COMMANDS["castle"][2], {"components": [{"arcs": []}, {"full": True}]},
+             {"modulus": 6, "residues": [0, 3]}]
+
+
+class TestMutatedJson:
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(data=st.data(), command=st.sampled_from(sorted(FUZZ_COMMANDS)),
+           system=st.sampled_from(FUZZ_SYSTEMS))
+    def test_every_run_ends_with_an_exit_code(self, tmp_path_factory, data, command, system):
+        # a system file, castle --base, --elements or --K with fields
+        # deleted, retyped or taken from another family: each run ends in
+        # an exit code, within the alarm, and no exception escapes main
+        args, flag, value = FUZZ_COMMANDS[command]
+        donors = FUZZ_SYSTEMS + FUZZ_SETS
+        if flag is None or data.draw(st.booleans()):
+            system = data.draw(mutated(system, donors))
+        else:
+            args = [*args, flag, json.dumps(data.draw(mutated(value, donors)))]
+        path = tmp_path_factory.mktemp("fuzz") / "system.json"
+        path.write_text(json.dumps(system))
+        out, err = io.StringIO(), io.StringIO()
+        with alarm(5), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--system", str(path), *args])
+        assert code in {0, 2, 3, 4}
         if code:
             assert "error" in json.loads(err.getvalue())
 

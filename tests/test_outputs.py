@@ -120,6 +120,9 @@ COMMANDS = [
     (["certify", "--system", "{sqrt2}", "--eps", "1/10"], 0, "7049615d72abcb52", EMPTY),
     (["certify", "--system", "{doubled}", "--eps", "1/10"], 0, "167e829cedcff028", EMPTY),
     (["certify", "--system", "{3^i-4}", "--eps", "1/10"], 0, "422783b1fbd4b191", EMPTY),
+    (["certify", "--system", "{2^i-6}", "--eps", "1/10"], 0, "c55980132d38816d", EMPTY),
+    (["certify", "--system", "{mixed}", "--eps", "1/20"], 0, "b877b80f7ace2d1f", EMPTY),
+    (["certify", "--system", "{3^i-4}", "--eps", "1/25"], 0, "df8d9e634df38be3", EMPTY),
 ]
 
 
@@ -130,7 +133,8 @@ COMMANDS = [
                               "fixed-points-mixed-L4", "fixed-points-mixed-elements",
                               "castle-golden", "castle-sqrt2", "castle-doubled",
                               "certify-golden-1/10", "certify-golden-1/25", "certify-golden-1/100",
-                              "certify-sqrt2-1/10", "certify-doubled-1/10", "certify-3^i-4-1/10"])
+                              "certify-sqrt2-1/10", "certify-doubled-1/10", "certify-3^i-4-1/10",
+                              "certify-2^i-6-1/10", "certify-mixed-1/20", "certify-3^i-4-1/25"])
 def test_command_output_digest(capsys, system_files, argv, code, out, err):
     got = main([arg.format(**system_files) for arg in argv])
     captured = capsys.readouterr()

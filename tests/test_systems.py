@@ -31,8 +31,7 @@ from dihedral_dynamics.systems import (
 )
 
 from dense import columns, dense, sparse
-from test_exact_circle import THETAS as CIRCLE_THETAS
-from test_exact_circle import clopen_sets, is_partition, random_clopen
+from test_exact_circle import is_partition, random_clopen
 
 
 def coset_identification_ok(odo, level):
@@ -753,48 +752,6 @@ class TestLevelWindows:
         assert len(odometer3.level_chain(4)) == 4
         assert len(OdometerSystem([512, 1024]).level_chain(2)) == 1
         assert OdometerSystem([600, 1200]).level_chain(2) == []
-
-
-ELEMENT = st.builds(GroupElement, st.integers(-6, 6), st.integers(0, 1))
-
-
-def phi(n):
-    return GroupElement(n, 0)
-
-
-def check_relations(system, s, g, h, a, b):
-    """The dihedral relations and the action law, through ``act``."""
-    act = system.act
-    assert act(FLIP, act(FLIP, s)) == s
-    assert act(FLIP, act(TRANSLATION, act(FLIP, s))) == act(phi(-1), s)
-    assert act(phi(a), act(phi(b), s)) == act(phi(a + b), s)
-    assert act(g, act(h, s)) == act(g * h, s)
-    assert act(IDENTITY, s) == s
-
-
-class TestActionRelations:
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), theta=st.sampled_from(CIRCLE_THETAS), g=ELEMENT, h=ELEMENT,
-           a=st.integers(-6, 6), b=st.integers(-6, 6))
-    def test_circle(self, data, theta, g, h, a, b):
-        s = data.draw(clopen_sets(theta))
-        check_relations(DenjoyFlipSystem(theta), s, g, h, a, b)
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), theta=st.sampled_from(CIRCLE_THETAS), g=ELEMENT, h=ELEMENT,
-           a=st.integers(-6, 6), b=st.integers(-6, 6))
-    def test_doubled(self, data, theta, g, h, a, b):
-        s = DoubledClopen(data.draw(clopen_sets(theta)), data.draw(clopen_sets(theta)))
-        check_relations(DoubledSystem(theta), s, g, h, a, b)
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), base=st.sampled_from([2, 3, 6]), level=st.integers(1, 4),
-           g=ELEMENT, h=ELEMENT, a=st.integers(-40, 40), b=st.integers(-40, 40))
-    def test_odometer(self, data, base, level, g, h, a, b):
-        odo = OdometerSystem([base ** i for i in range(1, 5)])
-        n = odo.modulus(level)
-        s = LevelSet(n, frozenset(data.draw(st.sets(st.integers(0, n - 1)))))
-        check_relations(odo, s, g, h, a, b)
 
 
 class TestSystemJson:

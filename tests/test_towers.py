@@ -30,6 +30,7 @@ from dihedral_dynamics.towers import (
 )
 
 from test_cli import alarm
+from test_contract import reference_partition_flags
 
 
 #: The circle systems of the certificate tests: golden, sqrt2, sqrt3 and
@@ -240,20 +241,6 @@ class TestVerifyCastle:
         assert not report.sigma_compatible
 
 
-def reference_partition_flags(full, pieces):
-    """(disjoint, covers) by growing a union one piece at a time."""
-    disjoint = True
-    union = None
-    for s in pieces:
-        if union is None:
-            union = s
-        else:
-            if not union.intersection(s).is_empty():
-                disjoint = False
-            union = union.union(s)
-    return disjoint, union is not None and union == full
-
-
 def pointwise_partition_flags(pieces):
     """(disjoint, covers) of circle sets by exact membership alone: count
     the sets that contain each arc end of the family and one point
@@ -337,15 +324,6 @@ class TestPartitionSweep:
             (d0, c0), (d1, c1) = (pointwise_partition_flags([p.comp0 for p in pieces]),
                                   pointwise_partition_flags([p.comp1 for p in pieces]))
             assert flags == (d0 and d1, c0 and c1)
-
-    @settings(max_examples=200, deadline=None)
-    @given(modulus=st.integers(1, 12), data=st.data())
-    def test_odometer_level_sets(self, modulus, data):
-        residues = st.frozensets(st.integers(0, modulus - 1))
-        pieces = [LevelSet(modulus, r) for r in data.draw(st.lists(residues, max_size=5))]
-        full = LevelSet(modulus, frozenset(range(modulus)))
-        system = OdometerSystem([2, 4])
-        assert system.partition_flags(pieces) == reference_partition_flags(full, pieces)
 
     def test_odometer_levels_must_match(self):
         with pytest.raises(ValueError):
@@ -664,28 +642,3 @@ def _sample_castle(kind):
         z = ClopenSet.arc(GOLDEN, 0, 1)
         return first_return_castle(DoubledSystem(GOLDEN), DoubledClopen(z, z))
     return odometer_castle(OdometerSystem([2, 4, 8]), 1, 3)
-
-
-class TestSetJson:
-    """``system.set_from_json`` inverts ``to_json`` for every system."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(s=CIRCLE_SET)
-    def test_circle_sets(self, s):
-        system = DenjoyFlipSystem(GOLDEN)
-        assert system.set_from_json(json.loads(json.dumps(s.to_json()))) == s
-
-    @settings(max_examples=200, deadline=None)
-    @given(a=CIRCLE_SET, b=CIRCLE_SET)
-    def test_doubled_pairs(self, a, b):
-        s = DoubledClopen(a, b)
-        system = DoubledSystem(GOLDEN)
-        assert system.set_from_json(json.loads(json.dumps(s.to_json()))) == s
-
-    @settings(max_examples=200, deadline=None)
-    @given(modulus=st.sampled_from([m for m in range(1, 121) if 120 % m == 0]), data=st.data())
-    def test_level_sets(self, modulus, data):
-        # any divisor of the chain's last level is a level of the odometer
-        s = LevelSet(modulus, data.draw(st.frozensets(st.integers(0, modulus - 1))))
-        system = OdometerSystem([2, 6, 12, 60, 120])
-        assert system.set_from_json(json.loads(json.dumps(s.to_json()))) == s
