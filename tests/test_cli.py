@@ -614,7 +614,7 @@ class TestMutatedJson:
             system = data.draw(mutated(system, donors))
         else:
             args = [*args, flag, json.dumps(data.draw(mutated(value, donors)))]
-        path = tmp_path_factory.mktemp("fuzz") / "system.json"
+        path = tmp_path_factory.getbasetemp() / "fuzz-system.json"
         path.write_text(json.dumps(system))
         out, err = io.StringIO(), io.StringIO()
         with alarm(5), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
