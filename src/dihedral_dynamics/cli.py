@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -39,11 +40,22 @@ EXIT_VERIFICATION = 4
 #: The largest ``folner --m``; the payload lists all m elements of the window set.
 MAX_FOLNER_M = 10 ** 5
 
+#: The most digits ``str`` prints of an integer, as an eps in its certificate.
+MAX_EPS_DIGITS = 4300
+
+
+def _read_json(text: str):
+    """JSON text as Python data; nesting too deep to parse is a ``ValueError``."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
+
 
 def _load_system(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = _read_json(fh.read())
         return system_from_json(data)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         # JSON of the wrong shape surfaces as a lookup or type error
@@ -52,17 +64,22 @@ def _load_system(path: str):
 
 def _parse_elements(text: str):
     try:
-        data = json.loads(text)
+        data = _read_json(text)
         return [GroupElement.from_json(e) for e in data]
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad group-element list: {exc}") from exc
 
 
 def _parse_eps(text: str) -> Fraction:
+    # Fraction pays for an exponent by its value; at |exp| >= the bound plus
+    # the text's length, its power of ten alone has more digits than the bound
+    exp = re.search(r"[eE]([-+]?[\d_]+)\s*\Z", text)
     try:
-        eps = Fraction(text)
+        eps = None if exp and abs(int(exp[1])) >= MAX_EPS_DIGITS + len(text) else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad eps: {exc}") from exc
+    if eps is None or max(abs(eps.numerator), eps.denominator) >= 10 ** MAX_EPS_DIGITS:
+        raise ValueError(f"eps needs at most {MAX_EPS_DIGITS} digits in numerator and denominator")
     if eps <= 0:
         raise ValueError("eps must be positive")
     return eps
@@ -128,7 +145,7 @@ def cmd_castle(args) -> int:
     require_first_return(system)
     if args.base is not None:
         try:
-            y = system.set_from_json(json.loads(args.base))
+            y = system.set_from_json(_read_json(args.base))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"bad base set: {exc}") from exc
     else:

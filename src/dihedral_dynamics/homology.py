@@ -21,22 +21,22 @@ cross-checks these counts (``bar_homologies`` eliminates each boundary
 once for all degrees up to a top one).
 
 Circle systems and odometers take one path through every level
-computation.  The system names the cell lists that stand for levels
-1..N and their relation windows (``level_chain``: a circle's windows
-[-N, N] and [1-N, N], an odometer's cylinders for both), how deep its
-levels go (``depth``) and how its reflections' fixed points are counted
-(``reflection_fixed``).  :func:`homology_levels`, the one builder and
-depth check, reads ``level_chain`` once and builds each level's
-inclusions once (``cover_matrix``, for arcs and cylinders alike).  That
-list is both routes' one input, as the cells fix the action: the
-telescope reads a level as the cells of a stage and the window of its
-translation relations, the free product as the windows of the two
-reflections, and each names its levels by their count.  Every matrix on
-the way is a list of sparse columns {row: nonzero}, as ``abgroups``
-takes them: a telescope relation is the difference of two columns, and
-the free product's maps are summed onto orbits column by column.  Only
-a length state, two rows at most, is held densely; a module's dense
-``matrix`` is built only for the JSON that prints it.
+computation.  Homology asks a system two questions, each up to the
+requested level N: the cell lists that stand for levels 1..N and their
+relation windows (``level_chain``: a circle's windows [-N, N] and
+[1-N, N], an odometer's cylinders for both), and its reflections' fixed
+points (``reflection_fixed``).  :func:`homology_levels`, the one builder
+and length check of the level list, reads ``level_chain`` once and
+builds each level's inclusions once (``cover_matrix``, for arcs and
+cylinders alike).  That list is both routes' one input, as the cells fix
+the action: the telescope reads a level as the cells of a stage and the
+window of its translation relations, the free product as the windows of
+the two reflections, and each names its levels by their count.  Every
+matrix on the way is a list of sparse columns {row: nonzero}, as
+``abgroups`` takes them: a telescope relation is the difference of two
+columns, and the free product's maps are summed onto orbits column by
+column.  Only a length state, two rows at most, is held densely; a
+module's dense ``matrix`` is built only for the JSON that prints it.
 
 The telescope is proved through the length state l_N of each level
 (Putnam-Schmidt-Skau): a circle cell's exact length a + b*theta, or an
@@ -353,11 +353,11 @@ class TelescopeResult:
 
 def homology_levels(system, max_level: int) -> list:
     """Levels 1..N as ``(fine, coarse, within, up)``: the flip and
-    reflected windows (``level_chain`` up to ``depth(max_level)``), the
-    inclusion of the second in the first, and of the level below's flip
-    window in ``fine`` (None at level 1).  Fewer than min(max_level, 3)
-    levels, which only an odometer's chain can give, are refused."""
-    chain = system.level_chain(system.depth(max_level))
+    reflected windows (``level_chain(max_level)``), the inclusion of the
+    second in the first, and of the level below's flip window in
+    ``fine`` (None at level 1).  Fewer than min(max_level, 3) levels,
+    which only an odometer's chain can give, are refused."""
+    chain = system.level_chain(max_level)
     if len(chain) < min(max_level, 3):
         raise ValueError(
             f"need at least 3 odometer levels with at most {_MAX_LEVEL_CELLS} cosets")
@@ -838,7 +838,7 @@ def homology_table(system, max_level: int = 16, method: str = "closed_form"):
     # fixed points are counted; both routes read this one level list, the
     # telescope levels 1..N and the free product 2..N
     levels = homology_levels(system, max_level)
-    fixed_name, fixed, fixed_count = system.reflection_fixed(system.depth(max_level))
+    fixed_name, fixed, fixed_count = system.reflection_fixed(max_level)
     tele = h0_translation_telescope(levels)
     provenance.update({
         "case": "not_free",

@@ -41,13 +41,13 @@ rows x cols; :func:`pullback_permutation` writes a g that permutes the
 cells as one index per cell.  :func:`cover_indices`
 looks up one target, and no homology computation calls it.
 
-For homology the circle and the odometer differ only in their levels
-(``level_chain``), in how deep their levels go (``depth``: the request,
-up to 128 on a circle and up to the chain's end on an odometer) and in
-how the reflections' fixed points are counted (``reflection_fixed``).
+For homology the circle and the odometer answer two questions: their
+levels (``level_chain``) and their reflections' fixed points
+(``reflection_fixed``), each asked with the requested top level.
 ``level_chain(N)`` gives, for each level t = 1..N, the cells of level t
-and their relation window; an odometer's stops at its last level of at
-most 512 cosets.  The flip (0,1) permutes a circle's window [-t, t] and
+and their relation window; a circle refuses an N above 128, and an
+odometer's list stops inside its chain, at its last level of at most
+512 cosets.  The flip (0,1) permutes a circle's window [-t, t] and
 the reflected rotation (1,1) its window [1-t, t]; a rotation by one
 moves the cuts of [1-t, t] into [-t, t], so the translation relations
 of level t are taken on [1-t, t] and land in [-t, t].  Both reflections
@@ -73,7 +73,7 @@ answer ``intersection``, ``difference``, ``is_empty`` and an exact
   copy once, reports no fixed points (its action is free), and has the
   flip-invariant windows [0, u) on both copies;
 * the odometer writes a set as residues at one level, checks pieces by
-  marking residues, reports stable thread counts up to its ``depth``,
+  marking residues, reports stable thread counts within its chain,
   and has no flip-invariant windows: a certificate's base is a cylinder.
 
 Homology asks the circle and the odometer for their levels as above;
@@ -86,7 +86,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import NonStabilizationError
@@ -304,30 +304,20 @@ class DenjoyFlipSystem:
         and [1-t, t], which (1,1) permutes, since no finite window is
         invariant under both involutions.  The second window is also the
         relation window of the first: the rotation by one moves its cuts
-        into the first window.  Each window is built by ``cells``."""
+        into the first window.  Each window is built by ``cells``; a
+        ``top`` above the ceiling of 128 levels is refused."""
+        if top > _MAX_LEVEL:
+            raise ValueError(f"max_level {top} is above the ceiling of "
+                             f"{_MAX_LEVEL} circle levels")
         return [(self.cells(-t, t), self.cells(1 - t, t)) for t in range(1, top + 1)]
 
-    def depth(self, max_level: int) -> int:
-        """The deepest level a computation up to ``max_level`` uses.
-
-        Level N has 2N + 1 cells, so ``max_level`` bounds the cost.  A
-        request above the ceiling of 128 levels is rejected, so that the
-        cost stays bounded whatever the request.
-        """
-        if max_level > _MAX_LEVEL:
-            raise ValueError(f"max_level {max_level} is above the ceiling of "
-                             f"{_MAX_LEVEL} circle levels")
-        return max_level
-
-    def reflection_fixed(self, depth: int) -> tuple:
+    def reflection_fixed(self, max_level: int) -> tuple:
         """Fixed points of (0,1) and (1,1) as the homology table reports them.
 
         Returns the report name, the count per reflection and their sum;
-        the points are exact, so ``depth`` is not used.
+        the points are exact, so ``max_level`` is not used.
         """
         counts = {name: len(self.fixed_points(g)) for name, g in REFLECTIONS}
-        if not any(counts.values()):
-            raise ValueError("circle flip systems always have reflection fixed points")
         return "fixedPoints", counts, sum(counts.values())
 
     def to_json(self) -> dict:
@@ -535,8 +525,6 @@ class OdometerSystem:
             raise ValueError("count is only defined for non-identity elements")
         if max_level < 2:
             raise ValueError("max_level must be >= 2")
-        if max_level > len(self.chain):
-            raise ValueError("max_level exceeds the computed chain")
         if g.s == 0:
             # A translation fixes every cylinder of a level or none.  If it
             # fixes the top level, it fixes every level below, and each
@@ -563,9 +551,9 @@ class OdometerSystem:
 
     def fixed_point_report(self, g: GroupElement, max_level: Optional[int]) -> dict:
         """The stable thread count of g and the level it settles at,
-        computed to ``depth(max_level)`` (the whole chain if None)."""
-        tc = self.stable_fixed_count(
-            g, self.depth(len(self.chain) if max_level is None else max_level))
+        computed to ``max_level`` or the chain's end, whichever is first."""
+        top = len(self.chain)
+        tc = self.stable_fixed_count(g, top if max_level is None else min(max_level, top))
         return {"count": tc.count, "stabilizedAt": tc.stabilized_at}
 
     # -- clopen sets ----------------------------------------------------
@@ -579,24 +567,20 @@ class OdometerSystem:
                         frozenset(json_int(k, "level set residue") for k in data["residues"]))
 
     def partition_flags(self, pieces: Sequence[LevelSet]) -> tuple:
-        """``(disjoint, covers)`` of level sets of one level, by marking
-        their residues in one bytearray."""
+        """``(disjoint, covers)`` of level sets, by marking their residues
+        at the lcm of their moduli in one bytearray."""
         if not pieces:
             return True, False
-        modulus = pieces[0].modulus
+        modulus = lcm(*(p.modulus for p in pieces))
         require_castle_cosets(modulus)
-        seen = bytearray(modulus)
-        disjoint, hits = True, 0
+        seen, marks = bytearray(modulus), 0
         for p in pieces:
-            if p.modulus != modulus:
-                raise ValueError("level sets at different levels")
+            ones = b"\1" * (modulus // p.modulus)
+            marks += len(ones) * len(p.residues)
             for r in p.residues:
-                if seen[r]:
-                    disjoint = False
-                else:
-                    seen[r] = 1
-                    hits += 1
-        return disjoint, hits == modulus
+                seen[r::p.modulus] = ones
+        hits = seen.count(1)
+        return marks == hits, hits == modulus
 
     # -- level structure ----------------------------------------------
 
@@ -613,15 +597,11 @@ class OdometerSystem:
         top = min(top, bisect_right(self.chain, _MAX_LEVEL_CELLS))
         return [(cells, cells) for cells in map(self.cells, range(1, top + 1))]
 
-    def depth(self, max_level: int) -> int:
-        """The deepest level up to ``max_level`` within the chain."""
-        return min(max_level, len(self.chain))
-
-    def reflection_fixed(self, depth: int) -> tuple:
-        """Fixed threads of (0,1) and (1,1) up to ``depth``, as the homology
-        table reports them: the report name, the count and level of
-        stabilization per reflection, and the sum of the counts."""
-        report = {name: self.fixed_point_report(g, depth) for name, g in REFLECTIONS}
+    def reflection_fixed(self, max_level: int) -> tuple:
+        """Fixed threads of (0,1) and (1,1) as ``fixed_point_report`` counts
+        them, for the homology table: the report name, the count and level
+        of stabilization per reflection, and the sum of the counts."""
+        report = {name: self.fixed_point_report(g, max_level) for name, g in REFLECTIONS}
         return "fixedThreads", report, sum(r["count"] for r in report.values())
 
     def to_json(self) -> dict:

@@ -500,6 +500,23 @@ class TestCertifyCommand:
         assert main(["certify", "--system", denjoy_file, "--eps", "x/y"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("eps", ["1e10000000", "1e100000"])
+    def test_eps_too_long_to_print_is_refused_at_once(self, capsys, denjoy_file, eps):
+        # an exponent costs its value, not its length: an eps whose power
+        # of ten alone is past the digits a certificate can print is
+        # refused before it is built, naming the bound
+        with alarm(1):
+            code = main(["certify", "--system", denjoy_file, "--eps", eps])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert json.loads(captured.err) == {
+            "error": f"eps needs at most {cli.MAX_EPS_DIGITS} digits in numerator and denominator"}
+
+    @pytest.mark.parametrize("eps,shown", [("1/10", "1/10"), ("0.05", "1/20"), ("5e-2", "1/20")])
+    def test_eps_forms(self, capsys, denjoy_file, eps, shown):
+        code, data = run(capsys, ["certify", "--system", denjoy_file, "--eps", eps])
+        assert (code, data["epsilon"]) == (0, shown)
+
 
 @st.composite
 def hostile_thetas(draw):
@@ -600,6 +617,24 @@ FUZZ_SETS = [FUZZ_COMMANDS["castle"][2], {"components": [{"arcs": []}, {"full": 
              {"modulus": 6, "residues": [0, 3]}]
 
 
+#: Each JSON input: the arguments that read it, with {text} for its text
+#: and {system} for a system file, its valid text, and the error it
+#: prints for text it cannot parse; the system file itself holds {text}
+#: when the input is --system.
+JSON_INPUTS = {
+    "--system": (["homology", "--system", "{system}"], json.dumps(FUZZ_SYSTEMS[0]),
+                 "cannot load system: "),
+    "--elements": (["fixed-points", "--system", "{system}", "--elements", "{text}"],
+                   "[[0, 1], [1, 1]]", "bad group-element list: "),
+    "--K": (["certify", "--system", "{system}", "--eps", "1/10", "--K", "{text}"],
+            "[[1, 0], [0, 1]]", "bad group-element list: "),
+    "--ratio": (["folner", "--m", "3", "--ratio", "{text}"], "[[1, 0]]",
+                "bad group-element list: "),
+    "--base": (["castle", "--system", "{system}", "--base", "{text}"],
+               json.dumps(FUZZ_COMMANDS["castle"][2]), "bad base set: "),
+}
+
+
 class TestMutatedJson:
     @settings(max_examples=600, deadline=None, derandomize=True)
     @given(data=st.data(), command=st.sampled_from(sorted(FUZZ_COMMANDS)),
@@ -622,6 +657,30 @@ class TestMutatedJson:
         assert code in {0, 2, 3, 4}
         if code:
             assert "error" in json.loads(err.getvalue())
+
+    @pytest.mark.parametrize("damage", ["truncated", "nested"])
+    @pytest.mark.parametrize("site", sorted(JSON_INPUTS))
+    def test_unparsable_text_is_a_config_error(self, capsys, tmp_path, site, damage):
+        # JSON text cut short, or arrays nested past the parser's
+        # recursion limit, in any JSON input: exit 2 with that input's
+        # error, and no exception escapes main
+        argv, text, error = JSON_INPUTS[site]
+        bad = text[:-1] if damage == "truncated" else "[" * 10 ** 5
+        path = tmp_path / "system.json"
+        path.write_text(bad if site == "--system" else json.dumps(FUZZ_SYSTEMS[0]))
+        with alarm(5):
+            code = main([arg.format(system=path, text=bad) for arg in argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert json.loads(captured.err)["error"].startswith(error)
+
+    def test_system_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_bytes(json.dumps(FUZZ_SYSTEMS[0]).encode()[:-1] + b"\xff}")
+        assert main(["homology", "--system", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"].startswith("cannot load system: ")
 
 
 class TestHomologyCommand:

@@ -7,6 +7,12 @@ so a new family passes or fails the same suite: the dihedral relations
 and measure preservation under ``act``, ``set_from_json`` round trips,
 ``partition_flags`` against the union route, and first-return castles
 over flip-invariant bases, rebuilt from their JSON.
+
+Homology asks the circle and the odometer for their levels, and
+``TestLevelContract`` checks the levels ``homology_levels`` builds for
+both: each window is an indexed partition of the space, every level
+matrix is the one set operations give, and each length state kills its
+stage's relations, is fixed by the flip and scales through refinement.
 """
 
 import json
@@ -18,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dihedral_dynamics.exact_circle import GOLDEN, ClopenSet, Theta
+from dihedral_dynamics.homology import homology_levels
 from dihedral_dynamics.systems import (
     FLIP,
     IDENTITY,
@@ -28,9 +35,14 @@ from dihedral_dynamics.systems import (
     GroupElement,
     LevelSet,
     OdometerSystem,
+    cover_indices,
+    cover_matrix,
+    pullback_matrix,
+    pullback_permutation,
 )
 from dihedral_dynamics.towers import Castle, CastleReport, first_return_castle
 
+from dense import columns, sparse
 from test_cli import mutated
 from test_exact_circle import THETAS as CIRCLE_THETAS
 from test_exact_circle import clopen_sets
@@ -47,16 +59,15 @@ def family_sets(draw, family):
     """A system of the family, a strategy for its clopen sets, and its
     whole space as such a set.
 
-    Circle sets end at cuts of a window of golden, sqrt2 or sqrt3; an
-    odometer's sets sit at any level that divides the chain's last one,
-    not only at the chain's own levels."""
+    Circle sets end at cuts of a window of golden, sqrt2 or sqrt3; each
+    odometer set sits at its own level, any one that divides the chain's
+    last one, not only at the chain's own levels."""
     if family == "odometer":
         chain = draw(st.sampled_from(ODOMETER_CHAINS))
-        modulus = draw(st.sampled_from([m for m in range(1, chain[-1] + 1)
-                                        if chain[-1] % m == 0]))
-        residues = st.frozensets(st.integers(0, modulus - 1))
-        return (OdometerSystem(chain), st.builds(LevelSet, st.just(modulus), residues),
-                LevelSet(modulus, frozenset(range(modulus))))
+        top = chain[-1]
+        sets = st.sampled_from([m for m in range(1, top + 1) if top % m == 0]).flatmap(
+            lambda m: st.builds(LevelSet, st.just(m), st.frozensets(st.integers(0, m - 1))))
+        return OdometerSystem(chain), sets, LevelSet(top, frozenset(range(top)))
     theta = draw(st.sampled_from(CIRCLE_THETAS))
     circle, full = clopen_sets(theta), ClopenSet.full_circle(theta)
     if family == "circle":
@@ -78,11 +89,21 @@ def check_relations(system, s, g, h, a, b):
     assert act(IDENTITY, s) == s
 
 
+def lifted(s, like):
+    """s as a set of the level of ``like``: an odometer set mod m as the
+    residues r + t*m mod the finer modulus, a circle set as it is."""
+    if not isinstance(s, LevelSet):
+        return s
+    n, m = like.modulus, s.modulus
+    return LevelSet(n, frozenset(r + t * m for r in s.residues for t in range(n // m)))
+
+
 def reference_partition_flags(full, pieces):
-    """(disjoint, covers) by growing a union one piece at a time."""
+    """(disjoint, covers) by growing a union one piece at a time, each
+    piece taken at the level of the whole space ``full``."""
     disjoint = True
     union = None
-    for s in pieces:
+    for s in (lifted(p, full) for p in pieces):
         if union is None:
             union = s
         else:
@@ -114,12 +135,14 @@ class TestSystemContract:
     @given(data=st.data(), edit=st.sampled_from(["none", "drop", "repeat"]))
     def test_partition_flags_match_union_route(self, family, data, edit):
         # drawn families of sets, and a three-piece partition of the
-        # space with one piece dropped or repeated
+        # space with one piece dropped or repeated; an odometer's pieces
+        # may sit at different levels, and the split keeps a at its own
         system, sets, full = data.draw(family_sets(family))
         pieces = data.draw(st.lists(sets, max_size=5))
         assert system.partition_flags(pieces) == reference_partition_flags(full, pieces)
         a, b = data.draw(sets), data.draw(sets)
-        split = [a, b.difference(a), full.difference(a.union(b))]
+        whole_a, whole_b = lifted(a, full), lifted(b, full)
+        split = [a, whole_b.difference(whole_a), full.difference(whole_a.union(whole_b))]
         if edit == "drop":
             split.pop(data.draw(st.integers(0, 2)))
         elif edit == "repeat":
@@ -213,3 +236,151 @@ class TestFirstReturnContract:
         except ValueError:
             return
         assert isinstance(report, CastleReport)
+
+
+def reference_cover_indices(target, cells):
+    """The set-operation route: intersect the target with every cell."""
+    picked = []
+    for i, c in enumerate(cells):
+        inter = c.intersection(target)
+        if inter.is_empty():
+            continue
+        if inter != c:
+            raise ValueError("target is not a union of the given cells")
+        picked.append(i)
+    union = None
+    for i in picked:
+        union = cells[i] if union is None else union.union(cells[i])
+    if union is None or union != target:
+        raise ValueError("target is not covered by the given cells")
+    return picked
+
+
+def reference_cover_matrix(coarse, fine):
+    mat = [[0] * len(coarse) for _ in range(len(fine))]
+    for j, c in enumerate(coarse):
+        for i in reference_cover_indices(c, fine):
+            mat[i][j] = 1
+    return mat
+
+
+def reference_pullback_matrix(system, g, src_cells, dst_cells):
+    mat = [[0] * len(src_cells) for _ in range(len(dst_cells))]
+    for j, c in enumerate(src_cells):
+        for i in reference_cover_indices(system.act(g.inverse(), c), dst_cells):
+            mat[i][j] = 1
+    return mat
+
+
+def as_columns(rows, ncols):
+    """A reference's list of rows as the library's sparse columns."""
+    return sparse(columns(rows, ncols))
+
+
+REFLECTED = GroupElement(1, 1)
+
+#: (family, system, requested top level, whole space) of the levels
+#: homology builds: three cut circles to level 8, and the suite's odometer
+#: chains, whose levels stop at the last one of at most 512 cosets
+LEVEL_SYSTEMS = {
+    **{f"circle-{name}": ("circle", DenjoyFlipSystem(theta), 8, ClopenSet.full_circle(theta))
+       for name, theta in zip(("golden", "sqrt2", "sqrt3"), CIRCLE_THETAS)},
+    **{"odometer-" + "-".join(map(str, chain)): ("odometer", OdometerSystem(chain), len(chain),
+                             LevelSet(chain[-1], frozenset(range(chain[-1]))))
+       for chain in ODOMETER_CHAINS},
+}
+
+#: The elements each window's permutations are tried with: the two
+#: reflections permute their own windows, every element permutes an
+#: odometer level, and a circle window refuses the others
+PERMUTATION_ELEMENTS = [TRANSLATION, FLIP, REFLECTED, GroupElement(-5, 1), GroupElement(7, 0)]
+
+
+@cache
+def built_levels(case):
+    _, system, top, _ = LEVEL_SYSTEMS[case]
+    return homology_levels(system, top)
+
+
+def state_image(state, col):
+    """The length state applied to one sparse column."""
+    return [sum(row[i] * x for i, x in col.items()) for row in state]
+
+
+@pytest.mark.parametrize("case", sorted(LEVEL_SYSTEMS))
+class TestLevelContract:
+    def test_windows_are_indexed_partitions(self, case):
+        # each flip and reflected window holds its cells in the order of
+        # its index, partitions the space by the union route, and is the
+        # one argument the level matrices take: a plain list of the same
+        # cells, or a slice, has no index and is refused
+        _, system, _, whole = LEVEL_SYSTEMS[case]
+        levels = built_levels(case)
+        assert [(fine, coarse) for fine, coarse, *_ in levels] == \
+            system.level_chain(len(levels))
+        assert all(a[0] != b[0] for a, b in zip(levels, levels[1:]))
+        for fine, coarse, *_ in levels:
+            for window, g in ((fine, FLIP), (coarse, REFLECTED)):
+                plain = list(window)
+                assert [cover_indices(c, window) for c in window] == \
+                    [[i] for i in range(len(window))]
+                assert reference_partition_flags(whole, plain) == (True, True)
+                assert type(window[1:]) is tuple
+                for refused in (lambda: cover_indices(window[0], plain),
+                                lambda: cover_indices(window[0], window[1:]),
+                                lambda: cover_matrix(window, plain),
+                                lambda: pullback_matrix(g, window, plain),
+                                lambda: pullback_permutation(g, plain)):
+                    with pytest.raises(ValueError):
+                        refused()
+                assert cover_matrix(plain, window) == pullback_matrix(IDENTITY, plain, window)
+                assert sorted(pullback_permutation(g, window)) == list(range(len(window)))
+
+    def test_matrices_match_set_reference(self, case):
+        # the inclusions, the translation of the reflected window into
+        # the flip window, and every permutation of a window are the
+        # matrices that intersecting every pair of cells gives; where
+        # the reference finds no permutation, the index refuses one too
+        _, system, _, _ = LEVEL_SYSTEMS[case]
+        below = None
+        for fine, coarse, within, up in built_levels(case):
+            assert within == as_columns(reference_cover_matrix(coarse, fine), len(coarse))
+            if below is None:
+                assert up is None
+            else:
+                want = reference_cover_matrix([lifted(c, fine[0]) for c in below], fine)
+                assert up == as_columns(want, len(below))
+            want = reference_pullback_matrix(system, TRANSLATION, coarse, fine)
+            assert pullback_matrix(TRANSLATION, coarse, fine) == as_columns(want, len(coarse))
+            for window in dict.fromkeys((fine, coarse)):
+                for g in PERMUTATION_ELEMENTS:
+                    try:
+                        want = as_columns(reference_pullback_matrix(system, g, window, window),
+                                          len(window))
+                    except ValueError:
+                        assert (g, window) not in ((FLIP, fine), (REFLECTED, coarse))
+                        with pytest.raises(ValueError):
+                            pullback_permutation(g, window)
+                        continue
+                    assert pullback_matrix(g, window, window) == want
+                    assert [{p: 1} for p in pullback_permutation(g, window)] == want
+            below = fine
+
+    def test_length_states(self, case):
+        # each stage's length state kills its translation relations
+        # within - pullback, is fixed by the flip, and maps the level
+        # below's state through the inclusion scaled by c_t: 1 on a
+        # circle, n_{t+1}/n_t on an odometer
+        family, system, _, _ = LEVEL_SYSTEMS[case]
+        levels = built_levels(case)
+        states = [fine.length_state() for fine, *_ in levels]
+        for t, ((fine, coarse, within, up), state) in enumerate(zip(levels, states), 1):
+            for kept, moved in zip(within, pullback_matrix(TRANSLATION, coarse, fine)):
+                assert state_image(state, kept) == state_image(state, moved)
+            assert [[row[p] for p in pullback_permutation(FLIP, fine)] for row in state] == state
+            if up is None:
+                continue
+            scale = 1 if family == "circle" else system.chain[t - 1] // system.chain[t - 2]
+            below = states[t - 2]
+            assert [state_image(state, col) for col in up] == \
+                [[scale * row[j] for row in below] for j in range(len(below[0]))]

@@ -66,6 +66,12 @@ CASES = [
     ("wide", 16, "comp", 2, EMPTY, "8a46d0f2743b2acb"),
     ("wide", 16, "freeproduct", 2, EMPTY, "8a46d0f2743b2acb"),
     ("wide", 16, "both", 2, EMPTY, "8a46d0f2743b2acb"),
+    # one level past the circle's ceiling of 128; an odometer's levels
+    # stop at its chain, whatever the request
+    ("golden", 129, "comp", 2, EMPTY, "67e92ca5740eba7d"),
+    ("golden", 129, "both", 2, EMPTY, "67e92ca5740eba7d"),
+    ("doubled", 129, "comp", 2, EMPTY, "67e92ca5740eba7d"),
+    ("2^i-6", 129, "both", 0, "d7bb2a7fc8109d4e", EMPTY),
 ]
 
 

@@ -31,7 +31,8 @@ from dihedral_dynamics.systems import (
 )
 
 from dense import columns, dense, sparse
-from test_exact_circle import is_partition, random_clopen
+from test_contract import lifted, reference_cover_matrix, reference_pullback_matrix
+from test_exact_circle import random_clopen
 
 
 def coset_identification_ok(odo, level):
@@ -454,41 +455,9 @@ class TestLevelPartition:
     def test_odometer_refinement(self, odometer3):
         for level in (1, 2):
             for c in odometer3.cells(level):
-                refined = refine(odometer3, c, level, level + 1)
-                ix = cover_indices(refined, odometer3.cells(level + 1))
+                fine = odometer3.cells(level + 1)
+                ix = cover_indices(lifted(c, fine[0]), fine)
                 assert len(ix) == odometer3.modulus(level + 1) // odometer3.modulus(level)
-
-    def test_partition_is_partition(self, denjoy):
-        for level in (1, 2, 3):
-            assert is_partition(denjoy.cells(-level, level))
-            assert is_partition(denjoy.cells(1 - level, level))
-
-
-def refine(odo, s, level_from, level_to):
-    """A level set re-expressed at a deeper level, residue by residue."""
-    n_from, n_to = odo.modulus(level_from), odo.modulus(level_to)
-    if s.modulus != n_from or n_to % n_from:
-        raise ValueError("incompatible refinement levels")
-    return LevelSet(n_to, frozenset(
-        k + t * n_from for k in s.residues for t in range(n_to // n_from)))
-
-
-def reference_cover_indices(target, cells):
-    """The set-operation route: intersect the target with every cell."""
-    picked = []
-    for i, c in enumerate(cells):
-        inter = c.intersection(target)
-        if inter.is_empty():
-            continue
-        if inter != c:
-            raise ValueError("target is not a union of the given cells")
-        picked.append(i)
-    union = None
-    for i in picked:
-        union = cells[i] if union is None else union.union(cells[i])
-    if union is None or union != target:
-        raise ValueError("target is not covered by the given cells")
-    return picked
 
 
 def dense_cover_matrix(coarse, fine):
@@ -528,22 +497,6 @@ def check_pullback(system, g, src, dst):
     assert pullback_matrix(g, src, dst) == sparse(columns(rows, len(src)))
 
 
-def reference_cover_matrix(coarse, fine):
-    mat = [[0] * len(coarse) for _ in range(len(fine))]
-    for j, c in enumerate(coarse):
-        for i in reference_cover_indices(c, fine):
-            mat[i][j] = 1
-    return mat
-
-
-def reference_pullback_matrix(system, g, src_cells, dst_cells):
-    mat = [[0] * len(src_cells) for _ in range(len(dst_cells))]
-    for j, c in enumerate(src_cells):
-        for i in reference_cover_indices(system.act(g.inverse(), c), dst_cells):
-            mat[i][j] = 1
-    return mat
-
-
 THETAS = {
     "golden": Theta(p=-1, q=1, d=5, r=2),
     "sqrt2": Theta(p=-1, q=1, d=2, r=1),
@@ -578,30 +531,17 @@ class TestLevelMatrixOracle:
 
     @pytest.mark.parametrize("name", sorted(THETAS))
     def test_circle_windows(self, name):
+        # the homology levels' own matrices are in the contract suite
+        # (tests/test_contract.py::TestLevelContract); these are the
+        # windows around them
         system = DenjoyFlipSystem(THETAS[name])
         for level in range(1, 9):
             sym, shifted = system.level_chain(level)[-1]
-            finer = system.cells(-level - 1, level + 1)
             for g in ELEMENTS:
                 for lo, hi in ((-level, level), (1 - level, level)):
                     check_window(system, g, lo, hi, grow=level % 2)
-            # the matrices the homology levels use
-            check_pullback(system, FLIP, sym, sym)
-            check_pullback(system, GroupElement(1, 1), shifted, shifted)
-            check_pullback(system, TRANSLATION, sym, finer)
-            for coarse, fine in ((sym, finer), (shifted, sym),
-                                 (shifted, system.cells(-level, level + 1))):
-                check_cover(coarse, fine)
-
-    @pytest.mark.parametrize("base", [2, 3])
-    def test_odometer_levels(self, base):
-        odo = OdometerSystem([base ** i for i in range(1, 6)])
-        for level in range(1, 5):
-            cells = odo.cells(level)
-            for g in ELEMENTS + [GroupElement(-5, 1), GroupElement(7, 0)]:
-                check_pullback(odo, g, cells, cells)
-            refined = [refine(odo, c, level, level + 1) for c in cells]
-            check_cover(refined, odo.cells(level + 1))
+            check_pullback(system, TRANSLATION, sym, system.cells(-level - 1, level + 1))
+            check_cover(shifted, system.cells(-level, level + 1))
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(THETAS)), lo=st.integers(-12, 6),
@@ -609,24 +549,6 @@ class TestLevelMatrixOracle:
            grow=st.integers(0, 3))
     def test_random_windows(self, name, lo, width, n, s, grow):
         check_window(DenjoyFlipSystem(THETAS[name]), GroupElement(n, s), lo, lo + width, grow)
-
-    def test_permutations_match_matrices(self, denjoy):
-        # column j of the pullback matrix is the unit vector of perm[j]
-        def as_matrix(perm):
-            return [{p: 1} for p in perm]
-
-        for level in range(1, 7):
-            for g, cells in zip((FLIP, GroupElement(1, 1)), denjoy.level_chain(level)[-1]):
-                assert as_matrix(pullback_permutation(g, cells)) == \
-                    pullback_matrix(g, cells, cells)
-            with pytest.raises(ValueError):
-                pullback_permutation(TRANSLATION, denjoy.cells(-level, level))
-        odo = OdometerSystem([2, 6, 12, 60])
-        for level in range(1, 5):
-            cells = odo.cells(level)
-            for g in ELEMENTS + [GroupElement(-5, 1), GroupElement(7, 0)]:
-                assert as_matrix(pullback_permutation(g, cells)) == \
-                    pullback_matrix(g, cells, cells)
 
     def test_rejects_what_it_cannot_answer(self, denjoy, golden):
         cells = denjoy.cells(-2, 2)
@@ -653,26 +575,10 @@ class TestLevelMatrixOracle:
             with pytest.raises(ValueError):
                 pullback_matrix(FLIP, src, dst)
 
-    def test_refuses_cells_without_index(self, denjoy, odometer3):
-        # a plain list of a window's cells is not a window: each level
-        # matrix refuses it as the indexed argument, and takes the window
-        for system, window in ((denjoy, denjoy.cells(-2, 2)), (odometer3, odometer3.cells(2))):
-            plain = list(window)
-            with pytest.raises(ValueError):
-                cover_indices(window[0], plain)
-            with pytest.raises(ValueError):
-                cover_matrix(window, plain)
-            with pytest.raises(ValueError):
-                pullback_matrix(FLIP, window, plain)
-            with pytest.raises(ValueError):
-                pullback_permutation(FLIP, plain)
-            assert cover_indices(window[0], window) == [0]
-            assert cover_matrix(plain, window) == pullback_matrix(IDENTITY, plain, window)
-            assert sorted(pullback_permutation(FLIP, window)) == list(range(len(window)))
-
 
 class TestCrossLevelCover:
-    """Coarser odometer cylinders covered by a finer level's, against refine."""
+    """Coarser odometer cylinders covered by a finer level's, against
+    their residues lifted to the finer level."""
 
     CHAINS = [[2 ** i for i in range(1, 7)], [3 ** i for i in range(1, 6)], [2, 6, 12, 60, 120]]
 
@@ -682,7 +588,7 @@ class TestCrossLevelCover:
         odo = OdometerSystem(chain)
         for t in range(1, len(chain) - k + 1):
             coarse, fine = odo.cells(t), odo.cells(t + k)
-            refined = [refine(odo, c, t, t + k) for c in coarse]
+            refined = [lifted(c, fine[0]) for c in coarse]
             want = [[int(f.residues <= r.residues) for r in refined] for f in fine]
             assert cover_matrix(coarse, fine) == sparse(columns(want, len(coarse)))
             assert want == reference_cover_matrix(refined, fine)
@@ -699,6 +605,8 @@ class TestLevelWindows:
     def test_circle(self, denjoy):
         sym, shifted = denjoy.level_chain(3)[-1]
         assert sym == denjoy.cells(-3, 3) and shifted == denjoy.cells(-2, 3)
+        # cell i runs from the window's i-th cut to the next, cyclically
+        assert [c.arcs[0].right for c in sym] == [c.arcs[0].left for c in sym[1:] + sym[:1]]
         # the second window is the relation window: its translate is a
         # union of first-window cells
         assert pullback_matrix(TRANSLATION, shifted, sym)
@@ -724,29 +632,20 @@ class TestLevelWindows:
             assert sorted(built) == sorted(w for t in range(1, top + 1)
                                            for w in ((-t, t), (1 - t, t)))
 
-    def test_windows_are_cell_sequences(self, denjoy, odometer3):
-        window = denjoy.cells(-2, 2)
-        assert len(window) == 5 and list(window) == [window[i] for i in range(5)]
-        assert window == denjoy.cells(-2, 2) and window != denjoy.cells(-3, 3)
-        assert is_partition(window)
-        assert [c.arcs[0].right for c in window] == [c.arcs[0].left for c in window[1:] + window[:1]]
-        # a slice is a plain tuple of cells, with no index
-        assert type(window[1:]) is tuple
-        cylinders = odometer3.cells(2)
-        assert [c.residues for c in cylinders] == [frozenset({r}) for r in range(9)]
-        assert cylinders == odometer3.cells(2) != odometer3.cells(1)
-
     def test_circle_ceiling(self, denjoy):
-        assert denjoy.depth(128) == 128
+        assert len(denjoy.level_chain(128)) == 128
         with pytest.raises(ValueError, match="128"):
-            denjoy.depth(129)
+            denjoy.level_chain(129)
 
     def test_odometer(self, odometer3):
         sym, shifted = odometer3.level_chain(3)[-1]
         assert sym is shifted and sym == odometer3.cells(3)
+        # cell r is the cylinder of residue r
+        assert [c.residues for c in sym] == [frozenset({r}) for r in range(27)]
         assert sorted(pullback_permutation(TRANSLATION, sym)) == list(range(27))
-        assert odometer3.depth(16) == 7
-        assert odometer3.depth(5) == 5
+        # thread counts are read to the chain's end, whatever the request
+        for g in (FLIP, GroupElement(1, 1)):
+            assert odometer3.fixed_point_report(g, 16) == odometer3.fixed_point_report(g, 7)
         # the list stops at the last level of at most 512 cosets, 3^5 = 243
         assert len(odometer3.level_chain(16)) == len(odometer3.level_chain(5)) == 5
         assert len(odometer3.level_chain(4)) == 4

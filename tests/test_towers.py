@@ -22,6 +22,7 @@ from dihedral_dynamics.systems import (
 )
 from dihedral_dynamics.towers import (
     Castle,
+    CastleReport,
     Tower,
     almost_finite_certificate,
     first_return_castle,
@@ -326,9 +327,20 @@ class TestPartitionSweep:
             assert flags == (d0 and d1, c0 and c1)
 
     def test_odometer_levels_must_match(self):
-        with pytest.raises(ValueError):
-            OdometerSystem([2, 4]).partition_flags(
-                [LevelSet(2, frozenset({0})), LevelSet(4, frozenset({1}))])
+        # pieces at different levels are matched at the lcm of their
+        # moduli, as the union route matches them at the chain's last level
+        odo = OdometerSystem([2, 4, 8])
+        assert odo.partition_flags(
+            [LevelSet(2, frozenset({0})), LevelSet(4, frozenset({1}))]) == (True, False)
+        assert odo.partition_flags(
+            [LevelSet(2, frozenset({0})), LevelSet(4, frozenset({0, 1, 3}))]) == (False, True)
+        # a castle whose tower bases sit at different levels is re-verified
+        castle = Castle.from_json({
+            "system": odo.to_json(),
+            "towers": [{"base": {"modulus": 2, "residues": [0]}, "J": 1, "shape": [[0, 0]]},
+                       {"base": {"modulus": 4, "residues": [1, 3]}, "J": 1, "shape": [[0, 0]]}]})
+        assert castle.verify() == CastleReport(disjoint=True, covers=True,
+                                               sigma_compatible=False)
 
 
 class TestVerifyOnce:
