@@ -35,7 +35,6 @@ from .towers import (
     Tower,
     almost_finite_certificate,
     first_return_castle,
-    odometer_castle,
     verify_castle,
 )
 from .abgroups import (

@@ -3,15 +3,16 @@
 The sets used here have a double role: F_m is simultaneously an
 approximately invariant set (its translate boundary shrinks like 1/m)
 and a complete set of coset representatives for the index-m subgroup
-m*Z x| Z_2.  An odometer castle (``towers.odometer_castle``) is one
-first-return tower over a level cylinder, with such a transversal as shape.
+m*Z x| Z_2.  An odometer's certificate castle is one first-return tower
+over a level cylinder, with such a transversal as shape, and a circle's
+towers reach the invariance target (:func:`_invariance_target`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .systems import FLIP, GroupElement, IDENTITY
 
@@ -188,3 +189,66 @@ def _overlap(a: list, b: list) -> int:
         else:
             j += 1
     return total
+
+
+#: The largest invariance target; a certificate's towers are at least this high.
+_TARGET_CAP = 10_000
+
+
+def _invariance_target(test_set: Sequence[GroupElement], eps: Fraction) -> int:
+    """The least n whose windows F_n, ..., F_4n all have ratio below eps.
+
+    Call a window F_j failing when its ratio N(j)/j is at least eps,
+    where N(j) = |K F_j (sym diff) F_j|.  Windows up to j0 + 1, with
+    j0 = 4s + 4 and s = max |k.n| over K, are scanned upward: n is one
+    past the last failing window seen so far, and the scan stops once
+    it has covered F_4n.  Any smaller n has a failing window in its own
+    range, or the scan would have stopped there.
+
+    Past j0, N(j) depends only on the parity of j.  F_j is the run
+    [0, a) on bit 0 and [-b, 0) on bit 1, a = j - j//2 and b = j//2.
+    An element (k, 0) shifts each run by k; (k, 1) carries [0, a) to
+    [k + 1 - a, k + 1) on bit 1 and [-b, 0) to [k + 1, k + 1 + b) on bit 0.
+    So on bit 0 the image runs start at k or k + 1, within 2s + 1 of
+    each other, and end at k + a or k + 1 + b; on bit 1 they end at k
+    or k + 1 and start at k - b or k + 1 - a.  Once b >= 2s + 2, that
+    is j >= j0, every run is longer than the spread of the starts, so
+    each bit's images merge into one run whose ends lie at offsets from
+    0, a and -b fixed by K and by a - b = j mod 2.  Then |K F_j|, |F_j|
+    and |K F_j & F_j| are each j plus a constant fixed by the parity,
+    and N(j) = |K F_j| + |F_j| - 2 |K F_j & F_j| is N(j0) or N(j0 + 1).
+
+    So once the scan passes F_{j0 + 1}, the failing j > j0 + 1 are
+    exactly those with j <= N(j0 + p)/eps and the parity of j0 + p, for
+    p = 0, 1, and both numerators are already scanned.  No n with
+    4n <= j0 + 1 works, or the scan would have stopped there.  Any
+    other n has [n, 4n] reaching past j0 + 1, so it must lie above
+    every scanned failing window, and above the largest failing j of
+    either parity too: else [n, 4n] holds a failing j of that parity
+    (the least one past j0 + 1 if n <= j0 + 1, else n or n + 1).  So n
+    is one past the last failing window, scanned or in closed form.
+    With the default K (s = 1) that takes at most 9 ratios at any eps.
+
+    An n above 10^4 is refused: the certificate's towers are at least
+    n high, so n bounds its cost.
+    """
+    j0 = 4 * max(abs(k.n) for k in test_set) + 4
+    n, j, numerators = 1, 0, []
+    while j < 4 * n and n <= _TARGET_CAP:
+        j += 1
+        if j > j0 + 1:
+            for p, numerator in enumerate(numerators):
+                # the largest j with N/j >= eps and the parity of j0 + p
+                top = numerator * eps.denominator // eps.numerator
+                top -= (top - j0 - p) % 2
+                if top > j0 + 1:
+                    n = max(n, top + 1)
+            break
+        ratio = folner_ratio(folner(j), test_set)
+        if j >= j0:
+            numerators.append((ratio * j).numerator)
+        if ratio >= eps:
+            n = j + 1
+    if n > _TARGET_CAP:
+        raise ValueError("no invariant window size found below 10^4")
+    return n

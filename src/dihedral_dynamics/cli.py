@@ -30,7 +30,7 @@ from .homology import (
     odd_homology,
 )
 from .systems import GroupElement, system_from_json
-from .towers import almost_finite_certificate, first_return_castle, require_first_return
+from .towers import almost_finite_certificate, first_return_castle
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -142,14 +142,14 @@ def cmd_folner(args) -> int:
 
 def cmd_castle(args) -> int:
     system = _load_system(args.system)
-    require_first_return(system)
     if args.base is not None:
         try:
             y = system.set_from_json(_read_json(args.base))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"bad base set: {exc}") from exc
     else:
-        # the widest window: the cuts n*theta with |n| <= 1
+        # the widest window: on a circle the arc of the cuts n*theta with
+        # |n| <= 1, on an odometer the level-1 cylinder seen at level 2
         y = system.invariant_window(1)
     # first_return_castle refuses a base too small for its loop, and
     # raises unless the castle verifies
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("castle", help="first-return castle over a flip-invariant set")
     p.add_argument("--system", required=True)
-    p.add_argument("--base", default=None, help="JSON clopen set; default: window arc")
+    p.add_argument("--base", default=None, help="JSON clopen set; default: widest invariant window")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_castle)
 

@@ -60,21 +60,23 @@ integer rows.
 Castles, certificates and the CLI ask every system the same questions:
 ``act`` (the image of a clopen set), ``set_from_json`` (a clopen set
 from its JSON), ``partition_flags`` (whether pieces are disjoint and
-cover the space), ``fixed_point_report`` (the fixed points of an
-element as ``fixed-points`` prints them) and ``to_json``; its sets
+cover the space), ``invariant_window`` and ``certificate_base`` (the
+flip-invariant bases of ``castle`` and of certificates),
+``fixed_point_report`` (the fixed points of an element as
+``fixed-points`` prints them) and ``to_json``; its sets
 answer ``intersection``, ``difference``, ``is_empty`` and an exact
 ``measure``.  Each answers in its own terms:
 
 * the cut circle writes a set as arcs between cuts, checks pieces by one
   sorted sweep over their ends, reports exact fixed points, and has the
   flip-invariant windows [1-u, u) around 1/2 (``invariant_window``,
-  which reads "above 1/2" off each cut's key);
+  which reads "above 1/2" off each cut's key), shrunk for a certificate;
 * the doubled system writes a set as one arc set per copy, sweeps each
   copy once, reports no fixed points (its action is free), and has the
-  flip-invariant windows [0, u) on both copies;
+  flip-invariant windows [0, u) on both copies, shrunk as on the circle;
 * the odometer writes a set as residues at one level, checks pieces by
   marking residues, reports stable thread counts within its chain,
-  and has no flip-invariant windows: a certificate's base is a cylinder.
+  and has the level cylinders of 0 as its flip-invariant windows.
 
 Homology asks the circle and the odometer for their levels as above;
 for the doubled system it reads only the translation H_0 of its base
@@ -285,6 +287,13 @@ class DenjoyFlipSystem:
         u = min(c for c in cuts if c.above_half())
         return ClopenSet(theta, (Arc(u.negate(), u),))
 
+    def certificate_base(self, test_set: Sequence[GroupElement], eps: Fraction) -> tuple:
+        """The first window ``invariant_window(2^k)`` whose first N translates
+        are disjoint, and N, the invariance target in closed form."""
+        from .amenability import _invariance_target  # amenability imports this module
+        n_target = _invariance_target(test_set, eps)
+        return _shrink_until_disjoint(self, n_target), n_target
+
     # -- level structure ----------------------------------------------
 
     def cells(self, lo: int, hi: int) -> "_CircleCells":
@@ -322,6 +331,27 @@ class DenjoyFlipSystem:
 
     def to_json(self) -> dict:
         return {"type": self.kind, "theta": self.theta.to_json()}
+
+
+#: Window doublings tried before a circle certificate base gives up.
+_SHRINK_BUDGET = 16
+
+
+def _shrink_until_disjoint(system, n_target: int):
+    """Find a flip-invariant y whose first n_target translates are disjoint;
+    a window with n_target * measure > 1 cannot have them and is not swept."""
+    for k in range(_SHRINK_BUDGET):
+        y = system.invariant_window(2 ** k)
+        if ((y.measure() * n_target).shift(-1).sign() <= 0
+                and _translates_disjoint(system, y, n_target)):
+            return y
+    raise ValueError(
+        f"no sufficiently small flip-invariant set within window 2^{_SHRINK_BUDGET - 1}")
+
+
+def _translates_disjoint(system, y, n_target: int) -> bool:
+    translates = [system.act(GroupElement(k, 0), y) for k in range(n_target)]
+    return system.partition_flags(translates)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +445,8 @@ class DoubledSystem:
         z = ClopenSet(theta, (Arc(CutPoint.of(theta, 0), u),))
         return DoubledClopen(z, z)
 
+    certificate_base = DenjoyFlipSystem.certificate_base
+
     def to_json(self) -> dict:
         return {"type": self.kind, "theta": self.theta.to_json()}
 
@@ -429,7 +461,7 @@ class LevelSet:
     """A clopen subset of the inverse limit, given at a finite level.
 
     ``residues`` collects the classes k mod ``modulus`` whose cylinder
-    belongs to the set.
+    belongs to the set.  Set operations on two levels work at the lcm.
     """
 
     modulus: int
@@ -440,16 +472,16 @@ class LevelSet:
             raise ValueError("residues must be reduced modulo the level modulus")
 
     def union(self, other: "LevelSet") -> "LevelSet":
-        self._check(other)
-        return LevelSet(self.modulus, self.residues | other.residues)
+        m = lcm(self.modulus, other.modulus)
+        return LevelSet(m, self._at(m) | other._at(m))
 
     def intersection(self, other: "LevelSet") -> "LevelSet":
-        self._check(other)
-        return LevelSet(self.modulus, self.residues & other.residues)
+        m = lcm(self.modulus, other.modulus)
+        return LevelSet(m, self._at(m) & other._at(m))
 
     def difference(self, other: "LevelSet") -> "LevelSet":
-        self._check(other)
-        return LevelSet(self.modulus, self.residues - other.residues)
+        m = lcm(self.modulus, other.modulus)
+        return LevelSet(m, self._at(m) - other._at(m))
 
     def is_empty(self) -> bool:
         return not self.residues
@@ -457,9 +489,13 @@ class LevelSet:
     def measure(self) -> Fraction:
         return Fraction(len(self.residues), self.modulus)
 
-    def _check(self, other: "LevelSet") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError("level sets at different levels")
+    def _at(self, modulus: int) -> frozenset:
+        """The residues at a multiple of the modulus m, k mod m being the
+        classes k + t*m; above the coset ceiling none is built."""
+        if modulus == self.modulus:
+            return self.residues
+        require_castle_cosets(modulus)
+        return frozenset(k + t for t in range(0, modulus, self.modulus) for k in self.residues)
 
     def to_json(self) -> dict:
         return {"modulus": self.modulus, "residues": sorted(self.residues)}
@@ -493,6 +529,7 @@ class OdometerSystem:
         return self.chain[level - 1]
 
     def act(self, g: GroupElement, s: LevelSet) -> LevelSet:
+        require_castle_cosets(s.modulus)  # no castle check could take a finer set
         sign = -1 if g.s else 1
         return LevelSet(s.modulus,
                         frozenset((g.n + sign * k) % s.modulus for k in s.residues))
@@ -581,6 +618,23 @@ class OdometerSystem:
                 seen[r::p.modulus] = ones
         hits = seen.count(1)
         return marks == hits, hits == modulus
+
+    def invariant_window(self, level: int) -> LevelSet:
+        """The cylinder of 0 mod n_level, seen at level min(level + 1, chain
+        length): flip-invariant, and each point returns after n_level steps."""
+        step = self.modulus(level)
+        modulus = self.modulus(min(level + 1, len(self.chain)))
+        require_castle_cosets(modulus)
+        return LevelSet(modulus, frozenset(range(0, modulus, step)))
+
+    def certificate_base(self, test_set: Sequence[GroupElement], eps: Fraction) -> tuple:
+        """The window of the first level whose window set F_{n_level} is
+        (test_set, eps)-invariant, and n_level, its points' return time."""
+        from .amenability import folner, folner_ratio  # amenability imports this module
+        for level, n in enumerate(self.chain, 1):
+            if folner_ratio(folner(n), test_set) < eps:
+                return self.invariant_window(level), n
+        raise ValueError("no chain level is invariant enough; extend the chain")
 
     # -- level structure ----------------------------------------------
 

@@ -9,8 +9,10 @@ its return time as tower height, and the flip folds each tower onto
 itself (the flip composed with the full climb fixes the base).
 
 Every family's castles come from :func:`first_return_castle`, which asks
-no family question: circle and doubled systems hand it a flip-invariant
-window (``invariant_window``), an odometer a level cylinder (:func:`odometer_castle`).
+no family question: each system hands it a flip-invariant base, its
+``invariant_window`` for ``castle`` and its ``certificate_base`` for a
+certificate (a shrunk window on circle and doubled systems, a level
+cylinder on an odometer).
 
 Verification is one routine, :func:`verify_castle`: it acts by every
 shape element on its tower's base and checks the translates with the
@@ -20,14 +22,13 @@ castle is immutable, so :meth:`Castle.verify` runs it once per castle
 and keeps the report; building, serializing and the CLI all read that
 one report.
 
-A circle certificate proves nothing twice.  Its target height comes in
-closed form (:func:`_invariance_target`: past a few windows the ratio's
-numerator depends only on the window's parity), and the sweep that
-proves the base's first N translates disjoint also proves that the
-first N - 1 steps of the first-return loop meet the base nowhere, so
-the loop starts at step N.  Its one ceiling, max(10^4, 16 N) on
-ceil(1/measure), is in :func:`first_return_castle`, so it bounds
-``castle --base`` (N = 1) too.
+A certificate proves nothing twice.  The base comes with a count N of
+translates already proved disjoint (on a circle the closed-form
+invariance target, whose translates the base search sweeps; on an
+odometer the cylinder's exact return time), so the first N - 1 steps of
+the first-return loop meet the base nowhere, and the loop starts at
+step N.  Its one ceiling, max(10^4, 16 N) on ceil(1/measure), is in
+:func:`first_return_castle`, so it bounds ``castle --base`` (N = 1) too.
 
 The window shape F_J holds (n, 0) for 0 <= n < J - J//2 and (n, 1) for
 -J//2 <= n < 0.  Since (n, 1) = (n + J, 0) * (-J, 1), a base B with
@@ -46,15 +47,13 @@ from typing import Sequence
 from .amenability import folner, folner_ratio
 from .errors import VerificationError
 from .exact_circle import QuadExt, json_int
-from .systems import FLIP, GroupElement, LevelSet, require_castle_cosets, system_from_json
+from .systems import FLIP, GroupElement, system_from_json
 
 __all__ = [
     "Tower",
     "Castle",
     "CastleReport",
     "first_return_castle",
-    "require_first_return",
-    "odometer_castle",
     "verify_castle",
     "almost_finite_certificate",
     "ceil_inverse_measure",
@@ -234,57 +233,17 @@ def first_return_castle(system, y, *, proven_disjoint: int = 1) -> Castle:
     return castle
 
 
-def _has_invariant_windows(system) -> bool:
-    """Whether the system has flip-invariant windows to take castle bases
-    from (circle and doubled systems); an odometer takes a cylinder."""
-    return hasattr(system, "invariant_window")
-
-
-def require_first_return(system) -> None:
-    """Reject a system with no flip-invariant window for ``castle``."""
-    if not _has_invariant_windows(system):
-        raise ValueError("first-return castles are for circle systems; "
-                         "use certify for odometers")
-
-
-def odometer_castle(system, n: int, j: int) -> Castle:
-    """The first-return castle of the level-n identity cylinder, seen at level j.
-
-    The base, the class of 0 mod n_n inside Z/n_j, is flip-invariant and
-    each of its points returns after exactly n_n steps, so
-    :func:`first_return_castle`, told so, takes one step and builds one
-    tower whose shape is the n_n-element window, a coset transversal.
-    """
-    if not (1 <= n <= j <= len(system.chain)):
-        raise ValueError("need 1 <= n <= j <= chain length")
-    n_n = system.modulus(n)
-    n_j = system.modulus(j)
-    require_castle_cosets(n_j)
-    base = LevelSet(n_j, frozenset(range(0, n_j, n_n)))
-    return first_return_castle(system, base, proven_disjoint=n_n)
-
-
-#: Window doublings tried before a circle certificate gives up.
-_SHRINK_BUDGET = 16
-#: The largest invariance target; a certificate's towers are at least this high.
-_TARGET_CAP = 10_000
-
-
 def almost_finite_certificate(system, test_set: Sequence[GroupElement],
                               eps: Fraction) -> tuple:
     """A partitioning castle whose every shape is (test_set, eps)-invariant,
     and its shape ratios, one per tower.
 
-    An odometer gets :func:`odometer_castle` at the first chain level
-    whose window is invariant enough, seen one level further down.  On
-    a circle system the target height N comes in closed form from
-    :func:`_invariance_target`; a flip-invariant window y is then
-    shrunk until its first N translates are disjoint, which forces
-    every return time to be at least N.  :func:`first_return_castle`
-    then starts its loop at T^(N-1) y, since the sweep has proved that
-    steps 1 .. N-1 meet y nowhere, and refuses a y with ceil(1/measure)
-    above max(10^4, 16 N).  Every castle's invariance claims are
-    re-checked exactly on the realized shapes.
+    The system proposes the base y and the number N of its translates
+    already proved disjoint (``certificate_base``), which forces every
+    return time to be at least N.  :func:`first_return_castle` then
+    starts its loop at T^(N-1) y and refuses a y with ceil(1/measure)
+    above max(10^4, 16 N).  The castle's invariance claims are re-checked
+    exactly on the realized shapes.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -293,98 +252,10 @@ def almost_finite_certificate(system, test_set: Sequence[GroupElement],
     if not test_set:
         raise ValueError("the test set is empty; give at least one group element")
 
-    if not _has_invariant_windows(system):
-        level = None
-        for n in range(1, len(system.chain) + 1):
-            if folner_ratio(folner(system.chain[n - 1]), test_set) < eps:
-                level = n
-                break
-        if level is None:
-            raise ValueError("no chain level is invariant enough; extend the chain")
-        castle = odometer_castle(system, level, min(level + 1, len(system.chain)))
-    else:
-        n_target = _invariance_target(test_set, eps)
-        y = _shrink_until_disjoint(system, n_target)
-        castle = first_return_castle(system, y, proven_disjoint=n_target)
-
+    y, proven = system.certificate_base(test_set, eps)
+    castle = first_return_castle(system, y, proven_disjoint=proven)
     ratios = castle.shape_ratios(test_set)
     bad = [r for r in ratios if r >= eps]
     if bad:
         raise VerificationError(f"shape invariance violated: ratios {bad} >= {eps}")
     return castle, ratios
-
-
-def _invariance_target(test_set: Sequence[GroupElement], eps: Fraction) -> int:
-    """The least n whose windows F_n, ..., F_4n all have ratio below eps.
-
-    Call a window F_j failing when its ratio N(j)/j is at least eps,
-    where N(j) = |K F_j (sym diff) F_j|.  Windows up to j0 + 1, with
-    j0 = 4s + 4 and s = max |k.n| over K, are scanned upward: n is one
-    past the last failing window seen so far, and the scan stops once
-    it has covered F_4n.  Any smaller n has a failing window in its own
-    range, or the scan would have stopped there.
-
-    Past j0, N(j) depends only on the parity of j.  F_j is the run
-    [0, a) on bit 0 and [-b, 0) on bit 1, a = j - j//2 and b = j//2.
-    An element (k, 0) shifts each run by k; (k, 1) carries [0, a) to
-    [k + 1 - a, k + 1) on bit 1 and [-b, 0) to [k + 1, k + 1 + b) on bit 0.
-    So on bit 0 the image runs start at k or k + 1, within 2s + 1 of
-    each other, and end at k + a or k + 1 + b; on bit 1 they end at k
-    or k + 1 and start at k - b or k + 1 - a.  Once b >= 2s + 2, that
-    is j >= j0, every run is longer than the spread of the starts, so
-    each bit's images merge into one run whose ends lie at offsets from
-    0, a and -b fixed by K and by a - b = j mod 2.  Then |K F_j|, |F_j|
-    and |K F_j & F_j| are each j plus a constant fixed by the parity,
-    and N(j) = |K F_j| + |F_j| - 2 |K F_j & F_j| is N(j0) or N(j0 + 1).
-
-    So once the scan passes F_{j0 + 1}, the failing j > j0 + 1 are
-    exactly those with j <= N(j0 + p)/eps and the parity of j0 + p, for
-    p = 0, 1, and both numerators are already scanned.  No n with
-    4n <= j0 + 1 works, or the scan would have stopped there.  Any
-    other n has [n, 4n] reaching past j0 + 1, so it must lie above
-    every scanned failing window, and above the largest failing j of
-    either parity too: else [n, 4n] holds a failing j of that parity
-    (the least one past j0 + 1 if n <= j0 + 1, else n or n + 1).  So n
-    is one past the last failing window, scanned or in closed form.
-    With the default K (s = 1) that takes at most 9 ratios at any eps.
-
-    An n above 10^4 is refused: the certificate's towers are at least
-    n high, so n bounds its cost.
-    """
-    j0 = 4 * max(abs(k.n) for k in test_set) + 4
-    n, j, numerators = 1, 0, []
-    while j < 4 * n and n <= _TARGET_CAP:
-        j += 1
-        if j > j0 + 1:
-            for p, numerator in enumerate(numerators):
-                # the largest j with N/j >= eps and the parity of j0 + p
-                top = numerator * eps.denominator // eps.numerator
-                top -= (top - j0 - p) % 2
-                if top > j0 + 1:
-                    n = max(n, top + 1)
-            break
-        ratio = folner_ratio(folner(j), test_set)
-        if j >= j0:
-            numerators.append((ratio * j).numerator)
-        if ratio >= eps:
-            n = j + 1
-    if n > _TARGET_CAP:
-        raise ValueError("no invariant window size found below 10^4")
-    return n
-
-
-def _shrink_until_disjoint(system, n_target: int):
-    """Find a flip-invariant y whose first n_target translates are disjoint;
-    a window with n_target * measure > 1 cannot have them and is not swept."""
-    for k in range(_SHRINK_BUDGET):
-        y = system.invariant_window(2 ** k)
-        if ((y.measure() * n_target).shift(-1).sign() <= 0
-                and _translates_disjoint(system, y, n_target)):
-            return y
-    raise ValueError(
-        f"no sufficiently small flip-invariant set within window 2^{_SHRINK_BUDGET - 1}")
-
-
-def _translates_disjoint(system, y, n_target: int) -> bool:
-    translates = [system.act(GroupElement(k, 0), y) for k in range(n_target)]
-    return system.partition_flags(translates)[0]

@@ -10,8 +10,8 @@ from dihedral_dynamics.amenability import (
     folner_ratio,
     is_transversal,
 )
-from dihedral_dynamics.systems import FLIP, GroupElement, IDENTITY, OdometerSystem
-from dihedral_dynamics.towers import odometer_castle
+from dihedral_dynamics.systems import FLIP, GroupElement, IDENTITY, LevelSet, OdometerSystem
+from dihedral_dynamics.towers import first_return_castle
 
 
 ELEMENTS = st.builds(GroupElement, st.integers(-30, 30), st.integers(0, 1))
@@ -109,10 +109,20 @@ class TestRatios:
         assert folner_ratio(f, k) == naive_ratio(f.elements, k)
 
 
+def cylinder(odo, n, j):
+    """The class of 0 mod n_n inside Z/n_j: flip-invariant, and each of its
+    points returns after exactly n_n steps."""
+    n_j = odo.modulus(j)
+    return LevelSet(n_j, frozenset(range(0, n_j, odo.modulus(n))))
+
+
 class TestOdometerCastle:
+    """First-return castles over level cylinders: one tower, whose shape is
+    the n_n-element window, a coset transversal."""
+
     def test_small_chain(self):
         odo = OdometerSystem([2, 4, 8])
-        castle = odometer_castle(odo, 1, 3)
+        castle = first_return_castle(odo, cylinder(odo, 1, 3))
         tower = castle.towers[0]
         assert sorted(tower.base.residues) == [0, 2, 4, 6]
         assert [g.to_json() for g in tower.shape] == [[-1, 1], [0, 0]]
@@ -120,7 +130,7 @@ class TestOdometerCastle:
 
     def test_level_equals_index(self):
         odo = OdometerSystem([3, 9, 27])
-        castle = odometer_castle(odo, 2, 2)
+        castle = first_return_castle(odo, cylinder(odo, 2, 2), proven_disjoint=9)
         assert sorted(castle.towers[0].base.residues) == [0]
         assert len(castle.towers[0].shape) == 9
         assert castle.verify().all_ok()
@@ -128,22 +138,28 @@ class TestOdometerCastle:
     def test_shape_invariance(self):
         odo = OdometerSystem([4, 8, 16, 32])
         for n in (1, 2, 3):
-            castle = odometer_castle(odo, n, min(n + 1, 4))
+            castle = first_return_castle(odo, odo.invariant_window(n),
+                                         proven_disjoint=odo.modulus(n))
             ratio = castle.shape_ratios(DEFAULT_TEST_SET)[0]
             assert ratio == Fraction(2, odo.modulus(n))
 
     def test_larger_levels_partition(self):
         odo = OdometerSystem([6, 36, 216, 1296])
         for n, j in ((1, 2), (2, 3), (1, 4), (3, 4)):
-            assert odometer_castle(odo, n, j).verify().all_ok()
+            castle = first_return_castle(odo, cylinder(odo, n, j),
+                                         proven_disjoint=odo.modulus(n))
+            assert castle.return_times() == (odo.modulus(n),)
+            assert castle.verify().all_ok()
 
     def test_level_near_hundred_thousand(self):
         odo = OdometerSystem([10, 100, 100_000])
-        castle = odometer_castle(odo, 1, 3)
+        castle = first_return_castle(odo, cylinder(odo, 1, 3), proven_disjoint=10)
         assert castle.verify().all_ok()
         assert len(castle.towers[0].base.residues) == 10_000
 
     def test_bad_levels(self):
+        # a level outside the chain names no window
         odo = OdometerSystem([2, 4])
-        with pytest.raises(ValueError):
-            odometer_castle(odo, 2, 1)
+        for level in (0, 3):
+            with pytest.raises(ValueError, match="level must be in 1..2"):
+                odo.invariant_window(level)

@@ -17,16 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dihedral_dynamics
-from dihedral_dynamics import cli, towers
+from dihedral_dynamics import amenability, cli, systems, towers
 from dihedral_dynamics.abgroups import FGAbGroup
-from dihedral_dynamics.amenability import DEFAULT_TEST_SET, folner
+from dihedral_dynamics.amenability import DEFAULT_TEST_SET
 from dihedral_dynamics.cli import build_parser, main
 from dihedral_dynamics.systems import OdometerSystem, system_from_json
 from dihedral_dynamics.towers import Castle
 
 GOLDEN_THETA = {"p": -1, "q": 1, "d": 5, "r": 2}
-ODOMETER_CASTLE_ERROR = {
-    "error": "first-return castles are for circle systems; use certify for odometers"}
 
 
 def run_python(args, timeout, preexec_fn=None):
@@ -237,22 +235,45 @@ class TestCastleCommand:
         assert code == 0
         assert [t["J"] for t in data["towers"]] == [3, 5]
 
-    def test_odometer_rejected(self, capsys, odometer_file):
-        code = main(["castle", "--system", odometer_file])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert json.loads(captured.err) == ODOMETER_CASTLE_ERROR
+    def test_odometer_default_window(self, capsys, odometer_file):
+        # the level-1 cylinder, 0 mod 3, seen at level 2: one tower of height 3
+        code, data = run(capsys, ["castle", "--system", odometer_file])
+        assert code == 0
+        assert [(t["base"], t["J"]) for t in data["towers"]] == \
+            [({"modulus": 9, "residues": [0, 3, 6]}, 3)]
+        assert Castle.from_json(data).verify().all_ok()
 
-    @pytest.mark.parametrize("base", ['{"modulus": 3, "residues": [0]}', "not json"],
-                             ids=["level-set", "malformed"])
-    def test_odometer_rejected_before_base(self, capsys, odometer_file, base):
-        # the system is rejected before its --base is parsed
-        code = main(["castle", "--system", odometer_file, "--base", base])
+    @pytest.mark.parametrize("base,code,heights,error", [
+        ('{"modulus": 3, "residues": [1, 2]}', 0, [1, 2], None),
+        ("not json", 2, None, "bad base set: "),
+    ], ids=["level-set", "malformed"])
+    def test_odometer_base(self, capsys, odometer_file, base, code, heights, error):
+        # a flip-invariant level set at any level dividing the chain is a
+        # base: 1 returns to 2 in one step and 2 to 1 in two
+        got = main(["castle", "--system", odometer_file, "--base", base])
         captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert json.loads(captured.err) == ODOMETER_CASTLE_ERROR
+        assert got == code
+        if error:
+            assert captured.out == ""
+            assert json.loads(captured.err)["error"].startswith(error)
+        else:
+            data = json.loads(captured.out)
+            assert [t["J"] for t in data["towers"]] == heights
+            assert Castle.from_json(data).verify().all_ok()
+
+    def test_odometer_base_above_the_coset_ceiling(self, capsys, tmp_path):
+        # ceil(1/measure) = 4000 passes the first-return loop's ceiling; the
+        # level of 2 * 10^7 cosets is refused before the loop's first step
+        modulus = 2 * 10 ** 7
+        path = tmp_path / "fine.json"
+        path.write_text(json.dumps({"type": "odometer", "chain": [2, modulus]}))
+        base = {"modulus": modulus, "residues": list(range(0, modulus, 4000))}
+        with alarm(5):
+            code = main(["castle", "--system", str(path), "--base", json.dumps(base)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert json.loads(captured.err) == {"error": f"a castle level of {modulus} cosets is "
+                                                     "above the ceiling of 1000000 cosets"}
 
 
     def test_base_above_the_return_ceiling(self, denjoy_file):
@@ -417,7 +438,7 @@ class TestCertifyCommand:
         # at eps 1/30 the first window that passes the measure test fails
         # the sweep; called disjoint, it returns before the target and the
         # castle fails verification before anything is printed
-        monkeypatch.setattr(towers, "_translates_disjoint", lambda system, y, n: True)
+        monkeypatch.setattr(systems, "_translates_disjoint", lambda system, y, n: True)
         code = main(["certify", "--system", denjoy_file, "--eps", "1/30"])
         captured = capsys.readouterr()
         assert code == 4
@@ -431,9 +452,9 @@ class TestCertifyCommand:
     ], ids=["golden", "doubled", "3^i-4"])
     def test_each_shape_ratio_taken_once(self, capsys, monkeypatch, tmp_path, system, eps):
         # certify prints the ratios the certificate checked: one ratio per
-        # tower, beside the target's own (the closed-form scan on a circle,
-        # the level search on an odometer); the payload, pinned for 3^i-4,
-        # reads back and verifies
+        # tower, beside the base proposal's own (the closed-form target on
+        # a circle, the level search on an odometer); the payload, pinned
+        # for 3^i-4, reads back and verifies
         eps_q = Fraction(eps)
         ratio = towers.folner_ratio
         calls = []
@@ -442,14 +463,11 @@ class TestCertifyCommand:
             calls.append(window)
             return ratio(window, test_set)
 
+        # the proposal looks its ratios up in amenability, the castle in towers
+        monkeypatch.setattr(amenability, "folner_ratio", counted)
         monkeypatch.setattr(towers, "folner_ratio", counted)
-        parsed = system_from_json(system)
-        if isinstance(parsed, OdometerSystem):
-            target = next(n for n, m in enumerate(parsed.chain, 1)
-                          if ratio(folner(m), DEFAULT_TEST_SET) < eps_q)
-        else:
-            towers._invariance_target(DEFAULT_TEST_SET, eps_q)
-            target = len(calls)
+        system_from_json(system).certificate_base(DEFAULT_TEST_SET, eps_q)
+        target = len(calls)
         calls.clear()
         path = tmp_path / "system.json"
         path.write_text(json.dumps(system))
@@ -605,16 +623,20 @@ FUZZ_SYSTEMS = [
     {"type": "odometer", "base": 3, "growth": "geometric", "levels": 4},
     {"type": "odometer", "chain": [2, 6, 12, 60, 120]},
 ]
-#: Each command's fixed arguments, and the JSON option it takes with a valid value.
+#: Each run's command, its fixed arguments, and the JSON option it takes
+#: with a valid value; the odometer base is flip-invariant on both odometers.
 FUZZ_COMMANDS = {
-    "fixed-points": ([], "--elements", [[0, 1], [1, 1]]),
-    "castle": ([], "--base", {"arcs": [{"left": {"m": 1, "n": -1}, "right": {"m": 0, "n": 1}}]}),
-    "certify": (["--eps", "1/10"], "--K", [[0, 0], [1, 0], [0, 1]]),
-    "homology": (["--max-level", "4"], None, None),
+    "fixed-points": ("fixed-points", [], "--elements", [[0, 1], [1, 1]]),
+    "castle": ("castle", [], "--base",
+               {"arcs": [{"left": {"m": 1, "n": -1}, "right": {"m": 0, "n": 1}}]}),
+    "castle-odometer": ("castle", [], "--base", {"modulus": 3, "residues": [1, 2]}),
+    "certify": ("certify", ["--eps", "1/10"], "--K", [[0, 0], [1, 0], [0, 1]]),
+    "homology": ("homology", ["--max-level", "4"], None, None),
 }
 #: Sets of every family, for a mutation to put in place of a field.
-FUZZ_SETS = [FUZZ_COMMANDS["castle"][2], {"components": [{"arcs": []}, {"full": True}]},
-             {"modulus": 6, "residues": [0, 3]}]
+FUZZ_SETS = [FUZZ_COMMANDS["castle"][3], {"components": [{"arcs": []}, {"full": True}]},
+             FUZZ_COMMANDS["castle-odometer"][3], {"modulus": 6, "residues": [0, 3]},
+             {"modulus": 40, "residues": [0, 20]}]
 
 
 #: Each JSON input: the arguments that read it, with {text} for its text
@@ -631,19 +653,20 @@ JSON_INPUTS = {
     "--ratio": (["folner", "--m", "3", "--ratio", "{text}"], "[[1, 0]]",
                 "bad group-element list: "),
     "--base": (["castle", "--system", "{system}", "--base", "{text}"],
-               json.dumps(FUZZ_COMMANDS["castle"][2]), "bad base set: "),
+               json.dumps(FUZZ_COMMANDS["castle"][3]), "bad base set: "),
 }
 
 
 class TestMutatedJson:
     @settings(max_examples=600, deadline=None, derandomize=True)
-    @given(data=st.data(), command=st.sampled_from(sorted(FUZZ_COMMANDS)),
+    @given(data=st.data(), case=st.sampled_from(sorted(FUZZ_COMMANDS)),
            system=st.sampled_from(FUZZ_SYSTEMS))
-    def test_every_run_ends_with_an_exit_code(self, tmp_path_factory, data, command, system):
-        # a system file, castle --base, --elements or --K with fields
-        # deleted, retyped or taken from another family: each run ends in
-        # an exit code, within the alarm, and no exception escapes main
-        args, flag, value = FUZZ_COMMANDS[command]
+    def test_every_run_ends_with_an_exit_code(self, tmp_path_factory, data, case, system):
+        # a system file, castle --base (an arc set or a level set),
+        # --elements or --K with fields deleted, retyped or taken from
+        # another family: each run ends in an exit code, within the alarm,
+        # and no exception escapes main
+        command, args, flag, value = FUZZ_COMMANDS[case]
         donors = FUZZ_SYSTEMS + FUZZ_SETS
         if flag is None or data.draw(st.booleans()):
             system = data.draw(mutated(system, donors))

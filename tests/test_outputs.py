@@ -11,6 +11,7 @@ import json
 import pytest
 
 from dihedral_dynamics.cli import main
+from dihedral_dynamics.towers import Castle
 
 SYSTEMS = {
     "golden": {"type": "denjoy_flip", "theta": {"p": -1, "q": 1, "d": 5, "r": 2}},
@@ -120,6 +121,11 @@ COMMANDS = [
     (["castle", "--system", "{golden}"], 0, "18f53f85a3968d2a", EMPTY),
     (["castle", "--system", "{sqrt2}"], 0, "51459bf16970cf88", EMPTY),
     (["castle", "--system", "{doubled}"], 0, "f301528cc8f057db", EMPTY),
+    # an odometer's default base: the level-1 cylinder seen at level 2
+    (["castle", "--system", "{2^i-6}"], 0, "bc36d480b888ad67", EMPTY),
+    (["castle", "--system", "{3^i-4}"], 0, "4b54371b507db618", EMPTY),
+    (["castle", "--system", "{mixed}"], 0, "be8fc6c142d8f6a1", EMPTY),
+    (["castle", "--system", "{wide}"], 0, "ed8cb73b5168e23d", EMPTY),
     (["certify", "--system", "{golden}", "--eps", "1/10"], 0, "c0163fc1c154bee6", EMPTY),
     (["certify", "--system", "{golden}", "--eps", "1/25"], 0, "42bb18d54fe2c09a", EMPTY),
     (["certify", "--system", "{golden}", "--eps", "1/100"], 0, "473a70a265e1c9f8", EMPTY),
@@ -138,6 +144,7 @@ COMMANDS = [
                               "fixed-points-2^i-6", "fixed-points-3^i-4",
                               "fixed-points-mixed-L4", "fixed-points-mixed-elements",
                               "castle-golden", "castle-sqrt2", "castle-doubled",
+                              "castle-2^i-6", "castle-3^i-4", "castle-mixed", "castle-wide",
                               "certify-golden-1/10", "certify-golden-1/25", "certify-golden-1/100",
                               "certify-sqrt2-1/10", "certify-doubled-1/10", "certify-3^i-4-1/10",
                               "certify-2^i-6-1/10", "certify-mixed-1/20", "certify-3^i-4-1/25"])
@@ -145,3 +152,9 @@ def test_command_output_digest(capsys, system_files, argv, code, out, err):
     got = main([arg.format(**system_files) for arg in argv])
     captured = capsys.readouterr()
     assert (got, _digest(captured.out), _digest(captured.err)) == (code, out, err)
+
+
+@pytest.mark.parametrize("system", ["2^i-6", "3^i-4", "mixed", "wide"])
+def test_odometer_castle_reverifies(capsys, system_files, system):
+    assert main(["castle", "--system", str(system_files[system])]) == 0
+    assert Castle.from_json(json.loads(capsys.readouterr().out)).verify().all_ok()

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -31,8 +32,7 @@ from dihedral_dynamics.systems import (
 )
 
 from dense import columns, dense, sparse
-from test_contract import lifted, reference_cover_matrix, reference_pullback_matrix
-from test_exact_circle import random_clopen
+from test_contract import level_sets, reference_cover_matrix, reference_pullback_matrix
 
 
 def coset_identification_ok(odo, level):
@@ -79,35 +79,6 @@ class TestDenjoyAction:
         a = ClopenSet.arc(golden, 0, 1)
         assert denjoy.act(TRANSLATION, a) == ClopenSet.arc(golden, 1, 2)
 
-    def test_identity(self, denjoy, golden):
-        rng = random.Random(11)
-        for _ in range(10):
-            s = random_clopen(golden, rng)
-            assert denjoy.act(IDENTITY, s) == s
-
-    def test_dihedral_relations_on_sets(self, denjoy, golden):
-        rng = random.Random(13)
-        for _ in range(30):
-            s = random_clopen(golden, rng)
-            assert denjoy.act(FLIP, denjoy.act(FLIP, s)) == s
-            lhs = denjoy.act(FLIP, denjoy.act(TRANSLATION, denjoy.act(FLIP, s)))
-            assert lhs == denjoy.act(GroupElement(-1, 0), s)
-
-    def test_action_is_homomorphism(self, denjoy, golden):
-        rng = random.Random(17)
-        for _ in range(25):
-            s = random_clopen(golden, rng)
-            g = GroupElement(rng.randint(-5, 5), rng.randint(0, 1))
-            h = GroupElement(rng.randint(-5, 5), rng.randint(0, 1))
-            assert denjoy.act(g * h, s) == denjoy.act(g, denjoy.act(h, s))
-
-    def test_preserves_measure(self, denjoy, golden):
-        rng = random.Random(19)
-        for _ in range(15):
-            s = random_clopen(golden, rng)
-            g = GroupElement(rng.randint(-6, 6), rng.randint(0, 1))
-            assert denjoy.act(g, s).measure() == s.measure()
-
 
 def evaluate(g, x):
     """Point action (n, s): x -> (-1)^s x + n*theta, reduced mod 1."""
@@ -149,14 +120,6 @@ class TestDoubled:
                 if g.is_identity():
                     continue
                 assert doubled.fixed_points(g).points == ()
-
-    def test_relations_on_sets(self, doubled, golden):
-        rng = random.Random(29)
-        for _ in range(15):
-            s = DoubledClopen(random_clopen(golden, rng), random_clopen(golden, rng))
-            assert doubled.act(FLIP, doubled.act(FLIP, s)) == s
-            lhs = doubled.act(FLIP, doubled.act(TRANSLATION, doubled.act(FLIP, s)))
-            assert lhs == doubled.act(GroupElement(-1, 0), s)
 
     def test_components_invariant_and_swapped(self, doubled, golden):
         a = ClopenSet.arc(golden, 0, 1)
@@ -456,7 +419,7 @@ class TestLevelPartition:
         for level in (1, 2):
             for c in odometer3.cells(level):
                 fine = odometer3.cells(level + 1)
-                ix = cover_indices(lifted(c, fine[0]), fine)
+                ix = cover_indices(c, fine)
                 assert len(ix) == odometer3.modulus(level + 1) // odometer3.modulus(level)
 
 
@@ -576,6 +539,32 @@ class TestLevelMatrixOracle:
                 pullback_matrix(FLIP, src, dst)
 
 
+def lift(s, modulus):
+    """Plain residue lifting: the classes r + t*m mod ``modulus`` of a
+    level set s mod m, m dividing ``modulus``."""
+    m = s.modulus
+    return frozenset(r + t * m for r in s.residues for t in range(modulus // m))
+
+
+class TestLevelSetOperations:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), top=st.sampled_from([8, 12, 36, 120]))
+    def test_mixed_levels_match_lifted_residues(self, data, top):
+        # operands at two levels meet at the lcm of their moduli; at one
+        # level, the result keeps it
+        a, b = data.draw(level_sets(top)), data.draw(level_sets(top))
+        m = lcm(a.modulus, b.modulus)
+        assert a.union(b) == LevelSet(m, lift(a, m) | lift(b, m))
+        assert a.intersection(b) == LevelSet(m, lift(a, m) & lift(b, m))
+        assert a.difference(b) == LevelSet(m, lift(a, m) - lift(b, m))
+        assert a.union(b).measure() + a.intersection(b).measure() == a.measure() + b.measure()
+
+    def test_lcm_above_the_coset_ceiling(self):
+        # 3 * 10^6 cosets are refused before any residue is built
+        with pytest.raises(ValueError, match="ceiling of 1000000 cosets"):
+            LevelSet(10 ** 6, frozenset({0})).union(LevelSet(3, frozenset({0})))
+
+
 class TestCrossLevelCover:
     """Coarser odometer cylinders covered by a finer level's, against
     their residues lifted to the finer level."""
@@ -588,7 +577,7 @@ class TestCrossLevelCover:
         odo = OdometerSystem(chain)
         for t in range(1, len(chain) - k + 1):
             coarse, fine = odo.cells(t), odo.cells(t + k)
-            refined = [lifted(c, fine[0]) for c in coarse]
+            refined = [LevelSet(fine.modulus, lift(c, fine.modulus)) for c in coarse]
             want = [[int(f.residues <= r.residues) for r in refined] for f in fine]
             assert cover_matrix(coarse, fine) == sparse(columns(want, len(coarse)))
             assert want == reference_cover_matrix(refined, fine)
@@ -705,7 +694,8 @@ SYSTEM_CLASSES = {"DenjoyFlipSystem", "DoubledSystem", "OdometerSystem"}
 @pytest.mark.parametrize("module", ["cli", "towers"])
 def test_no_system_class_forks(module):
     """cli.py and towers.py ask systems through their methods: neither
-    imports a system class nor names one (as in ``isinstance``)."""
+    imports a system class nor names one (as in ``isinstance``), nor asks
+    whether a system has a method (``hasattr``, ``getattr``)."""
     path = Path(dihedral_dynamics.__file__).parent / f"{module}.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     named = set()
@@ -717,3 +707,4 @@ def test_no_system_class_forks(module):
         elif isinstance(node, ast.Attribute):
             named.add(node.attr)
     assert not named & SYSTEM_CLASSES
+    assert not named & {"hasattr", "getattr"}

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dihedral_dynamics.amenability import DEFAULT_TEST_SET, folner, folner_ratio
-from dihedral_dynamics import towers
+from dihedral_dynamics import amenability, systems, towers
 from dihedral_dynamics.errors import VerificationError
 from dihedral_dynamics.exact_circle import GOLDEN, Arc, ClopenSet, CutPoint, QuadExt, Theta, frac
 from dihedral_dynamics.systems import (
@@ -26,7 +26,6 @@ from dihedral_dynamics.towers import (
     Tower,
     almost_finite_certificate,
     first_return_castle,
-    odometer_castle,
     verify_castle,
 )
 
@@ -49,7 +48,7 @@ CERTIFIED_SYSTEMS = {
 
 
 def scan_invariance_target(test_set, eps, ratio=folner_ratio):
-    """Oracle for ``towers._invariance_target``: the full upward scan.
+    """Oracle for ``amenability._invariance_target``: the full upward scan.
 
     n is one past the last failing window seen so far, and the scan
     stops once it has covered F_4n, so n is the least n whose windows
@@ -143,12 +142,6 @@ class TestFirstReturnCastle:
             part = t.base.measure() * t.return_time
             total = part if total is None else total + part
         assert total == QuadExt(Fraction(1), Fraction(0), sqrt2_theta)
-
-    def test_doubled_system(self, doubled, golden):
-        z = ClopenSet.arc(golden, 0, 1)
-        castle = first_return_castle(doubled, DoubledClopen(z, z))
-        assert castle.return_times() == (1, 2)
-        assert castle.verify().all_ok()
 
     def test_random_flip_invariant_windows(self, denjoy, golden):
         one = QuadExt(Fraction(1), Fraction(0), golden)
@@ -407,7 +400,7 @@ class TestCertificates:
             except ValueError as exc:
                 return str(exc)
 
-        assert outcome(towers._invariance_target) == outcome(scan_invariance_target)
+        assert outcome(amenability._invariance_target) == outcome(scan_invariance_target)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(test_set=st.lists(st.builds(GroupElement, st.integers(-12, 12), st.integers(0, 1)),
@@ -430,10 +423,10 @@ class TestCertificates:
             calls.append(len(f))
             return folner_ratio(f, k)
 
-        monkeypatch.setattr(towers, "folner_ratio", counted)
+        monkeypatch.setattr(amenability, "folner_ratio", counted)
         eps = Fraction(1, q)
         try:
-            got = towers._invariance_target(DEFAULT_TEST_SET, eps)
+            got = amenability._invariance_target(DEFAULT_TEST_SET, eps)
         except ValueError:
             got = None
         assert len(calls) <= 11
@@ -444,12 +437,12 @@ class TestCertificates:
     def test_target_scan_cap(self):
         # an exhausted budget is a bad request, not a failed check
         with pytest.raises(ValueError, match="10\\^4"):
-            towers._invariance_target(DEFAULT_TEST_SET, Fraction(1, 10 ** 6))
+            amenability._invariance_target(DEFAULT_TEST_SET, Fraction(1, 10 ** 6))
 
     def test_shrink_budget_exhausted(self, denjoy, monkeypatch):
         # window 2^0 = 1, the only one tried, is too coarse for eps 1/10:
         # a bad request, exit 2
-        monkeypatch.setattr(towers, "_SHRINK_BUDGET", 1)
+        monkeypatch.setattr(systems, "_SHRINK_BUDGET", 1)
         with pytest.raises(ValueError, match="window 2\\^0$"):
             almost_finite_certificate(denjoy, DEFAULT_TEST_SET, Fraction(1, 10))
 
@@ -458,21 +451,21 @@ class TestCertificates:
     def test_sweep_only_windows_that_pass_the_measure_test(self, request, monkeypatch,
                                                            kind, n_target):
         system = request.getfixturevalue(kind)
-        sweep = towers._translates_disjoint
+        sweep = systems._translates_disjoint
         swept = []
 
         def recorded(system, y, n):
             swept.append(y)
             return sweep(system, y, n)
 
-        monkeypatch.setattr(towers, "_translates_disjoint", recorded)
-        got = towers._shrink_until_disjoint(system, n_target)
+        monkeypatch.setattr(systems, "_translates_disjoint", recorded)
+        got = systems._shrink_until_disjoint(system, n_target)
         # every swept window has n * mu <= 1, the last is the one returned
         assert swept[-1] == got
         for y in swept:
             assert (y.measure() * n_target).shift(-1).sign() <= 0
         # the first window whose translates are disjoint, swept or not
-        windows = (system.invariant_window(2 ** k) for k in range(towers._SHRINK_BUDGET))
+        windows = (system.invariant_window(2 ** k) for k in range(systems._SHRINK_BUDGET))
         tried = 0
         for y in windows:
             tried += 1
@@ -493,8 +486,7 @@ class TestLoopStartedAtTarget:
         # golden 1/30, sqrt3 1/25 and sqrt7 1/10 include windows that
         # pass the measure test and fail the sweep
         system, eps = CERTIFIED_SYSTEMS[name], Fraction(1, q)
-        n_target = towers._invariance_target(DEFAULT_TEST_SET, eps)
-        y = towers._shrink_until_disjoint(system, n_target)
+        y, n_target = system.certificate_base(DEFAULT_TEST_SET, eps)
         castle, _ = almost_finite_certificate(system, DEFAULT_TEST_SET, eps)
         assert castle == first_return_castle(system, y)
         assert min(castle.return_times()) >= n_target
@@ -519,14 +511,14 @@ class TestLoopStartedAtTarget:
         # in these cases a window passes the measure test and fails the
         # sweep; a sweep that calls it disjoint hands the loop a window
         # that returns before the target, and verification refuses it
-        sweep = towers._translates_disjoint
+        sweep = systems._translates_disjoint
         swept = []
 
         def lying(system, y, n):
             swept.append(sweep(system, y, n))
             return True
 
-        monkeypatch.setattr(towers, "_translates_disjoint", lying)
+        monkeypatch.setattr(systems, "_translates_disjoint", lying)
         with pytest.raises(VerificationError):
             almost_finite_certificate(CERTIFIED_SYSTEMS[name], DEFAULT_TEST_SET, Fraction(1, q))
         assert swept == [False]
@@ -573,14 +565,24 @@ def folner_ratio_bound_ok(tower, test_set):
 
 class TestOdometerCosetCeiling:
     def test_castle_level_above_the_ceiling(self, monkeypatch):
-        # rejected before any level set is built (just above the ceiling,
-        # so that a missing check costs half a million residues, no more)
+        # the level-2 window, seen at level 3, is rejected before any level
+        # set is built (just above the ceiling, so that a missing check
+        # costs a quarter of a million residues, no more)
         def refuse(*args):
             raise AssertionError("level set built")
 
-        monkeypatch.setattr(towers, "LevelSet", refuse)
+        monkeypatch.setattr(systems, "LevelSet", refuse)
         with pytest.raises(ValueError, match="ceiling of 1000000 cosets"):
-            odometer_castle(OdometerSystem([2, 4, 10 ** 6 + 4]), 1, 3)
+            OdometerSystem([2, 4, 10 ** 6 + 4]).invariant_window(2)
+
+    def test_base_above_the_ceiling_refused_before_the_loop(self):
+        # ceil(1/measure) = 4000 passes the loop's own ceiling, so without
+        # a check before the loop it takes about 4000 steps over 5000
+        # residues before the partition check refuses the level
+        modulus = 2 * 10 ** 7
+        base = LevelSet(modulus, frozenset(range(0, modulus, 4000)))
+        with alarm(5), pytest.raises(ValueError, match="ceiling of 1000000 cosets"):
+            first_return_castle(OdometerSystem([2, modulus]), base)
 
     def test_partition_check_above_the_ceiling(self):
         system = OdometerSystem([2, 4])
@@ -615,7 +617,7 @@ class TestCastleJson:
 
     def test_odometer_round_trip(self):
         odo = OdometerSystem([2, 4, 8])
-        castle = odometer_castle(odo, 1, 3)
+        castle = first_return_castle(odo, LevelSet(8, frozenset({0, 2, 4, 6})))
         restored = Castle.from_json(json.loads(json.dumps(castle.to_json())))
         assert restored.verify().all_ok()
 
@@ -653,4 +655,4 @@ def _sample_castle(kind):
     if kind == "doubled":
         z = ClopenSet.arc(GOLDEN, 0, 1)
         return first_return_castle(DoubledSystem(GOLDEN), DoubledClopen(z, z))
-    return odometer_castle(OdometerSystem([2, 4, 8]), 1, 3)
+    return first_return_castle(OdometerSystem([2, 4, 8]), LevelSet(8, frozenset({0, 2, 4, 6})))
