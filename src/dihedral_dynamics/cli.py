@@ -65,6 +65,8 @@ def _load_system(path: str):
 def _parse_elements(text: str):
     try:
         data = _read_json(text)
+        if type(data) is not list:
+            raise ValueError("a group-element list must be a JSON list")
         return [GroupElement.from_json(e) for e in data]
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad group-element list: {exc}") from exc

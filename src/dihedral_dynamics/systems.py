@@ -62,21 +62,29 @@ Castles, certificates and the CLI ask every system the same questions:
 from its JSON), ``partition_flags`` (whether pieces are disjoint and
 cover the space), ``invariant_window`` and ``certificate_base`` (the
 flip-invariant bases of ``castle`` and of certificates),
+``first_returns`` (the pieces of a base by their first-return times),
 ``fixed_point_report`` (the fixed points of an element as
 ``fixed-points`` prints them) and ``to_json``; its sets
 answer ``intersection``, ``difference``, ``is_empty`` and an exact
 ``measure``.  Each answers in its own terms:
 
 * the cut circle writes a set as arcs between cuts, checks pieces by one
-  sorted sweep over their ends, reports exact fixed points, and has the
+  sorted sweep over their ends, reports exact fixed points, has the
   flip-invariant windows [1-u, u) around 1/2 (``invariant_window``,
-  which reads "above 1/2" off each cut's key), shrunk for a certificate;
+  which reads "above 1/2" off each cut's key), shrunk for a certificate,
+  and gives the first-return pieces of one arc shorter than 1/2 in
+  closed form (three-distance theorem, :func:`_arc_returns`);
 * the doubled system writes a set as one arc set per copy, sweeps each
-  copy once, reports no fixed points (its action is free), and has the
-  flip-invariant windows [0, u) on both copies, shrunk as on the circle;
+  copy once, reports no fixed points (its action is free), has the
+  flip-invariant windows [0, u) on both copies, shrunk as on the circle,
+  and gives the pieces in closed form copy by copy, copy 1 turning
+  backwards;
 * the odometer writes a set as residues at one level, checks pieces by
   marking residues, reports stable thread counts within its chain,
   and has the level cylinders of 0 as its flip-invariant windows.
+
+Every base without a closed form, an odometer's included, gets its
+first-return pieces by stepping (:func:`_step_returns`).
 
 Homology asks the circle and the odometer for their levels as above;
 for the doubled system it reads only the translation H_0 of its base
@@ -91,7 +99,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import NonStabilizationError
+from .errors import NonStabilizationError, VerificationError
 from .exact_circle import (Arc, ClopenSet, CutPoint, QuadExt, Theta, format_point, json_int,
                            sort_by_cut, sweep_partition)
 
@@ -282,10 +290,32 @@ class DenjoyFlipSystem:
         flip fixed point 1/2 as the window grows.  One of theta and
         1 - theta lies above 1/2, so every window has such a cut.
         """
-        theta = self.theta
-        cuts = (CutPoint.of(theta, n) for n in range(-window, window + 1))
-        u = min(c for c in cuts if c.above_half())
-        return ClopenSet(theta, (Arc(u.negate(), u),))
+        return self._window(self._least_cut(1, window))
+
+    def _least_cut(self, lo: int, hi: int) -> CutPoint:
+        """The least cut above 1/2 among the cuts n*theta with
+        1 <= lo <= |n| <= hi: of the cuts of n and -n, whose values sum
+        to 1, one lies above 1/2."""
+        theta, of = self.theta, CutPoint.of
+        return min(c for n in range(lo, hi + 1) for c in (of(theta, n), of(theta, -n))
+                   if c.above_half())
+
+    def _window(self, u: CutPoint) -> ClopenSet:
+        return ClopenSet(self.theta, (Arc(u.negate(), u),))
+
+    def _arc_copies(self, y: ClopenSet) -> Optional[tuple]:
+        """(arc, direction the translation turns it) for the one arc of y,
+        or None unless y is one arc."""
+        return ((y.arcs[0], 1),) if len(y.arcs) == 1 else None
+
+    def first_returns(self, y: ClopenSet, start: int, max_steps: int) -> dict:
+        """{return time: piece of y} for the translation's first return to
+        y, from step ``start`` on: in closed form when y is one arc
+        shorter than 1/2 (:func:`_arc_returns`), by stepping otherwise."""
+        arcs = _narrow(self._arc_copies(y))
+        if arcs is None:
+            return _step_returns(self, y, start, max_steps)
+        return _arc_returns(*arcs[0], start, max_steps)
 
     def certificate_base(self, test_set: Sequence[GroupElement], eps: Fraction) -> tuple:
         """The first window ``invariant_window(2^k)`` whose first N translates
@@ -339,9 +369,15 @@ _SHRINK_BUDGET = 16
 
 def _shrink_until_disjoint(system, n_target: int):
     """Find a flip-invariant y whose first n_target translates are disjoint;
-    a window with n_target * measure > 1 cannot have them and is not swept."""
+    a window with n_target * measure > 1 cannot have them and is not scanned.
+
+    Window 2w's least cut is the lesser of window w's and the least among
+    the cuts w < |n| <= 2w, so each cut is looked up once."""
+    u = system._least_cut(1, 1)
     for k in range(_SHRINK_BUDGET):
-        y = system.invariant_window(2 ** k)
+        if k:
+            u = min(u, system._least_cut(2 ** (k - 1) + 1, 2 ** k))
+        y = system._window(u)
         if ((y.measure() * n_target).shift(-1).sign() <= 0
                 and _translates_disjoint(system, y, n_target)):
             return y
@@ -350,8 +386,97 @@ def _shrink_until_disjoint(system, n_target: int):
 
 
 def _translates_disjoint(system, y, n_target: int) -> bool:
-    translates = [system.act(GroupElement(k, 0), y) for k in range(n_target)]
-    return system.partition_flags(translates)[0]
+    """Whether y, T y, ..., T^(n_target - 1) y are pairwise disjoint, for a
+    y that is one arc on each copy, as every invariant window is: no
+    k < n_target moves the arc onto itself (:func:`_arc_hits`)."""
+    return all(_arc_hits(base, turn, 1, n_target - 1) == (None, None)
+               for base, turn in system._arc_copies(y))
+
+
+def _narrow(arcs: Optional[tuple]) -> Optional[tuple]:
+    """``arcs`` when each is shorter than 1/2, else None."""
+    if arcs is None or any(CutPoint.of(a.left.theta, a.right.n - a.left.n).above_half()
+                           for a, _ in arcs):
+        return None
+    return arcs
+
+
+def _arc_hits(base: Arc, turn: int, start: int, stop: int) -> tuple:
+    """(k+, k-) for the arc [a, b) of length l, turned by turn*theta with
+    turn = +1 or -1: k+ is the least k in start..stop whose cut turn*k
+    lies below l, so that T^k moves [a, b) back over its own start, and
+    k- the least one whose cut lies above 1 - l; None where there is no
+    such k.  One scan of cut keys: the cut of index b - a has value l,
+    and the cut of index a - b has value 1 - l."""
+    theta, of = base.left.theta, CutPoint.of
+    length, co_length = of(theta, base.right.n - base.left.n), of(theta, base.left.n - base.right.n)
+    plus = minus = None
+    for k in range(start, stop + 1):
+        c = of(theta, turn * k)
+        if plus is None and c < length:
+            plus = k
+        if minus is None and co_length < c:
+            minus = k
+        if plus is not None and minus is not None:
+            break
+    return plus, minus
+
+
+def _arc_returns(base: Arc, turn: int, start: int, max_steps: int) -> dict:
+    """The first return of the rotation by turn*theta to the arc [a, b),
+    shorter than 1/2, from step ``start`` on, as {return time: piece}.
+
+    By the three-distance theorem (Sos 1958; Slater 1967) the return
+    time takes the values k+ and k- of :func:`_arc_hits` and k+ + k-: the
+    points of [a, b - turn*k+*theta) return at k+, those of
+    [a - turn*k-*theta, b) at k-, and those between, when there are any,
+    at k+ + k-.  Since l < 1/2 no k is both, and the least ones leave the
+    first two pieces disjoint.  A return later than ``max_steps`` raises
+    ``VerificationError``, as the step loop does.
+    """
+    theta, of = base.left.theta, CutPoint.of
+    a, b = base.left.n, base.right.n
+    plus, minus = _arc_hits(base, turn, start, max_steps)
+    if plus is None or minus is None:
+        raise _no_full_return(max_steps)
+    cut_plus, cut_minus = b - turn * plus, a - turn * minus
+
+    def piece(left: int, right: int) -> ClopenSet:
+        return ClopenSet(theta, (Arc(of(theta, left), of(theta, right)),))
+
+    pieces = {plus: piece(a, cut_plus), minus: piece(cut_minus, b)}
+    # the middle piece is nonempty when the cut ending the first lies
+    # before the cut starting the second, read from a
+    if of(theta, cut_plus - a) < of(theta, cut_minus - a):
+        if plus + minus > max_steps:
+            raise _no_full_return(max_steps)
+        pieces[plus + minus] = piece(cut_plus, cut_minus)
+    return pieces
+
+
+def _no_full_return(max_steps: int) -> VerificationError:
+    return VerificationError(f"no full return after {max_steps} steps; malformed input?")
+
+
+def _step_returns(system, y, start: int, max_steps: int) -> dict:
+    """{return time: piece of y} by stepping the translation, for a base
+    of any family and shape: the translation moves the part of y that
+    has not yet come back, and each nonempty intersection with y marks a
+    return time, whose preimage is its piece.  The first step taken is
+    ``start``; more than ``max_steps`` raise ``VerificationError``."""
+    pieces = {}
+    k = start - 1
+    active = system.act(GroupElement(k, 0), y) if k else y
+    while not active.is_empty():
+        k += 1
+        if k > max_steps:
+            raise _no_full_return(max_steps)
+        moved = system.act(TRANSLATION, active)
+        hit = moved.intersection(y)
+        if not hit.is_empty():
+            pieces[k] = system.act(GroupElement(-k, 0), hit)
+        active = moved.difference(y)
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +565,35 @@ class DoubledSystem:
 
         The flip exchanges the copies, so the pair is flip-invariant.
         """
-        theta = self.theta
-        u = min(CutPoint.of(theta, n) for n in range(-window, window + 1) if n)
-        z = ClopenSet(theta, (Arc(CutPoint.of(theta, 0), u),))
+        return self._window(self._least_cut(1, window))
+
+    def _least_cut(self, lo: int, hi: int) -> CutPoint:
+        """The least cut among the cuts n*theta with 1 <= lo <= |n| <= hi."""
+        theta, of = self.theta, CutPoint.of
+        return min(of(theta, m) for n in range(lo, hi + 1) for m in (n, -n))
+
+    def _window(self, u: CutPoint) -> DoubledClopen:
+        z = ClopenSet(self.theta, (Arc(CutPoint.of(self.theta, 0), u),))
         return DoubledClopen(z, z)
+
+    def _arc_copies(self, y: DoubledClopen) -> Optional[tuple]:
+        """(arc, direction the translation turns it) on each copy, copy 1
+        turning backwards, or None unless each copy of y is one arc."""
+        if len(y.comp0.arcs) == len(y.comp1.arcs) == 1:
+            return (y.comp0.arcs[0], 1), (y.comp1.arcs[0], -1)
+        return None
+
+    def first_returns(self, y: DoubledClopen, start: int, max_steps: int) -> dict:
+        """{return time: piece of y} for the translation's first return to
+        y, from step ``start`` on: in closed form, copy by copy, when each
+        copy of y is one arc shorter than 1/2, by stepping otherwise."""
+        arcs = _narrow(self._arc_copies(y))
+        if arcs is None:
+            return _step_returns(self, y, start, max_steps)
+        fwd, back = (_arc_returns(base, turn, start, max_steps) for base, turn in arcs)
+        empty = ClopenSet.empty(self.theta)
+        return {k: DoubledClopen(fwd.get(k, empty), back.get(k, empty))
+                for k in fwd.keys() | back.keys()}
 
     certificate_base = DenjoyFlipSystem.certificate_base
 
@@ -620,12 +770,20 @@ class OdometerSystem:
         return marks == hits, hits == modulus
 
     def invariant_window(self, level: int) -> LevelSet:
-        """The cylinder of 0 mod n_level, seen at level min(level + 1, chain
-        length): flip-invariant, and each point returns after n_level steps."""
+        """The cylinder of 0 mod n_level, seen at the next chain level when
+        there is one within the coset ceiling, else at its own:
+        flip-invariant, and each point returns after n_level steps."""
         step = self.modulus(level)
         modulus = self.modulus(min(level + 1, len(self.chain)))
+        if modulus > _MAX_COSETS:
+            modulus = step
         require_castle_cosets(modulus)
         return LevelSet(modulus, frozenset(range(0, modulus, step)))
+
+    def first_returns(self, y: LevelSet, start: int, max_steps: int) -> dict:
+        """{return time: piece of y} for the translation's first return to
+        y, from step ``start`` on, by stepping."""
+        return _step_returns(self, y, start, max_steps)
 
     def certificate_base(self, test_set: Sequence[GroupElement], eps: Fraction) -> tuple:
         """The window of the first level whose window set F_{n_level} is

@@ -12,7 +12,16 @@ Every family's castles come from :func:`first_return_castle`, which asks
 no family question: each system hands it a flip-invariant base, its
 ``invariant_window`` for ``castle`` and its ``certificate_base`` for a
 certificate (a shrunk window on circle and doubled systems, a level
-cylinder on an odometer).
+cylinder on an odometer), and then the base's pieces and their return
+times (``first_returns``).  A circle base that is one arc shorter than
+1/2, as every certificate window with N >= 2 is (N disjoint translates
+fit), and a doubled base that is one such arc on each copy, as every
+doubled window is, get their pieces in closed form from the three-distance
+theorem: at most three return times k+, k- and k+ + k-, found by one
+scan of cut keys.  Every other base (a wider or multi-arc circle base,
+any odometer base) is stepped through: the translation moves the part
+of the base not yet returned, one intersection and one difference per
+step.
 
 Verification is one routine, :func:`verify_castle`: it acts by every
 shape element on its tower's base and checks the translates with the
@@ -24,10 +33,10 @@ one report.
 
 A certificate proves nothing twice.  The base comes with a count N of
 translates already proved disjoint (on a circle the closed-form
-invariance target, whose translates the base search sweeps; on an
-odometer the cylinder's exact return time), so the first N - 1 steps of
-the first-return loop meet the base nowhere, and the loop starts at
-step N.  Its one ceiling, max(10^4, 16 N) on ceil(1/measure), is in
+invariance target, which the base search checks by the same scan of cut
+keys; on an odometer the cylinder's exact return time), so no point of
+the base returns before step N, and its pieces are sought from step N
+on.  The one ceiling, max(10^4, 16 N) on ceil(1/measure), is in
 :func:`first_return_castle`, so it bounds ``castle --base`` (N = 1) too.
 
 The window shape F_J holds (n, 0) for 0 <= n < J - J//2 and (n, 1) for
@@ -174,23 +183,24 @@ def ceil_inverse_measure(mu) -> int:
 def first_return_castle(system, y, *, proven_disjoint: int = 1) -> Castle:
     """Partition the space into towers over the return-time pieces of y.
 
-    The translation is applied to the moving image of the part of y
-    that has not yet come back; each nonempty intersection with y marks
-    a return-time value, whose preimage piece becomes a tower base.
-    Before returning, the castle is verified exactly: the window-shape
+    The system gives the pieces (``first_returns``): in closed form when
+    y is one arc shorter than 1/2 on a circle, or on each copy of a
+    doubled circle, and by stepping the translation otherwise.  Each
+    piece becomes a tower base with its return time as height.  Before
+    returning, the castle is verified exactly: the window-shape
     translates partition the space and the flip composed with each full
     climb fixes its base, so the climbs partition it as well (see the
     module docstring), whatever the system's family.
 
     ``proven_disjoint = n`` says that y, T y, ..., T^(n-1) y are already
-    proved pairwise disjoint.  Then steps 1 .. n-1 meet y nowhere and
-    leave all of y moving, so the loop starts at T^(n-1) y with one
-    action.  A false claim cannot pass: each point of y is then placed
-    by its first return at step n or later, so a point that returns
-    sooner makes the floors' total measure exceed 1 (Kac's lemma) and
-    the verification fails.  The loop takes about ceil(1/measure) steps,
-    so a y with that above max(10^4, 16 * proven_disjoint) is refused
-    (``ValueError``) before the first step.
+    proved pairwise disjoint, so no point of y returns before step n,
+    and the pieces are sought from step n on.  A false claim cannot
+    pass: each point of y is then placed by its first return at step n
+    or later, so a point that returns sooner makes the floors' total
+    measure exceed 1 (Kac's lemma) and the verification fails.  Finding
+    the pieces takes up to about ceil(1/measure) steps, so a y with that
+    above max(10^4, 16 * proven_disjoint) is refused (``ValueError``)
+    before any of them.
     """
     if proven_disjoint < 1:
         raise ValueError("proven_disjoint must be at least 1")
@@ -204,23 +214,8 @@ def first_return_castle(system, y, *, proven_disjoint: int = 1) -> Castle:
         raise ValueError(
             f"base too small: ceil(1/measure) is above the ceiling of "
             f"max(10^4, 16 * {proven_disjoint}) = {ceiling}")
-    max_steps = 10 * inverse_measure + 10
 
-    step = GroupElement(1, 0)
-    bases = {}
-    k = proven_disjoint - 1
-    active = system.act(GroupElement(k, 0), y) if k else y
-    while not active.is_empty():
-        k += 1
-        if k > max_steps:
-            raise VerificationError(
-                f"no full return after {max_steps} steps; malformed input?")
-        moved = system.act(step, active)
-        hit = moved.intersection(y)
-        if not hit.is_empty():
-            bases[k] = system.act(GroupElement(-k, 0), hit)
-        active = moved.difference(y)
-
+    bases = system.first_returns(y, proven_disjoint, 10 * inverse_measure + 10)
     towers = tuple(
         Tower(base=bases[j], shape=tuple(folner(j).elements), return_time=j)
         for j in sorted(bases)

@@ -27,11 +27,11 @@ from dihedral_dynamics.towers import Castle
 GOLDEN_THETA = {"p": -1, "q": 1, "d": 5, "r": 2}
 
 
-def run_python(args, timeout, preexec_fn=None):
-    """``python <args>`` with this checkout's package importable; returns
-    the finished process and its wall time."""
+def run_python(args, timeout, preexec_fn=None, env=None):
+    """``python <args>`` with this checkout's package importable and the
+    variables ``env`` set; returns the finished process and its wall time."""
     src = str(Path(dihedral_dynamics.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     start = time.monotonic()
     proc = subprocess.run([sys.executable, *args], capture_output=True, env=env,
@@ -327,6 +327,20 @@ class TestHostileJson:
         assert captured.out == ""
         assert error in json.loads(captured.err)["error"]
 
+    @pytest.mark.parametrize("args", [
+        ["fixed-points", "--system", "{system}", "--elements", "{text}"],
+        ["folner", "--m", "4", "--ratio", "{text}"],
+        ["certify", "--system", "{system}", "--eps", "1/10", "--K", "{text}"],
+    ], ids=["elements", "ratio", "certify-K"])
+    @pytest.mark.parametrize("text", ["{}", '{"a": [0, 1]}', '"ab"', "7"])
+    def test_element_list_must_be_a_list(self, capsys, denjoy_file, args, text):
+        # an object was iterated by its keys, so {} printed an empty
+        # fixed-point report and a folner ratio of 1
+        code = main([arg.format(system=denjoy_file, text=text) for arg in args])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert json.loads(captured.err)["error"].startswith("bad group-element list: ")
+
     def test_folner_ratio_field(self, capsys):
         code = main(["folner", "--m", "4", "--ratio", "[[0,0],[1e400,0]]"])
         captured = capsys.readouterr()
@@ -489,17 +503,29 @@ class TestCertifyCommand:
         assert "shape invariance violated" in json.loads(captured.err)["error"]
 
     def test_castle_level_ceiling(self, tmp_path):
-        # level 3 is invariant enough and the castle is seen at level 4,
-        # whose 10^12 cosets are above the ceiling: exit 2 before any
-        # level set is built
+        # the last level is the first invariant enough one, and its 10^12
+        # cosets are above the ceiling: exit 2 before any level set is built
         path = tmp_path / "wide.json"
-        path.write_text(json.dumps({"type": "odometer", "chain": [2, 4, 1000, 10 ** 12]}))
+        path.write_text(json.dumps({"type": "odometer", "chain": [2, 4, 10 ** 12]}))
         proc, seconds = run_module(["certify", "--system", str(path), "--eps", "1/10"],
                                    timeout=10, preexec_fn=limit_address_space)
         assert seconds < 5
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert "ceiling of 1000000 cosets" in json.loads(proc.stderr)["error"]
+
+    @pytest.mark.parametrize("command", [["certify", "--eps", "1/10"], ["castle"]])
+    def test_cylinder_seen_at_its_own_level(self, capsys, tmp_path, command):
+        # level 2's 3 * 10^7 cosets are above the ceiling, so level 1's
+        # cylinder is seen at its own level: one tower of height 30
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps({"type": "odometer", "chain": [30, 3 * 10 ** 7]}))
+        with alarm(5):
+            code, data = run(capsys, [command[0], "--system", str(path), *command[1:]])
+        assert code == 0
+        assert [(t["base"], t["J"]) for t in data["towers"]] == \
+            [({"modulus": 30, "residues": [0]}, 30)]
+        assert Castle.from_json(data).verify().all_ok()
 
     @pytest.mark.parametrize("system", ["denjoy_file", "doubled_file", "odometer_file"])
     def test_empty_test_set(self, capsys, request, system):
@@ -667,7 +693,7 @@ class TestMutatedJson:
         # another family: each run ends in an exit code, within the alarm,
         # and no exception escapes main
         command, args, flag, value = FUZZ_COMMANDS[case]
-        donors = FUZZ_SYSTEMS + FUZZ_SETS
+        donors = FUZZ_SYSTEMS + FUZZ_SETS + [{}]
         if flag is None or data.draw(st.booleans()):
             system = data.draw(mutated(system, donors))
         else:

@@ -22,11 +22,13 @@ from functools import cache, reduce
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dihedral_dynamics import systems
 from dihedral_dynamics.amenability import DEFAULT_TEST_SET
-from dihedral_dynamics.exact_circle import GOLDEN, ClopenSet, Theta
+from dihedral_dynamics.errors import VerificationError
+from dihedral_dynamics.exact_circle import GOLDEN, Arc, ClopenSet, CutPoint, QuadExt, Theta, qe_cmp
 from dihedral_dynamics.homology import homology_levels
 from dihedral_dynamics.systems import (
     FLIP,
@@ -44,12 +46,13 @@ from dihedral_dynamics.systems import (
     pullback_permutation,
 )
 from dihedral_dynamics.towers import (Castle, CastleReport, almost_finite_certificate,
-                                      first_return_castle)
+                                      ceil_inverse_measure, first_return_castle)
 
 from dense import columns, sparse
 from test_cli import mutated
 from test_exact_circle import THETAS as CIRCLE_THETAS
 from test_exact_circle import clopen_sets
+from test_homology import quadratic_thetas
 
 FAMILIES = ["circle", "doubled", "odometer"]
 
@@ -238,6 +241,186 @@ class TestFirstReturnContract:
             return
         assert isinstance(report, CastleReport)
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data(), theta=quadratic_thetas(), doubled=st.booleans(),
+           n=st.integers(1, 40) | st.integers(-40, -1))
+    def test_closed_form_equals_the_step_loop(self, data, theta, doubled, n):
+        # one-arc flip-invariant bases: [-n theta, n theta) around 1/2 or
+        # around 0 on the circle, [0, n theta) on both copies doubled; the
+        # pieces found in closed form are the step loop's, from step 1 and
+        # from any true count of disjoint translates, and so is the castle;
+        # a base of length 1/2 or more goes through the loop
+        if doubled:
+            system, z = DoubledSystem(theta), ClopenSet.arc(theta, 0, n)
+            y = DoubledClopen(z, z)
+        else:
+            system, y = DenjoyFlipSystem(theta), ClopenSet.arc(theta, -n, n)
+        inverse_measure = ceil_inverse_measure(y.measure())
+        assume(inverse_measure <= 2000)
+        max_steps = 10 * inverse_measure + 10
+        loop = systems._step_returns(system, y, 1, max_steps)
+        start = data.draw(st.integers(1, min(loop)))
+        assert systems._step_returns(system, y, start, max_steps) == loop
+        assert system.first_returns(y, start, max_steps) == loop
+        narrow = systems._narrow(system._arc_copies(y)) is not None
+        assert narrow == (qe_cmp(y.measure(), QuadExt.rational(Fraction(1, 2), theta)) < 0)
+        castle = first_return_castle(system, y, proven_disjoint=start)
+        assert castle.return_times() == tuple(sorted(loop))
+        assert castle.verify().all_ok()
+        if narrow:
+            assert set(castle.return_times()) <= {min(loop), max(loop) - min(loop), max(loop)}
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), theta=quadratic_thetas(), doubled=st.booleans(),
+           t=st.integers(2, 12))
+    def test_multi_arc_bases_verify_through_the_loop(self, data, theta, doubled, t):
+        # flip-invariant bases of two arcs, from the cells of the window
+        # [-t, t]: a cell and its mirror on the circle, two cells that do
+        # not touch on both copies doubled
+        circle = DenjoyFlipSystem(theta)
+        cells = circle.cells(-t, t)
+        i = data.draw(st.integers(0, len(cells) - 1))
+        if doubled:
+            j = (i + data.draw(st.integers(2, len(cells) - 2))) % len(cells)
+            system, z = DoubledSystem(theta), cells[i].union(cells[j])
+            y = DoubledClopen(z, z)
+        else:
+            system, y = circle, cells[i].union(circle.act(FLIP, cells[i]))
+            z = y
+        assume(len(z.arcs) == 2)
+        assert system._arc_copies(y) is None
+        inverse_measure = ceil_inverse_measure(y.measure())
+        assume(inverse_measure <= 2000)
+        max_steps = 10 * inverse_measure + 10
+        loop = systems._step_returns(system, y, 1, max_steps)
+        assert system.first_returns(y, 1, max_steps) == loop
+        castle = first_return_castle(system, y)
+        assert castle.return_times() == tuple(sorted(loop))
+        assert castle.verify().all_ok()
+
+    @pytest.mark.parametrize("case,closed", [
+        ("circle-golden-arc", True), ("circle-golden-window-8", True),
+        ("circle-sqrt2-arc", False), ("doubled-golden-arc", False),
+        ("doubled-golden-window-4", True), ("odometer-1-7-mod-8", False)])
+    def test_step_loop_only_without_a_closed_form(self, monkeypatch, case, closed):
+        # golden's windows are shorter than 1/2; sqrt2's [-theta, theta)
+        # and the doubled [0, theta) are longer, and an odometer base has
+        # no closed form
+        _, system, base, _, heights = CASTLES[case]
+        loop = systems._step_returns
+        stepped = []
+
+        def spied(*args):
+            stepped.append(args[1])
+            return loop(*args)
+
+        monkeypatch.setattr(systems, "_step_returns", spied)
+        assert first_return_castle(system, base).return_times() == heights
+        assert stepped == ([] if closed else [base])
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(theta=quadratic_thetas(), left=st.integers(-30, 30), length=st.integers(1, 30),
+           turn=st.sampled_from([1, -1]), start=st.integers(1, 40))
+    def test_scan_matches_brute_force(self, theta, left, length, turn, start):
+        # k+ and k-, read off cut keys, against the least k in start..10^4
+        # with frac(turn * k * theta) below the arc's length l, and above
+        # 1 - l, by exact comparison of a + b*theta values
+        arc = Arc(CutPoint.of(theta, left), CutPoint.of(theta, left + length))
+        ell = arc.length()
+        co_ell = (-ell).shift(1)
+        plus = minus = None
+        for k in range(start, 10 ** 4 + 1):
+            x = QuadExt(Fraction(0), Fraction(turn * k), theta).frac()
+            if plus is None and qe_cmp(x, ell) < 0:
+                plus = k
+            if minus is None and qe_cmp(x, co_ell) > 0:
+                minus = k
+            if plus is not None and minus is not None:
+                break
+        assert systems._arc_hits(arc, turn, start, 10 ** 4) == (plus, minus)
+
+    def test_scan_stops_at_the_later_hit(self, monkeypatch):
+        # golden's window 8 has k+ = 13 and k- = 21: the scan looks up the
+        # two cuts of the arc's length and one cut per k up to 21, not up
+        # to the 10^4 it is allowed
+        (arc,) = DenjoyFlipSystem(GOLDEN).invariant_window(8).arcs
+        of = CutPoint.of.__func__
+        calls = []
+
+        def counted(cls, theta, n):
+            calls.append(n)
+            return of(cls, theta, n)
+
+        monkeypatch.setattr(CutPoint, "of", classmethod(counted))
+        assert systems._arc_hits(arc, 1, 1, 10 ** 4) == (13, 21)
+        assert len(calls) == 2 + 21
+
+    @pytest.mark.parametrize("doubled", [False, True])
+    def test_late_return_fails_in_closed_form_as_in_the_loop(self, doubled):
+        # theta = sqrt(2)/10^6 and a base of length about 0.4: k+ = 1, but
+        # k- is about 0.6/theta, past the 10 * ceil(1/measure) + 10 = 40
+        # steps that both routes allow
+        theta = Theta(p=0, q=1, d=2, r=10 ** 6)
+        if doubled:
+            system, z = DoubledSystem(theta), ClopenSet.arc(theta, 0, 282_843)
+            y = DoubledClopen(z, z)
+        else:
+            system, y = DenjoyFlipSystem(theta), ClopenSet.arc(theta, -494_975, 494_975)
+        assert systems._narrow(system._arc_copies(y)) is not None
+        assert ceil_inverse_measure(y.measure()) == 3
+        for route in (lambda: systems._step_returns(system, y, 1, 40),
+                      lambda: system.first_returns(y, 1, 40),
+                      lambda: first_return_castle(system, y)):
+            with pytest.raises(VerificationError, match="no full return after 40 steps"):
+                route()
+
+    @pytest.mark.parametrize("doubled", [False, True])
+    def test_late_middle_piece_fails_in_closed_form_as_in_the_loop(self, doubled):
+        # golden [-5 theta, 5 theta) returns at 3, 5 and 8, and [0, 7 theta)
+        # on both copies at 2, 3 and 5: allowed one step fewer than the
+        # middle piece's return time, both routes refuse the base
+        if doubled:
+            z = ClopenSet.arc(GOLDEN, 0, 7)
+            system, y, late = DoubledSystem(GOLDEN), DoubledClopen(z, z), 5
+        else:
+            system, y, late = DenjoyFlipSystem(GOLDEN), ClopenSet.arc(GOLDEN, -5, 5), 8
+        assert systems._narrow(system._arc_copies(y)) is not None
+        assert len(system.first_returns(y, 1, late)) == 3
+        assert max(system.first_returns(y, 1, late)) == late
+        for route in (lambda: systems._step_returns(system, y, 1, late - 1),
+                      lambda: system.first_returns(y, 1, late - 1)):
+            with pytest.raises(VerificationError, match=f"no full return after {late - 1} steps"):
+                route()
+
+    @pytest.mark.parametrize("case", ["circle-golden-arc", "circle-golden-window-8",
+                                      "doubled-golden-window-4"])
+    @pytest.mark.parametrize("end", ["left", "right"])
+    @pytest.mark.parametrize("shift", [1, -1])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_moved_piece_end_fails_verification(self, monkeypatch, case, end, shift, which):
+        # one end of one closed-form piece moved to the cut of the next or
+        # previous index: the castle built on it is refused
+        _, system, base, _, _ = CASTLES[case]
+        closed_form = systems._arc_returns
+        moved = []
+
+        def moving(*args):
+            pieces = closed_form(*args)
+            if not moved:
+                k = sorted(pieces)[which]
+                (arc,) = pieces[k].arcs
+                theta = arc.left.theta
+                ends = {"left": arc.left.n, "right": arc.right.n}
+                ends[end] += shift
+                pieces[k] = ClopenSet.arc(theta, ends["left"], ends["right"])
+                moved.append(k)
+            return pieces
+
+        monkeypatch.setattr(systems, "_arc_returns", moving)
+        with pytest.raises(VerificationError):
+            first_return_castle(system, base)
+        assert moved
+
 
 #: A system per family whose certificates at eps 1/3 to 1/25 are built
 #: in well under a second
@@ -260,6 +443,18 @@ class TestCertificateBaseContract:
         assert castle == first_return_castle(system, y)
         assert min(castle.return_times()) >= n
         assert max(ratios) < eps
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(theta=quadratic_thetas(), doubled=st.booleans(), window=st.integers(1, 64),
+           n=st.integers(1, 40))
+    def test_translates_disjoint_matches_the_sweep(self, theta, doubled, window, n):
+        # the scan of cut keys answers as the sweep of the window's first n
+        # translates does, for wide windows and windows that T moves
+        # partly onto themselves too
+        system = (DoubledSystem if doubled else DenjoyFlipSystem)(theta)
+        y = system.invariant_window(window)
+        translates = [system.act(phi(k), y) for k in range(n)]
+        assert systems._translates_disjoint(system, y, n) == system.partition_flags(translates)[0]
 
 
 def reference_cover_indices(target, cells):

@@ -13,6 +13,8 @@ import pytest
 from dihedral_dynamics.cli import main
 from dihedral_dynamics.towers import Castle
 
+from test_cli import run_python
+
 SYSTEMS = {
     "golden": {"type": "denjoy_flip", "theta": {"p": -1, "q": 1, "d": 5, "r": 2}},
     "sqrt2": {"type": "denjoy_flip", "theta": {"p": -1, "q": 1, "d": 2, "r": 1}},
@@ -158,3 +160,34 @@ def test_command_output_digest(capsys, system_files, argv, code, out, err):
 def test_odometer_castle_reverifies(capsys, system_files, system):
     assert main(["castle", "--system", str(system_files[system])]) == 0
     assert Castle.from_json(json.loads(capsys.readouterr().out)).verify().all_ok()
+
+
+#: Runs each command of a JSON list of argv in this interpreter and prints
+#: the exit code and the stdout and stderr digests of each.
+DIGEST_SCRIPT = """
+import contextlib, hashlib, io, json, sys
+from dihedral_dynamics.cli import main
+digests = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    digests.append([code] + [hashlib.sha256(t.getvalue().encode()).hexdigest()[:16]
+                             for t in (out, err)])
+print(json.dumps(digests))
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "12345"])
+def test_castles_and_circle_certificates_ignore_the_hash_seed(system_files, seed):
+    # the pinned castle and circle certify commands, in a fresh
+    # interpreter under another string hash seed: set and dict order
+    # must not reach any certificate
+    cases = [(argv, code, out, err) for argv, code, out, err in COMMANDS
+             if argv[0] == "castle" or argv[0] == "certify"
+             and SYSTEMS[argv[2].strip("{}")]["type"] != "odometer"]
+    argvs = [[arg.format(**system_files) for arg in argv] for argv, *_ in cases]
+    proc, _ = run_python(["-c", DIGEST_SCRIPT, json.dumps(argvs)], timeout=60,
+                         env={"PYTHONHASHSEED": seed})
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == [[code, out, err] for _, code, out, err in cases]

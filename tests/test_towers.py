@@ -446,6 +446,22 @@ class TestCertificates:
         with pytest.raises(ValueError, match="window 2\\^0$"):
             almost_finite_certificate(denjoy, DEFAULT_TEST_SET, Fraction(1, 10))
 
+    @pytest.mark.parametrize("name", sorted(CERTIFIED_SYSTEMS))
+    def test_search_tries_the_invariant_windows(self, monkeypatch, name):
+        # with every window called not disjoint and a target of 1, which
+        # every window passes the measure test for, the search tries
+        # exactly invariant_window(2^k) for each k in its budget; on six of
+        # these systems the least cut of some window 2w has an index of at
+        # most w, so the new cuts alone would give a wider window
+        system = CERTIFIED_SYSTEMS[name]
+        swept = []
+        monkeypatch.setattr(systems, "_SHRINK_BUDGET", 12)
+        monkeypatch.setattr(systems, "_translates_disjoint",
+                            lambda system, y, n: swept.append(y) and False)
+        with pytest.raises(ValueError, match="window 2\\^11$"):
+            systems._shrink_until_disjoint(system, 1)
+        assert swept == [system.invariant_window(2 ** k) for k in range(12)]
+
     @pytest.mark.parametrize("kind,n_target", [
         ("denjoy", 55), ("denjoy", 233), ("doubled", 40), ("doubled", 150)])
     def test_sweep_only_windows_that_pass_the_measure_test(self, request, monkeypatch,
@@ -550,6 +566,24 @@ class TestLoopStartedAtTarget:
             almost_finite_certificate(system, DEFAULT_TEST_SET, Fraction(1, 10))
         assert acted == [FLIP]
 
+    def test_window_cuts_looked_up_once(self, monkeypatch):
+        # theta = sqrt(2)/10^6: every window up to 2^15 fails the measure
+        # test, and window 2w looks up only its cuts w < |n| <= 2w, so the
+        # search makes about 2 * 2^15 lookups (131,102 when each window
+        # looked up all of its own cuts)
+        system = DenjoyFlipSystem(Theta(p=0, q=1, d=2, r=10 ** 6))
+        of = CutPoint.of.__func__
+        calls = []
+
+        def counted(cls, theta, n):
+            calls.append(n)
+            return of(cls, theta, n)
+
+        monkeypatch.setattr(CutPoint, "of", classmethod(counted))
+        with alarm(10), pytest.raises(ValueError, match="window 2\\^15$"):
+            almost_finite_certificate(system, DEFAULT_TEST_SET, Fraction(1, 10))
+        assert len(calls) <= 2 * 2 ** 15 + 64
+
     def test_library_castle_is_bounded(self):
         # the same base handed to first_return_castle directly: refused
         # under the ceiling of max(10^4, 16 * 1) before the loop, which
@@ -565,15 +599,28 @@ def folner_ratio_bound_ok(tower, test_set):
 
 class TestOdometerCosetCeiling:
     def test_castle_level_above_the_ceiling(self, monkeypatch):
-        # the level-2 window, seen at level 3, is rejected before any level
-        # set is built (just above the ceiling, so that a missing check
-        # costs a quarter of a million residues, no more)
+        # the window of the last level, above the ceiling and with no
+        # level after it, is rejected before any level set is built (just
+        # above the ceiling, so that a missing check costs a quarter of a
+        # million residues, no more)
         def refuse(*args):
             raise AssertionError("level set built")
 
         monkeypatch.setattr(systems, "LevelSet", refuse)
         with pytest.raises(ValueError, match="ceiling of 1000000 cosets"):
-            OdometerSystem([2, 4, 10 ** 6 + 4]).invariant_window(2)
+            OdometerSystem([2, 4, 10 ** 6 + 4]).invariant_window(3)
+
+    @pytest.mark.parametrize("chain,level", [([2, 4, 10 ** 6 + 4], 2), ([30, 3 * 10 ** 7], 1)])
+    def test_cylinder_at_its_own_level_below_a_level_above_the_ceiling(self, chain, level):
+        # the next level is above the ceiling, so the cylinder is seen at
+        # its own level, where it proves the same: one tower of height n_level
+        odo = OdometerSystem(chain)
+        n = odo.modulus(level)
+        assert odo.invariant_window(level) == LevelSet(n, frozenset({0}))
+        with alarm(5):
+            castle = first_return_castle(odo, odo.invariant_window(level))
+        assert castle.return_times() == (n,)
+        assert castle.verify().all_ok()
 
     def test_base_above_the_ceiling_refused_before_the_loop(self):
         # ceil(1/measure) = 4000 passes the loop's own ceiling, so without
