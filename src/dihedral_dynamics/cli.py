@@ -52,6 +52,21 @@ def _read_json(text: str):
         raise ValueError("JSON nested too deeply") from exc
 
 
+def _read_option(text: str):
+    """An inline JSON option as Python data; ``@path`` reads the JSON
+    from that file instead (JSON text never starts with ``@``)."""
+    if text.startswith("@"):
+        path = text[1:]
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"cannot read {path}: {exc}") from exc
+    return _read_json(text)
+
+
 def _load_system(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -64,7 +79,7 @@ def _load_system(path: str):
 
 def _parse_elements(text: str):
     try:
-        data = _read_json(text)
+        data = _read_option(text)
         if type(data) is not list:
             raise ValueError("a group-element list must be a JSON list")
         return [GroupElement.from_json(e) for e in data]
@@ -146,7 +161,7 @@ def cmd_castle(args) -> int:
     system = _load_system(args.system)
     if args.base is not None:
         try:
-            y = system.set_from_json(_read_json(args.base))
+            y = system.set_from_json(_read_option(args.base))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"bad base set: {exc}") from exc
     else:
@@ -262,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixed-points", help="exact fixed points / stable thread counts")
     p.add_argument("--system", required=True)
     p.add_argument("--elements", default="[[0,1],[1,1]]",
-                   help="JSON list of [n,s] pairs")
+                   help="JSON list of [n,s] pairs, or @FILE holding it")
     p.add_argument("--max-level", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fixed_points)
@@ -270,20 +285,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("folner", help="window sets, transversality, ratios")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--check-transversal", action="store_true")
-    p.add_argument("--ratio", default=None, metavar="K_JSON")
+    p.add_argument("--ratio", default=None, metavar="K_JSON",
+                   help="JSON list of [n,s] pairs, or @FILE holding it")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_folner)
 
     p = sub.add_parser("castle", help="first-return castle over a flip-invariant set")
     p.add_argument("--system", required=True)
-    p.add_argument("--base", default=None, help="JSON clopen set; default: widest invariant window")
+    p.add_argument("--base", default=None,
+                   help="JSON clopen set, or @FILE holding it; default: widest invariant window")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_castle)
 
     p = sub.add_parser("certify", help="almost-finiteness certificate castle")
     p.add_argument("--system", required=True)
     p.add_argument("--eps", required=True, help="rational like 1/10")
-    p.add_argument("--K", default=None, help="JSON list of [n,s] pairs")
+    p.add_argument("--K", default=None, help="JSON list of [n,s] pairs, or @FILE holding it")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_certify)
 

@@ -13,22 +13,29 @@ realises that Boolean algebra in a unique normal form.
 
 Each :class:`Theta` builds each of its cut points once: ``CutPoint.of``
 returns the one cut of index n that the theta's table holds, built on
-first use.  Building a cut takes one exact floor, its integer key
-floor((m + n*theta) * 2^64), which also proves it canonical (the key
-lies in [0, 2^64) exactly when m + n*theta lies in [0, 1)).  Cuts are
-ordered by key, and two cuts with equal keys by the exact sign of their
-difference, so the order stays exact while almost every comparison is
-one of integers.  ``sort_by_cut`` sorts by key in C and re-sorts only
-the runs of equal keys exactly.
+first use.  A cut is given by the floor of n*theta * 2^64: it holds
+m = -floor(n*theta) and the integer key floor((m + n*theta) * 2^64),
+which also proves the cut canonical (the key lies in [0, 2^64) exactly
+when m + n*theta lies in [0, 1)).  Each theta takes one exact wide
+floor S = floor(theta * 2^128); then n*theta * 2^128 lies strictly
+between n*S and n*S + n, and when no multiple of 2^64 lies between them
+the floor of n*theta * 2^64 is n*S >> 64, one multiplication and a
+shift.  Every other index (n = 0, |n| above 2^64, and the rare n whose
+product lies within |n| of a key boundary) takes its own exact floor,
+so every key is the exact one.  Cuts are ordered by key, and two cuts
+with equal keys by the exact sign of their difference, so the order
+stays exact while almost every comparison is one of integers.
+``sort_by_cut`` sorts by key in C and re-sorts only the runs of equal
+keys exactly.
 
 Every question about clopen sets that depends on the gaps between cuts
 (the normal form of an arc list, the Boolean operations, whether a
 family partitions the circle) is answered by one sweep, ``_sweep``: the
 distinct arc ends are sorted once in the exact order of
-:class:`CutPoint`, and each gap's covering depth is a prefix sum of
-+1 at left ends and -1 at right ends.  A set of n arcs therefore costs
-one sort of at most 2n integer keys, not one exact comparison per arc
-and cut.
+:class:`CutPoint`, and each gap's covering depth is a running sum of
++1 at left ends and -1 at right ends, one ``accumulate`` per family.
+A set of n arcs therefore costs one sort of at most 2n integer keys,
+not one exact comparison per arc and cut.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import groupby
+from itertools import accumulate, groupby, islice, repeat
 from math import gcd, isqrt
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -114,8 +121,9 @@ class Theta:
     value is irrational and the representation is faithful.  d must also
     be below 2^63, which keeps the squarefree check under 2^21 steps.
 
-    Each theta keeps the table of its cut points, filled by
-    :meth:`CutPoint.of`; the table takes no part in equality.
+    Each theta keeps the table of its cut points and its wide floor
+    floor(theta * 2^(2b)) for b key bits, both filled by
+    :meth:`CutPoint.of`; neither takes part in equality.
     """
 
     p: int
@@ -144,6 +152,7 @@ class Theta:
         if not _is_squarefree(self.d):
             raise ValueError("d must be squarefree")
         object.__setattr__(self, "_cuts", {})
+        object.__setattr__(self, "_wide", {})
 
     def sign_of(self, a: Fraction, b: Fraction) -> int:
         """Exact sign of a + b*theta."""
@@ -303,7 +312,9 @@ class CutPoint:
     in [0, 1), so cut points are canonically indexed by n alone, and
     :meth:`of` returns the one cut of index n that its theta holds.
     ``key`` is floor((m + n*theta) * 2^64): cuts with different keys are
-    ordered by key, and only cuts with equal keys by exact signs.
+    ordered by key, and only cuts with equal keys by exact signs.  Both
+    come from the floor of n*theta * 2^64, read off the theta's one wide
+    floor where that settles it and taken exactly otherwise.
     """
 
     n: int
@@ -316,13 +327,24 @@ class CutPoint:
         """The cut of index n from the table of ``theta``, built on first use."""
         cut = theta._cuts.get(n)
         if cut is None:
+            bits = _KEY_BITS
+            # v = n*S with S = floor(theta * 2^(2b)) puts n*theta * 2^(2b)
+            # strictly inside (v, v + n) for n > 0, (v + n, v) for n < 0; when
+            # no multiple of 2^b lies inside, floor(n*theta * 2^b) = v >> b
+            wide = theta._wide.get(bits)
+            if wide is None:
+                wide = theta._wide[bits] = theta.floor_scaled(0, 1 << 2 * bits, 1)
+            v = n * wide
+            low = v & ((1 << bits) - 1)
+            if 0 < n <= (1 << bits) - low or 0 < -n <= low:
+                scaled = v >> bits
+            else:
+                scaled = theta.floor_scaled(0, n << bits, 1)
             # floor(n*theta * 2^b) = floor(n*theta) * 2^b + key, and the
             # canonical m is -floor(n*theta)
-            scaled = theta.floor_scaled(0, n << _KEY_BITS, 1)
             cut = object.__new__(cls)
-            for name, value in (("n", n), ("m", -(scaled >> _KEY_BITS)), ("theta", theta),
-                                ("key", scaled & ((1 << _KEY_BITS) - 1))):
-                object.__setattr__(cut, name, value)
+            cut.__dict__.update(n=n, m=-(scaled >> bits), theta=theta,
+                                key=scaled & ((1 << bits) - 1))
             theta._cuts[n] = cut
         return cut
 
@@ -380,10 +402,14 @@ def sort_by_cut(items: Iterable, cut: str = "") -> list:
 
     One sort by integer key runs in C; only a run of equal keys, whose
     cuts lie within 2^-64 of each other, is sorted again by exact
-    comparison.  Items with equal cuts keep their order.
+    comparison.  Items with equal cuts keep their order, and fewer than
+    two items are returned as they come.
     """
+    out = list(items)
+    if len(out) < 2:
+        return out
     by_key = attrgetter(f"{cut}.key" if cut else "key")
-    out = sorted(items, key=by_key)
+    out.sort(key=by_key)
     keys = list(map(by_key, out))
     if len(set(keys)) < len(keys):
         cut_of = attrgetter(cut) if cut else (lambda x: x)
@@ -416,8 +442,9 @@ class Arc:
             raise ValueError("arc must be nonempty and proper (left != right)")
 
     def length(self) -> QuadExt:
-        diff = self.right.value - self.left.value
-        return diff if diff.sign() > 0 else diff.shift(1)
+        """The cut of index right.n - left.n: its value, in (0, 1), is
+        right - left modulo 1."""
+        return CutPoint.of(self.left.theta, self.right.n - self.left.n).value
 
     def contains_value(self, x: QuadExt) -> bool:
         """Membership for points given by their circle coordinate.
@@ -555,20 +582,25 @@ def _sweep(families: Sequence[Iterable[Arc]], start: Sequence[int]) -> Iterator[
     before the first cut, where the sweep starts.  The cuts are sorted
     once by :func:`sort_by_cut`, and one more comparison per arc tells
     whether it wraps, so n arcs cost one sort of at most 2n integer keys.
+    Each family's depths are one running sum over the sorted cuts.
     """
-    depth = list(start)
-    cuts, deltas = {}, [{} for _ in families]
+    cuts, deltas, depth = {}, [], list(start)
     for k, arcs in enumerate(families):
-        delta = deltas[k]
+        delta = {}
         for a in arcs:
-            cuts[a.left.n] = a.left
-            cuts[a.right.n] = a.right
-            delta[a.left.n] = delta.get(a.left.n, 0) + 1
-            delta[a.right.n] = delta.get(a.right.n, 0) - 1
-            depth[k] += a.right < a.left
-    for c in sort_by_cut(cuts.values()):
-        depth = [d + delta.get(c.n, 0) for d, delta in zip(depth, deltas)]
-        yield c, depth
+            left, right = a.left, a.right
+            cuts[left.n] = left
+            cuts[right.n] = right
+            delta[left.n] = delta.get(left.n, 0) + 1
+            delta[right.n] = delta.get(right.n, 0) - 1
+            depth[k] += right < left
+        deltas.append(delta)
+    order = sort_by_cut(cuts.values())
+    ns = [c.n for c in order]
+    # each family's depths as one running sum in C, less the start value
+    columns = [islice(accumulate(map(delta.get, ns, repeat(0)), initial=d), 1, None)
+               for delta, d in zip(deltas, depth)]
+    return zip(order, zip(*columns))
 
 
 def _rebuild(theta: Theta, bounds: Sequence[CutPoint], bits: Sequence[bool]) -> ClopenSet:

@@ -21,6 +21,7 @@ from dihedral_dynamics import amenability, cli, systems, towers
 from dihedral_dynamics.abgroups import FGAbGroup
 from dihedral_dynamics.amenability import DEFAULT_TEST_SET
 from dihedral_dynamics.cli import build_parser, main
+from dihedral_dynamics.exact_circle import GOLDEN, Arc, ClopenSet, CutPoint, sort_by_cut
 from dihedral_dynamics.systems import OdometerSystem, system_from_json
 from dihedral_dynamics.towers import Castle
 
@@ -905,6 +906,59 @@ class TestOutputFiles:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert str(out) in json.loads(proc.stderr)["error"]
+
+
+class TestFileInputs:
+    """``@FILE`` in place of the inline JSON of ``--base``, ``--elements``,
+    ``--K`` and ``--ratio``."""
+
+    def test_base_of_300_arcs_from_a_file(self, capsys, denjoy_file, tmp_path):
+        # the odd cells of the cut window |n| <= 300: the flip maps cell j
+        # to cell 600 - j, so their 300 arcs form a flip-invariant base
+        cuts = sort_by_cut(CutPoint.of(GOLDEN, n) for n in range(-300, 301))
+        base = ClopenSet.from_arcs(GOLDEN, [Arc(cuts[j], cuts[j + 1]) for j in range(1, 600, 2)])
+        assert len(base.arcs) == 300
+        text = json.dumps(base.to_json())
+        path = tmp_path / "base.json"
+        path.write_text(text)
+        proc, _ = run_module(["castle", "--system", denjoy_file, "--base", f"@{path}"],
+                             timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert main(["castle", "--system", denjoy_file, "--base", text]) == 0
+        assert proc.stdout.decode() == capsys.readouterr().out
+        assert Castle.from_json(json.loads(proc.stdout)).verify().all_ok()
+
+    @pytest.mark.parametrize("argv,option", [
+        (["fixed-points", "--system", "{system}"], "--elements"),
+        (["certify", "--system", "{system}", "--eps", "1/10"], "--K"),
+        (["folner", "--m", "4"], "--ratio"),
+    ], ids=["elements", "K", "ratio"])
+    def test_group_elements_from_a_file(self, capsys, denjoy_file, tmp_path, argv, option):
+        text = "[[0,1],[1,0],[-1,0]]"
+        path = tmp_path / "elements.json"
+        path.write_text(text)
+        args = [arg.format(system=denjoy_file) for arg in argv]
+        assert main([*args, option, text]) == 0
+        inline = capsys.readouterr()
+        assert main([*args, option, f"@{path}"]) == 0
+        assert capsys.readouterr() == inline
+
+    @pytest.mark.parametrize("option,error", [
+        ("--base", "bad base set: cannot read "),
+        ("--K", "bad group-element list: cannot read "),
+    ])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_file_is_a_config_error(self, capsys, denjoy_file, tmp_path,
+                                               option, error, kind):
+        path = {"missing": tmp_path / "missing.json", "directory": tmp_path,
+                "not-utf8": tmp_path / "latin1.json"}[kind]
+        (tmp_path / "latin1.json").write_bytes(b'[[0, 1], "\xe9"]')
+        command = "castle" if option == "--base" else "certify"
+        extra = ["--eps", "1/10"] if command == "certify" else []
+        code = main([command, "--system", denjoy_file, *extra, option, f"@{path}"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert json.loads(captured.err)["error"].startswith(f"{error}{path}")
 
 
 class TestClosedReader:

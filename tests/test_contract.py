@@ -28,7 +28,8 @@ from hypothesis import strategies as st
 from dihedral_dynamics import systems
 from dihedral_dynamics.amenability import DEFAULT_TEST_SET
 from dihedral_dynamics.errors import VerificationError
-from dihedral_dynamics.exact_circle import GOLDEN, Arc, ClopenSet, CutPoint, QuadExt, Theta, qe_cmp
+from dihedral_dynamics.exact_circle import (GOLDEN, Arc, ClopenSet, CutPoint, QuadExt, Theta, qe_cmp,
+                                           sweep_partition)
 from dihedral_dynamics.homology import homology_levels
 from dihedral_dynamics.systems import (
     FLIP,
@@ -156,6 +157,40 @@ SQRT2 = Theta(p=-1, q=1, d=2, r=1)
 
 def _on_both_copies(s):
     return DoubledClopen(s, s)
+
+
+_FULL, _EMPTY = ClopenSet.full_circle(GOLDEN), ClopenSet.empty(GOLDEN)
+_ARC, _WRAP = ClopenSet.arc(GOLDEN, 0, 1), ClopenSet.arc(GOLDEN, 2, -3)
+
+# (circle family, expected (disjoint, covers)): the degenerate families
+# a sweep meets at its edges, where no gap or only full members exist
+PARTITION_EDGES = {
+    "none": ([], (True, False)),
+    "empty": ([_EMPTY], (True, False)),
+    "full": ([_FULL], (True, True)),
+    "full-twice": ([_FULL, _FULL], (False, True)),
+    "full-and-arc": ([_FULL, _ARC], (False, True)),
+    "arc-twice": ([_ARC, _ARC], (False, False)),
+    "wrapping-arc-and-complement": ([_WRAP, _WRAP.complement()], (True, True)),
+}
+
+
+class TestPartitionEdgeCases:
+    @pytest.mark.parametrize("name", PARTITION_EDGES)
+    def test_circle_and_doubled_match_union_route(self, name):
+        sets, want = PARTITION_EDGES[name]
+        assert reference_partition_flags(_FULL, sets) == want
+        assert sweep_partition(sets) == want
+        doubled = [_on_both_copies(s) for s in sets]
+        assert DoubledSystem(GOLDEN).partition_flags(doubled) == want
+        assert reference_partition_flags(_on_both_copies(_FULL), doubled) == want
+
+    def test_doubled_copy_left_uncovered(self):
+        # copy 0 is partitioned and copy 1 is left empty
+        pieces = [DoubledClopen(_WRAP, _EMPTY), DoubledClopen(_WRAP.complement(), _EMPTY)]
+        want = reference_partition_flags(_on_both_copies(_FULL), pieces)
+        assert want == (True, False)
+        assert DoubledSystem(GOLDEN).partition_flags(pieces) == want
 
 
 # (family, system, flip-invariant base, whole space, tower heights)

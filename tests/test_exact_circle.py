@@ -330,6 +330,83 @@ class TestIntegerKeyOrder:
                 assert c.above_half() == half
 
 
+def exact_fields(theta, n, bits):
+    """(m, key) of the cut of index n from its own exact floor."""
+    scaled = theta.floor_scaled(0, n << bits, 1)
+    return -(scaled >> bits), scaled & ((1 << bits) - 1)
+
+
+def wide_floor_routes(theta, bits, indices):
+    """(settled, at_edge) among ``indices``: those whose m and key the
+    one wide floor floor(theta * 2^(2*bits)) settles, and those of them
+    whose bracket ends exactly on a multiple of 2^bits."""
+    wide = theta.floor_scaled(0, 1 << 2 * bits, 1)
+    settled, at_edge = set(), set()
+    for n in indices:
+        low = n * wide & ((1 << bits) - 1)
+        room = (1 << bits) - low if n > 0 else low
+        if 0 < abs(n) <= room:
+            settled.add(n)
+            if abs(n) == room:
+                at_edge.add(n)
+    return settled, at_edge
+
+
+class TestWideFloor:
+    """Every cut's m and key equal those of its own exact floor, whether
+    the theta's one wide floor settles them or the exact fallback does."""
+
+    @pytest.mark.parametrize("fields", THETA_FIELDS)
+    def test_indices_beyond_the_key_width(self, fields):
+        theta = Theta(*fields)
+        bits = exact_circle._KEY_BITS
+        huge = [1 << 64, (1 << 64) - 1, (1 << 64) + 1, -(1 << 64), 1 - (1 << 64),
+                -(1 << 64) - 1, 3 << 70 | 5, -(1 << 100) - 7, 10 ** 40 + 1]
+        # the bracket of an index above 2^64 is wider than a key step
+        assert all(abs(n) <= 1 << 64 for n in wide_floor_routes(theta, bits, huge)[0])
+        for n in huge:
+            c = CutPoint.of(theta, n)
+            assert (c.m, c.key) == exact_fields(theta, n, bits)
+
+    def test_indices_near_a_key_boundary(self):
+        # at 8 bits most indices up to 300 bracket a multiple of 2^8 and
+        # fall back to the exact floor, and some end exactly on one; on
+        # sqrt3/95 the bracket of index 3 passes a multiple by one unit,
+        # and 3*theta * 2^8 lies past it
+        indices = range(-300, 301)
+        edges = set()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(exact_circle, "_KEY_BITS", 8)
+            for fields in THETA_FIELDS + [(0, 1, 3, 95)]:
+                theta = Theta(*fields)
+                settled, at_edge = wide_floor_routes(theta, 8, indices)
+                assert 0 < len(settled) < len(indices) - 1
+                edges |= at_edge
+                for n in indices:
+                    c = CutPoint.of(theta, n)
+                    assert (c.m, c.key) == exact_fields(theta, n, 8)
+        assert {32, -32, 128, -128, 255, -255} <= edges
+
+    def test_one_wide_floor_per_theta(self, monkeypatch):
+        # golden, sqrt2 - 1 and sqrt2/10^6 with 64-bit keys: each theta
+        # takes its wide floor and the exact floor of index 0, and no
+        # index up to 5000 brackets a multiple of 2^64
+        calls = 0
+        exact = Theta.floor_scaled
+
+        def counting(self, a, b, den):
+            nonlocal calls
+            calls += 1
+            return exact(self, a, b, den)
+
+        monkeypatch.setattr(Theta, "floor_scaled", counting)
+        for fields in [(-1, 1, 5, 2), (-1, 1, 2, 1), (0, 1, 2, 10 ** 6)]:
+            theta = Theta(*fields)
+            for n in range(-5000, 5001):
+                CutPoint.of(theta, n)
+        assert calls == 6
+
+
 def random_clopen(theta, rng, max_arcs=10):
     indices = rng.sample(range(-50, 51), rng.randint(2, 2 * max_arcs))
     arcs = []

@@ -178,16 +178,38 @@ print(json.dumps(digests))
 """
 
 
-@pytest.mark.parametrize("seed", ["0", "12345"])
-def test_castles_and_circle_certificates_ignore_the_hash_seed(system_files, seed):
-    # the pinned castle and circle certify commands, in a fresh
-    # interpreter under another string hash seed: set and dict order
-    # must not reach any certificate
-    cases = [(argv, code, out, err) for argv, code, out, err in COMMANDS
-             if argv[0] == "castle" or argv[0] == "certify"
-             and SYSTEMS[argv[2].strip("{}")]["type"] != "odometer"]
+def check_under_hash_seed(system_files, cases, seed):
+    """Run the pinned ``cases`` in a fresh interpreter under the string
+    hash seed ``seed`` and compare every exit code and digest."""
     argvs = [[arg.format(**system_files) for arg in argv] for argv, *_ in cases]
     proc, _ = run_python(["-c", DIGEST_SCRIPT, json.dumps(argvs)], timeout=60,
                          env={"PYTHONHASHSEED": seed})
     assert proc.returncode == 0, proc.stderr.decode()
     assert json.loads(proc.stdout) == [[code, out, err] for _, code, out, err in cases]
+
+
+def _is_odometer(argv):
+    return SYSTEMS[argv[2].strip("{}")]["type"] == "odometer"
+
+
+@pytest.mark.parametrize("seed", ["0", "12345"])
+def test_castles_and_circle_certificates_ignore_the_hash_seed(system_files, seed):
+    # the pinned castle and circle certify commands, in a fresh
+    # interpreter under another string hash seed: set and dict order
+    # must not reach any certificate
+    cases = [case for case in COMMANDS
+             if case[0][0] == "castle" or case[0][0] == "certify" and not _is_odometer(case[0])]
+    check_under_hash_seed(system_files, cases, seed)
+
+
+@pytest.mark.parametrize("seed", ["0", "12345"])
+def test_other_pins_ignore_the_hash_seed(system_files, seed):
+    # the odometer certify, fixed-points and homology pins up to level
+    # 16: cut tables and level indexes are dicts, whose order must not
+    # reach any output either
+    cases = [case for case in COMMANDS
+             if case[0][0] == "fixed-points" or case[0][0] == "certify" and _is_odometer(case[0])]
+    cases += [(["homology", "--system", "{%s}" % system, "--max-level", str(level),
+                "--method", method], code, out, err)
+              for system, level, method, code, out, err in CASES if level <= 16]
+    check_under_hash_seed(system_files, cases, seed)
