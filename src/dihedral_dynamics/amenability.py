@@ -1,11 +1,13 @@
-"""Folner sets for the infinite dihedral group.
+"""The infinite dihedral group and its Folner sets.
 
-The sets used here have a double role: F_m is simultaneously an
-approximately invariant set (its translate boundary shrinks like 1/m)
-and a complete set of coset representatives for the index-m subgroup
-m*Z x| Z_2.  An odometer's certificate castle is one first-return tower
-over a level cylinder, with such a transversal as shape, and a circle's
-towers reach the invariance target (:func:`_invariance_target`).
+The group is Z x| Z_2 with product (n,s)(m,t) = (n + (-1)^s m, s+t mod 2),
+generated by the translation (1,0) and the flip (0,1).  The Folner sets
+used here have a double role: F_m is simultaneously an approximately
+invariant set (its translate boundary shrinks like 1/m) and a complete
+set of coset representatives for the index-m subgroup m*Z x| Z_2.  An
+odometer's certificate castle is one first-return tower over a level
+cylinder, with such a transversal as shape, and a circle's towers reach
+the invariance target (:func:`_invariance_target`).
 """
 
 from __future__ import annotations
@@ -14,9 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .systems import FLIP, GroupElement, IDENTITY
+from .exact_circle import json_int
 
 __all__ = [
+    "GroupElement",
+    "IDENTITY",
+    "FLIP",
+    "TRANSLATION",
     "FolnerSet",
     "folner",
     "is_transversal",
@@ -24,8 +30,47 @@ __all__ = [
     "DEFAULT_TEST_SET",
 ]
 
+
+@dataclass(frozen=True)
+class GroupElement:
+    """The element (n, s) of Z x| Z_2; s = 1 conjugates Z by -1."""
+
+    n: int
+    s: int
+
+    def __post_init__(self) -> None:
+        if self.s not in (0, 1):
+            raise ValueError("flip bit must be 0 or 1")
+
+    def __mul__(self, other: "GroupElement") -> "GroupElement":
+        sign = -1 if self.s else 1
+        return GroupElement(self.n + sign * other.n, self.s ^ other.s)
+
+    def inverse(self) -> "GroupElement":
+        return GroupElement(self.n if self.s else -self.n, self.s)
+
+    def is_identity(self) -> bool:
+        return self.n == 0 and self.s == 0
+
+    def to_json(self) -> list:
+        return [self.n, self.s]
+
+    @classmethod
+    def from_json(cls, data: Sequence[int]) -> "GroupElement":
+        if not isinstance(data, list) or len(data) != 2:
+            raise ValueError("group element must be a pair [n, s]")
+        return cls(json_int(data[0], "group element n"), json_int(data[1], "group element s"))
+
+    def __str__(self) -> str:
+        return f"({self.n},{self.s})"
+
+
+IDENTITY = GroupElement(0, 0)
+FLIP = GroupElement(0, 1)
+TRANSLATION = GroupElement(1, 0)
+
 #: The generating set {e, (1,0), (0,1)} used in invariance certificates.
-DEFAULT_TEST_SET = (IDENTITY, GroupElement(1, 0), FLIP)
+DEFAULT_TEST_SET = (IDENTITY, TRANSLATION, FLIP)
 
 
 @dataclass(frozen=True)
@@ -99,13 +144,9 @@ def is_transversal(elements, m: int) -> bool:
     return count == m
 
 
-def _ranges_of(f: FolnerSet):
-    return (f.flip_range, f.translation_range)
-
-
 def _residue_spans(f: FolnerSet, m: int):
     """Residue intervals mod m of the two index ranges, split at wrap."""
-    for rng in _ranges_of(f):
+    for rng in (f.flip_range, f.translation_range):
         span = len(rng)
         if span == 0:
             continue

@@ -27,11 +27,13 @@ relation windows (``level_chain``: a circle's windows [-N, N] and
 [1-N, N], an odometer's cylinders for both), and its reflections' fixed
 points (``reflection_fixed``).  :func:`homology_levels`, the one builder
 and length check of the level list, reads ``level_chain`` once and
-builds each level's inclusions once (``cover_matrix``, for arcs and
-cylinders alike).  That list is both routes' one input, as the cells fix
-the action: the telescope reads a level as the cells of a stage and the
-window of its translation relations, the free product as the windows of
-the two reflections, and each names its levels by their count.  Every
+builds each :class:`Level` once: its inclusions (``cover_matrix``, for
+arcs and cylinders alike) and the flip's permutation of its flip window.
+That list is both routes' one input, as the cells fix the action, and
+each reads a level's fields by name: the telescope as a stage, its
+relation window and the flip it checks the stage against, the free
+product as the windows of the two reflections, building only the
+reflected windows' permutations and the inclusions between them.  Every
 matrix on the way is a list of sparse columns {row: nonzero}, as
 ``abgroups`` takes them: a telescope relation is the difference of two
 columns, and the free product's maps are summed onto orbits column by
@@ -67,7 +69,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 from math import gcd
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .abgroups import (
     AbHom,
@@ -351,18 +353,28 @@ class TelescopeResult:
         return self.limit.level
 
 
-def homology_levels(system, max_level: int) -> list:
-    """Levels 1..N as ``(fine, coarse, within, up)``: the flip and
-    reflected windows (``level_chain(max_level)``), the inclusion of the
-    second in the first, and of the level below's flip window in
-    ``fine`` (None at level 1).  Fewer than min(max_level, 3) levels,
+class Level(NamedTuple):
+    """The flip and reflected windows (``level_chain``), the inclusion of
+    the second in the first, and of the level below's flip window in
+    ``fine`` (None at level 1), and the flip's permutation of ``fine``."""
+
+    fine: Sequence
+    coarse: Sequence
+    within: list
+    up: Optional[list]
+    flip: list
+
+
+def homology_levels(system, max_level: int) -> List[Level]:
+    """Levels 1..N, each built once as a :class:`Level` from
+    ``level_chain(max_level)``.  Fewer than min(max_level, 3) levels,
     which only an odometer's chain can give, are refused."""
     chain = system.level_chain(max_level)
     if len(chain) < min(max_level, 3):
         raise ValueError(
             f"need at least 3 odometer levels with at most {_MAX_LEVEL_CELLS} cosets")
     ups = [None] + [cover_matrix(a, b) for (a, _), (b, _) in zip(chain, chain[1:])]
-    return [(fine, coarse, cover_matrix(coarse, fine), up)
+    return [Level(fine, coarse, cover_matrix(coarse, fine), up, pullback_permutation(FLIP, fine))
             for (fine, coarse), up in zip(chain, ups)]
 
 
@@ -445,7 +457,7 @@ def h0_translation_telescope(levels: list) -> TelescopeResult:
     and the limit follows from the c_N (``multiplier_limit``): circle
     systems stabilize to Z^2, and odometers give a localization of Z.
     The flip acts trivially on stage N exactly when l_N * P = l_N for
-    its permutation P (``pullback_permutation``); then (1 + flip)H_0 =
+    its permutation P (the level's ``flip``); then (1 + flip)H_0 =
     2 H_0, which the closed form reads, is isomorphic to ``h0``: the
     limit is torsion-free, 2 Z^r is isomorphic to Z^r, and doubling a
     localization of Z is an isomorphism onto its image.  A state
@@ -456,21 +468,20 @@ def h0_translation_telescope(levels: list) -> TelescopeResult:
     top = len(levels)
     if top < 3:
         raise ValueError("the telescope needs at least 3 levels")
-    states = [fine.length_state() for fine, *_ in levels]
+    states = [level.fine.length_state() for level in levels]
     # relation j is within[j] - pullback[j]: f - f o (1,0) on reflected cell j
     stages = [
-        Presentation.of(len(fine), map(_minus, within,
-                                       pullback_matrix(TRANSLATION, coarse, fine)))
-        for fine, coarse, within, _ in levels]
-    for level, (stage, state) in enumerate(zip(stages, states), 1):
-        _check_state(stage, state, level)
+        Presentation.of(len(level.fine), map(
+            _minus, level.within, pullback_matrix(TRANSLATION, level.coarse, level.fine)))
+        for level in levels]
+    for n, (stage, state) in enumerate(zip(stages, states), 1):
+        _check_state(stage, state, n)
     limit = multiplier_limit(FGAbGroup(len(states[0])), [
-        _state_multiplier(fine, up, coarse, level)
-        for level, (coarse, fine, (*_, up)) in enumerate(zip(states, states[1:], levels[1:]), 1)])
+        _state_multiplier(upper, level.up, lower, n)
+        for n, (lower, upper, level) in enumerate(zip(states, states[1:], levels[1:]), 1)])
     # l_N * P = l_N reads l_N at the cell each cell's indicator pulls back to
-    sigma_trivial = all(
-        [[row[p] for p in pullback_permutation(FLIP, cells)] for row in state] == state
-        for state, (cells, *_) in zip(states, levels))
+    sigma_trivial = all([[row[p] for p in level.flip] for row in state] == state
+                        for state, level in zip(states, levels))
 
     if limit.kind == "stabilized":
         if not sigma_trivial:
@@ -611,13 +622,6 @@ class FreeProductResult:
     all_exact: bool
 
 
-def _reflection_modules(fine: list, coarse: list) -> Tuple[InvolutionModule, ...]:
-    """The flip's module on a level's flip window and the reflected flip's
-    on its reflected window."""
-    return tuple(InvolutionModule.from_permutation(pullback_permutation(g, cells))
-                 for g, cells in ((FLIP, fine), (GroupElement(1, 1), coarse)))
-
-
 def _refinement_maps(lower: Tuple[InvolutionModule, InvolutionModule],
                      upper: Tuple[InvolutionModule, InvolutionModule],
                      sym_incl: Sequence[dict], refl_incl: Sequence[dict]) -> tuple:
@@ -709,11 +713,12 @@ def free_product_homology(levels: list) -> FreeProductResult:
         raise ValueError("the free-product assembly starts at level 2, "
                          "so it needs max_level >= 4 (levels 2 to 4)")
     levels = levels[1:]
-    modules = [_reflection_modules(fine, coarse) for fine, coarse, *_ in levels]
-    frags = [(level, free_product_fragment(*pair, within))
-             for level, pair, (*_, within, _) in zip(range(2, top + 1), modules, levels)]
-    maps = [_refinement_maps(a, b, up, cover_matrix(ca, cb))
-            for a, b, (_, ca, *_), (_, cb, _, up) in zip(modules, modules[1:], levels, levels[1:])]
+    modules = [(InvolutionModule.from_permutation(level.flip), InvolutionModule.from_permutation(
+        pullback_permutation(GroupElement(1, 1), level.coarse))) for level in levels]
+    frags = [(n, free_product_fragment(*pair, level.within))
+             for n, pair, level in zip(range(2, top + 1), modules, levels)]
+    maps = [_refinement_maps(a, b, upper.up, cover_matrix(lower.coarse, upper.coarse))
+            for a, b, lower, upper in zip(modules, modules[1:], levels, levels[1:])]
 
     h0_stages = tuple(f.h0_presentation for _, f in frags)
     h0_limit = DirectSystem(h0_stages, tuple(
@@ -785,15 +790,8 @@ _ZERO = FGAbGroup(0)
 
 def _table(h0: GroupValue, odd: GroupValue, even: GroupValue, tail_from: int,
            h1: Optional[GroupValue] = None) -> HomologyTable:
-    degs = [h0]
-    for n in range(1, 6):
-        if n == 1 and h1 is not None:
-            degs.append(h1)
-        elif n % 2:
-            degs.append(odd)
-        else:
-            degs.append(even)
-    return HomologyTable(tuple(degs), tail_odd=odd, tail_even=even, tail_from=tail_from)
+    degs = (h0, odd if h1 is None else h1, even, odd, even, odd)
+    return HomologyTable(degs, tail_odd=odd, tail_even=even, tail_from=tail_from)
 
 
 def split_orbit_table(h0_base: GroupValue) -> HomologyTable:

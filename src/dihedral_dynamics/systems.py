@@ -1,8 +1,6 @@
 """Concrete Cantor minimal systems for the infinite dihedral group.
 
-The group is Z x| Z_2 with product (n,s)(m,t) = (n + (-1)^s m, s+t mod 2),
-generated by the translation (1,0) and the flip (0,1).  Three families of
-systems are provided:
+Three families of systems are provided:
 
 * :class:`DenjoyFlipSystem` -- the cut circle with rotation x -> x + theta
   and flip x -> -x (cut copies swapped, so the flip has the single fixed
@@ -99,15 +97,14 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
+# the group elements, IDENTITY among them, are also imported from this module
+from .amenability import (FLIP, IDENTITY, TRANSLATION, GroupElement, _invariance_target, folner,
+                          folner_ratio)
 from .errors import NonStabilizationError, VerificationError
 from .exact_circle import (Arc, ClopenSet, CutPoint, QuadExt, Theta, format_point, json_int,
                            sort_by_cut, sweep_partition)
 
 __all__ = [
-    "GroupElement",
-    "IDENTITY",
-    "FLIP",
-    "TRANSLATION",
     "FixedPointSet",
     "ThreadCount",
     "DenjoyFlipSystem",
@@ -121,43 +118,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """The element (n, s) of Z x| Z_2; s = 1 conjugates Z by -1."""
-
-    n: int
-    s: int
-
-    def __post_init__(self) -> None:
-        if self.s not in (0, 1):
-            raise ValueError("flip bit must be 0 or 1")
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        sign = -1 if self.s else 1
-        return GroupElement(self.n + sign * other.n, self.s ^ other.s)
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.n if self.s else -self.n, self.s)
-
-    def is_identity(self) -> bool:
-        return self.n == 0 and self.s == 0
-
-    def to_json(self) -> list:
-        return [self.n, self.s]
-
-    @classmethod
-    def from_json(cls, data: Sequence[int]) -> "GroupElement":
-        if not isinstance(data, list) or len(data) != 2:
-            raise ValueError("group element must be a pair [n, s]")
-        return cls(json_int(data[0], "group element n"), json_int(data[1], "group element s"))
-
-    def __str__(self) -> str:
-        return f"({self.n},{self.s})"
-
-
-IDENTITY = GroupElement(0, 0)
-FLIP = GroupElement(0, 1)
-TRANSLATION = GroupElement(1, 0)
 #: The two reflections whose fixed points enter odd-degree homology.
 REFLECTIONS = (("sigma", FLIP), ("phiSigma", GroupElement(1, 1)))
 
@@ -320,7 +280,6 @@ class DenjoyFlipSystem:
     def certificate_base(self, test_set: Sequence[GroupElement], eps: Fraction) -> tuple:
         """The first window ``invariant_window(2^k)`` whose first N translates
         are disjoint, and N, the invariance target in closed form."""
-        from .amenability import _invariance_target  # amenability imports this module
         n_target = _invariance_target(test_set, eps)
         return _shrink_until_disjoint(self, n_target), n_target
 
@@ -788,7 +747,6 @@ class OdometerSystem:
     def certificate_base(self, test_set: Sequence[GroupElement], eps: Fraction) -> tuple:
         """The window of the first level whose window set F_{n_level} is
         (test_set, eps)-invariant, and n_level, its points' return time."""
-        from .amenability import folner, folner_ratio  # amenability imports this module
         for level, n in enumerate(self.chain, 1):
             if folner_ratio(folner(n), test_set) < eps:
                 return self.invariant_window(level), n

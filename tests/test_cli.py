@@ -733,6 +733,52 @@ class TestMutatedJson:
         assert json.loads(captured.err)["error"].startswith("cannot load system: ")
 
 
+#: What a mutation puts in an integer option: its absence (the default),
+#: negative, zero and extreme values, and values on each side of the
+#: options' bounds.
+INT_SWAPS = [DELETE, -2 ** 70, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 32, 129, 2 ** 70]
+#: Each command's integer options and the values drawn for them.  Each
+#: oracle case costs a bar complex, so --count is drawn small; a large
+#: count costs what it asks for.
+INT_OPTIONS = {
+    "homology": {"--max-level": INT_SWAPS},
+    "fixed-points": {"--max-level": INT_SWAPS},
+    "folner": {},
+    "oracle-check": {"--count": [-2 ** 70, -1, 0, 1, 2, 3], "--max-cells": INT_SWAPS,
+                     "--max-degree": INT_SWAPS, "--seed": INT_SWAPS},
+}
+
+
+class TestMutatedOptions:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), command=st.sampled_from(sorted(INT_OPTIONS)))
+    def test_every_run_ends_with_an_exit_code(self, tmp_path_factory, data, command):
+        # --max-level on circle, doubled and odometer systems, the
+        # oracle-check options, and folner --ratio lists with fields
+        # deleted, retyped or taken from a system: each run ends in an
+        # exit code, within the alarm, with its error as JSON
+        args = [command]
+        if command == "folner":
+            ratio = data.draw(mutated([[0, 0], [1, 0], [0, 1]], FUZZ_SYSTEMS))
+            args += ["--m", "6", "--ratio", json.dumps(ratio)]
+        elif command != "oracle-check":
+            path = tmp_path_factory.getbasetemp() / "option-system.json"
+            path.write_text(json.dumps(data.draw(st.sampled_from(FUZZ_SYSTEMS))))
+            args += ["--system", str(path)]
+        if command == "homology":
+            args += ["--method", data.draw(st.sampled_from(["comp", "freeproduct", "both"]))]
+        for flag, pool in INT_OPTIONS[command].items():
+            value = data.draw(st.sampled_from(pool))
+            if value is not DELETE:
+                args += [flag, str(value)]
+        out, err = io.StringIO(), io.StringIO()
+        with alarm(5), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+        assert code in {0, 2, 3, 4}
+        if code:
+            assert "error" in json.loads(err.getvalue())
+
+
 class TestHomologyCommand:
     def test_denjoy(self, capsys, denjoy_file):
         code, data = run(capsys, ["homology", "--system", denjoy_file,

@@ -597,13 +597,16 @@ class TestLevelContract:
         # the reference finds no permutation, the index refuses one too
         _, system, _, _ = LEVEL_SYSTEMS[case]
         below = None
-        for fine, coarse, within, up in built_levels(case):
-            assert within == as_columns(reference_cover_matrix(coarse, fine), len(coarse))
+        for level in built_levels(case):
+            fine, coarse = level.fine, level.coarse
+            assert level.within == as_columns(reference_cover_matrix(coarse, fine), len(coarse))
             if below is None:
-                assert up is None
+                assert level.up is None
             else:
                 want = reference_cover_matrix(below, fine)
-                assert up == as_columns(want, len(below))
+                assert level.up == as_columns(want, len(below))
+            want = reference_pullback_matrix(system, FLIP, fine, fine)
+            assert [{p: 1} for p in level.flip] == as_columns(want, len(fine))
             want = reference_pullback_matrix(system, TRANSLATION, coarse, fine)
             assert pullback_matrix(TRANSLATION, coarse, fine) == as_columns(want, len(coarse))
             for window in dict.fromkeys((fine, coarse)):
@@ -627,14 +630,15 @@ class TestLevelContract:
         # circle, n_{t+1}/n_t on an odometer
         family, system, _, _ = LEVEL_SYSTEMS[case]
         levels = built_levels(case)
-        states = [fine.length_state() for fine, *_ in levels]
-        for t, ((fine, coarse, within, up), state) in enumerate(zip(levels, states), 1):
-            for kept, moved in zip(within, pullback_matrix(TRANSLATION, coarse, fine)):
+        states = [level.fine.length_state() for level in levels]
+        for t, (level, state) in enumerate(zip(levels, states), 1):
+            moves = pullback_matrix(TRANSLATION, level.coarse, level.fine)
+            for kept, moved in zip(level.within, moves):
                 assert state_image(state, kept) == state_image(state, moved)
-            assert [[row[p] for p in pullback_permutation(FLIP, fine)] for row in state] == state
-            if up is None:
+            assert [[row[p] for p in level.flip] for row in state] == state
+            if level.up is None:
                 continue
             scale = 1 if family == "circle" else system.chain[t - 1] // system.chain[t - 2]
             below = states[t - 2]
-            assert [state_image(state, col) for col in up] == \
+            assert [state_image(state, col) for col in level.up] == \
                 [[scale * row[j] for row in below] for j in range(len(below[0]))]

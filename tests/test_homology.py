@@ -31,7 +31,6 @@ from dihedral_dynamics.homology import (
     InvolutionModule,
     _bar_boundary,
     _odd_limit,
-    _reflection_modules,
     bar_homologies,
     bar_homology,
     coinvariants,
@@ -817,12 +816,11 @@ class TestTelescope:
         from dihedral_dynamics.cli import main
 
         levels = homology_levels(denjoy, 8)
-        fine, coarse, within, up = levels[3]
-        lengths = columns(measured_state(levels[2][0]))
+        lengths = columns(measured_state(levels[2].fine))
         j = next(j for j, x in enumerate(lengths) if x != lengths[0])
-        cols = list(up)
+        cols = list(levels[3].up)
         cols[0], cols[j] = cols[j], cols[0]
-        levels[3] = (fine, coarse, within, cols)
+        levels[3] = levels[3]._replace(up=cols)
 
         with pytest.raises(VerificationError, match="from level 3 to 4 does not scale"):
             h0_translation_telescope(levels)
@@ -918,6 +916,28 @@ class TestLevelIndexes:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         homology_table(system, level, method)
         assert (made["cover_matrix"], made["sparse_snf_diagonal"]) == (covers, smith)
+
+    @pytest.mark.parametrize("system,level,method,builds", [
+        (DenjoyFlipSystem(GOLDEN), 14, "both", 27),
+        (DenjoyFlipSystem(GOLDEN), 14, "closed_form", 14),
+        (DoubledSystem(GOLDEN), 12, "closed_form", 12),
+        (OdometerSystem([3 ** i for i in range(1, 5)]), 16, "both", 7),
+    ], ids=["golden-L14", "golden-L14-comp", "doubled-L12-comp", "3^i-4"])
+    def test_one_permutation_per_window(self, monkeypatch, system, level, method, builds):
+        # each level's flip permutation is built once, with the level,
+        # and read by both routes; the free product adds only its
+        # reflected windows' (levels 2..N).  54, 28, 24 and 10 were built
+        # when the telescope built its own per length-state row
+        made = []
+        permutation = homology.pullback_permutation
+
+        def counted(g, cells):
+            made.append(g)
+            return permutation(g, cells)
+
+        monkeypatch.setattr(homology, "pullback_permutation", counted)
+        homology_table(system, level, method)
+        assert len(made) == builds
 
 
 class TestFreeProduct:
@@ -1615,7 +1635,7 @@ def transfer_report(system, max_level):
     tele = h0_translation_telescope(homology_levels(system, max_level))
     level = len(tele.stages)
     cells, coarse = system.level_chain(level)[-1]
-    msig, mphisig = _reflection_modules(cells, coarse)
+    msig, mphisig = level_modules(system, level)
     h0_gamma = free_product_fragment(msig, mphisig, cover_matrix(coarse, cells)).h0_presentation
     label = msig.orbits[0]
     tr_matrix = [[(label[i] == o) * (1 + (msig.perm[i] == i)) for o in range(h0_gamma.ngens)]

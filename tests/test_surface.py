@@ -6,7 +6,9 @@ definition.  Imports and ``__all__`` entries are not references, so a
 name that only the package re-exports, or only the tests call, fails
 here unless ``ALLOWED`` names it with a reason.  The same holds for the
 public methods and properties of public classes, with ``ALLOWED_METHODS``
-as their list of exceptions.
+as their list of exceptions.  Every import in ``src/`` sits at module
+level: an import inside a function hides a dependency, such as an
+import cycle, that the module's head should show.
 """
 
 import ast
@@ -132,3 +134,20 @@ def test_every_public_method_has_a_library_caller():
 def test_method_allow_list_is_current():
     # a method that gained a caller, or left the library, leaves the list
     assert sorted(ALLOWED_METHODS) == unreferenced_methods()
+
+
+def nested_imports():
+    """Sorted "module:line" of every import in ``src/`` below module level,
+    such as one inside a function."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = {id(node) for node in tree.body}
+        found += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+    return sorted(found)
+
+
+def test_no_function_local_imports():
+    nested = nested_imports()
+    assert not nested, f"imports below module level in src/: {nested}"

@@ -84,15 +84,6 @@ class TestFirstReturnCastle:
         assert y2 == ClopenSet.arc(golden, -1, -4)   # [(1-theta)+, (3-4theta)+)
         assert castle.verify().all_ok()
 
-    def test_measure_identity(self, denjoy, golden):
-        y = ClopenSet.arc(golden, -1, 1)
-        castle = first_return_castle(denjoy, y)
-        total = None
-        for t in castle.towers:
-            part = t.base.measure() * t.return_time
-            total = part if total is None else total + part
-        assert total == QuadExt(Fraction(1), Fraction(0), golden)
-
     def test_flip_of_full_climb_fixes_bases(self, denjoy, golden):
         y = ClopenSet.arc(golden, -1, 1)
         castle = first_return_castle(denjoy, y)
@@ -123,25 +114,6 @@ class TestFirstReturnCastle:
         assert castle.return_times() == (1,)
         assert castle.towers[0].base.full
         assert castle.verify().all_ok()
-
-    def test_requires_flip_invariance(self, denjoy, golden):
-        with pytest.raises(ValueError):
-            first_return_castle(denjoy, ClopenSet.arc(golden, 0, 1))
-
-    def test_requires_nonempty(self, denjoy):
-        with pytest.raises(ValueError):
-            first_return_castle(denjoy, ClopenSet.empty(GOLDEN))
-
-    def test_other_theta(self, sqrt2_theta):
-        system = DenjoyFlipSystem(sqrt2_theta)
-        y = ClopenSet.arc(sqrt2_theta, -1, 1)
-        castle = first_return_castle(system, y)
-        assert castle.verify().all_ok()
-        total = None
-        for t in castle.towers:
-            part = t.base.measure() * t.return_time
-            total = part if total is None else total + part
-        assert total == QuadExt(Fraction(1), Fraction(0), sqrt2_theta)
 
     def test_random_flip_invariant_windows(self, denjoy, golden):
         one = QuadExt(Fraction(1), Fraction(0), golden)
@@ -655,12 +627,6 @@ class TestCastleJson:
         data["towers"] = []
         with pytest.raises(ValueError):
             Castle.from_json(data)
-
-    def test_doubled_round_trip(self, doubled, golden):
-        z = ClopenSet.arc(golden, 0, 1)
-        castle = first_return_castle(doubled, DoubledClopen(z, z))
-        restored = Castle.from_json(json.loads(json.dumps(castle.to_json())))
-        assert restored.verify().all_ok()
 
     def test_odometer_round_trip(self):
         odo = OdometerSystem([2, 4, 8])
