@@ -262,12 +262,23 @@ def _random_involutive_permutation(rng: random.Random, n: int):
     return perm
 
 
+class _JsonArgumentParser(argparse.ArgumentParser):
+    """An argument parser that reports a command line it cannot read,
+    such as a missing option or a value that is not an integer, as the
+    JSON ``{"error": ...}`` on stderr, with exit code 2."""
+
+    def error(self, message: str):
+        print(json.dumps({"error": f"{self.prog}: {message}"}), file=sys.stderr)
+        self.exit(EXIT_CONFIG)
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and kept: argparse
     leaves its builder objects in reference cycles, so one parser serves
-    every ``main`` call in a process."""
-    parser = argparse.ArgumentParser(
+    every ``main`` call in a process.  Its subcommand parsers are of the
+    same class, so they report errors as JSON too."""
+    parser = _JsonArgumentParser(
         prog="dihedral-dynamics",
         description="Exact castles, invariant windows and homology for "
                     "dihedral Cantor systems.",
@@ -323,8 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # --help printed its text (exit 0), or an error its JSON (exit 2)
+        return exc.code
     try:
         return args.func(args)
     except NonStabilizationError as exc:

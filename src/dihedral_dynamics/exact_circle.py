@@ -580,8 +580,9 @@ def _sweep(families: Sequence[Iterable[Arc]], start: Sequence[int]) -> Iterator[
     family that cover it.  Every arc adds 1 at its left cut and takes it
     away at its right cut; an arc that wraps past 0 also covers the gap
     before the first cut, where the sweep starts.  The cuts are sorted
-    once by :func:`sort_by_cut`, and one more comparison per arc tells
-    whether it wraps, so n arcs cost one sort of at most 2n integer keys.
+    once by :func:`sort_by_cut`, and one more key comparison per arc
+    tells whether it wraps (exact only for ends that share a key), so n
+    arcs cost one sort of at most 2n integer keys.
     Each family's depths are one running sum over the sorted cuts.
     """
     cuts, deltas, depth = {}, [], list(start)
@@ -593,7 +594,8 @@ def _sweep(families: Sequence[Iterable[Arc]], start: Sequence[int]) -> Iterator[
             cuts[right.n] = right
             delta[left.n] = delta.get(left.n, 0) + 1
             delta[right.n] = delta.get(right.n, 0) - 1
-            depth[k] += right < left
+            # keys decide unless equal; then the exact order does
+            depth[k] += right.key < left.key or right.key == left.key and right < left
         deltas.append(delta)
     order = sort_by_cut(cuts.values())
     ns = [c.n for c in order]

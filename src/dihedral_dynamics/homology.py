@@ -17,8 +17,12 @@ with one relation per pair of the reflected flip, and odd homology
 orbits of its signed permutation: a 2-cycle is a free orbit whatever
 its sign, and only the fixed cells, +1 or -1, add Z/2 summands.  An
 unnormalized bar complex, built as sparse rows for the Smith kernel,
-cross-checks these counts (``bar_homologies`` eliminates each boundary
-once for all degrees up to a top one).
+cross-checks these counts.  The complex is additive in the module and
+its boundaries are block diagonal, one block per orbit, so the oracle
+counts the orbits of ``perm`` and ``signs`` by type (fixed or not, and
+sign) and adds up one-orbit complexes, each boundary of each type
+eliminated once per process (``bar_homologies`` reads every degree up
+to a top one).
 
 Circle systems and odometers take one path through every level
 computation.  Homology asks a system two questions, each up to the
@@ -65,6 +69,7 @@ modulo 2, so their limits follow the same rule from GF(2) ranks alone
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
@@ -293,15 +298,44 @@ def _check_bar_size(module: InvolutionModule, degree: int) -> None:
             f"bar oracle guard: degree <= {_BAR_MAX_DEGREE} and cells <= {_BAR_MAX_CELLS}")
 
 
+@cache
+def _orbit_bar_diagonal(fixed: bool, sign: int, k: int) -> tuple:
+    """The Smith diagonal of d_k (k >= 1) on one orbit of the involution:
+    a fixed cell, or a 2-cycle, whose cells carry ``sign``.
+
+    At most 2 * 2 * (_BAR_MAX_DEGREE + 1) entries, as the guards bound k.
+    """
+    module = InvolutionModule((0,), (sign,)) if fixed else InvolutionModule((1, 0), (sign, sign))
+    return tuple(sparse_snf_diagonal(*_bar_boundary(module, k)))
+
+
+def _orbit_types(module: InvolutionModule) -> Counter:
+    """The orbits of the involution counted by type (fixed?, sign), read
+    off ``perm`` and ``signs`` alone: each orbit once, at its least cell."""
+    return Counter((t == c, s) for c, (t, s) in enumerate(zip(module.perm, module.signs)) if c <= t)
+
+
+def _bar_diagonal(types: Counter, k: int) -> List[int]:
+    """The Smith diagonal of d_k on the whole module, in no order: the
+    boundary is block diagonal, one block per orbit (the row of cell t
+    meets the column of cell c only for t = c or t = perm[c]), so it is
+    each type's one-orbit diagonal once per orbit.  Empty for k = 0."""
+    if not k:
+        return []
+    return [d for (fixed, sign), count in types.items()
+            for d in _orbit_bar_diagonal(fixed, sign, k) * count]
+
+
 def _bar_group(ncells: int, degree: int, diag_in: List[int], diag_out: List[int]) -> FGAbGroup:
     """H_degree from the Smith diagonals of d_degree (empty for degree 0)
-    and of d_{degree+1}."""
+    and of d_{degree+1}, each in any order."""
     rank_in = sum(1 for d in diag_in if d)
     rank_out = sum(1 for d in diag_out if d)
     # im(d_out) sits inside the pure sublattice ker(d_in), so the
-    # elementary divisors of d_out are those of the inclusion.
+    # elementary divisors of d_out are those of the inclusion; the
+    # blocks' divisors merge into one chain, which FGAbGroup checks
     return FGAbGroup(ncells * (1 << degree) - rank_in - rank_out,
-                     tuple(d for d in diag_out if d > 1))
+                     tuple(sorted(d for d in diag_out if d > 1)))
 
 
 def bar_homology(module: InvolutionModule, degree: int) -> FGAbGroup:
@@ -309,21 +343,23 @@ def bar_homology(module: InvolutionModule, degree: int) -> FGAbGroup:
 
     Independent of the orbit counts and the periodic two-term formulas:
     the homology is read off ranks and elementary divisors of the raw
-    bar boundaries d_degree and d_{degree+1}.
+    bar boundaries d_degree and d_{degree+1}, orbit block by orbit block.
     """
     _check_bar_size(module, degree)
-    diag_in = sparse_snf_diagonal(*_bar_boundary(module, degree)) if degree else []
-    diag_out = sparse_snf_diagonal(*_bar_boundary(module, degree + 1))
-    return _bar_group(module.ncells, degree, diag_in, diag_out)
+    types = _orbit_types(module)
+    return _bar_group(module.ncells, degree, _bar_diagonal(types, degree),
+                      _bar_diagonal(types, degree + 1))
 
 
 def bar_homologies(module: InvolutionModule, top: int) -> List[FGAbGroup]:
-    """[bar_homology(module, k) for k in 0..top], with each boundary
-    d_1 .. d_{top+1} built and eliminated once."""
+    """[bar_homology(module, k) for k in 0..top], with each boundary's
+    diagonal d_1 .. d_{top+1} assembled once from the one-orbit blocks,
+    and each one-orbit boundary eliminated once per process."""
     _check_bar_size(module, top)
+    types = _orbit_types(module)
     groups, diag_in = [], []
     for degree in range(top + 1):
-        diag_out = sparse_snf_diagonal(*_bar_boundary(module, degree + 1))
+        diag_out = _bar_diagonal(types, degree + 1)
         groups.append(_bar_group(module.ncells, degree, diag_in, diag_out))
         diag_in = diag_out
     return groups

@@ -733,10 +733,12 @@ class TestMutatedJson:
         assert json.loads(captured.err)["error"].startswith("cannot load system: ")
 
 
+#: Strings that argparse cannot read as integers.
+NOT_INTS = ["x", "1.5", ""]
 #: What a mutation puts in an integer option: its absence (the default),
-#: negative, zero and extreme values, and values on each side of the
-#: options' bounds.
-INT_SWAPS = [DELETE, -2 ** 70, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 32, 129, 2 ** 70]
+#: negative, zero and extreme values, values on each side of the
+#: options' bounds, and values that are not integers.
+INT_SWAPS = [DELETE, -2 ** 70, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 32, 129, 2 ** 70, *NOT_INTS]
 #: Each command's integer options and the values drawn for them.  Each
 #: oracle case costs a bar complex, so --count is drawn small; a large
 #: count costs what it asks for.
@@ -744,7 +746,7 @@ INT_OPTIONS = {
     "homology": {"--max-level": INT_SWAPS},
     "fixed-points": {"--max-level": INT_SWAPS},
     "folner": {},
-    "oracle-check": {"--count": [-2 ** 70, -1, 0, 1, 2, 3], "--max-cells": INT_SWAPS,
+    "oracle-check": {"--count": [-2 ** 70, -1, 0, 1, 2, 3, *NOT_INTS], "--max-cells": INT_SWAPS,
                      "--max-degree": INT_SWAPS, "--seed": INT_SWAPS},
 }
 
@@ -755,28 +757,50 @@ class TestMutatedOptions:
     def test_every_run_ends_with_an_exit_code(self, tmp_path_factory, data, command):
         # --max-level on circle, doubled and odometer systems, the
         # oracle-check options, and folner --ratio lists with fields
-        # deleted, retyped or taken from a system: each run ends in an
-        # exit code, within the alarm, with its error as JSON
+        # deleted, retyped or taken from a system, some of them not
+        # integers or with --system dropped: each run ends in an exit
+        # code, within the alarm, with its error as JSON
         args = [command]
+        unreadable = False
         if command == "folner":
             ratio = data.draw(mutated([[0, 0], [1, 0], [0, 1]], FUZZ_SYSTEMS))
             args += ["--m", "6", "--ratio", json.dumps(ratio)]
         elif command != "oracle-check":
             path = tmp_path_factory.getbasetemp() / "option-system.json"
             path.write_text(json.dumps(data.draw(st.sampled_from(FUZZ_SYSTEMS))))
-            args += ["--system", str(path)]
+            if data.draw(st.sampled_from([True, True, True, False])):
+                args += ["--system", str(path)]
+            else:
+                unreadable = True
         if command == "homology":
             args += ["--method", data.draw(st.sampled_from(["comp", "freeproduct", "both"]))]
         for flag, pool in INT_OPTIONS[command].items():
             value = data.draw(st.sampled_from(pool))
             if value is not DELETE:
                 args += [flag, str(value)]
+                unreadable |= value in NOT_INTS
         out, err = io.StringIO(), io.StringIO()
         with alarm(5), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(args)
         assert code in {0, 2, 3, 4}
+        if unreadable:
+            assert (code, out.getvalue()) == (2, "")
         if code:
             assert "error" in json.loads(err.getvalue())
+
+
+    def test_unreadable_command_lines_are_json_errors(self, capsys):
+        # argparse's refusals print JSON like every other configuration
+        # error; --help still prints its text and exits 0
+        for argv in (["homology", "--system", "s.json", "--max-level", "x"], ["homology"],
+                     ["oracle-check", "--count", "1.5"], ["no-such-command"], []):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error" in json.loads(captured.err)
+        assert main(["homology", "--help"]) == 0
+        captured = capsys.readouterr()
+        assert "--max-level" in captured.out and captured.err == ""
 
 
 class TestHomologyCommand:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dihedral_dynamics import exact_circle
 from dihedral_dynamics.exact_circle import (
+    GOLDEN,
     Arc,
     ClopenSet,
     CutPoint,
@@ -320,6 +321,34 @@ class TestIntegerKeyOrder:
             assert {c.key for c in cuts} == {0}
             assert [c.n for c in sort_by_cut(cuts)] == list(range(1, 21))
             assert [c.n for c in sort_by_cut(cuts)] == [c.n for c in reference_sorted(cuts)]
+
+    def test_sweep_decides_wraps_by_key(self, monkeypatch):
+        # an arc wraps past 0 when its right cut lies below its left one:
+        # distinct keys decide that with no exact comparison, and cuts
+        # that share a key are compared exactly, either way round
+        calls = []
+        exact = CutPoint._cmp
+
+        def counting(self, other):
+            calls.append((self.n, other.n))
+            return exact(self, other)
+
+        monkeypatch.setattr(CutPoint, "_cmp", counting)
+        one, two = CutPoint.of(GOLDEN, 1), CutPoint.of(GOLDEN, 2)
+        assert one.key != two.key
+        for left, right in ((one, two), (two, one)):
+            wraps = right.key < left.key
+            assert [d for _, d in _sweep(([Arc(left, right)],), (0,))] == (
+                [(0,), (1,)] if wraps else [(1,), (0,)])
+        assert calls == []
+        monkeypatch.setattr(exact_circle, "_KEY_BITS", 4)
+        theta = Theta(p=0, q=1, d=2, r=10 ** 6)
+        three, five = CutPoint.of(theta, 3), CutPoint.of(theta, 5)
+        assert three.key == five.key
+        # 3*theta < 5*theta: (3, 5) covers the gap between them, (5, 3) the rest
+        assert [d for _, d in _sweep(([Arc(three, five)],), (0,))] == [(1,), (0,)]
+        assert [d for _, d in _sweep(([Arc(five, three)],), (0,))] == [(0,), (1,)]
+        assert calls
 
     def test_above_half(self):
         for fields in THETA_FIELDS:

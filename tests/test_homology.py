@@ -72,6 +72,7 @@ from test_abgroups import (
     reference_snf_diagonal,
     relation_rule,
     solve_integer,
+    sympy_snf_diagonal,
 )
 
 Z2 = FGAbGroup(0, (2,))
@@ -345,6 +346,15 @@ def dense_bar_boundary(module, k):
     return mat
 
 
+def whole_bar_homology(module, degree):
+    """H_degree from the whole bar boundaries d_degree and d_{degree+1},
+    each eliminated in one piece: the reference the orbit blocks of
+    ``bar_homology`` are checked against."""
+    diag_in = sparse_snf_diagonal(*_bar_boundary(module, degree)) if degree else []
+    diag_out = sparse_snf_diagonal(*_bar_boundary(module, degree + 1))
+    return homology._bar_group(module.ncells, degree, diag_in, diag_out)
+
+
 def sparse_rows(mat):
     """{row: {col: nonzero}} of a dense list of rows, every row kept."""
     return {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(mat)}
@@ -468,22 +478,56 @@ class TestBarOracle:
             sparse_snf_diagonal(rows, shape)
             assert len(pops) <= 8 * shape[0]
 
-    def test_all_degrees_eliminate_each_boundary_once(self, monkeypatch):
-        calls = []
+    def test_each_orbit_boundary_is_eliminated_once_per_process(self, monkeypatch):
+        # one boundary built and eliminated per orbit type (fixed?, sign)
+        # and degree, whatever the module; a second call eliminates nothing
+        built, eliminated = [], []
+        build = homology._bar_boundary
+
+        def building(module, k):
+            built.append((module.perm, module.signs, k))
+            return build(module, k)
 
         def counting(rows, shape):
-            calls.append(shape)
+            eliminated.append(shape)
             return sparse_snf_diagonal(rows, shape)
 
         def dense(mat):
             raise AssertionError("a bar boundary went through the dense entry")
 
+        monkeypatch.setattr(homology, "_bar_boundary", building)
         monkeypatch.setattr(homology, "sparse_snf_diagonal", counting)
         monkeypatch.setattr(homology, "snf_diagonal", dense)
-        m = InvolutionModule.from_permutation([1, 0, 2])
-        bar_homologies(m, 4)
-        # d_1 .. d_5, each C_k -> C_{k-1} of size 3 * 2^(k-1) x 3 * 2^k
-        assert calls == [(3 << (k - 1), 3 << k) for k in range(1, 6)]
+        homology._orbit_bar_diagonal.cache_clear()
+        # +1 2-cycles (0 1) and (6 7), a -1 2-cycle, a +1 and a -1 fixed cell
+        m = InvolutionModule((1, 0, 3, 2, 4, 5, 7, 6), (1, 1, -1, -1, 1, -1, 1, 1))
+        bar_homologies(m, 6)
+        orbits = [((0,), (s,)) for s in (1, -1)] + [((1, 0), (s, s)) for s in (1, -1)]
+        assert sorted(built) == sorted((p, s, k) for p, s in orbits for k in range(1, 8))
+        assert len(eliminated) == len(built) == 28
+        built.clear()
+        eliminated.clear()
+        assert bar_homologies(m, 6)[1:3] == [odd_homology(m), even_homology(m)]
+        bar_homology(InvolutionModule.from_permutation([1, 0, 2]), 3)
+        assert built == eliminated == []
+        # four types by degrees 1 .. _BAR_MAX_DEGREE + 1, and no more
+        assert homology._orbit_bar_diagonal.cache_info().currsize == 4 * 7
+
+    @given(st.one_of(involutive_permutations(6).map(InvolutionModule.from_permutation),
+                     signed_involutions(6)), st.integers(0, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_orbit_blocks_match_the_whole_complex(self, m, degree):
+        assert bar_homology(m, degree) == whole_bar_homology(m, degree)
+        assert bar_homologies(m, degree)[-1] == whole_bar_homology(m, degree)
+
+    def test_orbit_diagonals_match_sympy(self):
+        for fixed in (True, False):
+            for sign in (1, -1):
+                cells = ((0,), (sign,)) if fixed else ((1, 0), (sign, sign))
+                for k in range(1, 5):
+                    d = dense_bar_boundary(InvolutionModule(*cells), k)
+                    assert (list(homology._orbit_bar_diagonal(fixed, sign, k))
+                            == sympy_snf_diagonal(d, len(d[0])))
 
     def test_all_degrees_guards(self):
         with pytest.raises(ValueError):
